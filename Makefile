@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-quick bench-json bench-paper report examples clean
+.PHONY: install test bench bench-quick bench-json bench-perf bench-paper report examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -26,6 +26,11 @@ bench-quick:
 # REPRO_OUTOFCORE_ROSTER=100000), plus the .txt tables.
 bench-json:
 	$(PYTHON) -m pytest benchmarks/test_ablation_hybrid_backend.py benchmarks/test_ablation_obs_overhead.py benchmarks/test_serve_sharded.py benchmarks/test_ablation_passjoin.py benchmarks/test_bench_outofcore.py -q -s --benchmark-disable
+
+# The repo's benchmark (BENCHMARK.json): every workload, each in its
+# own process; records land in benchmarks/perf/out/runs/.
+bench-perf:
+	python3 benchmarks/perf/bench.py
 
 bench-paper:
 	REPRO_PAPER_SCALE=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only

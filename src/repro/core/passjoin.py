@@ -162,27 +162,52 @@ class PassJoinIndex:
     def __init__(self, strings: Sequence[str], *, k: int = 1):
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        self.strings = list(strings)
+        self.strings: list[str] = []
         self.k = k
         self.parts = k + 1
-        codes, lens = _encode_codes(self.strings)
-        self._lens = lens
         #: (length, segment_i) -> (sorted hashes, ids in hash order)
         self._buckets: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         #: length -> segment layout, for lengths present in the index
         self._layouts: dict[int, list[tuple[int, int]]] = {}
-        for length in dedup_sorted(lens):
-            length = int(length)
-            ids = np.flatnonzero(lens == length).astype(np.int64)
-            layout = segment_layout(length, self.parts)
-            self._layouts[length] = layout
-            for i, (start, seg_len) in enumerate(layout):
-                h = _hash_rows(codes[ids, start : start + seg_len])
-                order = np.argsort(h, kind="stable")
-                self._buckets[(length, i)] = (h[order], ids[order])
+        self.extend(strings)
 
     def __len__(self) -> int:
         return len(self.strings)
+
+    def extend(self, strings: Sequence[str]) -> None:
+        """Index more strings; their ids continue from ``len(self)``.
+
+        Only the new rows are encoded and hashed.  Their segment hashes
+        are merged into the ``(length, segment)`` buckets after any
+        equal hashes already there, so the buckets come out exactly as
+        a fresh build over all the strings would lay them out.  New
+        lengths get their layout.  Nothing is changed until every new
+        row has been hashed.
+        """
+        new = list(strings)
+        codes, lens = _encode_codes(new)
+        offset = len(self.strings)
+        layouts: dict[int, list[tuple[int, int]]] = {}
+        buckets: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        for length in dedup_sorted(lens):
+            length = int(length)
+            rows = np.flatnonzero(lens == length)
+            ids = rows.astype(np.int64) + offset
+            layout = segment_layout(length, self.parts)
+            layouts[length] = layout
+            for i, (start, seg_len) in enumerate(layout):
+                h = _hash_rows(codes[rows, start : start + seg_len])
+                order = np.argsort(h, kind="stable")
+                h, seg_ids = h[order], ids[order]
+                held = self._buckets.get((length, i))
+                if held is not None:
+                    at = np.searchsorted(held[0], h, side="right")
+                    h = np.insert(held[0], at, h)
+                    seg_ids = np.insert(held[1], at, seg_ids)
+                buckets[(length, i)] = (h, seg_ids)
+        self.strings.extend(new)
+        self._layouts.update(layouts)
+        self._buckets.update(buckets)
 
     # -- probing -------------------------------------------------------------
 

@@ -224,6 +224,41 @@ class VectorEngine:
         self._vid_l: np.ndarray | None = None
         self._vid_r: np.ndarray | None = None
 
+    def sync_right(self) -> int:
+        """Prepare rows appended to ``self.right`` since the right side
+        was prepared; returns how many were added.
+
+        This is the serve layer's append path: the roster list grows in
+        place, and only the new rows are encoded and signed.  The code
+        matrix is padded up when a new string is wider than the current
+        maximum, and the lazily built pair caches (Soundex ids, length
+        groups, value identities) are reset.  Nothing is changed if
+        encoding a new row fails.  ``self.right`` must not be the left
+        dataset.
+        """
+        new = self.right[len(self.len_r) :]
+        if not new:
+            return 0
+        codes, lens = encode_raw(new)
+        sigs = signatures_for_scheme(new, self.scheme)
+        if sigs.ndim == 1:
+            sigs = sigs[:, None]
+        width = max(self.codes_r.shape[1], codes.shape[1])
+        grown = np.zeros((len(self.len_r) + len(new), width), dtype=np.uint8)
+        grown[: len(self.len_r), : self.codes_r.shape[1]] = self.codes_r
+        grown[len(self.len_r) :, : codes.shape[1]] = codes
+        self.codes_r = grown
+        self.len_r = np.concatenate([self.len_r, lens])
+        self.sigs_r = np.concatenate([self.sigs_r, sigs])
+        # The left- and right-side caches are built (and checked) as pairs.
+        self._sdx_l = self._sdx_r = None
+        self._len_groups_l = self._len_groups_r = None
+        self._vid_l = self._vid_r = None
+        self.self_join = len(self.left) == len(self.right) and list(
+            self.left
+        ) == list(self.right)
+        return len(new)
+
     # -- method dispatch ---------------------------------------------------
 
     def run(self, method: str, collector=None) -> VJoinResult:

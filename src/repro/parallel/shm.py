@@ -31,7 +31,7 @@ The decisions are bit-identical to the scalar reference (asserted by
 changes.  Surfaced as ``backend="hybrid"`` in
 :class:`repro.core.plan.JoinPlanner` / :func:`repro.join`, and used by
 :meth:`repro.serve.service.MatchService.query_batch` to fan a batch out
-across the per-generation roster segments.
+across the published roster segments.
 
 Observability counters (free-form, under ``collector.counters``):
 
@@ -249,7 +249,7 @@ def inline_side(strings: Sequence[str], *, scheme) -> SideArrays:
 
 class SharedSide(_SegmentOwner):
     """One dataset published through shared memory (the serve layer's
-    per-generation roster)."""
+    roster, republished when rows are appended)."""
 
     def __init__(self, strings: Sequence[str], *, scheme):
         super().__init__()
@@ -783,15 +783,17 @@ def _exec_hybrid(task: _HybridTask) -> dict:
 class _ShardQueryTask:
     """One shard's slice of a scattered serve batch.
 
-    ``roster`` names the shard's published segments for ``generation``;
-    the owning worker resolves them once and keeps the resolved side in
-    :data:`_SHARD_STATE` until a handoff task for a newer generation
-    arrives — the worker *holds* the shard, it does not re-attach per
-    batch.  ``queries`` is the (small) inline-encoded query side.
+    ``roster`` names the shard's published segments and ``stamp``
+    identifies that publication (the parent republishes after adds,
+    compaction or an adopted blob, never after a remove); the owning
+    worker resolves the segments once and keeps the resolved side in
+    :data:`_SHARD_STATE` until a task with a different stamp arrives —
+    the worker *holds* the shard, it does not re-attach per batch.
+    ``queries`` is the (small) inline-encoded query side.
     """
 
     shard: int
-    generation: int
+    stamp: int
     roster: SideArrays
     queries: SideArrays
     method: str
@@ -801,7 +803,7 @@ class _ShardQueryTask:
     kernels: str = "auto"
 
 
-#: worker-side shard ownership: shard id -> (generation, resolved side)
+#: worker-side shard ownership: shard id -> (publish stamp, resolved side)
 _SHARD_STATE: dict[int, tuple[int, _Side]] = {}
 
 
@@ -809,8 +811,8 @@ def _exec_shard_query(task: _ShardQueryTask) -> dict:
     """Worker entry point: dense sweep of a query batch over one owned
     shard roster.
 
-    The resolved roster side is cached per (shard, generation) — the
-    snapshot-based handoff protocol: a task carrying a newer generation
+    The resolved roster side is cached per (shard, stamp) — the
+    snapshot-based handoff protocol: a task carrying a new stamp
     atomically swaps the worker's held state to the newly published
     segments (the parent unlinks the old ones only after publishing the
     new, so there is no window where the shard is unservable).
@@ -818,8 +820,8 @@ def _exec_shard_query(task: _ShardQueryTask) -> dict:
     spec = method_registry()[task.method]
     held = _SHARD_STATE.get(task.shard)
     adopted = False
-    if held is None or held[0] != task.generation:
-        held = (task.generation, _resolve_side(task.roster))
+    if held is None or held[0] != task.stamp:
+        held = (task.stamp, _resolve_side(task.roster))
         _SHARD_STATE[task.shard] = held
         adopted = True
     queries = _resolve_side(task.queries)
@@ -842,7 +844,7 @@ def _exec_shard_query(task: _ShardQueryTask) -> dict:
 
 def shard_query_call(
     shard: int,
-    generation: int,
+    stamp: int,
     roster: SideArrays,
     queries: SideArrays,
     *,
@@ -852,12 +854,13 @@ def shard_query_call(
     collect: bool = False,
     kernels: str = "auto",
 ) -> tuple:
-    """Build one ``(fn, payload)`` pool call for a shard query slice."""
+    """Build one ``(fn, payload)`` pool call for a shard query slice;
+    ``stamp`` identifies the publication of ``roster``."""
     return (
         _exec_shard_query,
         _ShardQueryTask(
             shard=shard,
-            generation=generation,
+            stamp=stamp,
             roster=roster,
             queries=queries,
             method=method,

@@ -69,13 +69,7 @@ class MutableIndex:
             )
         self._fbf = FBFIndex(strings, scheme=scheme, verifier=verifier)
         n = len(self._fbf)
-        #: internal position -> external id (monotone, so mapped search
-        #: results stay sorted)
-        self._ext_ids: list[int] = list(range(n))
-        #: live external id -> internal position
-        self._live: dict[int, int] = {i: i for i in range(n)}
-        #: tombstoned internal positions
-        self._dead: set[int] = set()
+        self._set_rows(np.arange(n, dtype=np.int64))
         self._next_id = n
         self.compact_ratio = compact_ratio
         #: bumped by every mutation (add/remove/compact); caches keyed
@@ -84,6 +78,28 @@ class MutableIndex:
         #: total compactions performed (auto + explicit)
         self.compactions = 0
         self._reset_telemetry()
+
+    def _set_rows(
+        self, ext_ids: np.ndarray, dead: np.ndarray | None = None
+    ) -> None:
+        """Install the bookkeeping for the wrapped index's rows:
+        ``ext_ids[i]`` is row ``i``'s external id and ``dead`` lists the
+        tombstoned rows.  Used by construction, :meth:`compact` and
+        ``snapshot.load_index``."""
+        #: internal position -> external id (monotone, so mapped search
+        #: results stay sorted); grows by doubling, so entries past
+        #: ``rows`` are spare capacity
+        self._ext_ids = np.array(ext_ids, dtype=np.int64)
+        #: internal position -> tombstoned (same capacity as _ext_ids)
+        self._dead = np.zeros(len(self._ext_ids), dtype=bool)
+        if dead is not None:
+            self._dead[np.asarray(dead, dtype=np.int64)] = True
+        self._n_dead = int(self._dead.sum())
+        live = np.flatnonzero(~self._dead)
+        #: live external id -> internal position
+        self._live: dict[int, int] = dict(
+            zip(self._ext_ids[live].tolist(), live.tolist())
+        )
 
     # -- telemetry -----------------------------------------------------------
 
@@ -154,7 +170,7 @@ class MutableIndex:
     @property
     def tombstones(self) -> int:
         """Number of tombstoned (removed but not yet compacted) rows."""
-        return len(self._dead)
+        return self._n_dead
 
     @property
     def rows(self) -> int:
@@ -165,7 +181,7 @@ class MutableIndex:
     def tombstone_ratio(self) -> float:
         """Dead fraction of the wrapped index's rows."""
         total = len(self._fbf)
-        return len(self._dead) / total if total else 0.0
+        return self._n_dead / total if total else 0.0
 
     def __len__(self) -> int:
         return len(self._live)
@@ -201,8 +217,16 @@ class MutableIndex:
                 f"{self._next_id - 1}"
             )
         internal = self._fbf.add(s)
+        if internal == len(self._ext_ids):
+            spare = max(16, internal)
+            self._ext_ids = np.concatenate(
+                [self._ext_ids, np.zeros(spare, dtype=np.int64)]
+            )
+            self._dead = np.concatenate(
+                [self._dead, np.zeros(spare, dtype=bool)]
+            )
+        self._ext_ids[internal] = sid
         self._next_id = sid + 1
-        self._ext_ids.append(sid)
         self._live[sid] = internal
         self.generation += 1
         self._refresh_gauges()
@@ -222,7 +246,8 @@ class MutableIndex:
             internal = self._live.pop(sid)
         except KeyError:
             raise KeyError(f"no live entry with id {sid}") from None
-        self._dead.add(internal)
+        self._dead[internal] = True
+        self._n_dead += 1
         self.generation += 1
         self._refresh_gauges()
         if (
@@ -237,15 +262,13 @@ class MutableIndex:
         Returns the number of tombstoned rows reclaimed.  External ids
         are preserved; internal positions are reassigned in id order.
         """
-        reclaimed = len(self._dead)
+        reclaimed = self._n_dead
         live = sorted(self._live)
         strings = [self._fbf[self._live[sid]] for sid in live]
         self._fbf = FBFIndex(
             strings, scheme=self._fbf.scheme, verifier=self._fbf.verifier
         )
-        self._ext_ids = live
-        self._live = {sid: pos for pos, sid in enumerate(live)}
-        self._dead.clear()
+        self._set_rows(np.asarray(live, dtype=np.int64))
         self.compactions += 1
         self.generation += 1
         if self._c_compactions is not None:
@@ -277,9 +300,8 @@ class MutableIndex:
         includes scanning not-yet-compacted tombstoned rows.
         """
         raw = self._fbf.search(query, k, collector=collector, verifier=verifier)
-        dead = self._dead
-        ext = self._ext_ids
-        return [ext[i] for i in raw if i not in dead]
+        rows = np.asarray(raw, dtype=np.int64)
+        return self.external_ids(rows[self.live_mask(rows)]).tolist()
 
     def search_strings(self, query: str, k: int = 1) -> list[str]:
         """Like :meth:`search` but returning the matched strings."""
@@ -289,15 +311,10 @@ class MutableIndex:
 
     def external_ids(self, internal: np.ndarray) -> np.ndarray:
         """Map an array of internal positions to external ids."""
-        return np.asarray(self._ext_ids, dtype=np.int64)[internal]
+        return self._ext_ids[internal]
 
     def live_mask(self, internal: np.ndarray) -> np.ndarray:
         """Boolean mask of internal positions that are not tombstoned."""
-        if not self._dead:
+        if not self._n_dead:
             return np.ones(len(internal), dtype=bool)
-        dead = self._dead
-        return np.fromiter(
-            (int(i) not in dead for i in internal),
-            dtype=bool,
-            count=len(internal),
-        )
+        return ~self._dead[internal]

@@ -12,9 +12,11 @@ Batching matters for the same reason the join layer is vectorized: one
 query against an FBF index spends most of its time in Python dispatch
 (signature, bucket walk, small DP calls), while a batch amortises that
 into a handful of NumPy sweeps over packed arrays.  The right-side
-engine state (codes, signatures) depends only on the index contents, so
-it is prepared once per index *generation* and shared across batches
-via the engine's ``share_right`` hook.
+engine state (codes, signatures) depends only on the roster's rows, so
+it is prepared once per wrapped index and shared across batches via the
+engine's ``share_right`` hook.  Writes do not rebuild it: a remove only
+tombstones a row (filtered after verification), and an add appends a
+row, which the held state folds in on the next batch.
 
 Observability plugs into the same :class:`~repro.obs.stats
 .StatsCollector` funnel the batch joins use: every query is a
@@ -29,6 +31,7 @@ generator-accounting pattern so candidates are never double-counted.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import count
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -58,6 +61,38 @@ __all__ = ["MatchService", "QueryResult"]
 #: only these may take the batched path (``"myers"`` is Levenshtein —
 #: a different metric — so it always verifies per query).
 OSA_METRIC = ("osa", "osa-bitparallel")
+
+#: publish stamps for shared-memory rosters: pool workers keep a shard's
+#: resolved roster until a task carries a new stamp.  Process-wide
+#: because every service in the process shares one pool, whose workers
+#: key held rosters by shard id alone.
+_PUBLISH_STAMPS = count(1)
+
+
+class _Prepared:
+    """Everything prepared over one roster's rows, kept across writes.
+
+    A holder is valid for one :class:`FBFIndex` object.  That index is
+    append-only, so an add only appends rows: each part below records
+    how many rows it covers (``len(engine.len_r)``, ``len(passjoin[k])``,
+    ``side.n``) and is extended, or for the fixed-size shared roster
+    republished, when the index has grown past that.  A remove only
+    tombstones a row, which ``live_mask`` drops after verification, so
+    it touches nothing here.  Compaction, snapshot load and shard
+    adoption build a new index, and with it a new holder.
+    """
+
+    def __init__(self, index: FBFIndex, retired=None):
+        self.index = index
+        #: right-side engine shared by the per-batch engines
+        self.engine: VectorEngine | None = None
+        #: k -> PASS-JOIN partition index
+        self.passjoin: dict[int, PassJoinIndex] = {}
+        #: published shared-memory roster and its publish stamp
+        self.side = None
+        self.stamp = 0
+        #: the previous index's roster, closed once this one publishes
+        self.retired = retired
 
 
 @dataclass(frozen=True)
@@ -114,9 +149,10 @@ class MatchService:
         With ``workers > 1``, batched OSA queries fan out to the
         process-wide shared-memory pool
         (:func:`repro.parallel.shm.shared_pool`): the roster encodings
-        are published once per index generation and each batch ships
-        only its query-side arrays.  Answers are identical to the
-        single-process path.
+        are published once, republished only after adds or compaction
+        (never after a remove), and each batch ships only its
+        query-side arrays.  Answers are identical to the single-process
+        path.
     shards:
         With ``shards > 1`` the service stores its population in a
         :class:`~repro.serve.shard.ShardedIndex` and answers batched
@@ -131,9 +167,9 @@ class MatchService:
     candidates:
         Candidate generation for batched OSA queries.  ``"fbf"`` walks
         the FBF signature index (the original behavior);
-        ``"pass-join"`` probes a per-generation
+        ``"pass-join"`` probes a
         :class:`~repro.core.passjoin.PassJoinIndex` over the same
-        rows — exact for OSA, sub-quadratic, and ~7x faster on large
+        rows (built once, extended by adds) — exact for OSA, sub-quadratic, and ~7x faster on large
         rosters at ``k=1``; ``"auto"`` (default) picks PASS-JOIN when
         the roster has at least :attr:`PASSJOIN_MIN_ROSTER` rows and
         ``k <= 1``, mirroring the join planner's cost model.  Either
@@ -168,6 +204,46 @@ class MatchService:
         candidates: str = "auto",
         kernels: str = "auto",
     ):
+        if shards > 1:
+            index = ShardedIndex(
+                strings,
+                n_shards=shards,
+                scheme=scheme,
+                verifier=verifier,
+                compact_ratio=compact_ratio,
+            )
+        else:
+            index = MutableIndex(
+                strings,
+                scheme=scheme,
+                verifier=verifier,
+                compact_ratio=compact_ratio,
+            )
+        self._init_state(
+            index,
+            k=k,
+            cache_size=cache_size,
+            collector=collector,
+            workers=workers,
+            metrics=metrics,
+            candidates=candidates,
+            kernels=kernels,
+        )
+
+    def _init_state(
+        self,
+        index: MutableIndex | ShardedIndex,
+        *,
+        k: int,
+        cache_size: int,
+        collector,
+        workers: int | None,
+        metrics: MetricsRegistry | bool | None,
+        candidates: str = "auto",
+        kernels: str = "auto",
+    ) -> None:
+        """Every field of a service over ``index``; shared by the
+        constructor and :meth:`load`."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         if candidates not in self.CANDIDATE_MODES:
@@ -180,47 +256,20 @@ class MatchService:
         #: kernel tier for every engine this service builds and for the
         #: pooled workers ("auto" = compiled kernels when available)
         self._kernels = kernels
-        if shards > 1:
-            self._index = ShardedIndex(
-                strings,
-                n_shards=shards,
-                scheme=scheme,
-                verifier=verifier,
-                compact_ratio=compact_ratio,
-            )
-        else:
-            self._index = MutableIndex(
-                strings,
-                scheme=scheme,
-                verifier=verifier,
-                compact_ratio=compact_ratio,
-            )
+        self._index = index
         self._cache = ResultCache(cache_size)
         self._obs = collector if collector else NULL_COLLECTOR
-        # Prepared right-side engine, valid for exactly one generation.
-        self._base_engine: VectorEngine | None = None
-        self._base_generation = -1
         self._workers = workers
-        # Shared-memory roster, also valid for exactly one generation.
-        self._shm_roster = None
-        self._shm_generation = -1
+        #: "base" or shard id -> prepared state over that roster's rows
+        self._rosters: dict[object, _Prepared] = {}
         self._init_sharding()
         self._init_telemetry(metrics)
 
     def _init_sharding(self) -> None:
-        """Scatter-path state: per-shard engine/roster caches (each
-        valid for exactly one shard generation), the shard -> pool-slot
-        placement and the load window the rebalancer consumes."""
+        """Scatter-path state: the shard -> pool-slot placement and the
+        load window the rebalancer consumes."""
         n = getattr(self._index, "n_shards", 1)
         workers = max(1, int(self._workers or 1))
-        #: (cache key, k) -> (generation, PASS-JOIN partition index)
-        self._pj_indexes: dict[
-            tuple[object, int], tuple[int, PassJoinIndex]
-        ] = {}
-        #: shard -> (generation, prepared right-side engine)
-        self._shard_engines: dict[int, tuple[int, VectorEngine]] = {}
-        #: shard -> (generation, published SharedSide)
-        self._shard_rosters: dict[int, tuple[int, object]] = {}
         #: shard -> owning pool slot (affinity routing)
         self._placement: dict[int, int] = {
             si: si % workers for si in range(n)
@@ -275,7 +324,7 @@ class MatchService:
         )
         self._c_engine_rebuilds = m.counter(
             "serve_engine_rebuilds_total",
-            "per-generation engine preparations (cache generation bumps)",
+            "full right-side engine builds (adds extend the held engine)",
         )
         self._g_queue_depth = m.gauge(
             "serve_queue_depth",
@@ -531,59 +580,96 @@ class MatchService:
         )
         return self._store(value, k, method, ids)
 
-    # -- the batched path ---------------------------------------------------
+    # -- prepared roster state -----------------------------------------------
 
-    def _engine_for(self, queries: list[str], k: int) -> VectorEngine:
-        """A per-batch engine sharing the per-generation right side."""
-        gen = self._index.generation
-        fbf = self._index.index
-        if self._base_engine is None or self._base_generation != gen:
+    def _prepared(self, key: object, mutable) -> _Prepared:
+        """The holder for ``mutable``'s rows (``key`` is ``"base"`` or a
+        shard id), replaced when ``mutable`` wraps a new index."""
+        held = self._rosters.get(key)
+        if held is None or held.index is not mutable.index:
+            retired = None if held is None else held.side or held.retired
+            held = self._rosters[key] = _Prepared(mutable.index, retired)
+        return held
+
+    def _right_engine(self, key: object, mutable, k: int) -> VectorEngine:
+        """``mutable``'s prepared right-side engine: built on first use
+        of an index, extended by the rows appended since."""
+        prep = self._prepared(key, mutable)
+        fbf = prep.index
+        if prep.engine is None:
             with self._obs.span("serve.prepare_engine"):
-                self._base_engine = VectorEngine(
+                prep.engine = VectorEngine(
                     [], fbf.strings, k=k, scheme_kind=fbf.scheme,
                     kernels=self._kernels,
                 )
-                self._base_generation = gen
                 self._obs.add_counter("engine_rebuilds")
                 self._c_engine_rebuilds.inc()
                 self.events.emit(
-                    "engine_rebuild", generation=gen, rows=len(fbf)
+                    "engine_rebuild",
+                    generation=mutable.generation,
+                    rows=len(fbf),
+                    **_shard_field(key),
                 )
+        elif len(prep.engine.len_r) < len(fbf):
+            with self._obs.span("serve.prepare_engine"):
+                prep.engine.sync_right()
+        return prep.engine
+
+    def _published(self, key: object, mutable) -> _Prepared:
+        """``mutable``'s holder with a shared-memory roster covering all
+        its rows.  A published side has a fixed size, so appended rows
+        republish it; the new roster is published before the old one is
+        unlinked, and workers keep their resolved views of the old
+        segments until a task carries the new stamp — so compaction,
+        adds or an adopted recovery blob never leave a window where the
+        roster cannot answer."""
+        from repro.parallel import shm
+
+        prep = self._prepared(key, mutable)
+        fbf = prep.index
+        if prep.side is not None and prep.side.n == len(fbf):
+            return prep
+        with self._obs.span("serve.publish_roster"):
+            side = shm.SharedSide(fbf.strings, scheme=fbf.scheme)
+            old = prep.side or prep.retired
+            prep.side, prep.retired = side, None
+            prep.stamp = next(_PUBLISH_STAMPS)
+            self._obs.add_counter("shm_roster_publishes")
+            if old is not None:
+                old.close()
+            if old is not None and self._c_handoffs is not None:
+                self._c_handoffs.inc()
+                kind = "shard_handoff"
+            else:
+                kind = "roster_publish"
+            self.events.emit(
+                kind,
+                generation=mutable.generation,
+                bytes=side.bytes_shared,
+                **_shard_field(key),
+            )
+        return prep
+
+    # -- the batched path ---------------------------------------------------
+
+    def _engine_for(self, queries: list[str], k: int) -> VectorEngine:
+        """A per-batch engine sharing the prepared right side."""
         return VectorEngine(
             queries,
-            fbf.strings,
+            self._index.index.strings,
             k=k,
-            share_right=self._base_engine,
+            share_right=self._right_engine("base", self._index, k),
             record_matches=True,
             kernels=self._kernels,
         )
 
     def _roster_side(self):
-        """The shared-memory roster for the current generation,
-        publishing (and retiring the stale copy) on generation change."""
-        from repro.parallel import shm
-
-        gen = self._index.generation
-        fbf = self._index.index
-        if self._shm_roster is None or self._shm_generation != gen:
-            with self._obs.span("serve.publish_roster"):
-                if self._shm_roster is not None:
-                    self._shm_roster.close()
-                self._shm_roster = shm.SharedSide(
-                    fbf.strings, scheme=fbf.scheme
-                )
-                self._shm_generation = gen
-                self._obs.add_counter("shm_roster_publishes")
-                self.events.emit(
-                    "roster_publish",
-                    generation=gen,
-                    bytes=self._shm_roster.bytes_shared,
-                )
-        return self._shm_roster
+        """The shared-memory roster covering every current row."""
+        return self._published("base", self._index).side
 
     def _run_pooled(self, pending: list[str], k: int, blocks):
         """Fan one batch out to the shared worker pool: roster arrays
-        come from the per-generation shared segments, the (small) query
+        come from the published shared segments, the (small) query
         side ships inline with the tasks."""
         from repro.parallel import shm
 
@@ -618,20 +704,21 @@ class MatchService:
     # -- candidate generation for the batched paths --------------------------
 
     def _passjoin_for(self, key: object, mutable, k: int) -> PassJoinIndex:
-        """``mutable``'s PASS-JOIN partition index for ``k``, rebuilt
-        lazily whenever its generation moves (mirrors the engine and
-        roster caches — one build amortised over every batch of a
-        generation)."""
-        gen = mutable.generation
-        held = self._pj_indexes.get((key, k))
-        if held is None or held[0] != gen:
+        """``mutable``'s PASS-JOIN partition index for ``k``: built on
+        first use of an index, extended by the rows appended since."""
+        prep = self._prepared(key, mutable)
+        fbf = prep.index
+        pj = prep.passjoin.get(k)
+        if pj is None:
             with self._obs.span("serve.build_passjoin"):
-                idx = PassJoinIndex(mutable.index.strings, k=k)
-            self._pj_indexes[(key, k)] = (gen, idx)
+                pj = prep.passjoin[k] = PassJoinIndex(fbf.strings, k=k)
             self.events.emit(
-                "passjoin_rebuild", generation=gen, rows=len(idx)
+                "passjoin_rebuild", generation=mutable.generation, rows=len(pj)
             )
-        return self._pj_indexes[(key, k)][1]
+        elif len(pj) < len(fbf):
+            with self._obs.span("serve.build_passjoin"):
+                pj.extend(fbf.strings[len(pj) :])
+        return pj
 
     def _candidate_source(self, key: object, mutable, k: int):
         """(funnel stage name, ``blocks(values)`` callable) answering a
@@ -748,73 +835,13 @@ class MatchService:
             per_query[idxs[qi]].append(sid)
 
     def _shard_engine(self, si: int, k: int) -> VectorEngine:
-        """Shard ``si``'s prepared right-side engine, rebuilt when the
-        shard's generation moves (mirrors :meth:`_engine_for`)."""
-        shard = self._index.shards[si]
-        gen = shard.generation
-        held = self._shard_engines.get(si)
-        if held is None or held[0] != gen:
-            with self._obs.span("serve.prepare_engine"):
-                base = VectorEngine(
-                    [],
-                    shard.index.strings,
-                    k=k,
-                    scheme_kind=shard.index.scheme,
-                    kernels=self._kernels,
-                )
-                held = (gen, base)
-                self._shard_engines[si] = held
-                self._obs.add_counter("engine_rebuilds")
-                self._c_engine_rebuilds.inc()
-                self.events.emit(
-                    "engine_rebuild",
-                    generation=gen,
-                    rows=len(shard.index),
-                    shard=si,
-                )
-        return held[1]
+        """Shard ``si``'s prepared right-side engine."""
+        return self._right_engine(si, self._index.shards[si], k)
 
-    def _shard_roster(self, si: int):
-        """Shard ``si``'s published shared-memory roster for its
-        current generation.
-
-        The handoff protocol: the *new* roster is published before the
-        stale one is unlinked, and workers keep their resolved views of
-        the old segments until a task stamped with the new generation
-        swaps their held state — so compaction (or adopting a recovery
-        blob) never leaves a window where the shard cannot answer.
-        """
-        from repro.parallel import shm
-
-        shard = self._index.shards[si]
-        gen = shard.generation
-        held = self._shard_rosters.get(si)
-        if held is None or held[0] != gen:
-            with self._obs.span("serve.publish_roster"):
-                side = shm.SharedSide(
-                    shard.index.strings, scheme=shard.index.scheme
-                )
-                self._shard_rosters[si] = (gen, side)
-                self._obs.add_counter("shm_roster_publishes")
-                if held is not None:
-                    held[1].close()
-                    if self._c_handoffs is not None:
-                        self._c_handoffs.inc()
-                    self.events.emit(
-                        "shard_handoff",
-                        shard=si,
-                        generation=gen,
-                        bytes=side.bytes_shared,
-                    )
-                else:
-                    self.events.emit(
-                        "roster_publish",
-                        shard=si,
-                        generation=gen,
-                        bytes=side.bytes_shared,
-                    )
-            held = self._shard_rosters[si]
-        return held[1]
+    def _shard_roster(self, si: int) -> _Prepared:
+        """Shard ``si``'s holder with its published roster (``side``)
+        and the stamp its owning worker keys the resolved roster on."""
+        return self._published(si, self._index.shards[si])
 
     def _scatter_inprocess(
         self,
@@ -900,12 +927,13 @@ class MatchService:
         for si in sorted(plan):
             vals, _idxs = plan[si]
             shard = self._index.shards[si]
-            roster = self._shard_roster(si)
+            prep = self._shard_roster(si)
+            roster = prep.side
             queries = shm.inline_side(vals, scheme=roster.scheme)
             calls.append(
                 shm.shard_query_call(
                     si,
-                    shard.generation,
+                    prep.stamp,
                     roster.arrays,
                     queries,
                     scheme=roster.scheme,
@@ -1110,22 +1138,18 @@ class MatchService:
         index, header = load_index(path)
         meta = header.get("meta", {})
         svc = cls.__new__(cls)
-        svc.k = int(meta.get("k", 1))
-        svc._index = index
-        svc._cache = ResultCache(
-            int(meta.get("cache_size", 1024))
-            if cache_size is None
-            else cache_size
+        svc._init_state(
+            index,
+            k=int(meta.get("k", 1)),
+            cache_size=(
+                int(meta.get("cache_size", 1024))
+                if cache_size is None
+                else cache_size
+            ),
+            collector=collector,
+            workers=workers,
+            metrics=metrics,
         )
-        svc._obs = collector if collector else NULL_COLLECTOR
-        svc._base_engine = None
-        svc._base_generation = -1
-        svc._workers = workers
-        svc._candidates = "auto"
-        svc._shm_roster = None
-        svc._shm_generation = -1
-        svc._init_sharding()
-        svc._init_telemetry(metrics)
         svc.events.emit(
             "snapshot_load",
             path=str(path),
@@ -1133,6 +1157,12 @@ class MatchService:
             generation=index.generation,
         )
         return svc
+
+
+def _shard_field(key: object) -> dict[str, object]:
+    """``shard=`` for events about a shard's roster (``key`` is a shard
+    id), nothing for the single index (``"base"``)."""
+    return {} if key == "base" else {"shard": key}
 
 
 def _latency_ms(hist) -> dict[str, float]:

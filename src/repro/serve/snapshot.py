@@ -84,8 +84,10 @@ def _mutable_arrays(
         "strings": np.asarray(strings, dtype=np.str_)
         if strings
         else np.empty(0, dtype="<U1"),
-        "ext_ids": np.asarray(index._ext_ids, dtype=np.int64),
-        "tombstones": np.asarray(sorted(index._dead), dtype=np.int64),
+        "ext_ids": index._ext_ids[: index.rows],
+        "tombstones": np.flatnonzero(index._dead[: index.rows]).astype(
+            np.int64
+        ),
     }
     for length, ids, sigs, codes in fbf.packed_buckets():
         arrays[f"bucket_{length}_ids"] = ids
@@ -196,8 +198,6 @@ def _header(npz) -> dict[str, object]:
 
 def _mutable_from_npz(npz, header) -> MutableIndex:
     strings = [str(s) for s in npz["strings"]]
-    ext_ids = npz["ext_ids"].astype(np.int64)
-    dead = {int(i) for i in npz["tombstones"]}
     buckets = []
     for key in npz.files:
         if key.startswith("bucket_") and key.endswith("_ids"):
@@ -219,11 +219,7 @@ def _mutable_from_npz(npz, header) -> MutableIndex:
     index = MutableIndex.__new__(MutableIndex)
     index._reset_telemetry()
     index._fbf = fbf
-    index._ext_ids = [int(i) for i in ext_ids]
-    index._live = {
-        int(ext): pos for pos, ext in enumerate(ext_ids) if pos not in dead
-    }
-    index._dead = dead
+    index._set_rows(npz["ext_ids"], npz["tombstones"])
     index._next_id = int(header["next_id"])
     index.compact_ratio = header.get("compact_ratio")
     index.generation = int(header["generation"])

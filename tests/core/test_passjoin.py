@@ -112,6 +112,54 @@ class TestCompleteness:
         assert len(index.candidates("zzz")) == 0
 
 
+def _pairs(index, probes):
+    return sorted(
+        (int(qi), int(sid))
+        for qs, ids in index.candidate_blocks(probes)
+        for qi, sid in zip(qs, ids)
+    )
+
+
+class TestExtend:
+    """An index extended row by row equals a fresh build."""
+
+    BASE = ["SMITH", "SMYTH", "JONES"]
+    ADDED = {
+        "wider": ["SMITHERSON", "ABCDEFGHIJKLMNOP"],
+        "new-length": ["LEE", "BROWNE", "LI"],
+        "same-length": ["SMITT", "JONSE", "SMITH"],
+        "empty": ["", "AB", ""],
+    }
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("case", sorted(ADDED))
+    def test_row_by_row_equals_fresh_build(self, k, case):
+        added = self.ADDED[case]
+        grown = PassJoinIndex(self.BASE, k=k)
+        for s in added:
+            grown.extend([s])
+        fresh = PassJoinIndex(self.BASE + added, k=k)
+        assert grown.strings == fresh.strings
+        assert grown._layouts == fresh._layouts
+        assert grown._buckets.keys() == fresh._buckets.keys()
+        for key, (hashes, ids) in fresh._buckets.items():
+            # Equal as (hash, id) multisets, and even in the same order:
+            # ties keep id order either way.
+            np.testing.assert_array_equal(grown._buckets[key][0], hashes)
+            np.testing.assert_array_equal(grown._buckets[key][1], ids)
+        probes = self.BASE + added + ["SMIHT", "BA", "X", ""]
+        assert _pairs(grown, probes) == _pairs(fresh, probes)
+
+    def test_batch_extend_from_empty(self):
+        strings = universe("ab", 3)
+        grown = PassJoinIndex([], k=1)
+        grown.extend(strings[:5])
+        grown.extend(strings[5:])
+        fresh = PassJoinIndex(strings, k=1)
+        assert len(grown) == len(fresh)
+        assert _pairs(grown, strings) == _pairs(fresh, strings)
+
+
 class TestBlocks:
     def test_blocks_are_deduplicated(self):
         strings = universe("ab", 3)

@@ -1,0 +1,71 @@
+"""`VectorEngine.sync_right`: a right side grown row by row equals a
+fresh build over the same strings (the serve layer's append path)."""
+
+import numpy as np
+import pytest
+
+from repro.parallel.chunked import VectorEngine
+
+BASE = ["SMITH", "SMYTH", "JONES"]
+#: widens the maximum length, adds new length classes and the empty string
+ADDED = ["LEE", "", "ABCDEFGHIJKLMNOP", "SMITHE", "JONSE"]
+QUERIES = ["SMITH", "LEE", "ABCDEFGHIJKLMNOQ", "JONES", ""]
+
+
+def _grown(k, left=()):
+    right = list(BASE)
+    engine = VectorEngine(list(left), right, k=k, scheme_kind="alpha")
+    return engine, right
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_row_by_row_equals_fresh_build(k):
+    engine, right = _grown(k)
+    for s in ADDED:
+        right.append(s)
+        assert engine.sync_right() == 1
+    assert engine.sync_right() == 0
+    fresh = VectorEngine([], BASE + ADDED, k=k, scheme_kind="alpha")
+    width = fresh.codes_r.shape[1]
+    assert engine.codes_r.shape == fresh.codes_r.shape
+    np.testing.assert_array_equal(engine.codes_r[:, :width], fresh.codes_r)
+    np.testing.assert_array_equal(engine.len_r, fresh.len_r)
+    np.testing.assert_array_equal(engine.sigs_r, fresh.sigs_r)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("method", ["FPDL", "LPDL", "SDX"])
+def test_synced_engine_answers_like_fresh(k, method):
+    # Run once before growing so the lazy pair caches (length groups,
+    # Soundex ids) exist and must be reset by the sync.
+    engine, right = _grown(k, QUERIES)
+    engine.record_matches = True
+    engine.run(method)
+    right.extend(ADDED)
+    assert engine.sync_right() == len(ADDED)
+    fresh = VectorEngine(
+        QUERIES, BASE + ADDED, k=k, scheme_kind="alpha", record_matches=True
+    )
+    assert sorted(engine.run(method).matches) == sorted(
+        fresh.run(method).matches
+    )
+
+
+def test_shared_right_side_sees_appended_rows():
+    base, right = _grown(1)
+    right.append("SMITHS")
+    base.sync_right()
+    batch = VectorEngine(
+        ["SMITH"], right, k=1, share_right=base, record_matches=True
+    )
+    assert sorted(j for _, j in batch.run("FPDL").matches) == [0, 1, 3]
+
+
+def test_unencodable_row_changes_nothing():
+    engine, right = _grown(1)
+    before = (engine.codes_r, engine.len_r, engine.sigs_r)
+    right.append("Łukasz")
+    with pytest.raises(ValueError, match="non-latin-1"):
+        engine.sync_right()
+    after = (engine.codes_r, engine.len_r, engine.sigs_r)
+    assert all(a is b for a, b in zip(after, before))

@@ -15,6 +15,7 @@ import shutil
 import tempfile
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -128,3 +129,40 @@ class TestServiceEquivalence:
                 for res in results:
                     want = tuple(oracle_answer(model, res.value, 1))
                     assert res.ids == want, (step, res.value)
+
+    @pytest.mark.parametrize(
+        "candidates, shards",
+        [("pass-join", 1), ("fbf", 2), ("pass-join", 2)],
+        ids=["pass-join", "shards2", "pass-join-shards2"],
+    )
+    def test_extended_state_matches_rebuilt_oracle(
+        self, rng, candidates, shards
+    ):
+        # Reads interleave with adds whose strings grow longer over the
+        # run, so the held engines and PASS-JOIN indexes are extended
+        # through wider codes and new length classes, and with removes
+        # and compactions, which must not be answered from stale rows.
+        svc = MatchService(
+            scheme="alpha", k=1, cache_size=16, compact_ratio=0.3,
+            candidates=candidates, shards=shards,
+        )
+        model: dict[int, str] = {}
+        words: list[str] = []
+        for step in range(200):
+            top = 3 + step // 15
+            word = "".join(
+                rng.choice("ABC") for _ in range(rng.randint(1, top))
+            )
+            words.append(word)
+            sid = svc.add(word)
+            model[sid] = word
+            if rng.random() < 0.25 and model:
+                victim = rng.choice(sorted(model))
+                svc.remove(victim)
+                del model[victim]
+            if step % 5 == 0:
+                queries = [rng.choice(words) for _ in range(4)] + [word]
+                for res in svc.query_batch(queries):
+                    want = tuple(oracle_answer(model, res.value, 1))
+                    assert res.ids == want, (step, res.value)
+        assert svc.index.compactions > 0

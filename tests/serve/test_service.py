@@ -134,15 +134,26 @@ class TestCandidateModes:
         svc.remove(1)
         assert svc.query_batch(["SMITH"])[0].ids == (0,)
 
-    def test_passjoin_index_rebuilds_on_generation_bump(self):
-        svc = MatchService(NAMES, k=1, cache_size=0, candidates="pass-join")
+    def test_passjoin_index_extended_by_writes_rebuilt_by_compaction(self):
+        svc = MatchService(
+            NAMES, k=1, cache_size=0, compact_ratio=None,
+            candidates="pass-join",
+        )
         assert svc.query_batch(["SMITH"])[0].ids == (0, 1)
-        first = svc._pj_indexes[("base", 1)]
+        first = svc._rosters["base"].passjoin[1]
+        svc.remove(1)
+        assert svc.query_batch(["SMITH"])[0].ids == (0,)
+        assert svc._rosters["base"].passjoin[1] is first
+        assert len(first) == 6
         svc.add("SMITG")
-        assert svc.query_batch(["SMITH"])[0].ids == (0, 1, 6)
-        second = svc._pj_indexes[("base", 1)]
-        assert second[0] != first[0]
-        assert second[1] is not first[1]
+        assert svc.query_batch(["SMITH"])[0].ids == (0, 6)
+        assert svc._rosters["base"].passjoin[1] is first
+        assert len(first) == 7
+        assert len(svc.events.tail(kind="passjoin_rebuild")) == 1
+        svc.compact()
+        assert svc.query_batch(["SMITH"])[0].ids == (0, 6)
+        assert svc._rosters["base"].passjoin[1] is not first
+        assert len(svc.events.tail(kind="passjoin_rebuild")) == 2
 
     def test_passjoin_funnel_stage_name(self):
         obs = StatsCollector()
@@ -158,7 +169,7 @@ class TestCandidateModes:
         svc = MatchService(NAMES, k=1, collector=obs, candidates="auto")
         svc.query_batch(["SMITH"])
         assert "fbf-index" in obs.stages
-        assert not svc._pj_indexes
+        assert not any(prep.passjoin for prep in svc._rosters.values())
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="candidates mode"):
@@ -205,15 +216,62 @@ class TestObservability:
 
 
 class TestEngineReuse:
-    def test_base_engine_reused_within_generation(self):
+    def test_base_engine_kept_across_writes_rebuilt_by_compaction(self):
         obs = StatsCollector()
-        svc = MatchService(NAMES, collector=obs, cache_size=0)
+        svc = MatchService(
+            NAMES, collector=obs, cache_size=0, compact_ratio=None
+        )
         svc.query_batch(["SMITH"])
         svc.query_batch(["JONES"])
         assert obs.counters["engine_rebuilds"] == 1
+        engine = svc._rosters["base"].engine
+        svc.remove(0)
+        assert svc.query_batch(["SMITH"])[0].ids == (1,)
+        assert svc._rosters["base"].engine is engine
+        assert len(engine.len_r) == 6
         svc.add("TAYLOR")
-        svc.query_batch(["SMITH"])
+        assert svc.query_batch(["TAYLOR"])[0].ids == (6,)
+        assert svc._rosters["base"].engine is engine
+        assert len(engine.len_r) == 7
+        assert obs.counters["engine_rebuilds"] == 1
+        svc.compact()
+        assert svc.query_batch(["SMITH"])[0].ids == (1,)
+        assert svc._rosters["base"].engine is not engine
         assert obs.counters["engine_rebuilds"] == 2
+
+    def test_sharded_engines_extended_in_place(self):
+        svc = MatchService(
+            NAMES, k=1, cache_size=0, compact_ratio=None, shards=2
+        )
+        svc.query_batch(["SMITH", "BROWNE"])
+        engines = {
+            si: prep.engine for si, prep in svc._rosters.items()
+        }
+        sid = svc.add("SMITHERS")
+        svc.remove(0)
+        got = svc.query_batch(["SMITH", "SMITHERS", "BROWNE"])
+        assert [r.ids for r in got] == [(1,), (sid,), (4, 5)]
+        for si, engine in engines.items():
+            assert svc._rosters[si].engine is engine
+        assert svc.metrics.counter("serve_engine_rebuilds_total").value == 2
+
+    @pytest.mark.parametrize("candidates", ["fbf", "pass-join"])
+    def test_unencodable_add_fails_every_batched_read(self, candidates):
+        # Extension is all-or-nothing: a row the engine cannot encode
+        # leaves the held arrays untouched, so every later read retries
+        # and raises like a fresh build would, never answering from the
+        # stale arrays.
+        with pytest.raises(ValueError, match="non-latin-1") as fresh:
+            MatchService(
+                NAMES + ["Łukasz"], k=1, candidates=candidates
+            ).query_batch(["SMITH"])
+        svc = MatchService(NAMES, k=1, cache_size=0, candidates=candidates)
+        svc.query_batch(["SMITH"])
+        svc.add("Łukasz")
+        for _ in range(2):
+            with pytest.raises(type(fresh.value), match="'Łukasz'"):
+                svc.query_batch(["SMITH"])
+        assert len(svc._rosters["base"].engine.len_r) == len(NAMES)
 
 
 class TestStats:
@@ -239,6 +297,21 @@ class TestSnapshotRoundtrip:
         assert len(warm) == len(svc)
         for q in ("SMITH", "JONES", "BROWN"):
             assert warm.query(q).ids == svc.query(q).ids, q
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_loaded_service_answers_batches(self, tmp_path, ln_pair, shards):
+        svc = MatchService(
+            list(ln_pair.clean), k=1, compact_ratio=None, shards=shards
+        )
+        svc.add("SMITT")
+        svc.remove(3)
+        queries = list(ln_pair.error)[:40] + ["SMITH"]
+        want = [r.ids for r in svc.query_batch(queries)]
+        warm = MatchService.load(svc.save(tmp_path / "svc.npz"))
+        assert warm.sharded == (shards > 1)
+        assert [r.ids for r in warm.query_batch(queries)] == want
+        # The loaded index is new, so its first batch builds from scratch.
+        assert warm.metrics.counter("serve_engine_rebuilds_total").value >= 1
 
     def test_cache_size_override(self, tmp_path):
         svc = MatchService(NAMES)

@@ -36,16 +36,24 @@ class TestRequestInstruments:
         svc.query_batch(["SMITH", "JONES"])
         assert svc._g_queue_depth.value == 0
 
-    def test_engine_rebuild_counted_and_logged(self, svc):
+    def test_engine_rebuild_counts_full_builds_only(self, svc, tmp_path):
+        svc.index.compact_ratio = None
         svc.query_batch(["SMITH"])
         assert svc._c_engine_rebuilds.value == 1
-        svc.query_batch(["JONES"])  # same generation: no rebuild
+        svc.query_batch(["JONES"])  # nothing changed: no rebuild
+        svc.add("NEW")  # extended in place
+        svc.query_batch(["SMITH"])
+        svc.remove(0)  # tombstoned, filtered after verification
+        svc.query_batch(["JONES"])
         assert svc._c_engine_rebuilds.value == 1
-        svc.add("NEW")
+        svc.compact()  # a new index: full build
         svc.query_batch(["SMITH"])
         assert svc._c_engine_rebuilds.value == 2
         kinds = [e["kind"] for e in svc.events.tail()]
         assert kinds.count("engine_rebuild") == 2
+        warm = MatchService.load(svc.save(tmp_path / "svc.npz"))
+        warm.query_batch(["SMITH"])
+        assert warm._c_engine_rebuilds.value == 1
 
     def test_stats_latency_from_histograms(self, svc):
         svc.query("SMITH")

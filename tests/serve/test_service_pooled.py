@@ -2,7 +2,8 @@
 
 `MatchService(workers=N)` fans `query_batch` out to the shared-memory
 worker pool; these tests pin identical answers, identical funnel
-counters, and the once-per-generation roster publication.
+counters, and a roster publication that adds and compaction renew but
+removes do not.
 """
 
 import pytest
@@ -36,18 +37,34 @@ class TestPooledEquivalence:
             other = c_pool.stages[name]
             assert (other.tested, other.passed) == (stage.tested, stage.passed)
 
-    def test_roster_republished_per_generation(self, ln_pair):
+    def test_roster_republished_on_add_not_on_remove(self, ln_pair):
         c = StatsCollector("pooled")
-        svc = MatchService(ln_pair.clean, k=1, collector=c, workers=2)
+        svc = MatchService(
+            ln_pair.clean, k=1, collector=c, workers=2, compact_ratio=None
+        )
+        ref = MatchService(ln_pair.clean, k=1, compact_ratio=None)
         queries = ln_pair.error[:20]
 
         svc.query_batch(queries)
         svc.query_batch(ln_pair.error[20:40])
         assert c.counters["shm_roster_publishes"] == 1
 
-        svc.add("BRANDNEWNAME")
-        svc.query_batch(queries)
+        for s in (svc, ref):
+            s.remove(0)
+        assert _batched(svc, queries) == _batched(ref, queries)
+        assert c.counters["shm_roster_publishes"] == 1
+
+        for s in (svc, ref):
+            s.add("BRANDNEWNAME")
+        probe = ["BRANDNEWNAME", *queries]
+        assert _batched(svc, probe) == _batched(ref, probe)
         assert c.counters["shm_roster_publishes"] == 2
+        assert svc._roster_side().n == len(ln_pair.clean) + 1
+
+        for s in (svc, ref):
+            s.compact()
+        assert _batched(svc, probe) == _batched(ref, probe)
+        assert c.counters["shm_roster_publishes"] == 3
 
     def test_mutations_visible_through_pool(self, ln_pair):
         ref = MatchService(ln_pair.clean, k=1)

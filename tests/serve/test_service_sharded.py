@@ -95,6 +95,20 @@ class TestShardedTelemetry:
         snap = svc.metrics_snapshot()["metrics"]
         assert snap["shard_handoffs_total"]["value"] >= 1.0
 
+    def test_remove_keeps_published_shard_rosters(self, ln_pair):
+        svc = MatchService(
+            ln_pair.clean, k=1, shards=2, workers=2, compact_ratio=None
+        )
+        ref = MatchService(ln_pair.clean, k=1, compact_ratio=None)
+        svc.query_batch(ln_pair.error[:10])
+        stamps = {si: prep.stamp for si, prep in svc._rosters.items()}
+        for s in (svc, ref):
+            s.remove(0)
+        probe = [ln_pair.clean[0], *ln_pair.error[:10]]
+        assert _batched(svc, probe) == _batched(ref, probe)
+        assert {si: p.stamp for si, p in svc._rosters.items()} == stamps
+        assert not svc.events.tail(kind="shard_handoff")
+
     def test_stats_reports_per_shard_breakdown(self, ln_pair):
         svc = MatchService(ln_pair.clean, k=1, shards=3)
         out = svc.stats()
