@@ -60,6 +60,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.distance.codec import _pad_rows
+
 __all__ = ["PassJoinIndex", "dedup_sorted", "segment_layout"]
 
 #: FNV-1a constants, reused as polynomial-hash base/offset (the probe
@@ -96,16 +98,13 @@ def _encode_codes(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     input; padding cells are never read because windows stay inside
     each string's true length.
     """
-    n = len(strings)
-    lens = np.fromiter((len(s) for s in strings), dtype=np.int64, count=n)
-    width = int(lens.max()) if n else 0
-    codes = np.zeros((n, max(width, 1)), dtype=np.uint32)
-    for i, s in enumerate(strings):
-        if s:
-            codes[i, : len(s)] = np.frombuffer(
-                s.encode("utf-32-le", "surrogatepass"), dtype="<u4"
-            )
-    return codes, lens
+    return _pad_rows(
+        strings,
+        None,
+        lambda joined: np.frombuffer(
+            joined.encode("utf-32-le", "surrogatepass"), dtype="<u4"
+        ),
+    )
 
 
 def _fold(h: np.ndarray, col: np.ndarray) -> np.ndarray:

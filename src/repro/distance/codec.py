@@ -16,7 +16,7 @@ Three stock codecs cover the paper's data families:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class Codec:
     name: str
     alphabet: str
     casefold: bool = True
-    #: lazily built 256-entry lookup, char ordinal -> code
+    #: 256-entry lookup, char ordinal -> code (built in ``__post_init__``)
     _table: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
@@ -74,16 +74,11 @@ class Codec:
 
         Returns ``(codes, lengths)`` where ``codes[i, j]`` is the code of
         ``strings[i][j]`` (or :data:`PAD` past the end) and
-        ``lengths[i] == len(strings[i])``.
+        ``lengths[i] == len(strings[i])``.  Characters outside latin-1
+        encode as one ``?`` each, so every string keeps one code per
+        character.
         """
-        n = len(strings)
-        lengths = np.fromiter((len(s) for s in strings), dtype=np.int64, count=n)
-        w = int(lengths.max()) if (width is None and n) else int(width or 0)
-        codes = np.full((n, w), PAD, dtype=np.uint8)
-        for i, s in enumerate(strings):
-            if s:
-                codes[i, : len(s)] = self.encode(s)[:w]
-        return codes, lengths
+        return _pad_rows(strings, width, self.encode)
 
 
 ALPHA_CODEC = Codec("alpha", "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
@@ -112,20 +107,58 @@ def encode_raw(
     string containing it raises :class:`ValueError`.  Characters outside
     latin-1 likewise raise rather than silently aliasing.
     """
-    n = len(strings)
-    lengths = np.fromiter((len(s) for s in strings), dtype=np.int64, count=n)
-    w = int(lengths.max()) if (width is None and n) else int(width or 0)
-    codes = np.zeros((n, w), dtype=np.uint8)
-    for i, s in enumerate(strings):
-        if not s:
-            continue
+
+    def latin1(joined: str) -> np.ndarray:
         try:
-            raw = s.encode("latin-1")
+            raw = joined.encode("latin-1")
         except UnicodeEncodeError as exc:
-            raise ValueError(
-                f"string {i} contains non-latin-1 characters: {s!r}"
-            ) from exc
-        if b"\x00" in raw:
-            raise ValueError(f"string {i} contains NUL, the padding byte: {s!r}")
-        codes[i, : len(raw)] = np.frombuffer(raw, dtype=np.uint8)[:w]
+            _reject(strings, exc.start, joined.find("\x00", 0, exc.start), exc)
+        nul = raw.find(b"\x00")
+        if nul >= 0:
+            _reject(strings, len(joined), nul, None)
+        return np.frombuffer(raw, dtype=np.uint8)
+
+    return _pad_rows(strings, width, latin1)
+
+
+def _reject(
+    strings: Sequence[str], wide: int, nul: int, exc: Exception | None
+) -> None:
+    """Raise for the first string, in input order, that :func:`encode_raw`
+    refuses.  ``wide`` and ``nul`` are offsets into the joined batch of
+    the first non-latin-1 character and the first NUL before it (``-1``
+    if none); a string with both is reported as non-latin-1."""
+    ends = np.cumsum(np.fromiter(map(len, strings), np.int64, len(strings)))
+    i = int(np.searchsorted(ends, wide, side="right"))
+    if nul >= 0 and (j := int(np.searchsorted(ends, nul, side="right"))) < i:
+        raise ValueError(
+            f"string {j} contains NUL, the padding byte: {strings[j]!r}"
+        )
+    raise ValueError(
+        f"string {i} contains non-latin-1 characters: {strings[i]!r}"
+    ) from exc
+
+
+def _pad_rows(
+    strings: Sequence[str],
+    width: int | None,
+    encode: Callable[[str], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode a batch in one pass into a padded ``(n, width)`` matrix.
+
+    ``encode`` maps the concatenation of every string to a flat code
+    array with exactly one code per character, which one boolean-mask
+    assignment scatters into the rows (cells past a row's length stay
+    :data:`PAD`); rows longer than ``width`` are cut.  ``width=None`` is
+    the longest string's length.  Returns ``(codes, lengths)``.
+    """
+    n = len(strings)
+    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=n)
+    flat = encode("".join(strings))
+    longest = int(lengths.max()) if n else 0
+    w = longest if width is None else int(width)
+    codes = np.zeros((n, max(w, longest)), dtype=flat.dtype)
+    codes[np.arange(codes.shape[1]) < lengths[:, None]] = flat
+    if w < longest:
+        codes = np.ascontiguousarray(codes[:, :w])
     return codes, lengths

@@ -676,13 +676,12 @@ def join_stream(
                 base = chunk.row_start
                 chunk_matches = result.matches or []
                 if writer is not None:
-                    for i, j in chunk_matches:
-                        writer.write(
-                            base + i,
-                            j,
-                            chunk.strings[i] if spill_values else None,
-                            roster[j] if spill_values else None,
-                        )
+                    writer.write_rows(
+                        chunk_matches,
+                        base=base,
+                        left=chunk.strings,
+                        right=roster,
+                    )
                 else:
                     matches.extend((base + i, j) for i, j in chunk_matches)
                 match_count += len(chunk_matches)

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = ["SpillWriter", "read_spill", "truncate_to", "SPILL_FORMATS"]
 
@@ -90,19 +91,29 @@ class SpillWriter:
 
     # -- writing -------------------------------------------------------
 
-    def _encode(
-        self, left_row: int, right_row: int, left: str | None, right: str | None
+    def _format(
+        self,
+        rows: list[tuple[int, int]],
+        base: int,
+        left: Callable[[int], str | None],
+        right: Callable[[int], str | None],
     ) -> str:
+        """Every row of ``rows`` as one block of output text; ``left``
+        and ``right`` look up a row's values by ``i`` and ``j``."""
         if self.fmt == "jsonl":
-            rec: list = [left_row, right_row]
-            if self.values:
-                rec += [left, right]
-            return json.dumps(rec, ensure_ascii=False) + "\n"
-        if self.values:
-            lq = (left or "").replace('"', '""')
-            rq = (right or "").replace('"', '""')
-            return f'{left_row},{right_row},"{lq}","{rq}"\n'
-        return f"{left_row},{right_row}\n"
+            if not self.values:
+                return "".join([f"[{i + base}, {j}]\n" for i, j in rows])
+            q = partial(json.dumps, ensure_ascii=False)
+            return "".join(
+                [f"[{i + base}, {j}, {q(left(i))}, {q(right(j))}]\n"
+                 for i, j in rows]
+            )
+        if not self.values:
+            return "".join([f"{i + base},{j}\n" for i, j in rows])
+        return "".join(
+            [f'{i + base},{j},"{_csv_quote(left(i))}",'
+             f'"{_csv_quote(right(j))}"\n' for i, j in rows]
+        )
 
     def write(
         self,
@@ -112,19 +123,37 @@ class SpillWriter:
         right: str | None = None,
     ) -> None:
         """Buffer one match row; flushes when ``data_limit`` is hit."""
-        line = self._encode(left_row, right_row, left, right)
-        self._buffer.append(line)
-        self._buffered_bytes += len(line.encode("utf-8"))
-        if self._buffered_bytes >= self.data_limit:
-            self.flush()
+        self.write_rows(
+            ((left_row, right_row),),
+            left={left_row: left},
+            right={right_row: right},
+        )
 
-    def write_rows(self, rows, *, base: int = 0) -> int:
-        """Buffer ``(left, right)`` pairs, offsetting left by ``base``."""
-        n = 0
-        for i, j in rows:
-            self.write(int(i) + base, int(j))
-            n += 1
-        return n
+    def write_rows(
+        self,
+        rows: Iterable[tuple[int, int]],
+        *,
+        base: int = 0,
+        left: Sequence[str | None] | Mapping[int, str | None] | None = None,
+        right: Sequence[str | None] | Mapping[int, str | None] | None = None,
+    ) -> int:
+        """Buffer ``(i, j)`` match pairs as rows ``(base + i, j)``.
+
+        The whole batch is formatted as one block and buffered at once;
+        a flush follows when the buffer reaches ``data_limit`` bytes.
+        With ``values=True`` the recorded strings are ``left[i]`` and
+        ``right[j]`` (``None`` when a side is not given).  Returns the
+        number of rows buffered.  NumPy rows go through ``tolist()``, so
+        row numbers are Python ints whatever their array dtype.
+        """
+        rows = rows.tolist() if hasattr(rows, "tolist") else list(rows)
+        text = self._format(rows, base, _lookup(left), _lookup(right))
+        if text:
+            self._buffer.append(text)
+            self._buffered_bytes += len(text.encode("utf-8"))
+            if self._buffered_bytes >= self.data_limit:
+                self.flush()
+        return len(rows)
 
     def flush(self) -> None:
         """Flush the buffer and fsync so a checkpoint can trust it."""
@@ -176,6 +205,16 @@ class SpillWriter:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _lookup(values) -> Callable[[int], str | None]:
+    if values is None:
+        return lambda _: None
+    return values.__getitem__
+
+
+def _csv_quote(value: str | None) -> str:
+    return (value or "").replace('"', '""')
 
 
 def truncate_to(path: Path | str, size: int) -> None:

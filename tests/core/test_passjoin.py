@@ -12,8 +12,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.passjoin import PassJoinIndex, dedup_sorted, segment_layout
+from repro.core.passjoin import (
+    PassJoinIndex,
+    _encode_codes,
+    dedup_sorted,
+    segment_layout,
+)
 from repro.distance.damerau import damerau_levenshtein
 
 
@@ -158,6 +165,59 @@ class TestExtend:
         fresh = PassJoinIndex(strings, k=1)
         assert len(grown) == len(fresh)
         assert _pairs(grown, strings) == _pairs(fresh, strings)
+
+
+#: Full Unicode: astral characters, lone surrogates and NUL included.
+any_char = st.one_of(
+    st.characters(exclude_categories=()),
+    st.characters(categories=["Cs"]),
+    st.sampled_from(["\x00", "\U0001F600", "\ud83d", "\ude00"]),
+)
+any_text = st.one_of(
+    st.text(any_char, max_size=4),
+    st.sampled_from([0, 1, 63, 64, 65, 300]).flatmap(
+        lambda n: st.text(any_char, min_size=n, max_size=n)
+    ),
+)
+
+
+def reference_encode_codes(strings):
+    """One string at a time: the definition the bulk encoder must match."""
+    lens = np.array([len(s) for s in strings], dtype=np.int64)
+    codes = np.zeros((len(strings), int(lens.max(initial=0))), dtype=np.uint32)
+    for i, s in enumerate(strings):
+        if s:
+            codes[i, : len(s)] = np.frombuffer(
+                s.encode("utf-32-le", "surrogatepass"), dtype="<u4"
+            )
+    return codes, lens
+
+
+class TestEncodeCodes:
+    @given(st.lists(any_text, max_size=8))
+    def test_bulk_matches_per_string_reference(self, strings):
+        codes, lens = _encode_codes(strings)
+        want_codes, want_lens = reference_encode_codes(strings)
+        assert codes.dtype == np.uint32 and lens.dtype == np.int64
+        np.testing.assert_array_equal(lens, want_lens)
+        assert codes.shape == want_codes.shape
+        np.testing.assert_array_equal(codes, want_codes)
+
+    def test_surrogate_halves_split_across_rows_stay_apart(self):
+        # Joining the batch puts "\ud83d" next to "\ude00"; each row must
+        # still get its own lone surrogate, not a combined pair.
+        codes, lens = _encode_codes(["a\ud83d", "\ude00b", ""])
+        assert lens.tolist() == [2, 2, 0]
+        assert codes.tolist() == [[97, 0xD83D], [0xDE00, 98], [0, 0]]
+
+    @given(st.lists(st.text(any_char, max_size=5), min_size=1, max_size=6))
+    def test_unicode_index_is_complete(self, strings):
+        index = PassJoinIndex(strings, k=1)
+        found = set(_pairs(index, strings))
+        for qi, q in enumerate(strings):
+            for sid, r in enumerate(strings):
+                if damerau_levenshtein(q, r) <= 1:
+                    assert (qi, sid) in found
 
 
 class TestBlocks:

@@ -100,3 +100,89 @@ class TestTruncateTo:
         path.write_text("[1, 2]\n[3, 4]\n")
         truncate_to(path, 7)
         assert path.read_text() == "[1, 2]\n"
+
+
+class TestBatchedWriteIsByteIdentical:
+    """One ``write_rows`` per batch writes the same bytes as one
+    ``write`` per row, in every format, with and without values."""
+
+    LEFT = ["SMITH", 'O"BRIEN', "ÉLODIE", 'QUOTE "," COMMA', "李", "a\tb"]
+    RIGHT = ["SMYTH", "OBRIEN", "ELODIE", '""', "😀", ""]
+    BATCHES = [
+        [(0, 0), (1, 1), (2, 2)],
+        [],
+        [(3, 3), (4, 4), (5, 5), (0, 5), (5, 0)],
+        [(1, 2)] * 20,
+    ]
+
+    @pytest.mark.parametrize("data_limit", [64, 8 << 20])
+    @pytest.mark.parametrize("values", [False, True])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_rows_equal_row_by_row(self, tmp_path, fmt, values, data_limit):
+        base = 1000
+        batched = tmp_path / f"batched.{fmt}"
+        single = tmp_path / f"single.{fmt}"
+        with SpillWriter(
+            batched, fmt=fmt, values=values, data_limit=data_limit
+        ) as w:
+            for rows in self.BATCHES:
+                n = w.write_rows(rows, base=base, left=self.LEFT, right=self.RIGHT)
+                assert n == len(rows)
+                w.flush()
+        with SpillWriter(
+            single, fmt=fmt, values=values, data_limit=data_limit
+        ) as w:
+            for rows in self.BATCHES:
+                for i, j in rows:
+                    w.write(
+                        base + i,
+                        j,
+                        self.LEFT[i] if values else None,
+                        self.RIGHT[j] if values else None,
+                    )
+                w.flush()
+        assert batched.read_bytes() == single.read_bytes()
+        assert len(list(read_spill(batched, fmt=fmt))) == sum(
+            map(len, self.BATCHES)
+        )
+
+    def test_jsonl_rows_are_json_dumps(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        with SpillWriter(path, values=True) as w:
+            w.write_rows([(0, 1)], base=7, left=self.LEFT, right=self.RIGHT)
+            w.write_rows([(1, 0)])
+        want = (
+            json.dumps([7, 1, "SMITH", "OBRIEN"], ensure_ascii=False) + "\n"
+            + json.dumps([1, 0, None, None]) + "\n"
+        )
+        assert path.read_text(encoding="utf-8") == want
+
+    def test_csv_values_double_quotes(self, tmp_path):
+        path = tmp_path / "m.csv"
+        with SpillWriter(path, fmt="csv", values=True) as w:
+            w.write_rows([(1, 3)], left=self.LEFT, right=self.RIGHT)
+        assert path.read_text().splitlines()[1] == '1,3,"O""BRIEN",""""""'
+
+    def test_numpy_rows_format_as_ints(self, tmp_path):
+        import numpy as np
+
+        path = tmp_path / "m.jsonl"
+        with SpillWriter(path) as w:
+            w.write_rows(np.array([[0, 9], [1, 8]], dtype=np.int32), base=1 << 40)
+        assert path.read_text() == f"[{1 << 40}, 9]\n[{(1 << 40) + 1}, 8]\n"
+
+    def test_data_limit_counts_utf8_bytes(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        w = SpillWriter(path, values=True, data_limit=40)
+        # 30 characters but 50 UTF-8 bytes: over the limit, so flushed.
+        w.write_rows([(0, 0)], left=["李" * 10], right=[""])
+        assert w._buffered_bytes == 0
+        assert path.stat().st_size > 40
+        w.close()
+
+    def test_empty_batch_buffers_nothing(self, tmp_path):
+        path = tmp_path / "m.csv"
+        with SpillWriter(path, fmt="csv") as w:
+            assert w.write_rows([]) == 0
+            assert w._buffer == [] and w._buffered_bytes == 0
+        assert path.read_text() == "left_row,right_row\n"
