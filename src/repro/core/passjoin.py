@@ -62,7 +62,7 @@ import numpy as np
 
 from repro.distance.codec import _pad_rows
 
-__all__ = ["PassJoinIndex", "dedup_sorted", "segment_layout"]
+__all__ = ["PassJoinIndex", "SegmentIndex", "dedup_sorted", "segment_layout"]
 
 #: FNV-1a constants, reused as polynomial-hash base/offset (the probe
 #: only needs a well-mixed 64-bit fold with silent wraparound).
@@ -147,66 +147,66 @@ def dedup_sorted(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-class PassJoinIndex:
-    """Inverted segment index over one side of a join.
+class SegmentIndex:
+    """The probe half of a PASS-JOIN index: per ``(length, segment)``
+    buckets of sorted segment hashes with the indexed ids alongside.
 
-    ``candidate_blocks(queries)`` yields ``(query_idx, indexed_ids)``
-    int64 array pairs — deduplicated, every true OSA-``<= k`` pair
-    included — in the same block contract as
-    :meth:`repro.core.index.FBFIndex.candidate_blocks`.  Whether empty
-    or equal strings *match* stays the verifier's decision; the index
-    only guarantees it never withholds a reachable pair.
+    :class:`PassJoinIndex` builds one from strings.  :meth:`flat` lays
+    the buckets end to end as three arrays a process can publish, and
+    :meth:`from_flat` rebuilds a probe-only view over them (slices, no
+    copies) — so a pool worker probes exactly the code an in-process
+    caller does.
     """
 
-    def __init__(self, strings: Sequence[str], *, k: int = 1):
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        self.strings: list[str] = []
+    def __init__(self, k: int, n: int = 0):
         self.k = k
         self.parts = k + 1
+        self._n = n
         #: (length, segment_i) -> (sorted hashes, ids in hash order)
         self._buckets: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         #: length -> segment layout, for lengths present in the index
         self._layouts: dict[int, list[tuple[int, int]]] = {}
-        self.extend(strings)
 
     def __len__(self) -> int:
-        return len(self.strings)
+        return self._n
 
-    def extend(self, strings: Sequence[str]) -> None:
-        """Index more strings; their ids continue from ``len(self)``.
+    # -- the publishable form ------------------------------------------------
 
-        Only the new rows are encoded and hashed.  Their segment hashes
-        are merged into the ``(length, segment)`` buckets after any
-        equal hashes already there, so the buckets come out exactly as
-        a fresh build over all the strings would lay them out.  New
-        lengths get their layout.  Nothing is changed until every new
-        row has been hashed.
-        """
-        new = list(strings)
-        codes, lens = _encode_codes(new)
-        offset = len(self.strings)
-        layouts: dict[int, list[tuple[int, int]]] = {}
-        buckets: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        for length in dedup_sorted(lens):
-            length = int(length)
-            rows = np.flatnonzero(lens == length)
-            ids = rows.astype(np.int64) + offset
-            layout = segment_layout(length, self.parts)
-            layouts[length] = layout
-            for i, (start, seg_len) in enumerate(layout):
-                h = _hash_rows(codes[rows, start : start + seg_len])
-                order = np.argsort(h, kind="stable")
-                h, seg_ids = h[order], ids[order]
-                held = self._buckets.get((length, i))
-                if held is not None:
-                    at = np.searchsorted(held[0], h, side="right")
-                    h = np.insert(held[0], at, h)
-                    seg_ids = np.insert(held[1], at, seg_ids)
-                buckets[(length, i)] = (h, seg_ids)
-        self.strings.extend(new)
-        self._layouts.update(layouts)
-        self._buckets.update(buckets)
+    def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(hashes, ids, table)``: every bucket's hashes and ids
+        concatenated, and an ``(m, 4)`` int64 table whose rows
+        ``(length, segment, lo, hi)`` locate each bucket in them."""
+        keys = sorted(self._buckets)
+        sizes = np.array(
+            [len(self._buckets[key][0]) for key in keys], dtype=np.int64
+        )
+        hi = np.cumsum(sizes)
+        table = np.empty((len(keys), 4), dtype=np.int64)
+        table[:, :2] = np.array(keys, dtype=np.int64).reshape(-1, 2)
+        table[:, 2] = hi - sizes
+        table[:, 3] = hi
+        if not keys:
+            return np.empty(0, np.uint64), np.empty(0, np.int64), table
+        hashes = np.concatenate([self._buckets[key][0] for key in keys])
+        ids = np.concatenate([self._buckets[key][1] for key in keys])
+        return hashes, ids, table
+
+    @staticmethod
+    def from_flat(
+        k: int,
+        n: int,
+        hashes: np.ndarray,
+        ids: np.ndarray,
+        table: np.ndarray,
+    ) -> "SegmentIndex":
+        """Probe-only view of an index of ``n`` strings over the
+        arrays :meth:`flat` returned."""
+        index = SegmentIndex(k, n)
+        for length, seg, lo, hi in table.tolist():
+            index._buckets[(length, seg)] = (hashes[lo:hi], ids[lo:hi])
+            if length not in index._layouts:
+                index._layouts[length] = segment_layout(length, index.parts)
+        return index
 
     # -- probing -------------------------------------------------------------
 
@@ -292,23 +292,28 @@ class PassJoinIndex:
                         hit_id.append(ids[_expand_ranges(starts, counts)])
         return hit_q, hit_id
 
-    def candidate_blocks(
+    def probe_codes(
         self,
-        queries: Sequence[str],
+        q_codes: np.ndarray,
+        q_lens: np.ndarray,
         *,
         max_pairs: int = 1 << 20,
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield deduplicated ``(query_idx, ids)`` candidate blocks.
+        """Yield deduplicated ``(query_idx, ids)`` candidate blocks for
+        queries given as a padded code matrix plus lengths.
 
-        Complete for ``osa(query, indexed) <= self.k`` (see the module
-        docstring for the OSA variant argument); blocks are capped at
-        ``max_pairs`` pairs and grouped by query length, queries
-        ascending within a group.
+        Any integer code dtype works: :func:`_fold` widens every code to
+        ``uint64``, so the latin-1 bytes of
+        :func:`repro.distance.codec.encode_raw` hash exactly like the
+        UTF-32 code points of :func:`_encode_codes`.  Complete for
+        ``osa(query, indexed) <= self.k`` (see the module docstring for
+        the OSA variant argument); blocks are capped at ``max_pairs``
+        pairs and grouped by query length, queries ascending within a
+        group.
         """
-        if not len(self.strings) or not len(queries):
+        n_index = len(self)
+        if not n_index or not len(q_lens):
             return
-        q_codes, q_lens = _encode_codes(queries)
-        n_index = len(self.strings)
         for qlen in dedup_sorted(q_lens):
             qlen = int(qlen)
             q_idx = np.flatnonzero(q_lens == qlen).astype(np.int64)
@@ -325,6 +330,77 @@ class PassJoinIndex:
             ids = key - qi * n_index
             for c0 in range(0, len(qi), max_pairs):
                 yield qi[c0 : c0 + max_pairs], ids[c0 : c0 + max_pairs]
+
+
+class PassJoinIndex(SegmentIndex):
+    """Inverted segment index over one side of a join.
+
+    ``candidate_blocks(queries)`` yields ``(query_idx, indexed_ids)``
+    int64 array pairs — deduplicated, every true OSA-``<= k`` pair
+    included — in the same block contract as
+    :meth:`repro.core.index.FBFIndex.candidate_blocks`.  Whether empty
+    or equal strings *match* stays the verifier's decision; the index
+    only guarantees it never withholds a reachable pair.
+    """
+
+    def __init__(self, strings: Sequence[str], *, k: int = 1):
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        super().__init__(k)
+        self.strings: list[str] = []
+        self.extend(strings)
+
+    def __len__(self) -> int:
+        return len(self.strings)
+
+    def extend(self, strings: Sequence[str]) -> None:
+        """Index more strings; their ids continue from ``len(self)``.
+
+        Only the new rows are encoded and hashed.  Their segment hashes
+        are merged into the ``(length, segment)`` buckets after any
+        equal hashes already there, so the buckets come out exactly as
+        a fresh build over all the strings would lay them out.  New
+        lengths get their layout.  Nothing is changed until every new
+        row has been hashed.
+        """
+        new = list(strings)
+        codes, lens = _encode_codes(new)
+        offset = len(self.strings)
+        layouts: dict[int, list[tuple[int, int]]] = {}
+        buckets: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        for length in dedup_sorted(lens):
+            length = int(length)
+            rows = np.flatnonzero(lens == length)
+            ids = rows.astype(np.int64) + offset
+            layout = segment_layout(length, self.parts)
+            layouts[length] = layout
+            for i, (start, seg_len) in enumerate(layout):
+                h = _hash_rows(codes[rows, start : start + seg_len])
+                order = np.argsort(h, kind="stable")
+                h, seg_ids = h[order], ids[order]
+                held = self._buckets.get((length, i))
+                if held is not None:
+                    at = np.searchsorted(held[0], h, side="right")
+                    h = np.insert(held[0], at, h)
+                    seg_ids = np.insert(held[1], at, seg_ids)
+                buckets[(length, i)] = (h, seg_ids)
+        self.strings.extend(new)
+        self._layouts.update(layouts)
+        self._buckets.update(buckets)
+
+    def candidate_blocks(
+        self,
+        queries: Sequence[str],
+        *,
+        max_pairs: int = 1 << 20,
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield deduplicated ``(query_idx, ids)`` candidate blocks:
+        the queries encoded as UTF-32 code points, then
+        :meth:`probe_codes`."""
+        if not len(self.strings) or not len(queries):
+            return
+        q_codes, q_lens = _encode_codes(queries)
+        yield from self.probe_codes(q_codes, q_lens, max_pairs=max_pairs)
 
     def candidates(self, query: str) -> np.ndarray:
         """Candidate ids for one probe string (sorted ascending)."""

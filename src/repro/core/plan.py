@@ -102,6 +102,7 @@ __all__ = [
     "GeneratorCost",
     "BACKEND_NAMES",
     "CandidateGenerator",
+    "CandidateStream",
     "AllPairsGenerator",
     "LengthBucketGenerator",
     "FBFIndexGenerator",
@@ -463,6 +464,46 @@ class GeneratorCost:
     detail: str
 
 
+class CandidateStream:
+    """A plan's candidate blocks on their way to the backend.
+
+    Counts what the generator emitted — pairs, or original-pair weight
+    under ``weighter`` — so the planner can credit the generator stage
+    with the full product and the skipped pairs.  A symmetric weighter
+    enumerates the ``i <= j`` triangle of a self-join, so the stream
+    drops the other half first.  A backend that generates candidates
+    itself (the hybrid pool probing PASS-JOIN in its workers) reads
+    ``generator`` instead of iterating, and adds what it generated to
+    ``emitted``.
+    """
+
+    def __init__(
+        self,
+        generator: CandidateGenerator,
+        planner: "JoinPlanner",
+        weighter: PairWeighter | None = None,
+    ):
+        self.generator = generator
+        self.planner = planner
+        self.weighter = weighter
+        self.emitted = 0
+
+    def __iter__(self) -> Iterator[Block]:
+        w = self.weighter
+        for ii, jj in self.generator.blocks(self.planner):
+            if w is None:
+                self.emitted += len(ii)
+                yield ii, jj
+                continue
+            if w.symmetric:
+                keep = ii <= jj
+                ii, jj = ii[keep], jj[keep]
+            if len(ii) == 0:
+                continue
+            self.emitted += w.total(ii, jj)
+            yield ii, jj
+
+
 # ---------------------------------------------------------------------------
 # Execution backends
 # ---------------------------------------------------------------------------
@@ -622,6 +663,13 @@ class HybridBackend(ExecutionBackend):
     datasets crossing the process boundary at most once per pool
     lifetime.  Decisions and funnel counters are identical to the
     scalar reference (per-worker collectors merge into the parent's).
+
+    A pass-join plan generates its candidates inside the workers: each
+    task probes the PASS-JOIN index with a slice of the published left
+    rows and verifies what it found, so the parent never holds the
+    candidate pairs.  Every other generator's blocks — and any block
+    iterable a caller passes directly — are drained in the parent and
+    handed to the pool as candidate slices.
     """
 
     name = "hybrid"
@@ -632,12 +680,17 @@ class HybridBackend(ExecutionBackend):
         spec = method_registry()[method]
         datasets = planner.shared_datasets(need_sdx=spec.verifier == "sdx")
         pool = shm.shared_pool(planner.workers)
+        source = blocks
+        if isinstance(blocks, CandidateStream) and isinstance(
+            blocks.generator, PassJoinGenerator
+        ):
+            source = shm.PassJoinProbe(planner.passjoin_index())
         result = shm.run_hybrid(
             pool,
             datasets.left,
             datasets.right,
             method,
-            blocks,
+            source,
             scheme=datasets.scheme,
             k=planner.k,
             theta=planner.theta,
@@ -647,6 +700,8 @@ class HybridBackend(ExecutionBackend):
             weighter=planner.weighter,
             shared_source=datasets,
         )
+        if source is not blocks:
+            blocks.emitted += source.emitted
         result.backend = self.name
         return result
 
@@ -1244,14 +1299,7 @@ class JoinPlanner:
                 record_matches=record,
             )
         else:
-            emitted = 0
-
-            def counted() -> Iterator[Block]:
-                nonlocal emitted
-                for ii, jj in plan.generator.blocks(self):
-                    emitted += len(ii)
-                    yield ii, jj
-
+            stream = CandidateStream(plan.generator, self)
             # Register the generator's stage before the backend creates
             # the filter stages, so the funnel renders in dataflow order.
             if obs:
@@ -1259,15 +1307,15 @@ class JoinPlanner:
             result = plan.backend.run(
                 self,
                 method,
-                counted(),
+                stream,
                 collector=obs if obs else None,
                 record_matches=record,
             )
             if obs:
                 # The backend counted the emitted candidates; credit the
                 # generator with the full product and the skipped pairs.
-                obs.add_stage(plan.generator.name, plan.product, emitted)
-                obs.add_pairs(plan.product - emitted)
+                obs.add_stage(plan.generator.name, plan.product, stream.emitted)
+                obs.add_pairs(plan.product - stream.emitted)
         result.generator = plan.generator.name
         result.backend = plan.backend.name
         return result
@@ -1302,33 +1350,21 @@ class JoinPlanner:
             # Register the generator's stage before the backend creates
             # the filter stages (dataflow order in the funnel).
             obs.stage(plan.generator.name)
-        emitted_w = 0
-
-        def counted() -> Iterator[Block]:
-            nonlocal emitted_w
-            for ii, jj in plan.generator.blocks(inner):
-                if self.self_join:
-                    keep = ii <= jj
-                    ii, jj = ii[keep], jj[keep]
-                if len(ii) == 0:
-                    continue
-                emitted_w += weighter.total(ii, jj)
-                yield ii, jj
-
+        stream = CandidateStream(plan.generator, inner, weighter)
         inner.weighter = weighter
         try:
             result = plan.backend.run(
                 inner,
                 method,
-                counted(),
+                stream,
                 collector=obs if obs else None,
                 record_matches=need_matches,
             )
         finally:
             inner.weighter = None
         if obs:
-            obs.add_stage(plan.generator.name, product, emitted_w)
-            obs.add_pairs(product - emitted_w)
+            obs.add_stage(plan.generator.name, product, stream.emitted)
+            obs.add_pairs(product - stream.emitted)
             # The backend stamped unique-space sizes; restore originals.
             obs.meta["n_left"] = len(self.left)
             obs.meta["n_right"] = len(self.right)

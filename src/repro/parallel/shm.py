@@ -19,8 +19,10 @@ multipliers — workers × SIMD — with none of the per-call seeding cost:
   verify — instead of scalar per-pair Python;
 * scheduling is dynamic: work is cut into many more tasks than workers
   (sized by estimated cost — ``rows × n_right`` for dense filter
-  sweeps, candidate count × DP band width for verify tasks) and fed
-  through one queue, so a straggling block never serializes the join;
+  sweeps, candidate count × DP band width for verify tasks, an even
+  share of left rows for tasks that probe a PASS-JOIN index themselves)
+  and fed through one queue, so a straggling block never serializes
+  the join;
 * every worker runs its tasks under a private
   :class:`~repro.obs.stats.StatsCollector` that is merged into the
   parent's, so the funnel conservation invariant holds for hybrid runs
@@ -75,6 +77,7 @@ import numpy as np
 from repro.core.join import JoinResult
 from repro.core.matchers import method_registry
 from repro.core.multiplicity import PairWeighter
+from repro.core.passjoin import PassJoinIndex, SegmentIndex
 from repro.core.popcount import popcount_batch_u64
 from repro.core.vectorized import signatures_for_scheme, value_identity_codes
 from repro.distance.codec import encode_raw
@@ -100,6 +103,7 @@ __all__ = [
     "close_shared_pools",
     "publish_pool_metrics",
     "run_hybrid",
+    "PassJoinProbe",
     "hybrid_join",
     "pack_signatures",
     "inline_side",
@@ -331,6 +335,37 @@ class SharedDatasets(_SegmentOwner):
         self.has_sdx = True
 
 
+class _PublishedIndex(_SegmentOwner):
+    """One :class:`PassJoinIndex` in its flat form (see
+    :meth:`SegmentIndex.flat`), published through shared memory."""
+
+    def __init__(self, index: PassJoinIndex):
+        super().__init__()
+        hashes, ids, table = index.flat()
+        #: rows indexed at publication; ``extend`` is the only way an
+        #: index changes, and it appends rows
+        self.size = len(index)
+        self.ref = (
+            index.k, self.size,
+            self._seg(hashes), self._seg(ids), self._seg(table),
+        )
+
+
+#: PassJoinIndex -> its current _PublishedIndex; an entry (and so its
+#: segments) goes away with the index object
+_PUBLISHED_INDEXES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _published_index(index: PassJoinIndex) -> _PublishedIndex:
+    """``index`` published once per object, republished after it grew."""
+    pub = _PUBLISHED_INDEXES.get(index)
+    if pub is None or pub.size != len(index):
+        if pub is not None:
+            pub.close()
+        pub = _PUBLISHED_INDEXES[index] = _PublishedIndex(index)
+    return pub
+
+
 # ---------------------------------------------------------------------------
 # Worker-side attachment
 # ---------------------------------------------------------------------------
@@ -408,7 +443,8 @@ def _resolve_side(side: SideArrays) -> _Side:
 
 @dataclass(frozen=True)
 class _HybridTask:
-    """One unit of hybrid work: a dense row range or a candidate slice."""
+    """One unit of hybrid work: a dense row range, a candidate slice or
+    a row range to probe."""
 
     left: SideArrays
     right: SideArrays
@@ -421,7 +457,9 @@ class _HybridTask:
     collect: bool
     record: bool
     #: ("rows", r0, r1) — dense sweep of left rows r0:r1 × all of right;
-    #: ("pairs", ii_ref, jj_ref, start, stop) — candidate index slice
+    #: ("pairs", ii_ref, jj_ref, start, stop) — candidate index slice;
+    #: ("probe", r0, r1, index_ref) — left rows r0:r1 probed against a
+    #: published PASS-JOIN index over right, candidates verified in place
     work: tuple
     w_left: tuple | None = None
     w_right: tuple | None = None
@@ -756,6 +794,39 @@ class _Kernels:
             obs.add_matched(n_hits)
         return res
 
+    def run_probe(
+        self, spec, index: SegmentIndex, r0: int, r1: int, obs
+    ) -> dict:
+        """Left rows ``r0:r1`` probed against ``index`` (built over the
+        right side) from their published codes, each candidate block
+        verified by :meth:`run_pairs`.
+
+        ``emitted`` counts the candidates in the units the planner
+        credits to the generator stage: pairs, or original-pair weight
+        under a weighter.  A symmetric weighter enumerates the ``i <= j``
+        triangle, so the probe keeps only that half, as the planner's
+        in-parent stream does.
+        """
+        res = self._fresh()
+        res["emitted"] = 0
+        w = self.weighter
+        for qi, jj in index.probe_codes(
+            self.L.codes[r0:r1], self.L.lengths[r0:r1]
+        ):
+            ii = qi + r0
+            if w is not None and w.symmetric:
+                keep = ii <= jj
+                ii, jj = ii[keep], jj[keep]
+                if not len(ii):
+                    continue
+            res["emitted"] += len(ii) if w is None else w.total(ii, jj)
+            part = self.run_pairs(spec, ii, jj, obs)
+            for key in ("match_count", "diagonal", "verified", "compared"):
+                res[key] += part[key]
+            res["mi"].extend(part["mi"])
+            res["mj"].extend(part["mj"])
+        return res
+
 
 def _exec_hybrid(task: _HybridTask) -> dict:
     """Worker entry point for one hybrid task."""
@@ -765,6 +836,12 @@ def _exec_hybrid(task: _HybridTask) -> dict:
     obs = wc if wc is not None else NULL_COLLECTOR
     if task.work[0] == "rows":
         out = kernels.run_rows(spec, task.work[1], task.work[2], obs)
+    elif task.work[0] == "probe":
+        _, r0, r1, (k, n, hashes, ids, table) = task.work
+        index = SegmentIndex.from_flat(
+            k, n, _resolve_ref(hashes), _resolve_ref(ids), _resolve_ref(table)
+        )
+        out = kernels.run_probe(spec, index, r0, r1, obs)
     else:
         _, ii_ref, jj_ref, start, stop = task.work
         ii = _resolve_ref(ii_ref)[start:stop]
@@ -1433,6 +1510,21 @@ def close_shared_pools() -> None:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class PassJoinProbe:
+    """Candidate generation handed to the pool workers.
+
+    ``index`` is a :class:`PassJoinIndex` over the right side's strings;
+    each task probes it with its slice of the left side's published
+    codes.  :func:`run_hybrid` sets ``emitted`` to the candidates the
+    tasks generated (original-pair weight under a weighter), which the
+    caller credits to the funnel's generator stage.
+    """
+
+    index: PassJoinIndex
+    emitted: int = 0
+
+
 def _task_span(total_cost: int, workers: int, lo: int, hi: int) -> int:
     per_task = total_cost // max(1, workers * _TASKS_PER_WORKER)
     return int(min(hi, max(lo, per_task)))
@@ -1443,7 +1535,9 @@ def run_hybrid(
     left: SideArrays,
     right: SideArrays,
     method: str,
-    blocks: Iterable[tuple[np.ndarray, np.ndarray]] | None = None,
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]]
+    | PassJoinProbe
+    | None = None,
     *,
     scheme,
     k: int = 1,
@@ -1459,13 +1553,19 @@ def run_hybrid(
 ) -> JoinResult:
     """One hybrid join over already-published sides.
 
-    ``blocks=None`` runs the dense full product (row-range tasks);
-    otherwise the candidate stream is drained, published as two index
-    segments and cut into verify tasks.  ``shared_source`` (a
+    ``blocks=None`` runs the dense full product (row-range tasks).  A
+    :class:`PassJoinProbe` moves candidate generation into the workers:
+    the left rows are cut into ``workers x _TASKS_PER_WORKER`` ranges,
+    and each task probes the index (published once per index object,
+    again only after it grew) with its rows' published codes, then
+    verifies its own candidates.  Any other iterable of candidate
+    blocks is drained in the parent, published as two index segments
+    and cut into verify tasks.  ``shared_source`` (a
     :class:`SharedDatasets`/:class:`SharedSide`) credits its published
     bytes to the collector exactly once over its lifetime — which is the
-    "datasets cross the boundary at most once" evidence.  ``weighter``
-    requires an explicit candidate stream, as in
+    "datasets cross the boundary at most once" evidence; a probed
+    index's bytes are credited once per publication the same way.
+    ``weighter`` requires candidates (a stream or a probe), as in
     :func:`repro.parallel.pool.multiprocess_join`.  ``kernels`` picks
     the worker-side kernel tier: ``"auto"`` (default) uses compiled
     kernels when a provider loads, ``"numpy"`` pins pure NumPy, and
@@ -1476,8 +1576,8 @@ def run_hybrid(
         raise ValueError(f"unknown method {method!r}")
     if weighter is not None and blocks is None:
         raise ValueError(
-            "run_hybrid with a weighter requires an explicit candidate "
-            "stream (dense row tasks cannot reproduce symmetric weights)"
+            "run_hybrid with a weighter requires candidates (a stream or "
+            "a probe; dense row tasks cannot reproduce symmetric weights)"
         )
     obs = collector if collector else NULL_COLLECTOR
     n_left, n_right = left.n, right.n
@@ -1494,7 +1594,16 @@ def run_hybrid(
         symmetric = weighter.symmetric
     run_segments: list[_Segment] = []
     works: list[tuple] = []
-    if blocks is None:
+    published: _PublishedIndex | None = None
+    probing = isinstance(blocks, PassJoinProbe)
+    if probing:
+        if len(blocks.index):
+            published = _published_index(blocks.index)
+            for r0, r1 in balanced_splits(
+                n_left, pool.workers * _TASKS_PER_WORKER
+            ):
+                works.append(("probe", r0, r1, published.ref))
+    elif blocks is None:
         # Dense-path task cost is the filter sweep itself: rows x n_right.
         if n_right:
             target = task_pairs or _task_span(
@@ -1566,6 +1675,10 @@ def run_hybrid(
     result = JoinResult(method, n_left, n_right, backend="hybrid")
     mi_parts: list[np.ndarray] = []
     mj_parts: list[np.ndarray] = []
+    if probing:
+        # Results are deduped by task id, so a task re-run after a
+        # worker crash is credited once.
+        blocks.emitted = sum(out["emitted"] for out in outs)
     for out in outs:
         result.match_count += out["match_count"]
         result.diagonal_matches += out["diagonal"]
@@ -1589,9 +1702,10 @@ def run_hybrid(
             "shm_bytes_pickled", pool.bytes_pickled - before_pickled
         )
         shared_bytes = sum(seg.nbytes for seg in run_segments)
-        if shared_source is not None and not shared_source.accounted:
-            shared_bytes += shared_source.bytes_shared
-            shared_source.accounted = True
+        for source in (shared_source, published):
+            if source is not None and not source.accounted:
+                shared_bytes += source.bytes_shared
+                source.accounted = True
         collector.add_counter("shm_bytes_shared", shared_bytes)
         collector.add_counter(
             "shm_workers_respawned", pool.respawns - before_respawns

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 from repro.core.passjoin import (
     PassJoinIndex,
+    SegmentIndex,
     _encode_codes,
     dedup_sorted,
     segment_layout,
 )
+from repro.distance.codec import encode_raw
 from repro.distance.damerau import damerau_levenshtein
 
 
@@ -255,3 +257,64 @@ class TestBlocks:
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError, match="k must be >= 0"):
             PassJoinIndex(["a"], k=-1)
+
+
+#: What the packed join codecs accept: latin-1 without NUL.
+latin1_text = st.one_of(
+    st.text(st.characters(min_codepoint=1, max_codepoint=255), max_size=6),
+    st.sampled_from([0, 1, 63, 64, 65]).flatmap(
+        lambda n: st.text(alphabet="aéÿ", min_size=n, max_size=n)
+    ),
+)
+
+
+def _block_list(blocks):
+    return [(qs.tolist(), ids.tolist()) for qs, ids in blocks]
+
+
+class TestProbeFromCodes:
+    """Probing from already-encoded codes — the pool workers' path."""
+
+    @given(
+        st.lists(latin1_text, max_size=8),
+        st.lists(latin1_text, max_size=8),
+        st.sampled_from([0, 1, 2]),
+    )
+    def test_latin1_codes_probe_like_strings(self, indexed, queries, k):
+        # encode_raw's uint8 latin-1 codes hash like UTF-32 code points,
+        # so the probe yields exactly the blocks the string path yields.
+        index = PassJoinIndex(indexed, k=k)
+        codes, lens = encode_raw(queries)
+        assert _block_list(index.probe_codes(codes, lens)) == _block_list(
+            index.candidate_blocks(queries)
+        )
+
+    @given(
+        st.lists(latin1_text, max_size=8),
+        st.lists(latin1_text, max_size=8),
+        st.sampled_from([0, 1, 2]),
+    )
+    def test_flat_round_trip_probes_alike(self, indexed, queries, k):
+        index = PassJoinIndex(indexed, k=k)
+        view = SegmentIndex.from_flat(k, len(index), *index.flat())
+        assert len(view) == len(index)
+        codes, lens = encode_raw(queries)
+        assert _block_list(view.probe_codes(codes, lens)) == _block_list(
+            index.probe_codes(codes, lens)
+        )
+
+    def test_flat_layout(self):
+        index = PassJoinIndex(["ab", "abc", "b", "abd"], k=1)
+        hashes, ids, table = index.flat()
+        assert table.tolist() == [
+            [1, 0, 0, 1], [1, 1, 1, 2],
+            [2, 0, 2, 3], [2, 1, 3, 4],
+            [3, 0, 4, 6], [3, 1, 6, 8],
+        ]
+        for length, seg, lo, hi in table.tolist():
+            held_h, held_ids = index._buckets[(length, seg)]
+            np.testing.assert_array_equal(hashes[lo:hi], held_h)
+            np.testing.assert_array_equal(ids[lo:hi], held_ids)
+        empty = PassJoinIndex([], k=1).flat()
+        assert [len(a) for a in empty] == [0, 0, 0]
+        assert empty[2].shape == (0, 4)

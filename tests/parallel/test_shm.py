@@ -9,15 +9,25 @@ tracks (and releases) every byte it published.
 """
 
 import os
+import random
 import signal
+import time
+from multiprocessing import get_all_start_methods
 
 import numpy as np
 import pytest
 
+from repro.core.passjoin import PassJoinIndex
 from repro.core.signatures import scheme_for
 from repro.core.vectorized import signatures_for_scheme
+from repro.data.errors import inject_error
+from repro.data.names import build_last_name_pool
 from repro.distance.codec import encode_raw
+from repro.obs.stats import StatsCollector
+from repro.parallel import shm
+from repro.parallel.partition import balanced_splits
 from repro.parallel.shm import (
+    PassJoinProbe,
     SharedDatasets,
     SharedSide,
     WorkerPool,
@@ -25,6 +35,7 @@ from repro.parallel.shm import (
     close_shared_pools,
     inline_side,
     pack_signatures,
+    run_hybrid,
     shared_pool,
 )
 
@@ -72,6 +83,96 @@ class TestWorkerPool:
             assert pool.respawns >= 1
             # Respawned workers keep serving.
             assert pool.run_tasks([(_double, 5)]) == [10]
+
+    @pytest.mark.skipif(
+        "fork" not in get_all_start_methods(),
+        reason="workers must inherit the patched probe",
+    )
+    def test_probe_crash_reruns_and_credits_once(self, tmp_path, monkeypatch):
+        """A worker killed mid-probe: its re-enqueued probe task gives
+        the clean run's matches, funnel and generator count, and a task
+        that ran twice (re-enqueued while still in flight) is credited
+        once."""
+        rng = random.Random(15)
+        right = build_last_name_pool(300, rng)
+        left = [inject_error(s, rng) for s in right[:150]] + right[150:]
+        scheme = scheme_for("alpha", 2)
+        datasets = SharedDatasets(left, right, scheme=scheme)
+        index = PassJoinIndex(right, k=1)
+
+        def run(pool):
+            c = StatsCollector("probe")
+            probe = PassJoinProbe(index)
+            r = run_hybrid(
+                pool, datasets.left, datasets.right, "FPDL", probe,
+                scheme=scheme, k=1, collector=c, record_matches=True,
+            )
+            funnel = {n: (st.tested, st.passed) for n, st in c.stages.items()}
+            return sorted(r.matches), r.match_count, probe.emitted, funnel
+
+        try:
+            with WorkerPool(workers=2) as pool:
+                clean = run(pool)
+            log = tmp_path / "probes.log"
+            slow_flag = tmp_path / "slow.flag"
+            last_r0 = balanced_splits(len(left), 2 * shm._TASKS_PER_WORKER)[-1][0]
+            real = shm._Kernels.run_probe
+
+            def flaky(self, spec, index, r0, r1, obs):
+                with open(log, "a") as fh:
+                    fh.write(f"{r0}\n")
+                if r0 == 0:
+                    _kill_once(str(tmp_path / "boom.flag"))
+                if r0 == last_r0 and not slow_flag.exists():
+                    # In flight while the parent notices the dead worker
+                    # and re-enqueues every unanswered task.
+                    slow_flag.touch()
+                    time.sleep(0.6)
+                return real(self, spec, index, r0, r1, obs)
+
+            monkeypatch.setattr(shm._Kernels, "run_probe", flaky)
+            with WorkerPool(workers=2) as pool:
+                crashed = run(pool)
+                assert pool.respawns >= 1
+            runs = log.read_text().split()
+            assert runs.count(str(last_r0)) >= 2
+            assert crashed == clean
+            assert clean[2] > 0
+        finally:
+            datasets.close()
+
+    def test_probe_index_published_once_republished_after_extend(self):
+        rng = random.Random(16)
+        right = build_last_name_pool(120, rng)
+        left = [inject_error(s, rng) for s in right]
+        scheme = scheme_for("alpha", 2)
+        index = PassJoinIndex(right[:80], k=1)
+        index_bytes = sum(a.nbytes for a in index.flat())
+
+        def run(rows):
+            datasets = SharedDatasets(left, right[:rows], scheme=scheme)
+            try:
+                c = StatsCollector("probe")
+                r = run_hybrid(
+                    pool, datasets.left, datasets.right, "FPDL",
+                    PassJoinProbe(index), scheme=scheme, k=1, collector=c,
+                    record_matches=True,
+                )
+                want = run_hybrid(
+                    pool, datasets.left, datasets.right, "FPDL",
+                    scheme=scheme, k=1, record_matches=True,
+                )
+                assert sorted(r.matches) == sorted(want.matches)
+                return c.counters["shm_bytes_shared"]
+            finally:
+                datasets.close()
+
+        with WorkerPool(workers=2) as pool:
+            assert run(80) == index_bytes
+            assert run(80) == 0  # same index object: no new publication
+            index.extend(right[80:])
+            grown = sum(a.nbytes for a in index.flat())
+            assert run(120) == grown
 
     def test_task_exception_raises_with_traceback(self):
         with WorkerPool(workers=2) as pool:

@@ -5,6 +5,7 @@ import gzip
 
 import pytest
 
+from repro.core.passjoin import PassJoinIndex
 from repro.core.plan import join as mem_join
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
@@ -77,6 +78,27 @@ class TestEquivalence:
         assert obs.conserved
         # The roster's segments cross the boundary once for the stream.
         assert obs.counters.get("shm_bytes_shared", 0) > 0
+
+    def test_hybrid_passjoin_publishes_index_once(
+        self, stream_data, big_file, reference
+    ):
+        roster, big = stream_data
+        index_bytes = sum(a.nbytes for a in PassJoinIndex(roster, k=1).flat())
+        shared = {}
+        for generator in ("all-pairs", "pass-join"):
+            obs = StatsCollector(generator)
+            res = join_stream(
+                big_file, roster, "FPDL", k=1, chunk_rows=300,
+                generator=generator, backend="hybrid", workers=2,
+                collector=obs,
+            )
+            assert sorted(res.matches) == reference
+            assert res.chunks == -(-len(big) // 300)
+            assert obs.conserved
+            shared[generator] = obs.counters["shm_bytes_shared"]
+        # The dense stream publishes only the roster; probing in the
+        # workers adds the stream's one index once, not once per chunk.
+        assert shared["pass-join"] == shared["all-pairs"] + index_bytes
 
     def test_csv_gzip_source_agrees(self, stream_data, tmp_path, reference):
         roster, big = stream_data
