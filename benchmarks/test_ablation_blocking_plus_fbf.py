@@ -23,7 +23,7 @@ from repro.distance.soundex import soundex
 from repro.eval.tables import format_table
 from repro.eval.timing import TimingProtocol, time_callable
 from repro.linkage.blocking import StandardBlocking
-from repro.parallel.chunked import ChunkedJoin
+from repro.parallel.chunked import VectorEngine
 
 
 def test_ablation_blocking_plus_fbf(benchmark):
@@ -37,7 +37,7 @@ def test_ablation_blocking_plus_fbf(benchmark):
         matcher = build_matcher(method, k=1, scheme="alpha")
         return match_strings(dp.clean, dp.error, matcher, pairs=block_pairs)
 
-    join = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind="alpha")
+    join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="alpha")
 
     results = {}
     rows = []

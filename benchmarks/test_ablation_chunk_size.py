@@ -12,7 +12,7 @@ from _common import save_result, table_n
 from repro.data.datasets import dataset_for_family
 from repro.eval.tables import format_table
 from repro.eval.timing import TimingProtocol, time_callable
-from repro.parallel.chunked import ChunkedJoin
+from repro.parallel.chunked import VectorEngine
 
 
 def test_ablation_chunk_size(benchmark):
@@ -24,7 +24,7 @@ def test_ablation_chunk_size(benchmark):
     counts = set()
     times = {}
     for chunk in (1 << 8, 1 << 12, 1 << 16, 1 << 20):
-        join = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind="alpha",
+        join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="alpha",
                            chunk=chunk)
         timing, res = time_callable(lambda j=join: j.run("DL"), protocol)
         counts.add((res.match_count, res.diagonal_matches))
@@ -42,5 +42,5 @@ def test_ablation_chunk_size(benchmark):
     # Tiny chunks pay real per-chunk overhead.
     assert times[1 << 8] > times[1 << 16]
 
-    join = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind="alpha")
+    join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="alpha")
     benchmark.pedantic(lambda: join.run("DL"), rounds=3, iterations=1)

@@ -17,7 +17,7 @@ from repro.core.matchers import build_matcher
 from repro.data.datasets import dataset_for_family
 from repro.eval.tables import format_table
 from repro.eval.timing import TimingProtocol, time_callable
-from repro.parallel.chunked import ChunkedJoin
+from repro.parallel.chunked import VectorEngine
 from repro.parallel.pool import parallel_match_strings
 
 
@@ -37,7 +37,7 @@ def test_ablation_engines(benchmark):
             workers=workers,
         )
 
-    join = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind="numeric")
+    join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="numeric")
 
     def vectorized():
         return join.run("FPDL")

@@ -18,7 +18,7 @@ from repro.data.names import build_last_name_pool
 from repro.data.typo_models import keyboard_injector, ocr_injector
 from repro.eval.tables import format_table
 from repro.eval.timing import TimingProtocol, time_callable
-from repro.parallel.chunked import ChunkedJoin
+from repro.parallel.chunked import VectorEngine
 
 
 def test_ablation_error_models(benchmark):
@@ -37,7 +37,7 @@ def test_ablation_error_models(benchmark):
     passes = {}
     for label, injector in models:
         dirty = injector.inject_many(pool, random.Random(67))
-        join = ChunkedJoin(pool, dirty, k=1, scheme_kind="alpha")
+        join = VectorEngine(pool, dirty, k=1, scheme_kind="alpha")
         fbf = join.run("FBF")
         timing, res = time_callable(lambda j=join: j.run("FPDL"), protocol)
         passes[label] = fbf.match_count
@@ -64,6 +64,6 @@ def test_ablation_error_models(benchmark):
     # pass counts stay within the same order of magnitude across models.
     assert max(passes.values()) < 10 * min(passes.values())
 
-    join = ChunkedJoin(pool, keyboard_injector().inject_many(pool, random.Random(68)),
+    join = VectorEngine(pool, keyboard_injector().inject_many(pool, random.Random(68)),
                        k=1, scheme_kind="alpha")
     benchmark(lambda: join.run("FPDL"))

@@ -13,7 +13,7 @@ from _common import save_result, table_n
 from repro.data.datasets import dataset_for_family
 from repro.distance.tokens import cosine_qgrams, dice, jaccard
 from repro.eval.tables import format_table
-from repro.parallel.chunked import ChunkedJoin
+from repro.parallel.chunked import VectorEngine
 
 
 def _sweep(similarity, dp, target_recall=0.99):
@@ -43,7 +43,7 @@ def _sweep(similarity, dp, target_recall=0.99):
 def test_ablation_token_methods(benchmark):
     n = min(table_n(), 250)  # scalar scoring is O(n^2) per method
     dp = dataset_for_family("LN", n, seed=88)
-    join = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind="alpha")
+    join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="alpha")
     dl = join.run("DL")
 
     rows = [["DL (k=1)", "-", n, dl.off_diagonal_matches]]

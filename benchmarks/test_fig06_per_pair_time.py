@@ -49,9 +49,9 @@ def test_fig06_per_pair_time(ssn_curve, benchmark):
 
     # Benchmark one FBF-only join at the sweep's largest n.
     from repro.data.datasets import dataset_for_family
-    from repro.parallel.chunked import ChunkedJoin
+    from repro.parallel.chunked import VectorEngine
 
     n = ssn_curve.ns[-1]
     dp = dataset_for_family("SSN", n, 600)
-    join = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind="numeric")
+    join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="numeric")
     benchmark(lambda: join.run("FBF"))

@@ -50,9 +50,9 @@ def test_fig07_runtime_curves(fig7_curve, benchmark):
 
     # Benchmark a single mid-sweep DL point (the curve's dominant cost).
     from repro.data.datasets import dataset_for_family
-    from repro.parallel.chunked import ChunkedJoin
+    from repro.parallel.chunked import VectorEngine
 
     n = fig7_curve.ns[len(fig7_curve.ns) // 2]
     dp = dataset_for_family("LN", n, 700)
-    join = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind="alpha")
+    join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="alpha")
     benchmark.pedantic(lambda: join.run("FPDL"), rounds=3, iterations=1)

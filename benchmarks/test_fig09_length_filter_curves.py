@@ -43,9 +43,9 @@ def test_fig09_length_filter_curves(fig9_curve, benchmark):
 
     # Benchmark one LFPDL point mid-sweep.
     from repro.data.datasets import dataset_for_family
-    from repro.parallel.chunked import ChunkedJoin
+    from repro.parallel.chunked import VectorEngine
 
     n = fig9_curve.ns[len(fig9_curve.ns) // 2]
     dp = dataset_for_family("LN", n, 900)
-    join = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind="alpha")
+    join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="alpha")
     benchmark.pedantic(lambda: join.run("LFPDL"), rounds=3, iterations=1)

@@ -11,7 +11,7 @@ from _common import paper_reference, protocol, save_result, table_n
 from repro.data.datasets import dataset_for_family
 from repro.eval.experiments import run_string_experiment
 from repro.eval.tables import format_string_experiment
-from repro.parallel.chunked import ChunkedJoin
+from repro.parallel.chunked import VectorEngine
 
 PAPER_TABLE_1 = paper_reference(
     "Table 1 — SSN, k=1, n=5000 (times on the authors' 2012 testbed)",
@@ -60,5 +60,5 @@ def test_table01_ssn_k1(benchmark):
 
     # Headline method timing distribution for pytest-benchmark.
     dp = dataset_for_family("SSN", n, 101)
-    join = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind="numeric")
+    join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="numeric")
     benchmark(lambda: join.run("FPDL"))

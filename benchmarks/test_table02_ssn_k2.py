@@ -11,7 +11,7 @@ from _common import paper_reference, protocol, save_result, table_n
 from repro.data.datasets import dataset_for_family
 from repro.eval.experiments import run_string_experiment
 from repro.eval.tables import format_string_experiment
-from repro.parallel.chunked import ChunkedJoin
+from repro.parallel.chunked import VectorEngine
 
 PAPER_TABLE_2 = paper_reference(
     "Table 2 — SSN, k=2, n=5000",
@@ -55,5 +55,5 @@ def test_table02_ssn_k2(benchmark):
     assert r2.row("FPDL").type2 == 0
 
     dp = dataset_for_family("SSN", n, 101)
-    join = ChunkedJoin(dp.clean, dp.error, k=2, scheme_kind="numeric")
+    join = VectorEngine(dp.clean, dp.error, k=2, scheme_kind="numeric")
     benchmark(lambda: join.run("FPDL"))

@@ -10,7 +10,7 @@ from _common import paper_reference, protocol, save_result, table_n
 from repro.data.datasets import dataset_for_family
 from repro.eval.experiments import run_string_experiment
 from repro.eval.tables import format_string_experiment
-from repro.parallel.chunked import ChunkedJoin
+from repro.parallel.chunked import VectorEngine
 
 PAPER_TABLE_3 = paper_reference(
     "Table 3 — LN, k=1, n=5000",
@@ -51,5 +51,5 @@ def test_table03_lastnames(benchmark):
     assert result.row("FPDL").time_ms < 2 * result.row("Ham").time_ms
 
     dp = dataset_for_family("LN", n, 103)
-    join = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind="alpha")
+    join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="alpha")
     benchmark(lambda: join.run("FPDL"))

@@ -10,7 +10,7 @@ from _common import paper_reference, protocol, save_result, table_n
 from repro.data.datasets import dataset_for_family
 from repro.eval.experiments import run_string_experiment
 from repro.eval.tables import format_string_experiment
-from repro.parallel.chunked import ChunkedJoin
+from repro.parallel.chunked import VectorEngine
 
 PAPER_TABLE_4 = paper_reference(
     "Table 4 — Ad, k=1, n=5000",
@@ -49,5 +49,5 @@ def test_table04_addresses(benchmark):
     assert result.row("FBF").match_count < 5 * n
 
     dp = dataset_for_family("Ad", n, 104)
-    join = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind="alnum")
+    join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="alnum")
     benchmark(lambda: join.run("FPDL"))

@@ -78,8 +78,8 @@ def test_table05_fpdl_speedup(benchmark):
 
     # Benchmark: one representative FPDL run on the longest family.
     from repro.data.datasets import dataset_for_family
-    from repro.parallel.chunked import ChunkedJoin
+    from repro.parallel.chunked import VectorEngine
 
     dp = dataset_for_family("Ad", n, 105)
-    join = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind="alnum")
+    join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="alnum")
     benchmark(lambda: join.run("FPDL"))

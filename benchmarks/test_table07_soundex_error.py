@@ -11,7 +11,7 @@ from _common import paper_reference, protocol, save_result, table_n
 from repro.data.datasets import dataset_for_family
 from repro.eval.experiments import run_soundex_experiment
 from repro.eval.tables import format_soundex_rows
-from repro.parallel.chunked import ChunkedJoin
+from repro.parallel.chunked import VectorEngine
 
 PAPER_TABLE_7 = paper_reference(
     "Table 7 — Soundex vs DL with error injected, n=5000",
@@ -52,5 +52,5 @@ def test_table07_soundex_error(benchmark):
         assert sdx.fp > 2 * max(dl.fp, 1)
 
     dp = dataset_for_family("LN", n, 107)
-    join = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind="alpha")
+    join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="alpha")
     benchmark(lambda: join.run("SDX"))

@@ -10,7 +10,7 @@ from _common import paper_reference, protocol, save_result, table_n
 from repro.data.datasets import dataset_for_family
 from repro.eval.experiments import run_soundex_experiment
 from repro.eval.tables import format_soundex_rows
-from repro.parallel.chunked import ChunkedJoin
+from repro.parallel.chunked import VectorEngine
 
 PAPER_TABLE_8 = paper_reference(
     "Table 8 — Soundex vs DL with clean data, n=5000",
@@ -53,5 +53,5 @@ def test_table08_soundex_clean(benchmark):
     # drawn from the same real-name pool, so near-duplicates abound.
 
     dp = dataset_for_family("FN", n, 108)
-    join = ChunkedJoin(dp.clean, dp.clean, k=1, scheme_kind="alpha")
+    join = VectorEngine(dp.clean, dp.clean, k=1, scheme_kind="alpha")
     benchmark(lambda: join.run("SDX"))

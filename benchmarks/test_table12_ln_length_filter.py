@@ -11,7 +11,7 @@ from _common import paper_reference, protocol, save_result, table_n
 from repro.data.datasets import dataset_for_family
 from repro.eval.experiments import LENGTH_TABLE_METHODS, run_string_experiment
 from repro.eval.tables import format_string_experiment
-from repro.parallel.chunked import ChunkedJoin
+from repro.parallel.chunked import VectorEngine
 
 PAPER_TABLE_12 = paper_reference(
     "Table 12 — LN with length filter, k=1, n=5000",
@@ -58,5 +58,5 @@ def test_table12_ln_length_filter(benchmark):
     assert result.row("LFBF").match_count < fbf.match_count
 
     dp = dataset_for_family("LN", n, 112)
-    join = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind="alpha")
+    join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="alpha")
     benchmark(lambda: join.run("LFPDL"))

@@ -10,7 +10,7 @@ from _common import paper_reference, protocol, save_result, table_n
 from repro.data.datasets import dataset_for_family
 from repro.eval.experiments import LENGTH_TABLE_METHODS, run_string_experiment
 from repro.eval.tables import format_string_experiment
-from repro.parallel.chunked import ChunkedJoin
+from repro.parallel.chunked import VectorEngine
 
 PAPER_TABLE_14 = paper_reference(
     "Table 14 — Ad with length filter, k=1, n=5000",
@@ -50,5 +50,5 @@ def test_table14_ad_length_filter(benchmark):
     assert lf.match_count > result.row("LFBF").match_count
 
     dp = dataset_for_family("Ad", n, 114)
-    join = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind="alnum")
+    join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="alnum")
     benchmark(lambda: join.run("LFPDL"))

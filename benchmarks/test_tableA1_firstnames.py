@@ -10,7 +10,7 @@ from _common import paper_reference, protocol, save_result, table_n
 from repro.data.datasets import dataset_for_family
 from repro.eval.experiments import run_string_experiment
 from repro.eval.tables import format_string_experiment
-from repro.parallel.chunked import ChunkedJoin
+from repro.parallel.chunked import VectorEngine
 
 PAPER_TABLE_A1 = paper_reference(
     "Appendix Table 9 — FN, k=1, theta=0.75, n=5000",
@@ -52,5 +52,5 @@ def test_tableA1_firstnames(benchmark):
     assert result.row("FPDL").speedup > result.row("PDL").speedup
 
     dp = dataset_for_family("FN", n, 191)
-    join = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind="alpha")
+    join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="alpha")
     benchmark(lambda: join.run("FPDL"))

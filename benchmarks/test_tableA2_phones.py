@@ -11,7 +11,7 @@ from _common import paper_reference, protocol, save_result, table_n
 from repro.data.datasets import dataset_for_family
 from repro.eval.experiments import run_string_experiment
 from repro.eval.tables import format_string_experiment
-from repro.parallel.chunked import ChunkedJoin
+from repro.parallel.chunked import VectorEngine
 
 PAPER_TABLE_A2 = paper_reference(
     "Appendix Table 10 — Ph, k=1, n=5000",
@@ -48,5 +48,5 @@ def test_tableA2_phones(benchmark):
     assert result.row("FBF").speedup >= result.row("FPDL").speedup * 0.8
 
     dp = dataset_for_family("Ph", n, 192)
-    join = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind="numeric")
+    join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="numeric")
     benchmark(lambda: join.run("FPDL"))

@@ -78,14 +78,13 @@ from repro.distance import (
     soundex,
 )
 from repro.obs import StatsCollector, render_funnel
-from repro.parallel.chunked import ChunkedJoin, VectorEngine
+from repro.parallel.chunked import VectorEngine
 from repro.serve import MatchService, MutableIndex, QueryResult
 from repro.stream import StreamResult, join_stream
 
 __version__ = "1.9.0"
 
 __all__ = [
-    "ChunkedJoin",
     "CollapsedSide",
     "FBFFilter",
     "FilterChain",

@@ -1,8 +1,8 @@
 """Warn-once machinery for the deprecated pre-planner shims.
 
-``match_strings``, ``parallel_match_strings`` and ``ChunkedJoin`` stay
-importable for pre-planner callers, but a long-running job that calls a
-shim millions of times should say so once, not once per call — Python's
+``match_strings`` and ``parallel_match_strings`` stay importable for
+pre-planner callers, but a long-running job that calls a shim millions
+of times should say so once, not once per call — Python's
 own ``warnings`` default dedup is per call-site module state that
 ``simplefilter("always")`` (and pytest) resets, so the shims keep their
 own registry here.

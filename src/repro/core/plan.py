@@ -598,9 +598,11 @@ class NativeBackend(VectorizedBackend):
     Identical dataflow, chunking and funnel accounting to
     :class:`VectorizedBackend` — the planner's cached engine is
     temporarily armed with the :mod:`repro.native` kernel set (numba or
-    the ctypes/cc provider, whichever loaded), which swaps only the
-    innermost loops: the fused XOR+popcount candidate scan and the
-    batched bit-parallel/banded OSA verifier.  Decisions are
+    the ctypes/cc provider, whichever loaded), which every
+    :class:`repro.parallel.kernels.Kernels` the engine builds during the
+    run picks up.  It swaps only the innermost loops: the packed
+    XOR+popcount candidate scan and pair mask, and the batched
+    bit-parallel/banded OSA verifier.  Decisions are
     bit-identical by construction (providers must pass the native
     self-check) and pinned by the plan-equivalence suite.  When no
     provider is available the run degrades to the plain vectorized
@@ -655,7 +657,9 @@ class MultiprocessBackend(ExecutionBackend):
 
 
 class HybridBackend(ExecutionBackend):
-    """Shared-memory worker pool running the vectorized chunk kernels.
+    """Shared-memory worker pool running the vectorized chunk kernels
+    (:mod:`repro.parallel.kernels`, the same ones the in-process engine
+    runs).
 
     Both sides are published once per planner (cached
     :class:`repro.parallel.shm.SharedDatasets`), then every run fans

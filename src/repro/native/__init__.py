@@ -108,36 +108,22 @@ class KernelSet:
 
     # -- candidate generation ------------------------------------------
 
-    def fbf_candidates(
+    def fbf_candidates_u64(
         self, left_sigs: np.ndarray, right_sigs: np.ndarray, bound: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Fused scan over uint32 signature matrices; row-major order
-        identical to ``core/vectorized.py::fbf_candidates``."""
-        L = _sig2d(left_sigs, np.uint32)
-        R = _sig2d(right_sigs, np.uint32)
+        """Fused scan over packed uint64 signature matrices
+        (:func:`repro.parallel.kernels.pack_signatures`); row-major
+        order identical to ``core/vectorized.py::fbf_candidates`` on the
+        unpacked words."""
+        L = _sig2d(left_sigs, np.uint64)
+        R = _sig2d(right_sigs, np.uint64)
         if L.shape[1] != R.shape[1]:
             raise ValueError(
                 f"signature widths differ: {L.shape[1]} vs {R.shape[1]}"
             )
-        return self._p["fbf_scan_u32"](L, R, int(bound))
-
-    def fbf_candidates_u64(
-        self, left_sigs: np.ndarray, right_sigs: np.ndarray, bound: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Same scan over packed uint64 signatures (the hybrid layout)."""
-        L = _sig2d(left_sigs, np.uint64)
-        R = _sig2d(right_sigs, np.uint64)
         return self._p["fbf_scan_u64"](L, R, int(bound))
 
     # -- gathered pair filters -----------------------------------------
-
-    def sig_pair_mask(
-        self, left_sigs, right_sigs, ii, jj, bound: int
-    ) -> np.ndarray:
-        L = _sig2d(left_sigs, np.uint32)
-        R = _sig2d(right_sigs, np.uint32)
-        out = self._p["pair_mask_u32"](L, R, _idx(ii), _idx(jj), int(bound))
-        return out.view(bool)
 
     def sig_pair_mask_u64(
         self, left_sigs, right_sigs, ii, jj, bound: int
@@ -395,7 +381,7 @@ def _self_check(ks: KernelSet) -> str | None:
     rejected rather than trusted.
     """
     try:
-        from repro.core.popcount import popcount_batch_u32, popcount_batch_u64
+        from repro.core.popcount import popcount_batch_u64
         from repro.distance.codec import encode_raw
         from repro.distance.damerau import damerau_levenshtein
         from repro.distance.pruned import pdl
@@ -403,32 +389,24 @@ def _self_check(ks: KernelSet) -> str | None:
         rng = np.random.default_rng(0x5EED)
 
         # -- signature kernels ----------------------------------------
-        L32 = rng.integers(0, 1 << 32, size=(13, 2), dtype=np.uint32)
-        R32 = rng.integers(0, 1 << 32, size=(9, 2), dtype=np.uint32)
-        L64 = rng.integers(0, 1 << 63, size=(11, 1), dtype=np.uint64)
-        R64 = rng.integers(0, 1 << 63, size=(7, 1), dtype=np.uint64)
-        for tag, L, R, pc, scan, mask_fn in (
-            ("u32", L32, R32, popcount_batch_u32,
-             ks.fbf_candidates, ks.sig_pair_mask),
-            ("u64", L64, R64, popcount_batch_u64,
-             ks.fbf_candidates_u64, ks.sig_pair_mask_u64),
-        ):
-            db = np.zeros((L.shape[0], R.shape[0]), dtype=np.int64)
-            for w in range(L.shape[1]):
-                db += pc(L[:, w][:, None] ^ R[:, w][None, :])
-            for bound in (0, 20, 34):
-                ri, rj = np.nonzero(db <= bound)
-                gi, gj = scan(L, R, bound)
-                if not (
-                    np.array_equal(gi, ri.astype(np.int64))
-                    and np.array_equal(gj, rj.astype(np.int64))
-                ):
-                    return f"fbf scan {tag} bound={bound} mismatch"
-                pi = np.repeat(np.arange(L.shape[0]), R.shape[0])
-                pj = np.tile(np.arange(R.shape[0]), L.shape[0])
-                got = mask_fn(L, R, pi, pj, bound)
-                if not np.array_equal(got, db.ravel() <= bound):
-                    return f"pair mask {tag} bound={bound} mismatch"
+        L = rng.integers(0, 1 << 63, size=(11, 2), dtype=np.uint64)
+        R = rng.integers(0, 1 << 63, size=(7, 2), dtype=np.uint64)
+        db = np.zeros((L.shape[0], R.shape[0]), dtype=np.int64)
+        for w in range(L.shape[1]):
+            db += popcount_batch_u64(L[:, w][:, None] ^ R[:, w][None, :])
+        pi = np.repeat(np.arange(L.shape[0]), R.shape[0])
+        pj = np.tile(np.arange(R.shape[0]), L.shape[0])
+        for bound in (0, 60, 68):
+            ri, rj = np.nonzero(db <= bound)
+            gi, gj = ks.fbf_candidates_u64(L, R, bound)
+            if not (
+                np.array_equal(gi, ri.astype(np.int64))
+                and np.array_equal(gj, rj.astype(np.int64))
+            ):
+                return f"fbf scan bound={bound} mismatch"
+            got = ks.sig_pair_mask_u64(L, R, pi, pj, bound)
+            if not np.array_equal(got, db.ravel() <= bound):
+                return f"pair mask bound={bound} mismatch"
 
         # -- verifier kernels -----------------------------------------
         alpha = "abAB \xe9"

@@ -75,14 +75,8 @@ def load():
     if raw is None:
         raise RuntimeError(_csrc.build_error() or "C kernel build failed")
 
-    def fbf_scan_u32(L, R, bound):
-        return _scan(raw["fbf_scan_u32"], L, R, bound)
-
     def fbf_scan_u64(L, R, bound):
         return _scan(raw["fbf_scan_u64"], L, R, bound)
-
-    def pair_mask_u32(L, R, ii, jj, bound):
-        return _pair_mask(raw["pair_mask_u32"], L, R, ii, jj, bound)
 
     def pair_mask_u64(L, R, ii, jj, bound):
         return _pair_mask(raw["pair_mask_u64"], L, R, ii, jj, bound)
@@ -141,9 +135,7 @@ def load():
         return np.concatenate(ii_parts), np.concatenate(jj_parts), passed_total
 
     return {
-        "fbf_scan_u32": fbf_scan_u32,
         "fbf_scan_u64": fbf_scan_u64,
-        "pair_mask_u32": pair_mask_u32,
         "pair_mask_u64": pair_mask_u64,
         "osa_mask": osa_mask,
         "fused_rows_u64": fused_rows_u64,

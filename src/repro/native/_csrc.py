@@ -11,12 +11,11 @@ workers) converge on one artifact via an atomic rename.
 
 Kernels mirror the pure-Python/NumPy references bit for bit:
 
-* ``fbf_scan_u32`` / ``fbf_scan_u64`` — fused XOR + POPCNT + threshold
-  candidate emission over signature matrices, row-major order so the
-  output matches ``np.nonzero`` exactly (no (rows x n_right x width)
-  intermediates).
-* ``pair_mask_u32`` / ``pair_mask_u64`` — the gathered-pair signature
-  filter used by index-driven generators.
+* ``fbf_scan_u64`` — fused XOR + POPCNT + threshold candidate emission
+  over packed signature matrices, row-major order so the output matches
+  ``np.nonzero`` exactly (no (rows x n_right x width) intermediates).
+* ``pair_mask_u64`` — the gathered-pair signature filter used by
+  index-driven generators.
 * ``osa_mask`` — batched bounded OSA (restricted Damerau-Levenshtein)
   decisions: Hyyro bit-parallel for patterns up to 64 chars
   (``distance/bitparallel.py``), banded rolling-row DP beyond that
@@ -44,7 +43,6 @@ C_SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 
-#define POP32(x) ((int64_t)__builtin_popcount((uint32_t)(x)))
 #define POP64(x) ((int64_t)__builtin_popcountll((uint64_t)(x)))
 
 /* ------------------------------------------------------------------ */
@@ -53,29 +51,6 @@ C_SOURCE = r"""
 /* L against all of R, in row-major order (identical to np.nonzero).   */
 /* Returns the number of pairs emitted, or -1 if cap would overflow.   */
 /* ------------------------------------------------------------------ */
-
-int64_t fbf_scan_u32(const uint32_t *L, const uint32_t *R,
-                     int64_t row0, int64_t row1, int64_t nr, int64_t width,
-                     int64_t bound, int64_t *out_i, int64_t *out_j,
-                     int64_t cap) {
-    int64_t count = 0;
-    for (int64_t i = row0; i < row1; i++) {
-        const uint32_t *li = L + i * width;
-        for (int64_t j = 0; j < nr; j++) {
-            const uint32_t *rj = R + j * width;
-            int64_t db = 0;
-            for (int64_t w = 0; w < width; w++)
-                db += POP32(li[w] ^ rj[w]);
-            if (db <= bound) {
-                if (count >= cap) return -1;
-                out_i[count] = i;
-                out_j[count] = j;
-                count++;
-            }
-        }
-    }
-    return count;
-}
 
 int64_t fbf_scan_u64(const uint64_t *L, const uint64_t *R,
                      int64_t row0, int64_t row1, int64_t nr, int64_t width,
@@ -103,19 +78,6 @@ int64_t fbf_scan_u64(const uint64_t *L, const uint64_t *R,
 /* ------------------------------------------------------------------ */
 /* Gathered-pair signature filter: out[p] = diff_bits(pair p) <= bound */
 /* ------------------------------------------------------------------ */
-
-void pair_mask_u32(const uint32_t *L, const uint32_t *R, int64_t width,
-                   const int64_t *ii, const int64_t *jj, int64_t n,
-                   int64_t bound, uint8_t *out) {
-    for (int64_t p = 0; p < n; p++) {
-        const uint32_t *li = L + ii[p] * width;
-        const uint32_t *rj = R + jj[p] * width;
-        int64_t db = 0;
-        for (int64_t w = 0; w < width; w++)
-            db += POP32(li[w] ^ rj[w]);
-        out[p] = db <= bound;
-    }
-}
 
 void pair_mask_u64(const uint64_t *L, const uint64_t *R, int64_t width,
                    const int64_t *ii, const int64_t *jj, int64_t n,
@@ -383,12 +345,8 @@ def _bind(lib: ctypes.CDLL) -> dict[str, ctypes._CFuncPtr]:
     i64 = ctypes.c_int64
     i32 = ctypes.c_int32
 
-    lib.fbf_scan_u32.argtypes = [p, p, i64, i64, i64, i64, i64, p, p, i64]
-    lib.fbf_scan_u32.restype = i64
     lib.fbf_scan_u64.argtypes = [p, p, i64, i64, i64, i64, i64, p, p, i64]
     lib.fbf_scan_u64.restype = i64
-    lib.pair_mask_u32.argtypes = [p, p, i64, p, p, i64, i64, p]
-    lib.pair_mask_u32.restype = None
     lib.pair_mask_u64.argtypes = [p, p, i64, p, p, i64, i64, p]
     lib.pair_mask_u64.restype = None
     lib.osa_mask.argtypes = [p, p, i64, p, p, i64, p, p, i64, i64, i32, p]
@@ -398,9 +356,7 @@ def _bind(lib: ctypes.CDLL) -> dict[str, ctypes._CFuncPtr]:
     ]
     lib.fused_rows_u64.restype = i64
     return {
-        "fbf_scan_u32": lib.fbf_scan_u32,
         "fbf_scan_u64": lib.fbf_scan_u64,
-        "pair_mask_u32": lib.pair_mask_u32,
         "pair_mask_u64": lib.pair_mask_u64,
         "osa_mask": lib.osa_mask,
         "fused_rows_u64": lib.fused_rows_u64,

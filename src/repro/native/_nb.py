@@ -279,14 +279,8 @@ def _fused_rows(L, R, len_l, len_r, r0, r1, bound, k, filters):
 def load():
     """Provider primitives backed by the jitted kernels."""
 
-    def fbf_scan_u32(L, R, bound):
-        return _fbf_scan(L, R, bound)
-
     def fbf_scan_u64(L, R, bound):
         return _fbf_scan(L, R, bound)
-
-    def pair_mask_u32(L, R, ii, jj, bound):
-        return _pair_mask(L, R, ii, jj, bound)
 
     def pair_mask_u64(L, R, ii, jj, bound):
         return _pair_mask(L, R, ii, jj, bound)
@@ -298,9 +292,7 @@ def load():
         return _fused_rows(L, R, len_l, len_r, r0, r1, bound, k, filter_codes)
 
     return {
-        "fbf_scan_u32": fbf_scan_u32,
         "fbf_scan_u64": fbf_scan_u64,
-        "pair_mask_u32": pair_mask_u32,
         "pair_mask_u64": pair_mask_u64,
         "osa_mask": osa_mask,
         "fused_rows_u64": fused_rows_u64,

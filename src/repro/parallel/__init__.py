@@ -7,11 +7,15 @@ call per pair:
 * :mod:`repro.parallel.partition` — pair-space partitioning: rectangular
   blocking of the ``n_left x n_right`` product into cache-sized chunks,
   and balanced work splits for multi-process runs.
+* :mod:`repro.parallel.kernels` — the chunk kernels every vectorized
+  executor runs: one prepared-side layout (codes, lengths, packed
+  ``uint64`` signatures), one verifier/filter/diagonal dispatch and one
+  funnel tally, over NumPy (:mod:`repro.distance.vectorized`) or the
+  compiled :mod:`repro.native` tier.
 * :mod:`repro.parallel.chunked` — the vectorized join
-  (:class:`VectorEngine`): every method stack of the evaluation
-  implemented over NumPy pair chunks (:mod:`repro.distance.vectorized`
-  + :mod:`repro.core.vectorized`).  One process, no per-pair Python;
-  the plan layer's ``vectorized`` backend.
+  (:class:`VectorEngine`): every method stack of the evaluation run
+  through those kernels over NumPy pair chunks.  One process, no
+  per-pair Python; the plan layer's ``vectorized`` backend.
 * :mod:`repro.parallel.pool` — a multiprocessing driver
   (:func:`multiprocess_join`) that partitions the pair space across
   worker processes, for the scalar matchers (reference engine at
@@ -20,15 +24,16 @@ call per pair:
 * :mod:`repro.parallel.shm` — the zero-copy hybrid: encodings are
   published once through ``multiprocessing.shared_memory`` and a
   persistent :class:`WorkerPool` (reused across joins and serve
-  batches) runs the vectorized chunk kernels inside each worker; the
-  plan layer's ``hybrid`` backend.
+  batches) runs the same chunk kernels inside each worker; the plan
+  layer's ``hybrid`` backend.
 
 All are composed with candidate generators by
-:class:`repro.core.plan.JoinPlanner`; ``ChunkedJoin`` and
-``parallel_match_strings`` remain as deprecated aliases.
+:class:`repro.core.plan.JoinPlanner`; ``parallel_match_strings``
+remains as a deprecated alias.
 """
 
-from repro.parallel.chunked import ChunkedJoin, VectorEngine, VJoinResult
+from repro.parallel.chunked import VectorEngine, VJoinResult
+from repro.parallel.kernels import pack_signatures
 from repro.parallel.partition import balanced_splits, iter_pair_blocks, row_blocks
 from repro.parallel.pool import multiprocess_join, parallel_match_strings
 from repro.parallel.shm import (
@@ -37,15 +42,12 @@ from repro.parallel.shm import (
     SideArrays,
     WorkerPool,
     close_shared_pools,
-    hybrid_join,
     inline_side,
-    pack_signatures,
     run_hybrid,
     shared_pool,
 )
 
 __all__ = [
-    "ChunkedJoin",
     "SharedDatasets",
     "SharedSide",
     "SideArrays",
@@ -54,7 +56,6 @@ __all__ = [
     "WorkerPool",
     "balanced_splits",
     "close_shared_pools",
-    "hybrid_join",
     "inline_side",
     "iter_pair_blocks",
     "multiprocess_join",

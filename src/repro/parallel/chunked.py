@@ -11,8 +11,10 @@ Since the planner refactor the engine serves as the *vectorized
 execution backend* of :mod:`repro.core.plan`: :meth:`VectorEngine.run`
 covers full-product plans and :meth:`VectorEngine.run_candidates`
 verifies an explicit candidate stream from any candidate generator
-(length buckets, the FBF signature index, key blocking).
-:class:`ChunkedJoin` remains as a deprecated alias.
+(length buckets, the FBF signature index, key blocking).  Both sides
+are held in the :class:`repro.parallel.kernels.Side` layout and every
+decision runs through :class:`repro.parallel.kernels.Kernels` — the same
+kernels the shared-memory pool workers run.
 
 Timing fidelity note (DESIGN.md): *all* methods run in the same
 vectorized paradigm here, so relative timings — the paper's speedup
@@ -20,7 +22,7 @@ columns — compare like with like, exactly as the paper's all-C
 implementations did.
 
 Observability: pass a :class:`repro.obs.StatsCollector` (constructor or
-per-:meth:`ChunkedJoin.run` call) and the engine reports the same
+per-:meth:`VectorEngine.run` call) and the engine reports the same
 funnel the scalar driver does — stage sweeps record their tested/passed
 totals, verification merges per-chunk aggregates into the one
 collector, and signature generation / filtering / verification each get
@@ -31,37 +33,34 @@ shared no-op and the hot loops are unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from repro._compat import warn_once
 from repro.core.join import JoinResult
 from repro.core.matchers import method_registry
-from repro.core.popcount import popcount_batch_u32
 from repro.core.signatures import SignatureScheme, detect_kind, scheme_for
-from repro.core.vectorized import (
-    fbf_candidates,
-    signatures_for_scheme,
-    value_identity_codes,
-)
+from repro.core.vectorized import value_identity_codes
 from repro.distance.codec import encode_raw
-from repro.distance.soundex import soundex
-from repro.native import MODE_DL, MODE_PDL, resolve_kernels
-from repro.distance.vectorized import (
-    hamming_pairs,
-    jaro_pairs,
-    jaro_winkler_pairs,
-    osa_pairs,
-    osa_within_k_pairs,
-)
+from repro.native import resolve_kernels
 from repro.obs.log import get_logger
 from repro.obs.stats import NULL_COLLECTOR
+from repro.parallel.kernels import (
+    FILTER_CHUNK,
+    VERIFY_CHUNK,
+    Kernels,
+    Side,
+    packed_signatures,
+    soundex_ids,
+)
 from repro.parallel.partition import iter_pair_blocks
 
-__all__ = ["VectorEngine", "ChunkedJoin", "VJoinResult"]
+__all__ = ["VectorEngine", "VJoinResult"]
 
 _log = get_logger("parallel.chunked")
+
+#: method specs by lower-cased name (``run`` accepts any case)
+_SPECS = {name.lower(): spec for name, spec in method_registry().items()}
 
 
 def _group_by_value(values: np.ndarray) -> dict[int, np.ndarray]:
@@ -103,9 +102,10 @@ class VJoinResult:
 class VectorEngine:
     """A prepared vectorized join over two string datasets.
 
-    Encoding, lengths, FBF signatures and Soundex codes are computed
-    once at construction (the paper's "Gen" cost); :meth:`run` then
-    executes any method stack by name over the full product, and
+    Encoding, lengths and packed FBF signatures are computed once at
+    construction (the paper's "Gen" cost); Soundex ids and self-join
+    value identities on the first method that needs them.  :meth:`run`
+    then executes any method stack by name over the full product, and
     :meth:`run_candidates` over an explicit candidate pair stream.
 
     Parameters
@@ -158,8 +158,8 @@ class VectorEngine:
         theta: float = 0.8,
         scheme_kind: SignatureScheme | str | None = None,
         levels: int = 2,
-        chunk: int = 1 << 12,
-        filter_chunk: int = 1 << 20,
+        chunk: int = VERIFY_CHUNK,
+        filter_chunk: int = FILTER_CHUNK,
         variant: str = "paper",
         record_matches: bool = False,
         collector=None,
@@ -184,13 +184,6 @@ class VectorEngine:
         self.kernels = kernels or "numpy"
         self._native = resolve_kernels(self.kernels, warn_key="engine")
         obs = collector if collector else NULL_COLLECTOR
-        self._obs = NULL_COLLECTOR  # run-scoped; set by run()
-        with obs.span("gen.encode"):
-            self.codes_l, self.len_l = encode_raw(left)
-            if share_right is not None:
-                self.codes_r, self.len_r = share_right.codes_r, share_right.len_r
-            else:
-                self.codes_r, self.len_r = encode_raw(right)
         if share_right is not None:
             self.scheme = share_right.scheme
         elif isinstance(scheme_kind, SignatureScheme):
@@ -200,20 +193,25 @@ class VectorEngine:
                 list(left[:128]) + list(right[:128])
             )
             self.scheme = scheme_for(kind, levels)
+        with obs.span("gen.encode"):
+            codes_l, len_l = encode_raw(left)
+            if share_right is None:
+                codes_r, len_r = encode_raw(right)
         with obs.span("gen.signatures"):
-            self.sigs_l = signatures_for_scheme(left, self.scheme)
-            self.sigs_r = (
-                share_right.sigs_r
-                if share_right is not None
-                else signatures_for_scheme(right, self.scheme)
+            sigs_l = packed_signatures(left, self.scheme)
+            if share_right is None:
+                sigs_r = packed_signatures(right, self.scheme)
+        self._side_l = Side(len(left), codes_l, len_l, sigs_l)
+        if share_right is not None:
+            # Own Side object, shared arrays: the soundex ids and value
+            # identities filled in later belong to this pair of sides.
+            shared = share_right._side_r
+            self._side_r = Side(
+                shared.n, shared.codes, shared.lengths, shared.sigs
             )
-        if self.sigs_l.ndim == 1:
-            self.sigs_l = self.sigs_l[:, None]
-        if self.sigs_r.ndim == 1:
-            self.sigs_r = self.sigs_r[:, None]
+        else:
+            self._side_r = Side(len(right), codes_r, len_r, sigs_r)
         self.fbf_bound = self.scheme.safe_threshold(k)
-        self._sdx_l: np.ndarray | None = None
-        self._sdx_r: np.ndarray | None = None
         self._len_groups_l: dict[int, np.ndarray] | None = None
         self._len_groups_r: dict[int, np.ndarray] | None = None
         #: self-joins count the diagonal by value identity (see
@@ -221,8 +219,14 @@ class VectorEngine:
         self.self_join = right is left or (
             len(left) == len(right) and list(left) == list(right)
         )
-        self._vid_l: np.ndarray | None = None
-        self._vid_r: np.ndarray | None = None
+
+    # The engine's views of its prepared sides.
+    codes_l = property(lambda self: self._side_l.codes)
+    len_l = property(lambda self: self._side_l.lengths)
+    sigs_l = property(lambda self: self._side_l.sigs)
+    codes_r = property(lambda self: self._side_r.codes)
+    len_r = property(lambda self: self._side_r.lengths)
+    sigs_r = property(lambda self: self._side_r.sigs)
 
     def sync_right(self) -> int:
         """Prepare rows appended to ``self.right`` since the right side
@@ -236,28 +240,62 @@ class VectorEngine:
         encoding a new row fails.  ``self.right`` must not be the left
         dataset.
         """
-        new = self.right[len(self.len_r) :]
+        side = self._side_r
+        new = self.right[side.n :]
         if not new:
             return 0
         codes, lens = encode_raw(new)
-        sigs = signatures_for_scheme(new, self.scheme)
-        if sigs.ndim == 1:
-            sigs = sigs[:, None]
-        width = max(self.codes_r.shape[1], codes.shape[1])
-        grown = np.zeros((len(self.len_r) + len(new), width), dtype=np.uint8)
-        grown[: len(self.len_r), : self.codes_r.shape[1]] = self.codes_r
-        grown[len(self.len_r) :, : codes.shape[1]] = codes
-        self.codes_r = grown
-        self.len_r = np.concatenate([self.len_r, lens])
-        self.sigs_r = np.concatenate([self.sigs_r, sigs])
+        sigs = packed_signatures(new, self.scheme)
+        width = max(side.codes.shape[1], codes.shape[1])
+        grown = np.zeros((side.n + len(new), width), dtype=np.uint8)
+        grown[: side.n, : side.codes.shape[1]] = side.codes
+        grown[side.n :, : codes.shape[1]] = codes
+        side.codes = grown
+        side.lengths = np.concatenate([side.lengths, lens])
+        side.sigs = np.concatenate([side.sigs, sigs])
+        side.n += len(new)
         # The left- and right-side caches are built (and checked) as pairs.
-        self._sdx_l = self._sdx_r = None
+        side.sdx = side.vid = self._side_l.sdx = self._side_l.vid = None
         self._len_groups_l = self._len_groups_r = None
-        self._vid_l = self._vid_r = None
         self.self_join = len(self.left) == len(self.right) and list(
             self.left
         ) == list(self.right)
         return len(new)
+
+    def _kernels(self, spec, weighter=None) -> Kernels:
+        """The kernels for one method over this engine's sides, with the
+        pair caches that method needs filled in."""
+        L, R = self._side_l, self._side_r
+        if self.self_join and L.vid is None:
+            L.vid, R.vid = value_identity_codes(self.left, self.right)
+        if spec.verifier == "sdx" and L.sdx is None:
+            L.sdx, R.sdx = soundex_ids(self.left, self.right)
+        return Kernels(
+            L, R, spec,
+            k=self.k,
+            fbf_bound=self.fbf_bound,
+            theta=self.theta,
+            variant=self.variant,
+            self_join=self.self_join,
+            record=self.record_matches,
+            weighter=weighter,
+            native=self._native,
+            chunk=self.chunk,
+            filter_chunk=self.filter_chunk,
+        )
+
+    @staticmethod
+    def _take(res: dict, result) -> None:
+        """Move a kernel result dict's matches into ``result``."""
+        result.match_count += res["match_count"]
+        result.diagonal_matches += res["diagonal"]
+        if res["mi"]:
+            result.matches.extend(
+                zip(
+                    np.concatenate(res["mi"]).tolist(),
+                    np.concatenate(res["mj"]).tolist(),
+                )
+            )
 
     # -- method dispatch ---------------------------------------------------
 
@@ -268,8 +306,8 @@ class VectorEngine:
         the experiment harness uses that to give each method its own
         child collector over one prepared join.
         """
-        handler = getattr(self, f"_run_{method.lower()}", None)
-        if handler is None:
+        spec = _SPECS.get(method.lower())
+        if spec is None:
             raise ValueError(f"unknown method {method!r}")
         obs = collector if collector else (
             self.collector if self.collector else NULL_COLLECTOR
@@ -282,136 +320,40 @@ class VectorEngine:
         _log.debug(
             "run %s over %d x %d pairs", method, len(self.left), len(self.right)
         )
-        self._obs = obs
-        try:
-            with obs.span(f"run.{method}"):
-                return handler()
-        finally:
-            self._obs = NULL_COLLECTOR
-
-    # -- verifiers ----------------------------------------------------------
-
-    def _verify_dl(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-        if self._native is not None:
-            return self._native.osa_decisions(
-                self.codes_l, self.len_l, self.codes_r, self.len_r,
-                ii, jj, self.k, mode=MODE_DL,
-            )
-        return (
-            osa_pairs(self.codes_l, self.len_l, self.codes_r, self.len_r, ii, jj)
-            <= self.k
-        )
-
-    def _verify_pdl(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-        if self._native is not None:
-            return self._native.osa_decisions(
-                self.codes_l, self.len_l, self.codes_r, self.len_r,
-                ii, jj, self.k, mode=MODE_PDL,
-            )
-        return osa_within_k_pairs(
-            self.codes_l, self.len_l, self.codes_r, self.len_r, ii, jj, self.k
-        )
-
-    # -- diagonal ------------------------------------------------------------
-
-    def _diag_mask(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-        """Diagonal membership for a candidate block.
-
-        Positional (``i == j``) for two different datasets; value
-        identity (``left[i] == right[j]``) for self-joins, matching the
-        scalar driver's semantics.
-        """
-        if not self.self_join:
-            return ii == jj
-        if self._vid_l is None:
-            self._vid_l, self._vid_r = value_identity_codes(self.left, self.right)
-        return self._vid_l[ii] == self._vid_r[jj]
-
-    # -- full-product predicate runner ---------------------------------------
-
-    def _full_product(
-        self,
-        method: str,
-        predicate: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        *,
-        chunk: int | None = None,
-    ) -> VJoinResult:
-        obs = self._obs
-        result = VJoinResult(method, len(self.left), len(self.right))
-        chunk = chunk or self.chunk
-        for ii, jj in iter_pair_blocks(len(self.left), len(self.right), chunk):
-            hits = predicate(ii, jj)
-            n_hits = int(hits.sum())
-            result.match_count += n_hits
-            result.diagonal_matches += int((hits & self._diag_mask(ii, jj)).sum())
-            if self.record_matches:
-                result.matches.extend(
-                    zip(ii[hits].tolist(), jj[hits].tolist())
-                )
-            # Per-chunk aggregates; no filter stage, so every pair flows
-            # straight to the decision predicate.
-            obs.add_pairs(len(ii))
-            obs.add_survivors(len(ii))
-            obs.add_verified(len(ii))
-            obs.add_matched(n_hits)
-        return result
-
-    # -- filtered runner ------------------------------------------------------
-
-    def _filtered(
-        self,
-        method: str,
-        candidates: tuple[np.ndarray, np.ndarray],
-        verifier: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
-    ) -> VJoinResult:
-        obs = self._obs
-        ii, jj = candidates
-        result = VJoinResult(method, len(self.left), len(self.right))
-        obs.add_pairs(len(self.left) * len(self.right))
-        obs.add_survivors(len(ii))
-        if verifier is None:
-            result.match_count = len(ii)
-            result.diagonal_matches = int(self._diag_mask(ii, jj).sum())
-            if self.record_matches:
-                result.matches.extend(zip(ii.tolist(), jj.tolist()))
-            obs.add_matched(result.match_count)
-            return result
-        result.verified_pairs = len(ii)
-        obs.add_verified(len(ii))
-        with obs.span("verify"):
-            for c0 in range(0, len(ii), self.chunk):
-                bi = ii[c0 : c0 + self.chunk]
-                bj = jj[c0 : c0 + self.chunk]
-                hits = verifier(bi, bj)
-                n_hits = int(hits.sum())
-                result.match_count += n_hits
-                result.diagonal_matches += int((hits & self._diag_mask(bi, bj)).sum())
-                if self.record_matches:
-                    result.matches.extend(zip(bi[hits].tolist(), bj[hits].tolist()))
-                obs.add_matched(n_hits)  # per-chunk aggregate merge
+        kern = self._kernels(spec)
+        result = VJoinResult(spec.name, len(self.left), len(self.right))
+        res = kern.fresh()
+        with obs.span(f"run.{method}"):
+            if not spec.filters:
+                # No filter stage: every pair flows straight to the
+                # verifier, one verify chunk at a time.
+                for ii, jj in iter_pair_blocks(
+                    len(self.left), len(self.right), kern.vchunk
+                ):
+                    obs.add_pairs(len(ii))
+                    kern.tally(res, ii, jj, obs)
+            else:
+                if spec.filters == ("length",):
+                    ii, jj = self._length_pairs(obs)
+                elif spec.filters == ("fbf",):
+                    ii, jj = self._fbf_pairs(kern, obs)
+                else:
+                    ii, jj = self._length_then_fbf_pairs(kern, obs)
+                obs.add_pairs(len(self.left) * len(self.right))
+                if kern.verifier is None:
+                    kern.tally(res, ii, jj, obs)
+                else:
+                    result.verified_pairs = len(ii)
+                    with obs.span("verify"):
+                        kern.tally(res, ii, jj, obs)
+        self._take(res, result)
         return result
 
     # -- candidate generators --------------------------------------------------
 
-    def _fbf_scan(
-        self, sigs_l: np.ndarray, sigs_r: np.ndarray, n_right: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One XOR+popcount+threshold sweep, native kernel when armed.
-
-        Both paths emit candidates in identical row-major order, so
-        downstream match lists are bit-identical either way.
-        """
-        if self._native is not None:
-            return self._native.fbf_candidates(sigs_l, sigs_r, self.fbf_bound)
-        chunk_rows = max(1, self.filter_chunk // max(1, n_right))
-        return fbf_candidates(
-            sigs_l, sigs_r, self.fbf_bound, chunk_rows=chunk_rows
-        )
-
-    def _fbf_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        obs = self._obs
+    def _fbf_pairs(self, kern: Kernels, obs) -> tuple[np.ndarray, np.ndarray]:
         with obs.span("fbf.filter"):
-            ii, jj = self._fbf_scan(self.sigs_l, self.sigs_r, len(self.right))
+            ii, jj = kern.fbf_scan(self.sigs_l, self.sigs_r)
         obs.add_stage("fbf", len(self.left) * len(self.right), len(ii))
         return ii, jj
 
@@ -438,8 +380,9 @@ class VectorEngine:
             if right_parts:
                 yield left_idx, np.concatenate(right_parts)
 
-    def _length_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        obs = self._obs
+    def _length_pairs(
+        self, obs=NULL_COLLECTOR
+    ) -> tuple[np.ndarray, np.ndarray]:
         parts_i: list[np.ndarray] = []
         parts_j: list[np.ndarray] = []
         with obs.span("length.filter"):
@@ -456,7 +399,9 @@ class VectorEngine:
         obs.add_stage("length", len(self.left) * len(self.right), len(ii))
         return ii, jj
 
-    def _length_then_fbf_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+    def _length_then_fbf_pairs(
+        self, kern: Kernels, obs
+    ) -> tuple[np.ndarray, np.ndarray]:
         """FBF restricted to length-compatible group blocks.
 
         The dense XOR+popcount sweep runs only over the surviving
@@ -464,7 +409,6 @@ class VectorEngine:
         which is where the paper's Section 6 "combination beats FBF
         alone" result comes from.
         """
-        obs = self._obs
         product = len(self.left) * len(self.right)
         length_passed = 0
         keep_i: list[np.ndarray] = []
@@ -472,10 +416,8 @@ class VectorEngine:
         with obs.span("fbf.filter"):
             for left_idx, right_idx in self._length_group_blocks():
                 length_passed += len(left_idx) * len(right_idx)
-                bi, bj = self._fbf_scan(
-                    self.sigs_l[left_idx],
-                    self.sigs_r[right_idx],
-                    len(right_idx),
+                bi, bj = kern.fbf_scan(
+                    self.sigs_l[left_idx], self.sigs_r[right_idx]
                 )
                 keep_i.append(left_idx[bi])
                 keep_j.append(right_idx[bj])
@@ -498,62 +440,6 @@ class VectorEngine:
         return self._length_group_blocks()
 
     # -- candidate-stream execution (plan-layer backend) -----------------------
-
-    def _pair_filter_mask(
-        self, name: str, ii: np.ndarray, jj: np.ndarray
-    ) -> np.ndarray:
-        """Per-pair boolean mask of one named filter over candidate arrays."""
-        if name == "length":
-            return np.abs(self.len_l[ii] - self.len_r[jj]) <= self.k
-        if name == "fbf":
-            if self._native is not None:
-                return self._native.sig_pair_mask(
-                    self.sigs_l, self.sigs_r, ii, jj, self.fbf_bound
-                )
-            db = np.zeros(len(ii), dtype=np.uint16)
-            sigs_l, sigs_r = self.sigs_l, self.sigs_r
-            for w in range(sigs_l.shape[1]):
-                db += popcount_batch_u32(sigs_l[ii, w] ^ sigs_r[jj, w])
-            return db <= self.fbf_bound
-        raise ValueError(f"unknown filter {name!r}")
-
-    def _pair_verifier(
-        self, kind: str | None
-    ) -> Callable[[np.ndarray, np.ndarray], np.ndarray] | None:
-        """The per-pair decision predicate for one verifier kind."""
-        if kind is None:
-            return None
-        if kind == "dl":
-            return self._verify_dl
-        if kind == "pdl":
-            return self._verify_pdl
-        if kind == "ham":
-            return lambda ii, jj: (
-                hamming_pairs(
-                    self.codes_l, self.len_l, self.codes_r, self.len_r, ii, jj
-                )
-                <= self.k
-            )
-        if kind == "jaro":
-            return lambda ii, jj: (
-                jaro_pairs(
-                    self.codes_l, self.len_l, self.codes_r, self.len_r,
-                    ii, jj, self.variant,
-                )
-                >= self.theta
-            )
-        if kind == "wink":
-            return lambda ii, jj: (
-                jaro_winkler_pairs(
-                    self.codes_l, self.len_l, self.codes_r, self.len_r,
-                    ii, jj, 0.1, self.variant,
-                )
-                >= self.theta
-            )
-        if kind == "sdx":
-            sl, sr = self._sdx_codes()
-            return lambda ii, jj: (sl[ii] == sr[jj]) & (sl[ii] != 0)
-        raise ValueError(f"unknown verifier kind {kind!r}")
 
     def run_candidates(
         self,
@@ -593,176 +479,14 @@ class VectorEngine:
             obs.meta.setdefault("k", self.k)
             obs.meta["n_left"] = len(self.left)
             obs.meta["n_right"] = len(self.right)
-        verifier = self._pair_verifier(spec.verifier)
+        kern = self._kernels(spec, weighter)
         result = JoinResult(
             method, len(self.left), len(self.right), backend="vectorized"
         )
-        compared = 0
         with obs.span(f"run.{method}.candidates"):
             for ii, jj in blocks:
-                ii = np.asarray(ii, dtype=np.int64)
-                jj = np.asarray(jj, dtype=np.int64)
-                compared += len(ii)
-                ww = None if weighter is None else weighter.block(ii, jj)
-                obs.add_pairs(len(ii) if ww is None else int(ww.sum()))
-                for fname in spec.filters:
-                    tested = len(ii) if ww is None else int(ww.sum())
-                    mask = self._pair_filter_mask(fname, ii, jj)
-                    ii, jj = ii[mask], jj[mask]
-                    if ww is not None:
-                        ww = ww[mask]
-                    obs.add_stage(
-                        fname, tested, len(ii) if ww is None else int(ww.sum())
-                    )
-                surviving = len(ii) if ww is None else int(ww.sum())
-                obs.add_survivors(surviving)
-                if len(ii) == 0:
-                    continue
-                if verifier is None:
-                    dm = self._diag_mask(ii, jj)
-                    result.match_count += surviving
-                    result.diagonal_matches += (
-                        int(dm.sum()) if ww is None else int(ww[dm].sum())
-                    )
-                    if self.record_matches:
-                        result.matches.extend(zip(ii.tolist(), jj.tolist()))
-                    obs.add_matched(surviving)
-                    continue
-                result.verified_pairs += len(ii)
-                obs.add_verified(surviving)
-                for c0 in range(0, len(ii), self.chunk):
-                    bi = ii[c0 : c0 + self.chunk]
-                    bj = jj[c0 : c0 + self.chunk]
-                    bw = None if ww is None else ww[c0 : c0 + self.chunk]
-                    hits = verifier(bi, bj)
-                    dm = self._diag_mask(bi, bj)
-                    if bw is None:
-                        n_hits = int(hits.sum())
-                        result.diagonal_matches += int((hits & dm).sum())
-                    else:
-                        n_hits = int(bw[hits].sum())
-                        result.diagonal_matches += int(bw[hits & dm].sum())
-                    result.match_count += n_hits
-                    if self.record_matches:
-                        result.matches.extend(
-                            zip(bi[hits].tolist(), bj[hits].tolist())
-                        )
-                    obs.add_matched(n_hits)
-        result.pairs_compared = compared
+                res = kern.run_pairs(ii, jj, obs)
+                result.verified_pairs += res["verified"]
+                result.pairs_compared += res["compared"]
+                self._take(res, result)
         return result
-
-    # -- soundex -----------------------------------------------------------------
-
-    def _sdx_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._sdx_l is None:
-            table: dict[str, int] = {"": 0}  # empty code: id 0, never matches
-
-            def encode(values: list[str]) -> np.ndarray:
-                out = np.empty(len(values), dtype=np.int64)
-                for idx, v in enumerate(values):
-                    code = soundex(v)
-                    out[idx] = table.setdefault(code, len(table))
-                return out
-
-            self._sdx_l = encode(self.left)
-            self._sdx_r = encode(self.right)
-        return self._sdx_l, self._sdx_r
-
-    # -- the 15 methods -------------------------------------------------------------
-
-    def _run_dl(self) -> VJoinResult:
-        return self._full_product("DL", self._verify_dl)
-
-    def _run_pdl(self) -> VJoinResult:
-        return self._full_product("PDL", self._verify_pdl)
-
-    def _run_ham(self) -> VJoinResult:
-        # Per-pair state is a couple of bytes: the big filter chunk wins.
-        return self._full_product(
-            "Ham",
-            lambda ii, jj: hamming_pairs(
-                self.codes_l, self.len_l, self.codes_r, self.len_r, ii, jj
-            )
-            <= self.k,
-            chunk=self.filter_chunk,
-        )
-
-    def _run_jaro(self) -> VJoinResult:
-        # Jaro's per-pair state (match flags + rank buffers) sits
-        # between the DP rows and the byte sweeps; 2x the DP chunk is
-        # its measured sweet spot.
-        return self._full_product(
-            "Jaro",
-            lambda ii, jj: jaro_pairs(
-                self.codes_l, self.len_l, self.codes_r, self.len_r, ii, jj,
-                self.variant,
-            )
-            >= self.theta,
-            chunk=self.chunk * 2,
-        )
-
-    def _run_wink(self) -> VJoinResult:
-        return self._full_product(
-            "Wink",
-            lambda ii, jj: jaro_winkler_pairs(
-                self.codes_l, self.len_l, self.codes_r, self.len_r, ii, jj,
-                0.1, self.variant,
-            )
-            >= self.theta,
-            chunk=self.chunk * 2,
-        )
-
-    def _run_sdx(self) -> VJoinResult:
-        sl, sr = self._sdx_codes()
-        return self._full_product(
-            "SDX",
-            lambda ii, jj: (sl[ii] == sr[jj]) & (sl[ii] != 0),
-            chunk=self.filter_chunk,
-        )
-
-    def _run_fbf(self) -> VJoinResult:
-        return self._filtered("FBF", self._fbf_pairs(), None)
-
-    def _run_fdl(self) -> VJoinResult:
-        return self._filtered("FDL", self._fbf_pairs(), self._verify_dl)
-
-    def _run_fpdl(self) -> VJoinResult:
-        return self._filtered("FPDL", self._fbf_pairs(), self._verify_pdl)
-
-    def _run_lf(self) -> VJoinResult:
-        return self._filtered("LF", self._length_pairs(), None)
-
-    def _run_ldl(self) -> VJoinResult:
-        return self._filtered("LDL", self._length_pairs(), self._verify_dl)
-
-    def _run_lpdl(self) -> VJoinResult:
-        return self._filtered("LPDL", self._length_pairs(), self._verify_pdl)
-
-    def _run_lfbf(self) -> VJoinResult:
-        return self._filtered("LFBF", self._length_then_fbf_pairs(), None)
-
-    def _run_lfdl(self) -> VJoinResult:
-        return self._filtered("LFDL", self._length_then_fbf_pairs(), self._verify_dl)
-
-    def _run_lfpdl(self) -> VJoinResult:
-        return self._filtered(
-            "LFPDL", self._length_then_fbf_pairs(), self._verify_pdl
-        )
-
-
-class ChunkedJoin(VectorEngine):
-    """Deprecated alias for :class:`VectorEngine`.
-
-    Kept so pre-planner code importing ``ChunkedJoin`` keeps working;
-    new code should go through :func:`repro.join` or
-    :class:`repro.core.plan.JoinPlanner` with ``backend="vectorized"``.
-    """
-
-    def __init__(self, *args, **kwargs):
-        warn_once(
-            "parallel.chunked.ChunkedJoin",
-            "ChunkedJoin is deprecated; use repro.join(left, right, method, "
-            "backend='vectorized') or repro.core.plan.JoinPlanner (the class "
-            "itself now lives on as repro.parallel.chunked.VectorEngine)",
-        )
-        super().__init__(*args, **kwargs)

@@ -1,0 +1,478 @@
+"""The chunk kernels of the vectorized join, shared by every executor.
+
+The paper's pipeline is two steps: a fingerprint filter costing one XOR
++ POPCNT per pair, then bounded-OSA verification.  Both the in-process
+:class:`~repro.parallel.chunked.VectorEngine` and the shared-memory pool
+workers (:mod:`repro.parallel.shm`) run them through this module, so
+there is one implementation of each decision:
+
+* :class:`Side` — one prepared dataset: the uint8 code matrix, the
+  lengths, the FBF signatures packed into ``uint64`` words (the one
+  signature word size), plus the pair-scoped soundex ids and
+  value-identity codes a method may need;
+* :class:`Kernels` — one method stack bound to two sides: the verifier
+  dispatch (NumPy or the compiled :mod:`repro.native` tier), the
+  per-pair and dense filters, the diagonal rule and the funnel tally,
+  over dense row ranges (:meth:`Kernels.run_rows`), candidate blocks
+  (:meth:`Kernels.run_pairs`) or a PASS-JOIN probe
+  (:meth:`Kernels.run_probe`).
+
+Funnel accounting is per block: the per-block sums of any cut of the
+work merge to the same counters, which is what lets pool workers report
+into private collectors that the parent merges.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from repro.core.multiplicity import PairWeighter
+from repro.core.passjoin import SegmentIndex
+from repro.core.popcount import popcount_batch_u64
+from repro.core.vectorized import signatures_for_scheme
+from repro.distance.codec import encode_raw
+from repro.distance.soundex import soundex
+from repro.distance.vectorized import (
+    hamming_pairs,
+    jaro_pairs,
+    jaro_winkler_pairs,
+    osa_pairs,
+    osa_within_k_pairs,
+)
+from repro.native import MODE_DL, MODE_PDL
+
+__all__ = [
+    "FILTER_CHUNK",
+    "VERIFY_CHUNK",
+    "Kernels",
+    "Side",
+    "encode_side",
+    "pack_signatures",
+    "packed_signatures",
+    "soundex_ids",
+]
+
+#: pairs per chunk for the cheap sweeps (XOR+popcount, length masks,
+#: Hamming, Soundex), whose per-pair state is a few bytes
+FILTER_CHUNK = 1 << 20
+#: pairs per chunk for the dynamic programs, whose per-pair state is
+#: three rolling DP rows; keeps the working set cache-resident
+VERIFY_CHUNK = 1 << 12
+
+
+def pack_signatures(sigs: np.ndarray) -> np.ndarray:
+    """Pack an ``(n, w)`` uint32 signature matrix into uint64 words.
+
+    Halves the XOR+popcount sweeps per pair; odd widths are padded with
+    a zero column (XOR of equal zeros contributes no diff bits, so the
+    FBF distance is unchanged).
+    """
+    sigs = np.ascontiguousarray(sigs, dtype=np.uint32)
+    if sigs.ndim == 1:
+        sigs = sigs[:, None]
+    n, w = sigs.shape
+    if w == 0:
+        return np.zeros((n, 1), dtype=np.uint64)
+    if w % 2:
+        padded = np.zeros((n, w + 1), dtype=np.uint32)
+        padded[:, :w] = sigs
+        sigs = padded
+    return sigs.view(np.uint64)
+
+
+def packed_signatures(strings: Sequence[str], scheme) -> np.ndarray:
+    """``scheme``'s signatures of ``strings``, packed into uint64 words."""
+    return pack_signatures(signatures_for_scheme(strings, scheme))
+
+
+class Side:
+    """One prepared dataset side.
+
+    ``codes``/``lengths`` feed the vectorized DP kernels and ``sigs`` is
+    the packed-uint64 signature matrix.  ``sdx`` (soundex ids) and
+    ``vid`` (value-identity codes for self-join diagonals) are only
+    meaningful against the other side they were built with, so they
+    belong to one pair of sides and stay ``None`` until a method needs
+    them.
+    """
+
+    __slots__ = ("n", "codes", "lengths", "sigs", "sdx", "vid")
+
+    def __init__(self, n, codes, lengths, sigs, sdx=None, vid=None):
+        self.n = n
+        self.codes = codes
+        self.lengths = lengths
+        self.sigs = sigs
+        self.sdx = sdx
+        self.vid = vid
+
+
+def encode_side(strings: Sequence[str], scheme) -> Side:
+    """Encode ``strings`` into a :class:`Side` (codes, lengths, packed
+    signatures)."""
+    strings = list(strings)
+    codes, lengths = encode_raw(strings)
+    sigs = packed_signatures(strings, scheme)
+    return Side(len(strings), codes, lengths, sigs)
+
+
+def soundex_ids(
+    left: Sequence[str], right: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Soundex codes of both sides as ids from one shared table, so
+    cross-side codes compare by id; the empty code is id 0, which never
+    matches."""
+    table: dict[str, int] = {"": 0}
+
+    def ids(values: Sequence[str]) -> np.ndarray:
+        out = np.empty(len(values), dtype=np.int64)
+        for idx, v in enumerate(values):
+            out[idx] = table.setdefault(soundex(v), len(table))
+        return out
+
+    sl = ids(left)
+    return sl, (sl if right is left else ids(right))
+
+
+def _fbf_mask(pl: np.ndarray, pr: np.ndarray, bound: int) -> np.ndarray:
+    """Dense ``diff_bits <= bound`` mask of packed rows ``pl`` against
+    every row of ``pr``."""
+    words = pl.shape[1]
+    acc = None
+    for w in range(words):
+        pc = popcount_batch_u64(pl[:, w][:, None] ^ pr[:, w][None, :])
+        if words == 1:
+            return pc <= bound
+        if acc is None:
+            acc = pc.astype(np.uint16)
+        else:
+            acc += pc
+    return acc <= bound
+
+
+def _pair_verifier(kind, L: Side, R: Side, *, k, theta, variant, native):
+    """The per-pair decision predicate of one verifier kind.
+
+    The closures capture the sides and parameters, never a
+    :class:`Kernels`, so no reference cycle keeps a side's arrays alive
+    after the kernels are dropped.
+    """
+    if kind is None:
+        return None
+    if kind in ("dl", "pdl") and native is not None:
+        mode = MODE_DL if kind == "dl" else MODE_PDL
+        return lambda ii, jj: native.osa_decisions(
+            L.codes, L.lengths, R.codes, R.lengths, ii, jj, k, mode=mode
+        )
+    if kind == "dl":
+        return lambda ii, jj: (
+            osa_pairs(L.codes, L.lengths, R.codes, R.lengths, ii, jj) <= k
+        )
+    if kind == "pdl":
+        return lambda ii, jj: osa_within_k_pairs(
+            L.codes, L.lengths, R.codes, R.lengths, ii, jj, k
+        )
+    if kind == "ham":
+        return lambda ii, jj: (
+            hamming_pairs(L.codes, L.lengths, R.codes, R.lengths, ii, jj) <= k
+        )
+    if kind == "jaro":
+        return lambda ii, jj: (
+            jaro_pairs(
+                L.codes, L.lengths, R.codes, R.lengths, ii, jj, variant
+            )
+            >= theta
+        )
+    if kind == "wink":
+        return lambda ii, jj: (
+            jaro_winkler_pairs(
+                L.codes, L.lengths, R.codes, R.lengths, ii, jj, 0.1, variant
+            )
+            >= theta
+        )
+    if kind == "sdx":
+        sl, sr = L.sdx, R.sdx
+        if sl is None or sr is None:
+            raise RuntimeError("soundex ids were not prepared for this join")
+        return lambda ii, jj: (sl[ii] == sr[jj]) & (sl[ii] != 0)
+    raise ValueError(f"unknown verifier kind {kind!r}")
+
+
+class Kernels:
+    """One method stack bound to two prepared sides.
+
+    ``spec`` is the method's :class:`~repro.core.matchers.MethodSpec`;
+    ``native`` is a :class:`repro.native.KernelSet` (compiled signature
+    scans and OSA verifier) or ``None`` for pure NumPy — decisions are
+    bit-identical either way.  ``weighter`` puts the funnel counters and
+    match counts of :meth:`run_pairs` in original-pair units.  Each
+    ``run_*`` returns a result dict (:meth:`fresh`) and reports into
+    ``obs``.
+    """
+
+    def __init__(
+        self,
+        L: Side,
+        R: Side,
+        spec,
+        *,
+        k: int,
+        fbf_bound: int,
+        theta: float = 0.8,
+        variant: str = "paper",
+        self_join: bool = False,
+        record: bool = False,
+        weighter: PairWeighter | None = None,
+        native=None,
+        chunk: int = VERIFY_CHUNK,
+        filter_chunk: int = FILTER_CHUNK,
+    ):
+        self.L = L
+        self.R = R
+        self.spec = spec
+        self.k = k
+        self.fbf_bound = fbf_bound
+        self.self_join = self_join
+        self.record = record
+        self.weighter = weighter
+        self.native = native
+        self.filter_chunk = filter_chunk
+        self.verifier = _pair_verifier(
+            spec.verifier, L, R,
+            k=k, theta=theta, variant=variant, native=native,
+        )
+        if spec.verifier in ("jaro", "wink"):
+            # Jaro's per-pair state (match flags + rank buffers) sits
+            # between the DP rows and the byte sweeps.
+            self.vchunk = chunk * 2
+        elif spec.verifier in ("ham", "sdx"):  # a couple of bytes per pair
+            self.vchunk = filter_chunk
+        else:
+            self.vchunk = chunk
+
+    # -- pair predicates -----------------------------------------------------
+
+    def diag(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+        """Diagonal membership: positional (``i == j``) for two
+        datasets, value identity for self-joins (the scalar driver's
+        semantics)."""
+        if self.self_join:
+            return self.L.vid[ii] == self.R.vid[jj]
+        return ii == jj
+
+    def pair_filter(
+        self, name: str, ii: np.ndarray, jj: np.ndarray
+    ) -> np.ndarray:
+        """Per-pair boolean mask of one named filter over candidate arrays."""
+        if name == "length":
+            return np.abs(self.L.lengths[ii] - self.R.lengths[jj]) <= self.k
+        if name == "fbf":
+            pl, pr = self.L.sigs, self.R.sigs
+            if self.native is not None:
+                return self.native.sig_pair_mask_u64(
+                    pl, pr, ii, jj, self.fbf_bound
+                )
+            db = np.zeros(len(ii), dtype=np.uint16)
+            for w in range(pl.shape[1]):
+                db += popcount_batch_u64(pl[ii, w] ^ pr[jj, w])
+            return db <= self.fbf_bound
+        raise ValueError(f"unknown filter {name!r}")
+
+    def fbf_scan(
+        self, sl: np.ndarray, sr: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Row-major ``(i, j)`` indices into ``sl`` x ``sr`` (packed
+        signature matrices) with ``diff_bits <= fbf_bound``."""
+        if self.native is not None:
+            return self.native.fbf_candidates_u64(sl, sr, self.fbf_bound)
+        nr = len(sr)
+        rows_per = max(1, self.filter_chunk // max(1, nr))
+        parts_i: list[np.ndarray] = []
+        parts_j: list[np.ndarray] = []
+        for c0 in range(0, len(sl), rows_per):
+            # flatnonzero over the raveled *bool* mask is ~10x a 2-D
+            # nonzero — the survivor extraction is the sweep's
+            # second-biggest cost after the popcount itself.
+            idx = np.flatnonzero(
+                _fbf_mask(sl[c0 : c0 + rows_per], sr, self.fbf_bound).ravel()
+            )
+            parts_i.append(idx // nr + c0)
+            parts_j.append(idx % nr)
+        if not parts_i:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty.copy()
+        return np.concatenate(parts_i), np.concatenate(parts_j)
+
+    # -- the funnel tally ----------------------------------------------------
+
+    @staticmethod
+    def fresh() -> dict:
+        return {
+            "match_count": 0,
+            "diagonal": 0,
+            "verified": 0,
+            "compared": 0,
+            "mi": [],
+            "mj": [],
+        }
+
+    def tally(self, res: dict, ii, jj, obs, ww=None) -> None:
+        """Survivors → verify → matches for pairs that passed every
+        filter; counters in original-pair units under weights ``ww``
+        (``verified`` still counts the pairs actually verified)."""
+        surviving = len(ii) if ww is None else int(ww.sum())
+        obs.add_survivors(surviving)
+        if len(ii) == 0:
+            return
+        if self.verifier is None:
+            dm = self.diag(ii, jj)
+            res["match_count"] += surviving
+            res["diagonal"] += (
+                int(dm.sum()) if ww is None else int(ww[dm].sum())
+            )
+            if self.record:
+                res["mi"].append(ii)
+                res["mj"].append(jj)
+            obs.add_matched(surviving)
+            return
+        res["verified"] += len(ii)
+        obs.add_verified(surviving)
+        vchunk = self.vchunk
+        for c0 in range(0, len(ii), vchunk):
+            bi = ii[c0 : c0 + vchunk]
+            bj = jj[c0 : c0 + vchunk]
+            hits = self.verifier(bi, bj)
+            dm = hits & self.diag(bi, bj)
+            if ww is None:
+                n_hits = int(hits.sum())
+                res["diagonal"] += int(dm.sum())
+            else:
+                bw = ww[c0 : c0 + vchunk]
+                n_hits = int(bw[hits].sum())
+                res["diagonal"] += int(bw[dm].sum())
+            res["match_count"] += n_hits
+            if self.record and n_hits:
+                res["mi"].append(bi[hits])
+                res["mj"].append(bj[hits])
+            obs.add_matched(n_hits)
+
+    # -- execution paths -----------------------------------------------------
+
+    def run_rows(self, r0: int, r1: int, obs) -> dict:
+        """Dense sweep of left rows ``r0:r1`` against all of right.
+
+        Global row indices throughout, so the positional diagonal and
+        recorded matches need no rebasing.
+        """
+        res = self.fresh()
+        nr = self.R.n
+        if nr == 0 or r1 <= r0:
+            return res
+        filters = self.spec.filters
+        if (
+            self.native is not None
+            and filters
+            and self.native.supports_filters(filters)
+        ):
+            # Fused sweep: filters + candidate emission in one compiled
+            # pass, no dense boolean intermediates.  Stage counters are
+            # cumulative-AND survivor counts, so the merged funnel is
+            # identical to the chunked mask-chain below.
+            block = (r1 - r0) * nr
+            res["compared"] = block
+            obs.add_pairs(block)
+            ii, jj, passed = self.native.fused_rows_u64(
+                self.L.sigs, self.R.sigs, self.L.lengths, self.R.lengths,
+                r0, r1,
+                bound=self.fbf_bound, k=self.k, filters=filters,
+            )
+            tested = block
+            for fname, npass in zip(filters, passed):
+                obs.add_stage(fname, tested, int(npass))
+                tested = int(npass)
+            self.tally(res, ii, jj, obs)
+            return res
+        rows_per = max(1, self.filter_chunk // nr)
+        for c0 in range(r0, r1, rows_per):
+            c1 = min(r1, c0 + rows_per)
+            block = (c1 - c0) * nr
+            res["compared"] += block
+            obs.add_pairs(block)
+            mask = None
+            tested = block
+            for fname in filters:
+                if fname == "length":
+                    ld = self.L.lengths[c0:c1, None] - self.R.lengths[None, :]
+                    fm = np.abs(ld) <= self.k
+                else:
+                    fm = _fbf_mask(
+                        self.L.sigs[c0:c1], self.R.sigs, self.fbf_bound
+                    )
+                mask = fm if mask is None else (mask & fm)
+                passed = int(np.count_nonzero(mask))
+                obs.add_stage(fname, tested, passed)
+                tested = passed
+            if mask is None:
+                ii = np.repeat(np.arange(c0, c1, dtype=np.int64), nr)
+                jj = np.tile(np.arange(nr, dtype=np.int64), c1 - c0)
+            else:
+                idx = np.flatnonzero(mask.ravel())
+                ii = idx // nr + c0
+                jj = idx % nr
+            self.tally(res, ii, jj, obs)
+        return res
+
+    def run_pairs(self, ii: np.ndarray, jj: np.ndarray, obs) -> dict:
+        """One candidate block: the method's own filters still run over
+        every candidate, so decisions do not depend on who generated
+        them."""
+        res = self.fresh()
+        ii = np.asarray(ii, dtype=np.int64)
+        jj = np.asarray(jj, dtype=np.int64)
+        res["compared"] = len(ii)
+        ww = None if self.weighter is None else self.weighter.block(ii, jj)
+        obs.add_pairs(len(ii) if ww is None else int(ww.sum()))
+        for fname in self.spec.filters:
+            tested = len(ii) if ww is None else int(ww.sum())
+            mask = self.pair_filter(fname, ii, jj)
+            ii, jj = ii[mask], jj[mask]
+            if ww is not None:
+                ww = ww[mask]
+            obs.add_stage(
+                fname, tested, len(ii) if ww is None else int(ww.sum())
+            )
+        self.tally(res, ii, jj, obs, ww)
+        return res
+
+    def run_probe(self, index: SegmentIndex, r0: int, r1: int, obs) -> dict:
+        """Left rows ``r0:r1`` probed against ``index`` (built over the
+        right side) from their codes, each candidate block verified by
+        :meth:`run_pairs`.
+
+        ``emitted`` counts the candidates in the units the planner
+        credits to the generator stage: pairs, or original-pair weight
+        under a weighter.  A symmetric weighter enumerates the ``i <= j``
+        triangle, so the probe keeps only that half, as the planner's
+        in-parent stream does.
+        """
+        res = self.fresh()
+        res["emitted"] = 0
+        w = self.weighter
+        for qi, jj in index.probe_codes(
+            self.L.codes[r0:r1], self.L.lengths[r0:r1]
+        ):
+            ii = qi + r0
+            if w is not None and w.symmetric:
+                keep = ii <= jj
+                ii, jj = ii[keep], jj[keep]
+                if not len(ii):
+                    continue
+            res["emitted"] += len(ii) if w is None else w.total(ii, jj)
+            part = self.run_pairs(ii, jj, obs)
+            for key in ("match_count", "diagonal", "verified", "compared"):
+                res[key] += part[key]
+            res["mi"].extend(part["mi"])
+            res["mj"].extend(part["mj"])
+        return res

@@ -1,9 +1,10 @@
 """Zero-copy shared-memory hybrid backend.
 
-The ``pool`` backend scales the *scalar* reference loop: every call
-spawns a fresh executor, pickles both datasets into each worker, and
-verifies pairs one Python call at a time.  The ``vectorized`` backend
-runs NumPy chunk kernels but on one core.  This module combines the two
+The ``multiprocess`` backend (:mod:`repro.parallel.pool`) scales the
+*scalar* reference loop: every call spawns a fresh executor, pickles
+both datasets into each worker, and verifies pairs one Python call at a
+time.  The ``vectorized`` backend runs NumPy chunk kernels but on one
+core.  This module combines the two
 multipliers — workers × SIMD — with none of the per-call seeding cost:
 
 * each side is encoded **once** in the parent (uint8 code matrix,
@@ -13,10 +14,12 @@ multipliers — workers × SIMD — with none of the per-call seeding cost:
   once per pool lifetime (and as bytes-in-a-segment, never as pickles);
 * a persistent :class:`WorkerPool` (lazy spawn, reused across joins and
   serve batches, explicit ``close()``/context manager, automatic
-  respawn of dead workers) executes :class:`~repro.parallel.chunked
-  .VectorEngine`-equivalent chunk kernels inside each worker — the
-  packed XOR+popcount filter sweep plus the vectorized banded-OSA
-  verify — instead of scalar per-pair Python;
+  respawn of dead workers) runs the chunk kernels of
+  :mod:`repro.parallel.kernels` inside each worker — the same
+  :class:`~repro.parallel.kernels.Kernels` the in-process
+  :class:`~repro.parallel.chunked.VectorEngine` runs: the packed
+  XOR+popcount filter sweep plus the vectorized banded-OSA verify —
+  instead of scalar per-pair Python;
 * scheduling is dynamic: work is cut into many more tasks than workers
   (sized by estimated cost — ``rows × n_right`` for dense filter
   sweeps, candidate count × DP band width for verify tasks, an even
@@ -78,20 +81,11 @@ from repro.core.join import JoinResult
 from repro.core.matchers import method_registry
 from repro.core.multiplicity import PairWeighter
 from repro.core.passjoin import PassJoinIndex, SegmentIndex
-from repro.core.popcount import popcount_batch_u64
-from repro.core.vectorized import signatures_for_scheme, value_identity_codes
-from repro.distance.codec import encode_raw
-from repro.distance.soundex import soundex
-from repro.distance.vectorized import (
-    hamming_pairs,
-    jaro_pairs,
-    jaro_winkler_pairs,
-    osa_pairs,
-    osa_within_k_pairs,
-)
-from repro.native import MODE_DL, MODE_PDL, resolve_kernels
+from repro.core.vectorized import value_identity_codes
+from repro.native import resolve_kernels
 from repro.obs.log import get_logger
 from repro.obs.stats import NULL_COLLECTOR, StatsCollector
+from repro.parallel.kernels import Kernels, Side, encode_side, soundex_ids
 from repro.parallel.partition import balanced_splits
 
 __all__ = [
@@ -104,8 +98,6 @@ __all__ = [
     "publish_pool_metrics",
     "run_hybrid",
     "PassJoinProbe",
-    "hybrid_join",
-    "pack_signatures",
     "inline_side",
     "shard_query_call",
     "run_shard_scatter",
@@ -113,11 +105,6 @@ __all__ = [
 
 _log = get_logger("parallel.shm")
 
-#: dense filter sweeps process this many pairs per chunk (matches the
-#: VectorEngine's ``filter_chunk``)
-_FILTER_CHUNK = 1 << 20
-#: banded-OSA verify chunk (matches the VectorEngine's ``chunk``)
-_VERIFY_CHUNK = 1 << 12
 #: cut work into ~this many tasks per worker so the queue can rebalance
 _TASKS_PER_WORKER = 4
 
@@ -129,26 +116,6 @@ _TASKS_PER_WORKER = 4
 # A *ref* is the picklable handle to one ndarray:
 #   ("shm", name, shape, dtype_str)  — attach to a shared segment
 #   ("inline", ndarray)              — small per-run data, shipped in the task
-
-
-def pack_signatures(sigs: np.ndarray) -> np.ndarray:
-    """Pack an ``(n, w)`` uint32 signature matrix into uint64 words.
-
-    Halves the XOR+popcount sweeps per pair; odd widths are padded with
-    a zero column (XOR of equal zeros contributes no diff bits, so the
-    FBF distance is unchanged).
-    """
-    sigs = np.ascontiguousarray(sigs, dtype=np.uint32)
-    if sigs.ndim == 1:
-        sigs = sigs[:, None]
-    n, w = sigs.shape
-    if w == 0:
-        return np.zeros((n, 1), dtype=np.uint64)
-    if w % 2:
-        padded = np.zeros((n, w + 1), dtype=np.uint32)
-        padded[:, :w] = sigs
-        sigs = padded
-    return sigs.view(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -219,6 +186,15 @@ class _SegmentOwner:
         self._segments.append(seg)
         return seg.ref
 
+    def _publish(self, side: Side, vid=None) -> SideArrays:
+        return SideArrays(
+            n=side.n,
+            codes=self._seg(side.codes),
+            lengths=self._seg(side.lengths),
+            sigs=self._seg(side.sigs),
+            vid=None if vid is None else self._seg(vid),
+        )
+
     @property
     def bytes_shared(self) -> int:
         return sum(seg.nbytes for seg in self._segments)
@@ -228,26 +204,16 @@ class _SegmentOwner:
         self._finalizer()
 
 
-def _side_encodings(strings: Sequence[str], scheme) -> dict[str, np.ndarray]:
-    strings = list(strings)
-    codes, lengths = encode_raw(strings)
-    return {
-        "codes": codes,
-        "lengths": lengths,
-        "sigs": pack_signatures(signatures_for_scheme(strings, scheme)),
-    }
-
-
 def inline_side(strings: Sequence[str], *, scheme) -> SideArrays:
     """Encode one (small) side as inline refs — the serve layer's
     per-batch query side, where publication would cost more than the
     pickle."""
-    enc = _side_encodings(strings, scheme)
+    side = encode_side(strings, scheme)
     return SideArrays(
-        n=len(strings),
-        codes=("inline", enc["codes"]),
-        lengths=("inline", enc["lengths"]),
-        sigs=("inline", enc["sigs"]),
+        n=side.n,
+        codes=("inline", side.codes),
+        lengths=("inline", side.lengths),
+        sigs=("inline", side.sigs),
     )
 
 
@@ -259,13 +225,7 @@ class SharedSide(_SegmentOwner):
         super().__init__()
         self.scheme = scheme
         self.n = len(strings)
-        enc = _side_encodings(strings, scheme)
-        self.arrays = SideArrays(
-            n=self.n,
-            codes=self._seg(enc["codes"]),
-            lengths=self._seg(enc["lengths"]),
-            sigs=self._seg(enc["sigs"]),
-        )
+        self.arrays = self._publish(encode_side(strings, scheme))
 
 
 class SharedDatasets(_SegmentOwner):
@@ -295,38 +255,21 @@ class SharedDatasets(_SegmentOwner):
         vid_l = vid_r = None
         if self.self_join:
             vid_l, vid_r = value_identity_codes(list(left), list(right))
-        self.left = self._publish_side(left, vid_l)
+        self.left = self._publish(encode_side(left, scheme), vid_l)
         self.right = (
-            self.left if same else self._publish_side(right, vid_r)
+            self.left
+            if same
+            else self._publish(encode_side(right, scheme), vid_r)
         )
         if need_sdx:
             self.add_sdx(left, right)
-
-    def _publish_side(self, strings, vid) -> SideArrays:
-        enc = _side_encodings(strings, self.scheme)
-        return SideArrays(
-            n=len(strings),
-            codes=self._seg(enc["codes"]),
-            lengths=self._seg(enc["lengths"]),
-            sigs=self._seg(enc["sigs"]),
-            vid=None if vid is None else self._seg(vid),
-        )
 
     def add_sdx(self, left: Sequence[str], right: Sequence[str]) -> None:
         """Publish soundex code ids (idempotent; shared string table so
         cross-side codes compare by id, empty code id 0 never matches)."""
         if self.has_sdx:
             return
-        table: dict[str, int] = {"": 0}
-
-        def enc(values: Sequence[str]) -> np.ndarray:
-            out = np.empty(len(values), dtype=np.int64)
-            for idx, v in enumerate(values):
-                out[idx] = table.setdefault(soundex(v), len(table))
-            return out
-
-        sl = enc(list(left))
-        sr = sl if right is left else enc(list(right))
+        sl, sr = soundex_ids(left, right)
         shared_side = self.right is self.left
         self.left = replace(self.left, sdx=self._seg(sl))
         self.right = (
@@ -421,23 +364,19 @@ def _resolve_ref(ref) -> np.ndarray | None:
     return entry[1]
 
 
-class _Side:
-    __slots__ = ("n", "codes", "lengths", "sigs", "sdx", "vid")
-
-
-def _resolve_side(side: SideArrays) -> _Side:
-    out = _Side()
-    out.n = side.n
-    out.codes = _resolve_ref(side.codes)
-    out.lengths = _resolve_ref(side.lengths)
-    out.sigs = _resolve_ref(side.sigs)
-    out.sdx = _resolve_ref(side.sdx)
-    out.vid = _resolve_ref(side.vid)
-    return out
+def _resolve_side(side: SideArrays) -> Side:
+    return Side(
+        side.n,
+        _resolve_ref(side.codes),
+        _resolve_ref(side.lengths),
+        _resolve_ref(side.sigs),
+        sdx=_resolve_ref(side.sdx),
+        vid=_resolve_ref(side.vid),
+    )
 
 
 # ---------------------------------------------------------------------------
-# The hybrid chunk kernels (worker side)
+# Hybrid tasks (worker side)
 # ---------------------------------------------------------------------------
 
 
@@ -451,7 +390,6 @@ class _HybridTask:
     method: str
     k: int
     theta: float
-    variant: str
     fbf_bound: int
     self_join: bool
     collect: bool
@@ -468,385 +406,41 @@ class _HybridTask:
     kernels: str = "auto"
 
 
-class _Kernels:
-    """The VectorEngine chunk kernels over attached shared arrays.
-
-    Accounting is deliberately identical to
-    :class:`~repro.parallel.chunked.VectorEngine` — per-block sums merge
-    to the single-process reference counters, which is what the funnel
-    conservation tests pin.
-    """
-
-    def __init__(
-        self,
-        L: _Side,
-        R: _Side,
-        *,
-        k: int,
-        fbf_bound: int,
-        theta: float = 0.8,
-        variant: str = "paper",
-        self_join: bool = False,
-        record: bool = False,
-        weighter: PairWeighter | None = None,
-        kernels: str = "auto",
-    ):
-        self.L = L
-        self.R = R
-        self.k = k
-        self.theta = theta
-        self.variant = variant
-        self.fbf_bound = fbf_bound
-        self.self_join = self_join
-        self.record = record
-        self.weighter = weighter
-        self._native = resolve_kernels(kernels, warn_key="hybrid")
-
-    @classmethod
-    def from_task(cls, task: _HybridTask) -> "_Kernels":
-        weighter = None
-        w_left = _resolve_ref(task.w_left)
-        if w_left is not None:
-            weighter = PairWeighter(
-                w_left, _resolve_ref(task.w_right), symmetric=task.symmetric
-            )
-        return cls(
-            _resolve_side(task.left),
-            _resolve_side(task.right),
-            k=task.k,
-            fbf_bound=task.fbf_bound,
-            theta=task.theta,
-            variant=task.variant,
-            self_join=task.self_join,
-            record=task.record,
-            weighter=weighter,
-            kernels=task.kernels,
-        )
-
-    # -- pair predicates -----------------------------------------------------
-
-    def _diag(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-        if self.self_join:
-            return self.L.vid[ii] == self.R.vid[jj]
-        return ii == jj
-
-    def _verifier(self, kind: str | None):
-        L, R = self.L, self.R
-        if kind is None:
-            return None
-        native = self._native
-        if kind == "dl":
-            if native is not None:
-                return lambda ii, jj: native.osa_decisions(
-                    L.codes, L.lengths, R.codes, R.lengths, ii, jj,
-                    self.k, mode=MODE_DL,
-                )
-            return lambda ii, jj: (
-                osa_pairs(L.codes, L.lengths, R.codes, R.lengths, ii, jj)
-                <= self.k
-            )
-        if kind == "pdl":
-            if native is not None:
-                return lambda ii, jj: native.osa_decisions(
-                    L.codes, L.lengths, R.codes, R.lengths, ii, jj,
-                    self.k, mode=MODE_PDL,
-                )
-            return lambda ii, jj: osa_within_k_pairs(
-                L.codes, L.lengths, R.codes, R.lengths, ii, jj, self.k
-            )
-        if kind == "ham":
-            return lambda ii, jj: (
-                hamming_pairs(L.codes, L.lengths, R.codes, R.lengths, ii, jj)
-                <= self.k
-            )
-        if kind == "jaro":
-            return lambda ii, jj: (
-                jaro_pairs(
-                    L.codes, L.lengths, R.codes, R.lengths, ii, jj,
-                    self.variant,
-                )
-                >= self.theta
-            )
-        if kind == "wink":
-            return lambda ii, jj: (
-                jaro_winkler_pairs(
-                    L.codes, L.lengths, R.codes, R.lengths, ii, jj,
-                    0.1, self.variant,
-                )
-                >= self.theta
-            )
-        if kind == "sdx":
-            sl, sr = L.sdx, R.sdx
-            if sl is None or sr is None:
-                raise RuntimeError(
-                    "soundex codes were not published for this join"
-                )
-            return lambda ii, jj: (sl[ii] == sr[jj]) & (sl[ii] != 0)
-        raise ValueError(f"unknown verifier kind {kind!r}")
-
-    def _verify_chunk(self, kind: str | None) -> int:
-        if kind in ("jaro", "wink"):
-            return _VERIFY_CHUNK * 2
-        if kind in ("ham", "sdx"):  # a couple of bytes of per-pair state
-            return _FILTER_CHUNK
-        return _VERIFY_CHUNK
-
-    # -- dense filters -------------------------------------------------------
-
-    def _dense_length(self, c0: int, c1: int) -> np.ndarray:
-        return (
-            np.abs(self.L.lengths[c0:c1, None] - self.R.lengths[None, :])
-            <= self.k
-        )
-
-    def _dense_fbf(self, c0: int, c1: int) -> np.ndarray:
-        pl, pr = self.L.sigs, self.R.sigs
-        words = pl.shape[1]
-        acc = None
-        for w in range(words):
-            pc = popcount_batch_u64(pl[c0:c1, w][:, None] ^ pr[:, w][None, :])
-            if words == 1:
-                return pc <= self.fbf_bound
-            if acc is None:
-                acc = pc.astype(np.uint16)
-            else:
-                acc += pc
-        return acc <= self.fbf_bound
-
-    def _pair_filter(
-        self, name: str, ii: np.ndarray, jj: np.ndarray
-    ) -> np.ndarray:
-        if name == "length":
-            return np.abs(self.L.lengths[ii] - self.R.lengths[jj]) <= self.k
-        if name == "fbf":
-            pl, pr = self.L.sigs, self.R.sigs
-            if self._native is not None:
-                return self._native.sig_pair_mask_u64(
-                    pl, pr, ii, jj, self.fbf_bound
-                )
-            db = np.zeros(len(ii), dtype=np.uint16)
-            for w in range(pl.shape[1]):
-                db += popcount_batch_u64(pl[ii, w] ^ pr[jj, w])
-            return db <= self.fbf_bound
-        raise ValueError(f"unknown filter {name!r}")
-
-    # -- execution paths -----------------------------------------------------
-
-    @staticmethod
-    def _fresh() -> dict:
-        return {
-            "match_count": 0,
-            "diagonal": 0,
-            "verified": 0,
-            "compared": 0,
-            "mi": [],
-            "mj": [],
-        }
-
-    def _tally(self, res, ii, jj, verifier, vchunk, obs) -> None:
-        """Survivor → verify → match tail shared by the dense paths."""
-        obs.add_survivors(len(ii))
-        if len(ii) == 0:
-            return
-        if verifier is None:
-            res["match_count"] += len(ii)
-            res["diagonal"] += int(self._diag(ii, jj).sum())
-            if self.record:
-                res["mi"].append(ii)
-                res["mj"].append(jj)
-            obs.add_matched(len(ii))
-            return
-        res["verified"] += len(ii)
-        obs.add_verified(len(ii))
-        for v0 in range(0, len(ii), vchunk):
-            bi = ii[v0 : v0 + vchunk]
-            bj = jj[v0 : v0 + vchunk]
-            hits = verifier(bi, bj)
-            n_hits = int(hits.sum())
-            res["match_count"] += n_hits
-            res["diagonal"] += int((hits & self._diag(bi, bj)).sum())
-            if self.record and n_hits:
-                res["mi"].append(bi[hits])
-                res["mj"].append(bj[hits])
-            obs.add_matched(n_hits)
-
-    def run_rows(self, spec, r0: int, r1: int, obs) -> dict:
-        """Dense sweep of left rows ``r0:r1`` against all of right.
-
-        Global row indices throughout, so the positional diagonal and
-        recorded matches need no rebasing in the parent.
-        """
-        res = self._fresh()
-        nr = self.R.n
-        if nr == 0 or r1 <= r0:
-            return res
-        verifier = self._verifier(spec.verifier)
-        vchunk = self._verify_chunk(spec.verifier)
-        if (
-            self._native is not None
-            and spec.filters
-            and self._native.supports_filters(spec.filters)
-            and self.L.sigs is not None
-            and self.R.sigs is not None
-        ):
-            # Fused sweep: filters + candidate emission in one compiled
-            # pass, no dense boolean intermediates.  Stage counters are
-            # cumulative-AND survivor counts, so the merged funnel is
-            # identical to the chunked mask-chain below.
-            block = (r1 - r0) * nr
-            res["compared"] = block
-            obs.add_pairs(block)
-            ii, jj, passed = self._native.fused_rows_u64(
-                self.L.sigs, self.R.sigs, self.L.lengths, self.R.lengths,
-                r0, r1,
-                bound=self.fbf_bound, k=self.k, filters=spec.filters,
-            )
-            tested = block
-            for fname, npass in zip(spec.filters, passed):
-                obs.add_stage(fname, tested, int(npass))
-                tested = int(npass)
-            self._tally(res, ii, jj, verifier, vchunk, obs)
-            return res
-        rows_per = max(1, _FILTER_CHUNK // nr)
-        for c0 in range(r0, r1, rows_per):
-            c1 = min(r1, c0 + rows_per)
-            block = (c1 - c0) * nr
-            res["compared"] += block
-            obs.add_pairs(block)
-            mask = None
-            tested = block
-            for fname in spec.filters:
-                fm = (
-                    self._dense_length(c0, c1)
-                    if fname == "length"
-                    else self._dense_fbf(c0, c1)
-                )
-                mask = fm if mask is None else (mask & fm)
-                passed = int(np.count_nonzero(mask))
-                obs.add_stage(fname, tested, passed)
-                tested = passed
-            if mask is None:
-                ii = np.repeat(np.arange(c0, c1, dtype=np.int64), nr)
-                jj = np.tile(np.arange(nr, dtype=np.int64), c1 - c0)
-            else:
-                # flatnonzero over the raveled *bool* mask is ~10x a 2-D
-                # nonzero — the survivor extraction is the sweep's
-                # second-biggest cost after the popcount itself.
-                idx = np.flatnonzero(mask.ravel())
-                ii = idx // nr + c0
-                jj = idx % nr
-            self._tally(res, ii, jj, verifier, vchunk, obs)
-        return res
-
-    def run_pairs(self, spec, ii: np.ndarray, jj: np.ndarray, obs) -> dict:
-        """One candidate slice — mirrors ``VectorEngine.run_candidates``
-        including the weighted (original-pair-units) accounting."""
-        res = self._fresh()
-        ii = np.asarray(ii, dtype=np.int64)
-        jj = np.asarray(jj, dtype=np.int64)
-        res["compared"] = len(ii)
-        ww = None if self.weighter is None else self.weighter.block(ii, jj)
-        obs.add_pairs(len(ii) if ww is None else int(ww.sum()))
-        for fname in spec.filters:
-            tested = len(ii) if ww is None else int(ww.sum())
-            mask = self._pair_filter(fname, ii, jj)
-            ii, jj = ii[mask], jj[mask]
-            if ww is not None:
-                ww = ww[mask]
-            obs.add_stage(
-                fname, tested, len(ii) if ww is None else int(ww.sum())
-            )
-        surviving = len(ii) if ww is None else int(ww.sum())
-        obs.add_survivors(surviving)
-        if len(ii) == 0:
-            return res
-        verifier = self._verifier(spec.verifier)
-        if verifier is None:
-            dm = self._diag(ii, jj)
-            res["match_count"] += surviving
-            res["diagonal"] += (
-                int(dm.sum()) if ww is None else int(ww[dm].sum())
-            )
-            if self.record:
-                res["mi"].append(ii)
-                res["mj"].append(jj)
-            obs.add_matched(surviving)
-            return res
-        res["verified"] += len(ii)
-        obs.add_verified(surviving)
-        vchunk = self._verify_chunk(spec.verifier)
-        for c0 in range(0, len(ii), vchunk):
-            bi = ii[c0 : c0 + vchunk]
-            bj = jj[c0 : c0 + vchunk]
-            bw = None if ww is None else ww[c0 : c0 + vchunk]
-            hits = verifier(bi, bj)
-            dm = self._diag(bi, bj)
-            if bw is None:
-                n_hits = int(hits.sum())
-                res["diagonal"] += int((hits & dm).sum())
-            else:
-                n_hits = int(bw[hits].sum())
-                res["diagonal"] += int(bw[hits & dm].sum())
-            res["match_count"] += n_hits
-            if self.record:
-                res["mi"].append(bi[hits])
-                res["mj"].append(bj[hits])
-            obs.add_matched(n_hits)
-        return res
-
-    def run_probe(
-        self, spec, index: SegmentIndex, r0: int, r1: int, obs
-    ) -> dict:
-        """Left rows ``r0:r1`` probed against ``index`` (built over the
-        right side) from their published codes, each candidate block
-        verified by :meth:`run_pairs`.
-
-        ``emitted`` counts the candidates in the units the planner
-        credits to the generator stage: pairs, or original-pair weight
-        under a weighter.  A symmetric weighter enumerates the ``i <= j``
-        triangle, so the probe keeps only that half, as the planner's
-        in-parent stream does.
-        """
-        res = self._fresh()
-        res["emitted"] = 0
-        w = self.weighter
-        for qi, jj in index.probe_codes(
-            self.L.codes[r0:r1], self.L.lengths[r0:r1]
-        ):
-            ii = qi + r0
-            if w is not None and w.symmetric:
-                keep = ii <= jj
-                ii, jj = ii[keep], jj[keep]
-                if not len(ii):
-                    continue
-            res["emitted"] += len(ii) if w is None else w.total(ii, jj)
-            part = self.run_pairs(spec, ii, jj, obs)
-            for key in ("match_count", "diagonal", "verified", "compared"):
-                res[key] += part[key]
-            res["mi"].extend(part["mi"])
-            res["mj"].extend(part["mj"])
-        return res
-
-
 def _exec_hybrid(task: _HybridTask) -> dict:
     """Worker entry point for one hybrid task."""
-    spec = method_registry()[task.method]
-    kernels = _Kernels.from_task(task)
+    weighter = None
+    w_left = _resolve_ref(task.w_left)
+    if w_left is not None:
+        weighter = PairWeighter(
+            w_left, _resolve_ref(task.w_right), symmetric=task.symmetric
+        )
+    kernels = Kernels(
+        _resolve_side(task.left),
+        _resolve_side(task.right),
+        method_registry()[task.method],
+        k=task.k,
+        fbf_bound=task.fbf_bound,
+        theta=task.theta,
+        self_join=task.self_join,
+        record=task.record,
+        weighter=weighter,
+        native=resolve_kernels(task.kernels, warn_key="hybrid"),
+    )
     wc = StatsCollector("shm-worker") if task.collect else None
     obs = wc if wc is not None else NULL_COLLECTOR
     if task.work[0] == "rows":
-        out = kernels.run_rows(spec, task.work[1], task.work[2], obs)
+        out = kernels.run_rows(task.work[1], task.work[2], obs)
     elif task.work[0] == "probe":
         _, r0, r1, (k, n, hashes, ids, table) = task.work
         index = SegmentIndex.from_flat(
             k, n, _resolve_ref(hashes), _resolve_ref(ids), _resolve_ref(table)
         )
-        out = kernels.run_probe(spec, index, r0, r1, obs)
+        out = kernels.run_probe(index, r0, r1, obs)
     else:
         _, ii_ref, jj_ref, start, stop = task.work
         ii = _resolve_ref(ii_ref)[start:stop]
         jj = _resolve_ref(jj_ref)[start:stop]
-        out = kernels.run_pairs(spec, ii, jj, obs)
+        out = kernels.run_pairs(ii, jj, obs)
     out["wc"] = wc
     return out
 
@@ -881,7 +475,7 @@ class _ShardQueryTask:
 
 
 #: worker-side shard ownership: shard id -> (publish stamp, resolved side)
-_SHARD_STATE: dict[int, tuple[int, _Side]] = {}
+_SHARD_STATE: dict[int, tuple[int, Side]] = {}
 
 
 def _exec_shard_query(task: _ShardQueryTask) -> dict:
@@ -894,7 +488,6 @@ def _exec_shard_query(task: _ShardQueryTask) -> dict:
     segments (the parent unlinks the old ones only after publishing the
     new, so there is no window where the shard is unservable).
     """
-    spec = method_registry()[task.method]
     held = _SHARD_STATE.get(task.shard)
     adopted = False
     if held is None or held[0] != task.stamp:
@@ -902,17 +495,18 @@ def _exec_shard_query(task: _ShardQueryTask) -> dict:
         _SHARD_STATE[task.shard] = held
         adopted = True
     queries = _resolve_side(task.queries)
-    kernels = _Kernels(
+    kernels = Kernels(
         queries,
         held[1],
+        method_registry()[task.method],
         k=task.k,
         fbf_bound=task.fbf_bound,
         record=True,
-        kernels=task.kernels,
+        native=resolve_kernels(task.kernels, warn_key="hybrid"),
     )
     wc = StatsCollector("shm-shard") if task.collect else None
     obs = wc if wc is not None else NULL_COLLECTOR
-    out = kernels.run_rows(spec, 0, queries.n, obs)
+    out = kernels.run_rows(0, queries.n, obs)
     out["wc"] = wc
     out["shard"] = task.shard
     out["adopted"] = adopted
@@ -1542,13 +1136,11 @@ def run_hybrid(
     scheme,
     k: int = 1,
     theta: float = 0.8,
-    variant: str = "paper",
     self_join: bool = False,
     collector=None,
     record_matches: bool = False,
     weighter: PairWeighter | None = None,
     shared_source=None,
-    task_pairs: int | None = None,
     kernels: str = "auto",
 ) -> JoinResult:
     """One hybrid join over already-published sides.
@@ -1606,7 +1198,7 @@ def run_hybrid(
     elif blocks is None:
         # Dense-path task cost is the filter sweep itself: rows x n_right.
         if n_right:
-            target = task_pairs or _task_span(
+            target = _task_span(
                 n_left * n_right, pool.workers, 1 << 16, 1 << 24
             )
             rows = max(1, target // n_right)
@@ -1627,7 +1219,7 @@ def run_hybrid(
             # candidate count x the banded-DP width (2k+1), so they are
             # cut ~an order of magnitude finer than dense sweeps.
             band = 2 * k + 1
-            target = task_pairs or max(
+            target = max(
                 1,
                 _task_span(total * band, pool.workers, 1 << 14, 1 << 22)
                 // band,
@@ -1646,7 +1238,6 @@ def run_hybrid(
                 method=method,
                 k=k,
                 theta=theta,
-                variant=variant,
                 fbf_bound=scheme.safe_threshold(k),
                 self_join=self_join,
                 collect=bool(collector),
@@ -1719,57 +1310,3 @@ def run_hybrid(
         collector.add_counter("shm_run_wall_ns", wall)
     return result
 
-
-def hybrid_join(
-    left: Sequence[str],
-    right: Sequence[str],
-    method: str,
-    *,
-    k: int = 1,
-    theta: float = 0.8,
-    scheme=None,
-    workers: int | None = None,
-    record_matches: bool = False,
-    collector=None,
-    kernels: str = "auto",
-) -> JoinResult:
-    """Convenience one-shot: publish, run on the warm pool, unlink.
-
-    For repeated joins hold a :class:`SharedDatasets` (or use the
-    planner, which caches one) so publication happens once.
-    """
-    from repro.core.signatures import detect_kind, scheme_for
-
-    if scheme is None or isinstance(scheme, str):
-        kind = scheme or detect_kind(list(left[:128]) + list(right[:128]))
-        scheme = scheme_for(kind, 2)
-    spec = method_registry().get(method)
-    if spec is None:
-        raise ValueError(f"unknown method {method!r}")
-    self_join = right is left or (
-        len(left) == len(right) and list(left) == list(right)
-    )
-    datasets = SharedDatasets(
-        left,
-        right,
-        scheme=scheme,
-        self_join=self_join,
-        need_sdx=spec.verifier == "sdx",
-    )
-    try:
-        return run_hybrid(
-            shared_pool(workers),
-            datasets.left,
-            datasets.right,
-            method,
-            scheme=scheme,
-            k=k,
-            theta=theta,
-            self_join=self_join,
-            collector=collector,
-            record_matches=record_matches,
-            shared_source=datasets,
-            kernels=kernels,
-        )
-    finally:
-        datasets.close()

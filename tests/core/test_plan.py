@@ -456,34 +456,6 @@ class TestDeprecatedShims:
             caught[0].message
         )
 
-    def test_chunked_join_warns(self, ssn_pair):
-        from repro.parallel.chunked import ChunkedJoin, VectorEngine
-
-        with pytest.warns(DeprecationWarning, match="VectorEngine") as caught:
-            engine = ChunkedJoin(
-                ssn_pair.clean, ssn_pair.error, k=1, scheme_kind="numeric"
-            )
-        assert isinstance(engine, VectorEngine)
-        assert engine.run("FPDL").match_count > 0
-        assert (
-            sum(1 for w in caught if w.category is DeprecationWarning) == 1
-        )
-        assert "ChunkedJoin is deprecated" in str(caught[0].message)
-
-    def test_chunked_join_warns_only_once(self, ssn_pair):
-        import warnings
-
-        from repro.parallel.chunked import ChunkedJoin
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ChunkedJoin(ssn_pair.clean, ssn_pair.error, k=1, scheme_kind="numeric")
-            ChunkedJoin(ssn_pair.clean, ssn_pair.error, k=1, scheme_kind="numeric")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
     def test_names_stay_exported(self):
         assert set(GENERATOR_NAMES) == {
             "all-pairs", "length-bucket", "fbf-index", "pass-join",

@@ -106,11 +106,11 @@ class TestSafetyUnderModels:
         import random as _r
 
         from repro.data.names import build_last_name_pool
-        from repro.parallel.chunked import ChunkedJoin
+        from repro.parallel.chunked import VectorEngine
 
         rng = _r.Random(4)
         pool = build_last_name_pool(150, rng)
         for injector in (keyboard_injector(), ocr_injector()):
             dirty = injector.inject_many(pool, rng)
-            join = ChunkedJoin(pool, dirty, k=1, scheme_kind="alpha")
+            join = VectorEngine(pool, dirty, k=1, scheme_kind="alpha")
             assert join.run("FPDL").diagonal_matches == len(pool)

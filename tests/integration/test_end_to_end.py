@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import ChunkedJoin, build_matcher, match_strings
+from repro import VectorEngine, build_matcher, match_strings
 from repro.data.datasets import FAMILIES, dataset_for_family
 from repro.eval.experiments import run_string_experiment
 from repro.linkage import RecordCorruptor, default_engine, generate_records
@@ -18,7 +18,7 @@ class TestZeroFalseNegativesEndToEnd:
     def test_fpdl_recovers_all_matches(self, family):
         dp = dataset_for_family(family, 80, seed=13)
         kind = FAMILIES[family].kind
-        join = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind=kind)
+        join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind=kind)
         dl = join.run("DL")
         for method in ("FDL", "FPDL", "LFDL", "LFPDL"):
             res = join.run(method)
@@ -29,7 +29,7 @@ class TestZeroFalseNegativesEndToEnd:
     def test_match_sets_identical(self, family):
         dp = dataset_for_family(family, 50, seed=17)
         kind = FAMILIES[family].kind
-        join = ChunkedJoin(
+        join = VectorEngine(
             dp.clean, dp.error, k=1, scheme_kind=kind, record_matches=True
         )
         dl = set(join.run("DL").matches)
@@ -45,7 +45,7 @@ class TestEnginesAgree:
         scalar = match_strings(
             dp.clean, dp.error, build_matcher("FPDL", k=1, scheme="numeric")
         )
-        vector = ChunkedJoin(dp.clean, dp.error, k=1, scheme_kind="numeric").run(
+        vector = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="numeric").run(
             "FPDL"
         )
         pooled = parallel_match_strings(

@@ -14,7 +14,7 @@ from repro.core.index import FBFIndex
 from repro.core.join import match_strings
 from repro.core.matchers import build_matcher
 from repro.distance.damerau import damerau_levenshtein
-from repro.parallel.chunked import ChunkedJoin
+from repro.parallel.chunked import VectorEngine
 
 datasets = st.lists(
     st.text(alphabet="AB1 -", min_size=1, max_size=9), min_size=1, max_size=8
@@ -33,7 +33,7 @@ class TestScalarVsVectorized:
         scalar = match_strings(
             left, right, build_matcher(method, k=k, theta=theta, scheme="alnum")
         )
-        vector = ChunkedJoin(
+        vector = VectorEngine(
             left, right, k=k, theta=theta, scheme_kind="alnum", chunk=16
         ).run(method)
         assert (scalar.match_count, scalar.diagonal_matches) == (
@@ -50,7 +50,7 @@ class TestScalarVsVectorized:
             build_matcher("LFPDL", k=k, scheme="alnum"),
             record_matches=True,
         )
-        vector = ChunkedJoin(
+        vector = VectorEngine(
             left, right, k=k, scheme_kind="alnum", chunk=8, record_matches=True
         ).run("LFPDL")
         assert sorted(scalar.matches) == sorted(vector.matches)
@@ -76,7 +76,7 @@ class TestSafetyNeverViolated:
     @settings(max_examples=40)
     @given(datasets, st.integers(0, 3))
     def test_every_filter_stack_superset_of_dl(self, strings, k):
-        join = ChunkedJoin(
+        join = VectorEngine(
             strings, strings, k=k, scheme_kind="alnum",
             chunk=8, record_matches=True,
         )

@@ -27,6 +27,7 @@ from repro.distance.damerau import damerau_levenshtein
 from repro.distance.pruned import pdl
 from repro.obs import StatsCollector
 from repro.parallel.chunked import VectorEngine
+from repro.parallel.kernels import pack_signatures
 
 HAVE_NATIVE = native.available()
 needs_native = pytest.mark.skipif(
@@ -72,13 +73,16 @@ def _strings_with_boundaries(seed: int = 3) -> list[str]:
 @needs_native
 class TestSignatureKernels:
     def test_fbf_candidates_matches_numpy_row_major(self):
+        # Odd u32 width: the packed layout carries a zero pad column.
         rng = np.random.default_rng(11)
-        L = rng.integers(0, 1 << 32, size=(37, 2), dtype=np.uint32)
-        R = rng.integers(0, 1 << 32, size=(29, 2), dtype=np.uint32)
+        L = rng.integers(0, 1 << 32, size=(37, 3), dtype=np.uint32)
+        R = rng.integers(0, 1 << 32, size=(29, 3), dtype=np.uint32)
         ks = native.load_kernels()
-        for bound in (0, 8, 24, 40, 64):
+        for bound in (0, 24, 40, 48, 64, 96):
             ri, rj = np_fbf_candidates(L, R, bound)
-            gi, gj = ks.fbf_candidates(L, R, bound)
+            gi, gj = ks.fbf_candidates_u64(
+                pack_signatures(L), pack_signatures(R), bound
+            )
             assert np.array_equal(gi, ri)
             assert np.array_equal(gj, rj)
 
@@ -97,25 +101,22 @@ class TestSignatureKernels:
             assert np.array_equal(gj, rj.astype(np.int64))
 
     def test_pair_masks_both_widths(self):
+        # Packed odd (3 u32 -> 2 u64 + pad) and even (4 -> 2) widths.
         rng = np.random.default_rng(13)
         ks = native.load_kernels()
-        L32 = rng.integers(0, 1 << 32, size=(15, 3), dtype=np.uint32)
-        R32 = rng.integers(0, 1 << 32, size=(10, 3), dtype=np.uint32)
         ii = rng.integers(0, 15, size=120).astype(np.int64)
         jj = rng.integers(0, 10, size=120).astype(np.int64)
-        db = np.zeros(120, dtype=np.int64)
-        for w in range(3):
-            db += popcount_batch_u32(L32[ii, w] ^ R32[jj, w])
-        got = ks.sig_pair_mask(L32, R32, ii, jj, 30)
-        assert got.dtype == bool
-        assert np.array_equal(got, db <= 30)
-        L64 = L32.astype(np.uint64)
-        R64 = R32.astype(np.uint64)
-        db64 = np.zeros(120, dtype=np.int64)
-        for w in range(3):
-            db64 += popcount_batch_u64(L64[ii, w] ^ R64[jj, w])
-        got64 = ks.sig_pair_mask_u64(L64, R64, ii, jj, 30)
-        assert np.array_equal(got64, db64 <= 30)
+        for width in (3, 4):
+            L32 = rng.integers(0, 1 << 32, size=(15, width), dtype=np.uint32)
+            R32 = rng.integers(0, 1 << 32, size=(10, width), dtype=np.uint32)
+            db = np.zeros(120, dtype=np.int64)
+            for w in range(width):
+                db += popcount_batch_u32(L32[ii, w] ^ R32[jj, w])
+            got = ks.sig_pair_mask_u64(
+                pack_signatures(L32), pack_signatures(R32), ii, jj, 30
+            )
+            assert got.dtype == bool
+            assert np.array_equal(got, db <= 30)
 
     def test_1d_signature_vectors_accepted(self):
         rng = np.random.default_rng(14)
@@ -123,7 +124,11 @@ class TestSignatureKernels:
         R = rng.integers(0, 1 << 32, size=13, dtype=np.uint32)
         ks = native.load_kernels()
         ri, rj = np_fbf_candidates(L, R, 12)
-        gi, gj = ks.fbf_candidates(L, R, 12)
+        # A 1-D uint64 vector is a width-1 packed column.
+        L64 = pack_signatures(L).ravel()
+        R64 = pack_signatures(R).ravel()
+        assert L64.ndim == 1
+        gi, gj = ks.fbf_candidates_u64(L64, R64, 12)
         assert np.array_equal(gi, ri) and np.array_equal(gj, rj)
 
 

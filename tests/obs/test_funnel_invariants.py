@@ -18,7 +18,7 @@ from repro.core.join import match_strings
 from repro.core.matchers import METHOD_NAMES, build_matcher, method_registry
 from repro.data.datasets import dataset_for_family
 from repro.obs import StatsCollector
-from repro.parallel.chunked import ChunkedJoin
+from repro.parallel.chunked import VectorEngine
 
 K = 1
 REGISTRY = method_registry()
@@ -31,7 +31,7 @@ def ssn_pair():
 
 @pytest.fixture(scope="module")
 def chunked(ssn_pair):
-    return ChunkedJoin(ssn_pair.clean, ssn_pair.error, k=K, scheme_kind="numeric")
+    return VectorEngine(ssn_pair.clean, ssn_pair.error, k=K, scheme_kind="numeric")
 
 
 class TestConservationScalar:
@@ -139,14 +139,14 @@ class TestNoOpParity:
 
     @pytest.mark.parametrize("method", ["DL", "FPDL", "LFBF"])
     def test_chunked_results_identical(self, ssn_pair, method):
-        plain_join = ChunkedJoin(
+        plain_join = VectorEngine(
             ssn_pair.clean,
             ssn_pair.error,
             k=K,
             scheme_kind="numeric",
             record_matches=True,
         )
-        observed_join = ChunkedJoin(
+        observed_join = VectorEngine(
             ssn_pair.clean,
             ssn_pair.error,
             k=K,

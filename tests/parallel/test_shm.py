@@ -24,7 +24,8 @@ from repro.data.errors import inject_error
 from repro.data.names import build_last_name_pool
 from repro.distance.codec import encode_raw
 from repro.obs.stats import StatsCollector
-from repro.parallel import shm
+from repro.parallel import kernels, shm
+from repro.parallel.kernels import pack_signatures
 from repro.parallel.partition import balanced_splits
 from repro.parallel.shm import (
     PassJoinProbe,
@@ -34,7 +35,6 @@ from repro.parallel.shm import (
     _resolve_ref,
     close_shared_pools,
     inline_side,
-    pack_signatures,
     run_hybrid,
     shared_pool,
 )
@@ -116,9 +116,9 @@ class TestWorkerPool:
             log = tmp_path / "probes.log"
             slow_flag = tmp_path / "slow.flag"
             last_r0 = balanced_splits(len(left), 2 * shm._TASKS_PER_WORKER)[-1][0]
-            real = shm._Kernels.run_probe
+            real = kernels.Kernels.run_probe
 
-            def flaky(self, spec, index, r0, r1, obs):
+            def flaky(self, index, r0, r1, obs):
                 with open(log, "a") as fh:
                     fh.write(f"{r0}\n")
                 if r0 == 0:
@@ -128,9 +128,9 @@ class TestWorkerPool:
                     # and re-enqueues every unanswered task.
                     slow_flag.touch()
                     time.sleep(0.6)
-                return real(self, spec, index, r0, r1, obs)
+                return real(self, index, r0, r1, obs)
 
-            monkeypatch.setattr(shm._Kernels, "run_probe", flaky)
+            monkeypatch.setattr(kernels.Kernels, "run_probe", flaky)
             with WorkerPool(workers=2) as pool:
                 crashed = run(pool)
                 assert pool.respawns >= 1

@@ -77,6 +77,16 @@ def test_hybrid_matches_reference(method, left, right):
         assert c.pairs_considered == len(left) * len(right)
         assert c.conserved, f"{method} hybrid/{generator} leaked pairs"
         assert c.matched == ref.match_count
+        inproc = StatsCollector(f"vectorized/{generator}")
+        JoinPlanner(
+            left, right, k=1, self_join=False, collapse="off", memo="off",
+            collector=inproc,
+        ).run(method, generator=generator, backend="vectorized")
+        # An empty product dispatches no hybrid task, so stages that
+        # tested nothing are left out of the comparison.
+        assert _funnel(c, tested_only=True) == _funnel(
+            inproc, tested_only=True
+        ), f"{method} hybrid/{generator} funnel differs from in-process"
 
 
 dup_strings = st.lists(
@@ -95,8 +105,12 @@ def _dense_and_probe(method: str) -> list[str]:
     return names
 
 
-def _funnel(c: StatsCollector) -> dict:
-    return {name: (s.tested, s.passed) for name, s in c.stages.items()}
+def _funnel(c: StatsCollector, *, tested_only: bool = False) -> dict:
+    return {
+        name: (s.tested, s.passed)
+        for name, s in c.stages.items()
+        if s.tested or not tested_only
+    }
 
 
 @pytest.mark.parametrize("method", ["DL", "FPDL", "Wink", "SDX"])

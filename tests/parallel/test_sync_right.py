@@ -69,3 +69,55 @@ def test_unencodable_row_changes_nothing():
         engine.sync_right()
     after = (engine.codes_r, engine.len_r, engine.sigs_r)
     assert all(a is b for a, b in zip(after, before))
+
+
+#: per kind: base roster rows, appended rows (one wider than any base
+#: row) and queries
+_PACKED_CASES = {
+    "numeric": (
+        ["123456789", "555443333", "987654321"],
+        ["123456780", "5554433331", "", "98765432"],
+        ["123456789", "555443333", "98765432"],
+    ),
+    "alpha": (BASE, ADDED, QUERIES),
+    "alnum": (
+        ["12 MAIN ST", "7 OAK AVE", "44 ELM RD"],
+        ["12 MAIN STR", "", "1234 NORTHWESTERN BLVD", "7 OAK AV"],
+        ["12 MAIN ST", "7 OAK AVE", "1234 NORTHWESTERN BLVX"],
+    ),
+}
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["numeric", "alpha", "alnum"])
+def test_packed_rows_appended_match_scalar(kind, levels):
+    """Appended rows are packed like a fresh build — including the zero
+    pad column of odd u32 widths — and the grown engine's full-product
+    and candidate runs equal the scalar reference."""
+    from repro.core.plan import JoinPlanner
+    from repro.parallel.partition import iter_pair_blocks
+
+    base, added, queries = _PACKED_CASES[kind]
+    right = list(base)
+    engine = VectorEngine(
+        queries, right, k=1, scheme_kind=kind, levels=levels,
+        record_matches=True,
+    )
+    engine.run("FPDL")
+    right.extend(added)
+    assert engine.sync_right() == len(added)
+    fresh = VectorEngine(
+        [], base + added, k=1, scheme_kind=kind, levels=levels
+    )
+    assert engine.sigs_r.dtype == np.uint64
+    np.testing.assert_array_equal(engine.sigs_r, fresh.sigs_r)
+    for method in ("FBF", "FPDL", "LFPDL"):
+        ref = JoinPlanner(
+            queries, base + added, k=1, scheme=kind, levels=levels,
+            record_matches=True, self_join=False, collapse="off",
+            memo="off",
+        ).run(method, generator="all-pairs", backend="scalar")
+        assert sorted(engine.run(method).matches) == sorted(ref.matches)
+        blocks = iter_pair_blocks(len(queries), len(right), 5)
+        cand = engine.run_candidates(method, blocks)
+        assert sorted(cand.matches) == sorted(ref.matches), method
