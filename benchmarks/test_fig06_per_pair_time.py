@@ -6,10 +6,14 @@ per pair, against DL's 4,122.7 ns — the filter's cost does not grow
 with workload, only the (rare) verification does.
 """
 
-from _common import paper_reference, save_result
+from _common import curve_protocol, paper_reference, save_result
 
+import repro
+from repro import native
+from repro.data.datasets import dataset_for_family
 from repro.eval.curves import per_pair_times
 from repro.eval.tables import format_table
+from repro.eval.timing import time_callable
 
 PAPER_FIG_6 = paper_reference(
     "Figure 6 — average per-pair time (ns), SSN",
@@ -33,7 +37,38 @@ def test_fig06_per_pair_time(ssn_curve, benchmark):
     table = format_table(
         headers, rows, title="Figure 6 reproduction — per-pair time (ns) by workload"
     )
-    save_result("fig06_per_pair_time", table + "\n\n" + PAPER_FIG_6)
+
+    # The same pairs on the tier the system runs: whole public join
+    # calls (plan, encode, signatures, compiled sweep, verify) at the
+    # sweep's largest n, after the one-time provider build and check.
+    n = ssn_curve.ns[-1]
+    dp = dataset_for_family("SSN", n, 600)
+    native.load_kernels()
+    native_rows = []
+    for method in ("FBF", "FPDL"):
+        timing, result = time_callable(
+            lambda: repro.join(
+                dp.clean, dp.error, method, k=1, scheme="numeric",
+                backend="native", generator="all-pairs",
+            ),
+            curve_protocol(),
+        )
+        native_rows.append(
+            [method, result.backend, round(timing.mean_ms * 1e6 / (n * n), 1)]
+        )
+    native_table = format_table(
+        ["method", "backend", f"{n * n:,} pairs"],
+        native_rows,
+        title=(
+            "Figure 6 on the compiled tier — per-pair time (ns) of a "
+            'whole repro.join(..., backend="native", '
+            'generator="all-pairs") call'
+        ),
+    )
+    save_result(
+        "fig06_per_pair_time",
+        table + "\n\n" + native_table + "\n\n" + PAPER_FIG_6,
+    )
 
     # Per-pair cost ordering at the largest workload: FBF <= FPDL <=
     # FDL << DL (generous margins: single-run points carry noise).
@@ -48,10 +83,7 @@ def test_fig06_per_pair_time(ssn_curve, benchmark):
     assert last["FBF"] < 3 * first_fbf
 
     # Benchmark one FBF-only join at the sweep's largest n.
-    from repro.data.datasets import dataset_for_family
     from repro.parallel.chunked import VectorEngine
 
-    n = ssn_curve.ns[-1]
-    dp = dataset_for_family("SSN", n, 600)
     join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="numeric")
     benchmark(lambda: join.run("FBF"))

@@ -597,8 +597,8 @@ class NativeBackend(VectorizedBackend):
 
     Identical dataflow, chunking and funnel accounting to
     :class:`VectorizedBackend` — the planner's cached engine is
-    temporarily armed with the :mod:`repro.native` kernel set (numba or
-    the ctypes/cc provider, whichever loaded), which every
+    temporarily armed with the :mod:`repro.native` kernel set (the
+    compiled ``cc`` provider), which every
     :class:`repro.parallel.kernels.Kernels` the engine builds during the
     run picks up.  It swaps only the innermost loops: the packed
     XOR+popcount candidate scan and pair mask, and the batched

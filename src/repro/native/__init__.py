@@ -1,40 +1,37 @@
-"""Compiled kernel tier: JIT'd hot kernels behind the backend protocol.
+"""Compiled kernel tier: the hot kernels as compiled code behind the
+backend protocol.
 
 The paper's constant factors come from signatures living in machine
 words — one XOR + POPCNT per pair — and from the verifier being a tight
 band of word operations.  The NumPy tier restores those constants *per
 batch* but still pays intermediate-array traffic on the candidate
 matrix and per-pair Python dispatch in the bit-parallel verifier.  This
-package closes that gap with three compiled kernels:
+package closes that gap with compiled kernels:
 
-1. a fused XOR+popcount+threshold candidate scan (no
-   ``(chunk, n_right, width)`` intermediates),
-2. a batched bounded-OSA verifier (bit-parallel Hyyro recurrence for
-   patterns up to 64 chars, mirroring ``distance/bitparallel.py``),
-3. a banded-DP kernel for longer strings, mirroring
-   ``distance/pruned.py::_banded_osa``.
+1. the dense filter sweep: a method's filter chain fused with candidate
+   emission (no ``(chunk, n_right, width)`` intermediates), one loop
+   body per chain and signature width, with length-first chains
+   scanning only each row's ``|dlen| <= k`` window;
+2. a gathered-pair signature filter for index-driven generators;
+3. a batched bounded-OSA verifier (bit-parallel Hyyro recurrence for
+   patterns up to 64 chars, mirroring ``distance/bitparallel.py``, and
+   a banded DP beyond, mirroring ``distance/pruned.py::_banded_osa``).
 
-Two interchangeable providers implement them:
-
-* ``numba`` — ``@njit(parallel=True)`` twins, used when numba is
-  importable (``pip install repro[native]``).
-* ``cc`` — a C translation unit compiled on first use with the host's
-  C compiler and loaded via ctypes (content-addressed on-disk cache).
-
-Provider selection is automatic (numba first, then cc) and every
-provider must pass a bit-exactness self-check against the scalar
-references before it is offered; a provider that fails validation is
-treated as absent.  When neither provider loads, callers fall back to
-the NumPy tier — ``resolve_kernels("native")`` warns once (via
+They have one provider, ``cc``: a C translation unit compiled on first
+use with the host's C compiler and loaded via ctypes (cached on disk,
+see :mod:`repro.native._csrc`).  The provider must pass a bit-exactness
+self-check against the scalar and NumPy references before it is
+offered; a provider that fails validation is treated as absent.  When
+it does not load, callers fall back to the NumPy tier —
+``resolve_kernels("native")`` warns once (via
 :func:`repro._compat.warn_once`) instead of raising, so
-``backend="native"`` degrades gracefully on machines without numba or
-a C toolchain.
+``backend="native"`` degrades gracefully on machines without a C
+toolchain.
 
 Environment knobs:
 
 * ``REPRO_NO_NATIVE=1`` — force the NumPy fallback deterministically
   (CI fallback legs, bug reports).
-* ``REPRO_NATIVE=numba|cc`` — pin a specific provider.
 * ``REPRO_NATIVE_CACHE=<dir>`` — where the cc provider caches builds.
 """
 
@@ -65,9 +62,11 @@ __all__ = [
 MODE_DL = 0
 MODE_PDL = 1
 
-_PROVIDERS = ("numba", "cc")
+_PROVIDERS = ("cc",)
 
-_FILTER_CODES = {"length": 0, "fbf": 1}
+#: the filter chains the dense sweep covers (every ``MethodSpec`` chain),
+#: as the kernel's chain codes: bit 0 = FBF, bit 1 = length stage first
+_CHAINS = {(): 0, ("fbf",): 1, ("length",): 2, ("length", "fbf"): 3}
 
 
 def _sig2d(sigs: np.ndarray, dtype) -> np.ndarray:
@@ -111,17 +110,17 @@ class KernelSet:
     def fbf_candidates_u64(
         self, left_sigs: np.ndarray, right_sigs: np.ndarray, bound: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Fused scan over packed uint64 signature matrices
-        (:func:`repro.parallel.kernels.pack_signatures`); row-major
+        """FBF scan over packed uint64 signature matrices
+        (:func:`repro.parallel.kernels.pack_signatures`): the ``("fbf",)``
+        chain of :meth:`fused_rows_u64` over every left row; row-major
         order identical to ``core/vectorized.py::fbf_candidates`` on the
         unpacked words."""
         L = _sig2d(left_sigs, np.uint64)
-        R = _sig2d(right_sigs, np.uint64)
-        if L.shape[1] != R.shape[1]:
-            raise ValueError(
-                f"signature widths differ: {L.shape[1]} vs {R.shape[1]}"
-            )
-        return self._p["fbf_scan_u64"](L, R, int(bound))
+        ii, jj, _ = self.fused_rows_u64(
+            L, right_sigs, None, None, 0, L.shape[0],
+            bound=bound, k=0, filters=("fbf",),
+        )
+        return ii, jj
 
     # -- gathered pair filters -----------------------------------------
 
@@ -162,35 +161,59 @@ class KernelSet:
         )
         return out.view(bool)
 
-    # -- hybrid dense sweep --------------------------------------------
+    # -- dense sweep ---------------------------------------------------
 
     @staticmethod
     def supports_filters(filters) -> bool:
         """Whether :meth:`fused_rows_u64` covers this filter chain."""
-        return all(f in _FILTER_CODES for f in filters)
+        return tuple(filters) in _CHAINS
 
     def fused_rows_u64(
         self,
         left_sigs: np.ndarray,
         right_sigs: np.ndarray,
-        len_l: np.ndarray,
-        len_r: np.ndarray,
+        len_l: np.ndarray | None,
+        len_r: np.ndarray | None,
         row0: int,
         row1: int,
         *,
         bound: int,
         k: int,
         filters,
+        order: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Length+FBF filters fused with candidate emission over rows
-        ``[row0, row1)``; returns ``(ii, jj, passed_per_filter)`` with
-        the cumulative-AND survivor counts funnel accounting needs."""
+        """A filter chain fused with candidate emission over left rows
+        ``[row0, row1)`` against every right row; returns ``(ii, jj,
+        passed_per_filter)``, pairs row-major with ``jj`` ascending and
+        the cumulative-AND survivor counts funnel accounting needs.
+
+        A chain that starts with ``"length"`` scans each row's
+        ``|dlen| <= k`` window of the right side sorted by length.
+        Callers that keep that sort pass ``order`` (a stable ``argsort``
+        of the original lengths, mapping each sorted position back to
+        its right id) with ``right_sigs`` and ``len_r`` already in that
+        order; without ``order`` the call sorts them itself.  ``jj``
+        holds original right ids either way.  Lengths are not read by
+        the other chains.
+        """
+        chain = _CHAINS[tuple(filters)]
         L = _sig2d(left_sigs, np.uint64)
         R = _sig2d(right_sigs, np.uint64)
-        codes = np.array([_FILTER_CODES[f] for f in filters], dtype=np.int32)
+        if L.shape[1] != R.shape[1]:
+            raise ValueError(
+                f"signature widths differ: {L.shape[1]} vs {R.shape[1]}"
+            )
+        if chain & _CHAINS[("length",)]:
+            len_l, len_r = _idx(len_l), _idx(len_r)
+            if order is None:
+                order = np.argsort(len_r, kind="stable")
+                len_r, R = len_r[order], R[order]
+            order = _idx(order)
+        else:
+            len_l = len_r = order = None
         return self._p["fused_rows_u64"](
-            L, R, _idx(len_l), _idx(len_r), int(row0), int(row1),
-            int(bound), int(k), codes,
+            L, R, len_l, len_r, order, int(row0), int(row1),
+            int(bound), int(k), chain,
         )
 
 
@@ -208,26 +231,14 @@ def _disabled() -> bool:
     return os.environ.get("REPRO_NO_NATIVE", "").strip() not in ("", "0")
 
 
-def _provider_order() -> tuple[str, ...]:
-    forced = os.environ.get("REPRO_NATIVE", "").strip().lower()
-    if forced in _PROVIDERS:
-        return (forced,)
-    return _PROVIDERS
-
-
 def _load_provider(name: str) -> KernelSet | None:
     if name in _CACHE:
         return _CACHE[name]
     ks: KernelSet | None = None
     try:
-        if name == "numba":
-            from repro.native import _nb
+        from repro.native import _cc
 
-            ks = KernelSet("numba", _nb.load())
-        else:
-            from repro.native import _cc
-
-            ks = KernelSet("cc", _cc.load())
+        ks = KernelSet(name, _cc.load())
     except Exception as exc:
         _REASONS[name] = f"unavailable ({exc})"
         ks = None
@@ -245,12 +256,12 @@ def _load_provider(name: str) -> KernelSet | None:
 def load_kernels() -> KernelSet | None:
     """The best available validated provider, or ``None``.
 
-    Honors ``REPRO_NO_NATIVE`` and ``REPRO_NATIVE``; never raises and
-    never warns — this is the quiet probe used by auto-selection.
+    Honors ``REPRO_NO_NATIVE``; never raises and never warns — this is
+    the quiet probe used by auto-selection.
     """
     if _disabled():
         return None
-    for name in _provider_order():
+    for name in _PROVIDERS:
         ks = _load_provider(name)
         if ks is not None:
             return ks
@@ -268,14 +279,14 @@ def resolve_kernels(
     * ``"auto"`` — compiled kernels if available, silently otherwise.
     * ``"native"`` — compiled kernels expected: when unavailable (or
       disabled via ``REPRO_NO_NATIVE``), warn once and fall back.
-    * ``"numba"``/``"cc"`` — pin one provider, same warn-once fallback.
+    * ``"cc"`` — pin the provider, same warn-once fallback.
     """
     if request is None or request == "numpy":
         return None
     if request not in ("auto", "native", *_PROVIDERS):
         raise ValueError(
             f"unknown kernels request {request!r}; expected 'numpy', "
-            f"'auto', 'native', 'numba' or 'cc'"
+            f"'auto', 'native' or 'cc'"
         )
     if _disabled():
         if request != "auto":
@@ -293,13 +304,13 @@ def resolve_kernels(
     if ks is None and request != "auto":
         detail = "; ".join(
             f"{name}: {_REASONS.get(name, 'not probed')}"
-            for name in _provider_order()
+            for name in _PROVIDERS
         )
         warn_once(
             f"native-unavailable:{warn_key}",
             "compiled kernels requested but no provider loaded "
             f"({detail}); falling back to the NumPy (vectorized) path "
-            "— install the extra with `pip install repro[native]`",
+            "— the provider needs a C compiler ($CC, cc, gcc or clang)",
             category=RuntimeWarning,
         )
     return ks
@@ -311,7 +322,7 @@ def available() -> bool:
 
 
 def kind() -> str | None:
-    """Name of the active provider (``"numba"``/``"cc"``) or ``None``."""
+    """Name of the active provider (``"cc"``) or ``None``."""
     ks = load_kernels()
     return ks.kind if ks is not None else None
 
@@ -327,11 +338,11 @@ def require_native() -> KernelSet:
         return ks
     if _disabled():
         raise RuntimeError("compiled kernels disabled by REPRO_NO_NATIVE=1")
-    for name in _provider_order():
+    for name in _PROVIDERS:
         _load_provider(name)
     detail = "; ".join(
         f"{name}: {_REASONS.get(name, 'not probed')}"
-        for name in _provider_order()
+        for name in _PROVIDERS
     )
     raise RuntimeError(f"no compiled kernel provider available ({detail})")
 
@@ -340,7 +351,7 @@ def native_status() -> dict:
     """Availability report for diagnostics and ``repro-fbf --plan``."""
     disabled = _disabled()
     if not disabled:
-        for name in _provider_order():
+        for name in _PROVIDERS:
             _load_provider(name)
     active = None if disabled else kind()
     return {
@@ -359,8 +370,8 @@ def native_status() -> dict:
 def reset() -> None:
     """Forget cached provider probes (test-isolation hook).
 
-    Needed after monkeypatching ``REPRO_NO_NATIVE``/``REPRO_NATIVE``:
-    resolution caches per provider, not per environment.
+    Needed after monkeypatching ``REPRO_NO_NATIVE``: resolution caches
+    per provider, not per environment.
     """
     _CACHE.clear()
     _REASONS.clear()
@@ -447,33 +458,35 @@ def _self_check(ks: KernelSet) -> str | None:
                             f"({len(s)},{len(t)})-char pair"
                         )
 
-        # -- fused dense sweep ----------------------------------------
-        sl = rng.integers(0, 1 << 63, size=(12, 2), dtype=np.uint64)
-        sr = rng.integers(0, 1 << 63, size=(8, 2), dtype=np.uint64)
+        # -- dense sweep: every chain at widths 1, 2 and 3 -------------
+        k, r0, r1 = 2, 3, 11
         ll = rng.integers(0, 9, size=12).astype(np.int64)
-        lr = rng.integers(0, 9, size=8).astype(np.int64)
-        dbits = np.zeros((12, 8), dtype=np.int64)
-        for w in range(2):
-            dbits += popcount_batch_u64(sl[:, w][:, None] ^ sr[:, w][None, :])
-        for filters in (("length",), ("fbf",), ("length", "fbf")):
-            k, bound = 2, 40
-            lmask = np.abs(ll[:, None] - lr[None, :]) <= k
-            fmask = dbits <= bound
-            mask = np.ones((12, 8), dtype=bool)
-            want_passed = []
-            for f in filters:
-                mask &= lmask if f == "length" else fmask
-                want_passed.append(int(mask[3:11].sum()))
-            wi, wj = np.nonzero(mask[3:11])
-            gi, gj, passed = ks.fused_rows_u64(
-                sl, sr, ll, lr, 3, 11, bound=bound, k=k, filters=filters
-            )
-            if not (
-                np.array_equal(gi, wi.astype(np.int64) + 3)
-                and np.array_equal(gj, wj.astype(np.int64))
-                and list(passed) == want_passed
-            ):
-                return f"fused rows mismatch for filters={filters}"
+        lr = rng.integers(0, 9, size=70).astype(np.int64)
+        lmask = np.abs(ll[:, None] - lr[None, :]) <= k
+        for width, bound in ((1, 30), (2, 62), (3, 94)):
+            sl = rng.integers(0, 1 << 63, size=(12, width), dtype=np.uint64)
+            sr = rng.integers(0, 1 << 63, size=(70, width), dtype=np.uint64)
+            dbits = np.zeros((12, 70), dtype=np.int64)
+            for w in range(width):
+                dbits += popcount_batch_u64(
+                    sl[:, w][:, None] ^ sr[:, w][None, :]
+                )
+            for filters in _CHAINS:
+                mask = np.ones((12, 70), dtype=bool)
+                want_passed = []
+                for f in filters:
+                    mask &= lmask if f == "length" else dbits <= bound
+                    want_passed.append(int(mask[r0:r1].sum()))
+                wi, wj = np.nonzero(mask[r0:r1])
+                gi, gj, passed = ks.fused_rows_u64(
+                    sl, sr, ll, lr, r0, r1, bound=bound, k=k, filters=filters
+                )
+                if not (
+                    np.array_equal(gi, wi.astype(np.int64) + r0)
+                    and np.array_equal(gj, wj.astype(np.int64))
+                    and list(passed) == want_passed
+                ):
+                    return f"dense sweep mismatch: {filters} width {width}"
     except Exception as exc:  # pragma: no cover - defensive
         return repr(exc)
     return None

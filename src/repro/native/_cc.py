@@ -5,14 +5,16 @@
 coerced inputs to C-contiguous arrays of the right dtype (the KernelSet
 layer does this once); they only manage output buffers.
 
-Candidate-emitting kernels use an adaptive capacity scheme: the scan is
-chunked into row blocks of bounded pair count, each block starts from a
-density-informed capacity guess, and a ``-1`` overflow return doubles
-the buffer and re-runs the block.  Capacity never exceeds the block's
-pair count, so the retry loop always terminates.
+The dense sweep uses an adaptive capacity scheme: rows are cut into
+blocks of bounded pair count, each block starts from a density-informed
+capacity guess, and a ``-1`` overflow return doubles the buffer and
+re-runs the block.  Capacity never exceeds the block's pair count, so
+the retry loop always terminates.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -25,26 +27,37 @@ __all__ = ["load"]
 _BLOCK_PAIRS = 1 << 24
 
 
-def _scan(fn, L: np.ndarray, R: np.ndarray, bound: int):
-    nl, width = L.shape
+def _ptr(arr: np.ndarray | None) -> int:
+    return 0 if arr is None else arr.ctypes.data
+
+
+def _fused_rows(fn, L, R, len_l, len_r, order, r0, r1, bound, k, chain):
     nr = R.shape[0]
+    n_stages = bin(chain).count("1")
+    passed_total = np.zeros(n_stages, dtype=np.int64)
+    passed_block = np.zeros(n_stages, dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)
-    if nl == 0 or nr == 0:
-        return empty, empty.copy()
-    rows_per = max(1, min(nl, _BLOCK_PAIRS // max(nr, 1)))
+    if r1 <= r0 or nr == 0:
+        return empty, empty.copy(), passed_total
+    # length-first chains merge each length class into the row's output
+    scratch = np.empty(nr if order is not None else 0, dtype=np.int64)
+    rows_per = max(1, min(r1 - r0, _BLOCK_PAIRS // nr))
     ii_parts: list[np.ndarray] = []
     jj_parts: list[np.ndarray] = []
     density = 0.05
-    for r0 in range(0, nl, rows_per):
-        r1 = min(nl, r0 + rows_per)
-        pairs = (r1 - r0) * nr
+    for b0 in range(r0, r1, rows_per):
+        b1 = min(r1, b0 + rows_per)
+        pairs = (b1 - b0) * nr
         cap = min(pairs, max(1024, int(pairs * density) + 1024))
         while True:
             out_i = np.empty(cap, dtype=np.int64)
             out_j = np.empty(cap, dtype=np.int64)
             n = fn(
-                L.ctypes.data, R.ctypes.data, r0, r1, nr, width, bound,
+                L.ctypes.data, R.ctypes.data, L.shape[1],
+                _ptr(len_l), _ptr(len_r), _ptr(order),
+                b0, b1, nr, bound, k, chain,
                 out_i.ctypes.data, out_j.ctypes.data, cap,
+                passed_block.ctypes.data, scratch.ctypes.data,
             )
             if n >= 0:
                 break
@@ -52,21 +65,11 @@ def _scan(fn, L: np.ndarray, R: np.ndarray, bound: int):
         if n:
             ii_parts.append(out_i[:n].copy())
             jj_parts.append(out_j[:n].copy())
+        passed_total += passed_block
         density = max(density, n / pairs)
     if not ii_parts:
-        return empty, empty.copy()
-    return np.concatenate(ii_parts), np.concatenate(jj_parts)
-
-
-def _pair_mask(fn, L, R, ii, jj, bound):
-    n = ii.shape[0]
-    out = np.empty(n, dtype=np.uint8)
-    if n:
-        fn(
-            L.ctypes.data, R.ctypes.data, L.shape[1],
-            ii.ctypes.data, jj.ctypes.data, n, bound, out.ctypes.data,
-        )
-    return out
+        return empty, empty.copy(), passed_total
+    return np.concatenate(ii_parts), np.concatenate(jj_parts), passed_total
 
 
 def load():
@@ -75,11 +78,15 @@ def load():
     if raw is None:
         raise RuntimeError(_csrc.build_error() or "C kernel build failed")
 
-    def fbf_scan_u64(L, R, bound):
-        return _scan(raw["fbf_scan_u64"], L, R, bound)
-
     def pair_mask_u64(L, R, ii, jj, bound):
-        return _pair_mask(raw["pair_mask_u64"], L, R, ii, jj, bound)
+        n = ii.shape[0]
+        out = np.empty(n, dtype=np.uint8)
+        if n:
+            raw["pair_mask_u64"](
+                L.ctypes.data, R.ctypes.data, L.shape[1],
+                ii.ctypes.data, jj.ctypes.data, n, bound, out.ctypes.data,
+            )
+        return out
 
     def osa_mask(codes_l, len_l, codes_r, len_r, ii, jj, k, mode):
         n = ii.shape[0]
@@ -94,48 +101,8 @@ def load():
                 raise MemoryError("osa_mask scratch allocation failed")
         return out
 
-    def fused_rows_u64(L, R, len_l, len_r, r0, r1, bound, k, filter_codes):
-        nr = R.shape[0]
-        width = L.shape[1]
-        nf = filter_codes.shape[0]
-        passed_total = np.zeros(nf, dtype=np.int64)
-        passed_block = np.zeros(nf, dtype=np.int64)
-        empty = np.empty(0, dtype=np.int64)
-        if r1 <= r0 or nr == 0:
-            return empty, empty.copy(), passed_total
-        rows_per = max(1, min(r1 - r0, _BLOCK_PAIRS // max(nr, 1)))
-        ii_parts: list[np.ndarray] = []
-        jj_parts: list[np.ndarray] = []
-        density = 0.05
-        for b0 in range(r0, r1, rows_per):
-            b1 = min(r1, b0 + rows_per)
-            pairs = (b1 - b0) * nr
-            cap = min(pairs, max(1024, int(pairs * density) + 1024))
-            while True:
-                out_i = np.empty(cap, dtype=np.int64)
-                out_j = np.empty(cap, dtype=np.int64)
-                n = raw["fused_rows_u64"](
-                    L.ctypes.data, R.ctypes.data, width,
-                    len_l.ctypes.data, len_r.ctypes.data,
-                    b0, b1, nr, bound, k,
-                    filter_codes.ctypes.data, nf,
-                    out_i.ctypes.data, out_j.ctypes.data, cap,
-                    passed_block.ctypes.data,
-                )
-                if n >= 0:
-                    break
-                cap = min(pairs, cap * 2)
-            if n:
-                ii_parts.append(out_i[:n].copy())
-                jj_parts.append(out_j[:n].copy())
-            passed_total += passed_block
-            density = max(density, n / pairs)
-        if not ii_parts:
-            return empty, empty.copy(), passed_total
-        return np.concatenate(ii_parts), np.concatenate(jj_parts), passed_total
-
+    fused_rows_u64 = functools.partial(_fused_rows, raw["fused_rows_u64"])
     return {
-        "fbf_scan_u64": fbf_scan_u64,
         "pair_mask_u64": pair_mask_u64,
         "osa_mask": osa_mask,
         "fused_rows_u64": fused_rows_u64,

@@ -1,33 +1,37 @@
 """C source and build driver for the compiled kernel provider.
 
-The native tier prefers numba when it is importable, but a C toolchain is
-far more common than numba in production containers, so the same three
-kernels also ship as a single C translation unit compiled on first use
-with whatever ``cc`` the host provides and loaded through :mod:`ctypes`.
-The build is content-addressed: the shared object lands in a per-user
-cache directory keyed by the SHA-256 of the source, so recompiles happen
-only when the kernels change and concurrent processes (hybrid pool
+The native tier's kernels are one C translation unit, compiled on first
+use with whatever ``cc`` the host provides and loaded through
+:mod:`ctypes`.  Builds are cached on disk under a name that carries the
+SHA-256 of the source, the compiler flags and, for ``-march=native``
+builds, the host CPU's feature flags: recompiles happen only when the
+kernels change, a cache shared between hosts (``REPRO_NATIVE_CACHE`` on
+shared storage, a CI cache, an image built elsewhere) never hands a
+binary to a CPU that lacks its instructions, and the portable fallback
+build has a name of its own.  Concurrent processes (hybrid pool
 workers) converge on one artifact via an atomic rename.
 
 Kernels mirror the pure-Python/NumPy references bit for bit:
 
-* ``fbf_scan_u64`` — fused XOR + POPCNT + threshold candidate emission
+* ``fused_rows_u64`` — the dense filter sweep: a method's filter chain
+  (none, FBF, length, or length then FBF) fused with candidate emission
   over packed signature matrices, row-major order so the output matches
-  ``np.nonzero`` exactly (no (rows x n_right x width) intermediates).
+  ``np.nonzero`` exactly, with per-stage survivor counts for funnel
+  accounting.  Each chain and signature width (1 word, 2 words, any)
+  has its own loop body, picked once per call; length-first chains scan
+  only each row's ``|dlen| <= k`` window of a length-sorted right side.
 * ``pair_mask_u64`` — the gathered-pair signature filter used by
   index-driven generators.
 * ``osa_mask`` — batched bounded OSA (restricted Damerau-Levenshtein)
   decisions: Hyyro bit-parallel for patterns up to 64 chars
   (``distance/bitparallel.py``), banded rolling-row DP beyond that
   (``distance/pruned.py::_banded_osa``).
-* ``fused_rows_u64`` — the hybrid worker's dense sweep: length + FBF
-  filters and candidate emission in one pass, with per-filter survivor
-  counts for funnel accounting.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import platform
@@ -35,8 +39,9 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
+from typing import Sequence
 
-__all__ = ["load_library", "build_error"]
+__all__ = ["build_error", "library_path", "load_library"]
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -44,36 +49,6 @@ C_SOURCE = r"""
 #include <string.h>
 
 #define POP64(x) ((int64_t)__builtin_popcountll((uint64_t)(x)))
-
-/* ------------------------------------------------------------------ */
-/* Fused XOR + popcount + threshold candidate scan.                    */
-/* Emits (i, j) pairs with diff_bits <= bound for rows [row0, row1) of */
-/* L against all of R, in row-major order (identical to np.nonzero).   */
-/* Returns the number of pairs emitted, or -1 if cap would overflow.   */
-/* ------------------------------------------------------------------ */
-
-int64_t fbf_scan_u64(const uint64_t *L, const uint64_t *R,
-                     int64_t row0, int64_t row1, int64_t nr, int64_t width,
-                     int64_t bound, int64_t *out_i, int64_t *out_j,
-                     int64_t cap) {
-    int64_t count = 0;
-    for (int64_t i = row0; i < row1; i++) {
-        const uint64_t *li = L + i * width;
-        for (int64_t j = 0; j < nr; j++) {
-            const uint64_t *rj = R + j * width;
-            int64_t db = 0;
-            for (int64_t w = 0; w < width; w++)
-                db += POP64(li[w] ^ rj[w]);
-            if (db <= bound) {
-                if (count >= cap) return -1;
-                out_i[count] = i;
-                out_j[count] = j;
-                count++;
-            }
-        }
-    }
-    return count;
-}
 
 /* ------------------------------------------------------------------ */
 /* Gathered-pair signature filter: out[p] = diff_bits(pair p) <= bound */
@@ -231,57 +206,197 @@ int32_t osa_mask(const uint8_t *codes_l, const int64_t *len_l, int64_t wl,
 }
 
 /* ------------------------------------------------------------------ */
-/* Hybrid dense sweep: length + FBF filters fused with candidate       */
-/* emission over packed uint64 signatures.  filters[] holds stage      */
-/* codes in evaluation order (0 = length, 1 = fbf); passed[] receives  */
-/* the cumulative-AND survivor count after each stage, matching the    */
-/* NumPy mask chain's funnel accounting.  Returns emitted pair count,  */
-/* or -1 if cap would overflow.                                        */
+/* Dense filter sweep (the paper's Algorithm 7 inner loop): rows       */
+/* [row0, row1) of L against R, the method's filter chain fused with   */
+/* candidate emission.  chain is a bit set: CHAIN_FBF = the signature  */
+/* filter, CHAIN_LEN = the length filter evaluated first.  passed[]    */
+/* receives the survivor count after each stage in chain order, the    */
+/* NumPy mask chain's funnel accounting.  Pairs come out row-major      */
+/* with j ascending, as np.nonzero emits them.  Returns the number of  */
+/* pairs emitted, or -1 if cap would overflow.                         */
+/*                                                                     */
+/* Length-first chains read a right side sorted (stably) by length:    */
+/* len_r ascending, R in the same order, order[p] the original id of   */
+/* sorted position p.  Each row scans only its |dlen| <= k window, one */
+/* length class at a time, and merges each class's ascending ids into  */
+/* the row's output (scratch holds nr ids).                             */
+/*                                                                     */
+/* Every loop body below is instantiated with a compile-time width     */
+/* class and chain, so the per-pair loops carry no width or stage      */
+/* dispatch: each 64-pair block is one compare per pair into a         */
+/* survivor mask whose set bits are then walked.                       */
 /* ------------------------------------------------------------------ */
 
-int64_t fused_rows_u64(const uint64_t *L, const uint64_t *R, int64_t width,
-                       const int64_t *len_l, const int64_t *len_r,
-                       int64_t row0, int64_t row1, int64_t nr,
-                       int64_t bound, int64_t k,
-                       const int32_t *filters, int64_t nf,
-                       int64_t *out_i, int64_t *out_j, int64_t cap,
-                       int64_t *passed) {
-    int64_t count = 0;
-    for (int64_t f = 0; f < nf; f++) passed[f] = 0;
-    for (int64_t i = row0; i < row1; i++) {
-        const uint64_t *li = L + i * width;
-        int64_t la = len_l[i];
-        for (int64_t j = 0; j < nr; j++) {
-            int ok = 1;
-            for (int64_t f = 0; f < nf; f++) {
-                if (filters[f] == 0) {
-                    int64_t dlen = la - len_r[j];
-                    if (dlen < 0) dlen = -dlen;
-                    ok = dlen <= k;
-                } else {
-                    const uint64_t *rj = R + j * width;
-                    int64_t db = 0;
-                    for (int64_t w = 0; w < width; w++)
-                        db += POP64(li[w] ^ rj[w]);
-                    ok = db <= bound;
-                }
-                if (!ok) break;
-                passed[f]++;
+#define CHAIN_FBF 1
+#define CHAIN_LEN 2
+#define INLINE static inline __attribute__((always_inline))
+
+/* Emit the survivors of li against positions [s, e) of R.  wc is the  */
+/* width class: 1 or 2 words, or 0 for any width (words outer, pairs   */
+/* inner).  map (NULL or the length order) turns positions into ids.   */
+INLINE int64_t fbf_span(const uint64_t *li, const uint64_t *R,
+                        int64_t width, const int wc, int64_t s, int64_t e,
+                        int64_t bound, const int64_t *map, int64_t i,
+                        int64_t *out_i, int64_t *out_j, int64_t count,
+                        int64_t cap) {
+    int64_t acc[64];
+    for (int64_t b0 = s; b0 < e; b0 += 64) {
+        int64_t n = (e - b0 < 64) ? e - b0 : 64;
+        uint64_t m = 0;
+        if (wc == 1) {
+            const uint64_t *rb = R + b0;
+            uint64_t l0 = li[0];
+            for (int64_t t = 0; t < n; t++)
+                m |= (uint64_t)(POP64(l0 ^ rb[t]) <= bound) << t;
+        } else if (wc == 2) {
+            const uint64_t *rb = R + 2 * b0;
+            uint64_t l0 = li[0], l1 = li[1];
+            for (int64_t t = 0; t < n; t++)
+                m |= (uint64_t)(POP64(l0 ^ rb[2 * t])
+                                + POP64(l1 ^ rb[2 * t + 1]) <= bound) << t;
+        } else {
+            const uint64_t *rb = R + width * b0;
+            for (int64_t t = 0; t < n; t++)
+                acc[t] = POP64(li[0] ^ rb[t * width]);
+            for (int64_t w = 1; w < width; w++) {
+                uint64_t lw = li[w];
+                for (int64_t t = 0; t < n; t++)
+                    acc[t] += POP64(lw ^ rb[t * width + w]);
             }
-            if (ok) {
-                if (count >= cap) return -1;
-                out_i[count] = i;
-                out_j[count] = j;
-                count++;
-            }
+            for (int64_t t = 0; t < n; t++)
+                m |= (uint64_t)(acc[t] <= bound) << t;
+        }
+        while (m) {
+            int64_t p = b0 + __builtin_ctzll(m);
+            if (count >= cap) return -1;
+            out_i[count] = i;
+            out_j[count] = map ? map[p] : p;
+            count++;
+            m &= m - 1;
         }
     }
     return count;
+}
+
+/* out[0, a) and out[a, a + b) are ascending: merge them in place. */
+static void merge_runs(int64_t *out, int64_t a, int64_t b,
+                       int64_t *scratch) {
+    if (a == 0 || b == 0 || out[a - 1] < out[a]) return;
+    memcpy(scratch, out, (size_t)a * sizeof(int64_t));
+    int64_t x = 0, y = a, t = 0, end = a + b;
+    while (x < a && y < end)
+        out[t++] = (out[y] < scratch[x]) ? out[y++] : scratch[x++];
+    while (x < a) out[t++] = scratch[x++];
+}
+
+/* First position in [lo, hi) with len >= v (side 0) or len > v       */
+/* (side 1).                                                           */
+static int64_t bisect(const int64_t *len, int64_t lo, int64_t hi,
+                      int64_t v, int side) {
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (len[mid] < v || (side && len[mid] == v)) lo = mid + 1;
+        else hi = mid;
+    }
+    return lo;
+}
+
+/* Chains without the length stage: every row against all of R. */
+INLINE int64_t sweep_all(const uint64_t *L, const uint64_t *R,
+                         int64_t width, const int wc, const int fbf,
+                         int64_t row0, int64_t row1, int64_t nr,
+                         int64_t bound, int64_t *out_i, int64_t *out_j,
+                         int64_t cap, int64_t *passed) {
+    int64_t count = 0;
+    for (int64_t i = row0; i < row1; i++) {
+        if (fbf) {
+            count = fbf_span(L + i * width, R, width, wc, 0, nr, bound,
+                             NULL, i, out_i, out_j, count, cap);
+            if (count < 0) return -1;
+        } else {
+            if (count + nr > cap) return -1;
+            for (int64_t j = 0; j < nr; j++) {
+                out_i[count] = i;
+                out_j[count++] = j;
+            }
+        }
+    }
+    if (fbf) passed[0] = count;
+    return count;
+}
+
+/* Length-first chains: each row scans its |dlen| <= k window of the  */
+/* length-sorted R, one length class at a time.                        */
+INLINE int64_t sweep_window(const uint64_t *L, const uint64_t *R,
+                            int64_t width, const int wc, const int fbf,
+                            const int64_t *len_l, const int64_t *len_r,
+                            const int64_t *order, int64_t row0,
+                            int64_t row1, int64_t nr, int64_t bound,
+                            int64_t k, int64_t *out_i, int64_t *out_j,
+                            int64_t cap, int64_t *passed,
+                            int64_t *scratch) {
+    int64_t count = 0, in_window = 0;
+    for (int64_t i = row0; i < row1; i++) {
+        int64_t la = len_l[i], start = count;
+        int64_t s = bisect(len_r, 0, nr, la - k, 0);
+        while (s < nr && len_r[s] <= la + k) {
+            int64_t e = bisect(len_r, s, nr, len_r[s], 1);
+            int64_t mid = count;
+            in_window += e - s;
+            if (fbf) {
+                count = fbf_span(L + i * width, R, width, wc, s, e, bound,
+                                 order, i, out_i, out_j, count, cap);
+                if (count < 0) return -1;
+            } else {
+                if (count + (e - s) > cap) return -1;
+                for (int64_t p = s; p < e; p++) {
+                    out_i[count] = i;
+                    out_j[count++] = order[p];
+                }
+            }
+            merge_runs(out_j + start, mid - start, count - mid, scratch);
+            s = e;
+        }
+    }
+    passed[0] = in_window;
+    if (fbf) passed[1] = count;
+    return count;
+}
+
+int64_t fused_rows_u64(const uint64_t *L, const uint64_t *R, int64_t width,
+                       const int64_t *len_l, const int64_t *len_r,
+                       const int64_t *order, int64_t row0, int64_t row1,
+                       int64_t nr, int64_t bound, int64_t k, int32_t chain,
+                       int64_t *out_i, int64_t *out_j, int64_t cap,
+                       int64_t *passed, int64_t *scratch) {
+#define ALL(wc, fbf) \
+    sweep_all(L, R, width, wc, fbf, row0, row1, nr, bound, out_i, out_j, \
+              cap, passed)
+#define WINDOW(wc, fbf) \
+    sweep_window(L, R, width, wc, fbf, len_l, len_r, order, row0, row1, \
+                 nr, bound, k, out_i, out_j, cap, passed, scratch)
+    switch (chain) {
+    case 0:
+        return ALL(0, 0);
+    case CHAIN_FBF:
+        return width == 1 ? ALL(1, 1) : width == 2 ? ALL(2, 1) : ALL(0, 1);
+    case CHAIN_LEN:
+        return WINDOW(0, 0);
+    default:
+        return width == 1 ? WINDOW(1, 1)
+               : width == 2 ? WINDOW(2, 1) : WINDOW(0, 1);
+    }
+#undef ALL
+#undef WINDOW
 }
 """
 
 #: populated with the failure reason when the build was attempted and failed
 _BUILD_ERROR: str | None = None
+
+#: compiler flag sets in order of preference: code for the host CPU
+#: (hardware POPCNT, vector popcount where present), then a portable build
+FLAG_SETS: tuple[tuple[str, ...], ...] = (("-O3", "-march=native"), ("-O3",))
 
 
 def build_error() -> str | None:
@@ -299,6 +414,36 @@ def _cache_dir() -> Path:
     return Path(base) / "repro-native"
 
 
+@functools.lru_cache(maxsize=1)
+def _cpu_features() -> str:
+    """The host CPU's feature flags: the ``flags`` (x86) or ``Features``
+    (ARM) line of ``/proc/cpuinfo``, else ``platform.processor()``."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith(("flags", "Features")):
+                    return line.partition(":")[2].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def library_path(cache: Path, flags: Sequence[str]) -> Path:
+    """Where the build of :data:`C_SOURCE` with ``flags`` is cached.
+
+    The name carries the source digest, the platform, and a hash of the
+    flags plus, when they target the host CPU (``-march=native``), its
+    feature flags.
+    """
+    digest = hashlib.sha256(C_SOURCE.encode()).hexdigest()[:16]
+    tag = f"{platform.system()}-{platform.machine()}".lower()
+    key = " ".join(flags)
+    if "-march=native" in flags:
+        key += "\n" + _cpu_features()
+    build = hashlib.sha256(key.encode()).hexdigest()[:12]
+    return Path(cache) / f"repro_native_{digest}_{tag}_{build}.so"
+
+
 def _find_compiler() -> str | None:
     cc = os.environ.get("CC")
     if cc and shutil.which(cc):
@@ -310,33 +455,31 @@ def _find_compiler() -> str | None:
     return None
 
 
-def _compile(cc: str, src: Path, out: Path) -> None:
-    """Compile ``src`` into ``out`` atomically (tmp + rename)."""
+def _compile(cc: str, flags: Sequence[str], out: Path) -> None:
+    """Compile :data:`C_SOURCE` with ``flags`` into ``out`` atomically
+    (tmp + rename)."""
+    digest = hashlib.sha256(C_SOURCE.encode()).hexdigest()[:16]
+    csrc = out.parent / f"repro_native_{digest}.c"
+    if not csrc.exists():
+        tmp = csrc.with_suffix(f".{os.getpid()}.tmp")
+        tmp.write_text(C_SOURCE)
+        os.replace(tmp, csrc)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(out.parent))
     os.close(fd)
-    base = [cc, "-O3", "-shared", "-fPIC", "-o", tmp, str(src), "-lm"]
-    attempts = (
-        base[:1] + ["-march=native"] + base[1:],  # best codegen (POPCNT)
-        base,  # portable fallback
-    )
-    last = None
-    for cmd in attempts:
-        try:
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, timeout=120
-            )
-        except (OSError, subprocess.TimeoutExpired) as exc:  # pragma: no cover
-            last = str(exc)
-            continue
+    cmd = [cc, *flags, "-shared", "-fPIC", "-o", tmp, str(csrc), "-lm"]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
         if proc.returncode == 0:
             os.replace(tmp, out)
             return
-        last = proc.stderr.strip() or f"exit code {proc.returncode}"
+        reason = proc.stderr.strip() or f"exit code {proc.returncode}"
+    except (OSError, subprocess.TimeoutExpired) as exc:  # pragma: no cover
+        reason = str(exc)
     try:
         os.unlink(tmp)
     except OSError:  # pragma: no cover
         pass
-    raise RuntimeError(f"{cc} failed: {last}")
+    raise RuntimeError(f"{cc} {' '.join(flags)} failed: {reason}")
 
 
 def _bind(lib: ctypes.CDLL) -> dict[str, ctypes._CFuncPtr]:
@@ -345,18 +488,15 @@ def _bind(lib: ctypes.CDLL) -> dict[str, ctypes._CFuncPtr]:
     i64 = ctypes.c_int64
     i32 = ctypes.c_int32
 
-    lib.fbf_scan_u64.argtypes = [p, p, i64, i64, i64, i64, i64, p, p, i64]
-    lib.fbf_scan_u64.restype = i64
     lib.pair_mask_u64.argtypes = [p, p, i64, p, p, i64, i64, p]
     lib.pair_mask_u64.restype = None
     lib.osa_mask.argtypes = [p, p, i64, p, p, i64, p, p, i64, i64, i32, p]
     lib.osa_mask.restype = i32
     lib.fused_rows_u64.argtypes = [
-        p, p, i64, p, p, i64, i64, i64, i64, i64, p, i64, p, p, i64, p,
+        p, p, i64, p, p, p, i64, i64, i64, i64, i64, i32, p, p, i64, p, p,
     ]
     lib.fused_rows_u64.restype = i64
     return {
-        "fbf_scan_u64": lib.fbf_scan_u64,
         "pair_mask_u64": lib.pair_mask_u64,
         "osa_mask": lib.osa_mask,
         "fused_rows_u64": lib.fused_rows_u64,
@@ -366,32 +506,32 @@ def _bind(lib: ctypes.CDLL) -> dict[str, ctypes._CFuncPtr]:
 def load_library() -> dict[str, ctypes._CFuncPtr] | None:
     """Build (if needed) and load the kernel library.
 
-    Returns the bound entry points, or ``None`` when no C compiler is
-    available or the build failed (reason retrievable via
+    Tries each of :data:`FLAG_SETS` in turn: a cached build is loaded,
+    a missing one compiled.  Returns the bound entry points, or ``None``
+    when no build could be loaded (reason retrievable via
     :func:`build_error`).  Safe to call from multiple processes
     concurrently: the compile lands via an atomic rename, so racers
     either reuse the winner's artifact or harmlessly overwrite it with
     identical bytes.
     """
     global _BUILD_ERROR
-    digest = hashlib.sha256(C_SOURCE.encode()).hexdigest()[:16]
-    tag = f"{platform.system()}-{platform.machine()}".lower()
     cache = _cache_dir()
-    sofile = cache / f"repro_native_{digest}_{tag}.so"
-    try:
-        if not sofile.exists():
-            cc = _find_compiler()
-            if cc is None:
-                _BUILD_ERROR = "no C compiler found (tried $CC, cc, gcc, clang)"
-                return None
-            cache.mkdir(parents=True, exist_ok=True)
-            csrc = cache / f"repro_native_{digest}.c"
-            if not csrc.exists():
-                tmp = csrc.with_suffix(f".{os.getpid()}.tmp")
-                tmp.write_text(C_SOURCE)
-                os.replace(tmp, csrc)
-            _compile(cc, csrc, sofile)
-        return _bind(ctypes.CDLL(str(sofile)))
-    except (OSError, RuntimeError) as exc:
-        _BUILD_ERROR = str(exc)
-        return None
+    cc = None
+    errors: list[str] = []
+    for flags in FLAG_SETS:
+        sofile = library_path(cache, flags)
+        try:
+            if not sofile.exists():
+                cc = cc or _find_compiler()
+                if cc is None:
+                    errors.append(
+                        "no C compiler found (tried $CC, cc, gcc, clang)"
+                    )
+                    continue
+                cache.mkdir(parents=True, exist_ok=True)
+                _compile(cc, flags, sofile)
+            return _bind(ctypes.CDLL(str(sofile)))
+        except (OSError, RuntimeError) as exc:
+            errors.append(str(exc))
+    _BUILD_ERROR = "; ".join(dict.fromkeys(errors))
+    return None

@@ -98,7 +98,7 @@ class Side:
     them.
     """
 
-    __slots__ = ("n", "codes", "lengths", "sigs", "sdx", "vid")
+    __slots__ = ("n", "codes", "lengths", "sigs", "sdx", "vid", "_by_len")
 
     def __init__(self, n, codes, lengths, sigs, sdx=None, vid=None):
         self.n = n
@@ -107,6 +107,26 @@ class Side:
         self.sigs = sigs
         self.sdx = sdx
         self.vid = vid
+        self._by_len = None
+
+    def by_length(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(order, lengths, sigs)`` with the rows stably sorted by
+        length: ``order`` maps each sorted position to its row.  Built
+        on first use and kept until ``lengths`` or ``sigs`` is replaced.
+        """
+        cached = self._by_len
+        if (
+            cached is None
+            or cached[0] is not self.lengths
+            or cached[1] is not self.sigs
+        ):
+            order = np.argsort(self.lengths, kind="stable")
+            cached = (
+                self.lengths, self.sigs,
+                (order, self.lengths[order], self.sigs[order]),
+            )
+            self._by_len = cached
+        return cached[2]
 
 
 def encode_side(strings: Sequence[str], scheme) -> Side:
@@ -371,28 +391,34 @@ class Kernels:
         if nr == 0 or r1 <= r0:
             return res
         filters = self.spec.filters
-        if (
-            self.native is not None
-            and filters
-            and self.native.supports_filters(filters)
-        ):
+        if self.native is not None and self.native.supports_filters(filters):
             # Fused sweep: filters + candidate emission in one compiled
             # pass, no dense boolean intermediates.  Stage counters are
             # cumulative-AND survivor counts, so the merged funnel is
-            # identical to the chunked mask-chain below.
-            block = (r1 - r0) * nr
-            res["compared"] = block
-            obs.add_pairs(block)
-            ii, jj, passed = self.native.fused_rows_u64(
-                self.L.sigs, self.R.sigs, self.L.lengths, self.R.lengths,
-                r0, r1,
-                bound=self.fbf_bound, k=self.k, filters=filters,
-            )
-            tested = block
-            for fname, npass in zip(filters, passed):
-                obs.add_stage(fname, tested, int(npass))
-                tested = int(npass)
-            self.tally(res, ii, jj, obs)
+            # identical to the chunked mask chain below.  Length-first
+            # chains read the right side sorted by length.
+            R = self.R
+            order, len_r, sig_r = None, R.lengths, R.sigs
+            if filters[:1] == ("length",):
+                order, len_r, sig_r = R.by_length()
+            # An empty chain emits every pair: keep each block to
+            # filter_chunk pairs, as the mask chain does.
+            step = r1 - r0 if filters else max(1, self.filter_chunk // nr)
+            for b0 in range(r0, r1, step):
+                b1 = min(r1, b0 + step)
+                block = (b1 - b0) * nr
+                res["compared"] += block
+                obs.add_pairs(block)
+                ii, jj, passed = self.native.fused_rows_u64(
+                    self.L.sigs, sig_r, self.L.lengths, len_r, b0, b1,
+                    bound=self.fbf_bound, k=self.k, filters=filters,
+                    order=order,
+                )
+                tested = block
+                for fname, npass in zip(filters, passed):
+                    obs.add_stage(fname, tested, int(npass))
+                    tested = int(npass)
+                self.tally(res, ii, jj, obs)
             return res
         rows_per = max(1, self.filter_chunk // nr)
         for c0 in range(r0, r1, rows_per):

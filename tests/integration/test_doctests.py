@@ -23,8 +23,8 @@ def test_module_doctests(module_name):
     try:
         module = importlib.import_module(module_name)
     except ImportError as exc:
-        # Import-guarded optional tiers (e.g. repro.native._nb needs
-        # numba); their docs are exercised where the extra is installed.
+        # Import-guarded optional modules; their docs are exercised
+        # where the dependency is installed.
         pytest.skip(f"optional dependency missing: {exc}")
     results = doctest.testmod(module, verbose=False)
     assert results.failed == 0, f"{results.failed} doctest failures in {module_name}"

@@ -6,7 +6,7 @@ Two test populations:
 * ``needs_native`` tests pin the loaded provider's kernels bit-for-bit
   against the scalar/NumPy references — including the 63/64/65
   bit-parallel/banded boundary and empty strings.  They skip when no
-  provider loads (no numba, no C compiler).
+  provider loads (no C compiler).
 * The fallback tests run everywhere: requesting ``backend="native"``
   without a provider must warn once and produce the vectorized tier's
   exact results.
@@ -19,6 +19,7 @@ import pytest
 
 from repro import native
 from repro._compat import reset_deprecation_warnings
+from repro.core.matchers import MethodSpec
 from repro.core.plan import BACKEND_NAMES, JoinPlanner
 from repro.core.popcount import popcount_batch_u32, popcount_batch_u64
 from repro.core.vectorized import fbf_candidates as np_fbf_candidates
@@ -27,7 +28,8 @@ from repro.distance.damerau import damerau_levenshtein
 from repro.distance.pruned import pdl
 from repro.obs import StatsCollector
 from repro.parallel.chunked import VectorEngine
-from repro.parallel.kernels import pack_signatures
+from repro.native import _cc, _csrc
+from repro.parallel.kernels import Kernels, Side, pack_signatures
 
 HAVE_NATIVE = native.available()
 needs_native = pytest.mark.skipif(
@@ -240,6 +242,120 @@ class TestFusedRows:
         assert ks.supports_filters(())
         assert not ks.supports_filters(("length", "soundex"))
 
+    # -- the specialised loop bodies against the NumPy run_rows path ------
+
+    CHAINS = [(), ("fbf",), ("length",), ("length", "fbf")]
+
+    @staticmethod
+    def _sides(width: int, nr: int, seed: int) -> tuple[Side, Side]:
+        """Random packed sides whose lengths have ties, gaps and zeros;
+        a few right rows copy left rows so some pairs differ by 0 bits."""
+        rng = np.random.default_rng(seed)
+        nl = 19
+        sl = rng.integers(0, 1 << 63, size=(nl, width), dtype=np.uint64)
+        sr = rng.integers(0, 1 << 63, size=(nr, width), dtype=np.uint64)
+        copies = min(nr, 3)
+        sr[:copies] = sl[:copies]
+        pool = np.array([0, 0, 1, 2, 2, 5, 6, 6, 6, 11], dtype=np.int64)
+        ll = rng.choice(pool, size=nl)
+        lr = rng.choice(pool, size=nr)
+        codes = np.zeros((1, 1), dtype=np.uint8)  # the sweep never reads codes
+        return Side(nl, codes, ll, sl), Side(nr, codes, lr, sr)
+
+    @staticmethod
+    def _run_rows(L, R, filters, r0, r1, *, k, bound, ks):
+        """Pairs (in emission order) and per-stage passed counts of
+        ``Kernels.run_rows`` over a filter-only method with ``filters``."""
+        spec = MethodSpec("sweep", tuple(filters), None, "filter chain")
+        kern = Kernels(
+            L, R, spec, k=k, fbf_bound=bound, record=True, native=ks
+        )
+        obs = StatsCollector("sweep")
+        res = kern.run_rows(r0, r1, obs)
+        empty = np.empty(0, dtype=np.int64)
+        ii = np.concatenate(res["mi"]) if res["mi"] else empty
+        jj = np.concatenate(res["mj"]) if res["mj"] else empty
+        assert obs.conserved
+        assert obs.pairs_considered == (r1 - r0) * R.n
+        return ii, jj, [obs.stages[f].passed for f in filters]
+
+    @pytest.mark.parametrize("nr", [1, 7, 8, 255, 256, 257])
+    @pytest.mark.parametrize(
+        "chain", CHAINS, ids=lambda c: "+".join(c) or "none"
+    )
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_specialised_bodies_match_numpy(
+        self, width, chain, nr, monkeypatch
+    ):
+        ks = native.load_kernels()
+        L, R = self._sides(width, nr, seed=100 * width + nr)
+        r0, r1 = 3, 17
+        # bound 0 keeps only equal signatures; 64 x width keeps every
+        # pair, so from nr=255 on the output overflows its first
+        # capacity guess and the block is re-run
+        for bound in (0, 32 * width, 64 * width):
+            for k in (0, 1, 2):
+                want = self._run_rows(
+                    L, R, chain, r0, r1, k=k, bound=bound, ks=None
+                )
+                got = self._run_rows(
+                    L, R, chain, r0, r1, k=k, bound=bound, ks=ks
+                )
+                direct = ks.fused_rows_u64(
+                    L.sigs, R.sigs, L.lengths, R.lengths, r0, r1,
+                    bound=bound, k=k, filters=chain,
+                )
+                for ii, jj, passed in (got, direct):
+                    assert np.array_equal(ii, want[0]), (bound, k)
+                    assert np.array_equal(jj, want[1]), (bound, k)
+                    assert list(passed) == want[2], (bound, k)
+        # Row blocks of two rows: the range is cut over several kernel
+        # calls whose stage counts and pairs must add up.
+        monkeypatch.setattr(_cc, "_BLOCK_PAIRS", 2 * nr + 1)
+        bound = 64 * width
+        want = self._run_rows(L, R, chain, r0, r1, k=1, bound=bound, ks=None)
+        got = self._run_rows(L, R, chain, r0, r1, k=1, bound=bound, ks=ks)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_length_order_is_kept_per_side(self):
+        # the sorted right side is built once and rebuilt only when the
+        # side's arrays are replaced (an append)
+        L, R = self._sides(1, 40, seed=7)
+        first = R.by_length()
+        assert R.by_length() is first
+        order, lengths, sigs = first
+        assert np.array_equal(order, np.argsort(R.lengths, kind="stable"))
+        assert np.array_equal(lengths, R.lengths[order])
+        assert np.array_equal(sigs, R.sigs[order])
+        R.lengths = np.concatenate([R.lengths, [3]])
+        R.sigs = np.concatenate([R.sigs, R.sigs[:1]])
+        assert R.by_length() is not first
+        assert len(R.by_length()[0]) == 41
+
+
+class TestBuildCache:
+    def test_native_and_portable_builds_have_their_own_paths(self, tmp_path):
+        native_flags, portable_flags = _csrc.FLAG_SETS
+        assert "-march=native" in native_flags
+        assert "-march=native" not in portable_flags
+        a = _csrc.library_path(tmp_path, native_flags)
+        b = _csrc.library_path(tmp_path, portable_flags)
+        assert a != b
+        assert a.parent == b.parent == tmp_path
+        assert a == _csrc.library_path(tmp_path, native_flags)
+
+    def test_host_builds_are_keyed_by_cpu_features(
+        self, tmp_path, monkeypatch
+    ):
+        native_flags, portable_flags = _csrc.FLAG_SETS
+        here = _csrc.library_path(tmp_path, native_flags)
+        portable = _csrc.library_path(tmp_path, portable_flags)
+        monkeypatch.setattr(_csrc, "_cpu_features", lambda: "fpu sse2")
+        assert _csrc.library_path(tmp_path, native_flags) != here
+        # a portable build runs on any CPU of the platform
+        assert _csrc.library_path(tmp_path, portable_flags) == portable
+
 
 # ---------------------------------------------------------------------------
 # Engine and backend equivalence (provider required)
@@ -416,7 +532,7 @@ class TestResolution:
         monkeypatch.setenv("REPRO_NATIVE", "fortran")
         native.reset()
         ks = native.load_kernels()
-        assert ks is None or ks.kind in ("numba", "cc")
+        assert ks is None or ks.kind == "cc"
 
     def test_unknown_request_string_rejected(self):
         with pytest.raises(ValueError, match="unknown kernels request"):
@@ -425,7 +541,7 @@ class TestResolution:
     def test_status_shape(self):
         status = native.native_status()
         assert set(status) == {"available", "kind", "disabled", "providers"}
-        assert set(status["providers"]) == {"numba", "cc"}
+        assert set(status["providers"]) == {"cc"}
 
     def test_native_listed_as_backend(self):
         assert "native" in BACKEND_NAMES
@@ -433,7 +549,7 @@ class TestResolution:
     @needs_native
     def test_require_native_returns_kernelset(self):
         ks = native.require_native()
-        assert ks.kind in ("numba", "cc")
+        assert ks.kind == "cc"
         assert native.kind() == ks.kind
 
     @needs_native
