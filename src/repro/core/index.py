@@ -153,11 +153,11 @@ class FBFIndex:
     def strings(self) -> list[str]:
         """The indexed strings, id-ordered.
 
-        This is the live internal list, not a copy — callers that
-        prepare a :class:`~repro.parallel.chunked.VectorEngine` over the
-        index pass it as the engine's right side so ``share_right``'s
-        identity check can recognise the dataset.  Do not mutate it;
-        use :meth:`add` / :meth:`extend`.
+        This is the live internal list, not a copy — a
+        :class:`~repro.parallel.prepared.PreparedSide` built with
+        :meth:`~repro.parallel.prepared.PreparedSide.over_index` holds
+        it, so rows added here reach the prepared side on its next use.
+        Do not mutate it; use :meth:`add` / :meth:`extend`.
         """
         return self._strings
 

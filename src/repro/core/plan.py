@@ -90,9 +90,10 @@ from repro.native import kind as native_kind
 from repro.native import resolve_kernels
 from repro.obs.log import get_logger
 from repro.obs.stats import NULL_COLLECTOR
-from repro.parallel.chunked import VectorEngine, _group_by_value
+from repro.parallel.chunked import VectorEngine
 from repro.parallel.partition import iter_pair_blocks
 from repro.parallel.pool import multiprocess_join
+from repro.parallel.prepared import PreparedSide, SharedPair, shared_scheme
 
 __all__ = [
     "EDIT_BOUNDED",
@@ -661,12 +662,15 @@ class HybridBackend(ExecutionBackend):
     (:mod:`repro.parallel.kernels`, the same ones the in-process engine
     runs).
 
-    Both sides are published once per planner (cached
-    :class:`repro.parallel.shm.SharedDatasets`), then every run fans
-    out over the process-wide warm pool — workers × SIMD, with the
-    datasets crossing the process boundary at most once per pool
-    lifetime.  Decisions and funnel counters are identical to the
-    scalar reference (per-worker collectors merge into the parent's).
+    The planner's sides are published once (its cached
+    :meth:`JoinPlanner.shared_datasets`): a side the planner prepared
+    itself once per planner, a prepared side passed in once over its
+    own lifetime — the left side of such a planner (a serve batch, a
+    stream chunk) ships inline with the tasks.  Every run then fans out
+    over the process-wide warm pool — workers × SIMD, with the datasets
+    crossing the process boundary at most once per pool lifetime.
+    Decisions and funnel counters are identical to the scalar reference
+    (per-worker collectors merge into the parent's).
 
     A pass-join plan generates its candidates inside the workers: each
     task probes the PASS-JOIN index with a slice of the published left
@@ -695,14 +699,14 @@ class HybridBackend(ExecutionBackend):
             datasets.right,
             method,
             source,
-            scheme=datasets.scheme,
+            scheme=planner.scheme(),
             k=planner.k,
             theta=planner.theta,
             self_join=planner.content_equal,
             collector=collector,
             record_matches=record_matches,
             weighter=planner.weighter,
-            shared_source=datasets,
+            publications=datasets.publications,
         )
         if source is not blocks:
             blocks.emitted += source.emitted
@@ -743,11 +747,16 @@ class JoinPlanner:
 
     One planner is bound to two datasets and the join parameters;
     :meth:`run` executes any registered method under the chosen (or
-    overridden) plan.  Prepared state — the vectorized engine, the FBF
-    index, length groups — is built lazily and cached, so repeated runs
-    over the same datasets (the experiment harness's shape) pay
-    preparation once; :meth:`prepare` forces it eagerly for timing
-    loops that must exclude it.
+    overridden) plan.  Each side is a string list or a
+    :class:`~repro.parallel.prepared.PreparedSide`; the planner prepares
+    a list itself (over its own copy), and uses a prepared side's list
+    and signature scheme as they are.  Prepared state — encodings, the
+    FBF/PASS-JOIN/prefix indexes, length groups, the shared-memory
+    publication — lives on the prepared sides and is built lazily, so
+    repeated runs over the same datasets (the experiment harness's
+    shape) pay preparation once, and planners over one prepared side
+    (serve batches, stream chunks) share it; :meth:`prepare` forces it
+    eagerly for timing loops that must exclude it.
 
     Cost model (see :meth:`plan`): index-backed candidate generation
     needs the product to be large enough to amortize building the index
@@ -763,8 +772,8 @@ class JoinPlanner:
 
     def __init__(
         self,
-        left: Sequence[str],
-        right: Sequence[str],
+        left: Sequence[str] | PreparedSide,
+        right: Sequence[str] | PreparedSide,
         *,
         k: int = 1,
         theta: float = 0.8,
@@ -796,8 +805,17 @@ class JoinPlanner:
                 f"memo must be 'auto', 'on' or 'off', got {memo!r}"
             )
         same_object = right is left
-        self.left = list(left)
-        self.right = self.left if same_object else list(right)
+        #: sides passed in prepared; a list gets its own on first use
+        self._prep_l = left if isinstance(left, PreparedSide) else None
+        self._prep_r = right if isinstance(right, PreparedSide) else None
+        #: a planner over a prepared right side ships its left inline
+        self._inline_left = self._prep_r is not None and self._prep_l is None
+        self.left = list(left) if self._prep_l is None else left.strings
+        self.right = (
+            self.left
+            if same_object
+            else list(right) if self._prep_r is None else right.strings
+        )
         #: both sides hold the same values (the self-join *condition*);
         #: detected once so backends get value-identity diagonal
         #: semantics without re-comparing datasets per run
@@ -836,14 +854,9 @@ class JoinPlanner:
         self._collapsed: tuple[CollapsedSide, CollapsedSide] | None = None
         self._inner: "JoinPlanner" | None = None
         self._kind = scheme
-        self._scheme = None
+        self._scheme = shared_scheme(left, right)
         self._engine: VectorEngine | None = None
-        self._index = None
-        self._passjoin = None
-        self._prefix = None
-        self._shm_datasets = None
-        self._len_groups: tuple[dict, dict] | None = None
-        self._len_hist: tuple[dict, dict] | None = None
+        self._shared: SharedPair | None = None
         self._window_pairs: int | None = None
         self._cost_samples: dict[str, float] = {}
         #: lazily instantiated from GENERATOR_FACTORIES (see generator())
@@ -859,13 +872,16 @@ class JoinPlanner:
             )
         }
 
-    # -- cached prepared state ---------------------------------------------
+    # -- prepared state ------------------------------------------------------
 
     def kind(self) -> str:
-        """The FBF signature kind (detected once, like the engines do)."""
+        """The FBF signature kind (detected once, like the engines do;
+        a prepared side's scheme names it)."""
         if self._kind is None:
-            self._kind = detect_kind(
-                list(self.left[:128]) + list(self.right[:128])
+            self._kind = (
+                detect_kind(list(self.left[:128]) + list(self.right[:128]))
+                if self._scheme is None
+                else self._scheme.name.rstrip("0123456789x")
             )
         return self._kind
 
@@ -876,42 +892,43 @@ class JoinPlanner:
             self._scheme = scheme_for(self.kind(), self.levels)
         return self._scheme
 
+    def _sides(self) -> tuple[PreparedSide, PreparedSide]:
+        """The two prepared sides (one object for a same-object
+        self-join), each list side prepared on first use."""
+        if self._prep_r is None:
+            self._prep_r = PreparedSide(self.right, self.scheme())
+        if self._prep_l is None:
+            self._prep_l = (
+                self._prep_r
+                if self.left is self.right
+                else PreparedSide(self.left, self.scheme())
+            )
+        return self._prep_l, self._prep_r
+
     def engine(self) -> VectorEngine:
+        """The vectorized engine over the prepared sides (cached)."""
         if self._engine is None:
+            left, right = self._sides()
             self._engine = VectorEngine(
-                self.left,
-                self.right,
+                left,
+                right,
                 k=self.k,
                 theta=self.theta,
-                scheme_kind=self.kind(),
-                levels=self.levels,
                 record_matches=self.record_matches,
             )
         return self._engine
 
     def index(self):
-        if self._index is None:
-            from repro.core.index import FBFIndex
-
-            self._index = FBFIndex(self.right, scheme=self.scheme())
-        return self._index
+        """The FBF signature index over the right side."""
+        return self._sides()[1].fbf_index()
 
     def passjoin_index(self):
-        """The PASS-JOIN segment index over the right side (cached per
-        planner, like :meth:`index`)."""
-        if self._passjoin is None:
-            from repro.core.passjoin import PassJoinIndex
-
-            self._passjoin = PassJoinIndex(self.right, k=self.k)
-        return self._passjoin
+        """The PASS-JOIN segment index over the right side."""
+        return self._sides()[1].passjoin_index(self.k)
 
     def prefix_index(self):
-        """The q-gram prefix index over the right side (cached)."""
-        if self._prefix is None:
-            from repro.core.prefix import PrefixQgramIndex
-
-            self._prefix = PrefixQgramIndex(self.right, k=self.k)
-        return self._prefix
+        """The q-gram prefix index over the right side."""
+        return self._sides()[1].prefix_index(self.k)
 
     def generator(self, name: str) -> CandidateGenerator | None:
         """The registered generator instance for ``name`` (lazily built
@@ -924,38 +941,32 @@ class JoinPlanner:
             gen = self._generators[name] = factory()
         return gen
 
-    def shared_datasets(self, *, need_sdx: bool = False):
-        """Both sides published through shared memory (hybrid backend).
+    def shared_datasets(self, *, need_sdx: bool = False) -> SharedPair:
+        """Both sides as the hybrid pool reads them (cached).
 
-        Built lazily and cached, like the engine and the index: repeated
-        hybrid runs over one planner attach to the same segments, so the
-        datasets cross the process boundary once.  Soundex codes are
-        published on the first method that needs them.
+        Repeated hybrid runs over one planner attach to the same
+        segments, so the datasets cross the process boundary once; a
+        prepared right side passed in keeps one publication across every
+        planner over it, and the left side of such a planner ships
+        inline.  Soundex ids are added on the first method that needs
+        them.
         """
-        from repro.parallel import shm
-
-        if self._shm_datasets is None:
-            self._shm_datasets = shm.SharedDatasets(
-                self.left,
-                self.right,
-                scheme=self.scheme(),
+        if self._shared is None:
+            left, right = self._sides()
+            self._shared = SharedPair(
+                left,
+                right,
+                inline_left=self._inline_left,
                 self_join=self.content_equal,
-                need_sdx=need_sdx,
             )
-        elif need_sdx and not self._shm_datasets.has_sdx:
-            self._shm_datasets.add_sdx(self.left, self.right)
-        return self._shm_datasets
+        if need_sdx:
+            self._shared.add_sdx()
+        return self._shared
 
     def length_groups(self) -> tuple[dict, dict]:
-        if self._len_groups is None:
-            len_l = np.fromiter(
-                (len(s) for s in self.left), dtype=np.int64, count=len(self.left)
-            )
-            len_r = np.fromiter(
-                (len(s) for s in self.right), dtype=np.int64, count=len(self.right)
-            )
-            self._len_groups = (_group_by_value(len_l), _group_by_value(len_r))
-        return self._len_groups
+        """String length -> rows, for each side."""
+        left, right = self._sides()
+        return left.length_groups(), right.length_groups()
 
     def prepare(self, backend: str = "vectorized") -> None:
         """Eagerly build the named backend's cached state (timing parity
@@ -1075,6 +1086,7 @@ class JoinPlanner:
                 self_join=False,
                 memo="off",
             )
+            self._inner._scheme = self.scheme()
         return self._inner
 
     # -- plan selection -----------------------------------------------------
@@ -1085,20 +1097,13 @@ class JoinPlanner:
 
     def window_pairs(self) -> int:
         """Exact count of pairs within the ``k`` length window, from the
-        per-side length histograms (cheap: one ``len()`` pass)."""
+        per-side length groups (cheap: one ``len()`` pass)."""
         if self._window_pairs is None:
-            if self._len_hist is None:
-                from collections import Counter
-
-                self._len_hist = (
-                    Counter(len(s) for s in self.left),
-                    Counter(len(s) for s in self.right),
-                )
-            hist_l, hist_r = self._len_hist
+            groups_l, groups_r = self.length_groups()
             self._window_pairs = sum(
-                cl * cr
-                for lv, cl in hist_l.items()
-                for rv, cr in hist_r.items()
+                len(rows_l) * len(rows_r)
+                for lv, rows_l in groups_l.items()
+                for rv, rows_r in groups_r.items()
                 if abs(lv - rv) <= self.k
             )
         return self._window_pairs

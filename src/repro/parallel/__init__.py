@@ -12,6 +12,10 @@ call per pair:
   ``uint64`` signatures), one verifier/filter/diagonal dispatch and one
   funnel tally, over NumPy (:mod:`repro.distance.vectorized`) or the
   compiled :mod:`repro.native` tier.
+* :mod:`repro.parallel.prepared` — one prepared dataset side
+  (:class:`PreparedSide`): encoded once, with its candidate-generator
+  indexes and its shared-memory publication, reused by every join,
+  serve batch and stream chunk run over it.
 * :mod:`repro.parallel.chunked` — the vectorized join
   (:class:`VectorEngine`): every method stack of the evaluation run
   through those kernels over NumPy pair chunks.  One process, no
@@ -36,9 +40,9 @@ from repro.parallel.chunked import VectorEngine, VJoinResult
 from repro.parallel.kernels import pack_signatures
 from repro.parallel.partition import balanced_splits, iter_pair_blocks, row_blocks
 from repro.parallel.pool import multiprocess_join, parallel_match_strings
+from repro.parallel.prepared import PreparedSide
 from repro.parallel.shm import (
-    SharedDatasets,
-    SharedSide,
+    Publication,
     SideArrays,
     WorkerPool,
     close_shared_pools,
@@ -48,8 +52,8 @@ from repro.parallel.shm import (
 )
 
 __all__ = [
-    "SharedDatasets",
-    "SharedSide",
+    "PreparedSide",
+    "Publication",
     "SideArrays",
     "VJoinResult",
     "VectorEngine",

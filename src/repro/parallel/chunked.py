@@ -12,9 +12,10 @@ execution backend* of :mod:`repro.core.plan`: :meth:`VectorEngine.run`
 covers full-product plans and :meth:`VectorEngine.run_candidates`
 verifies an explicit candidate stream from any candidate generator
 (length buckets, the FBF signature index, key blocking).  Both sides
-are held in the :class:`repro.parallel.kernels.Side` layout and every
-decision runs through :class:`repro.parallel.kernels.Kernels` — the same
-kernels the shared-memory pool workers run.
+are :class:`repro.parallel.prepared.PreparedSide` objects, read in the
+:class:`repro.parallel.kernels.Side` layout, and every decision runs
+through :class:`repro.parallel.kernels.Kernels` — the same kernels the
+shared-memory pool workers run.
 
 Timing fidelity note (DESIGN.md): *all* methods run in the same
 vectorized paradigm here, so relative timings — the paper's speedup
@@ -41,7 +42,6 @@ from repro.core.join import JoinResult
 from repro.core.matchers import method_registry
 from repro.core.signatures import SignatureScheme, detect_kind, scheme_for
 from repro.core.vectorized import value_identity_codes
-from repro.distance.codec import encode_raw
 from repro.native import resolve_kernels
 from repro.obs.log import get_logger
 from repro.obs.stats import NULL_COLLECTOR
@@ -50,10 +50,9 @@ from repro.parallel.kernels import (
     VERIFY_CHUNK,
     Kernels,
     Side,
-    packed_signatures,
-    soundex_ids,
 )
 from repro.parallel.partition import iter_pair_blocks
+from repro.parallel.prepared import PreparedSide, shared_scheme
 
 __all__ = ["VectorEngine", "VJoinResult"]
 
@@ -61,19 +60,6 @@ _log = get_logger("parallel.chunked")
 
 #: method specs by lower-cased name (``run`` accepts any case)
 _SPECS = {name.lower(): spec for name, spec in method_registry().items()}
-
-
-def _group_by_value(values: np.ndarray) -> dict[int, np.ndarray]:
-    """Map each distinct value to the (sorted) indices holding it."""
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    groups: dict[int, np.ndarray] = {}
-    if len(order) == 0:
-        return groups
-    boundaries = np.nonzero(np.diff(sorted_vals))[0] + 1
-    for part in np.split(order, boundaries):
-        groups[int(values[part[0]])] = part
-    return groups
 
 
 @dataclass
@@ -102,22 +88,27 @@ class VJoinResult:
 class VectorEngine:
     """A prepared vectorized join over two string datasets.
 
-    Encoding, lengths and packed FBF signatures are computed once at
-    construction (the paper's "Gen" cost); Soundex ids and self-join
-    value identities on the first method that needs them.  :meth:`run`
-    then executes any method stack by name over the full product, and
+    Each side is a :class:`~repro.parallel.prepared.PreparedSide` (a
+    plain string list is wrapped in one): its encoding, lengths and
+    packed FBF signatures are the paper's "Gen" cost, paid once per
+    prepared side however many engines run over it.  Soundex ids and
+    self-join value identities belong to the pair of sides and are built
+    on the first method that needs them.  :meth:`run` then executes any
+    method stack by name over the full product, and
     :meth:`run_candidates` over an explicit candidate pair stream.
 
     Parameters
     ----------
     left, right:
-        The datasets.
+        The datasets: string lists or prepared sides.  An engine over a
+        prepared side sees the rows it held when the engine was built.
     k, theta:
         Edit threshold and Jaro/Wink similarity floor.
     scheme_kind:
         FBF signature kind (``"numeric"`` / ``"alpha"`` / ``"alnum"``),
         auto-detected when omitted.  Alpha/alnum default to the paper's
-        2-occurrence configuration.
+        2-occurrence configuration.  A prepared side brings its own
+        scheme, which wins.
     chunk:
         Maximum pairs per NumPy chunk for the dynamic programs, whose
         per-pair state is hundreds of bytes (three rolling DP rows);
@@ -133,13 +124,6 @@ class VectorEngine:
         A :class:`repro.obs.StatsCollector` receiving signature-"Gen"
         spans at construction and the funnel counters of every
         :meth:`run` (unless the run supplies its own).
-    share_right:
-        Another engine over the *same* ``right`` dataset whose prepared
-        right-side state (codes, lengths, signatures, scheme) this one
-        reuses instead of recomputing — construction then costs only the
-        left-side "Gen" work.  This is the serve layer's micro-batching
-        hook: one prepared engine per index generation, one cheap
-        per-batch engine over the queries.
     kernels:
         Inner-kernel selection: ``"numpy"`` (default) keeps the pure
         NumPy tier; ``"native"`` uses the compiled kernels of
@@ -151,8 +135,8 @@ class VectorEngine:
 
     def __init__(
         self,
-        left: list[str],
-        right: list[str],
+        left: list[str] | PreparedSide,
+        right: list[str] | PreparedSide,
         *,
         k: int = 1,
         theta: float = 0.8,
@@ -163,17 +147,10 @@ class VectorEngine:
         variant: str = "paper",
         record_matches: bool = False,
         collector=None,
-        share_right: "VectorEngine | None" = None,
         kernels: str | None = "numpy",
     ):
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        if share_right is not None and share_right.right is not right:
-            raise ValueError(
-                "share_right must wrap the identical right dataset object"
-            )
-        self.left = left
-        self.right = right
         self.k = k
         self.theta = theta
         self.chunk = chunk
@@ -184,40 +161,35 @@ class VectorEngine:
         self.kernels = kernels or "numpy"
         self._native = resolve_kernels(self.kernels, warn_key="engine")
         obs = collector if collector else NULL_COLLECTOR
-        if share_right is not None:
-            self.scheme = share_right.scheme
-        elif isinstance(scheme_kind, SignatureScheme):
-            self.scheme = scheme_kind
-        else:
-            kind = scheme_kind or detect_kind(
-                list(left[:128]) + list(right[:128])
-            )
-            self.scheme = scheme_for(kind, levels)
-        with obs.span("gen.encode"):
-            codes_l, len_l = encode_raw(left)
-            if share_right is None:
-                codes_r, len_r = encode_raw(right)
-        with obs.span("gen.signatures"):
-            sigs_l = packed_signatures(left, self.scheme)
-            if share_right is None:
-                sigs_r = packed_signatures(right, self.scheme)
-        self._side_l = Side(len(left), codes_l, len_l, sigs_l)
-        if share_right is not None:
-            # Own Side object, shared arrays: the soundex ids and value
-            # identities filled in later belong to this pair of sides.
-            shared = share_right._side_r
-            self._side_r = Side(
-                shared.n, shared.codes, shared.lengths, shared.sigs
-            )
-        else:
-            self._side_r = Side(len(right), codes_r, len_r, sigs_r)
+        self.scheme = shared_scheme(left, right)
+        if self.scheme is None:
+            if isinstance(scheme_kind, SignatureScheme):
+                self.scheme = scheme_kind
+            else:
+                kind = scheme_kind or detect_kind(
+                    list(left[:128]) + list(right[:128])
+                )
+                self.scheme = scheme_for(kind, levels)
+        pl = left if isinstance(left, PreparedSide) else PreparedSide(
+            left, self.scheme
+        )
+        pr = pl if right is left else (
+            right if isinstance(right, PreparedSide)
+            else PreparedSide(right, self.scheme)
+        )
+        self._prep_l, self._prep_r = pl, pr
+        self.left, self.right = pl.strings, pr.strings
+        # Own Side views over the prepared arrays: the soundex ids and
+        # value identities filled in later belong to this pair of sides.
+        sl, sr = pl.side(obs), pr.side(obs)
+        self._side_l = Side(sl.n, sl.codes, sl.lengths, sl.sigs)
+        self._side_r = Side(sr.n, sr.codes, sr.lengths, sr.sigs)
         self.fbf_bound = self.scheme.safe_threshold(k)
-        self._len_groups_l: dict[int, np.ndarray] | None = None
-        self._len_groups_r: dict[int, np.ndarray] | None = None
         #: self-joins count the diagonal by value identity (see
         #: JoinResult's diagonal-semantics note), detected once here.
-        self.self_join = right is left or (
-            len(left) == len(right) and list(left) == list(right)
+        self.self_join = pr is pl or (
+            len(self.left) == len(self.right)
+            and list(self.left) == list(self.right)
         )
 
     # The engine's views of its prepared sides.
@@ -228,40 +200,6 @@ class VectorEngine:
     len_r = property(lambda self: self._side_r.lengths)
     sigs_r = property(lambda self: self._side_r.sigs)
 
-    def sync_right(self) -> int:
-        """Prepare rows appended to ``self.right`` since the right side
-        was prepared; returns how many were added.
-
-        This is the serve layer's append path: the roster list grows in
-        place, and only the new rows are encoded and signed.  The code
-        matrix is padded up when a new string is wider than the current
-        maximum, and the lazily built pair caches (Soundex ids, length
-        groups, value identities) are reset.  Nothing is changed if
-        encoding a new row fails.  ``self.right`` must not be the left
-        dataset.
-        """
-        side = self._side_r
-        new = self.right[side.n :]
-        if not new:
-            return 0
-        codes, lens = encode_raw(new)
-        sigs = packed_signatures(new, self.scheme)
-        width = max(side.codes.shape[1], codes.shape[1])
-        grown = np.zeros((side.n + len(new), width), dtype=np.uint8)
-        grown[: side.n, : side.codes.shape[1]] = side.codes
-        grown[side.n :, : codes.shape[1]] = codes
-        side.codes = grown
-        side.lengths = np.concatenate([side.lengths, lens])
-        side.sigs = np.concatenate([side.sigs, sigs])
-        side.n += len(new)
-        # The left- and right-side caches are built (and checked) as pairs.
-        side.sdx = side.vid = self._side_l.sdx = self._side_l.vid = None
-        self._len_groups_l = self._len_groups_r = None
-        self.self_join = len(self.left) == len(self.right) and list(
-            self.left
-        ) == list(self.right)
-        return len(new)
-
     def _kernels(self, spec, weighter=None) -> Kernels:
         """The kernels for one method over this engine's sides, with the
         pair caches that method needs filled in."""
@@ -269,7 +207,12 @@ class VectorEngine:
         if self.self_join and L.vid is None:
             L.vid, R.vid = value_identity_codes(self.left, self.right)
         if spec.verifier == "sdx" and L.sdx is None:
-            L.sdx, R.sdx = soundex_ids(self.left, self.right)
+            R.sdx = self._prep_r.soundex_ids()
+            L.sdx = (
+                R.sdx
+                if self._prep_l is self._prep_r
+                else self._prep_r.soundex_ids(self.left)
+            )
         return Kernels(
             L, R, spec,
             k=self.k,
@@ -368,13 +311,11 @@ class VectorEngine:
         strings have at most a few dozen distinct lengths, so the block
         count stays tiny.
         """
-        if self._len_groups_l is None:
-            self._len_groups_l = _group_by_value(self.len_l)
-            self._len_groups_r = _group_by_value(self.len_r)
-        for lv, left_idx in self._len_groups_l.items():
+        groups_r = self._prep_r.length_groups()
+        for lv, left_idx in self._prep_l.length_groups().items():
             right_parts = [
                 idx
-                for rv, idx in self._len_groups_r.items()
+                for rv, idx in groups_r.items()
                 if abs(lv - rv) <= self.k
             ]
             if right_parts:

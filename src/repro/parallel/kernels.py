@@ -6,10 +6,11 @@ The paper's pipeline is two steps: a fingerprint filter costing one XOR
 workers (:mod:`repro.parallel.shm`) run them through this module, so
 there is one implementation of each decision:
 
-* :class:`Side` — one prepared dataset: the uint8 code matrix, the
+* :class:`Side` — one encoded dataset: the uint8 code matrix, the
   lengths, the FBF signatures packed into ``uint64`` words (the one
   signature word size), plus the pair-scoped soundex ids and
-  value-identity codes a method may need;
+  value-identity codes a method may need.  The arrays are encoded in
+  one place, :meth:`repro.parallel.prepared.PreparedSide.side`;
 * :class:`Kernels` — one method stack bound to two sides: the verifier
   dispatch (NumPy or the compiled :mod:`repro.native` tier), the
   per-pair and dense filters, the diagonal rule and the funnel tally,
@@ -32,8 +33,6 @@ from repro.core.multiplicity import PairWeighter
 from repro.core.passjoin import SegmentIndex
 from repro.core.popcount import popcount_batch_u64
 from repro.core.vectorized import signatures_for_scheme
-from repro.distance.codec import encode_raw
-from repro.distance.soundex import soundex
 from repro.distance.vectorized import (
     hamming_pairs,
     jaro_pairs,
@@ -48,10 +47,8 @@ __all__ = [
     "VERIFY_CHUNK",
     "Kernels",
     "Side",
-    "encode_side",
     "pack_signatures",
     "packed_signatures",
-    "soundex_ids",
 ]
 
 #: pairs per chunk for the cheap sweeps (XOR+popcount, length masks,
@@ -88,7 +85,7 @@ def packed_signatures(strings: Sequence[str], scheme) -> np.ndarray:
 
 
 class Side:
-    """One prepared dataset side.
+    """One encoded dataset side.
 
     ``codes``/``lengths`` feed the vectorized DP kernels and ``sigs`` is
     the packed-uint64 signature matrix.  ``sdx`` (soundex ids) and
@@ -129,31 +126,17 @@ class Side:
         return cached[2]
 
 
-def encode_side(strings: Sequence[str], scheme) -> Side:
-    """Encode ``strings`` into a :class:`Side` (codes, lengths, packed
-    signatures)."""
-    strings = list(strings)
-    codes, lengths = encode_raw(strings)
-    sigs = packed_signatures(strings, scheme)
-    return Side(len(strings), codes, lengths, sigs)
-
-
-def soundex_ids(
-    left: Sequence[str], right: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Soundex codes of both sides as ids from one shared table, so
-    cross-side codes compare by id; the empty code is id 0, which never
-    matches."""
-    table: dict[str, int] = {"": 0}
-
-    def ids(values: Sequence[str]) -> np.ndarray:
-        out = np.empty(len(values), dtype=np.int64)
-        for idx, v in enumerate(values):
-            out[idx] = table.setdefault(soundex(v), len(table))
-        return out
-
-    sl = ids(left)
-    return sl, (sl if right is left else ids(right))
+def _group_by_value(values: np.ndarray) -> dict[int, np.ndarray]:
+    """Map each distinct value to the (sorted) indices holding it."""
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    groups: dict[int, np.ndarray] = {}
+    if len(order) == 0:
+        return groups
+    boundaries = np.nonzero(np.diff(sorted_vals))[0] + 1
+    for part in np.split(order, boundaries):
+        groups[int(values[part[0]])] = part
+    return groups
 
 
 def _fbf_mask(pl: np.ndarray, pr: np.ndarray, bound: int) -> np.ndarray:

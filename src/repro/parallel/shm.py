@@ -8,10 +8,12 @@ core.  This module combines the two
 multipliers — workers × SIMD — with none of the per-call seeding cost:
 
 * each side is encoded **once** in the parent (uint8 code matrix,
-  lengths, FBF signatures packed into ``uint64`` words) and published
-  through :mod:`multiprocessing.shared_memory`; workers attach to the
-  segments zero-copy, so datasets cross the process boundary at most
-  once per pool lifetime (and as bytes-in-a-segment, never as pickles);
+  lengths, FBF signatures packed into ``uint64`` words — a
+  :class:`~repro.parallel.prepared.PreparedSide`) and published through
+  :mod:`multiprocessing.shared_memory` as a :class:`Publication`;
+  workers attach to the segments zero-copy, so datasets cross the
+  process boundary at most once per pool lifetime (and as
+  bytes-in-a-segment, never as pickles);
 * a persistent :class:`WorkerPool` (lazy spawn, reused across joins and
   serve batches, explicit ``close()``/context manager, automatic
   respawn of dead workers) runs the chunk kernels of
@@ -71,7 +73,7 @@ import queue
 import time
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context, shared_memory
 from typing import Iterable, Sequence
 
@@ -81,17 +83,15 @@ from repro.core.join import JoinResult
 from repro.core.matchers import method_registry
 from repro.core.multiplicity import PairWeighter
 from repro.core.passjoin import PassJoinIndex, SegmentIndex
-from repro.core.vectorized import value_identity_codes
 from repro.native import resolve_kernels
 from repro.obs.log import get_logger
 from repro.obs.stats import NULL_COLLECTOR, StatsCollector
-from repro.parallel.kernels import Kernels, Side, encode_side, soundex_ids
+from repro.parallel.kernels import Kernels, Side
 from repro.parallel.partition import balanced_splits
 
 __all__ = [
+    "Publication",
     "SideArrays",
-    "SharedSide",
-    "SharedDatasets",
     "WorkerPool",
     "shared_pool",
     "close_shared_pools",
@@ -168,117 +168,72 @@ def _close_segments(segments: list[_Segment]) -> None:
     segments.clear()
 
 
-class _SegmentOwner:
-    """Owns published segments; unlinks them on close or collection."""
+class Publication:
+    """Shared segments published together, unlinked on :meth:`close`
+    or when the publication is collected.
+
+    :meth:`credit` hands out the bytes no collector has been credited
+    with yet, so each published byte is counted once however many runs
+    read it — the "datasets cross the boundary at most once" evidence.
+    """
 
     def __init__(self):
         self._segments: list[_Segment] = []
         # The finalizer holds the list itself, so segments published
-        # later (add_sdx) are still cleaned up.
+        # later (soundex ids added on demand) are still cleaned up.
         self._finalizer = weakref.finalize(
             self, _close_segments, self._segments
         )
-        #: has a collector been credited with these bytes yet?
-        self.accounted = False
+        self._credited = 0
 
-    def _seg(self, arr: np.ndarray) -> tuple:
+    def array(self, arr: np.ndarray) -> tuple:
+        """Publish one array; returns its ref."""
         seg = _Segment(arr)
         self._segments.append(seg)
         return seg.ref
 
-    def _publish(self, side: Side, vid=None) -> SideArrays:
-        return SideArrays(
-            n=side.n,
-            codes=self._seg(side.codes),
-            lengths=self._seg(side.lengths),
-            sigs=self._seg(side.sigs),
-            vid=None if vid is None else self._seg(vid),
-        )
+    def side(self, side: Side) -> SideArrays:
+        """Publish ``side``'s arrays (its soundex ids and value
+        identities too, when set)."""
+        return _side_refs(side, self.array)
 
     @property
     def bytes_shared(self) -> int:
         return sum(seg.nbytes for seg in self._segments)
+
+    def credit(self) -> int:
+        """Bytes published since the last call (the first call: all)."""
+        fresh = self.bytes_shared - self._credited
+        self._credited += fresh
+        return fresh
 
     def close(self) -> None:
         """Unlink every published segment (idempotent)."""
         self._finalizer()
 
 
-def inline_side(strings: Sequence[str], *, scheme) -> SideArrays:
-    """Encode one (small) side as inline refs — the serve layer's
-    per-batch query side, where publication would cost more than the
-    pickle."""
-    side = encode_side(strings, scheme)
+def _side_refs(side: Side, ref) -> SideArrays:
+    def optional(arr):
+        return None if arr is None else ref(arr)
+
     return SideArrays(
         n=side.n,
-        codes=("inline", side.codes),
-        lengths=("inline", side.lengths),
-        sigs=("inline", side.sigs),
+        codes=ref(side.codes),
+        lengths=ref(side.lengths),
+        sigs=ref(side.sigs),
+        sdx=optional(side.sdx),
+        vid=optional(side.vid),
     )
 
 
-class SharedSide(_SegmentOwner):
-    """One dataset published through shared memory (the serve layer's
-    roster, republished when rows are appended)."""
-
-    def __init__(self, strings: Sequence[str], *, scheme):
-        super().__init__()
-        self.scheme = scheme
-        self.n = len(strings)
-        self.arrays = self._publish(encode_side(strings, scheme))
+def inline_side(side: Side) -> SideArrays:
+    """``side``'s arrays as inline refs, shipped with every task — for a
+    small per-call side (a serve batch, a stream chunk), where
+    publication would cost more than the pickle."""
+    return _side_refs(side, lambda arr: ("inline", arr))
 
 
-class SharedDatasets(_SegmentOwner):
-    """Both sides of one join published once through shared memory.
-
-    ``self_join=True`` additionally publishes value-identity codes so
-    workers can count the value-identity diagonal without ever seeing
-    the strings; ``need_sdx`` (or a later :meth:`add_sdx`) publishes
-    soundex code ids for the SDX method.  When ``right is left`` the
-    segments are shared between the sides.
-    """
-
-    def __init__(
-        self,
-        left: Sequence[str],
-        right: Sequence[str],
-        *,
-        scheme,
-        self_join: bool = False,
-        need_sdx: bool = False,
-    ):
-        super().__init__()
-        self.scheme = scheme
-        self.self_join = bool(self_join)
-        self.has_sdx = False
-        same = right is left
-        vid_l = vid_r = None
-        if self.self_join:
-            vid_l, vid_r = value_identity_codes(list(left), list(right))
-        self.left = self._publish(encode_side(left, scheme), vid_l)
-        self.right = (
-            self.left
-            if same
-            else self._publish(encode_side(right, scheme), vid_r)
-        )
-        if need_sdx:
-            self.add_sdx(left, right)
-
-    def add_sdx(self, left: Sequence[str], right: Sequence[str]) -> None:
-        """Publish soundex code ids (idempotent; shared string table so
-        cross-side codes compare by id, empty code id 0 never matches)."""
-        if self.has_sdx:
-            return
-        sl, sr = soundex_ids(left, right)
-        shared_side = self.right is self.left
-        self.left = replace(self.left, sdx=self._seg(sl))
-        self.right = (
-            self.left if shared_side else replace(self.right, sdx=self._seg(sr))
-        )
-        self.has_sdx = True
-
-
-class _PublishedIndex(_SegmentOwner):
+class _PublishedIndex(Publication):
     """One :class:`PassJoinIndex` in its flat form (see
     :meth:`SegmentIndex.flat`), published through shared memory."""
 
@@ -290,7 +245,7 @@ class _PublishedIndex(_SegmentOwner):
         self.size = len(index)
         self.ref = (
             index.k, self.size,
-            self._seg(hashes), self._seg(ids), self._seg(table),
+            self.array(hashes), self.array(ids), self.array(table),
         )
 
 
@@ -402,8 +357,6 @@ class _HybridTask:
     w_left: tuple | None = None
     w_right: tuple | None = None
     symmetric: bool = False
-    #: kernel tier request resolved worker-side ("auto" probes quietly)
-    kernels: str = "auto"
 
 
 def _exec_hybrid(task: _HybridTask) -> dict:
@@ -424,7 +377,7 @@ def _exec_hybrid(task: _HybridTask) -> dict:
         self_join=task.self_join,
         record=task.record,
         weighter=weighter,
-        native=resolve_kernels(task.kernels, warn_key="hybrid"),
+        native=resolve_kernels("auto"),
     )
     wc = StatsCollector("shm-worker") if task.collect else None
     obs = wc if wc is not None else NULL_COLLECTOR
@@ -471,7 +424,6 @@ class _ShardQueryTask:
     k: int
     fbf_bound: int
     collect: bool
-    kernels: str = "auto"
 
 
 #: worker-side shard ownership: shard id -> (publish stamp, resolved side)
@@ -502,7 +454,7 @@ def _exec_shard_query(task: _ShardQueryTask) -> dict:
         k=task.k,
         fbf_bound=task.fbf_bound,
         record=True,
-        native=resolve_kernels(task.kernels, warn_key="hybrid"),
+        native=resolve_kernels("auto"),
     )
     wc = StatsCollector("shm-shard") if task.collect else None
     obs = wc if wc is not None else NULL_COLLECTOR
@@ -523,7 +475,6 @@ def shard_query_call(
     k: int,
     method: str = "FPDL",
     collect: bool = False,
-    kernels: str = "auto",
 ) -> tuple:
     """Build one ``(fn, payload)`` pool call for a shard query slice;
     ``stamp`` identifies the publication of ``roster``."""
@@ -538,7 +489,6 @@ def shard_query_call(
             k=k,
             fbf_bound=scheme.safe_threshold(k),
             collect=collect,
-            kernels=kernels,
         ),
     )
 
@@ -1140,8 +1090,7 @@ def run_hybrid(
     collector=None,
     record_matches: bool = False,
     weighter: PairWeighter | None = None,
-    shared_source=None,
-    kernels: str = "auto",
+    publications: Iterable[Publication] = (),
 ) -> JoinResult:
     """One hybrid join over already-published sides.
 
@@ -1152,16 +1101,14 @@ def run_hybrid(
     again only after it grew) with its rows' published codes, then
     verifies its own candidates.  Any other iterable of candidate
     blocks is drained in the parent, published as two index segments
-    and cut into verify tasks.  ``shared_source`` (a
-    :class:`SharedDatasets`/:class:`SharedSide`) credits its published
-    bytes to the collector exactly once over its lifetime — which is the
-    "datasets cross the boundary at most once" evidence; a probed
-    index's bytes are credited once per publication the same way.
-    ``weighter`` requires candidates (a stream or a probe), as in
-    :func:`repro.parallel.pool.multiprocess_join`.  ``kernels`` picks
-    the worker-side kernel tier: ``"auto"`` (default) uses compiled
-    kernels when a provider loads, ``"numpy"`` pins pure NumPy, and
-    ``"native"`` warns once per worker if no provider is available.
+    and cut into verify tasks.  ``publications`` (the ones backing
+    ``left``/``right``) credit their bytes to the collector once over
+    their lifetime (:meth:`Publication.credit`); a probed index's bytes
+    are credited once per publication the same way.  ``weighter``
+    requires candidates (a stream or a probe), as in
+    :func:`repro.parallel.pool.multiprocess_join`.  Workers use the
+    compiled kernels when a provider loads (``REPRO_NO_NATIVE=1`` pins
+    pure NumPy).
     """
     spec = method_registry().get(method)
     if spec is None:
@@ -1246,7 +1193,6 @@ def run_hybrid(
                 w_left=w_left_ref,
                 w_right=w_right_ref,
                 symmetric=symmetric,
-                kernels=kernels,
             ),
         )
         for work in works
@@ -1293,10 +1239,9 @@ def run_hybrid(
             "shm_bytes_pickled", pool.bytes_pickled - before_pickled
         )
         shared_bytes = sum(seg.nbytes for seg in run_segments)
-        for source in (shared_source, published):
-            if source is not None and not source.accounted:
-                shared_bytes += source.bytes_shared
-                source.accounted = True
+        for pub in (*publications, published):
+            if pub is not None:
+                shared_bytes += pub.credit()
         collector.add_counter("shm_bytes_shared", shared_bytes)
         collector.add_counter(
             "shm_workers_respawned", pool.respawns - before_respawns

@@ -3,20 +3,20 @@
 :class:`MatchService` ties the serve layer together: a
 :class:`~repro.serve.mutable.MutableIndex` for storage, a
 generation-keyed :class:`~repro.serve.cache.ResultCache` in front of
-it, and a micro-batching query path that routes :meth:`query_batch`
-through the vectorized :meth:`VectorEngine.run_candidates
-<repro.parallel.chunked.VectorEngine.run_candidates>` verifier instead
-of per-query scalar DP.
+it, and a micro-batching query path that answers :meth:`query_batch`
+with one :class:`~repro.core.plan.JoinPlanner` run of the batch against
+the roster instead of per-query scalar DP.
 
 Batching matters for the same reason the join layer is vectorized: one
 query against an FBF index spends most of its time in Python dispatch
 (signature, bucket walk, small DP calls), while a batch amortises that
-into a handful of NumPy sweeps over packed arrays.  The right-side
-engine state (codes, signatures) depends only on the roster's rows, so
-it is prepared once per wrapped index and shared across batches via the
-engine's ``share_right`` hook.  Writes do not rebuild it: a remove only
+into a handful of NumPy sweeps over packed arrays.  The roster's side
+of the join (codes, signatures, the PASS-JOIN index, the shared-memory
+publication) depends only on its rows, so it is one
+:class:`~repro.parallel.prepared.PreparedSide` per wrapped index,
+shared by every batch.  Writes do not rebuild it: a remove only
 tombstones a row (filtered after verification), and an add appends a
-row, which the held state folds in on the next batch.
+row, which the prepared side folds in on the next batch.
 
 Observability plugs into the same :class:`~repro.obs.stats
 .StatsCollector` funnel the batch joins use: every query is a
@@ -31,7 +31,6 @@ generator-accounting pattern so candidates are never double-counted.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import count
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -40,8 +39,9 @@ import numpy as np
 from time import perf_counter_ns
 
 from repro.core.index import FBFIndex
-from repro.core.passjoin import PassJoinIndex
+from repro.core.plan import JoinPlanner
 from repro.core.signatures import SignatureScheme
+from repro.native import available as native_available
 from repro.obs.events import NULL_EVENTS, EventLog
 from repro.obs.metrics import (
     DEFAULT_SIZE_BUCKETS,
@@ -49,7 +49,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.stats import NULL_COLLECTOR
-from repro.parallel.chunked import VectorEngine
+from repro.parallel.prepared import PreparedSide
 from repro.serve.cache import MISS, ResultCache
 from repro.serve.mutable import MutableIndex
 from repro.serve.shard import ShardedIndex
@@ -61,39 +61,6 @@ __all__ = ["MatchService", "QueryResult"]
 #: only these may take the batched path (``"myers"`` is Levenshtein —
 #: a different metric — so it always verifies per query).
 OSA_METRIC = ("osa", "osa-bitparallel")
-
-#: publish stamps for shared-memory rosters: pool workers keep a shard's
-#: resolved roster until a task carries a new stamp.  Process-wide
-#: because every service in the process shares one pool, whose workers
-#: key held rosters by shard id alone.
-_PUBLISH_STAMPS = count(1)
-
-
-class _Prepared:
-    """Everything prepared over one roster's rows, kept across writes.
-
-    A holder is valid for one :class:`FBFIndex` object.  That index is
-    append-only, so an add only appends rows: each part below records
-    how many rows it covers (``len(engine.len_r)``, ``len(passjoin[k])``,
-    ``side.n``) and is extended, or for the fixed-size shared roster
-    republished, when the index has grown past that.  A remove only
-    tombstones a row, which ``live_mask`` drops after verification, so
-    it touches nothing here.  Compaction, snapshot load and shard
-    adoption build a new index, and with it a new holder.
-    """
-
-    def __init__(self, index: FBFIndex, retired=None):
-        self.index = index
-        #: right-side engine shared by the per-batch engines
-        self.engine: VectorEngine | None = None
-        #: k -> PASS-JOIN partition index
-        self.passjoin: dict[int, PassJoinIndex] = {}
-        #: published shared-memory roster and its publish stamp
-        self.side = None
-        self.stamp = 0
-        #: the previous index's roster, closed once this one publishes
-        self.retired = retired
-
 
 @dataclass(frozen=True)
 class QueryResult:
@@ -146,13 +113,15 @@ class MatchService:
         by the JSON-lines ``metrics`` op and the optional HTTP
         ``/metrics`` listener (:mod:`repro.serve.httpd`).
     workers:
-        With ``workers > 1``, batched OSA queries fan out to the
-        process-wide shared-memory pool
-        (:func:`repro.parallel.shm.shared_pool`): the roster encodings
-        are published once, republished only after adds or compaction
-        (never after a remove), and each batch ships only its
-        query-side arrays.  Answers are identical to the single-process
-        path.
+        With ``workers > 1``, batched OSA queries run on the hybrid
+        backend over the process-wide shared-memory pool
+        (:func:`repro.parallel.shm.shared_pool`): the roster's prepared
+        side is published once, republished only after adds or
+        compaction (never after a remove), and each batch ships only
+        its query-side arrays; PASS-JOIN candidates are probed inside
+        the workers.  Workers use the compiled kernels when a provider
+        loads (``REPRO_NO_NATIVE=1`` pins NumPy), as the in-process
+        path does.  Answers are identical to the single-process path.
     shards:
         With ``shards > 1`` the service stores its population in a
         :class:`~repro.serve.shard.ShardedIndex` and answers batched
@@ -169,13 +138,14 @@ class MatchService:
         the FBF signature index (the original behavior);
         ``"pass-join"`` probes a
         :class:`~repro.core.passjoin.PassJoinIndex` over the same
-        rows (built once, extended by adds) — exact for OSA, sub-quadratic, and ~7x faster on large
-        rosters at ``k=1``; ``"auto"`` (default) picks PASS-JOIN when
-        the roster has at least :attr:`PASSJOIN_MIN_ROSTER` rows and
-        ``k <= 1``, mirroring the join planner's cost model.  Either
-        way answers are identical — only the funnel's generator stage
-        name changes.  The pooled *sharded* scatter keeps FBF (its
-        workers generate candidates from the shared roster).
+        rows (built once, extended by adds) — exact for OSA,
+        sub-quadratic, and ~7x faster on large rosters at ``k=1``;
+        ``"auto"`` (default) picks PASS-JOIN when the roster has at
+        least :attr:`PASSJOIN_MIN_ROSTER` rows and ``k <= 1``, mirroring
+        the join planner's cost model.  Either way answers are
+        identical — only the funnel's generator stage name changes.
+        The pooled *sharded* scatter sweeps each shard densely in its
+        worker instead (no candidate generation).
     """
 
     #: scatters between automatic rebalance checks (pooled sharded mode)
@@ -202,7 +172,6 @@ class MatchService:
         shards: int = 1,
         metrics: MetricsRegistry | bool | None = None,
         candidates: str = "auto",
-        kernels: str = "auto",
     ):
         if shards > 1:
             index = ShardedIndex(
@@ -227,7 +196,6 @@ class MatchService:
             workers=workers,
             metrics=metrics,
             candidates=candidates,
-            kernels=kernels,
         )
 
     def _init_state(
@@ -240,7 +208,6 @@ class MatchService:
         workers: int | None,
         metrics: MetricsRegistry | bool | None,
         candidates: str = "auto",
-        kernels: str = "auto",
     ) -> None:
         """Every field of a service over ``index``; shared by the
         constructor and :meth:`load`."""
@@ -253,15 +220,14 @@ class MatchService:
             )
         self.k = k
         self._candidates = candidates
-        #: kernel tier for every engine this service builds and for the
-        #: pooled workers ("auto" = compiled kernels when available)
-        self._kernels = kernels
         self._index = index
         self._cache = ResultCache(cache_size)
         self._obs = collector if collector else NULL_COLLECTOR
         self._workers = workers
-        #: "base" or shard id -> prepared state over that roster's rows
-        self._rosters: dict[object, _Prepared] = {}
+        #: "base" or shard id -> the prepared side over that roster's rows
+        self._rosters: dict[object, PreparedSide] = {}
+        #: replaced rosters, kept published until their successor is
+        self._retired: dict[object, PreparedSide] = {}
         self._init_sharding()
         self._init_telemetry(metrics)
 
@@ -363,14 +329,16 @@ class MatchService:
                     "pool slot owning this shard",
                     {"shard": str(si)},
                 ).set(slot)
-        if self._workers and self._workers > 1:
-            from repro.parallel import shm
+        if self._pooled:
+            self._publish_pool_metrics()
 
-            pool = shm._SHARED_POOLS.get(
-                (max(1, int(self._workers or 0)), self.sharded)
-            )
-            if pool is not None and pool.started and not pool.closed:
-                shm.publish_pool_metrics(pool, self.metrics, self.events)
+    def _publish_pool_metrics(self) -> None:
+        """Surface the service's pool heartbeat, once the pool runs."""
+        from repro.parallel import shm
+
+        pool = shm._SHARED_POOLS.get((int(self._workers), self.sharded))
+        if pool is not None and pool.started and not pool.closed:
+            shm.publish_pool_metrics(pool, self.metrics, self.events)
 
     def metrics_snapshot(self) -> dict[str, object]:
         """Full JSON snapshot of the registry (gauges refreshed)."""
@@ -580,222 +548,193 @@ class MatchService:
         )
         return self._store(value, k, method, ids)
 
-    # -- prepared roster state -----------------------------------------------
+    # -- prepared rosters -----------------------------------------------------
 
-    def _prepared(self, key: object, mutable) -> _Prepared:
-        """The holder for ``mutable``'s rows (``key`` is ``"base"`` or a
-        shard id), replaced when ``mutable`` wraps a new index."""
-        held = self._rosters.get(key)
-        if held is None or held.index is not mutable.index:
-            retired = None if held is None else held.side or held.retired
-            held = self._rosters[key] = _Prepared(mutable.index, retired)
-        return held
+    def _roster(
+        self, key: object, mutable, k: int, *, stage: str | None = None,
+        publish: bool = False,
+    ) -> PreparedSide:
+        """``mutable``'s prepared roster (``key`` is ``"base"`` or a shard
+        id), brought up to date for one batch.
 
-    def _right_engine(self, key: object, mutable, k: int) -> VectorEngine:
-        """``mutable``'s prepared right-side engine: built on first use
-        of an index, extended by the rows appended since."""
-        prep = self._prepared(key, mutable)
-        fbf = prep.index
-        if prep.engine is None:
-            with self._obs.span("serve.prepare_engine"):
-                prep.engine = VectorEngine(
-                    [], fbf.strings, k=k, scheme_kind=fbf.scheme,
-                    kernels=self._kernels,
-                )
-                self._obs.add_counter("engine_rebuilds")
-                self._c_engine_rebuilds.inc()
+        The :class:`PreparedSide` wraps the live ``FBFIndex.strings``
+        list with that index adopted as its fbf-index, and is kept
+        across writes: an add appends a row, which this call folds in
+        (the arrays and the PASS-JOIN index are extended, a publication
+        is renewed), and a remove only tombstones a row, which
+        ``live_mask`` drops after verification.  Compaction, snapshot
+        load and shard adoption build a new index, and with it a new
+        prepared side; the old one's segments are unlinked only once the
+        new one has published, so a pool worker never loses the roster
+        it holds.  ``stage`` names the batch's candidate generator and
+        ``publish`` asks for the shared-memory roster.
+        """
+        prep = self._rosters.get(key)
+        if prep is None or prep.strings is not mutable.index.strings:
+            if prep is not None and prep.published is not None:
+                self._retired[key] = prep
+            prep = self._rosters[key] = PreparedSide.over_index(mutable.index)
+        obs = self._obs
+        if stage == "pass-join":
+            pj = prep.passjoin.get(k)
+            if pj is None or len(pj) < len(prep):
+                with obs.span("serve.build_passjoin"):
+                    prep.passjoin_index(k)
+            if pj is None:
                 self.events.emit(
-                    "engine_rebuild",
+                    "passjoin_rebuild",
                     generation=mutable.generation,
-                    rows=len(fbf),
+                    rows=len(prep),
+                )
+        held = prep.encoded
+        if held is None or held.n < len(prep):
+            with obs.span("serve.prepare_engine"):
+                prep.side()
+                if held is None:
+                    obs.add_counter("engine_rebuilds")
+                    self._c_engine_rebuilds.inc()
+                    self.events.emit(
+                        "engine_rebuild",
+                        generation=mutable.generation,
+                        rows=len(prep),
+                        **_shard_field(key),
+                    )
+        if publish and (
+            prep.published is None or prep.published.n < len(prep)
+        ):
+            with obs.span("serve.publish_roster"):
+                republish = prep.published is not None
+                prep.publish()
+                old = self._retired.pop(key, None)
+                if old is not None:
+                    old.close()
+                obs.add_counter("shm_roster_publishes")
+                if (republish or old is not None) and self._c_handoffs:
+                    self._c_handoffs.inc()
+                    kind = "shard_handoff"
+                else:
+                    kind = "roster_publish"
+                self.events.emit(
+                    kind,
+                    generation=mutable.generation,
+                    bytes=prep.publication.bytes_shared,
                     **_shard_field(key),
                 )
-        elif len(prep.engine.len_r) < len(fbf):
-            with self._obs.span("serve.prepare_engine"):
-                prep.engine.sync_right()
-        return prep.engine
-
-    def _published(self, key: object, mutable) -> _Prepared:
-        """``mutable``'s holder with a shared-memory roster covering all
-        its rows.  A published side has a fixed size, so appended rows
-        republish it; the new roster is published before the old one is
-        unlinked, and workers keep their resolved views of the old
-        segments until a task carries the new stamp — so compaction,
-        adds or an adopted recovery blob never leave a window where the
-        roster cannot answer."""
-        from repro.parallel import shm
-
-        prep = self._prepared(key, mutable)
-        fbf = prep.index
-        if prep.side is not None and prep.side.n == len(fbf):
-            return prep
-        with self._obs.span("serve.publish_roster"):
-            side = shm.SharedSide(fbf.strings, scheme=fbf.scheme)
-            old = prep.side or prep.retired
-            prep.side, prep.retired = side, None
-            prep.stamp = next(_PUBLISH_STAMPS)
-            self._obs.add_counter("shm_roster_publishes")
-            if old is not None:
-                old.close()
-            if old is not None and self._c_handoffs is not None:
-                self._c_handoffs.inc()
-                kind = "shard_handoff"
-            else:
-                kind = "roster_publish"
-            self.events.emit(
-                kind,
-                generation=mutable.generation,
-                bytes=side.bytes_shared,
-                **_shard_field(key),
-            )
         return prep
 
-    # -- the batched path ---------------------------------------------------
+    # -- the batched paths ----------------------------------------------------
 
-    def _engine_for(self, queries: list[str], k: int) -> VectorEngine:
-        """A per-batch engine sharing the prepared right side."""
-        return VectorEngine(
-            queries,
-            self._index.index.strings,
-            k=k,
-            share_right=self._right_engine("base", self._index, k),
-            record_matches=True,
-            kernels=self._kernels,
-        )
-
-    def _roster_side(self):
-        """The shared-memory roster covering every current row."""
-        return self._published("base", self._index).side
-
-    def _run_pooled(self, pending: list[str], k: int, blocks):
-        """Fan one batch out to the shared worker pool: roster arrays
-        come from the published shared segments, the (small) query
-        side ships inline with the tasks."""
-        from repro.parallel import shm
-
-        roster = self._roster_side()
-        queries = shm.inline_side(pending, scheme=roster.scheme)
-        pool = shm.shared_pool(self._workers)
-        result = shm.run_hybrid(
-            pool,
-            queries,
-            roster.arrays,
-            "FPDL",
-            blocks,
-            scheme=roster.scheme,
-            k=k,
-            self_join=False,
-            collector=self._obs if self._obs else None,
-            record_matches=True,
-            shared_source=roster,
-            kernels=self._kernels,
-        )
-        if self.metrics:
-            shm.publish_pool_metrics(pool, self.metrics, self.events)
-        return result
+    @property
+    def _pooled(self) -> bool:
+        return bool(self._workers and self._workers > 1)
 
     def _answer_batched(
         self, pending: list[str], k: int, method: str
     ) -> Iterator[QueryResult]:
-        if self.sharded:
-            return self._answer_batched_sharded(pending, k, method)
-        return self._answer_batched_single(pending, k, method)
+        """Answer a batch of uncached queries: one planner run against
+        the roster, or per routed shard (scattered through the affinity
+        pool when the service is pooled and sharded)."""
+        per_query: dict[int, list[int]] = {
+            qi: [] for qi in range(len(pending))
+        }
+        if not self.sharded:
+            ii, jj = self._run_planned("base", self._index, pending, k)
+            self._gather(ii, jj, self._index, range(len(pending)), per_query)
+        else:
+            plan = self._shard_plan(pending, k)
+            for si, (vals, _idxs) in plan.items():
+                self.metrics.counter(
+                    "shard_queries_total",
+                    "queries routed to this shard",
+                    labels={"shard": str(si)},
+                ).inc(len(vals))
+            if self._pooled:
+                if plan:
+                    self._scatter_pooled(plan, per_query, k)
+            else:
+                self._scatter_inprocess(plan, per_query, k)
+        for qi, value in enumerate(pending):
+            yield self._store(value, k, method, sorted(per_query[qi]))
 
-    # -- candidate generation for the batched paths --------------------------
-
-    def _passjoin_for(self, key: object, mutable, k: int) -> PassJoinIndex:
-        """``mutable``'s PASS-JOIN partition index for ``k``: built on
-        first use of an index, extended by the rows appended since."""
-        prep = self._prepared(key, mutable)
-        fbf = prep.index
-        pj = prep.passjoin.get(k)
-        if pj is None:
-            with self._obs.span("serve.build_passjoin"):
-                pj = prep.passjoin[k] = PassJoinIndex(fbf.strings, k=k)
-            self.events.emit(
-                "passjoin_rebuild", generation=mutable.generation, rows=len(pj)
+    def _scatter_inprocess(
+        self,
+        plan: dict[int, tuple[list[str], list[int]]],
+        per_query: dict[int, list[int]],
+        k: int,
+    ) -> None:
+        """One planner run per routed shard, in this process."""
+        for si in sorted(plan):
+            vals, idxs = plan[si]
+            shard = self._index.shards[si]
+            self._shard_load[si] = (
+                self._shard_load.get(si, 0) + len(vals) * len(shard.index)
             )
-        elif len(pj) < len(fbf):
-            with self._obs.span("serve.build_passjoin"):
-                pj.extend(fbf.strings[len(pj) :])
-        return pj
+            ii, jj = self._run_planned(si, shard, vals, k)
+            self._gather(ii, jj, shard, idxs, per_query)
 
-    def _candidate_source(self, key: object, mutable, k: int):
-        """(funnel stage name, ``blocks(values)`` callable) answering a
-        batch against ``mutable``'s rows.
+    def _run_planned(
+        self, key: object, mutable, values: list[str], k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One planner run of the FPDL stack for ``values`` against
+        ``mutable``'s prepared roster; returns the (query row, roster
+        row) matches.
 
-        Candidate rows refer to internal roster rows either way, so the
-        downstream ``live_mask``/``external_ids`` gather is unchanged;
-        the batched paths only run OSA verifiers, for which PASS-JOIN
-        is exact.
+        The generator is PASS-JOIN for large rosters at ``k <= 1`` (see
+        ``candidates``), else the FBF signature index; both are exact
+        for the OSA verifiers the batched path runs.  The backend is the
+        hybrid pool when the service is pooled, whose workers probe
+        PASS-JOIN themselves; otherwise the compiled tier when a
+        provider loads, else NumPy.  The planner credits the generator
+        stage with the pairs it skipped, so the funnel stays conserved.
         """
         use_pj = self._candidates == "pass-join" or (
             self._candidates == "auto"
             and k <= 1
             and len(mutable.index) >= self.PASSJOIN_MIN_ROSTER
         )
-        if use_pj:
-            pj = self._passjoin_for(key, mutable, k)
-            return "pass-join", pj.candidate_blocks
-        fbf = mutable.index
-        return "fbf-index", lambda vals: fbf.candidate_blocks(vals, k)
-
-    def _answer_batched_single(
-        self, pending: list[str], k: int, method: str
-    ) -> Iterator[QueryResult]:
-        """Verify a batch of uncached queries in one vectorized pass.
-
-        Follows the planner's generator-accounting pattern: the index's
-        ``candidate_blocks`` generator runs *without* the collector (the
-        backend counts every emitted candidate as a considered pair),
-        then the generator stage is credited with the full product and
-        the pairs it skipped — so the funnel conservation invariant
-        holds with no double counting.
-        """
-        obs = self._obs
-        stage, blocks = self._candidate_source("base", self._index, k)
-        product = len(pending) * len(self._index.index)
-        emitted = 0
-
-        def counted() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-            nonlocal emitted
-            for qi, ids in blocks(pending):
-                emitted += len(qi)
-                yield qi, ids
-
-        if obs:
-            obs.stage(stage)
-        if self._workers and self._workers > 1:
-            result = self._run_pooled(pending, k, counted())
+        stage = "pass-join" if use_pj else "fbf-index"
+        prep = self._roster(key, mutable, k, stage=stage, publish=self._pooled)
+        if self._pooled:
+            backend = "hybrid"
         else:
-            engine = self._engine_for(pending, k)
-            result = engine.run_candidates(
-                "FPDL", counted(), collector=obs if obs else None
-            )
-        if obs:
-            obs.add_stage(stage, product, emitted)
-            obs.add_pairs(product - emitted)
-        per_query: dict[int, list[int]] = {
-            qi: [] for qi in range(len(pending))
-        }
-        if result.matches:
-            ii = np.fromiter(
-                (m[0] for m in result.matches),
-                dtype=np.int64,
-                count=len(result.matches),
-            )
-            jj = np.fromiter(
-                (m[1] for m in result.matches),
-                dtype=np.int64,
-                count=len(result.matches),
-            )
-            keep = self._index.live_mask(jj)
-            ii, jj = ii[keep], jj[keep]
-            ext = self._index.external_ids(jj)
-            for qi, sid in zip(ii.tolist(), ext.tolist()):
-                per_query[qi].append(sid)
-        for qi, value in enumerate(pending):
-            yield self._store(value, k, method, sorted(per_query[qi]))
+            backend = "native" if native_available() else "vectorized"
+        result = JoinPlanner(
+            values,
+            prep,
+            k=k,
+            workers=self._workers,
+            collapse="off",
+            memo="off",
+            self_join=False,
+        ).run(
+            "FPDL",
+            generator=stage,
+            backend=backend,
+            collector=self._obs if self._obs else None,
+            record_matches=True,
+        )
+        if self._pooled:
+            self._publish_pool_metrics()
+        pairs = np.asarray(result.matches, dtype=np.int64).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1]
+
+    def _gather(
+        self,
+        ii: np.ndarray,
+        jj: np.ndarray,
+        mutable: MutableIndex,
+        idxs: Sequence[int],
+        per_query: dict[int, list[int]],
+    ) -> None:
+        """Fold one roster's raw matches (query row, internal roster
+        row) into the per-query answer lists; ``idxs`` maps a query row
+        to its position in the batch.  Ids come out global for free —
+        shards index global external ids."""
+        keep = mutable.live_mask(jj)
+        ii, jj = ii[keep], jj[keep]
+        ext = mutable.external_ids(jj)
+        for qi, sid in zip(ii.tolist(), ext.tolist()):
+            per_query[idxs[qi]].append(sid)
 
     # -- the sharded scatter/gather path ------------------------------------
 
@@ -817,95 +756,6 @@ class MatchService:
                 idxs.append(qi)
         return plan
 
-    def _gather(
-        self,
-        ii: np.ndarray,
-        jj: np.ndarray,
-        shard: MutableIndex,
-        idxs: list[int],
-        per_query: dict[int, list[int]],
-    ) -> None:
-        """Fold one shard's raw matches (local query row, internal
-        roster row) into the global per-query answer lists.  Ids come
-        out global for free — shards index global external ids."""
-        keep = shard.live_mask(jj)
-        ii, jj = ii[keep], jj[keep]
-        ext = shard.external_ids(jj)
-        for qi, sid in zip(ii.tolist(), ext.tolist()):
-            per_query[idxs[qi]].append(sid)
-
-    def _shard_engine(self, si: int, k: int) -> VectorEngine:
-        """Shard ``si``'s prepared right-side engine."""
-        return self._right_engine(si, self._index.shards[si], k)
-
-    def _shard_roster(self, si: int) -> _Prepared:
-        """Shard ``si``'s holder with its published roster (``side``)
-        and the stamp its owning worker keys the resolved roster on."""
-        return self._published(si, self._index.shards[si])
-
-    def _scatter_inprocess(
-        self,
-        plan: dict[int, tuple[list[str], list[int]]],
-        per_query: dict[int, list[int]],
-        k: int,
-    ) -> None:
-        """Scatter over the routed shards in-process, one vectorized
-        candidate/verify pass per shard; same generator-accounting
-        pattern as the single-index path, credited once over the whole
-        scatter so the funnel stays conserved."""
-        obs = self._obs
-        #: stage name -> [product, emitted]; per-shard source selection
-        #: can mix generators (small shards stay on fbf), so each used
-        #: generator is credited as its own conserved funnel stage.
-        funnel: dict[str, list[int]] = {}
-        for si in sorted(plan):
-            vals, idxs = plan[si]
-            shard = self._index.shards[si]
-            fbf = shard.index
-            stage, blocks = self._candidate_source(si, shard, k)
-            if obs and stage not in funnel:
-                obs.stage(stage)
-            tallies = funnel.setdefault(stage, [0, 0])
-            tallies[0] += len(vals) * len(fbf)
-            block_emitted = [0]
-
-            def counted(blocks=blocks, vals=vals, out=block_emitted):
-                for qi, ids in blocks(vals):
-                    out[0] += len(qi)
-                    yield qi, ids
-
-            engine = VectorEngine(
-                vals,
-                fbf.strings,
-                k=k,
-                share_right=self._shard_engine(si, k),
-                record_matches=True,
-                kernels=self._kernels,
-            )
-            result = engine.run_candidates(
-                "FPDL", counted(), collector=obs if obs else None
-            )
-            tallies[1] += block_emitted[0]
-            self._shard_load[si] = (
-                self._shard_load.get(si, 0) + len(vals) * len(fbf)
-            )
-            if result.matches:
-                ii = np.fromiter(
-                    (m[0] for m in result.matches),
-                    dtype=np.int64,
-                    count=len(result.matches),
-                )
-                jj = np.fromiter(
-                    (m[1] for m in result.matches),
-                    dtype=np.int64,
-                    count=len(result.matches),
-                )
-                self._gather(ii, jj, shard, idxs, per_query)
-        if obs:
-            for stage, (product, emitted) in funnel.items():
-                obs.add_stage(stage, product, emitted)
-                obs.add_pairs(product - emitted)
-
     def _scatter_pooled(
         self,
         plan: dict[int, tuple[list[str], list[int]]],
@@ -914,8 +764,9 @@ class MatchService:
     ) -> None:
         """Scatter over the routed shards through the affinity pool:
         each shard's task is pinned to its placement slot, whose worker
-        holds the shard's resolved roster between batches.  The dense
-        worker sweep does its own funnel accounting (merged back by
+        holds the shard's resolved roster between batches, keyed on the
+        prepared roster's publish stamp.  The dense worker sweep does
+        its own funnel accounting (merged back by
         ``run_shard_scatter``), so no parent-side stage credit here."""
         from repro.parallel import shm
 
@@ -927,19 +778,17 @@ class MatchService:
         for si in sorted(plan):
             vals, _idxs = plan[si]
             shard = self._index.shards[si]
-            prep = self._shard_roster(si)
-            roster = prep.side
-            queries = shm.inline_side(vals, scheme=roster.scheme)
+            prep = self._roster(si, shard, k, publish=True)
+            queries = PreparedSide(vals, prep.scheme).side()
             calls.append(
                 shm.shard_query_call(
                     si,
                     prep.stamp,
-                    roster.arrays,
-                    queries,
-                    scheme=roster.scheme,
+                    prep.published,
+                    shm.inline_side(queries),
+                    scheme=prep.scheme,
                     k=k,
                     collect=bool(obs),
-                    kernels=self._kernels,
                 )
             )
             slots.append(self._placement.get(si, si % pool.workers))
@@ -951,40 +800,17 @@ class MatchService:
             pool, calls, slots=slots, collector=obs if obs else None
         )
         for si, out in zip(order, outs):
-            shard = self._index.shards[si]
-            idxs = plan[si][1]
             if out["mi"]:
-                ii = np.concatenate(out["mi"])
-                jj = np.concatenate(out["mj"])
-                self._gather(ii, jj, shard, idxs, per_query)
+                self._gather(
+                    np.concatenate(out["mi"]),
+                    np.concatenate(out["mj"]),
+                    self._index.shards[si],
+                    plan[si][1],
+                    per_query,
+                )
         if self.metrics:
             shm.publish_pool_metrics(pool, self.metrics, self.events)
         self._maybe_rebalance(pool)
-
-    def _answer_batched_sharded(
-        self, pending: list[str], k: int, method: str
-    ) -> Iterator[QueryResult]:
-        """Scatter a batch of uncached queries over the routed shards,
-        gather the per-shard matches, merge per query.  Identical
-        answers to the single-index batched path (property-tested by
-        the sharded equivalence suite)."""
-        plan = self._shard_plan(pending, k)
-        per_query: dict[int, list[int]] = {
-            qi: [] for qi in range(len(pending))
-        }
-        if plan:
-            for si in plan:
-                self.metrics.counter(
-                    "shard_queries_total",
-                    "queries routed to this shard",
-                    labels={"shard": str(si)},
-                ).inc(len(plan[si][0]))
-            if self._workers and self._workers > 1:
-                self._scatter_pooled(plan, per_query, k)
-            else:
-                self._scatter_inprocess(plan, per_query, k)
-        for qi, value in enumerate(pending):
-            yield self._store(value, k, method, sorted(per_query[qi]))
 
     # -- rebalancing --------------------------------------------------------
 

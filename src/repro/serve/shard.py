@@ -32,7 +32,7 @@ a threshold compaction rebuilds *that shard's* rows, not the whole
 population — the stall is ``1/n_shards`` the size, and the service's
 scatter path keeps answering from the other shards' published state
 meanwhile (see the handoff protocol in
-:meth:`MatchService._shard_roster <repro.serve.service.MatchService>`).
+:meth:`MatchService._roster <repro.serve.service.MatchService>`).
 
 **Handoff blobs.**  :meth:`export_shard` / :meth:`adopt_shard`
 round-trip one shard through the snapshot format in memory — the unit

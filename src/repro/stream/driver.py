@@ -3,17 +3,21 @@
 ``join_stream`` joins a disk-resident dataset of arbitrary size against
 an in-memory roster under a bounded footprint:
 
-* the **roster** (the small side) is prepared once — FBF/PASS-JOIN/
-  prefix index, vectorized right-side encodings, or a shared-memory
-  publication for the hybrid pool — and broadcast to every chunk;
+* the **roster** (the small side) is one
+  :class:`~repro.parallel.prepared.PreparedSide`: its encodings and the
+  plan's FBF/PASS-JOIN/prefix index are built once, by the first chunk
+  that needs them, and shared by every chunk after; for the hybrid
+  pool it is published once, before the first chunk;
 * the **big side** streams from disk through a :class:`~repro.stream.
   source.ChunkSource` in ``chunk_rows``-sized chunks (sized directly or
-  derived from ``memory_budget_mb``), each chunk running through the
-  planner's generator + backend stack exactly as an in-memory join
-  would.  Chunks are processed one at a time — the worker pool's
-  pending queue never holds more than one chunk's tasks, which *is* the
-  backpressure bound — while a single prefetch thread overlaps the next
-  chunk's disk read with the current chunk's verify;
+  derived from ``memory_budget_mb``).  Each chunk is one planner run,
+  ``JoinPlanner(chunk, roster, ...)``, through the planner's generator
+  + backend stack exactly as an in-memory join would; the chunk's own
+  encoding is its only preparation, and on the hybrid pool it ships
+  inline with the tasks.  Chunks are processed one at a time — the
+  worker pool's pending queue never holds more than one chunk's tasks,
+  which *is* the backpressure bound — while a single prefetch thread
+  overlaps the next chunk's disk read with the current chunk's verify;
 * **matches spill** to disk incrementally through
   :class:`~repro.stream.spill.SpillWriter` (bounded buffer, flushed
   every chunk), so the match set never accumulates in RAM;
@@ -57,7 +61,7 @@ from repro.io import read_strings
 from repro.obs.events import NULL_EVENTS
 from repro.obs.metrics import NullMetricsRegistry
 from repro.obs.stats import StatsCollector
-from repro.parallel.chunked import VectorEngine
+from repro.parallel.prepared import PreparedSide
 from repro.stream.checkpoint import Checkpoint, load_checkpoint, roster_digest
 from repro.stream.source import ChunkSource, source_for
 from repro.stream.spill import SpillWriter, truncate_to
@@ -162,172 +166,6 @@ class StreamResult:
             "completed": self.completed,
             "wall_s": self.wall_s,
         }
-
-
-class _BroadcastDatasets:
-    """Duck-typed ``SharedDatasets`` for the hybrid backend.
-
-    The roster side is published through shared memory exactly once for
-    the whole stream (``SharedSide``); each chunk rides as inline
-    refs — small enough that publication would cost more than the
-    pickle, exactly the serve layer's micro-batch trade.
-    """
-
-    self_join = False
-    has_sdx = False
-
-    def __init__(self, roster_side, chunk_arrays):
-        self.scheme = roster_side.scheme
-        self.left = chunk_arrays
-        self.right = roster_side.arrays
-        self._roster_side = roster_side
-
-    @property
-    def bytes_shared(self) -> int:
-        return self._roster_side.bytes_shared
-
-    @property
-    def accounted(self) -> bool:
-        return self._roster_side.accounted
-
-    @accounted.setter
-    def accounted(self, value: bool) -> None:
-        self._roster_side.accounted = value
-
-    def add_sdx(self, left, right) -> None:
-        raise RuntimeError(
-            "soundex-verified methods are not supported by the streaming "
-            "hybrid path; use backend='vectorized'"
-        )
-
-
-class _ChunkRunner:
-    """Shared prepared state + per-chunk planner assembly.
-
-    A fresh :class:`JoinPlanner` is built per chunk (it is bound to its
-    left side), but everything expensive — the roster's FBF/PASS-JOIN/
-    prefix index, the vectorized right-side encodings, the shared-memory
-    publication — is built once here and injected into each planner's
-    cache slots, so per-chunk cost is the chunk's own encoding plus the
-    probe/verify work.
-    """
-
-    def __init__(
-        self,
-        roster: list[str],
-        *,
-        method: str,
-        k: int,
-        theta: float,
-        kind: str,
-        levels: int,
-        generator: str,
-        backend: str,
-        workers: int | None,
-    ):
-        self.roster = roster
-        self.method = method
-        self.k = k
-        self.theta = theta
-        self.kind = kind
-        self.levels = levels
-        self.scheme = scheme_for(kind, levels)
-        self.generator = generator
-        self.backend = backend
-        self.workers = workers
-        self._fbf = None
-        self._passjoin = None
-        self._prefix = None
-        self._proto: VectorEngine | None = None
-        self._roster_side = None
-
-    # -- once-per-stream state ----------------------------------------
-
-    def prepare(self) -> None:
-        """Build the roster-side structures for the chosen plan."""
-        if self.generator == "fbf-index" and self._fbf is None:
-            from repro.core.index import FBFIndex
-
-            self._fbf = FBFIndex(self.roster, scheme=self.scheme)
-        elif self.generator == "pass-join" and self._passjoin is None:
-            from repro.core.passjoin import PassJoinIndex
-
-            self._passjoin = PassJoinIndex(self.roster, k=self.k)
-        elif self.generator == "prefix" and self._prefix is None:
-            from repro.core.prefix import PrefixQgramIndex
-
-            self._prefix = PrefixQgramIndex(self.roster, k=self.k)
-        if self.backend == "hybrid" and self._roster_side is None:
-            from repro.parallel import shm
-
-            self._roster_side = shm.SharedSide(self.roster, scheme=self.scheme)
-            shm.shared_pool(self.workers).ensure()
-
-    def close(self) -> None:
-        """Unlink the roster's shared segments (idempotent)."""
-        if self._roster_side is not None:
-            self._roster_side.close()
-
-    # -- per-chunk execution ------------------------------------------
-
-    def _engine_for(self, strings: list[str]) -> VectorEngine:
-        if self._proto is None:
-            self._proto = VectorEngine(
-                strings,
-                self.roster,
-                k=self.k,
-                theta=self.theta,
-                scheme_kind=self.scheme,
-                levels=self.levels,
-                record_matches=True,
-            )
-            return self._proto
-        return VectorEngine(
-            strings,
-            self.roster,
-            k=self.k,
-            theta=self.theta,
-            scheme_kind=self.scheme,
-            levels=self.levels,
-            record_matches=True,
-            share_right=self._proto,
-        )
-
-    def run_chunk(self, strings: list[str], obs) -> "JoinResult":
-        planner = JoinPlanner(
-            strings,
-            self.roster,
-            k=self.k,
-            theta=self.theta,
-            scheme=self.kind,
-            levels=self.levels,
-            workers=self.workers,
-            collapse="off",
-            memo="off",
-            self_join=False,
-        )
-        planner._scheme = self.scheme
-        planner._index = self._fbf
-        planner._passjoin = self._passjoin
-        planner._prefix = self._prefix
-        if self.backend in ("vectorized", "native"):
-            # Same cached-engine reuse for both tiers; the native
-            # backend flips the planner engine's kernel set per run.
-            planner._engine = self._engine_for(planner.left)
-        elif self.backend == "hybrid":
-            from repro.parallel import shm
-
-            planner._shm_datasets = _BroadcastDatasets(
-                self._roster_side,
-                shm.inline_side(planner.left, scheme=self.scheme),
-            )
-        return planner.run(
-            self.method,
-            generator=self.generator,
-            backend=self.backend,
-            collector=obs,
-            record_matches=True,
-        )
 
 
 class _Prefetcher:
@@ -609,17 +447,7 @@ def join_stream(
             fingerprint=fingerprint,
         )
 
-    runner = _ChunkRunner(
-        roster,
-        method=method,
-        k=k,
-        theta=theta,
-        kind=kind,
-        levels=levels,
-        generator=gen_name,
-        backend=backend,
-        workers=workers,
-    )
+    prepared = PreparedSide(roster, scheme_for(kind, levels))
 
     g_chunk = metrics.gauge("stream_chunk", "last completed chunk ordinal")
     c_rows = metrics.counter("stream_rows_total", "big-side rows joined")
@@ -653,7 +481,17 @@ def join_stream(
 
     with _TermGuard():
         try:
-            runner.prepare()
+            if backend == "hybrid":
+                # Publish the roster and start the pool before the spill
+                # and the prefetch thread exist: the workers fork from a
+                # single-threaded parent, and a SIGTERM cannot land
+                # inside the roster's publication.
+                from repro.parallel import shm
+
+                prepared.publish(
+                    sdx=method_registry()[method].verifier == "sdx"
+                )
+                shm.shared_pool(workers).ensure()
             if spill is not None:
                 writer = SpillWriter(
                     spill,
@@ -672,7 +510,22 @@ def join_stream(
             completed = True
             for chunk in prefetch:
                 t_chunk = time.perf_counter()
-                result = runner.run_chunk(chunk.strings, obs)
+                result = JoinPlanner(
+                    chunk.strings,
+                    prepared,
+                    k=k,
+                    theta=theta,
+                    workers=workers,
+                    collapse="off",
+                    memo="off",
+                    self_join=False,
+                ).run(
+                    method,
+                    generator=gen_name,
+                    backend=backend,
+                    collector=obs,
+                    record_matches=True,
+                )
                 base = chunk.row_start
                 chunk_matches = result.matches or []
                 if writer is not None:
@@ -735,7 +588,7 @@ def join_stream(
         finally:
             if prefetch is not None:
                 prefetch.close()
-            runner.close()
+            prepared.close()
 
     wall = time.perf_counter() - t0
     obs.meta["stream_chunks"] = chunks_done

@@ -8,8 +8,10 @@ from repro.core.plan import JoinPlanner
 from repro.core.signatures import scheme_for
 from repro.core.vectorized import signatures_for_scheme
 from repro.data.datasets import dataset_for_family
-from repro.parallel.chunked import VectorEngine, _group_by_value
+from repro.parallel.chunked import VectorEngine
+from repro.parallel.kernels import _group_by_value
 from repro.parallel.partition import iter_pair_blocks
+from repro.parallel.prepared import PreparedSide
 
 import numpy as np
 
@@ -123,21 +125,22 @@ class TestLengthBucketing:
 
 
 class TestShareRight:
+    """Engines over one prepared right side share its arrays."""
+
     def test_reuses_right_arrays_and_scheme(self):
-        right = ["123456789", "555443333", "999887777"]
-        base = VectorEngine([], right, k=1, scheme_kind="numeric")
-        eng = VectorEngine(["123456780"], right, k=1, share_right=base)
+        right = PreparedSide(["123456789", "555443333", "999887777"], "numeric")
+        base = VectorEngine([], right, k=1)
+        eng = VectorEngine(["123456780"], right, k=1)
         assert eng.sigs_r is base.sigs_r
         assert eng.codes_r is base.codes_r
-        assert eng.scheme is base.scheme
+        assert eng.scheme is base.scheme is right.scheme
         result = eng.run("FPDL")
         assert result.match_count == 1
 
     def test_share_right_matches_fresh_engine(self):
         right = ["smith", "smyth", "jones", "jonse"]
         queries = ["smith", "jnoes"]
-        base = VectorEngine([], right, k=1, scheme_kind="alpha")
-        shared = VectorEngine(queries, right, k=1, share_right=base)
+        shared = VectorEngine(queries, PreparedSide(right, "alpha"), k=1)
         fresh = VectorEngine(queries, right, k=1, scheme_kind="alpha")
         for method in ("FPDL", "LFPDL", "DL"):
             assert (
@@ -145,10 +148,36 @@ class TestShareRight:
                 == fresh.run(method).match_count
             )
 
+    def test_planners_share_prepared_arrays(self):
+        right = PreparedSide(["smith", "smyth", "jones", "jonse"], "alpha")
+        a = JoinPlanner(["smith"], right, k=1, collapse="off")
+        b = JoinPlanner(["jnoes", "smyth"], right, k=1, collapse="off")
+        assert a.right is b.right is right.strings
+        ea, eb = a.engine(), b.engine()
+        assert ea.codes_r is eb.codes_r is right.encoded.codes
+        assert ea.sigs_r is eb.sigs_r
+        assert a.passjoin_index() is b.passjoin_index()
+        assert a.index() is b.index()
+        for planner in (a, b):
+            got = planner.run(
+                "FPDL", generator="pass-join", backend="vectorized",
+                record_matches=True,
+            )
+            ref = JoinPlanner(
+                planner.left, list(right.strings), k=1, collapse="off"
+            ).run(
+                "FPDL", generator="all-pairs", backend="scalar",
+                record_matches=True,
+            )
+            assert sorted(got.matches) == sorted(ref.matches)
+
     def test_rejects_different_right_object(self):
-        base = VectorEngine([], ["123"], k=1, scheme_kind="numeric")
-        with pytest.raises(ValueError, match="share_right"):
-            VectorEngine(["123"], ["123"], k=1, share_right=base)
+        # Two prepared sides signed under different schemes cannot be
+        # compared by the FBF filter.
+        left = PreparedSide(["123"], "numeric")
+        right = PreparedSide(["123"], "alpha")
+        with pytest.raises(ValueError, match="signature schemes"):
+            VectorEngine(left, right, k=1)
 
     def test_scheme_instance_accepted(self):
         from repro.core.signatures import scheme_for

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.passjoin import PassJoinIndex
+from repro.core.plan import JoinPlanner
 from repro.core.signatures import scheme_for
 from repro.core.vectorized import signatures_for_scheme
 from repro.data.errors import inject_error
@@ -27,10 +28,10 @@ from repro.obs.stats import StatsCollector
 from repro.parallel import kernels, shm
 from repro.parallel.kernels import pack_signatures
 from repro.parallel.partition import balanced_splits
+from repro.parallel.prepared import PreparedSide
 from repro.parallel.shm import (
     PassJoinProbe,
-    SharedDatasets,
-    SharedSide,
+    Publication,
     WorkerPool,
     _resolve_ref,
     close_shared_pools,
@@ -97,14 +98,15 @@ class TestWorkerPool:
         right = build_last_name_pool(300, rng)
         left = [inject_error(s, rng) for s in right[:150]] + right[150:]
         scheme = scheme_for("alpha", 2)
-        datasets = SharedDatasets(left, right, scheme=scheme)
+        sides = [PreparedSide(left, scheme), PreparedSide(right, scheme)]
+        refs = [side.publish() for side in sides]
         index = PassJoinIndex(right, k=1)
 
         def run(pool):
             c = StatsCollector("probe")
             probe = PassJoinProbe(index)
             r = run_hybrid(
-                pool, datasets.left, datasets.right, "FPDL", probe,
+                pool, *refs, "FPDL", probe,
                 scheme=scheme, k=1, collector=c, record_matches=True,
             )
             funnel = {n: (st.tested, st.passed) for n, st in c.stages.items()}
@@ -139,7 +141,8 @@ class TestWorkerPool:
             assert crashed == clean
             assert clean[2] > 0
         finally:
-            datasets.close()
+            for side in sides:
+                side.close()
 
     def test_probe_index_published_once_republished_after_extend(self):
         rng = random.Random(16)
@@ -150,22 +153,26 @@ class TestWorkerPool:
         index_bytes = sum(a.nbytes for a in index.flat())
 
         def run(rows):
-            datasets = SharedDatasets(left, right[:rows], scheme=scheme)
+            sides = [
+                PreparedSide(left, scheme), PreparedSide(right[:rows], scheme)
+            ]
+            refs = [side.publish() for side in sides]
             try:
                 c = StatsCollector("probe")
                 r = run_hybrid(
-                    pool, datasets.left, datasets.right, "FPDL",
+                    pool, *refs, "FPDL",
                     PassJoinProbe(index), scheme=scheme, k=1, collector=c,
                     record_matches=True,
                 )
                 want = run_hybrid(
-                    pool, datasets.left, datasets.right, "FPDL",
+                    pool, *refs, "FPDL",
                     scheme=scheme, k=1, record_matches=True,
                 )
                 assert sorted(r.matches) == sorted(want.matches)
                 return c.counters["shm_bytes_shared"]
             finally:
-                datasets.close()
+                for side in sides:
+                    side.close()
 
         with WorkerPool(workers=2) as pool:
             assert run(80) == index_bytes
@@ -391,53 +398,82 @@ class TestPublication:
 
     def test_shared_side_round_trips(self):
         scheme = scheme_for("alpha", 2)
-        side = SharedSide(NAMES, scheme=scheme)
+        side = PreparedSide(NAMES, scheme)
         try:
-            assert side.n == len(NAMES)
-            assert side.bytes_shared > 0
+            arrays = side.publish()
+            assert arrays.n == len(NAMES)
+            assert side.publication.bytes_shared > 0
             codes, lengths = encode_raw(NAMES)
-            assert np.array_equal(_resolve_ref(side.arrays.codes), codes)
-            assert np.array_equal(_resolve_ref(side.arrays.lengths), lengths)
+            assert np.array_equal(_resolve_ref(arrays.codes), codes)
+            assert np.array_equal(_resolve_ref(arrays.lengths), lengths)
             expect = pack_signatures(signatures_for_scheme(NAMES, scheme))
-            assert np.array_equal(_resolve_ref(side.arrays.sigs), expect)
+            assert np.array_equal(_resolve_ref(arrays.sigs), expect)
+            assert side.publish() is arrays  # published once
         finally:
             side.close()
 
     def test_inline_side_matches_shared(self):
         scheme = scheme_for("alpha", 2)
-        side = SharedSide(NAMES, scheme=scheme)
+        side = PreparedSide(NAMES, scheme)
         try:
-            inline = inline_side(NAMES, scheme=scheme)
+            inline = inline_side(side.side())
             assert np.array_equal(
-                _resolve_ref(inline.codes), _resolve_ref(side.arrays.codes)
+                _resolve_ref(inline.codes), _resolve_ref(side.publish().codes)
             )
             assert inline.codes[0] == "inline"
         finally:
             side.close()
 
     def test_shared_datasets_self_join_publishes_vid(self):
-        scheme = scheme_for("alpha", 2)
-        ds = SharedDatasets(NAMES, list(NAMES), scheme=scheme, self_join=True)
-        try:
-            assert ds.left.vid is not None
-            vid = _resolve_ref(ds.left.vid)
-            # Value identity, not position: the two JON* rows differ,
-            # equal strings share an id.
-            assert vid[0] != vid[1]
-            assert vid[0] == vid[6]
-            assert len(set(vid.tolist())) == len(set(NAMES))
-        finally:
-            ds.close()
+        planner = JoinPlanner(NAMES, list(NAMES), scheme="alpha")
+        ds = planner.shared_datasets()
+        assert ds.left.vid is not None
+        vid = _resolve_ref(ds.left.vid)
+        # Value identity, not position: the two JON* rows differ,
+        # equal strings share an id.
+        assert vid[0] != vid[1]
+        assert vid[0] == vid[6]
+        assert len(set(vid.tolist())) == len(set(NAMES))
 
     def test_close_releases_segments(self):
         scheme = scheme_for("alpha", 2)
-        side = SharedSide(NAMES, scheme=scheme)
-        name = side.arrays.codes[1]
+        side = PreparedSide(NAMES, scheme)
+        name = side.publish().codes[1]
         side.close()
         from multiprocessing import shared_memory
 
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
+
+    def test_republished_after_growth_before_old_unlinked(self):
+        from multiprocessing import shared_memory
+
+        rows = list(NAMES)
+        side = PreparedSide(rows, "alpha")
+        try:
+            first = side.publish()
+            stamp = side.stamp
+            rows.append("ABCDEFGHIJKLMNOP")
+            grown = side.publish()
+            assert grown.n == len(NAMES) + 1 and side.stamp > stamp
+            codes = _resolve_ref(grown.codes)
+            assert codes.shape == (len(rows), len("ABCDEFGHIJKLMNOP"))
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=first.codes[1])
+        finally:
+            side.close()
+
+    def test_bytes_credited_once(self):
+        pub = Publication()
+        try:
+            pub.array(np.zeros(10, dtype=np.int64))
+            assert pub.credit() == 80
+            assert pub.credit() == 0
+            pub.array(np.zeros(3, dtype=np.uint8))
+            assert pub.credit() == 3
+            assert pub.bytes_shared == 83
+        finally:
+            pub.close()
 
 
 def teardown_module(module):

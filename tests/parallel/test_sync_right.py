@@ -1,10 +1,13 @@
-"""`VectorEngine.sync_right`: a right side grown row by row equals a
-fresh build over the same strings (the serve layer's append path)."""
+"""Syncing a grown right side: a `PreparedSide` whose strings grew row
+by row equals a fresh build over the same strings (the serve layer's
+append path)."""
 
 import numpy as np
 import pytest
 
+from repro.core.signatures import scheme_for
 from repro.parallel.chunked import VectorEngine
+from repro.parallel.prepared import PreparedSide
 
 BASE = ["SMITH", "SMYTH", "JONES"]
 #: widens the maximum length, adds new length classes and the empty string
@@ -12,19 +15,22 @@ ADDED = ["LEE", "", "ABCDEFGHIJKLMNOP", "SMITHE", "JONSE"]
 QUERIES = ["SMITH", "LEE", "ABCDEFGHIJKLMNOQ", "JONES", ""]
 
 
-def _grown(k, left=()):
+def _grown():
     right = list(BASE)
-    engine = VectorEngine(list(left), right, k=k, scheme_kind="alpha")
-    return engine, right
+    prep = PreparedSide(right, "alpha")
+    prep.side()
+    return prep, right
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_row_by_row_equals_fresh_build(k):
-    engine, right = _grown(k)
+    prep, right = _grown()
     for s in ADDED:
         right.append(s)
-        assert engine.sync_right() == 1
-    assert engine.sync_right() == 0
+        assert prep.side().n == len(right)
+    held = prep.side()
+    assert prep.side() is held  # nothing left to fold in
+    engine = VectorEngine([], prep, k=k)
     fresh = VectorEngine([], BASE + ADDED, k=k, scheme_kind="alpha")
     width = fresh.codes_r.shape[1]
     assert engine.codes_r.shape == fresh.codes_r.shape
@@ -36,13 +42,13 @@ def test_row_by_row_equals_fresh_build(k):
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("method", ["FPDL", "LPDL", "SDX"])
 def test_synced_engine_answers_like_fresh(k, method):
-    # Run once before growing so the lazy pair caches (length groups,
-    # Soundex ids) exist and must be reset by the sync.
-    engine, right = _grown(k, QUERIES)
-    engine.record_matches = True
-    engine.run(method)
+    # Run once before growing so the lazy caches (length groups, the
+    # side's soundex table) exist and must be extended by the sync.
+    prep, right = _grown()
+    VectorEngine(QUERIES, prep, k=k, record_matches=True).run(method)
     right.extend(ADDED)
-    assert engine.sync_right() == len(ADDED)
+    engine = VectorEngine(QUERIES, prep, k=k, record_matches=True)
+    assert engine.len_r.shape == (len(BASE) + len(ADDED),)
     fresh = VectorEngine(
         QUERIES, BASE + ADDED, k=k, scheme_kind="alpha", record_matches=True
     )
@@ -52,22 +58,21 @@ def test_synced_engine_answers_like_fresh(k, method):
 
 
 def test_shared_right_side_sees_appended_rows():
-    base, right = _grown(1)
+    prep, right = _grown()
     right.append("SMITHS")
-    base.sync_right()
-    batch = VectorEngine(
-        ["SMITH"], right, k=1, share_right=base, record_matches=True
-    )
+    batch = VectorEngine(["SMITH"], prep, k=1, record_matches=True)
     assert sorted(j for _, j in batch.run("FPDL").matches) == [0, 1, 3]
 
 
 def test_unencodable_row_changes_nothing():
-    engine, right = _grown(1)
-    before = (engine.codes_r, engine.len_r, engine.sigs_r)
+    prep, right = _grown()
+    held = prep.side()
+    before = (held.codes, held.lengths, held.sigs)
     right.append("Łukasz")
     with pytest.raises(ValueError, match="non-latin-1"):
-        engine.sync_right()
-    after = (engine.codes_r, engine.len_r, engine.sigs_r)
+        prep.side()
+    assert prep.encoded is held
+    after = (held.codes, held.lengths, held.sigs)
     assert all(a is b for a, b in zip(after, before))
 
 
@@ -99,13 +104,11 @@ def test_packed_rows_appended_match_scalar(kind, levels):
 
     base, added, queries = _PACKED_CASES[kind]
     right = list(base)
-    engine = VectorEngine(
-        queries, right, k=1, scheme_kind=kind, levels=levels,
-        record_matches=True,
-    )
-    engine.run("FPDL")
+    prep = PreparedSide(right, scheme_for(kind, levels))
+    VectorEngine(queries, prep, k=1, record_matches=True).run("FPDL")
     right.extend(added)
-    assert engine.sync_right() == len(added)
+    engine = VectorEngine(queries, prep, k=1, record_matches=True)
+    assert engine.len_r.shape == (len(base) + len(added),)
     fresh = VectorEngine(
         [], base + added, k=1, scheme_kind=kind, levels=levels
     )

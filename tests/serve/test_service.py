@@ -224,19 +224,19 @@ class TestEngineReuse:
         svc.query_batch(["SMITH"])
         svc.query_batch(["JONES"])
         assert obs.counters["engine_rebuilds"] == 1
-        engine = svc._rosters["base"].engine
+        roster = svc._rosters["base"]
         svc.remove(0)
         assert svc.query_batch(["SMITH"])[0].ids == (1,)
-        assert svc._rosters["base"].engine is engine
-        assert len(engine.len_r) == 6
+        assert svc._rosters["base"] is roster
+        assert roster.encoded.n == 6
         svc.add("TAYLOR")
         assert svc.query_batch(["TAYLOR"])[0].ids == (6,)
-        assert svc._rosters["base"].engine is engine
-        assert len(engine.len_r) == 7
+        assert svc._rosters["base"] is roster
+        assert roster.encoded.n == 7
         assert obs.counters["engine_rebuilds"] == 1
         svc.compact()
         assert svc.query_batch(["SMITH"])[0].ids == (1,)
-        assert svc._rosters["base"].engine is not engine
+        assert svc._rosters["base"] is not roster
         assert obs.counters["engine_rebuilds"] == 2
 
     def test_sharded_engines_extended_in_place(self):
@@ -244,15 +244,13 @@ class TestEngineReuse:
             NAMES, k=1, cache_size=0, compact_ratio=None, shards=2
         )
         svc.query_batch(["SMITH", "BROWNE"])
-        engines = {
-            si: prep.engine for si, prep in svc._rosters.items()
-        }
+        rosters = dict(svc._rosters)
         sid = svc.add("SMITHERS")
         svc.remove(0)
         got = svc.query_batch(["SMITH", "SMITHERS", "BROWNE"])
         assert [r.ids for r in got] == [(1,), (sid,), (4, 5)]
-        for si, engine in engines.items():
-            assert svc._rosters[si].engine is engine
+        for si, roster in rosters.items():
+            assert svc._rosters[si] is roster
         assert svc.metrics.counter("serve_engine_rebuilds_total").value == 2
 
     @pytest.mark.parametrize("candidates", ["fbf", "pass-join"])
@@ -271,7 +269,7 @@ class TestEngineReuse:
         for _ in range(2):
             with pytest.raises(type(fresh.value), match="'Łukasz'"):
                 svc.query_batch(["SMITH"])
-        assert len(svc._rosters["base"].engine.len_r) == len(NAMES)
+        assert svc._rosters["base"].encoded.n == len(NAMES)
 
 
 class TestStats:

@@ -24,15 +24,23 @@ def _batched(svc, queries):
 
 
 class TestPooledEquivalence:
-    def test_answers_and_funnel_match_inprocess(self, ln_pair):
+    @pytest.mark.parametrize("candidates", ["fbf", "pass-join"])
+    def test_answers_and_funnel_match_inprocess(self, ln_pair, candidates):
+        # Pooled PASS-JOIN batches probe the index inside the workers.
         queries = ln_pair.error[:60]
         c_ref, c_pool = StatsCollector("ref"), StatsCollector("pooled")
-        ref = MatchService(ln_pair.clean, k=1, collector=c_ref)
-        pooled = MatchService(ln_pair.clean, k=1, collector=c_pool, workers=2)
+        ref = MatchService(
+            ln_pair.clean, k=1, collector=c_ref, candidates=candidates
+        )
+        pooled = MatchService(
+            ln_pair.clean, k=1, collector=c_pool, workers=2,
+            candidates=candidates,
+        )
 
         assert _batched(pooled, queries) == _batched(ref, queries)
         assert c_pool.pairs_considered == c_ref.pairs_considered
         assert c_pool.conserved and c_ref.conserved
+        assert list(c_pool.stages) == list(c_ref.stages)
         for name, stage in c_ref.stages.items():
             other = c_pool.stages[name]
             assert (other.tested, other.passed) == (stage.tested, stage.passed)
@@ -59,7 +67,7 @@ class TestPooledEquivalence:
         probe = ["BRANDNEWNAME", *queries]
         assert _batched(svc, probe) == _batched(ref, probe)
         assert c.counters["shm_roster_publishes"] == 2
-        assert svc._roster_side().n == len(ln_pair.clean) + 1
+        assert svc._rosters["base"].published.n == len(ln_pair.clean) + 1
 
         for s in (svc, ref):
             s.compact()

@@ -67,17 +67,48 @@ class TestEquivalence:
         )
         assert sorted(res.matches) == reference
 
-    def test_hybrid_backend_agrees(self, stream_data, big_file, reference):
+    @pytest.mark.parametrize("method", ["FPDL", "SDX"])
+    def test_hybrid_backend_agrees(
+        self, stream_data, big_file, reference, method
+    ):
         roster, _ = stream_data
+        want = reference
+        if method != "FPDL":
+            want = sorted(join_stream(
+                big_file, roster, method, k=1, chunk_rows=900,
+                backend="vectorized", generator="all-pairs",
+            ).matches)
+            assert want
         obs = StatsCollector("h")
         res = join_stream(
-            big_file, roster, "FPDL", k=1, chunk_rows=900,
+            big_file, roster, method, k=1, chunk_rows=900,
             backend="hybrid", workers=2, collector=obs,
         )
-        assert sorted(res.matches) == reference
+        assert sorted(res.matches) == want
         assert obs.conserved
         # The roster's segments cross the boundary once for the stream.
         assert obs.counters.get("shm_bytes_shared", 0) > 0
+
+    def test_roster_encoded_once(self, stream_data, big_file, monkeypatch):
+        import repro.parallel.prepared as prepared
+
+        roster, big = stream_data
+        encoded = []
+        real = prepared.encode_raw
+
+        def counting(strings):
+            encoded.append(len(strings))
+            return real(strings)
+
+        monkeypatch.setattr(prepared, "encode_raw", counting)
+        res = join_stream(
+            big_file, roster, "FPDL", k=1, chunk_rows=600,
+            backend="vectorized", generator="fbf-index",
+        )
+        # One roster encoding for the stream, then each chunk's own rows.
+        assert res.chunks == 5
+        assert encoded.count(len(roster)) == 1
+        assert sum(encoded) == len(roster) + len(big)
 
     def test_hybrid_passjoin_publishes_index_once(
         self, stream_data, big_file, reference
