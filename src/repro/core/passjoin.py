@@ -45,9 +45,15 @@ with ``D = |q| - L`` (edits before the segment shift it by at most
 ``k``; edits after it bound the shift through the length difference).
 
 The index stores no substrings: each (length, segment) bucket keeps a
-sorted array of 64-bit polynomial hashes of the segment's code points
-with the indexed ids alongside, and a probe batch hashes its windows
-vectorized and binary-searches the buckets.  Hash collisions produce
+sorted run of 64-bit polynomial hashes of the segment's code points
+with the indexed ids alongside, all buckets end to end in one flat
+``(hashes, ids, table)`` layout.  Two probes read it and yield the same
+blocks: :meth:`SegmentIndex.probe_codes` hashes a query-length group's
+windows vectorized and binary-searches the buckets with NumPy (the
+reference, and the fallback without a compiled provider), and the
+compiled ``passjoin_probe`` kernel (:mod:`repro.native`) does the same
+per query in C — the probe the native backend, serve batches, stream
+chunks and the hybrid pool workers run.  Hash collisions produce
 spurious candidates only (the verifier decides); they never drop one.
 Code points come from UTF-32 so any Python string — full Unicode, NUL
 bytes, empty — round-trips without the latin-1 restriction of the
@@ -148,24 +154,26 @@ def dedup_sorted(values: np.ndarray) -> np.ndarray:
 
 
 class SegmentIndex:
-    """The probe half of a PASS-JOIN index: per ``(length, segment)``
-    buckets of sorted segment hashes with the indexed ids alongside.
+    """The probe half of a PASS-JOIN index, in one flat layout.
 
-    :class:`PassJoinIndex` builds one from strings.  :meth:`flat` lays
-    the buckets end to end as three arrays a process can publish, and
-    :meth:`from_flat` rebuilds a probe-only view over them (slices, no
-    copies) — so a pool worker probes exactly the code an in-process
-    caller does.
+    ``hashes``/``ids`` hold every ``(length, segment)`` bucket end to
+    end — each bucket's segment hashes sorted ascending, equal hashes in
+    id order, the indexed ids alongside — and ``table`` is an ``(m, 4)``
+    int64 array whose rows ``(length, segment, lo, hi)``, sorted by
+    ``(length, segment)``, locate each bucket.  Every indexed length has
+    all ``k + 1`` of its segment buckets.  :class:`PassJoinIndex` builds
+    and extends the arrays; a process publishes them as they are
+    (:meth:`flat`) and :meth:`from_flat` wraps them again, so a pool
+    worker probes exactly the arrays an in-process caller does.
     """
 
     def __init__(self, k: int, n: int = 0):
         self.k = k
         self.parts = k + 1
         self._n = n
-        #: (length, segment_i) -> (sorted hashes, ids in hash order)
-        self._buckets: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        #: length -> segment layout, for lengths present in the index
-        self._layouts: dict[int, list[tuple[int, int]]] = {}
+        self.hashes = np.empty(0, dtype=np.uint64)
+        self.ids = np.empty(0, dtype=np.int64)
+        self.table = np.empty((0, 4), dtype=np.int64)
 
     def __len__(self) -> int:
         return self._n
@@ -173,23 +181,8 @@ class SegmentIndex:
     # -- the publishable form ------------------------------------------------
 
     def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(hashes, ids, table)``: every bucket's hashes and ids
-        concatenated, and an ``(m, 4)`` int64 table whose rows
-        ``(length, segment, lo, hi)`` locate each bucket in them."""
-        keys = sorted(self._buckets)
-        sizes = np.array(
-            [len(self._buckets[key][0]) for key in keys], dtype=np.int64
-        )
-        hi = np.cumsum(sizes)
-        table = np.empty((len(keys), 4), dtype=np.int64)
-        table[:, :2] = np.array(keys, dtype=np.int64).reshape(-1, 2)
-        table[:, 2] = hi - sizes
-        table[:, 3] = hi
-        if not keys:
-            return np.empty(0, np.uint64), np.empty(0, np.int64), table
-        hashes = np.concatenate([self._buckets[key][0] for key in keys])
-        ids = np.concatenate([self._buckets[key][1] for key in keys])
-        return hashes, ids, table
+        """``(hashes, ids, table)``: the held arrays themselves."""
+        return self.hashes, self.ids, self.table
 
     @staticmethod
     def from_flat(
@@ -200,12 +193,9 @@ class SegmentIndex:
         table: np.ndarray,
     ) -> "SegmentIndex":
         """Probe-only view of an index of ``n`` strings over the
-        arrays :meth:`flat` returned."""
+        arrays :meth:`flat` returned (no copies)."""
         index = SegmentIndex(k, n)
-        for length, seg, lo, hi in table.tolist():
-            index._buckets[(length, seg)] = (hashes[lo:hi], ids[lo:hi])
-            if length not in index._layouts:
-                index._layouts[length] = segment_layout(length, index.parts)
+        index.hashes, index.ids, index.table = hashes, ids, table
         return index
 
     # -- probing -------------------------------------------------------------
@@ -263,33 +253,38 @@ class SegmentIndex:
         return out
 
     def _probe_group(
-        self, q_idx: np.ndarray, q_codes: np.ndarray, qlen: int
+        self,
+        q_idx: np.ndarray,
+        q_codes: np.ndarray,
+        qlen: int,
+        buckets: list[tuple[int, int, int, int, int]],
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """All (query, id) collisions for one query-length group."""
+        """All (query, id) collisions for one query-length group;
+        ``buckets`` holds ``(length, start, seg_len, lo, hi)`` per
+        table row."""
         k = self.k
         hit_q: list[np.ndarray] = []
         hit_id: list[np.ndarray] = []
-        for length, layout in self._layouts.items():
+        for length, p_i, seg_len, b_lo, b_hi in buckets:
             delta = qlen - length
             if abs(delta) > k:
                 continue
-            for i, (p_i, seg_len) in enumerate(layout):
-                lo = max(0, p_i - k, p_i + delta - k)
-                hi = min(qlen - seg_len, p_i + k, p_i + delta + k)
-                if hi < lo:
-                    continue
-                hashes, ids = self._buckets[(length, i)]
-                for p in range(lo, hi + 1):
-                    for qh in self._window_hashes(q_codes, qlen, p, seg_len):
-                        left = np.searchsorted(hashes, qh, side="left")
-                        right = np.searchsorted(hashes, qh, side="right")
-                        counts = right - left
-                        nz = counts > 0
-                        if not nz.any():
-                            continue
-                        starts, counts = left[nz], counts[nz]
-                        hit_q.append(np.repeat(q_idx[nz], counts))
-                        hit_id.append(ids[_expand_ranges(starts, counts)])
+            lo = max(0, p_i - k, p_i + delta - k)
+            hi = min(qlen - seg_len, p_i + k, p_i + delta + k)
+            if hi < lo:
+                continue
+            hashes, ids = self.hashes[b_lo:b_hi], self.ids[b_lo:b_hi]
+            for p in range(lo, hi + 1):
+                for qh in self._window_hashes(q_codes, qlen, p, seg_len):
+                    left = np.searchsorted(hashes, qh, side="left")
+                    right = np.searchsorted(hashes, qh, side="right")
+                    counts = right - left
+                    nz = counts > 0
+                    if not nz.any():
+                        continue
+                    starts, counts = left[nz], counts[nz]
+                    hit_q.append(np.repeat(q_idx[nz], counts))
+                    hit_id.append(ids[_expand_ranges(starts, counts)])
         return hit_q, hit_id
 
     def probe_codes(
@@ -309,15 +304,23 @@ class SegmentIndex:
         ``osa(query, indexed) <= self.k`` (see the module docstring for
         the OSA variant argument); blocks are capped at ``max_pairs``
         pairs and grouped by query length, queries ascending within a
-        group.
+        group and ids ascending within a query.  This is the reference
+        the compiled probe (``KernelSet.passjoin_probe``) must equal
+        block for block.
         """
         n_index = len(self)
         if not n_index or not len(q_lens):
             return
+        buckets = [
+            (length, *segment_layout(length, self.parts)[seg], lo, hi)
+            for length, seg, lo, hi in self.table.tolist()
+        ]
         for qlen in dedup_sorted(q_lens):
             qlen = int(qlen)
             q_idx = np.flatnonzero(q_lens == qlen).astype(np.int64)
-            hit_q, hit_id = self._probe_group(q_idx, q_codes[q_idx], qlen)
+            hit_q, hit_id = self._probe_group(
+                q_idx, q_codes[q_idx], qlen, buckets
+            )
             if not hit_q:
                 continue
             # One window can match through several variants and one
@@ -357,36 +360,75 @@ class PassJoinIndex(SegmentIndex):
         """Index more strings; their ids continue from ``len(self)``.
 
         Only the new rows are encoded and hashed.  Their segment hashes
-        are merged into the ``(length, segment)`` buckets after any
-        equal hashes already there, so the buckets come out exactly as
-        a fresh build over all the strings would lay them out.  New
-        lengths get their layout.  Nothing is changed until every new
-        row has been hashed.
+        are inserted into the flat arrays after any equal hashes already
+        in their ``(length, segment)`` bucket, and a new length's
+        buckets go in ``(length, segment)`` order, so the arrays come
+        out exactly as a fresh build over all the strings would lay them
+        out.  Nothing is changed until every new row has been hashed.
         """
         new = list(strings)
+        if not new:
+            return
         codes, lens = _encode_codes(new)
         offset = len(self.strings)
-        layouts: dict[int, list[tuple[int, int]]] = {}
-        buckets: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        parts = self.parts
+        table = self.table
+        held_keys = table[:, 0] * parts + table[:, 1]
+        sizes = dict(
+            zip(held_keys.tolist(), (table[:, 3] - table[:, 2]).tolist())
+        )
+        at: list[np.ndarray] = []
+        new_h: list[np.ndarray] = []
+        new_ids: list[np.ndarray] = []
         for length in dedup_sorted(lens):
             length = int(length)
             rows = np.flatnonzero(lens == length)
             ids = rows.astype(np.int64) + offset
-            layout = segment_layout(length, self.parts)
-            layouts[length] = layout
-            for i, (start, seg_len) in enumerate(layout):
+            for i, (start, seg_len) in enumerate(
+                segment_layout(length, parts)
+            ):
                 h = _hash_rows(codes[rows, start : start + seg_len])
                 order = np.argsort(h, kind="stable")
-                h, seg_ids = h[order], ids[order]
-                held = self._buckets.get((length, i))
-                if held is not None:
-                    at = np.searchsorted(held[0], h, side="right")
-                    h = np.insert(held[0], at, h)
-                    seg_ids = np.insert(held[1], at, seg_ids)
-                buckets[(length, i)] = (h, seg_ids)
+                h = h[order]
+                key = length * parts + i
+                t = int(np.searchsorted(held_keys, key))
+                if t < len(held_keys) and held_keys[t] == key:
+                    lo, hi = int(table[t, 2]), int(table[t, 3])
+                    pos = lo + np.searchsorted(
+                        self.hashes[lo:hi], h, side="right"
+                    )
+                else:
+                    # A new bucket starts where the next held one does.
+                    pos = np.full(
+                        len(h),
+                        table[t, 2] if t < len(table) else len(self.hashes),
+                        dtype=np.int64,
+                    )
+                at.append(pos)
+                new_h.append(h)
+                new_ids.append(ids[order])
+                sizes[key] = sizes.get(key, 0) + len(h)
+        del codes
+        if len(self.hashes):
+            # np.insert keeps equal positions in the order given: within
+            # a bucket, hash order; across new buckets, (length, segment)
+            # order.
+            at_all = np.concatenate(at)
+            hashes = np.insert(self.hashes, at_all, np.concatenate(new_h))
+            ids = np.insert(self.ids, at_all, np.concatenate(new_ids))
+        else:  # the first rows: their buckets, in order, are the arrays
+            hashes, ids = np.concatenate(new_h), np.concatenate(new_ids)
+        keys = np.array(sorted(sizes), dtype=np.int64)
+        counts = np.array(
+            [sizes[key] for key in keys.tolist()], dtype=np.int64
+        )
+        hi = np.cumsum(counts)
+        table = np.empty((len(keys), 4), dtype=np.int64)
+        table[:, 0], table[:, 1] = np.divmod(keys, parts)
+        table[:, 2] = hi - counts
+        table[:, 3] = hi
         self.strings.extend(new)
-        self._layouts.update(layouts)
-        self._buckets.update(buckets)
+        self.hashes, self.ids, self.table = hashes, ids, table
 
     def candidate_blocks(
         self,

@@ -473,7 +473,7 @@ class CandidateStream:
     with the full product and the skipped pairs.  A symmetric weighter
     enumerates the ``i <= j`` triangle of a self-join, so the stream
     drops the other half first.  A backend that generates candidates
-    itself (the hybrid pool probing PASS-JOIN in its workers) reads
+    itself (the engine or the hybrid pool probing PASS-JOIN) reads
     ``generator`` instead of iterating, and adds what it generated to
     ``emitted``.
     """
@@ -534,6 +534,14 @@ def _flatten(blocks: Iterable[Block]) -> Iterator[tuple[int, int]]:
         yield from zip(ii.tolist(), jj.tolist())
 
 
+def _probes_passjoin(blocks) -> bool:
+    """Whether ``blocks`` is a pass-join plan's stream, which the
+    engine backends and the hybrid pool probe instead of draining."""
+    return isinstance(blocks, CandidateStream) and isinstance(
+        blocks.generator, PassJoinGenerator
+    )
+
+
 class ScalarBackend(ExecutionBackend):
     """The paper-faithful per-pair reference loop."""
 
@@ -565,7 +573,13 @@ class ScalarBackend(ExecutionBackend):
 
 
 class VectorizedBackend(ExecutionBackend):
-    """The chunked NumPy engine (:class:`VectorEngine`)."""
+    """The chunked NumPy engine (:class:`VectorEngine`).
+
+    A pass-join plan's stream is not drained: the engine probes the
+    index itself (:meth:`VectorEngine.run_probe`, the loop the hybrid
+    pool workers run over their row slices) and the backend credits
+    what it emitted to the stream, as :class:`HybridBackend` does.
+    """
 
     name = "vectorized"
 
@@ -586,9 +600,19 @@ class VectorizedBackend(ExecutionBackend):
             )
             result.matches = v.matches
             return result
-        result = engine.run_candidates(
-            method, blocks, collector=collector, weighter=planner.weighter
-        )
+        if _probes_passjoin(blocks):
+            result, emitted = engine.run_probe(
+                method,
+                planner.passjoin_index(),
+                collector=collector,
+                weighter=planner.weighter,
+                max_pairs=planner.block_pairs,
+            )
+            blocks.emitted += emitted
+        else:
+            result = engine.run_candidates(
+                method, blocks, collector=collector, weighter=planner.weighter
+            )
         result.backend = self.name
         return result
 
@@ -602,12 +626,12 @@ class NativeBackend(VectorizedBackend):
     compiled ``cc`` provider), which every
     :class:`repro.parallel.kernels.Kernels` the engine builds during the
     run picks up.  It swaps only the innermost loops: the packed
-    XOR+popcount candidate scan and pair mask, and the batched
-    bit-parallel/banded OSA verifier.  Decisions are
-    bit-identical by construction (providers must pass the native
-    self-check) and pinned by the plan-equivalence suite.  When no
-    provider is available the run degrades to the plain vectorized
-    tier with a once-per-process warning.
+    XOR+popcount candidate scan and pair mask, the batched
+    bit-parallel/banded OSA verifier, and the PASS-JOIN probe.
+    Decisions are bit-identical by construction (providers must pass
+    the native self-check) and pinned by the plan-equivalence suite.
+    When no provider is available the run degrades to the plain
+    vectorized tier with a once-per-process warning.
     """
 
     name = "native"
@@ -689,9 +713,7 @@ class HybridBackend(ExecutionBackend):
         datasets = planner.shared_datasets(need_sdx=spec.verifier == "sdx")
         pool = shm.shared_pool(planner.workers)
         source = blocks
-        if isinstance(blocks, CandidateStream) and isinstance(
-            blocks.generator, PassJoinGenerator
-        ):
+        if _probes_passjoin(blocks):
             source = shm.PassJoinProbe(planner.passjoin_index())
         result = shm.run_hybrid(
             pool,

@@ -15,7 +15,10 @@ package closes that gap with compiled kernels:
 2. a gathered-pair signature filter for index-driven generators;
 3. a batched bounded-OSA verifier (bit-parallel Hyyro recurrence for
    patterns up to 64 chars, mirroring ``distance/bitparallel.py``, and
-   a banded DP beyond, mirroring ``distance/pruned.py::_banded_osa``).
+   a banded DP beyond, mirroring ``distance/pruned.py::_banded_osa``);
+4. the PASS-JOIN probe over the flat segment index, for ``uint8``
+   (``encode_raw``) and ``uint32`` (UTF-32) codes, yielding exactly the
+   blocks of ``core/passjoin.py::SegmentIndex.probe_codes``.
 
 They have one provider, ``cc``: a C translation unit compiled on first
 use with the host's C compiler and loaded via ctypes (cached on disk,
@@ -214,6 +217,54 @@ class KernelSet:
         return self._p["fused_rows_u64"](
             L, R, len_l, len_r, order, int(row0), int(row1),
             int(bound), int(k), chain,
+        )
+
+    # -- PASS-JOIN probe -----------------------------------------------
+
+    def passjoin_probe(
+        self,
+        index,
+        codes: np.ndarray,
+        lens: np.ndarray,
+        *,
+        max_pairs: int = 1 << 20,
+    ):
+        """``index.probe_codes(codes, lens, max_pairs=max_pairs)``,
+        compiled: the same ``(query_idx, ids)`` pairs in the same blocks.
+
+        ``index`` is a :class:`repro.core.passjoin.SegmentIndex`, probed
+        through its flat arrays.  ``codes`` is a padded code matrix:
+        ``uint8`` (:func:`repro.distance.codec.encode_raw`) or ``uint32``
+        (UTF-32); other integer dtypes are widened to ``uint32``.  The
+        output buffer holds 64 Ki pairs; a call resumes where a full
+        buffer stopped it, and the buffer grows when one query's
+        candidates need more.  Inputs are validated here, before the
+        returned iterator runs.
+        """
+        return self._passjoin_probe(index, codes, lens, max_pairs, None)
+
+    def _passjoin_probe(self, index, codes, lens, max_pairs, capacity):
+        """:meth:`passjoin_probe` with an output buffer of ``capacity``
+        pairs (``None``: the default) — small ones drive the resume
+        path in the self-check and the tests."""
+        codes = np.asarray(codes)
+        codes = np.ascontiguousarray(
+            codes, dtype=np.uint8 if codes.dtype == np.uint8 else np.uint32
+        )
+        lens = _idx(lens)
+        if codes.ndim != 2 or lens.shape != (codes.shape[0],):
+            raise ValueError(
+                f"codes {codes.shape} and lengths {lens.shape} do not match"
+            )
+        if len(lens) and (lens.min() < 0 or lens.max() > codes.shape[1]):
+            raise ValueError("a length exceeds the code matrix width")
+        if max_pairs < 1:
+            raise ValueError(f"max_pairs must be >= 1, got {max_pairs}")
+        hashes, ids, table = index.flat()
+        return self._p["passjoin_probe"](
+            codes, lens, np.ascontiguousarray(hashes, dtype=np.uint64),
+            _idx(ids), _idx(table).reshape(-1, 4), len(index), index.k,
+            int(max_pairs), capacity,
         )
 
 
@@ -487,6 +538,44 @@ def _self_check(ks: KernelSet) -> str | None:
                     and list(passed) == want_passed
                 ):
                     return f"dense sweep mismatch: {filters} width {width}"
+
+        # -- PASS-JOIN probe: both code widths, k 0-2, lengths ---------
+        # 0/1/63/64/65, an empty index and an empty query batch.  The
+        # reference's blocks re-cut at max_pairs=3 are what that cap
+        # yields; capacity=2 also forces the output buffer's
+        # overflow/resume path.
+        from repro.core.passjoin import PassJoinIndex, _encode_codes
+
+        w = "".join(alpha[c] for c in rng.integers(4, 6, size=65))
+        words = ["", "a", "ab", "ba", w[:63], w[:64], w, w[1] + w[0] + w[2:64]]
+        for k in (0, 1, 2):
+            for index in (PassJoinIndex(words, k=k), PassJoinIndex([], k=k)):
+                for queries in (words, []):
+                    utf32 = _encode_codes(queries)
+                    want = [
+                        (q.tolist(), j.tolist())
+                        for q, j in index.probe_codes(*utf32)
+                    ]
+                    cut = [
+                        (q[c : c + 3], j[c : c + 3])
+                        for q, j in want
+                        for c in range(0, len(q), 3)
+                    ]
+                    for codes, lens in (encode_raw(queries), utf32):
+                        for expect, max_pairs, capacity in (
+                            (want, 1 << 20, None),
+                            (cut, 3, 2),
+                        ):
+                            got = ks._passjoin_probe(
+                                index, codes, lens, max_pairs, capacity
+                            )
+                            if expect != [
+                                (q.tolist(), j.tolist()) for q, j in got
+                            ]:
+                                return (
+                                    f"passjoin probe mismatch: k={k} "
+                                    f"{codes.dtype} max_pairs={max_pairs}"
+                                )
     except Exception as exc:  # pragma: no cover - defensive
         return repr(exc)
     return None

@@ -26,6 +26,14 @@ Kernels mirror the pure-Python/NumPy references bit for bit:
   decisions: Hyyro bit-parallel for patterns up to 64 chars
   (``distance/bitparallel.py``), banded rolling-row DP beyond that
   (``distance/pruned.py::_banded_osa``).
+* ``passjoin_probe`` — the PASS-JOIN probe
+  (``core/passjoin.py::SegmentIndex.probe_codes``) over the flat segment
+  index: per query, its shift windows and boundary-swap variants hashed
+  with the same polynomial, the buckets binary-searched, the hits
+  deduplicated and emitted with ids ascending, queries in (length,
+  index) order.  One loop body per code width (``uint8`` and
+  ``uint32``); the output buffer is filled with whole queries and the
+  call resumes where it stopped.
 """
 
 from __future__ import annotations
@@ -389,6 +397,182 @@ int64_t fused_rows_u64(const uint64_t *L, const uint64_t *R, int64_t width,
 #undef ALL
 #undef WINDOW
 }
+
+/* ------------------------------------------------------------------ */
+/* PASS-JOIN probe: core/passjoin.py::SegmentIndex.probe_codes over    */
+/* the flat (hashes, ids, table) index.  Queries are visited in the    */
+/* given order (the caller's stable sort by length); for each, every   */
+/* (length, segment) bucket with |dlen| <= k is probed at each shift   */
+/* window with the window's hash and its vL/vR/vLR boundary-swap       */
+/* variants (the same FNV polynomial as _fold).  The hits are          */
+/* deduplicated with a per-query stamp (one bit per indexed id, in     */
+/* seen), emitted as (query, id) pairs with ids ascending, and their   */
+/* stamps cleared.  One loop body per code width (1 = encode_raw       */
+/* bytes, 4 = UTF-32), picked once per call.                           */
+/*                                                                     */
+/* state[0] is the order position to start from and, on return, the   */
+/* first one not emitted; a query is emitted whole or not at all.  A   */
+/* query that does not fit in the cap has its stamps cleared too, so   */
+/* the resumed call collects it again; when it would not fit an empty  */
+/* buffer, state[1] receives the capacity it needs.  Returns the       */
+/* number of pairs emitted.                                            */
+/* ------------------------------------------------------------------ */
+
+#define HASH_BASE 1099511628211ULL
+#define HASH_OFFSET 1469598103934665603ULL
+
+INLINE uint64_t fold(uint64_t h, uint64_t c) { return h * HASH_BASE + c + 1; }
+
+INLINE uint64_t code_at(const void *row, const int wide, int64_t x) {
+    return wide ? ((const uint32_t *)row)[x] : ((const uint8_t *)row)[x];
+}
+
+/* Append the ids of bucket [lo, hi) whose hash is h and whose stamp   */
+/* is not yet set.                                                     */
+INLINE int64_t collect(const uint64_t *hashes, const int64_t *ids,
+                       int64_t lo, int64_t hi, uint64_t h, uint64_t *seen,
+                       int64_t *cand, int64_t nc) {
+    int64_t a = lo, b = hi;
+    while (a < b) {
+        int64_t mid = a + (b - a) / 2;
+        if (hashes[mid] < h) a = mid + 1;
+        else b = mid;
+    }
+    for (; a < hi && hashes[a] == h; a++) {
+        int64_t id = ids[a];
+        uint64_t bit = (uint64_t)1 << (id & 63);
+        if (!(seen[id >> 6] & bit)) {
+            seen[id >> 6] |= bit;
+            cand[nc++] = id;
+        }
+    }
+    return nc;
+}
+
+/* cand[0, nc) ascending into dst, read back from the stamp words     */
+/* between the lowest and highest hit, clearing them.                  */
+static void emit_sorted(const int64_t *cand, int64_t nc, uint64_t *seen,
+                        int64_t *dst) {
+    int64_t lo = cand[0], hi = cand[0];
+    for (int64_t c = 1; c < nc; c++) {
+        if (cand[c] < lo) lo = cand[c];
+        if (cand[c] > hi) hi = cand[c];
+    }
+    int64_t t = 0;
+    for (int64_t w = lo >> 6; w <= hi >> 6; w++) {
+        uint64_t bits = seen[w];
+        seen[w] = 0;
+        while (bits) {
+            dst[t++] = (w << 6) + __builtin_ctzll(bits);
+            bits &= bits - 1;
+        }
+    }
+}
+
+/* Every candidate of one query of length qlen, unsorted, into cand. */
+INLINE int64_t probe_query(const void *q, const int wide, int64_t qlen,
+                           int64_t k, const uint64_t *hashes,
+                           const int64_t *ids, const int64_t *table,
+                           int64_t m, uint64_t *seen, int64_t *cand) {
+    int64_t parts = k + 1, nc = 0;
+    int64_t t = 0, hi_t = m;
+    while (t < hi_t) { /* first table row with length >= qlen - k */
+        int64_t mid = t + (hi_t - t) / 2;
+        if (table[4 * mid] < qlen - k) t = mid + 1;
+        else hi_t = mid;
+    }
+    for (; t < m && table[4 * t] <= qlen + k; t++) {
+        const int64_t *row = table + 4 * t;
+        int64_t length = row[0], seg = row[1], blo = row[2], bhi = row[3];
+        int64_t base = length / parts, rem = length % parts;
+        int64_t seg_len = base + (seg >= parts - rem);
+        int64_t p_i = seg * base
+                      + (seg > parts - rem ? seg - (parts - rem) : 0);
+        int64_t delta = qlen - length;
+        int64_t lo = 0, hi = qlen - seg_len;
+        if (p_i - k > lo) lo = p_i - k;
+        if (p_i + delta - k > lo) lo = p_i + delta - k;
+        if (p_i + k < hi) hi = p_i + k;
+        if (p_i + delta + k < hi) hi = p_i + delta + k;
+        if (hi < lo) continue;
+        if (seg_len == 0) { /* every window is the empty string */
+            nc = collect(hashes, ids, blo, bhi, HASH_OFFSET, seen, cand, nc);
+            continue;
+        }
+        for (int64_t p = lo; p <= hi; p++) {
+            int has_left = p >= 1, has_right = p + seg_len < qlen;
+            /* Shared fold over p + 1 .. p + seg_len - 2, seeded with  */
+            /* the window's first character or its left neighbor.      */
+            uint64_t hb = fold(HASH_OFFSET, code_at(q, wide, p));
+            uint64_t hl = has_left
+                          ? fold(HASH_OFFSET, code_at(q, wide, p - 1)) : 0;
+            for (int64_t j = p + 1; j < p + seg_len - 1; j++) {
+                uint64_t c = code_at(q, wide, j);
+                hb = fold(hb, c);
+                hl = fold(hl, c);
+            }
+            uint64_t right = has_right ? code_at(q, wide, p + seg_len) : 0;
+            uint64_t v[4];
+            int nv = 0;
+            if (seg_len == 1) {
+                v[nv++] = hb;
+                if (has_left) v[nv++] = hl;
+                if (has_right) v[nv++] = fold(HASH_OFFSET, right);
+            } else {
+                uint64_t last = code_at(q, wide, p + seg_len - 1);
+                v[nv++] = fold(hb, last);
+                if (has_left) v[nv++] = fold(hl, last);
+                if (has_right) v[nv++] = fold(hb, right);
+                if (has_left && has_right) v[nv++] = fold(hl, right);
+            }
+            for (int x = 0; x < nv; x++)
+                nc = collect(hashes, ids, blo, bhi, v[x], seen, cand, nc);
+        }
+    }
+    return nc;
+}
+
+INLINE int64_t probe_all(const void *codes, const int wide, int64_t stride,
+                         const int64_t *lens, const int64_t *order,
+                         int64_t nq, const uint64_t *hashes,
+                         const int64_t *ids, const int64_t *table,
+                         int64_t m, int64_t k, uint64_t *seen,
+                         int64_t *cand, int64_t *out_q, int64_t *out_j,
+                         int64_t cap, int64_t *state) {
+    int64_t count = 0, pos = state[0];
+    size_t row_bytes = (size_t)stride * (wide ? 4 : 1);
+    state[1] = 0;
+    for (; pos < nq; pos++) {
+        int64_t qi = order[pos];
+        const void *q = (const uint8_t *)codes + (size_t)qi * row_bytes;
+        int64_t nc = probe_query(q, wide, lens[qi], k, hashes, ids, table,
+                                 m, seen, cand);
+        if (count + nc > cap) {
+            for (int64_t c = 0; c < nc; c++) seen[cand[c] >> 6] = 0;
+            if (count == 0) state[1] = nc;
+            break;
+        }
+        if (nc == 0) continue;
+        emit_sorted(cand, nc, seen, out_j + count);
+        for (int64_t c = 0; c < nc; c++) out_q[count++] = qi;
+    }
+    state[0] = pos;
+    return count;
+}
+
+int64_t passjoin_probe(const void *codes, int32_t code_bytes,
+                       int64_t stride, const int64_t *lens,
+                       const int64_t *order, int64_t nq,
+                       const uint64_t *hashes, const int64_t *ids,
+                       const int64_t *table, int64_t m, int64_t k,
+                       uint64_t *seen, int64_t *cand, int64_t *out_q,
+                       int64_t *out_j, int64_t cap, int64_t *state) {
+    if (code_bytes == 4)
+        return probe_all(codes, 1, stride, lens, order, nq, hashes, ids,
+                         table, m, k, seen, cand, out_q, out_j, cap, state);
+    return probe_all(codes, 0, stride, lens, order, nq, hashes, ids, table,
+                     m, k, seen, cand, out_q, out_j, cap, state);
+}
 """
 
 #: populated with the failure reason when the build was attempted and failed
@@ -496,10 +680,15 @@ def _bind(lib: ctypes.CDLL) -> dict[str, ctypes._CFuncPtr]:
         p, p, i64, p, p, p, i64, i64, i64, i64, i64, i32, p, p, i64, p, p,
     ]
     lib.fused_rows_u64.restype = i64
+    lib.passjoin_probe.argtypes = [
+        p, i32, i64, p, p, i64, p, p, p, i64, i64, p, p, p, p, i64, p,
+    ]
+    lib.passjoin_probe.restype = i64
     return {
         "pair_mask_u64": lib.pair_mask_u64,
         "osa_mask": lib.osa_mask,
         "fused_rows_u64": lib.fused_rows_u64,
+        "passjoin_probe": lib.passjoin_probe,
     }
 
 

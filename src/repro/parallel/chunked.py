@@ -409,6 +409,49 @@ class VectorEngine:
         and ``pairs_compared`` keep counting the actual (unique-space)
         work performed.
         """
+        kern, obs, result = self._candidate_run(method, collector, weighter)
+        with obs.span(f"run.{method}.candidates"):
+            for ii, jj in blocks:
+                res = kern.run_pairs(ii, jj, obs)
+                result.verified_pairs += res["verified"]
+                result.pairs_compared += res["compared"]
+                self._take(res, result)
+        return result
+
+    def run_probe(
+        self,
+        method: str,
+        index,
+        *,
+        collector=None,
+        weighter=None,
+        max_pairs: int = 1 << 20,
+    ) -> tuple[JoinResult, int]:
+        """Execute one method stack over the PASS-JOIN candidates of
+        every left row against ``index`` (a
+        :class:`~repro.core.passjoin.SegmentIndex` over the right side).
+
+        The candidates and their ``max_pairs`` blocks are exactly those
+        of ``index.candidate_blocks(left, max_pairs=max_pairs)``, and
+        each block runs through :meth:`run_candidates`' kernels, so the
+        result and funnel equal that call's; the probe reads the left
+        side's codes and is compiled when the engine holds native
+        kernels (:meth:`Kernels.run_probe`).  Returns the result and the
+        emitted candidates in the generator stage's units.
+        """
+        kern, obs, result = self._candidate_run(method, collector, weighter)
+        with obs.span(f"run.{method}.probe"):
+            res = kern.run_probe(
+                index, 0, self._side_l.n, obs, max_pairs=max_pairs
+            )
+        result.verified_pairs = res["verified"]
+        result.pairs_compared = res["compared"]
+        self._take(res, result)
+        return result, res["emitted"]
+
+    def _candidate_run(self, method: str, collector, weighter):
+        """The kernels, collector and empty result of one candidate-fed
+        run of ``method``."""
         spec = method_registry().get(method)
         if spec is None:
             raise ValueError(f"unknown method {method!r}")
@@ -420,14 +463,7 @@ class VectorEngine:
             obs.meta.setdefault("k", self.k)
             obs.meta["n_left"] = len(self.left)
             obs.meta["n_right"] = len(self.right)
-        kern = self._kernels(spec, weighter)
         result = JoinResult(
             method, len(self.left), len(self.right), backend="vectorized"
         )
-        with obs.span(f"run.{method}.candidates"):
-            for ii, jj in blocks:
-                res = kern.run_pairs(ii, jj, obs)
-                result.verified_pairs += res["verified"]
-                result.pairs_compared += res["compared"]
-                self._take(res, result)
-        return result
+        return self._kernels(spec, weighter), obs, result

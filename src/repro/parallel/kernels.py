@@ -16,7 +16,7 @@ there is one implementation of each decision:
   per-pair and dense filters, the diagonal rule and the funnel tally,
   over dense row ranges (:meth:`Kernels.run_rows`), candidate blocks
   (:meth:`Kernels.run_pairs`) or a PASS-JOIN probe
-  (:meth:`Kernels.run_probe`).
+  (:meth:`Kernels.run_probe`, compiled when the native tier loaded).
 
 Funnel accounting is per block: the per-block sums of any cut of the
 work merge to the same counters, which is what lets pool workers report
@@ -455,23 +455,40 @@ class Kernels:
         self.tally(res, ii, jj, obs, ww)
         return res
 
-    def run_probe(self, index: SegmentIndex, r0: int, r1: int, obs) -> dict:
+    def run_probe(
+        self,
+        index: SegmentIndex,
+        r0: int,
+        r1: int,
+        obs,
+        *,
+        max_pairs: int = 1 << 20,
+    ) -> dict:
         """Left rows ``r0:r1`` probed against ``index`` (built over the
         right side) from their codes, each candidate block verified by
         :meth:`run_pairs`.
 
-        ``emitted`` counts the candidates in the units the planner
-        credits to the generator stage: pairs, or original-pair weight
-        under a weighter.  A symmetric weighter enumerates the ``i <= j``
-        triangle, so the probe keeps only that half, as the planner's
-        in-parent stream does.
+        With ``native`` set the compiled probe
+        (:meth:`repro.native.KernelSet.passjoin_probe`) generates the
+        blocks, else :meth:`SegmentIndex.probe_codes`; both yield the
+        same pairs in the same ``max_pairs`` blocks.  ``emitted`` counts
+        the candidates in the units the planner credits to the generator
+        stage: pairs, or original-pair weight under a weighter.  A
+        symmetric weighter enumerates the ``i <= j`` triangle, so the
+        probe keeps only that half, as the planner's in-parent stream
+        does.
         """
         res = self.fresh()
         res["emitted"] = 0
         w = self.weighter
-        for qi, jj in index.probe_codes(
-            self.L.codes[r0:r1], self.L.lengths[r0:r1]
-        ):
+        codes, lens = self.L.codes[r0:r1], self.L.lengths[r0:r1]
+        if self.native is not None:
+            blocks = self.native.passjoin_probe(
+                index, codes, lens, max_pairs=max_pairs
+            )
+        else:
+            blocks = index.probe_codes(codes, lens, max_pairs=max_pairs)
+        for qi, jj in blocks:
             ii = qi + r0
             if w is not None and w.symmetric:
                 keep = ii <= jj

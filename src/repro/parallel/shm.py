@@ -234,7 +234,7 @@ def inline_side(side: Side) -> SideArrays:
 
 
 class _PublishedIndex(Publication):
-    """One :class:`PassJoinIndex` in its flat form (see
+    """One :class:`PassJoinIndex`'s flat arrays, the ones it holds (see
     :meth:`SegmentIndex.flat`), published through shared memory."""
 
     def __init__(self, index: PassJoinIndex):

@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import native
 from repro.core.passjoin import (
     PassJoinIndex,
     SegmentIndex,
     _encode_codes,
+    _hash_rows,
     dedup_sorted,
     segment_layout,
 )
@@ -149,13 +151,11 @@ class TestExtend:
             grown.extend([s])
         fresh = PassJoinIndex(self.BASE + added, k=k)
         assert grown.strings == fresh.strings
-        assert grown._layouts == fresh._layouts
-        assert grown._buckets.keys() == fresh._buckets.keys()
-        for key, (hashes, ids) in fresh._buckets.items():
-            # Equal as (hash, id) multisets, and even in the same order:
-            # ties keep id order either way.
-            np.testing.assert_array_equal(grown._buckets[key][0], hashes)
-            np.testing.assert_array_equal(grown._buckets[key][1], ids)
+        # The same flat arrays, down to the order of equal hashes: ties
+        # keep id order either way.
+        for held, built in zip(grown.flat(), fresh.flat()):
+            assert held.dtype == built.dtype
+            np.testing.assert_array_equal(held, built)
         probes = self.BASE + added + ["SMIHT", "BA", "X", ""]
         assert _pairs(grown, probes) == _pairs(fresh, probes)
 
@@ -311,10 +311,53 @@ class TestProbeFromCodes:
             [2, 0, 2, 3], [2, 1, 3, 4],
             [3, 0, 4, 6], [3, 1, 6, 8],
         ]
+        strings = index.strings
+        codes, _ = _encode_codes(strings)
         for length, seg, lo, hi in table.tolist():
-            held_h, held_ids = index._buckets[(length, seg)]
-            np.testing.assert_array_equal(hashes[lo:hi], held_h)
-            np.testing.assert_array_equal(ids[lo:hi], held_ids)
+            start, seg_len = segment_layout(length, 2)[seg]
+            rows = [i for i, s in enumerate(strings) if len(s) == length]
+            want = _hash_rows(codes[rows, start : start + seg_len])
+            order = np.argsort(want, kind="stable")
+            np.testing.assert_array_equal(hashes[lo:hi], want[order])
+            np.testing.assert_array_equal(ids[lo:hi], np.array(rows)[order])
+        assert all(a is b for a, b in zip(index.flat(), index.flat()))
         empty = PassJoinIndex([], k=1).flat()
         assert [len(a) for a in empty] == [0, 0, 0]
         assert empty[2].shape == (0, 4)
+
+
+@pytest.mark.skipif(
+    not native.available(), reason="no compiled kernel provider in this env"
+)
+class TestCompiledProbe:
+    """The compiled probe (``KernelSet.passjoin_probe``) against the NumPy
+    reference, block for block, over full-Unicode UTF-32 codes."""
+
+    @given(
+        st.lists(any_text, max_size=10),
+        st.lists(any_text, max_size=10),
+        st.sampled_from([0, 1, 2, 3]),
+        st.sampled_from([1, 2, 5, 1 << 20]),
+    )
+    def test_matches_numpy_blocks(self, indexed, queries, k, max_pairs):
+        index = PassJoinIndex(indexed, k=k)
+        codes, lens = _encode_codes(queries)
+        got = native.load_kernels().passjoin_probe(
+            index, codes, lens, max_pairs=max_pairs
+        )
+        assert _block_list(got) == _block_list(
+            index.probe_codes(codes, lens, max_pairs=max_pairs)
+        )
+
+    def test_long_and_combining_strings(self):
+        base = "e\u0301\U0001F600\x00" * 40  # 160 chars, astral + NUL
+        indexed = [base, base[1:], base[:80] + "x" + base[81:], "", "\x00"]
+        queries = indexed + [base[::-1], base[:2] + base[3:], "e\u0301"]
+        codes, lens = _encode_codes(queries)
+        for k in (0, 1, 2, 3):
+            index = PassJoinIndex(indexed, k=k)
+            want = _block_list(index.probe_codes(codes, lens))
+            assert want, "the fixture should produce candidates"
+            assert _block_list(
+                native.load_kernels().passjoin_probe(index, codes, lens)
+            ) == want

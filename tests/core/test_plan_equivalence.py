@@ -238,3 +238,88 @@ class TestMultiprocessEquivalence:
         assert sorted(par.matches) == sorted(ref.matches)
         assert par.match_count == ref.match_count
         assert par.diagonal_matches == ref.diagonal_matches
+
+
+#: every tier a pass-join plan runs on: the scalar loop over the drained
+#: stream (the reference), the engine's NumPy and compiled probes, and
+#: the pool workers' probe
+_PASSJOIN_TIERS = ("scalar", "vectorized", "hybrid") + (
+    ("native",) if native.available() else ()
+)
+
+passjoin_strings = st.lists(
+    st.one_of(
+        st.sampled_from(["", "a1", "a2", "ab", "ba1", "b2", "abab"]),
+        st.text(alphabet="ab12", max_size=9),
+    ),
+    min_size=0,
+    max_size=14,
+)
+
+
+def _funnel(c: StatsCollector) -> dict:
+    # Stages that tested nothing are left out: the scalar loop registers
+    # its filter stages up front, the engine with its first block.
+    return {
+        name: (s.tested, s.passed)
+        for name, s in c.stages.items()
+        if s.tested
+    }
+
+
+@pytest.mark.parametrize("mode", ["plain", "collapse", "self-join"])
+@settings(max_examples=10, deadline=None)
+@given(left=passjoin_strings, right=passjoin_strings)
+def test_passjoin_tiers_agree(mode, left, right):
+    """A pass-join plan returns the same matches and the same funnel,
+    stage for stage, whichever tier probes it: the generator stage
+    credits the emitted candidates once on every tier."""
+    kw = {"collapse": "on" if mode == "collapse" else "off"}
+    if mode == "self-join":
+        right = left
+        kw["self_join"] = True
+    outs = {}
+    for backend in _PASSJOIN_TIERS:
+        c = StatsCollector(f"pass-join/{backend}")
+        r = JoinPlanner(
+            left, right, k=1, record_matches=True, workers=2, **kw
+        ).run("FPDL", generator="pass-join", backend=backend, collector=c)
+        assert r.backend == backend
+        assert c.conserved, f"pass-join/{backend} leaked pairs"
+        assert c.pairs_considered == len(left) * len(right)
+        outs[backend] = (
+            sorted(r.matches), r.match_count, r.diagonal_matches, _funnel(c)
+        )
+    want = outs["scalar"]
+    for backend, got in outs.items():
+        assert got == want, f"pass-join/{backend} diverged from scalar"
+
+
+def _mixed_names(seed: int) -> list[str]:
+    pair = dataset_for_family("LN", 300, seed)
+    return pair.clean[:150] + pair.error[150:]
+
+
+def test_passjoin_native_request_without_provider(monkeypatch):
+    """``REPRO_NO_NATIVE=1`` turns a native pass-join plan into the
+    NumPy probe with the same answer and funnel."""
+    left, right = _mixed_names(0), _mixed_names(1)
+    c_ref = StatsCollector("vectorized")
+    ref = JoinPlanner(left, right, k=1, record_matches=True).run(
+        "FPDL", generator="pass-join", backend="vectorized", collector=c_ref
+    )
+    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    native.reset()
+    try:
+        c = StatsCollector("native-disabled")
+        with pytest.warns(RuntimeWarning):
+            r = JoinPlanner(left, right, k=1, record_matches=True).run(
+                "FPDL", generator="pass-join", backend="native", collector=c
+            )
+    finally:
+        monkeypatch.delenv("REPRO_NO_NATIVE")
+        native.reset()
+    assert sorted(r.matches) == sorted(ref.matches)
+    assert _funnel(c) == _funnel(c_ref)
+    assert c.conserved
+

@@ -20,6 +20,7 @@ import pytest
 from repro import native
 from repro._compat import reset_deprecation_warnings
 from repro.core.matchers import MethodSpec
+from repro.core.passjoin import PassJoinIndex
 from repro.core.plan import BACKEND_NAMES, JoinPlanner
 from repro.core.popcount import popcount_batch_u32, popcount_batch_u64
 from repro.core.vectorized import fbf_candidates as np_fbf_candidates
@@ -332,6 +333,100 @@ class TestFusedRows:
         R.sigs = np.concatenate([R.sigs, R.sigs[:1]])
         assert R.by_length() is not first
         assert len(R.by_length()[0]) == 41
+
+
+@needs_native
+class TestPassJoinProbe:
+    """The compiled PASS-JOIN probe against ``SegmentIndex.probe_codes``
+    (the full-Unicode hypothesis suite is in tests/core/test_passjoin.py)."""
+
+    @staticmethod
+    def _blocks(blocks):
+        return [(q.tolist(), j.tolist()) for q, j in blocks]
+
+    def test_output_overflow_resumes_without_losing_pairs(self):
+        # Every query reaches most of the index, so a capacity below one
+        # query's candidates overflows: alone in an empty buffer (the
+        # buffer grows) and behind earlier queries (the query is rolled
+        # back, its stamps cleared, and collected again next call).
+        indexed = ["SMITH", "SMYTH", "SMITT", "SMIHT", "SMITHS", "MITH"] * 8
+        queries = ["SMITH", "SMITT", "SMYTHE", "SMIT", "JONES", "SMITH"]
+        codes, lens = encode_raw(queries)
+        ks = native.load_kernels()
+        for k in (1, 2):
+            index = PassJoinIndex(indexed, k=k)
+            want = self._blocks(index.probe_codes(codes, lens))
+            per_query = max(
+                sum(q.count(i) for q, _ in want) for i in range(len(queries))
+            )
+            assert per_query > 16
+            for capacity in (1, 7, per_query - 1, per_query, per_query + 1):
+                got = ks._passjoin_probe(index, codes, lens, 1 << 20, capacity)
+                assert self._blocks(got) == want, (k, capacity)
+                for max_pairs in (1, 5, 64):
+                    got = ks._passjoin_probe(
+                        index, codes, lens, max_pairs, capacity
+                    )
+                    assert self._blocks(got) == self._blocks(
+                        index.probe_codes(codes, lens, max_pairs=max_pairs)
+                    ), (k, capacity, max_pairs)
+
+    def test_hits_spread_over_a_large_index(self):
+        # A few candidates at both ends of a large id range: the
+        # emitted ids are read back from hundreds of stamp words, and
+        # base's hits arrive in descending id order (lengths are probed
+        # ascending) yet leave in ascending order.
+        rng = np.random.default_rng(5)
+        rows = rng.integers(97, 123, size=(40000, 12), dtype=np.uint8)
+        indexed = [bytes(r).decode("latin-1") for r in rows]
+        base = "mnbvcxzlkjhg"
+        indexed[39999] = base[:11]
+        indexed[20000] = base
+        indexed[0] = base + "x"
+        queries = [base, indexed[123], indexed[19998] + "x", "q" * 12]
+        codes, lens = encode_raw(queries)
+        ks = native.load_kernels()
+        for k in (0, 1, 2):
+            index = PassJoinIndex(indexed, k=k)
+            want = self._blocks(index.probe_codes(codes, lens))
+            assert self._blocks(ks.passjoin_probe(index, codes, lens)) == want
+            if k == 1:
+                q, j = want[0]
+                hits = [i for qi, i in zip(q, j) if qi == 0]
+                assert hits == [0, 20000, 39999]
+
+    def test_run_probe_native_equals_numpy(self):
+        strings = _strings_with_boundaries()
+        codes, lens = encode_raw(strings)
+        side = Side(len(strings), codes, lens, np.zeros((len(strings), 1)))
+        spec = MethodSpec("PDL", (), "pdl", "verifier only")
+        index = PassJoinIndex(strings, k=1)
+        runs = []
+        for ks in (None, native.load_kernels()):
+            c = StatsCollector("probe")
+            kern = Kernels(
+                side, side, spec, k=1, fbf_bound=0, record=True, native=ks
+            )
+            res = kern.run_probe(index, 2, len(strings) - 1, c, max_pairs=9)
+            runs.append((
+                res["emitted"], res["match_count"], res["verified"],
+                np.concatenate(res["mi"]).tolist(),
+                np.concatenate(res["mj"]).tolist(),
+                c.pairs_considered, c.verified, c.matched,
+            ))
+        assert runs[0] == runs[1]
+        assert runs[0][1] > 0
+
+    def test_rejects_codes_that_do_not_fit_lengths(self):
+        ks = native.load_kernels()
+        index = PassJoinIndex(["ab"], k=1)
+        codes, lens = encode_raw(["ab", "abc"])
+        with pytest.raises(ValueError, match="exceeds"):
+            ks.passjoin_probe(index, codes[:, :2], lens)
+        with pytest.raises(ValueError, match="do not match"):
+            ks.passjoin_probe(index, codes, lens[:1])
+        with pytest.raises(ValueError, match="max_pairs"):
+            ks.passjoin_probe(index, codes, lens, max_pairs=0)
 
 
 class TestBuildCache:

@@ -8,6 +8,7 @@ removes do not.
 
 import pytest
 
+from repro import native
 from repro.data.datasets import dataset_for_family
 from repro.obs import StatsCollector
 from repro.parallel.shm import close_shared_pools
@@ -82,6 +83,41 @@ class TestPooledEquivalence:
             svc.remove(0)
         probe = ["ZZYZX", ln_pair.clean[0], *ln_pair.error[:10]]
         assert _batched(pooled, probe) == _batched(ref, probe)
+
+    def test_passjoin_add_found_inprocess_and_pooled(
+        self, ln_pair, monkeypatch
+    ):
+        # In process the compiled probe answers (when a provider loads);
+        # pooled, the workers probe.  A row added after the index was
+        # built is found by both: extend refreshed the flat arrays.
+        probed = []
+        if native.available():
+            real = native.KernelSet.passjoin_probe
+
+            def spy(self, index, *args, **kw):
+                probed.append(len(index))
+                return real(self, index, *args, **kw)
+
+            monkeypatch.setattr(native.KernelSet, "passjoin_probe", spy)
+        ref = MatchService(
+            ln_pair.clean, k=1, cache_size=0, candidates="pass-join"
+        )
+        pooled = MatchService(
+            ln_pair.clean, k=1, cache_size=0, workers=2,
+            candidates="pass-join",
+        )
+        queries = ln_pair.error[:20]
+        assert _batched(pooled, queries) == _batched(ref, queries)
+        for svc in (ref, pooled):
+            svc.add("QWERTYNAME")
+        probe = ["QWERTYNAMF", "QWETRYNAME", *queries]
+        got = _batched(ref, probe)
+        n = len(ln_pair.clean)
+        assert got[0] == ("QWERTYNAMF", (n,))
+        assert got[1] == ("QWETRYNAME", (n,))
+        assert _batched(pooled, probe) == got
+        if native.available():
+            assert probed == [n, n + 1]
 
     def test_single_worker_stays_inprocess(self, ln_pair):
         c = StatsCollector("one")
