@@ -47,13 +47,14 @@ with ``D = |q| - L`` (edits before the segment shift it by at most
 The index stores no substrings: each (length, segment) bucket keeps a
 sorted run of 64-bit polynomial hashes of the segment's code points
 with the indexed ids alongside, all buckets end to end in one flat
-``(hashes, ids, table)`` layout.  Two probes read it and yield the same
-blocks: :meth:`SegmentIndex.probe_codes` hashes a query-length group's
-windows vectorized and binary-searches the buckets with NumPy (the
-reference, and the fallback without a compiled provider), and the
-compiled ``passjoin_probe`` kernel (:mod:`repro.native`) does the same
-per query in C — the probe the native backend, serve batches, stream
-chunks and the hybrid pool workers run.  Hash collisions produce
+``(hashes, ids, table)`` layout.  Two probes read it and find the same
+candidates: :meth:`SegmentIndex.probe_codes` hashes a query-length
+group's windows vectorized and binary-searches the buckets with NumPy
+(the reference, and the fallback without a compiled provider), and the
+compiled ``passjoin_run`` kernel (:mod:`repro.native`) does the same per
+query in C and filters and verifies each candidate there — the pass
+the native backend, serve batches, stream chunks and the hybrid pool
+workers run.  Hash collisions produce
 spurious candidates only (the verifier decides); they never drop one.
 Code points come from UTF-32 so any Python string — full Unicode, NUL
 bytes, empty — round-trips without the latin-1 restriction of the
@@ -304,9 +305,9 @@ class SegmentIndex:
         ``osa(query, indexed) <= self.k`` (see the module docstring for
         the OSA variant argument); blocks are capped at ``max_pairs``
         pairs and grouped by query length, queries ascending within a
-        group and ids ascending within a query.  This is the reference
-        the compiled probe (``KernelSet.passjoin_probe``) must equal
-        block for block.
+        group and ids ascending within a query.  This is the reference:
+        the compiled run (``KernelSet.passjoin_run``) must find the same
+        candidates per query and emit its pairs in this order.
         """
         n_index = len(self)
         if not n_index or not len(q_lens):

@@ -16,9 +16,11 @@ package closes that gap with compiled kernels:
 3. a batched bounded-OSA verifier (bit-parallel Hyyro recurrence for
    patterns up to 64 chars, mirroring ``distance/bitparallel.py``, and
    a banded DP beyond, mirroring ``distance/pruned.py::_banded_osa``);
-4. the PASS-JOIN probe over the flat segment index, for ``uint8``
-   (``encode_raw``) and ``uint32`` (UTF-32) codes, yielding exactly the
-   blocks of ``core/passjoin.py::SegmentIndex.probe_codes``.
+4. the PASS-JOIN run over the flat segment index and ``uint8``
+   (``encode_raw``) codes: per query, the probe of
+   ``core/passjoin.py::SegmentIndex.probe_codes``, then each
+   candidate's filter chain and DL/PDL/Hamming verifier and the funnel
+   tally, in one compiled pass that returns only the matches.
 
 They have one provider, ``cc``: a C translation unit compiled on first
 use with the host's C compiler and loaded via ctypes (cached on disk,
@@ -70,6 +72,9 @@ _PROVIDERS = ("cc",)
 #: the filter chains the dense sweep covers (every ``MethodSpec`` chain),
 #: as the kernel's chain codes: bit 0 = FBF, bit 1 = length stage first
 _CHAINS = {(): 0, ("fbf",): 1, ("length",): 2, ("length", "fbf"): 3}
+#: the verifiers the PASS-JOIN run compiles, as the kernel's verify codes
+#: (0: none — it emits the filter survivors)
+_VERIFIERS = {"dl": 1, "pdl": 2, "ham": 3}
 
 
 def _sig2d(sigs: np.ndarray, dtype) -> np.ndarray:
@@ -90,6 +95,19 @@ def _idx(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 
+def _codes(codes: np.ndarray, lens: np.ndarray):
+    """A side's ``uint8`` code matrix and int64 lengths, checked to
+    match (the kernel checks each length it reads against the width)."""
+    codes, lens = np.asarray(codes), _idx(lens)
+    if codes.dtype != np.uint8:
+        raise ValueError(f"codes must be uint8 (encode_raw), got {codes.dtype}")
+    if codes.ndim != 2 or lens.shape != (codes.shape[0],):
+        raise ValueError(
+            f"codes {codes.shape} and lengths {lens.shape} do not match"
+        )
+    return np.ascontiguousarray(codes), lens
+
+
 class KernelSet:
     """The compiled kernels of one provider, at NumPy call level.
 
@@ -99,11 +117,21 @@ class KernelSet:
     NumPy arrays, bit-identical to the NumPy-tier equivalents.
     """
 
-    __slots__ = ("kind", "_p")
+    __slots__ = ("kind", "_p", "_capacity")
 
     def __init__(self, kind: str, prims: dict[str, Callable]):
         self.kind = kind
         self._p = prims
+        #: :meth:`passjoin_run`'s output buffer in pairs (None: default)
+        self._capacity = None
+
+    def _with_capacity(self, capacity: int) -> "KernelSet":
+        """This provider with a :meth:`passjoin_run` output buffer of
+        ``capacity`` pairs — small ones drive the resume path in the
+        self-check and the tests."""
+        ks = KernelSet(self.kind, self._p)
+        ks._capacity = capacity
+        return ks
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KernelSet(kind={self.kind!r})"
@@ -219,53 +247,116 @@ class KernelSet:
             int(bound), int(k), chain,
         )
 
-    # -- PASS-JOIN probe -----------------------------------------------
+    # -- PASS-JOIN run -------------------------------------------------
 
-    def passjoin_probe(
+    @staticmethod
+    def verifies(kind) -> bool:
+        """Whether :meth:`passjoin_run` compiles this verifier kind."""
+        return kind in _VERIFIERS
+
+    def passjoin_run(
         self,
         index,
         codes: np.ndarray,
         lens: np.ndarray,
         *,
-        max_pairs: int = 1 << 20,
-    ):
-        """``index.probe_codes(codes, lens, max_pairs=max_pairs)``,
-        compiled: the same ``(query_idx, ids)`` pairs in the same blocks.
+        rows: tuple[int, int] | None = None,
+        right: tuple[np.ndarray, np.ndarray] | None = None,
+        k: int | None = None,
+        filters=(),
+        verifier: str | None = None,
+        sigs: tuple[np.ndarray, np.ndarray] | None = None,
+        bound: int = 0,
+        weighter=None,
+        vids: tuple[np.ndarray, np.ndarray] | None = None,
+        emit: bool = True,
+    ) -> tuple[np.ndarray, np.ndarray, dict]:
+        """Probe, filter and verify left rows against ``index`` in one
+        compiled pass; only the pairs asked for leave the kernel.
 
-        ``index`` is a :class:`repro.core.passjoin.SegmentIndex`, probed
-        through its flat arrays.  ``codes`` is a padded code matrix:
-        ``uint8`` (:func:`repro.distance.codec.encode_raw`) or ``uint32``
-        (UTF-32); other integer dtypes are widened to ``uint32``.  The
-        output buffer holds 64 Ki pairs; a call resumes where a full
-        buffer stopped it, and the buffer grows when one query's
-        candidates need more.  Inputs are validated here, before the
-        returned iterator runs.
+        ``index`` is a :class:`repro.core.passjoin.SegmentIndex` over the
+        right side, probed through its flat arrays; ``codes``/``lens``
+        are the left side's padded ``uint8`` code matrix
+        (:func:`repro.distance.codec.encode_raw`) and lengths.  ``rows``
+        = ``(r0, r1)`` picks the left rows to probe (default all), visited
+        in stable length order as ``index.probe_codes`` groups them.
+        Each candidate runs ``filters`` (a dense-sweep chain: the length
+        stage at ``k``, default ``index.k``; FBF over ``sigs`` = packed
+        ``uint64`` signature matrices of both sides, at ``bound``), then
+        ``verifier`` (``"dl"``, ``"pdl"`` or ``"ham"``, see
+        :meth:`verifies`) at ``k`` against ``right`` = ``(codes,
+        lens)``.
+
+        The funnel is tallied in the pair weights of ``weighter`` (a
+        :class:`repro.core.multiplicity.PairWeighter`): ``w_left[i] *
+        w_right[j]``, doubled off the diagonal when it is symmetric,
+        which also keeps only the ``i <= j`` triangle; without one a
+        pair weighs 1.  The matches' diagonal is ``vids[0][i] ==
+        vids[1][j]`` when ``vids`` is given, else ``i == j``.
+
+        Returns ``(ii, jj, tally)``: the matches (with no verifier, the
+        filter survivors — every candidate for an empty chain), grouped
+        by left row in visiting order with ``jj`` ascending, or nothing
+        when ``emit`` is false; and a dict with ``compared`` (candidate
+        pairs), ``emitted`` (their weight), ``passed`` (the weight past
+        each filter), ``survivors``, ``verified`` (pairs verified),
+        ``matched`` and ``diagonal``.
         """
-        return self._passjoin_probe(index, codes, lens, max_pairs, None)
-
-    def _passjoin_probe(self, index, codes, lens, max_pairs, capacity):
-        """:meth:`passjoin_probe` with an output buffer of ``capacity``
-        pairs (``None``: the default) — small ones drive the resume
-        path in the self-check and the tests."""
-        codes = np.asarray(codes)
-        codes = np.ascontiguousarray(
-            codes, dtype=np.uint8 if codes.dtype == np.uint8 else np.uint32
-        )
-        lens = _idx(lens)
-        if codes.ndim != 2 or lens.shape != (codes.shape[0],):
-            raise ValueError(
-                f"codes {codes.shape} and lengths {lens.shape} do not match"
-            )
-        if len(lens) and (lens.min() < 0 or lens.max() > codes.shape[1]):
-            raise ValueError("a length exceeds the code matrix width")
-        if max_pairs < 1:
-            raise ValueError(f"max_pairs must be >= 1, got {max_pairs}")
+        chain = _CHAINS[tuple(filters)]
+        if verifier is not None and verifier not in _VERIFIERS:
+            raise ValueError(f"passjoin_run does not verify {verifier!r}")
+        right_used = bool(chain & _CHAINS[("length",)]) or verifier is not None
+        if right is None:
+            if right_used:
+                raise ValueError("the length filter and verifiers need right")
+            right = (np.zeros((0, 0), dtype=np.uint8), np.zeros(0))
+        sides = [_codes(codes, lens), _codes(*right)]
+        cl, ll = sides[0]
+        r0, r1 = (0, len(ll)) if rows is None else rows
+        if not 0 <= r0 <= r1 <= len(ll):
+            raise ValueError(f"rows {rows} out of range for {len(ll)} rows")
+        order = np.argsort(ll[r0:r1], kind="stable") + r0
+        sig_l = sig_r = None
+        if chain & _CHAINS[("fbf",)]:
+            if sigs is None:
+                raise ValueError("the fbf filter needs sigs")
+            sig_l, sig_r = (_sig2d(x, np.uint64) for x in sigs)
+            if sig_l.shape[1] != sig_r.shape[1]:
+                raise ValueError("signature widths differ")
+        w_l = w_r = None
+        if weighter is not None:
+            w_l, w_r = _idx(weighter.w_left), _idx(weighter.w_right)
+        vid_l, vid_r = (None, None) if vids is None else map(_idx, vids)
+        # Every array a candidate id or a left row indexes must cover it.
+        n, nl = len(index), len(ll)
+        for arr, need in (
+            (sides[1][1], n if right_used else 0), (sig_l, nl), (sig_r, n),
+            (w_l, nl), (w_r, n), (vid_l, nl), (vid_r, n),
+        ):
+            if arr is not None and len(arr) < need:
+                raise ValueError(
+                    f"an array of {len(arr)} rows is indexed up to {need}"
+                )
         hashes, ids, table = index.flat()
-        return self._p["passjoin_probe"](
-            codes, lens, np.ascontiguousarray(hashes, dtype=np.uint64),
-            _idx(ids), _idx(table).reshape(-1, 4), len(index), index.k,
-            int(max_pairs), capacity,
+        ii, jj, t = self._p["passjoin_run"](
+            cl, ll, order, *sides[1],
+            np.ascontiguousarray(hashes, dtype=np.uint64), _idx(ids),
+            _idx(table).reshape(-1, 4), len(index), index.k,
+            index.k if k is None else int(k), chain,
+            _VERIFIERS.get(verifier, 0), sig_l, sig_r, int(bound),
+            w_l, w_r, int(weighter is not None and weighter.symmetric),
+            vid_l, vid_r, emit, self._capacity,
         )
+        t = t.tolist()
+        return ii, jj, {
+            "compared": t[0],
+            "emitted": t[1],
+            "passed": t[2 : 2 + len(filters)],
+            "verified": t[4],
+            "survivors": t[5],
+            "matched": t[6],
+            "diagonal": t[7],
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -539,43 +630,113 @@ def _self_check(ks: KernelSet) -> str | None:
                 ):
                     return f"dense sweep mismatch: {filters} width {width}"
 
-        # -- PASS-JOIN probe: both code widths, k 0-2, lengths ---------
-        # 0/1/63/64/65, an empty index and an empty query batch.  The
-        # reference's blocks re-cut at max_pairs=3 are what that cap
-        # yields; capacity=2 also forces the output buffer's
-        # overflow/resume path.
-        from repro.core.passjoin import PassJoinIndex, _encode_codes
+        # -- PASS-JOIN run: every chain x verifier (none, DL, PDL, Ham) --
+        # under plain, weighted and collapsed self-join (symmetric
+        # weights, value-identity diagonal) tallies, against the NumPy
+        # probe's candidates with the reference decisions.  Queries of
+        # 0-65 chars reach the bit-parallel and banded verifiers and the
+        # empty-string rules; queries sharing candidates catch a stamp
+        # left set or a pattern mask not reset; capacity 1 forces the
+        # output buffer's resume path.
+        from repro.core.multiplicity import PairWeighter
+        from repro.core.passjoin import PassJoinIndex
+        from repro.distance.hamming import hamming
 
-        w = "".join(alpha[c] for c in rng.integers(4, 6, size=65))
-        words = ["", "a", "ab", "ba", w[:63], w[:64], w, w[1] + w[0] + w[2:64]]
-        for k in (0, 1, 2):
-            for index in (PassJoinIndex(words, k=k), PassJoinIndex([], k=k)):
-                for queries in (words, []):
-                    utf32 = _encode_codes(queries)
-                    want = [
-                        (q.tolist(), j.tolist())
-                        for q, j in index.probe_codes(*utf32)
-                    ]
-                    cut = [
-                        (q[c : c + 3], j[c : c + 3])
-                        for q, j in want
-                        for c in range(0, len(q), 3)
-                    ]
-                    for codes, lens in (encode_raw(queries), utf32):
-                        for expect, max_pairs, capacity in (
-                            (want, 1 << 20, None),
-                            (cut, 3, 2),
-                        ):
-                            got = ks._passjoin_probe(
-                                index, codes, lens, max_pairs, capacity
-                            )
-                            if expect != [
-                                (q.tolist(), j.tolist()) for q, j in got
-                            ]:
-                                return (
-                                    f"passjoin probe mismatch: k={k} "
-                                    f"{codes.dtype} max_pairs={max_pairs}"
-                                )
+        def rand(size, lo, hi):
+            return ["".join(alpha[c] for c in rng.integers(0, 4, size=n))
+                    for n in rng.integers(lo, hi, size=size)]
+
+        w = "".join(alpha[c] for c in rng.integers(0, 6, size=65))
+        left = ["", "a", "ab", "ba", *rand(5, 2, 6), "", "ab", "ba",
+                w[:64], w[:65], w[1] + w[0] + w[2:65], w[:63] + "ab",
+                *rand(5, 2, 6)]
+        # Indexed filler rows (never probed) put the two halves in
+        # different stamp words: a stamp left set is not cleared by a
+        # neighbour's.
+        right = left[:9] + rand(56, 12, 20) + left[9:]
+        codes, lens = encode_raw(left)
+        side_r = encode_raw(right)
+        k, nl, nr = 1, len(left), len(right)
+        sig_l = rng.integers(0, 1 << 63, size=(nl, 2), dtype=np.uint64)
+        sig_r = rng.integers(0, 1 << 63, size=(nr, 2), dtype=np.uint64)
+        wl, wr = rng.integers(1, 4, size=nl), rng.integers(1, 4, size=nr)
+        vids = (
+            np.array([right.index(x) if x in right else -1 for x in left]),
+            np.arange(nr),
+        )
+        index = PassJoinIndex(right, k=k)
+        cands = [
+            (q, j)
+            for qb, jb in index.probe_codes(codes, lens)
+            for q, j in zip(qb.tolist(), jb.tolist())
+        ]
+        verdict = {}
+        for q, j in cands:
+            s, t = left[q], right[j]
+            within = pdl(s, t, k)
+            db = sum(bin(int(x)).count("1") for x in sig_l[q] ^ sig_r[j])
+            for f, ok in (
+                ("length", abs(len(s) - len(t)) <= k),
+                ("fbf", db <= 64),
+                # DL differs from PDL only on empty strings
+                ("dl", within or (not s or not t) and len(s + t) <= k),
+                ("pdl", within),
+                ("ham", hamming(s, t) <= k),
+            ):
+                verdict[f, q, j] = ok
+        modes = (
+            {},
+            {"weighter": PairWeighter(wl, wr)},
+            {"weighter": PairWeighter(wl, wr, symmetric=True), "vids": vids},
+        )
+        small = ks._with_capacity(1)
+        for ci, filters in enumerate(_CHAINS):
+            for vi, verifier in enumerate((None, "dl", "pdl", "ham")):
+                mode = modes[(ci + vi) % 3]
+                wtr = mode.get("weighter")
+                sym = wtr is not None and wtr.symmetric
+                vl, vr = mode.get("vids", (range(nl), range(nr)))
+                want_pairs = []
+                want = dict.fromkeys(
+                    ("compared", "emitted", "verified", "survivors",
+                     "matched", "diagonal"), 0
+                )
+                want["passed"] = [0] * len(filters)
+                for q, j in cands:
+                    if sym and j < q:
+                        continue
+                    wt = 1 if wtr is None else wtr.weight(q, j)
+                    want["compared"] += 1
+                    want["emitted"] += wt
+                    for x, f in enumerate(filters):
+                        if not verdict[f, q, j]:
+                            break
+                        want["passed"][x] += wt
+                    else:
+                        want["survivors"] += wt
+                        if verifier is not None:
+                            want["verified"] += 1
+                            if not verdict[verifier, q, j]:
+                                continue
+                            want["matched"] += wt
+                            want["diagonal"] += wt * (vl[q] == vr[j])
+                        want_pairs.append((q, j))
+                got_i, got_j, tally = (small if vi == ci else ks).passjoin_run(
+                    index, codes, lens, right=side_r, k=k, filters=filters,
+                    verifier=verifier, sigs=(sig_l, sig_r), bound=64, **mode,
+                )
+                if (
+                    list(zip(got_i.tolist(), got_j.tolist())) != want_pairs
+                    or tally != want
+                ):
+                    return (
+                        f"passjoin run mismatch: {filters} {verifier} "
+                        f"{sorted(mode)}"
+                    )
+        for index, queries in ((PassJoinIndex([], k=1), left), (index, [])):
+            got_i, _, tally = ks.passjoin_run(index, *encode_raw(queries))
+            if len(got_i) or tally["compared"]:
+                return "passjoin run: an empty side emitted pairs"
     except Exception as exc:  # pragma: no cover - defensive
         return repr(exc)
     return None

@@ -11,12 +11,10 @@ capacity guess, and a ``-1`` overflow return doubles the buffer and
 re-runs the block.  Capacity never exceeds the block's pair count, so
 the retry loop always terminates.
 
-The PASS-JOIN probe resumes instead: each call fills the output buffer
+The PASS-JOIN run resumes instead: each call fills the output buffer
 with whole queries and reports where it stopped, and a query too large
 for an empty buffer grows the buffer to the size the kernel asks for.
-The wrapper cuts the pairs into ``probe_codes``' blocks — one run of
-blocks per query length, each at most ``max_pairs`` pairs — so a block
-may join the tail of one call's output to the head of the next.
+Its funnel tally accumulates across the calls.
 """
 
 from __future__ import annotations
@@ -32,10 +30,11 @@ __all__ = ["load"]
 #: target pairs per kernel call — bounds both scan latency per call and
 #: the worst-case output buffer a single retry can demand
 _BLOCK_PAIRS = 1 << 24
-#: the PASS-JOIN probe's default output buffer, in pairs: a serve batch
-#: fits in one call, and a large probe pays one call per 64 Ki pairs
-#: instead of holding buffers of ``max_pairs`` (8 MiB each by default)
-_PROBE_PAIRS = 1 << 16
+#: the PASS-JOIN run's default output buffer, in pairs: a serve batch
+#: fits in one call, and a large run pays one call per 64 Ki pairs
+_RUN_PAIRS = 1 << 16
+#: slots of the PASS-JOIN run's funnel tally (the kernel's T_* enum)
+_TALLY_SLOTS = 8
 
 
 def _ptr(arr: np.ndarray | None) -> int:
@@ -83,63 +82,50 @@ def _fused_rows(fn, L, R, len_l, len_r, order, r0, r1, bound, k, chain):
     return np.concatenate(ii_parts), np.concatenate(jj_parts), passed_total
 
 
-def _passjoin_probe(fn, codes, lens, hashes, ids, table, n, k, max_pairs,
-                    capacity):
-    nq = len(lens)
+def _passjoin_run(fn, codes_l, len_l, order, codes_r, len_r, hashes, ids,
+                  table, n, pk, k, chain, verify, sig_l, sig_r, bound, w_l,
+                  w_r, symmetric, vid_l, vid_r, emit, capacity):
+    tally = np.zeros(_TALLY_SLOTS, dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
+    nq = len(order)
     if not n or not nq:
-        return
-    order = np.argsort(lens, kind="stable")
+        return empty, empty.copy(), tally
     seen = np.zeros((n + 63) // 64, dtype=np.uint64)
     cand = np.empty(n, dtype=np.int64)
+    rows = np.empty(3 * (max(codes_l.shape[1], codes_r.shape[1]) + 2),
+                    dtype=np.int32)
     state = np.zeros(2, dtype=np.int64)
-    cap = max(1, capacity or _PROBE_PAIRS)
-    # The block being filled: pieces of one query length, < max_pairs.
-    pend_q: list[np.ndarray] = []
-    pend_j: list[np.ndarray] = []
-    pend_n = pend_len = 0
-
-    def flush():
-        nonlocal pend_n
-        block = (
-            (pend_q[0], pend_j[0]) if len(pend_q) == 1
-            else (np.concatenate(pend_q), np.concatenate(pend_j))
-        )
-        pend_q.clear()
-        pend_j.clear()
-        pend_n = 0
-        return block
-
+    cap = max(1, capacity or _RUN_PAIRS) if emit else 0
+    width = 0 if sig_l is None else sig_l.shape[1]
+    parts_q: list[np.ndarray] = []
+    parts_j: list[np.ndarray] = []
     while state[0] < nq:
-        out_q = np.empty(cap, dtype=np.int64)
-        out_j = np.empty(cap, dtype=np.int64)
+        out_q = np.empty(cap, dtype=np.int64) if emit else None
+        out_j = np.empty(cap, dtype=np.int64) if emit else None
         got = fn(
-            codes.ctypes.data, codes.itemsize, codes.shape[1],
-            lens.ctypes.data, order.ctypes.data, nq,
+            codes_l.ctypes.data, codes_l.shape[1], len_l.ctypes.data,
+            order.ctypes.data, nq,
+            codes_r.ctypes.data, codes_r.shape[1], len_r.ctypes.data,
             hashes.ctypes.data, ids.ctypes.data, table.ctypes.data,
-            table.shape[0], k, seen.ctypes.data, cand.ctypes.data,
-            out_q.ctypes.data, out_j.ctypes.data, cap, state.ctypes.data,
+            table.shape[0], pk, k, chain, verify,
+            _ptr(sig_l), _ptr(sig_r), width, bound,
+            _ptr(w_l), _ptr(w_r), symmetric, _ptr(vid_l), _ptr(vid_r),
+            seen.ctypes.data, cand.ctypes.data, rows.ctypes.data,
+            _ptr(out_q), _ptr(out_j), cap, state.ctypes.data,
+            tally.ctypes.data,
         )
+        if got < 0:
+            raise ValueError("a length exceeds the code matrix width")
         if state[1]:  # one query needs more than an empty buffer holds
             cap = max(2 * cap, int(state[1]))
-            continue
-        if not got:
-            continue
-        ql = lens[out_q[:got]]
-        cuts = (np.flatnonzero(ql[1:] != ql[:-1]) + 1).tolist()
-        for a, b in zip([0, *cuts], [*cuts, got]):
-            if pend_n and ql[a] != pend_len:
-                yield flush()
-            pend_len = ql[a]
-            while a < b:
-                take = min(b - a, max_pairs - pend_n)
-                pend_q.append(out_q[a : a + take])
-                pend_j.append(out_j[a : a + take])
-                pend_n += take
-                a += take
-                if pend_n == max_pairs:
-                    yield flush()
-    if pend_n:
-        yield flush()
+        elif got:
+            parts_q.append(out_q[:got])
+            parts_j.append(out_j[:got])
+    if not parts_q:
+        return empty, empty.copy(), tally
+    if len(parts_q) == 1:
+        return parts_q[0], parts_j[0], tally
+    return np.concatenate(parts_q), np.concatenate(parts_j), tally
 
 
 def load():
@@ -172,10 +158,10 @@ def load():
         return out
 
     fused_rows_u64 = functools.partial(_fused_rows, raw["fused_rows_u64"])
-    passjoin_probe = functools.partial(_passjoin_probe, raw["passjoin_probe"])
+    passjoin_run = functools.partial(_passjoin_run, raw["passjoin_run"])
     return {
         "pair_mask_u64": pair_mask_u64,
         "osa_mask": osa_mask,
         "fused_rows_u64": fused_rows_u64,
-        "passjoin_probe": passjoin_probe,
+        "passjoin_run": passjoin_run,
     }

@@ -26,14 +26,18 @@ Kernels mirror the pure-Python/NumPy references bit for bit:
   decisions: Hyyro bit-parallel for patterns up to 64 chars
   (``distance/bitparallel.py``), banded rolling-row DP beyond that
   (``distance/pruned.py::_banded_osa``).
-* ``passjoin_probe`` — the PASS-JOIN probe
-  (``core/passjoin.py::SegmentIndex.probe_codes``) over the flat segment
-  index: per query, its shift windows and boundary-swap variants hashed
-  with the same polynomial, the buckets binary-searched, the hits
-  deduplicated and emitted with ids ascending, queries in (length,
-  index) order.  One loop body per code width (``uint8`` and
-  ``uint32``); the output buffer is filled with whole queries and the
-  call resumes where it stopped.
+* ``passjoin_run`` — PASS-JOIN probe, filter and verify in one pass
+  over the flat segment index: per query, the probe of
+  ``core/passjoin.py::SegmentIndex.probe_codes`` (its shift windows and
+  boundary-swap variants hashed with the same polynomial, the buckets
+  binary-searched, the hits deduplicated by a stamp bitmap), then each
+  candidate's filter chain and bounded verifier (DL, PDL or Hamming; a
+  bit-parallel pattern built once per query of up to 64 chars), the
+  funnel tallied in pair weights, queries in (length, index) order.
+  Only matches leave the kernel, ids ascending per query — or, for a
+  verifier it does not compile, the filter survivors.  The output
+  buffer is filled with whole queries and the call resumes where it
+  stopped.
 """
 
 from __future__ import annotations
@@ -81,12 +85,10 @@ void pair_mask_u64(const uint64_t *L, const uint64_t *R, int64_t width,
 /* including the transposition fold: TR = (((~D0)&PM)<<1) & PM_prev.   */
 /* ------------------------------------------------------------------ */
 
-static int64_t osa_bp64(const uint8_t *s, int64_t m,
-                        const uint8_t *t, int64_t n) {
-    uint64_t peq[256];
-    memset(peq, 0, sizeof(peq));
-    for (int64_t i = 0; i < m; i++)
-        peq[s[i]] |= (uint64_t)1 << i;
+/* Score of the pattern whose match masks are peq (m <= 64 chars)     */
+/* against t[0, n).                                                    */
+static int64_t osa_peq(const uint64_t *peq, int64_t m,
+                       const uint8_t *t, int64_t n) {
     uint64_t mask = (m == 64) ? ~(uint64_t)0 : (((uint64_t)1 << m) - 1);
     uint64_t high = (uint64_t)1 << (m - 1);
     uint64_t vp = mask, vn = 0, d0 = 0, pm_prev = 0;
@@ -107,6 +109,15 @@ static int64_t osa_bp64(const uint8_t *s, int64_t m,
         pm_prev = pm;
     }
     return score;
+}
+
+static int64_t osa_bp64(const uint8_t *s, int64_t m,
+                        const uint8_t *t, int64_t n) {
+    uint64_t peq[256];
+    memset(peq, 0, sizeof(peq));
+    for (int64_t i = 0; i < m; i++)
+        peq[s[i]] |= (uint64_t)1 << i;
+    return osa_peq(peq, m, t, n);
 }
 
 /* ------------------------------------------------------------------ */
@@ -161,6 +172,29 @@ static int64_t banded_osa(const uint8_t *s, int64_t m,
 }
 
 /* ------------------------------------------------------------------ */
+/* OSA(s, t) <= k for non-empty strings with |m - n| <= k.  OSA is     */
+/* symmetric: the shorter side is the pattern, so the one-word fast    */
+/* path covers every pair with min(m, n) <= 64.  rows is banded-DP     */
+/* scratch of 3 x rowlen entries, rowlen >= max(m, n) + 2.             */
+/* ------------------------------------------------------------------ */
+
+static int osa_pair(const uint8_t *s, int64_t m, const uint8_t *t,
+                    int64_t n, int64_t k, int32_t *rows, int64_t rowlen) {
+    if (m > n) {
+        const uint8_t *u = s;
+        int64_t l = m;
+        s = t;
+        m = n;
+        t = u;
+        n = l;
+    }
+    if (m <= 64) return osa_bp64(s, m, t, n) <= k;
+    if (k == 0) return memcmp(s, t, (size_t)m) == 0;
+    return banded_osa(s, m, t, n, k, rows, rows + rowlen,
+                      rows + 2 * rowlen) >= 0;
+}
+
+/* ------------------------------------------------------------------ */
 /* Batched bounded-OSA decisions over gathered candidate pairs.        */
 /* mode 0 = DL (empty strings compare by length), mode 1 = PDL (the    */
 /* paper's Step 1: any empty side is an automatic reject).             */
@@ -173,41 +207,21 @@ int32_t osa_mask(const uint8_t *codes_l, const int64_t *len_l, int64_t wl,
                  int64_t k, int32_t mode, uint8_t *out) {
     int64_t rowlen = ((wl > wr) ? wl : wr) + 2;
     int32_t *rows = NULL;
+    if (wl > 64 && wr > 64) { /* only then can the banded path run */
+        rows = (int32_t *)malloc((size_t)(3 * rowlen) * sizeof(int32_t));
+        if (rows == NULL) return -1;
+    }
     for (int64_t p = 0; p < npairs; p++) {
         int64_t i = ii[p], j = jj[p];
         int64_t la = len_l[i], lb = len_r[j];
         if (la == 0 || lb == 0) {
-            if (mode == 1) { out[p] = 0; continue; }
-            int64_t mx = (la > lb) ? la : lb;
-            out[p] = mx <= k;
+            out[p] = mode == 0 && la + lb <= k;
             continue;
         }
         int64_t dlen = la - lb;
         if (dlen < 0) dlen = -dlen;
-        if (dlen > k) { out[p] = 0; continue; }
-        /* OSA is symmetric: run the shorter side as the pattern so the
-         * one-word fast path covers every pair with min(la, lb) <= 64. */
-        const uint8_t *s = codes_l + i * wl;
-        const uint8_t *t = codes_r + j * wr;
-        int64_t m = la, n = lb;
-        if (la > lb) {
-            s = codes_r + j * wr;
-            t = codes_l + i * wl;
-            m = lb;
-            n = la;
-        }
-        if (m <= 64) {
-            out[p] = osa_bp64(s, m, t, n) <= k;
-        } else if (k == 0) {
-            out[p] = memcmp(s, t, (size_t)m) == 0;
-        } else {
-            if (rows == NULL) {
-                rows = (int32_t *)malloc((size_t)(3 * rowlen) * sizeof(int32_t));
-                if (rows == NULL) return -1;
-            }
-            out[p] = banded_osa(s, m, t, n, k, rows, rows + rowlen,
-                                rows + 2 * rowlen) >= 0;
-        }
+        out[p] = dlen <= k && osa_pair(codes_l + i * wl, la,
+                                       codes_r + j * wr, lb, k, rows, rowlen);
     }
     free(rows);
     return 0;
@@ -399,33 +413,49 @@ int64_t fused_rows_u64(const uint64_t *L, const uint64_t *R, int64_t width,
 }
 
 /* ------------------------------------------------------------------ */
-/* PASS-JOIN probe: core/passjoin.py::SegmentIndex.probe_codes over    */
-/* the flat (hashes, ids, table) index.  Queries are visited in the    */
-/* given order (the caller's stable sort by length); for each, every   */
-/* (length, segment) bucket with |dlen| <= k is probed at each shift   */
-/* window with the window's hash and its vL/vR/vLR boundary-swap       */
-/* variants (the same FNV polynomial as _fold).  The hits are          */
-/* deduplicated with a per-query stamp (one bit per indexed id, in     */
-/* seen), emitted as (query, id) pairs with ids ascending, and their   */
-/* stamps cleared.  One loop body per code width (1 = encode_raw       */
-/* bytes, 4 = UTF-32), picked once per call.                           */
+/* PASS-JOIN run: probe, filter and verify one query at a time, so    */
+/* candidates never leave this loop.  The probe is                     */
+/* core/passjoin.py::SegmentIndex.probe_codes over the flat (hashes,   */
+/* ids, table) index: every (length, segment) bucket with |dlen| <= pk */
+/* is probed at each shift window with the window's hash and its       */
+/* vL/vR/vLR boundary-swap variants (the same FNV polynomial as        */
+/* _fold).  Hits are deduplicated with a per-query stamp (one bit per  */
+/* indexed id, in seen) and each stamp is cleared as its candidate is  */
+/* visited.  A candidate then runs the method's filter chain (chain    */
+/* bits as in the dense sweep) and, for verify = DL, PDL or HAM, the   */
+/* verifier: the query's bit-parallel match masks are built once when  */
+/* |q| <= 64, else osa_pair's shorter-side / banded path decides.      */
+/*                                                                     */
+/* Queries are rows order[0, nq) of the left codes (the caller's       */
+/* stable length order).  A symmetric weighting keeps only the         */
+/* j >= row triangle; a candidate weighs w_l[row] * w_r[j] (1 without  */
+/* weights), doubled off the diagonal when symmetric.  tally[T_*]      */
+/* accumulates the funnel in those units (T_COMPARED and T_VERIFIED    */
+/* count pairs); T_MATCHED and T_DIAGONAL only under a verifier, whose */
+/* diagonal is vid_l[row] == vid_r[j] when vid_l is given, else        */
+/* row == j.  Emitted per query, ids ascending: the matches, or under  */
+/* VERIFY_NONE every filter survivor; out_q == NULL emits nothing.     */
 /*                                                                     */
 /* state[0] is the order position to start from and, on return, the   */
-/* first one not emitted; a query is emitted whole or not at all.  A   */
-/* query that does not fit in the cap has its stamps cleared too, so   */
-/* the resumed call collects it again; when it would not fit an empty  */
-/* buffer, state[1] receives the capacity it needs.  Returns the       */
-/* number of pairs emitted.                                            */
+/* first one not done; a query is emitted and tallied whole or not at  */
+/* all.  When one does not fit an empty buffer, state[1] receives the  */
+/* capacity it needs.  rows is banded-DP scratch of 3 x (max(wl, wr) + */
+/* 2) entries.  Returns the number of pairs emitted, or -1 when a      */
+/* length it reads exceeds its code matrix width (or is negative).     */
 /* ------------------------------------------------------------------ */
 
 #define HASH_BASE 1099511628211ULL
 #define HASH_OFFSET 1469598103934665603ULL
 
-INLINE uint64_t fold(uint64_t h, uint64_t c) { return h * HASH_BASE + c + 1; }
+#define VERIFY_NONE 0
+#define VERIFY_DL 1
+#define VERIFY_PDL 2
+#define VERIFY_HAM 3
 
-INLINE uint64_t code_at(const void *row, const int wide, int64_t x) {
-    return wide ? ((const uint32_t *)row)[x] : ((const uint8_t *)row)[x];
-}
+enum { T_COMPARED, T_EMITTED, T_PASSED0, T_PASSED1, T_VERIFIED,
+       T_SURVIVORS, T_MATCHED, T_DIAGONAL, T_SLOTS };
+
+INLINE uint64_t fold(uint64_t h, uint64_t c) { return h * HASH_BASE + c + 1; }
 
 /* Append the ids of bucket [lo, hi) whose hash is h and whose stamp   */
 /* is not yet set.                                                     */
@@ -449,31 +479,12 @@ INLINE int64_t collect(const uint64_t *hashes, const int64_t *ids,
     return nc;
 }
 
-/* cand[0, nc) ascending into dst, read back from the stamp words     */
-/* between the lowest and highest hit, clearing them.                  */
-static void emit_sorted(const int64_t *cand, int64_t nc, uint64_t *seen,
-                        int64_t *dst) {
-    int64_t lo = cand[0], hi = cand[0];
-    for (int64_t c = 1; c < nc; c++) {
-        if (cand[c] < lo) lo = cand[c];
-        if (cand[c] > hi) hi = cand[c];
-    }
-    int64_t t = 0;
-    for (int64_t w = lo >> 6; w <= hi >> 6; w++) {
-        uint64_t bits = seen[w];
-        seen[w] = 0;
-        while (bits) {
-            dst[t++] = (w << 6) + __builtin_ctzll(bits);
-            bits &= bits - 1;
-        }
-    }
-}
-
-/* Every candidate of one query of length qlen, unsorted, into cand. */
-INLINE int64_t probe_query(const void *q, const int wide, int64_t qlen,
-                           int64_t k, const uint64_t *hashes,
-                           const int64_t *ids, const int64_t *table,
-                           int64_t m, uint64_t *seen, int64_t *cand) {
+/* Every candidate of one query q of length qlen, unsorted, into cand, */
+/* stamped in seen.                                                    */
+static int64_t probe_query(const uint8_t *q, int64_t qlen, int64_t k,
+                           const uint64_t *hashes, const int64_t *ids,
+                           const int64_t *table, int64_t m, uint64_t *seen,
+                           int64_t *cand) {
     int64_t parts = k + 1, nc = 0;
     int64_t t = 0, hi_t = m;
     while (t < hi_t) { /* first table row with length >= qlen - k */
@@ -503,15 +514,13 @@ INLINE int64_t probe_query(const void *q, const int wide, int64_t qlen,
             int has_left = p >= 1, has_right = p + seg_len < qlen;
             /* Shared fold over p + 1 .. p + seg_len - 2, seeded with  */
             /* the window's first character or its left neighbor.      */
-            uint64_t hb = fold(HASH_OFFSET, code_at(q, wide, p));
-            uint64_t hl = has_left
-                          ? fold(HASH_OFFSET, code_at(q, wide, p - 1)) : 0;
+            uint64_t hb = fold(HASH_OFFSET, q[p]);
+            uint64_t hl = has_left ? fold(HASH_OFFSET, q[p - 1]) : 0;
             for (int64_t j = p + 1; j < p + seg_len - 1; j++) {
-                uint64_t c = code_at(q, wide, j);
-                hb = fold(hb, c);
-                hl = fold(hl, c);
+                hb = fold(hb, q[j]);
+                hl = fold(hl, q[j]);
             }
-            uint64_t right = has_right ? code_at(q, wide, p + seg_len) : 0;
+            uint64_t right = has_right ? q[p + seg_len] : 0;
             uint64_t v[4];
             int nv = 0;
             if (seg_len == 1) {
@@ -519,7 +528,7 @@ INLINE int64_t probe_query(const void *q, const int wide, int64_t qlen,
                 if (has_left) v[nv++] = hl;
                 if (has_right) v[nv++] = fold(HASH_OFFSET, right);
             } else {
-                uint64_t last = code_at(q, wide, p + seg_len - 1);
+                uint64_t last = q[p + seg_len - 1];
                 v[nv++] = fold(hb, last);
                 if (has_left) v[nv++] = fold(hl, last);
                 if (has_right) v[nv++] = fold(hb, right);
@@ -532,46 +541,134 @@ INLINE int64_t probe_query(const void *q, const int wide, int64_t qlen,
     return nc;
 }
 
-INLINE int64_t probe_all(const void *codes, const int wide, int64_t stride,
-                         const int64_t *lens, const int64_t *order,
-                         int64_t nq, const uint64_t *hashes,
-                         const int64_t *ids, const int64_t *table,
-                         int64_t m, int64_t k, uint64_t *seen,
-                         int64_t *cand, int64_t *out_q, int64_t *out_j,
-                         int64_t cap, int64_t *state) {
+/* Hamming distance (overhang counted, distance/hamming.py) <= k. */
+INLINE int ham_within(const uint8_t *a, int64_t la, const uint8_t *b,
+                      int64_t lb, int64_t k) {
+    int64_t d = (la > lb) ? la - lb : lb - la;
+    int64_t common = (la < lb) ? la : lb;
+    for (int64_t x = 0; x < common && d <= k; x++)
+        d += a[x] != b[x];
+    return d <= k;
+}
+
+static int cmp_id(const void *a, const void *b) {
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Sort one query's ids: few (a query's matches) by insertion. */
+static void sort_ids(int64_t *a, int64_t n) {
+    if (n > 32) {
+        qsort(a, (size_t)n, sizeof(int64_t), cmp_id);
+        return;
+    }
+    for (int64_t x = 1; x < n; x++) {
+        int64_t v = a[x], y = x;
+        for (; y > 0 && a[y - 1] > v; y--) a[y] = a[y - 1];
+        a[y] = v;
+    }
+}
+
+int64_t passjoin_run(const uint8_t *codes_l, int64_t wl,
+                     const int64_t *len_l, const int64_t *order, int64_t nq,
+                     const uint8_t *codes_r, int64_t wr,
+                     const int64_t *len_r, const uint64_t *hashes,
+                     const int64_t *ids, const int64_t *table, int64_t m,
+                     int64_t pk, int64_t k, int32_t chain, int32_t verify,
+                     const uint64_t *sig_l, const uint64_t *sig_r,
+                     int64_t width, int64_t bound, const int64_t *w_l,
+                     const int64_t *w_r, int32_t symmetric,
+                     const int64_t *vid_l, const int64_t *vid_r,
+                     uint64_t *seen, int64_t *cand, int32_t *rows,
+                     int64_t *out_q, int64_t *out_j, int64_t cap,
+                     int64_t *state, int64_t *tally) {
+    uint64_t peq[256];
+    memset(peq, 0, sizeof(peq));
+    int64_t rowlen = ((wl > wr) ? wl : wr) + 2;
     int64_t count = 0, pos = state[0];
-    size_t row_bytes = (size_t)stride * (wide ? 4 : 1);
+    int fbf_slot = (chain & CHAIN_LEN) ? T_PASSED1 : T_PASSED0;
     state[1] = 0;
     for (; pos < nq; pos++) {
-        int64_t qi = order[pos];
-        const void *q = (const uint8_t *)codes + (size_t)qi * row_bytes;
-        int64_t nc = probe_query(q, wide, lens[qi], k, hashes, ids, table,
-                                 m, seen, cand);
-        if (count + nc > cap) {
-            for (int64_t c = 0; c < nc; c++) seen[cand[c] >> 6] = 0;
-            if (count == 0) state[1] = nc;
-            break;
+        int64_t qi = order[pos], qlen = len_l[qi];
+        const uint8_t *q = codes_l + qi * wl;
+        if (qlen < 0 || qlen > wl) return -1;
+        int64_t nc = probe_query(q, qlen, pk, hashes, ids, table, m, seen,
+                                 cand);
+        int64_t t[T_SLOTS] = {0};
+        int64_t nm = 0;
+        int masks = 0; /* peq holds q's match masks */
+        for (int64_t c = 0; c < nc; c++) {
+            int64_t j = cand[c];
+            seen[j >> 6] = 0; /* every stamp set in it is this query's */
+            if (symmetric && j < qi) continue;
+            int64_t w = 1;
+            if (w_l) {
+                w = w_l[qi] * w_r[j];
+                if (symmetric && j != qi) w *= 2;
+            }
+            t[T_COMPARED]++;
+            t[T_EMITTED] += w;
+            int64_t lb = len_r[j];
+            if (chain & CHAIN_LEN) {
+                int64_t d = (qlen > lb) ? qlen - lb : lb - qlen;
+                if (d > k) continue;
+                t[T_PASSED0] += w;
+            }
+            if (chain & CHAIN_FBF) {
+                const uint64_t *a = sig_l + qi * width;
+                const uint64_t *b = sig_r + j * width;
+                int64_t db = 0;
+                for (int64_t x = 0; x < width; x++) db += POP64(a[x] ^ b[x]);
+                if (db > bound) continue;
+                t[fbf_slot] += w;
+            }
+            t[T_SURVIVORS] += w;
+            if (verify != VERIFY_NONE) {
+                const uint8_t *r = codes_r + j * wr;
+                int64_t d = (qlen > lb) ? qlen - lb : lb - qlen;
+                int hit;
+                if (lb < 0 || lb > wr) return -1;
+                t[T_VERIFIED]++;
+                if (verify == VERIFY_HAM) {
+                    hit = ham_within(q, qlen, r, lb, k);
+                } else if (qlen == 0 || lb == 0) {
+                    hit = verify == VERIFY_DL && qlen + lb <= k;
+                } else if (d > k) {
+                    hit = 0;
+                } else if (qlen <= 64) {
+                    if (!masks) {
+                        for (int64_t x = 0; x < qlen; x++)
+                            peq[q[x]] |= (uint64_t)1 << x;
+                        masks = 1;
+                    }
+                    hit = osa_peq(peq, qlen, r, lb) <= k;
+                } else {
+                    hit = osa_pair(q, qlen, r, lb, k, rows, rowlen);
+                }
+                if (!hit) continue;
+                t[T_MATCHED] += w;
+                if (vid_l ? vid_l[qi] == vid_r[j] : qi == j)
+                    t[T_DIAGONAL] += w;
+            }
+            if (out_q) cand[nm++] = j; /* nm <= c: compact in place */
         }
-        if (nc == 0) continue;
-        emit_sorted(cand, nc, seen, out_j + count);
-        for (int64_t c = 0; c < nc; c++) out_q[count++] = qi;
+        if (masks)
+            for (int64_t x = 0; x < qlen; x++) peq[q[x]] = 0;
+        if (out_q) {
+            if (count + nm > cap) {
+                if (count == 0) state[1] = nm;
+                break;
+            }
+            sort_ids(cand, nm);
+            for (int64_t x = 0; x < nm; x++) {
+                out_q[count] = qi;
+                out_j[count++] = cand[x];
+            }
+        }
+        for (int s = 0; s < T_SLOTS; s++) tally[s] += t[s];
     }
     state[0] = pos;
     return count;
-}
-
-int64_t passjoin_probe(const void *codes, int32_t code_bytes,
-                       int64_t stride, const int64_t *lens,
-                       const int64_t *order, int64_t nq,
-                       const uint64_t *hashes, const int64_t *ids,
-                       const int64_t *table, int64_t m, int64_t k,
-                       uint64_t *seen, int64_t *cand, int64_t *out_q,
-                       int64_t *out_j, int64_t cap, int64_t *state) {
-    if (code_bytes == 4)
-        return probe_all(codes, 1, stride, lens, order, nq, hashes, ids,
-                         table, m, k, seen, cand, out_q, out_j, cap, state);
-    return probe_all(codes, 0, stride, lens, order, nq, hashes, ids, table,
-                     m, k, seen, cand, out_q, out_j, cap, state);
 }
 """
 
@@ -680,15 +777,16 @@ def _bind(lib: ctypes.CDLL) -> dict[str, ctypes._CFuncPtr]:
         p, p, i64, p, p, p, i64, i64, i64, i64, i64, i32, p, p, i64, p, p,
     ]
     lib.fused_rows_u64.restype = i64
-    lib.passjoin_probe.argtypes = [
-        p, i32, i64, p, p, i64, p, p, p, i64, i64, p, p, p, p, i64, p,
+    lib.passjoin_run.argtypes = [
+        p, i64, p, p, i64, p, i64, p, p, p, p, i64, i64, i64, i32, i32,
+        p, p, i64, i64, p, p, i32, p, p, p, p, p, p, p, i64, p, p,
     ]
-    lib.passjoin_probe.restype = i64
+    lib.passjoin_run.restype = i64
     return {
         "pair_mask_u64": lib.pair_mask_u64,
         "osa_mask": lib.osa_mask,
         "fused_rows_u64": lib.fused_rows_u64,
-        "passjoin_probe": lib.passjoin_probe,
+        "passjoin_run": lib.passjoin_run,
     }
 
 

@@ -431,13 +431,14 @@ class VectorEngine:
         every left row against ``index`` (a
         :class:`~repro.core.passjoin.SegmentIndex` over the right side).
 
-        The candidates and their ``max_pairs`` blocks are exactly those
-        of ``index.candidate_blocks(left, max_pairs=max_pairs)``, and
-        each block runs through :meth:`run_candidates`' kernels, so the
-        result and funnel equal that call's; the probe reads the left
-        side's codes and is compiled when the engine holds native
-        kernels (:meth:`Kernels.run_probe`).  Returns the result and the
-        emitted candidates in the generator stage's units.
+        The candidates are exactly those of
+        ``index.candidate_blocks(left)`` and the result and funnel equal
+        :meth:`run_candidates`' over them.  With native kernels the
+        probe, filters and verifier are one compiled pass over the left
+        side's codes; without, the NumPy probe yields blocks of at most
+        ``max_pairs`` pairs, each verified in turn (:meth:`Kernels.run_probe`;
+        ``max_pairs`` shapes only those blocks).  Returns the result and
+        the emitted candidates in the generator stage's units.
         """
         kern, obs, result = self._candidate_run(method, collector, weighter)
         with obs.span(f"run.{method}.probe"):

@@ -465,30 +465,29 @@ class Kernels:
         max_pairs: int = 1 << 20,
     ) -> dict:
         """Left rows ``r0:r1`` probed against ``index`` (built over the
-        right side) from their codes, each candidate block verified by
-        :meth:`run_pairs`.
+        right side) from their codes, every candidate filtered and
+        verified.
 
-        With ``native`` set the compiled probe
-        (:meth:`repro.native.KernelSet.passjoin_probe`) generates the
-        blocks, else :meth:`SegmentIndex.probe_codes`; both yield the
-        same pairs in the same ``max_pairs`` blocks.  ``emitted`` counts
-        the candidates in the units the planner credits to the generator
-        stage: pairs, or original-pair weight under a weighter.  A
-        symmetric weighter enumerates the ``i <= j`` triangle, so the
-        probe keeps only that half, as the planner's in-parent stream
-        does.
+        With ``native`` set this is one compiled pass
+        (:meth:`repro.native.KernelSet.passjoin_run`) that returns only
+        the matches and the funnel tally, or, for a verifier it does not
+        compile, the filter survivors, which :meth:`tally` verifies.
+        Without it, :meth:`SegmentIndex.probe_codes` yields candidate
+        blocks of at most ``max_pairs`` pairs and :meth:`run_pairs`
+        verifies each: the reference, with the same matches in the same
+        order and the same funnel.  ``emitted`` counts the candidates in
+        the units the planner credits to the generator stage: pairs, or
+        original-pair weight under a weighter.  A symmetric weighter
+        enumerates the ``i <= j`` triangle, so the probe keeps only that
+        half, as the planner's in-parent stream does.
         """
+        if self.native is not None:
+            return self._run_probe_native(index, r0, r1, obs)
         res = self.fresh()
         res["emitted"] = 0
         w = self.weighter
         codes, lens = self.L.codes[r0:r1], self.L.lengths[r0:r1]
-        if self.native is not None:
-            blocks = self.native.passjoin_probe(
-                index, codes, lens, max_pairs=max_pairs
-            )
-        else:
-            blocks = index.probe_codes(codes, lens, max_pairs=max_pairs)
-        for qi, jj in blocks:
+        for qi, jj in index.probe_codes(codes, lens, max_pairs=max_pairs):
             ii = qi + r0
             if w is not None and w.symmetric:
                 keep = ii <= jj
@@ -501,4 +500,44 @@ class Kernels:
                 res[key] += part[key]
             res["mi"].extend(part["mi"])
             res["mj"].extend(part["mj"])
+        return res
+
+    def _run_probe_native(self, index, r0, r1, obs) -> dict:
+        """:meth:`run_probe` as one compiled probe-filter-verify pass."""
+        res = self.fresh()
+        L, R, w = self.L, self.R, self.weighter
+        filters, kind = self.spec.filters, self.spec.verifier
+        compiled = self.native.verifies(kind)
+        ii, jj, t = self.native.passjoin_run(
+            index, L.codes, L.lengths, rows=(r0, r1),
+            right=(R.codes, R.lengths), k=self.k, filters=filters,
+            verifier=kind if compiled else None,
+            sigs=(L.sigs, R.sigs) if "fbf" in filters else None,
+            bound=self.fbf_bound,
+            weighter=w,
+            vids=(L.vid, R.vid) if self.self_join else None,
+            emit=self.record or not compiled,
+        )
+        res["emitted"] = t["emitted"]
+        res["compared"] = t["compared"]
+        if not t["compared"]:
+            # No candidate: no stage is registered, as on the block path.
+            return res
+        obs.add_pairs(t["emitted"])
+        tested = t["emitted"]
+        for fname, npass in zip(filters, t["passed"]):
+            obs.add_stage(fname, tested, npass)
+            tested = npass
+        if not compiled:
+            self.tally(res, ii, jj, obs, None if w is None else w.block(ii, jj))
+            return res
+        obs.add_survivors(t["survivors"])
+        obs.add_verified(t["survivors"])
+        obs.add_matched(t["matched"])
+        res["verified"] = t["verified"]
+        res["match_count"] = t["matched"]
+        res["diagonal"] = t["diagonal"]
+        if self.record and len(ii):
+            res["mi"].append(ii)
+            res["mj"].append(jj)
         return res

@@ -326,38 +326,51 @@ class TestProbeFromCodes:
         assert empty[2].shape == (0, 4)
 
 
+def _pairs_of(blocks):
+    """A probe's blocks as one ``(queries, ids)`` pair of lists."""
+    pairs = [p for qs, ids in _block_list(blocks) for p in zip(qs, ids)]
+    return [q for q, _ in pairs], [j for _, j in pairs]
+
+
 @pytest.mark.skipif(
     not native.available(), reason="no compiled kernel provider in this env"
 )
 class TestCompiledProbe:
-    """The compiled probe (``KernelSet.passjoin_probe``) against the NumPy
-    reference, block for block, over full-Unicode UTF-32 codes."""
+    """The compiled run with an empty chain and no verifier
+    (``KernelSet.passjoin_run``) against the NumPy reference: the same
+    candidates in the same order, over ``encode_raw``'s latin-1 codes."""
 
     @given(
-        st.lists(any_text, max_size=10),
-        st.lists(any_text, max_size=10),
+        st.lists(latin1_text, max_size=10),
+        st.lists(latin1_text, max_size=10),
         st.sampled_from([0, 1, 2, 3]),
-        st.sampled_from([1, 2, 5, 1 << 20]),
     )
-    def test_matches_numpy_blocks(self, indexed, queries, k, max_pairs):
+    def test_matches_numpy_blocks(self, indexed, queries, k):
         index = PassJoinIndex(indexed, k=k)
-        codes, lens = _encode_codes(queries)
-        got = native.load_kernels().passjoin_probe(
-            index, codes, lens, max_pairs=max_pairs
-        )
-        assert _block_list(got) == _block_list(
-            index.probe_codes(codes, lens, max_pairs=max_pairs)
-        )
+        codes, lens = encode_raw(queries)
+        ii, jj, tally = native.load_kernels().passjoin_run(index, codes, lens)
+        want = _pairs_of(index.probe_codes(codes, lens))
+        assert (ii.tolist(), jj.tolist()) == want
+        assert tally["compared"] == tally["emitted"] == len(want[0])
 
-    def test_long_and_combining_strings(self):
-        base = "e\u0301\U0001F600\x00" * 40  # 160 chars, astral + NUL
-        indexed = [base, base[1:], base[:80] + "x" + base[81:], "", "\x00"]
-        queries = indexed + [base[::-1], base[:2] + base[3:], "e\u0301"]
-        codes, lens = _encode_codes(queries)
+    def test_long_latin1_strings(self):
+        # 160 chars: the banded verifier's range, on both sides of a pair.
+        base = "e\xe9\xff\x01" * 40
+        indexed = [base, base[1:], base[:80] + "x" + base[81:], "", "\x01"]
+        queries = indexed + [base[::-1], base[:2] + base[3:], "e\xe9"]
+        codes, lens = encode_raw(queries)
+        right = encode_raw(indexed)
+        ks = native.load_kernels()
         for k in (0, 1, 2, 3):
             index = PassJoinIndex(indexed, k=k)
-            want = _block_list(index.probe_codes(codes, lens))
-            assert want, "the fixture should produce candidates"
-            assert _block_list(
-                native.load_kernels().passjoin_probe(index, codes, lens)
-            ) == want
+            want = _pairs_of(index.probe_codes(codes, lens))
+            assert want[0], "the fixture should produce candidates"
+            ii, jj, _ = ks.passjoin_run(index, codes, lens)
+            assert (ii.tolist(), jj.tolist()) == want
+            ii, jj, _ = ks.passjoin_run(
+                index, codes, lens, right=right, verifier="dl"
+            )
+            assert list(zip(ii.tolist(), jj.tolist())) == [
+                (q, j) for q, j in zip(*want)
+                if damerau_levenshtein(queries[q], indexed[j]) <= k
+            ]

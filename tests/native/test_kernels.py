@@ -16,10 +16,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import native
 from repro._compat import reset_deprecation_warnings
 from repro.core.matchers import MethodSpec
+from repro.core.multiplicity import PairWeighter
 from repro.core.passjoin import PassJoinIndex
 from repro.core.plan import BACKEND_NAMES, JoinPlanner
 from repro.core.popcount import popcount_batch_u32, popcount_batch_u64
@@ -335,47 +338,57 @@ class TestFusedRows:
         assert len(R.by_length()[0]) == 41
 
 
+def _candidates(index, codes, lens):
+    """The NumPy probe's candidate pairs, in block order."""
+    pairs = [
+        (q, j)
+        for qs, js in index.probe_codes(codes, lens)
+        for q, j in zip(qs.tolist(), js.tolist())
+    ]
+    return [q for q, _ in pairs], [j for _, j in pairs]
+
+
 @needs_native
 class TestPassJoinProbe:
-    """The compiled PASS-JOIN probe against ``SegmentIndex.probe_codes``
-    (the full-Unicode hypothesis suite is in tests/core/test_passjoin.py)."""
-
-    @staticmethod
-    def _blocks(blocks):
-        return [(q.tolist(), j.tolist()) for q, j in blocks]
+    """The compiled PASS-JOIN run with an empty chain and no verifier
+    emits exactly ``SegmentIndex.probe_codes``' candidates (the
+    full-text hypothesis suite is in tests/core/test_passjoin.py)."""
 
     def test_output_overflow_resumes_without_losing_pairs(self):
         # Every query reaches most of the index, so a capacity below one
         # query's candidates overflows: alone in an empty buffer (the
         # buffer grows) and behind earlier queries (the query is rolled
-        # back, its stamps cleared, and collected again next call).
+        # back, its tally dropped, and run again next call).
         indexed = ["SMITH", "SMYTH", "SMITT", "SMIHT", "SMITHS", "MITH"] * 8
         queries = ["SMITH", "SMITT", "SMYTHE", "SMIT", "JONES", "SMITH"]
         codes, lens = encode_raw(queries)
+        right = encode_raw(indexed)
         ks = native.load_kernels()
         for k in (1, 2):
             index = PassJoinIndex(indexed, k=k)
-            want = self._blocks(index.probe_codes(codes, lens))
-            per_query = max(
-                sum(q.count(i) for q, _ in want) for i in range(len(queries))
-            )
+            want = _candidates(index, codes, lens)
+            per_query = max(want[0].count(i) for i in range(len(queries)))
             assert per_query > 16
+            full = ks.passjoin_run(index, codes, lens, right=right,
+                                   verifier="dl")
+            assert 0 < len(full[0]) < len(want[0])
             for capacity in (1, 7, per_query - 1, per_query, per_query + 1):
-                got = ks._passjoin_probe(index, codes, lens, 1 << 20, capacity)
-                assert self._blocks(got) == want, (k, capacity)
-                for max_pairs in (1, 5, 64):
-                    got = ks._passjoin_probe(
-                        index, codes, lens, max_pairs, capacity
-                    )
-                    assert self._blocks(got) == self._blocks(
-                        index.probe_codes(codes, lens, max_pairs=max_pairs)
-                    ), (k, capacity, max_pairs)
+                small = ks._with_capacity(capacity)
+                ii, jj, tally = small.passjoin_run(index, codes, lens)
+                assert (ii.tolist(), jj.tolist()) == want, (k, capacity)
+                assert tally["compared"] == len(want[0])
+                ii, jj, tally = small.passjoin_run(
+                    index, codes, lens, right=right, verifier="dl"
+                )
+                assert np.array_equal(ii, full[0]), (k, capacity)
+                assert np.array_equal(jj, full[1]), (k, capacity)
+                assert tally == full[2], (k, capacity)
 
     def test_hits_spread_over_a_large_index(self):
-        # A few candidates at both ends of a large id range: the
-        # emitted ids are read back from hundreds of stamp words, and
-        # base's hits arrive in descending id order (lengths are probed
-        # ascending) yet leave in ascending order.
+        # A few candidates at both ends of a large id range: base's hits
+        # arrive in descending id order (lengths are probed ascending)
+        # yet leave in ascending order, and every stamp is cleared as
+        # its candidate is visited.
         rng = np.random.default_rng(5)
         rows = rng.integers(97, 123, size=(40000, 12), dtype=np.uint8)
         indexed = [bytes(r).decode("latin-1") for r in rows]
@@ -383,17 +396,21 @@ class TestPassJoinProbe:
         indexed[39999] = base[:11]
         indexed[20000] = base
         indexed[0] = base + "x"
-        queries = [base, indexed[123], indexed[19998] + "x", "q" * 12]
+        queries = [base, indexed[123], indexed[19998] + "x", "q" * 12, base]
         codes, lens = encode_raw(queries)
         ks = native.load_kernels()
         for k in (0, 1, 2):
             index = PassJoinIndex(indexed, k=k)
-            want = self._blocks(index.probe_codes(codes, lens))
-            assert self._blocks(ks.passjoin_probe(index, codes, lens)) == want
+            want = _candidates(index, codes, lens)
+            ii, jj, _ = ks.passjoin_run(index, codes, lens)
+            assert (ii.tolist(), jj.tolist()) == want
             if k == 1:
-                q, j = want[0]
-                hits = [i for qi, i in zip(q, j) if qi == 0]
-                assert hits == [0, 20000, 39999]
+                assert [j for q, j in zip(*want) if q == 0] == [
+                    0, 20000, 39999
+                ]
+                assert [j for q, j in zip(*want) if q == 4] == [
+                    0, 20000, 39999
+                ]
 
     def test_run_probe_native_equals_numpy(self):
         strings = _strings_with_boundaries()
@@ -422,11 +439,86 @@ class TestPassJoinProbe:
         index = PassJoinIndex(["ab"], k=1)
         codes, lens = encode_raw(["ab", "abc"])
         with pytest.raises(ValueError, match="exceeds"):
-            ks.passjoin_probe(index, codes[:, :2], lens)
+            ks.passjoin_run(index, codes[:, :2], lens)
         with pytest.raises(ValueError, match="do not match"):
-            ks.passjoin_probe(index, codes, lens[:1])
-        with pytest.raises(ValueError, match="max_pairs"):
-            ks.passjoin_probe(index, codes, lens, max_pairs=0)
+            ks.passjoin_run(index, codes, lens[:1])
+        with pytest.raises(ValueError, match="uint8"):
+            ks.passjoin_run(index, codes.astype(np.uint32), lens)
+        with pytest.raises(ValueError, match="need right"):
+            ks.passjoin_run(index, codes, lens, verifier="dl")
+        with pytest.raises(ValueError, match="does not verify"):
+            ks.passjoin_run(index, codes, lens, right=(codes, lens),
+                            verifier="jaro")
+        with pytest.raises(ValueError, match="indexed up to"):
+            ks.passjoin_run(
+                index, codes, lens, weighter=PairWeighter(lens[:1], lens)
+            )
+        with pytest.raises(ValueError, match="out of range"):
+            ks.passjoin_run(index, codes, lens, rows=(1, 3))
+
+
+#: latin-1 text the packed codecs accept: short strings over a small
+#: alphabet (many candidates) and lengths at the 64-char verifier limit
+_latin1_text = st.one_of(
+    st.text(alphabet="a\xe91\xff", max_size=5),
+    st.sampled_from([0, 63, 64, 65, 70]).flatmap(
+        lambda n: st.text(alphabet="\xe9\xffa", min_size=n, max_size=n)
+    ),
+)
+
+
+@st.composite
+def _near_duplicates(draw):
+    """Strings plus one-edit variants (delete, substitute, transpose),
+    so long strings meet candidates that verify."""
+    base = draw(st.lists(_latin1_text, max_size=6))
+    out = list(base)
+    for s in base:
+        if len(s) >= 2 and draw(st.booleans()):
+            i = draw(st.integers(0, len(s) - 2))
+            out.append(draw(st.sampled_from([
+                s[:i] + s[i + 1:],
+                s[:i] + "1" + s[i + 1:],
+                s[:i] + s[i + 1] + s[i] + s[i + 2:],
+            ])))
+    return draw(st.permutations(out))
+
+
+#: every pass-join-safe method (an edit-bounded verifier, every filter
+#: chain), an explicitly requested Jaro and FBF: the compiled run emits
+#: their filter survivors and ``Kernels.tally`` verifies them
+_RUN_METHODS = (
+    "DL", "PDL", "Ham", "FDL", "FPDL", "LDL", "LPDL", "LFDL", "LFPDL",
+    "Jaro", "FBF",
+)
+
+
+@needs_native
+@pytest.mark.parametrize("mode", ["plain", "collapse", "self-join"])
+@pytest.mark.parametrize("method", _RUN_METHODS)
+@settings(max_examples=8, deadline=None)
+@given(left=_near_duplicates(), right=_near_duplicates())
+def test_passjoin_run_equals_numpy_probe(method, mode, left, right):
+    """Native ``Kernels.run_probe`` (one compiled pass) against the NumPy
+    ``probe_codes`` + ``run_pairs`` path: the same matches in the same
+    order, and every funnel counter, weighted ones included."""
+    kw = {"collapse": "on" if mode == "collapse" else "off", "memo": "off"}
+    if mode == "self-join":
+        right = left
+        kw["self_join"] = True
+    outs = []
+    for backend in ("vectorized", "native"):
+        c = StatsCollector(backend)
+        r = JoinPlanner(left, right, k=1, record_matches=True, **kw).run(
+            method, generator="pass-join", backend=backend, collector=c
+        )
+        assert c.conserved
+        outs.append((
+            r.matches, r.match_count, r.diagonal_matches, r.verified_pairs,
+            r.pairs_compared, c.pairs_considered, c.survivors, c.verified,
+            c.matched, {n: (s.tested, s.passed) for n, s in c.stages.items()},
+        ))
+    assert outs[0] == outs[1]
 
 
 class TestBuildCache:

@@ -87,18 +87,18 @@ class TestPooledEquivalence:
     def test_passjoin_add_found_inprocess_and_pooled(
         self, ln_pair, monkeypatch
     ):
-        # In process the compiled probe answers (when a provider loads);
+        # In process the compiled run answers (when a provider loads);
         # pooled, the workers probe.  A row added after the index was
         # built is found by both: extend refreshed the flat arrays.
         probed = []
         if native.available():
-            real = native.KernelSet.passjoin_probe
+            real = native.KernelSet.passjoin_run
 
             def spy(self, index, *args, **kw):
                 probed.append(len(index))
                 return real(self, index, *args, **kw)
 
-            monkeypatch.setattr(native.KernelSet, "passjoin_probe", spy)
+            monkeypatch.setattr(native.KernelSet, "passjoin_run", spy)
         ref = MatchService(
             ln_pair.clean, k=1, cache_size=0, candidates="pass-join"
         )
