@@ -16,7 +16,7 @@ ground truth.
 
 from _common import save_result, table_n
 
-from repro.core.join import match_strings
+from repro.core.join import _scalar_join
 from repro.core.matchers import build_matcher
 from repro.data.datasets import dataset_for_family
 from repro.distance.soundex import soundex
@@ -31,11 +31,11 @@ def test_ablation_blocking_plus_fbf(benchmark):
     dp = dataset_for_family("LN", n, seed=55)
     protocol = TimingProtocol(runs=3)
     blocker = StandardBlocking(key=soundex)
-    block_pairs = list(blocker.pairs(dp.clean, dp.error))
+    candidate_pairs = list(blocker.pairs(dp.clean, dp.error))
 
     def blocked(method: str):
         matcher = build_matcher(method, k=1, scheme="alpha")
-        return match_strings(dp.clean, dp.error, matcher, pairs=block_pairs)
+        return _scalar_join(dp.clean, dp.error, matcher, pairs=candidate_pairs)
 
     join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="alpha")
 
@@ -43,8 +43,8 @@ def test_ablation_blocking_plus_fbf(benchmark):
     rows = []
     specs = [
         ("exhaustive FPDL", lambda: join.run("FPDL"), n * n),
-        ("soundex blocking + DL", lambda: blocked("DL"), len(block_pairs)),
-        ("soundex blocking + FDL", lambda: blocked("FDL"), len(block_pairs)),
+        ("soundex blocking + DL", lambda: blocked("DL"), len(candidate_pairs)),
+        ("soundex blocking + FDL", lambda: blocked("FDL"), len(candidate_pairs)),
         ("FBF filter only + PDL", lambda: join.run("FPDL"), n * n),
     ]
     for label, fn, pairs in specs:

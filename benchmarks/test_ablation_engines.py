@@ -1,41 +1,30 @@
-"""Ablation: execution engines — scalar, multiprocess, vectorized.
+"""Ablation: execution engines — scalar vs vectorized.
 
-Same FPDL workload through the three drivers.  This quantifies the
-calibration note in DESIGN.md: interpreted per-pair Python loses the
-paper's constant factors; process parallelism buys back a core-count
-multiple; NumPy vectorization buys back orders of magnitude.
-All three must return identical counts (also pinned by the integration
-tests).
+Same FPDL workload through the two in-process drivers.  This quantifies
+the calibration note in DESIGN.md: interpreted per-pair Python loses the
+paper's constant factors; NumPy vectorization buys back orders of
+magnitude.  Both must return identical counts (also pinned by the
+integration tests).
 """
-
-import os
 
 from _common import save_result, table_n
 
-from repro.core.join import match_strings
+from repro.core.join import _scalar_join
 from repro.core.matchers import build_matcher
 from repro.data.datasets import dataset_for_family
 from repro.eval.tables import format_table
 from repro.eval.timing import TimingProtocol, time_callable
 from repro.parallel.chunked import VectorEngine
-from repro.parallel.pool import parallel_match_strings
 
 
 def test_ablation_engines(benchmark):
     n = min(table_n(), 300)
     dp = dataset_for_family("SSN", n, seed=33)
     protocol = TimingProtocol(runs=3)
-    workers = min(4, os.cpu_count() or 1)
 
     def scalar():
         matcher = build_matcher("FPDL", k=1, scheme="numeric")
-        return match_strings(dp.clean, dp.error, matcher)
-
-    def pooled():
-        return parallel_match_strings(
-            dp.clean, dp.error, "FPDL", k=1, scheme_kind="numeric",
-            workers=workers,
-        )
+        return _scalar_join(dp.clean, dp.error, matcher)
 
     join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="numeric")
 
@@ -43,16 +32,10 @@ def test_ablation_engines(benchmark):
         return join.run("FPDL")
 
     t_scalar, r_scalar = time_callable(scalar, protocol)
-    t_pool, r_pool = time_callable(pooled, protocol)
     t_vec, r_vec = time_callable(vectorized, protocol)
 
     rows = [
         ["scalar reference", round(t_scalar.mean_ms, 1), 1.0],
-        [
-            f"multiprocess x{workers}",
-            round(t_pool.mean_ms, 1),
-            round(t_scalar.mean_ms / t_pool.mean_ms, 2),
-        ],
         [
             "vectorized (NumPy)",
             round(t_vec.mean_ms, 1),
@@ -67,12 +50,9 @@ def test_ablation_engines(benchmark):
     save_result("ablation_engines", table)
 
     # Identical answers.
-    counts = {
-        (r.match_count, r.diagonal_matches) for r in (r_scalar, r_pool, r_vec)
-    }
+    counts = {(r.match_count, r.diagonal_matches) for r in (r_scalar, r_vec)}
     assert len(counts) == 1
-    # Vectorization dominates everything else.
+    # Vectorization dominates the scalar loop.
     assert t_vec.mean_ms < t_scalar.mean_ms / 5
-    assert t_vec.mean_ms < t_pool.mean_ms
 
     benchmark(vectorized)

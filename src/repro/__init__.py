@@ -16,7 +16,7 @@ Quickstart::
 
 :func:`join` plans each call: a candidate generator (all-pairs, length
 buckets, the FBF signature index, key blocking) picks which pairs to
-look at, an execution backend (scalar, vectorized, multiprocess)
+look at, an execution backend (scalar, vectorized, hybrid, native)
 verifies them, and a cost model composes the two from dataset size —
 see :mod:`repro.core.plan` for overrides and :class:`JoinPlanner` for
 reuse across calls.  Duplicate-heavy inputs are collapsed to their
@@ -37,7 +37,7 @@ Package map (details in DESIGN.md):
 * :mod:`repro.linkage` — the record-linkage system (comparators,
   scorers, blocking, engine).
 * :mod:`repro.parallel` — scaled join drivers (chunked NumPy engine,
-  multiprocessing pool).
+  shared-memory worker pool).
 * :mod:`repro.eval` — the paper's experiments, timing protocols and
   table rendering.
 * :mod:`repro.serve` — online match serving: mutable indexes with
@@ -51,7 +51,7 @@ Package map (details in DESIGN.md):
 """
 
 from repro.core.filters import FBFFilter, FilterChain, LengthFilter
-from repro.core.join import JoinResult, match_strings
+from repro.core.join import JoinResult
 from repro.core.matchers import METHOD_NAMES, build_matcher
 from repro.core.multiplicity import (
     CollapsedSide,
@@ -114,7 +114,6 @@ __all__ = [
     "join",
     "join_stream",
     "levenshtein",
-    "match_strings",
     "num_signature",
     "pdl",
     "render_funnel",

@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--backend",
         default="auto",
-        choices=["auto", "scalar", "vectorized", "hybrid"],
+        choices=["auto", *BACKEND_NAMES],
         help="execution backend (auto: hybrid when --workers > 1)",
     )
     stream.add_argument(
@@ -414,7 +414,7 @@ def _common_join_args(sub: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help=(
-            "worker processes for the multiprocess/hybrid backends "
+            "worker processes for the hybrid backend "
             "(with N > 1 the cost model may auto-pick hybrid for "
             "large products)"
         ),

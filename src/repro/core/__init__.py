@@ -17,7 +17,7 @@ Layout:
   layer's scalar backend).
 * :mod:`repro.core.plan` — the join planner: candidate generators
   (all-pairs, length buckets, FBF index, key blocking) × execution
-  backends (scalar, vectorized, multiprocess), composed by a cost
+  backends (scalar, vectorized, hybrid, native), composed by a cost
   model behind :func:`repro.join`.
 * :mod:`repro.core.vectorized` — NumPy batch engines: signature matrices,
   pairwise XOR-popcount candidate generation, chunked banded DP.
@@ -32,7 +32,7 @@ from repro.core.filters import (
 )
 from repro.core.bktree import BKTree
 from repro.core.index import FBFIndex
-from repro.core.join import JoinResult, match_strings
+from repro.core.join import JoinResult
 from repro.core.plan import JoinPlan, JoinPlanner, join
 from repro.core.triejoin import TrieIndex
 from repro.core.matchers import (
@@ -82,7 +82,6 @@ __all__ = [
     "diff_bits",
     "find_diff_bits",
     "join",
-    "match_strings",
     "method_registry",
     "num_signature",
     "popcount",

@@ -3,11 +3,13 @@
 The paper's driver compares every pair of the Cartesian product
 ``S x T``, first through the filter chain, then (for survivors) the
 verifier, and declares *match* or *unmatch*.  This module holds the
-faithful sequential reference loop; since the planner refactor it is the
-*scalar execution backend* of :mod:`repro.core.plan`, which composes it
-(or the vectorized / multiprocess backends) with a candidate generator.
-Call :func:`repro.join` for the planned entry point; the historical
-:func:`match_strings` signature remains as a thin deprecated shim.
+faithful sequential reference loop, :func:`_scalar_join`: the *scalar
+execution backend* of :mod:`repro.core.plan`, which composes it (or the
+vectorized, native and hybrid backends) with a candidate generator.
+Call :func:`repro.join` for the planned entry point, or
+``repro.join(..., generator="all-pairs", backend="scalar")`` for the
+reference answer; code that holds a hand-built matcher calls
+:func:`_scalar_join` directly.
 
 The evaluation's ground truth is positional — ``left[i]`` is the clean
 twin of ``right[i]`` — so :class:`JoinResult` carries both the match set
@@ -26,17 +28,10 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro._compat import warn_once
 from repro.core.matchers import PreparedMatcher
 from repro.obs.log import get_logger
 
-__all__ = ["JoinResult", "match_strings"]
-
-_DEPRECATION_MSG = (
-    "match_strings() is deprecated; use repro.join(left, right, method, ...) "
-    "or repro.core.plan.JoinPlanner, which pick an index-backed plan for "
-    "large products instead of always walking the full pair space"
-)
+__all__ = ["JoinResult"]
 
 _log = get_logger("core.join")
 
@@ -94,58 +89,6 @@ class JoinResult:
         return self.match_count - self.diagonal_matches
 
 
-def match_strings(
-    left: Sequence[str],
-    right: Sequence[str],
-    matcher: PreparedMatcher,
-    *,
-    record_matches: bool = False,
-    pairs: Iterable[tuple[int, int]] | None = None,
-    collector=None,
-) -> JoinResult:
-    """Deprecated alias for the scalar all-pairs reference join.
-
-    Delegates to the plan layer's scalar backend with the all-pairs
-    candidate generator (or the explicit ``pairs`` subset).  Prefer
-    :func:`repro.join`, which additionally knows how to skip most of the
-    pair space with index-backed candidate generation.
-
-    Parameters
-    ----------
-    left, right:
-        The two string datasets (the paper's ``S`` and ``T``).
-    matcher:
-        A method stack from :func:`repro.core.matchers.build_matcher`.
-        :meth:`PreparedMatcher.prepare` is called here; callers need not.
-    record_matches:
-        Keep the full ``(i, j)`` match list.  Off by default: a sloppy
-        comparator over a large product can match millions of pairs.
-    pairs:
-        Restrict the join to these index pairs (used by blocking methods
-        and the parallel partitioner); defaults to the full product.
-    collector:
-        A :class:`repro.obs.StatsCollector` for funnel counters and
-        phase spans.  Attached to the matcher for the duration; for the
-        PDL verifier's internal tallies, build the matcher with the
-        collector instead (see :func:`build_matcher`).
-
-    >>> from repro.core.matchers import build_matcher
-    >>> m = build_matcher("FPDL", k=1, scheme="numeric")
-    >>> r = match_strings(["123456789"], ["123456780"], m)
-    >>> (r.match_count, r.diagonal_matches)
-    (1, 1)
-    """
-    warn_once("core.join.match_strings", _DEPRECATION_MSG)
-    return _scalar_join(
-        left,
-        right,
-        matcher,
-        record_matches=record_matches,
-        pairs=pairs,
-        collector=collector,
-    )
-
-
 def _scalar_join(
     left: Sequence[str],
     right: Sequence[str],
@@ -159,11 +102,24 @@ def _scalar_join(
 ) -> JoinResult:
     """The scalar reference loop (the plan layer's scalar backend body).
 
+    ``matcher`` is a method stack from
+    :func:`repro.core.matchers.build_matcher`; it is prepared here.
+    ``record_matches`` keeps the ``(i, j)`` list (off by default: a
+    sloppy comparator can match millions of pairs).  ``pairs`` restricts
+    the join to those index pairs; the default is the full product.
+    ``collector`` (a :class:`repro.obs.StatsCollector`) is attached to
+    the matcher for funnel counters and phase spans.
     ``weighter`` (a :class:`repro.core.multiplicity.PairWeighter`)
     scales match counts and funnel counters by per-pair multiplicity —
     the collapsed-plan contract.  ``self_join`` switches the diagonal to
     value identity; ``None`` auto-detects it from content equality, so
     direct callers get the right semantics without the plan layer.
+
+    >>> from repro.core.matchers import build_matcher
+    >>> m = build_matcher("FPDL", k=1, scheme="numeric")
+    >>> r = _scalar_join(["123456789"], ["123456780"], m)
+    >>> (r.match_count, r.diagonal_matches)
+    (1, 1)
     """
     if collector:
         matcher.collector = collector

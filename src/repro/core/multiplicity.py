@@ -21,9 +21,9 @@ composable pieces that make plan cost proportional to the number of
   pairs, so the weighted totals reproduce the full product exactly:
   ``sum_{u<v} 2*c_u*c_v + sum_u c_u**2 == n**2``.
 * a bounded **verification memo** — :class:`VerificationMemo` caches
-  verifier verdicts under a canonical ``(s, t)`` key so the scalar and
-  multiprocess backends verify each distinct string pair once even when
-  duplicates (or a candidate generator) resurface it.
+  verifier verdicts under a canonical ``(s, t)`` key so the scalar
+  backend verifies each distinct string pair once even when duplicates
+  (or a candidate generator) resurface it.
 
 The planner (:mod:`repro.core.plan`) estimates the uniqueness ratio
 from a sample and activates the layer only when it pays; every plan

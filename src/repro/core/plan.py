@@ -1,10 +1,9 @@
 """The join planner: candidate generation × execution backends.
 
 The paper's driver (Algorithm 7) walks the full ``S x T`` product and
-filters per pair; the repo long duplicated that loop three ways (scalar,
-vectorized, multiprocess) while its sub-quadratic structures — the FBF
-signature index, length bucketing, key blocking — sat outside the join.
-This module decouples the two halves every related system (PASS-JOIN,
+filters per pair, while sub-quadratic structures — the FBF signature
+index, length bucketing, key blocking — can skip most of it.  This
+module decouples the two halves every related system (PASS-JOIN,
 py_stringsimjoin) decouples:
 
 * a :class:`CandidateGenerator` decides *which pairs to look at* —
@@ -20,8 +19,8 @@ py_stringsimjoin) decouples:
   never auto-picked);
 * an :class:`ExecutionBackend` decides *how to verify them* —
   ``scalar`` (the reference loop), ``vectorized`` (NumPy chunks),
-  ``multiprocess`` (scalar loop over a process pool), or ``hybrid``
-  (vectorized chunk kernels over a shared-memory worker pool — see
+  ``native`` (the same chunks over compiled kernels), or ``hybrid``
+  (the chunk kernels over a shared-memory worker pool — see
   :mod:`repro.parallel.shm`);
 * :class:`JoinPlanner` composes one of each from dataset size, the
   method spec and ``k`` via a small cost model, with explicit overrides
@@ -52,8 +51,8 @@ the unique-value product with per-pair weights keeping every counter in
 original-pair units; self-joins (same dataset on both sides, detected
 or forced with ``self_join=True``) enumerate only the ``i <= j``
 triangle of the unique product; and a bounded verification memo lets
-the scalar and multiprocess backends verify each distinct string pair
-once on uncollapsed duplicate-bearing plans.  All of it is
+the scalar backend verify each distinct string pair once on
+uncollapsed duplicate-bearing plans.  All of it is
 bit-identical to the uncollapsed plan (asserted by the equivalence
 suite) — only the enumerated-pair cost changes.
 
@@ -92,7 +91,6 @@ from repro.obs.log import get_logger
 from repro.obs.stats import NULL_COLLECTOR
 from repro.parallel.chunked import VectorEngine
 from repro.parallel.partition import iter_pair_blocks
-from repro.parallel.pool import multiprocess_join
 from repro.parallel.prepared import PreparedSide, SharedPair, shared_scheme
 
 __all__ = [
@@ -127,11 +125,30 @@ _log = get_logger("core.plan")
 #: ``Ham <= k`` does imply both.
 EDIT_BOUNDED = frozenset({"dl", "pdl", "ham"})
 
-BACKEND_NAMES = ("scalar", "vectorized", "multiprocess", "hybrid", "native")
+BACKEND_NAMES = ("scalar", "vectorized", "hybrid", "native")
 
 Block = tuple[np.ndarray, np.ndarray]
 
-# -- cost-model constants (pair-units) --------------------------------------
+# -- cost model --------------------------------------------------------------
+# Size thresholds (pairs in the full product unless noted):
+#: pairs per candidate block a generator yields
+_BLOCK_PAIRS = 1 << 20
+#: at or below this product the scalar loop beats NumPy setup
+_SCALAR_MAX_PAIRS = 1 << 14
+#: below this product no index build amortizes: all-pairs
+_INDEX_MIN_PAIRS = 1 << 20
+#: with workers > 1, from this product on the shared-memory pool amortizes
+_HYBRID_MIN_PAIRS = 1 << 22
+#: above this k every pruning structure degrades: all-pairs
+_MAX_INDEX_K = 4
+#: distinct value pairs one verification memo holds
+_MEMO_CAPACITY = 1 << 16
+#: a two-dataset join collapses to unique values from this product on ...
+_COLLAPSE_MIN_PAIRS = 1 << 20
+#: ... when the sampled unique product is at most this share of the full one
+_COLLAPSE_AUTO_RATIO = 0.5
+
+# Pair-unit costs:
 # 1.0 pair-unit = one gathered candidate flowing through the vectorized
 # filter + verify funnel; everything else is calibrated relative to it
 # from the n=1e4-1e5 LN ablations.  Dense all-pairs blocks avoid the
@@ -201,7 +218,7 @@ class AllPairsGenerator(CandidateGenerator):
 
     def blocks(self, planner: "JoinPlanner") -> Iterator[Block]:
         return iter_pair_blocks(
-            len(planner.left), len(planner.right), planner.block_pairs
+            len(planner.left), len(planner.right), _BLOCK_PAIRS
         )
 
     def estimate_cost(self, planner, spec):
@@ -234,7 +251,6 @@ class LengthBucketGenerator(CandidateGenerator):
 
     def blocks(self, planner: "JoinPlanner") -> Iterator[Block]:
         groups_l, groups_r = planner.length_groups()
-        cap = planner.block_pairs
         for lv, left_idx in groups_l.items():
             right_parts = [
                 idx for rv, idx in groups_r.items() if abs(lv - rv) <= planner.k
@@ -242,7 +258,7 @@ class LengthBucketGenerator(CandidateGenerator):
             if not right_parts:
                 continue
             right_idx = np.concatenate(right_parts)
-            rows = max(1, cap // max(1, len(right_idx)))
+            rows = max(1, _BLOCK_PAIRS // max(1, len(right_idx)))
             for r0 in range(0, len(left_idx), rows):
                 chunk = left_idx[r0 : r0 + rows]
                 yield (
@@ -275,7 +291,7 @@ class FBFIndexGenerator(CandidateGenerator):
 
     def blocks(self, planner: "JoinPlanner") -> Iterator[Block]:
         return planner.index().candidate_blocks(
-            planner.left, planner.k, max_pairs=planner.block_pairs
+            planner.left, planner.k, max_pairs=_BLOCK_PAIRS
         )
 
     def estimate_cost(self, planner, spec):
@@ -304,7 +320,7 @@ class PassJoinGenerator(CandidateGenerator):
 
     def blocks(self, planner: "JoinPlanner") -> Iterator[Block]:
         return planner.passjoin_index().candidate_blocks(
-            planner.left, max_pairs=planner.block_pairs
+            planner.left, max_pairs=_BLOCK_PAIRS
         )
 
     def estimate_cost(self, planner, spec):
@@ -333,7 +349,7 @@ class PrefixQgramGenerator(CandidateGenerator):
 
     def blocks(self, planner: "JoinPlanner") -> Iterator[Block]:
         return planner.prefix_index().candidate_blocks(
-            planner.left, max_pairs=planner.block_pairs
+            planner.left, max_pairs=_BLOCK_PAIRS
         )
 
     def estimate_cost(self, planner, spec):
@@ -606,7 +622,7 @@ class VectorizedBackend(ExecutionBackend):
                 planner.passjoin_index(),
                 collector=collector,
                 weighter=planner.weighter,
-                max_pairs=planner.block_pairs,
+                max_pairs=_BLOCK_PAIRS,
             )
             blocks.emitted += emitted
         else:
@@ -653,32 +669,6 @@ class NativeBackend(VectorizedBackend):
             )
         finally:
             engine._native = prev
-
-
-class MultiprocessBackend(ExecutionBackend):
-    """The scalar loop fanned out over a process pool."""
-
-    name = "multiprocess"
-
-    def run(self, planner, method, blocks, *, collector, record_matches):
-        memo = planner.memo_for(method)
-        result = multiprocess_join(
-            planner.left,
-            planner.right,
-            method,
-            k=planner.k,
-            theta=planner.theta,
-            scheme_kind=planner.kind(),
-            workers=planner.workers,
-            record_matches=record_matches,
-            collector=collector,
-            pairs=None if blocks is None else list(_flatten(blocks)),
-            weighter=planner.weighter,
-            memo_capacity=memo.capacity if memo is not None else 0,
-            self_join=planner.content_equal,
-        )
-        result.backend = self.name
-        return result
 
 
 class HybridBackend(ExecutionBackend):
@@ -780,13 +770,13 @@ class JoinPlanner:
     (serve batches, stream chunks) share it; :meth:`prepare` forces it
     eagerly for timing loops that must exclude it.
 
-    Cost model (see :meth:`plan`): index-backed candidate generation
-    needs the product to be large enough to amortize building the index
-    (``index_min_pairs``) and a small ``k`` (window width scales bucket
-    probes); the scalar backend is only right for products small enough
-    that NumPy setup dominates (``scalar_max_pairs``); multiprocess is
-    explicit-only, since process startup dwarfs any product the
-    vectorized engine can't already handle in-core.  Products above the
+    Cost model (see :meth:`plan` and the module's ``_COST_*`` block):
+    index-backed candidate generation needs the product to be large
+    enough to amortize building the index (``_INDEX_MIN_PAIRS``) and a
+    small ``k`` (window width scales bucket probes); the scalar backend
+    is only right for products small enough that NumPy setup dominates
+    (``_SCALAR_MAX_PAIRS``); hybrid needs ``workers > 1`` and a product
+    that amortizes the pool (``_HYBRID_MIN_PAIRS``).  Products above the
     scalar cutoff prefer the native backend (same dataflow, compiled
     constants) whenever a :mod:`repro.native` provider validated —
     otherwise vectorized.
@@ -804,17 +794,9 @@ class JoinPlanner:
         workers: int | None = None,
         record_matches: bool = False,
         collector=None,
-        block_pairs: int = 1 << 20,
-        scalar_max_pairs: int = 1 << 14,
-        index_min_pairs: int = 1 << 20,
-        hybrid_min_pairs: int = 1 << 22,
-        max_index_k: int = 4,
         collapse: str = "auto",
         self_join: bool | None = None,
         memo: str = "auto",
-        memo_capacity: int = 1 << 16,
-        collapse_min_pairs: int = 1 << 20,
-        collapse_auto_ratio: float = 0.5,
     ):
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
@@ -858,16 +840,8 @@ class JoinPlanner:
         self.workers = workers
         self.record_matches = record_matches
         self.collector = collector
-        self.block_pairs = block_pairs
-        self.scalar_max_pairs = scalar_max_pairs
-        self.index_min_pairs = index_min_pairs
-        self.hybrid_min_pairs = hybrid_min_pairs
-        self.max_index_k = max_index_k
         self.collapse = collapse
         self.memo = memo
-        self.memo_capacity = memo_capacity
-        self.collapse_min_pairs = collapse_min_pairs
-        self.collapse_auto_ratio = collapse_auto_ratio
         #: per-pair multiplicity weights, set around a collapsed run so
         #: the backends (which only see this planner) pick them up
         self.weighter: PairWeighter | None = None
@@ -889,7 +863,6 @@ class JoinPlanner:
                 ScalarBackend(),
                 VectorizedBackend(),
                 NativeBackend(),
-                MultiprocessBackend(),
                 HybridBackend(),
             )
         }
@@ -1020,8 +993,8 @@ class JoinPlanner:
 
         ``"on"``/``"off"`` are honored verbatim.  ``"auto"`` collapses a
         self-join whenever the sampled unique product is at most
-        ``collapse_auto_ratio`` of the full one; a two-dataset join
-        additionally needs a product of at least ``collapse_min_pairs``
+        ``_COLLAPSE_AUTO_RATIO`` of the full one; a two-dataset join
+        additionally needs a product of at least ``_COLLAPSE_MIN_PAIRS``
         (collapsing pays a dictionary pass per side up front, which tiny
         joins never earn back).
         """
@@ -1031,12 +1004,9 @@ class JoinPlanner:
             return False
         ratio = self.uniqueness_ratio()
         if self.self_join:
-            return ratio <= self.collapse_auto_ratio
+            return ratio <= _COLLAPSE_AUTO_RATIO
         product = len(self.left) * len(self.right)
-        return (
-            product >= self.collapse_min_pairs
-            and ratio <= self.collapse_auto_ratio
-        )
+        return product >= _COLLAPSE_MIN_PAIRS and ratio <= _COLLAPSE_AUTO_RATIO
 
     def _multiplicity_active(self) -> bool:
         """Route through the collapsed path (triangle and/or collapse)?"""
@@ -1061,7 +1031,7 @@ class JoinPlanner:
             return None
         m = self._memos.get(method)
         if m is None:
-            m = self._memos[method] = VerificationMemo(self.memo_capacity)
+            m = self._memos[method] = VerificationMemo(_MEMO_CAPACITY)
         return m
 
     def _collapsed_sides(self) -> tuple[CollapsedSide, CollapsedSide]:
@@ -1099,11 +1069,6 @@ class JoinPlanner:
                 scheme=self.kind(),
                 levels=self.levels,
                 workers=self.workers,
-                block_pairs=self.block_pairs,
-                scalar_max_pairs=self.scalar_max_pairs,
-                index_min_pairs=self.index_min_pairs,
-                hybrid_min_pairs=self.hybrid_min_pairs,
-                max_index_k=self.max_index_k,
                 collapse="off",
                 self_join=False,
                 memo="off",
@@ -1189,14 +1154,14 @@ class JoinPlanner:
                 )
             return gen, "explicit"
         product = len(self.left) * len(self.right)
-        if product < self.index_min_pairs or self.k > self.max_index_k:
+        if product < _INDEX_MIN_PAIRS or self.k > _MAX_INDEX_K:
             # Small products never amortize an index build (and large k
             # degrades every pruning structure): skip the samplers.
             reason = (
                 f"product {product:,} below index threshold "
-                f"{self.index_min_pairs:,}"
-                if product < self.index_min_pairs
-                else f"k={self.k} > {self.max_index_k}: pruning degrades"
+                f"{_INDEX_MIN_PAIRS:,}"
+                if product < _INDEX_MIN_PAIRS
+                else f"k={self.k} > {_MAX_INDEX_K}: pruning degrades"
             )
             return self.generator("all-pairs"), reason
         best = next(c for c in self.generator_costs(spec.name) if c.safe)
@@ -1217,9 +1182,9 @@ class JoinPlanner:
                 )
             return be, "explicit"
         product = len(self.left) * len(self.right)
-        if product <= self.scalar_max_pairs:
+        if product <= _SCALAR_MAX_PAIRS:
             return self._backends["scalar"], (
-                f"product {product:,} <= {self.scalar_max_pairs:,}: "
+                f"product {product:,} <= {_SCALAR_MAX_PAIRS:,}: "
                 "NumPy setup would dominate"
             )
         # The hybrid pool is only auto-picked when the caller opted into
@@ -1229,21 +1194,21 @@ class JoinPlanner:
         if (
             self.workers
             and self.workers > 1
-            and product >= self.hybrid_min_pairs
+            and product >= _HYBRID_MIN_PAIRS
         ):
             return self._backends["hybrid"], (
                 f"workers={self.workers} and product {product:,} >= "
-                f"{self.hybrid_min_pairs:,}: shared-memory pool amortizes"
+                f"{_HYBRID_MIN_PAIRS:,}: shared-memory pool amortizes"
             )
         # Same dataflow as vectorized, strictly better constants: prefer
         # the compiled kernels whenever a validated provider loaded.
         if native_available():
             return self._backends["native"], (
-                f"product {product:,} > {self.scalar_max_pairs:,}; "
+                f"product {product:,} > {_SCALAR_MAX_PAIRS:,}; "
                 f"compiled kernels loaded ({native_kind()})"
             )
         return self._backends["vectorized"], (
-            f"product {product:,} > {self.scalar_max_pairs:,}"
+            f"product {product:,} > {_SCALAR_MAX_PAIRS:,}"
         )
 
     def plan(
@@ -1457,8 +1422,8 @@ def join(
     ``collapse`` (``"auto"``/``"on"``/``"off"``) controls unique-string
     collapse; ``self_join=True`` forces the triangular enumeration for
     content-equal sides (it is auto-detected when both arguments are the
-    same object or hold the same values).  The memo knobs (``memo``,
-    ``memo_capacity``) pass through ``planner_kwargs``.
+    same object or hold the same values).  The ``memo`` knob passes
+    through ``planner_kwargs``.
 
     >>> r = join(["123456789"], ["123456780"], "FPDL", k=1, scheme="numeric")
     >>> (r.match_count, r.generator, r.backend)

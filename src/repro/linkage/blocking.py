@@ -18,8 +18,8 @@ implemented here:
   with loose/tight thresholds (refs [10][11]).
 
 Every method implements :meth:`BlockingMethod.pairs`, yielding candidate
-``(i, j)`` index pairs that plug straight into
-:func:`repro.core.join.match_strings` or the linkage engine.  The
+``(i, j)`` index pairs that plug straight into the planner (wrapped in
+:class:`repro.core.plan.BlockingKeyGenerator`) or the linkage engine.  The
 benchmark suite measures their pair-reduction ratio and, crucially, their
 *pairs completeness* (share of true matches retained) against the safe
 FBF filter.

@@ -28,8 +28,8 @@ see :mod:`repro.native._csrc`).  The provider must pass a bit-exactness
 self-check against the scalar and NumPy references before it is
 offered; a provider that fails validation is treated as absent.  When
 it does not load, callers fall back to the NumPy tier —
-``resolve_kernels("native")`` warns once (via
-:func:`repro._compat.warn_once`) instead of raising, so
+``resolve_kernels("native")`` warns once per process (:func:`reset`
+re-arms it) instead of raising, so
 ``backend="native"`` degrades gracefully on machines without a C
 toolchain.
 
@@ -43,11 +43,10 @@ Environment knobs:
 from __future__ import annotations
 
 import os
+import warnings
 from typing import Callable
 
 import numpy as np
-
-from repro._compat import warn_once
 
 __all__ = [
     "KernelSet",
@@ -367,6 +366,20 @@ class KernelSet:
 _CACHE: dict[str, KernelSet | None] = {}
 #: provider name -> human-readable load outcome
 _REASONS: dict[str, str] = {}
+#: fallback warnings already emitted (see _warn_once)
+_WARNED: set[str] = set()
+
+
+def _warn_once(key: str, message: str) -> None:
+    """Emit a fallback ``RuntimeWarning`` at most once per process per
+    ``key``: a long job resolving kernels per batch says so once.
+    Python's own dedup is per call site and ``simplefilter("always")``
+    (pytest included) resets it, hence this registry."""
+    if key in _WARNED:
+        return
+    _WARNED.add(key)
+    # 3: this helper, resolve_kernels, then resolve_kernels' caller
+    warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
 def _disabled() -> bool:
@@ -432,11 +445,10 @@ def resolve_kernels(
         )
     if _disabled():
         if request != "auto":
-            warn_once(
+            _warn_once(
                 f"native-disabled:{warn_key}",
                 "compiled kernels disabled by REPRO_NO_NATIVE=1; "
                 "falling back to the NumPy (vectorized) path",
-                category=RuntimeWarning,
             )
         return None
     if request in _PROVIDERS:
@@ -448,12 +460,11 @@ def resolve_kernels(
             f"{name}: {_REASONS.get(name, 'not probed')}"
             for name in _PROVIDERS
         )
-        warn_once(
+        _warn_once(
             f"native-unavailable:{warn_key}",
             "compiled kernels requested but no provider loaded "
             f"({detail}); falling back to the NumPy (vectorized) path "
             "— the provider needs a C compiler ($CC, cc, gcc or clang)",
-            category=RuntimeWarning,
         )
     return ks
 
@@ -510,13 +521,15 @@ def native_status() -> dict:
 
 
 def reset() -> None:
-    """Forget cached provider probes (test-isolation hook).
+    """Forget cached provider probes and emitted fallback warnings
+    (test-isolation hook).
 
     Needed after monkeypatching ``REPRO_NO_NATIVE``: resolution caches
     per provider, not per environment.
     """
     _CACHE.clear()
     _REASONS.clear()
+    _WARNED.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ call per pair:
 
 * :mod:`repro.parallel.partition` — pair-space partitioning: rectangular
   blocking of the ``n_left x n_right`` product into cache-sized chunks,
-  and balanced work splits for multi-process runs.
+  and balanced work splits for the hybrid pool's tasks.
 * :mod:`repro.parallel.kernels` — the chunk kernels every vectorized
   executor runs: one prepared-side layout (codes, lengths, packed
   ``uint64`` signatures), one verifier/filter/diagonal dispatch and one
@@ -20,11 +20,6 @@ call per pair:
   (:class:`VectorEngine`): every method stack of the evaluation run
   through those kernels over NumPy pair chunks.  One process, no
   per-pair Python; the plan layer's ``vectorized`` backend.
-* :mod:`repro.parallel.pool` — a multiprocessing driver
-  (:func:`multiprocess_join`) that partitions the pair space across
-  worker processes, for the scalar matchers (reference engine at
-  scale) and as the distributed-RL skeleton the paper's conclusion
-  sketches; the plan layer's ``multiprocess`` backend.
 * :mod:`repro.parallel.shm` — the zero-copy hybrid: encodings are
   published once through ``multiprocessing.shared_memory`` and a
   persistent :class:`WorkerPool` (reused across joins and serve
@@ -32,14 +27,13 @@ call per pair:
   layer's ``hybrid`` backend.
 
 All are composed with candidate generators by
-:class:`repro.core.plan.JoinPlanner`; ``parallel_match_strings``
-remains as a deprecated alias.
+:class:`repro.core.plan.JoinPlanner`; the scalar reference loop they
+are checked against is :func:`repro.core.join._scalar_join`.
 """
 
 from repro.parallel.chunked import VectorEngine, VJoinResult
 from repro.parallel.kernels import pack_signatures
-from repro.parallel.partition import balanced_splits, iter_pair_blocks, row_blocks
-from repro.parallel.pool import multiprocess_join, parallel_match_strings
+from repro.parallel.partition import balanced_splits, iter_pair_blocks
 from repro.parallel.prepared import PreparedSide
 from repro.parallel.shm import (
     Publication,
@@ -62,10 +56,7 @@ __all__ = [
     "close_shared_pools",
     "inline_side",
     "iter_pair_blocks",
-    "multiprocess_join",
     "pack_signatures",
-    "parallel_match_strings",
-    "row_blocks",
     "run_hybrid",
     "shared_pool",
 ]

@@ -6,9 +6,8 @@ parallel rectangle.  These helpers slice it two ways:
 * :func:`iter_pair_blocks` — flat chunks of at most ``block`` pairs, as
   ``(ii, jj)`` index arrays, for the vectorized single-process engine
   (bounds every temporary's size, per the cache-effects guidance).
-* :func:`row_blocks` / :func:`balanced_splits` — contiguous row ranges
-  for multi-process distribution, where each worker re-encodes only its
-  slice of the left dataset.
+* :func:`balanced_splits` — contiguous near-equal ranges, which the
+  hybrid pool cuts its row and candidate tasks from.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["iter_pair_blocks", "row_blocks", "balanced_splits"]
+__all__ = ["iter_pair_blocks", "balanced_splits"]
 
 
 def iter_pair_blocks(
@@ -77,12 +76,3 @@ def balanced_splits(n: int, parts: int) -> list[tuple[int, int]]:
         start += size
     return out
 
-
-def row_blocks(
-    n_left: int, n_right: int, target_pairs: int = 1 << 20
-) -> list[tuple[int, int]]:
-    """Contiguous left-row ranges of roughly ``target_pairs`` pairs each."""
-    if n_left <= 0:
-        return []
-    rows = max(1, target_pairs // max(1, n_right))
-    return [(r0, min(n_left, r0 + rows)) for r0 in range(0, n_left, rows)]

@@ -1,11 +1,9 @@
 """Zero-copy shared-memory hybrid backend.
 
-The ``multiprocess`` backend (:mod:`repro.parallel.pool`) scales the
-*scalar* reference loop: every call spawns a fresh executor, pickles
-both datasets into each worker, and verifies pairs one Python call at a
-time.  The ``vectorized`` backend runs NumPy chunk kernels but on one
-core.  This module combines the two
-multipliers — workers × SIMD — with none of the per-call seeding cost:
+The ``vectorized`` backend runs NumPy chunk kernels on one core; the
+``scalar`` reference loop verifies pairs one Python call at a time.
+This module multiplies the vectorized kernels across worker
+processes — workers × SIMD — with no per-call seeding cost:
 
 * each side is encoded **once** in the parent (uint8 code matrix,
   lengths, FBF signatures packed into ``uint64`` words — a
@@ -1105,8 +1103,8 @@ def run_hybrid(
     ``left``/``right``) credit their bytes to the collector once over
     their lifetime (:meth:`Publication.credit`); a probed index's bytes
     are credited once per publication the same way.  ``weighter``
-    requires candidates (a stream or a probe), as in
-    :func:`repro.parallel.pool.multiprocess_join`.  Workers use the
+    requires candidates (a stream or a probe): dense row tasks cannot
+    reproduce a self-join's symmetric weights.  Workers use the
     compiled kernels when a provider loads (``REPRO_NO_NATIVE=1`` pins
     pure NumPy).
     """

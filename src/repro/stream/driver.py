@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.core.matchers import method_registry
-from repro.core.plan import EDIT_BOUNDED, JoinPlanner
+from repro.core.plan import BACKEND_NAMES, EDIT_BOUNDED, JoinPlanner
 from repro.core.signatures import detect_kind, scheme_for
 from repro.io import read_strings
 from repro.obs.events import NULL_EVENTS
@@ -94,8 +94,6 @@ STREAM_GENERATORS = (
     "pass-join",
     "prefix",
 )
-
-_STREAM_BACKENDS = ("scalar", "vectorized", "hybrid", "native")
 
 #: test hook: sleep this many ms after each chunk (makes "SIGKILL lands
 #: mid-run" deterministic for the kill-and-resume suite)
@@ -364,10 +362,10 @@ def join_stream(
     obs = collector if collector is not None else StatsCollector("join-stream")
     metrics = metrics if metrics is not None else NullMetricsRegistry()
     events = events if events is not None else NULL_EVENTS
-    if backend not in _STREAM_BACKENDS and backend != "auto":
+    if backend not in BACKEND_NAMES and backend != "auto":
         raise ValueError(
             f"unknown stream backend {backend!r}; expected one of "
-            f"{_STREAM_BACKENDS} or 'auto'"
+            f"{BACKEND_NAMES} or 'auto'"
         )
     if not isinstance(source, ChunkSource):
         source = source_for(source, fmt=fmt, column=column)

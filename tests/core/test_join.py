@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.join import match_strings
+from repro.core.join import _scalar_join
 from repro.core.matchers import build_matcher
 from repro.distance.damerau import damerau_levenshtein
 
@@ -16,7 +16,7 @@ pool = st.lists(
 class TestMatchStrings:
     def test_counts_and_diagonal(self):
         m = build_matcher("FPDL", k=1, scheme="numeric")
-        r = match_strings(
+        r = _scalar_join(
             ["123456789", "555555555"], ["123456780", "111111111"], m
         )
         assert r.match_count == 1
@@ -26,35 +26,35 @@ class TestMatchStrings:
 
     def test_record_matches(self):
         m = build_matcher("DL", k=1)
-        r = match_strings(["AB"], ["AB", "AC"], m, record_matches=True)
+        r = _scalar_join(["AB"], ["AB", "AC"], m, record_matches=True)
         assert r.matches == [(0, 0), (0, 1)]
         assert r.match_count == 2
 
     def test_matches_not_recorded_by_default(self):
         m = build_matcher("DL", k=1)
-        r = match_strings(["AB"], ["AB"], m)
+        r = _scalar_join(["AB"], ["AB"], m)
         assert r.matches == []
         assert r.match_count == 1
 
     def test_explicit_pairs_subset(self):
         m = build_matcher("DL", k=0)
-        r = match_strings(["A", "B"], ["A", "B"], m, pairs=[(0, 0), (0, 1)])
+        r = _scalar_join(["A", "B"], ["A", "B"], m, pairs=[(0, 0), (0, 1)])
         assert r.match_count == 1
         assert r.diagonal_matches == 1
 
     def test_verified_pairs_propagated(self):
         m = build_matcher("FDL", k=1, scheme="numeric")
-        r = match_strings(["123456789"], ["123456780"], m)
+        r = _scalar_join(["123456789"], ["123456780"], m)
         assert r.verified_pairs == 1
 
     def test_empty_datasets(self):
         m = build_matcher("DL", k=1)
-        r = match_strings([], [], m)
+        r = _scalar_join([], [], m)
         assert r.match_count == 0 and r.pairs_compared == 0
 
     def test_asymmetric_sizes(self):
         m = build_matcher("DL", k=0)
-        r = match_strings(["X"], ["X", "Y", "Z"], m)
+        r = _scalar_join(["X"], ["X", "Y", "Z"], m)
         assert r.pairs_compared == 3
         assert r.match_count == 1
 
@@ -62,10 +62,10 @@ class TestMatchStrings:
     def test_fpdl_join_equals_dl_join(self, left, right, k):
         # Algorithm 7's guarantee: the filtered join returns exactly the
         # DL match set.
-        r_dl = match_strings(
+        r_dl = _scalar_join(
             left, right, build_matcher("DL", k=k), record_matches=True
         )
-        r_f = match_strings(
+        r_f = _scalar_join(
             left,
             right,
             build_matcher("FPDL", k=k, scheme="numeric"),
@@ -76,7 +76,7 @@ class TestMatchStrings:
     @given(pool, pool)
     def test_match_count_consistency(self, left, right):
         m = build_matcher("DL", k=1)
-        r = match_strings(left, right, m, record_matches=True)
+        r = _scalar_join(left, right, m, record_matches=True)
         assert len(r.matches) == r.match_count
         if list(left) == list(right):
             # Self-join semantics: the diagonal counts value-identity

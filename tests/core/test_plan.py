@@ -1,6 +1,6 @@
-"""The join planner: cost model, overrides, funnel accounting, shims.
+"""The join planner: cost model, overrides, funnel accounting.
 
-The planner's contract has four parts, each covered here:
+The planner's contract has three parts, each covered here:
 
 * **Cost model** — generator/backend picks follow dataset size, ``k``
   and the method's safety profile, and never auto-pick a lossy or
@@ -11,8 +11,6 @@ The planner's contract has four parts, each covered here:
   invariant, with non-full-product generators appearing as the first
   funnel stage; the Table-3 last-names workload demonstrates the
   index-backed plan touching well under 20% of the product at ``k=1``.
-* **Compatibility** — the three pre-planner entry points still work but
-  warn ``DeprecationWarning``.
 """
 
 import pytest
@@ -103,11 +101,6 @@ class TestCostModel:
         p = JoinPlanner(strings, list(strings), k=1)
         assert p.plan("LF").generator.name == "length-bucket"
 
-    def test_multiprocess_never_auto_picked(self):
-        for n in (100, 1100):
-            p = JoinPlanner(_fake_strings(n), _fake_strings(n), k=1)
-            assert p.plan("FPDL").backend.name != "multiprocess"
-
     def test_blocking_never_auto_picked(self):
         for method in REGISTRY:
             p = JoinPlanner(_fake_strings(1100), _fake_strings(1100), k=1)
@@ -150,6 +143,13 @@ class TestGeneratorRegistry:
         assert by_name["blocking"].cost == float("inf")
         assert not by_name["blocking"].safe
         assert all(c.detail for c in costs)
+
+    def test_names_stay_exported(self):
+        assert set(GENERATOR_NAMES) == {
+            "all-pairs", "length-bucket", "fbf-index", "pass-join",
+            "prefix", "blocking",
+        }
+        assert BACKEND_NAMES == ("scalar", "vectorized", "hybrid", "native")
 
     def test_unsafe_methods_scored_but_not_safe(self):
         p = JoinPlanner(_fake_strings(50), _fake_strings(50), k=1)
@@ -245,8 +245,10 @@ class TestOverrides:
 
     def test_unknown_backend_raises(self, ssn_pair):
         p = JoinPlanner(ssn_pair.clean, ssn_pair.error, k=1)
-        with pytest.raises(ValueError, match="unknown backend"):
-            p.plan("FPDL", backend="bogus")
+        # a removed backend's name is rejected like any unknown one
+        for name in ("bogus", "multiprocess"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                p.plan("FPDL", backend=name)
 
     def test_unknown_method_raises(self, ssn_pair):
         p = JoinPlanner(ssn_pair.clean, ssn_pair.error, k=1)
@@ -304,16 +306,17 @@ class TestRun:
         assert sorted(r.matches) == sorted(ref.matches)
 
     def test_join_multiprocess_combo(self, ssn_pair):
+        # the process-pool backend (hybrid) behind a pruning generator
         ref = join(
             ssn_pair.clean, ssn_pair.error, "FPDL", k=1,
             generator="all-pairs", backend="scalar", record_matches=True,
         )
         r = join(
             ssn_pair.clean, ssn_pair.error, "FPDL", k=1,
-            generator="fbf-index", backend="multiprocess",
+            generator="fbf-index", backend="hybrid",
             workers=2, record_matches=True,
         )
-        assert (r.generator, r.backend) == ("fbf-index", "multiprocess")
+        assert (r.generator, r.backend) == ("fbf-index", "hybrid")
         assert sorted(r.matches) == sorted(ref.matches)
 
     def test_join_is_packaged_at_top_level(self, ssn_pair):
@@ -396,71 +399,3 @@ class TestFunnel:
         assert c.conserved
         ref = p.run("FPDL", generator="all-pairs", backend="vectorized")
         assert sorted(r.matches) == sorted(ref.matches)
-
-
-class TestDeprecatedShims:
-    """Each shim warns DeprecationWarning exactly once per process."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_warning_registry(self):
-        # The shims warn once per process; reset so each test observes
-        # its own first (and only) warning regardless of suite order.
-        from repro._compat import reset_deprecation_warnings
-
-        reset_deprecation_warnings()
-        yield
-        reset_deprecation_warnings()
-
-    def test_match_strings_warns(self, ssn_pair):
-        from repro.core.join import match_strings
-        from repro.core.matchers import build_matcher
-
-        matcher = build_matcher("FPDL", k=1, scheme="numeric")
-        with pytest.warns(DeprecationWarning, match="repro.join") as caught:
-            r = match_strings(ssn_pair.clean, ssn_pair.error, matcher)
-        assert r.match_count > 0
-        assert (
-            sum(1 for w in caught if w.category is DeprecationWarning) == 1
-        )
-        assert "match_strings() is deprecated" in str(caught[0].message)
-
-    def test_match_strings_warns_only_once(self, ssn_pair):
-        import warnings
-
-        from repro.core.join import match_strings
-        from repro.core.matchers import build_matcher
-
-        matcher = build_matcher("FPDL", k=1, scheme="numeric")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            match_strings(ssn_pair.clean, ssn_pair.error, matcher)
-            match_strings(ssn_pair.clean, ssn_pair.error, matcher)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_parallel_match_strings_warns(self, ssn_pair):
-        from repro.parallel.pool import parallel_match_strings
-
-        with pytest.warns(DeprecationWarning, match="repro.join") as caught:
-            r = parallel_match_strings(
-                ssn_pair.clean, ssn_pair.error, "FPDL", k=1,
-                scheme_kind="numeric", workers=1,
-            )
-        assert r.backend == "multiprocess"
-        assert (
-            sum(1 for w in caught if w.category is DeprecationWarning) == 1
-        )
-        assert "parallel_match_strings() is deprecated" in str(
-            caught[0].message
-        )
-
-    def test_names_stay_exported(self):
-        assert set(GENERATOR_NAMES) == {
-            "all-pairs", "length-bucket", "fbf-index", "pass-join",
-            "prefix", "blocking",
-        }
-        assert set(BACKEND_NAMES) == {
-            "scalar", "vectorized", "multiprocess", "hybrid", "native",
-        }

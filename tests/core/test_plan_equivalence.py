@@ -179,8 +179,9 @@ def test_partition_generators_compose_with_self_join(generator, data):
 
 
 class TestMultiprocessEquivalence:
-    """Fixed-input equivalence for the pool backend (too slow for the
-    hypothesis loop: each example would fork a pool)."""
+    """Fixed-input equivalence for the process-pool backend, hybrid.
+    The SSN inputs run the numeric signature scheme, which the
+    shm-equivalence strategies never draw."""
 
     @pytest.fixture(scope="class")
     def ssn_pair(self):
@@ -194,7 +195,7 @@ class TestMultiprocessEquivalence:
         par = JoinPlanner(
             ssn_pair.clean, ssn_pair.error, k=1,
             workers=2, record_matches=True,
-        ).run(method, generator="all-pairs", backend="multiprocess")
+        ).run(method, generator="all-pairs", backend="hybrid")
         assert sorted(par.matches) == sorted(ref.matches)
         assert par.verified_pairs == ref.verified_pairs
 
@@ -205,12 +206,12 @@ class TestMultiprocessEquivalence:
         par = JoinPlanner(
             ssn_pair.clean, ssn_pair.error, k=1,
             workers=2, record_matches=True,
-        ).run("FPDL", generator="fbf-index", backend="multiprocess")
+        ).run("FPDL", generator="fbf-index", backend="hybrid")
         assert sorted(par.matches) == sorted(ref.matches)
 
     def test_collapsed_pool_matches_reference(self):
         # Heavy duplication so collapse engages; the pool backend must
-        # ship weights to workers and come back bit-identical.
+        # apply the weights in its workers and come back bit-identical.
         names = ["SMITH", "SMYTH", "JONES", "JONAS", "LEE"]
         left = [names[i % len(names)] for i in range(30)]
         right = [names[(i * 2) % len(names)] for i in range(24)]
@@ -220,7 +221,7 @@ class TestMultiprocessEquivalence:
         ).run("FPDL", generator="all-pairs", backend="scalar")
         par = JoinPlanner(
             left, right, k=1, workers=2, record_matches=True, collapse="on",
-        ).run("FPDL", backend="multiprocess")
+        ).run("FPDL", backend="hybrid")
         assert sorted(par.matches) == sorted(ref.matches)
         assert par.match_count == ref.match_count
         assert par.diagonal_matches == ref.diagonal_matches
@@ -234,7 +235,7 @@ class TestMultiprocessEquivalence:
         ).run("FPDL", generator="all-pairs", backend="scalar")
         par = JoinPlanner(
             data, data, k=1, workers=2, record_matches=True,
-        ).run("FPDL", backend="multiprocess")
+        ).run("FPDL", backend="hybrid")
         assert sorted(par.matches) == sorted(ref.matches)
         assert par.match_count == ref.match_count
         assert par.diagonal_matches == ref.diagonal_matches

@@ -144,6 +144,20 @@ class TestJoinStreamCommand:
         err = capsys.readouterr().err
         assert "conserved: yes" in err
 
+    def test_native_backend_prints_vectorized_matches(
+        self, stream_files, capsys
+    ):
+        big, roster = stream_files
+        outs = {}
+        for backend in ("native", "vectorized"):
+            assert main(
+                ["join-stream", str(big), str(roster), "--k", "1",
+                 "--chunk-rows", "40", "--backend", backend]
+            ) == 0
+            outs[backend] = capsys.readouterr().out
+        assert "SMITH" in outs["vectorized"]
+        assert outs["native"] == outs["vectorized"]
+
     def test_checkpoint_without_spill_fails(self, stream_files, tmp_path):
         big, roster = stream_files
         with pytest.raises(SystemExit, match="spill"):

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from repro import VectorEngine, build_matcher, match_strings
+import repro
+from repro import VectorEngine
 from repro.data.datasets import FAMILIES, dataset_for_family
 from repro.eval.experiments import run_string_experiment
 from repro.linkage import RecordCorruptor, default_engine, generate_records
-from repro.parallel.pool import parallel_match_strings
 
 
 class TestZeroFalseNegativesEndToEnd:
@@ -38,18 +38,20 @@ class TestZeroFalseNegativesEndToEnd:
 
 
 class TestEnginesAgree:
-    """Scalar, vectorized and multiprocess engines: one answer."""
+    """Scalar, vectorized and pooled (hybrid) engines: one answer."""
 
     def test_three_engines_one_answer(self):
         dp = dataset_for_family("SSN", 60, seed=19)
-        scalar = match_strings(
-            dp.clean, dp.error, build_matcher("FPDL", k=1, scheme="numeric")
+        scalar = repro.join(
+            dp.clean, dp.error, "FPDL", k=1, scheme="numeric",
+            generator="all-pairs", backend="scalar",
         )
         vector = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="numeric").run(
             "FPDL"
         )
-        pooled = parallel_match_strings(
-            dp.clean, dp.error, "FPDL", k=1, scheme_kind="numeric", workers=2
+        pooled = repro.join(
+            dp.clean, dp.error, "FPDL", k=1, scheme="numeric",
+            generator="all-pairs", backend="hybrid", workers=2,
         )
         counts = {
             (r.match_count, r.diagonal_matches) for r in (scalar, vector, pooled)
@@ -89,12 +91,11 @@ class TestRecordLinkageEndToEnd:
 
 class TestPublicAPI:
     def test_quickstart_from_readme(self):
-        from repro import build_matcher, match_strings
+        from repro import join
 
         clean = ["123456789", "555443333"]
         dirty = ["123456780", "555443333"]
-        matcher = build_matcher("FPDL", k=1, scheme="numeric")
-        result = match_strings(clean, dirty, matcher)
+        result = join(clean, dirty, "FPDL", k=1, scheme="numeric")
         assert result.match_count == 2
 
     def test_version(self):

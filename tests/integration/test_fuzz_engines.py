@@ -1,8 +1,8 @@
-"""Cross-engine fuzzing: one semantics, four implementations.
+"""Cross-engine fuzzing: one semantics, three implementations.
 
 Hypothesis drives random datasets, thresholds and method stacks through
-the scalar join, the vectorized join, the multiprocessing driver and the
-FBF index; any divergence between them is a bug in exactly one place.
+the scalar join, the vectorized join and the FBF index; any divergence
+between them is a bug in exactly one place.
 """
 
 import random
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.index import FBFIndex
-from repro.core.join import match_strings
+from repro.core.join import _scalar_join
 from repro.core.matchers import build_matcher
 from repro.distance.damerau import damerau_levenshtein
 from repro.parallel.chunked import VectorEngine
@@ -30,7 +30,7 @@ class TestScalarVsVectorized:
     @given(datasets, datasets, methods, st.integers(0, 3),
            st.sampled_from([0.7, 0.8, 0.9]))
     def test_counts_agree(self, left, right, method, k, theta):
-        scalar = match_strings(
+        scalar = _scalar_join(
             left, right, build_matcher(method, k=k, theta=theta, scheme="alnum")
         )
         vector = VectorEngine(
@@ -44,7 +44,7 @@ class TestScalarVsVectorized:
     @settings(max_examples=30)
     @given(datasets, datasets, st.integers(1, 2))
     def test_match_sets_agree(self, left, right, k):
-        scalar = match_strings(
+        scalar = _scalar_join(
             left,
             right,
             build_matcher("LFPDL", k=k, scheme="alnum"),

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import native
-from repro._compat import reset_deprecation_warnings
 from repro.core.matchers import MethodSpec
 from repro.core.multiplicity import PairWeighter
 from repro.core.passjoin import PassJoinIndex
@@ -45,10 +44,8 @@ needs_native = pytest.mark.skipif(
 def fresh_native():
     """Re-probe providers after env monkeypatching, restore after."""
     native.reset()
-    reset_deprecation_warnings()
     yield
     native.reset()
-    reset_deprecation_warnings()
 
 
 def _strings_with_boundaries(seed: int = 3) -> list[str]:

@@ -14,8 +14,9 @@ Three families of guarantees tie the observability layer to the paper:
 
 import pytest
 
-from repro.core.join import match_strings
+from repro.core.join import _scalar_join
 from repro.core.matchers import METHOD_NAMES, build_matcher, method_registry
+from repro.core.plan import JoinPlanner
 from repro.data.datasets import dataset_for_family
 from repro.obs import StatsCollector
 from repro.parallel.chunked import VectorEngine
@@ -39,7 +40,7 @@ class TestConservationScalar:
     def test_counters_conserve(self, ssn_pair, method):
         c = StatsCollector(method)
         matcher = build_matcher(method, k=K, scheme="numeric", collector=c)
-        result = match_strings(ssn_pair.clean, ssn_pair.error, matcher)
+        result = _scalar_join(ssn_pair.clean, ssn_pair.error, matcher)
         n_pairs = ssn_pair.n * ssn_pair.n
         assert c.pairs_considered == n_pairs == result.pairs_compared
         assert c.conserved, (
@@ -52,7 +53,7 @@ class TestConservationScalar:
     def test_verified_matches_stack_shape(self, ssn_pair, method):
         c = StatsCollector(method)
         matcher = build_matcher(method, k=K, scheme="numeric", collector=c)
-        match_strings(ssn_pair.clean, ssn_pair.error, matcher)
+        _scalar_join(ssn_pair.clean, ssn_pair.error, matcher)
         if REGISTRY[method].verifier is None:
             # Filter-only stacks (FBF/LF/LFBF): nothing reaches a verifier
             # and every survivor is declared a match.
@@ -64,7 +65,7 @@ class TestConservationScalar:
     def test_stage_flow_is_monotone(self, ssn_pair):
         c = StatsCollector("LFPDL")
         matcher = build_matcher("LFPDL", k=K, scheme="numeric", collector=c)
-        match_strings(ssn_pair.clean, ssn_pair.error, matcher)
+        _scalar_join(ssn_pair.clean, ssn_pair.error, matcher)
         stages = list(c.stages.values())
         assert [s.name for s in stages] == ["length", "fbf"]
         # Each stage tests exactly what the previous one passed.
@@ -88,7 +89,7 @@ class TestConservationVectorized:
         chunked.run("FPDL", collector=cv)
         cs = StatsCollector()
         matcher = build_matcher("FPDL", k=K, scheme="numeric", collector=cs)
-        match_strings(ssn_pair.clean, ssn_pair.error, matcher)
+        _scalar_join(ssn_pair.clean, ssn_pair.error, matcher)
         assert cv.pairs_considered == cs.pairs_considered
         assert cv.survivors == cs.survivors
         assert cv.verified == cs.verified
@@ -118,13 +119,13 @@ class TestNoOpParity:
 
     @pytest.mark.parametrize("method", ["DL", "FPDL", "LFBF", "Jaro"])
     def test_scalar_results_identical(self, ssn_pair, method):
-        plain = match_strings(
+        plain = _scalar_join(
             ssn_pair.clean,
             ssn_pair.error,
             build_matcher(method, k=K, scheme="numeric"),
             record_matches=True,
         )
-        observed = match_strings(
+        observed = _scalar_join(
             ssn_pair.clean,
             ssn_pair.error,
             build_matcher(
@@ -165,7 +166,7 @@ class TestVerifierCounters:
     def test_pdl_tallies_wire_through_build_matcher(self, ssn_pair):
         c = StatsCollector()
         matcher = build_matcher("PDL", k=K, scheme="numeric", collector=c)
-        match_strings(ssn_pair.clean, ssn_pair.error, matcher)
+        _scalar_join(ssn_pair.clean, ssn_pair.error, matcher)
         # Equal-length SSNs: nothing length-prunes, but almost every
         # non-diagonal pair terminates its band early.
         assert c.verifier_counters["early_exit"] > 0
@@ -173,22 +174,24 @@ class TestVerifierCounters:
     def test_length_pruned_fires_on_mixed_lengths(self):
         c = StatsCollector()
         matcher = build_matcher("PDL", k=1, collector=c)
-        match_strings(["ab", "abcdef"], ["ab", "abcdefgh"], matcher)
+        _scalar_join(["ab", "abcdef"], ["ab", "abcdefgh"], matcher)
         assert c.verifier_counters["length_pruned"] > 0
 
 
 class TestConservationMultiprocess:
-    """The pool backend merges per-worker collectors into the parent;
+    """The hybrid pool merges per-worker collectors into the parent;
     the merged funnel must be indistinguishable from a one-process run."""
 
-    def test_counters_conserve_across_workers(self, ssn_pair):
-        from repro.parallel.pool import multiprocess_join
+    @staticmethod
+    def _pooled(ssn_pair, method, collector):
+        return JoinPlanner(
+            ssn_pair.clean, ssn_pair.error, k=K, scheme="numeric",
+            workers=2, collector=collector,
+        ).run(method, generator="all-pairs", backend="hybrid")
 
+    def test_counters_conserve_across_workers(self, ssn_pair):
         c = StatsCollector("pool")
-        result = multiprocess_join(
-            ssn_pair.clean, ssn_pair.error, "FPDL", k=K,
-            scheme_kind="numeric", workers=2, collector=c,
-        )
+        result = self._pooled(ssn_pair, "FPDL", c)
         n_pairs = ssn_pair.n * ssn_pair.n
         assert c.pairs_considered == n_pairs == result.pairs_compared
         assert c.conserved
@@ -196,16 +199,11 @@ class TestConservationMultiprocess:
 
     @pytest.mark.parametrize("method", ["DL", "FPDL", "LFBF"])
     def test_merged_funnel_equals_scalar(self, ssn_pair, method):
-        from repro.parallel.pool import multiprocess_join
-
         cp = StatsCollector("pool")
-        multiprocess_join(
-            ssn_pair.clean, ssn_pair.error, method, k=K,
-            scheme_kind="numeric", workers=2, collector=cp,
-        )
+        self._pooled(ssn_pair, method, cp)
         cs = StatsCollector("scalar")
         matcher = build_matcher(method, k=K, scheme="numeric", collector=cs)
-        match_strings(ssn_pair.clean, ssn_pair.error, matcher)
+        _scalar_join(ssn_pair.clean, ssn_pair.error, matcher)
         assert cp.pairs_considered == cs.pairs_considered
         assert cp.survivors == cs.survivors
         assert cp.verified == cs.verified
@@ -213,16 +211,3 @@ class TestConservationMultiprocess:
         for name, stage in cs.stages.items():
             merged = cp.stages[name]
             assert (merged.tested, merged.passed) == (stage.tested, stage.passed)
-
-    def test_verifier_counters_survive_merge(self, ssn_pair):
-        from repro.parallel.pool import multiprocess_join
-
-        cp = StatsCollector("pool")
-        multiprocess_join(
-            ssn_pair.clean, ssn_pair.error, "PDL", k=K,
-            scheme_kind="numeric", workers=2, collector=cp,
-        )
-        cs = StatsCollector("scalar")
-        matcher = build_matcher("PDL", k=K, scheme="numeric", collector=cs)
-        match_strings(ssn_pair.clean, ssn_pair.error, matcher)
-        assert cp.verifier_counters == cs.verifier_counters

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.join import match_strings
+from repro.core.join import _scalar_join
 from repro.core.matchers import METHOD_NAMES, build_matcher
 from repro.data.datasets import dataset_for_family
 from repro.parallel.chunked import VectorEngine
@@ -26,7 +26,7 @@ class TestChunkedJoinEquivalence:
                            scheme_kind="alpha")
         vec = join.run(method)
         matcher = build_matcher(method, k=1, theta=0.8, scheme="alpha")
-        ref = match_strings(ln_pair.clean, ln_pair.error, matcher)
+        ref = _scalar_join(ln_pair.clean, ln_pair.error, matcher)
         assert (vec.match_count, vec.diagonal_matches) == (
             ref.match_count,
             ref.diagonal_matches,
@@ -37,7 +37,7 @@ class TestChunkedJoinEquivalence:
         join = VectorEngine(ln_pair.clean, ln_pair.error, k=2, scheme_kind="alpha")
         vec = join.run(method)
         matcher = build_matcher(method, k=2, scheme="alpha")
-        ref = match_strings(ln_pair.clean, ln_pair.error, matcher)
+        ref = _scalar_join(ln_pair.clean, ln_pair.error, matcher)
         assert (vec.match_count, vec.diagonal_matches) == (
             ref.match_count,
             ref.diagonal_matches,
@@ -49,7 +49,7 @@ class TestChunkedJoinEquivalence:
         join = VectorEngine(left, right, k=k, scheme_kind="alnum", chunk=16)
         vec = join.run("FPDL")
         matcher = build_matcher("FPDL", k=k, scheme="alnum")
-        ref = match_strings(left, right, matcher)
+        ref = _scalar_join(left, right, matcher)
         assert (vec.match_count, vec.diagonal_matches) == (
             ref.match_count,
             ref.diagonal_matches,
@@ -62,7 +62,7 @@ class TestChunkedJoinEquivalence:
         for method in ("DL", "PDL", "Jaro", "Wink", "Ham", "SDX"):
             vec = join.run(method)
             matcher = build_matcher(method, k=1, theta=0.8, scheme="alnum")
-            ref = match_strings(left, right, matcher)
+            ref = _scalar_join(left, right, matcher)
             assert (vec.match_count, vec.diagonal_matches) == (
                 ref.match_count,
                 ref.diagonal_matches,

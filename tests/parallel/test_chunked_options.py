@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.join import match_strings
+from repro.core.join import _scalar_join
 from repro.core.matchers import build_matcher
 from repro.core.plan import JoinPlanner
 from repro.core.signatures import scheme_for
@@ -27,7 +27,7 @@ class TestSchemeOptions:
         assert join.scheme.name == "alnum2"
         res = join.run("FPDL")
         matcher = build_matcher("FPDL", k=1, scheme="alnum")
-        ref = match_strings(ad_pair.clean, ad_pair.error, matcher)
+        ref = _scalar_join(ad_pair.clean, ad_pair.error, matcher)
         assert (res.match_count, res.diagonal_matches) == (
             ref.match_count,
             ref.diagonal_matches,
@@ -120,7 +120,7 @@ class TestLengthBucketing:
         # At k=0 only identical strings match; error injection means
         # nothing on the diagonal survives.
         matcher = build_matcher("LFPDL", k=0, scheme="alnum")
-        ref = match_strings(ad_pair.clean, ad_pair.error, matcher)
+        ref = _scalar_join(ad_pair.clean, ad_pair.error, matcher)
         assert res.match_count == ref.match_count
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.parallel.partition import balanced_splits, iter_pair_blocks, row_blocks
+from repro.parallel.partition import balanced_splits, iter_pair_blocks
 
 
 class TestIterPairBlocks:
@@ -77,16 +77,3 @@ class TestBalancedSplits:
             sizes = [stop - start for start, stop in splits]
             assert max(sizes) - min(sizes) <= 1
 
-
-class TestRowBlocks:
-    def test_rough_pair_budget(self):
-        blocks = row_blocks(1000, 1000, target_pairs=100_000)
-        assert blocks[0] == (0, 100)
-        assert blocks[-1][1] == 1000
-
-    def test_at_least_one_row(self):
-        blocks = row_blocks(10, 10**7, target_pairs=100)
-        assert all(stop - start >= 1 for start, stop in blocks)
-
-    def test_empty(self):
-        assert row_blocks(0, 10) == []
