@@ -28,20 +28,36 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.core.matchers import PreparedMatcher
 from repro.obs.log import get_logger
 
-__all__ = ["JoinResult"]
+__all__ = ["JoinResult", "match_rows"]
 
 _log = get_logger("core.join")
+
+
+def match_rows(
+    parts_i: Sequence[np.ndarray] = (), parts_j: Sequence[np.ndarray] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(left rows, right rows)`` ``int64`` arrays of the match
+    parts a kernel emitted (none: two empty arrays)."""
+    if not parts_i:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return (
+        np.concatenate(parts_i).astype(np.int64, copy=False),
+        np.concatenate(parts_j).astype(np.int64, copy=False),
+    )
 
 
 @dataclass
 class JoinResult:
     """Outcome of one similarity join.
 
-    ``matches`` is populated only when the join is run with
-    ``record_matches=True``; the counters are always correct either way.
+    ``match_rows`` (and its tuple view ``matches``) is populated only
+    when the join is run with ``record_matches=True``; the counters are
+    always correct either way.
     ``pairs_compared`` counts the pairs the driver actually iterated —
     the full ``n_left * n_right`` product, an explicit ``pairs`` subset,
     or (under an index-backed or multiplicity-collapsed plan) the
@@ -74,7 +90,10 @@ class JoinResult:
     diagonal_matches: int = 0
     verified_pairs: int = 0
     pairs_compared: int = 0
-    matches: list[tuple[int, int]] = field(default_factory=list)
+    #: matched (left row, right row) pairs, in the backend's order
+    match_rows: tuple[np.ndarray, np.ndarray] = field(
+        default_factory=match_rows, repr=False, compare=False
+    )
     #: candidate generator that produced the pair stream (plan layer)
     generator: str = "all-pairs"
     #: execution backend that verified the candidates (plan layer)
@@ -82,6 +101,19 @@ class JoinResult:
     #: distinct left/right values under unique-string collapse (else None)
     unique_left: int | None = None
     unique_right: int | None = None
+
+    @property
+    def matches(self) -> list[tuple[int, int]]:
+        """``match_rows`` as ``(i, j)`` tuples, for the CLI, linkage and
+        tests: built on first access, rebuilt only if ``match_rows`` is
+        replaced."""
+        rows = self.match_rows
+        view = self.__dict__.get("_matches_view")
+        if view is None or view[0] is not rows:
+            ii, jj = rows
+            view = (rows, list(zip(ii.tolist(), jj.tolist())))
+            self.__dict__["_matches_view"] = view
+        return view[1]
 
     @property
     def off_diagonal_matches(self) -> int:
@@ -104,7 +136,7 @@ def _scalar_join(
 
     ``matcher`` is a method stack from
     :func:`repro.core.matchers.build_matcher`; it is prepared here.
-    ``record_matches`` keeps the ``(i, j)`` list (off by default: a
+    ``record_matches`` keeps the matched pairs (off by default: a
     sloppy comparator can match millions of pairs).  ``pairs`` restricts
     the join to those index pairs; the default is the full product.
     ``collector`` (a :class:`repro.obs.StatsCollector`) is attached to
@@ -139,7 +171,7 @@ def _scalar_join(
     with span("join.prepare"):
         matcher.prepare(left, right)
     result = JoinResult(matcher.name, len(left), len(right))
-    matches = result.matches if record_matches else None
+    matches: list[tuple[int, int]] | None = [] if record_matches else None
     match_count = 0
     diagonal = 0
     compared = 0
@@ -172,6 +204,9 @@ def _scalar_join(
                         diagonal += w
                     if matches is not None:
                         matches.append((i, j))
+    if matches:
+        pairs = np.array(matches, dtype=np.int64)
+        result.match_rows = (pairs[:, 0], pairs[:, 1])
     result.match_count = match_count
     result.diagonal_matches = diagonal
     result.verified_pairs = matcher.verified_pairs

@@ -10,7 +10,7 @@ composable pieces that make plan cost proportional to the number of
 * **unique-string collapse** — :class:`CollapsedSide` factors a dataset
   into its unique values plus multiplicity and inverse-index vectors;
   the whole generator x backend funnel then runs on the
-  ``u_left x u_right`` problem and :func:`expand_matches` maps matches
+  ``u_left x u_right`` problem and :func:`expand_rows` maps matches
   back to original indices on demand.  :class:`PairWeighter` scales
   every funnel counter by ``count(i) * count(j)`` so conservation still
   holds against the uncollapsed ``n_left * n_right`` baseline.
@@ -28,17 +28,17 @@ composable pieces that make plan cost proportional to the number of
 The planner (:mod:`repro.core.plan`) estimates the uniqueness ratio
 from a sample and activates the layer only when it pays; every plan
 that goes through it returns a :class:`CollapsedJoinResult`, whose
-match list expands lazily from unique-space matches.
+match rows expand lazily from unique-space matches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.join import JoinResult
+from repro.core.join import JoinResult, match_rows
 
 __all__ = [
     "CollapsedSide",
@@ -46,7 +46,7 @@ __all__ = [
     "VerificationMemo",
     "CollapsedJoinResult",
     "estimate_uniqueness",
-    "expand_matches",
+    "expand_rows",
     "positional_diagonal",
 ]
 
@@ -71,7 +71,9 @@ class CollapsedSide:
     inverse: np.ndarray
     #: unique id -> multiplicity
     counts: np.ndarray
-    _groups: list[np.ndarray] | None = field(default=None, repr=False)
+    _members: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False
+    )
 
     @classmethod
     def from_strings(cls, strings: Sequence[str]) -> "CollapsedSide":
@@ -109,13 +111,13 @@ class CollapsedSide:
     def n_unique(self) -> int:
         return len(self.values)
 
-    def groups(self) -> list[np.ndarray]:
-        """Unique id -> array of the original indices holding that value."""
-        if self._groups is None:
+    def members(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, start)``: the original indices holding unique value
+        ``u`` are ``order[start[u] : start[u] + counts[u]]``, ascending."""
+        if self._members is None:
             order = np.argsort(self.inverse, kind="stable")
-            bounds = np.cumsum(self.counts)[:-1]
-            self._groups = np.split(order, bounds)
-        return self._groups
+            self._members = (order, np.cumsum(self.counts) - self.counts)
+        return self._members
 
 
 def estimate_uniqueness(strings: Sequence[str], sample: int = 1024) -> float:
@@ -234,37 +236,49 @@ class VerificationMemo:
 # ---------------------------------------------------------------------------
 
 
-def expand_matches(
-    unique_matches: Iterable[tuple[int, int]],
+def expand_rows(
+    ui: np.ndarray,
+    uj: np.ndarray,
     left: CollapsedSide,
     right: CollapsedSide,
     *,
     symmetric: bool = False,
-) -> list[tuple[int, int]]:
-    """Map unique-space matches back to original index pairs.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map unique-space matches ``(ui[m], uj[m])`` back to original
+    ``(left rows, right rows)`` arrays.
 
     A match ``(u, v)`` expands to the product of the original rows
-    holding each value; with ``symmetric`` (triangular self-join) an
-    off-diagonal ``(u, v)`` additionally expands to the mirrored
-    ``(v, u)`` product, so the expansion covers exactly the pairs the
-    uncollapsed all-pairs join would have matched.
+    holding each value, in row-major order; with ``symmetric``
+    (triangular self-join) an off-diagonal ``(u, v)`` is followed by the
+    mirrored ``(v, u)`` product, so the expansion covers exactly the
+    pairs the uncollapsed all-pairs join would have matched.
     """
-    groups_l = left.groups()
-    groups_r = right.groups()
-    out: list[tuple[int, int]] = []
-    for u, v in unique_matches:
-        rows = groups_l[u].tolist()
-        cols = groups_r[v].tolist()
-        out.extend((i, j) for i in rows for j in cols)
-        if symmetric and u != v:
-            rows = groups_l[v].tolist()
-            cols = groups_r[u].tolist()
-            out.extend((i, j) for i in rows for j in cols)
-    return out
+    ui = np.asarray(ui, dtype=np.int64)
+    uj = np.asarray(uj, dtype=np.int64)
+    if symmetric:
+        mirrored = np.stack([np.ones(len(ui), dtype=bool), ui != uj], axis=1)
+        ui, uj = (
+            np.stack([ui, uj], axis=1)[mirrored],
+            np.stack([uj, ui], axis=1)[mirrored],
+        )
+    order_l, start_l = left.members()
+    order_r, start_r = right.members()
+    width = right.counts[uj]
+    sizes = left.counts[ui] * width
+    block = np.repeat(np.arange(len(ui)), sizes)
+    offset = np.arange(int(sizes.sum())) - np.repeat(
+        np.cumsum(sizes) - sizes, sizes
+    )
+    width = width[block]
+    return (
+        order_l[start_l[ui[block]] + offset // width],
+        order_r[start_r[uj[block]] + offset % width],
+    )
 
 
 def positional_diagonal(
-    unique_matches: Iterable[tuple[int, int]],
+    ui: np.ndarray,
+    uj: np.ndarray,
     left: CollapsedSide,
     right: CollapsedSide,
 ) -> int:
@@ -273,52 +287,53 @@ def positional_diagonal(
     The evaluation's ground truth is positional — ``left[i]`` is the
     clean twin of ``right[i]`` — so after collapsing both sides the
     diagonal is the count of original positions whose (unique-left,
-    unique-right) id pair matched.
+    unique-right) id pair is among the matches ``(ui[m], uj[m])``.
     """
-    matched = set(map(tuple, unique_matches))
-    if not matched:
+    if not len(ui):
         return 0
     n = min(left.n, right.n)
-    inv_l, inv_r = left.inverse, right.inverse
-    return sum(
-        1 for i in range(n) if (int(inv_l[i]), int(inv_r[i])) in matched
-    )
+    stride = right.n_unique
+    matched = np.asarray(ui, dtype=np.int64) * stride + np.asarray(uj)
+    at = left.inverse[:n] * stride + right.inverse[:n]
+    return int(np.isin(at, matched).sum())
 
 
 class CollapsedJoinResult(JoinResult):
-    """A :class:`JoinResult` whose match list expands lazily.
+    """A :class:`JoinResult` whose match rows expand lazily.
 
-    ``unique_matches`` holds the unique-space pairs the backends
-    actually verified; ``matches`` materializes the original-index
-    expansion on first access (and caches it), so a collapsed join of a
-    heavily duplicated dataset never pays the expansion unless someone
-    reads the pairs.  Counters (``match_count``, ``diagonal_matches``)
-    are already expressed in original-pair units.
+    ``unique_rows`` holds the unique-space ``(left, right)`` arrays the
+    backends actually verified; ``match_rows`` (and ``matches``, its
+    tuple view) materializes the original-index expansion on first
+    access and caches it, so a collapsed join of a heavily duplicated
+    dataset never pays the expansion unless someone reads the pairs.
+    Counters (``match_count``, ``diagonal_matches``) are already
+    expressed in original-pair units.
     """
 
     def __init__(
         self,
         *args,
-        unique_matches: Sequence[tuple[int, int]] = (),
-        expander: Callable[[list[tuple[int, int]]], list[tuple[int, int]]]
-        | None = None,
+        unique_rows: tuple[np.ndarray, np.ndarray] | None = None,
+        expander: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None,
         **kwargs,
     ):
-        self.unique_matches = list(unique_matches)
+        self.unique_rows = unique_rows or match_rows()
         self._expander = expander
         super().__init__(*args, **kwargs)
-        # The dataclass __init__ above assigned the default [] through
-        # the property setter; clear it so expansion stays pending.
-        self._matches_cache = None
+        # The dataclass __init__ above assigned the default through the
+        # property setter; clear it so expansion stays pending.
+        self._expanded = None
 
     @property
-    def matches(self) -> list[tuple[int, int]]:
-        if self._matches_cache is None:
-            self._matches_cache = (
-                self._expander(self.unique_matches) if self._expander else []
+    def match_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._expanded is None:
+            self._expanded = (
+                self._expander(*self.unique_rows)
+                if self._expander
+                else match_rows()
             )
-        return self._matches_cache
+        return self._expanded
 
-    @matches.setter
-    def matches(self, value: list[tuple[int, int]]) -> None:
-        self._matches_cache = value
+    @match_rows.setter
+    def match_rows(self, value: tuple[np.ndarray, np.ndarray]) -> None:
+        self._expanded = value

@@ -80,7 +80,7 @@ from repro.core.multiplicity import (
     PairWeighter,
     VerificationMemo,
     estimate_uniqueness,
-    expand_matches,
+    expand_rows,
     positional_diagonal,
 )
 from repro.core.signatures import detect_kind, scheme_for
@@ -603,20 +603,8 @@ class VectorizedBackend(ExecutionBackend):
         engine = planner.engine()
         engine.record_matches = record_matches
         if blocks is None:
-            v = engine.run(method, collector=collector)
-            result = JoinResult(
-                method,
-                v.n_left,
-                v.n_right,
-                match_count=v.match_count,
-                diagonal_matches=v.diagonal_matches,
-                verified_pairs=v.verified_pairs,
-                pairs_compared=v.pairs_compared,
-                backend=self.name,
-            )
-            result.matches = v.matches
-            return result
-        if _probes_passjoin(blocks):
+            result = engine.run(method, collector=collector)
+        elif _probes_passjoin(blocks):
             result, emitted = engine.run_probe(
                 method,
                 planner.passjoin_index(),
@@ -1364,19 +1352,19 @@ class JoinPlanner:
             # The backend stamped unique-space sizes; restore originals.
             obs.meta["n_left"] = len(self.left)
             obs.meta["n_right"] = len(self.right)
-        unique_matches = list(result.matches) if need_matches else []
+        unique_rows = result.match_rows
         if self.self_join:
             # Unique values are distinct, so the backend's value-identity
             # diagonal is exactly the weighted sum over matched (u, u).
             diagonal = result.diagonal_matches
         else:
-            diagonal = positional_diagonal(unique_matches, cl, cr)
+            diagonal = positional_diagonal(*unique_rows, cl, cr)
         expander = None
         if record:
             symmetric = self.self_join
 
-            def expander(um):
-                return expand_matches(um, cl, cr, symmetric=symmetric)
+            def expander(ui, uj):
+                return expand_rows(ui, uj, cl, cr, symmetric=symmetric)
 
         return CollapsedJoinResult(
             method,
@@ -1390,7 +1378,7 @@ class JoinPlanner:
             backend=plan.backend.name,
             unique_left=cl.n_unique,
             unique_right=cr.n_unique,
-            unique_matches=unique_matches,
+            unique_rows=unique_rows,
             expander=expander,
         )
 

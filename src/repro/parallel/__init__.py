@@ -31,7 +31,7 @@ All are composed with candidate generators by
 are checked against is :func:`repro.core.join._scalar_join`.
 """
 
-from repro.parallel.chunked import VectorEngine, VJoinResult
+from repro.parallel.chunked import VectorEngine
 from repro.parallel.kernels import pack_signatures
 from repro.parallel.partition import balanced_splits, iter_pair_blocks
 from repro.parallel.prepared import PreparedSide
@@ -49,7 +49,6 @@ __all__ = [
     "PreparedSide",
     "Publication",
     "SideArrays",
-    "VJoinResult",
     "VectorEngine",
     "WorkerPool",
     "balanced_splits",

@@ -33,12 +33,11 @@ shared no-op and the hot loops are unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from repro.core.join import JoinResult
+from repro.core.join import JoinResult, match_rows
 from repro.core.matchers import method_registry
 from repro.core.signatures import SignatureScheme, detect_kind, scheme_for
 from repro.core.vectorized import value_identity_codes
@@ -54,35 +53,12 @@ from repro.parallel.kernels import (
 from repro.parallel.partition import iter_pair_blocks
 from repro.parallel.prepared import PreparedSide, shared_scheme
 
-__all__ = ["VectorEngine", "VJoinResult"]
+__all__ = ["VectorEngine"]
 
 _log = get_logger("parallel.chunked")
 
 #: method specs by lower-cased name (``run`` accepts any case)
 _SPECS = {name.lower(): spec for name, spec in method_registry().items()}
-
-
-@dataclass
-class VJoinResult:
-    """Outcome of one vectorized join (mirrors
-    :class:`repro.core.join.JoinResult`)."""
-
-    method: str
-    n_left: int
-    n_right: int
-    match_count: int = 0
-    diagonal_matches: int = 0
-    #: pairs that reached the verifier (0 for unfiltered/filter-only)
-    verified_pairs: int = 0
-    matches: list[tuple[int, int]] = field(default_factory=list)
-
-    @property
-    def pairs_compared(self) -> int:
-        return self.n_left * self.n_right
-
-    @property
-    def off_diagonal_matches(self) -> int:
-        return self.match_count - self.diagonal_matches
 
 
 class VectorEngine:
@@ -229,20 +205,15 @@ class VectorEngine:
 
     @staticmethod
     def _take(res: dict, result) -> None:
-        """Move a kernel result dict's matches into ``result``."""
+        """Move a kernel result dict's counts and match arrays into
+        ``result``."""
         result.match_count += res["match_count"]
         result.diagonal_matches += res["diagonal"]
-        if res["mi"]:
-            result.matches.extend(
-                zip(
-                    np.concatenate(res["mi"]).tolist(),
-                    np.concatenate(res["mj"]).tolist(),
-                )
-            )
+        result.match_rows = match_rows(res["mi"], res["mj"])
 
     # -- method dispatch ---------------------------------------------------
 
-    def run(self, method: str, collector=None) -> VJoinResult:
+    def run(self, method: str, collector=None) -> JoinResult:
         """Execute one method stack by its paper name.
 
         ``collector`` overrides the instance collector for this run —
@@ -264,7 +235,11 @@ class VectorEngine:
             "run %s over %d x %d pairs", method, len(self.left), len(self.right)
         )
         kern = self._kernels(spec)
-        result = VJoinResult(spec.name, len(self.left), len(self.right))
+        n_left, n_right = len(self.left), len(self.right)
+        result = JoinResult(
+            spec.name, n_left, n_right, pairs_compared=n_left * n_right,
+            backend="vectorized",
+        )
         res = kern.fresh()
         with obs.span(f"run.{method}"):
             if not spec.filters:
@@ -410,12 +385,13 @@ class VectorEngine:
         work performed.
         """
         kern, obs, result = self._candidate_run(method, collector, weighter)
+        res = kern.fresh()
         with obs.span(f"run.{method}.candidates"):
             for ii, jj in blocks:
-                res = kern.run_pairs(ii, jj, obs)
-                result.verified_pairs += res["verified"]
-                result.pairs_compared += res["compared"]
-                self._take(res, result)
+                kern.absorb(res, kern.run_pairs(ii, jj, obs))
+        result.verified_pairs = res["verified"]
+        result.pairs_compared = res["compared"]
+        self._take(res, result)
         return result
 
     def run_probe(

@@ -321,6 +321,14 @@ class Kernels:
             "mj": [],
         }
 
+    @staticmethod
+    def absorb(res: dict, part: dict) -> None:
+        """Add one block's result dict ``part`` into ``res``."""
+        for key in ("match_count", "diagonal", "verified", "compared"):
+            res[key] += part[key]
+        res["mi"].extend(part["mi"])
+        res["mj"].extend(part["mj"])
+
     def tally(self, res: dict, ii, jj, obs, ww=None) -> None:
         """Survivors → verify → matches for pairs that passed every
         filter; counters in original-pair units under weights ``ww``
@@ -495,11 +503,7 @@ class Kernels:
                 if not len(ii):
                     continue
             res["emitted"] += len(ii) if w is None else w.total(ii, jj)
-            part = self.run_pairs(ii, jj, obs)
-            for key in ("match_count", "diagonal", "verified", "compared"):
-                res[key] += part[key]
-            res["mi"].extend(part["mi"])
-            res["mj"].extend(part["mj"])
+            self.absorb(res, self.run_pairs(ii, jj, obs))
         return res
 
     def _run_probe_native(self, index, r0, r1, obs) -> dict:

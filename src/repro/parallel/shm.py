@@ -77,7 +77,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.join import JoinResult
+from repro.core.join import JoinResult, match_rows
 from repro.core.matchers import method_registry
 from repro.core.multiplicity import PairWeighter
 from repro.core.passjoin import PassJoinIndex, SegmentIndex
@@ -1225,9 +1225,10 @@ def run_hybrid(
         if collector and wc is not None:
             collector.merge(wc)
     if record_matches and mi_parts:
-        mi = np.concatenate(mi_parts)
-        mj = np.concatenate(mj_parts)
-        result.matches = sorted(zip(mi.tolist(), mj.tolist()))
+        # Tasks finish in any order: sort by (left row, right row).
+        mi, mj = match_rows(mi_parts, mj_parts)
+        order = np.lexsort((mj, mi))
+        result.match_rows = (mi[order], mj[order])
     if collector:
         collector.add_counter("shm_tasks_dispatched", len(calls))
         collector.add_counter(

@@ -10,7 +10,12 @@ the roster instead of per-query scalar DP.
 Batching matters for the same reason the join layer is vectorized: one
 query against an FBF index spends most of its time in Python dispatch
 (signature, bucket walk, small DP calls), while a batch amortises that
-into a handful of NumPy sweeps over packed arrays.  The roster's side
+into one compiled pass (or a handful of NumPy sweeps) over packed
+arrays.  Its matches stay arrays up to the API edge: the pass emits
+(batch position, roster row) as two ``int64`` arrays, and the fold
+drops tombstones, maps rows to ids and strings, sorts once and cuts
+per-query runs in bulk, so the only per-query Python left is building
+each :class:`QueryResult`.  The roster's side
 of the join (codes, signatures, the PASS-JOIN index, the shared-memory
 publication) depends only on its rows, so it is one
 :class:`~repro.parallel.prepared.PreparedSide` per wrapped index,
@@ -30,15 +35,16 @@ generator-accounting pattern so candidates are never double-counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from time import perf_counter_ns
 
 from repro.core.index import FBFIndex
+from repro.core.join import match_rows
 from repro.core.plan import JoinPlanner
 from repro.core.signatures import SignatureScheme
 from repro.native import available as native_available
@@ -445,11 +451,8 @@ class MatchService:
         k, method = self._resolve(k, method)
         t0 = perf_counter_ns()
         with self._obs.span("serve.query"):
-            hit = self._lookup(value, k, method)
-            result = (
-                hit if hit is not None
-                else self._answer_scalar(value, k, method)
-            )
+            hits, _pending = self._lookup((value,), k, method)
+            result = hits.get(value) or self._answer_scalar(value, k, method)
         self._c_queries.inc()
         self._h_query.observe((perf_counter_ns() - t0) / 1e9)
         return result
@@ -471,28 +474,17 @@ class MatchService:
         k, method = self._resolve(k, method)
         t0 = perf_counter_ns()
         with self._obs.span("serve.query_batch"):
-            answered: dict[str, QueryResult] = {}
-            pending: list[str] = []
-            seen: set[str] = set()
-            for value in values:
-                if value in answered or value in seen:
-                    continue
-                hit = self._lookup(value, k, method)
-                if hit is not None:
-                    answered[value] = hit
-                else:
-                    seen.add(value)
-                    pending.append(value)
+            answered, pending = self._lookup(values, k, method)
             if pending:
                 self._g_queue_depth.set(len(pending))
                 if method in OSA_METRIC and self._index.rows:
-                    for res in self._answer_batched(pending, k, method):
-                        answered[res.value] = res
+                    fresh = self._answer_batched(pending, k, method)
                 else:
-                    for value in pending:
-                        answered[value] = self._answer_scalar(
-                            value, k, method
-                        )
+                    fresh = [
+                        self._answer_scalar(value, k, method)
+                        for value in pending
+                    ]
+                answered.update(zip(pending, fresh))
                 self._g_queue_depth.set(0)
         self._c_queries.inc(len(values))
         self._h_batch_size.observe(len(values))
@@ -514,39 +506,42 @@ class MatchService:
         return k, method
 
     def _lookup(
-        self, value: str, k: int, method: str
-    ) -> QueryResult | None:
-        key = (value, method, k, self._index.generation)
-        hit = self._cache.get(key)
-        if hit is MISS:
-            self._obs.add_counter("cache_misses")
-            self._c_cache_misses.inc()
-            return None
-        self._obs.add_counter("cache_hits")
-        self._c_cache_hits.inc()
-        return replace(hit, cached=True)
-
-    def _store(
-        self, value: str, k: int, method: str, ids: Sequence[int]
-    ) -> QueryResult:
-        result = QueryResult(
-            value=value,
-            method=method,
-            k=k,
-            ids=tuple(ids),
-            matches=tuple(self._index.get(sid) for sid in ids),
-            cached=False,
-            generation=self._index.generation,
-        )
-        self._cache.put((value, method, k, result.generation), result)
-        return result
+        self, values: Sequence[str], k: int, method: str
+    ) -> tuple[dict[str, QueryResult], list[str]]:
+        """Split the distinct ``values`` into cache hits (value ->
+        result, ``cached`` set) and the pending rest, in first-seen
+        order; the hit and miss counters move once per call."""
+        generation = self._index.generation
+        answered: dict[str, QueryResult] = {}
+        pending: list[str] = []
+        get = self._cache.get
+        for value in dict.fromkeys(values):
+            hit = get((value, method, k, generation))
+            if hit is MISS:
+                pending.append(value)
+            else:
+                answered[value] = QueryResult(
+                    value, method, k, hit.ids, hit.matches, True, generation
+                )
+        if answered:
+            self._obs.add_counter("cache_hits", len(answered))
+            self._c_cache_hits.inc(len(answered))
+        if pending:
+            self._obs.add_counter("cache_misses", len(pending))
+            self._c_cache_misses.inc(len(pending))
+        return answered, pending
 
     def _answer_scalar(self, value: str, k: int, method: str) -> QueryResult:
         ids = self._index.search(
             value, k, collector=self._obs if self._obs else None,
             verifier=method,
         )
-        return self._store(value, k, method, ids)
+        result = QueryResult(
+            value, method, k, tuple(ids), tuple(map(self._index.get, ids)),
+            False, self._index.generation,
+        )
+        self._cache.put((value, method, k, result.generation), result)
+        return result
 
     # -- prepared rosters -----------------------------------------------------
 
@@ -630,54 +625,84 @@ class MatchService:
 
     def _answer_batched(
         self, pending: list[str], k: int, method: str
-    ) -> Iterator[QueryResult]:
+    ) -> list[QueryResult]:
         """Answer a batch of uncached queries: one planner run against
         the roster, or per routed shard (scattered through the affinity
-        pool when the service is pooled and sharded)."""
-        per_query: dict[int, list[int]] = {
-            qi: [] for qi in range(len(pending))
-        }
+        pool when the service is pooled and sharded), folded into one
+        result per pending value."""
         if not self.sharded:
             ii, jj = self._run_planned("base", self._index, pending, k)
-            self._gather(ii, jj, self._index, range(len(pending)), per_query)
+            return self._fold(pending, k, method, [(ii, jj, self._index)])
+        plan = self._shard_plan(pending, k)
+        for si, (vals, _idxs) in plan.items():
+            self.metrics.counter(
+                "shard_queries_total",
+                "queries routed to this shard",
+                labels={"shard": str(si)},
+            ).inc(len(vals))
+            load = len(vals) * len(self._index.shards[si].index)
+            self._shard_load[si] = self._shard_load.get(si, 0) + load
+        if not plan:
+            runs = {}
+        elif self._pooled:
+            runs = self._scatter_pooled(plan, k)
         else:
-            plan = self._shard_plan(pending, k)
-            for si, (vals, _idxs) in plan.items():
-                self.metrics.counter(
-                    "shard_queries_total",
-                    "queries routed to this shard",
-                    labels={"shard": str(si)},
-                ).inc(len(vals))
-            if self._pooled:
-                if plan:
-                    self._scatter_pooled(plan, per_query, k)
-            else:
-                self._scatter_inprocess(plan, per_query, k)
-        for qi, value in enumerate(pending):
-            yield self._store(value, k, method, sorted(per_query[qi]))
+            runs = {
+                si: self._run_planned(si, self._index.shards[si], vals, k)
+                for si, (vals, _idxs) in sorted(plan.items())
+            }
+        parts = [
+            (np.asarray(plan[si][1])[ii], jj, self._index.shards[si])
+            for si, (ii, jj) in runs.items()
+        ]
+        return self._fold(pending, k, method, parts)
 
-    def _scatter_inprocess(
+    def _fold(
         self,
-        plan: dict[int, tuple[list[str], list[int]]],
-        per_query: dict[int, list[int]],
+        pending: list[str],
         k: int,
-    ) -> None:
-        """One planner run per routed shard, in this process."""
-        for si in sorted(plan):
-            vals, idxs = plan[si]
-            shard = self._index.shards[si]
-            self._shard_load[si] = (
-                self._shard_load.get(si, 0) + len(vals) * len(shard.index)
+        method: str,
+        parts: list[tuple[np.ndarray, np.ndarray, MutableIndex]],
+    ) -> list[QueryResult]:
+        """One cached result per pending value from the batch's matches:
+        per roster, ``(batch position, internal row)`` arrays and the
+        index holding the rows.  Tombstoned rows drop out, rows become
+        external ids (global even for shards) and strings, one
+        ``lexsort`` orders the matches by (position, id) and
+        ``searchsorted`` cuts them into per-query runs."""
+        pos_parts, id_parts, strings = [], [], []
+        for pos, rows, mutable in parts:
+            keep = mutable.live_mask(rows)
+            pos, rows = pos[keep], rows[keep]
+            pos_parts.append(pos)
+            id_parts.append(mutable.external_ids(rows))
+            strings += map(mutable.index.strings.__getitem__, rows.tolist())
+        pos, ids = match_rows(pos_parts, id_parts)
+        order = np.lexsort((ids, pos))
+        bounds = np.searchsorted(
+            pos[order], np.arange(len(pending) + 1)
+        ).tolist()
+        ids = ids[order].tolist()
+        strings = list(map(strings.__getitem__, order.tolist()))
+        generation = self._index.generation
+        put = self._cache.put
+        results = []
+        for qi, value in enumerate(pending):
+            a, b = bounds[qi], bounds[qi + 1]
+            result = QueryResult(
+                value, method, k, tuple(ids[a:b]), tuple(strings[a:b]),
+                False, generation,
             )
-            ii, jj = self._run_planned(si, shard, vals, k)
-            self._gather(ii, jj, shard, idxs, per_query)
+            put((value, method, k, generation), result)
+            results.append(result)
+        return results
 
     def _run_planned(
         self, key: object, mutable, values: list[str], k: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """One planner run of the FPDL stack for ``values`` against
         ``mutable``'s prepared roster; returns the (query row, roster
-        row) matches.
+        row) matches as two ``int64`` arrays.
 
         The generator is PASS-JOIN for large rosters at ``k <= 1`` (see
         ``candidates``), else the FBF signature index; both are exact
@@ -715,26 +740,7 @@ class MatchService:
         )
         if self._pooled:
             self._publish_pool_metrics()
-        pairs = np.asarray(result.matches, dtype=np.int64).reshape(-1, 2)
-        return pairs[:, 0], pairs[:, 1]
-
-    def _gather(
-        self,
-        ii: np.ndarray,
-        jj: np.ndarray,
-        mutable: MutableIndex,
-        idxs: Sequence[int],
-        per_query: dict[int, list[int]],
-    ) -> None:
-        """Fold one roster's raw matches (query row, internal roster
-        row) into the per-query answer lists; ``idxs`` maps a query row
-        to its position in the batch.  Ids come out global for free —
-        shards index global external ids."""
-        keep = mutable.live_mask(jj)
-        ii, jj = ii[keep], jj[keep]
-        ext = mutable.external_ids(jj)
-        for qi, sid in zip(ii.tolist(), ext.tolist()):
-            per_query[idxs[qi]].append(sid)
+        return result.match_rows
 
     # -- the sharded scatter/gather path ------------------------------------
 
@@ -757,24 +763,21 @@ class MatchService:
         return plan
 
     def _scatter_pooled(
-        self,
-        plan: dict[int, tuple[list[str], list[int]]],
-        per_query: dict[int, list[int]],
-        k: int,
-    ) -> None:
+        self, plan: dict[int, tuple[list[str], list[int]]], k: int
+    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Scatter over the routed shards through the affinity pool:
         each shard's task is pinned to its placement slot, whose worker
         holds the shard's resolved roster between batches, keyed on the
         prepared roster's publish stamp.  The dense worker sweep does
         its own funnel accounting (merged back by
-        ``run_shard_scatter``), so no parent-side stage credit here."""
+        ``run_shard_scatter``), so no parent-side stage credit here.
+        Returns each shard's (query row, internal row) matches."""
         from repro.parallel import shm
 
         obs = self._obs
         pool = shm.shared_pool(self._workers, affinity=True)
         calls: list[tuple] = []
         slots: list[int] = []
-        order: list[int] = []
         for si in sorted(plan):
             vals, _idxs = plan[si]
             shard = self._index.shards[si]
@@ -792,25 +795,16 @@ class MatchService:
                 )
             )
             slots.append(self._placement.get(si, si % pool.workers))
-            order.append(si)
-            self._shard_load[si] = (
-                self._shard_load.get(si, 0) + len(vals) * len(shard.index)
-            )
         outs = shm.run_shard_scatter(
             pool, calls, slots=slots, collector=obs if obs else None
         )
-        for si, out in zip(order, outs):
-            if out["mi"]:
-                self._gather(
-                    np.concatenate(out["mi"]),
-                    np.concatenate(out["mj"]),
-                    self._index.shards[si],
-                    plan[si][1],
-                    per_query,
-                )
         if self.metrics:
             shm.publish_pool_metrics(pool, self.metrics, self.events)
         self._maybe_rebalance(pool)
+        return {
+            si: match_rows(out["mi"], out["mj"])
+            for si, out in zip(sorted(plan), outs)
+        }
 
     # -- rebalancing --------------------------------------------------------
 
@@ -936,7 +930,11 @@ class MatchService:
             saved = save_index(
                 self._index,
                 path,
-                meta={"k": self.k, "cache_size": self._cache.maxsize},
+                meta={
+                    "k": self.k,
+                    "cache_size": self._cache.maxsize,
+                    "candidates": self._candidates,
+                },
             )
         self.events.emit(
             "snapshot_save",
@@ -956,25 +954,26 @@ class MatchService:
         workers: int | None = None,
         metrics: MetricsRegistry | bool | None = None,
     ) -> "MatchService":
-        """Rebuild a warm service from a snapshot (no re-indexing).
+        """Rebuild a warm service from a snapshot (no re-indexing), with
+        its saved ``k`` and ``candidates``.
 
         ``cache_size`` overrides the saved setting; the cache itself
         always starts empty.
         """
         index, header = load_index(path)
-        meta = header.get("meta", {})
+        meta = {"k": 1, "cache_size": 1024, "candidates": "auto"}
+        meta.update(header.get("meta", {}))
         svc = cls.__new__(cls)
         svc._init_state(
             index,
-            k=int(meta.get("k", 1)),
-            cache_size=(
-                int(meta.get("cache_size", 1024))
-                if cache_size is None
-                else cache_size
+            k=int(meta["k"]),
+            cache_size=int(
+                meta["cache_size"] if cache_size is None else cache_size
             ),
             collector=collector,
             workers=workers,
             metrics=metrics,
+            candidates=meta["candidates"],
         )
         svc.events.emit(
             "snapshot_load",

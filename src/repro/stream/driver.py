@@ -54,6 +54,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.matchers import method_registry
 from repro.core.plan import BACKEND_NAMES, EDIT_BOUNDED, JoinPlanner
 from repro.core.signatures import detect_kind, scheme_for
@@ -524,18 +526,19 @@ def join_stream(
                     collector=obs,
                     record_matches=True,
                 )
-                base = chunk.row_start
-                chunk_matches = result.matches or []
+                ii, jj = result.match_rows
                 if writer is not None:
                     writer.write_rows(
-                        chunk_matches,
-                        base=base,
+                        np.column_stack((ii, jj)),
+                        base=chunk.row_start,
                         left=chunk.strings,
                         right=roster,
                     )
                 else:
-                    matches.extend((base + i, j) for i, j in chunk_matches)
-                match_count += len(chunk_matches)
+                    matches.extend(
+                        zip((ii + chunk.row_start).tolist(), jj.tolist())
+                    )
+                match_count += len(ii)
                 rows += len(chunk)
                 chunks_done += 1
                 if writer is not None:
@@ -558,7 +561,7 @@ def join_stream(
                 g_chunk.set(chunk.ordinal)
                 c_rows.inc(len(chunk))
                 c_src.inc(max(0, chunk.end_token - chunk.token))
-                c_matches.inc(len(chunk_matches))
+                c_matches.inc(len(ii))
                 if writer is not None:
                     c_spill.set_total(writer.bytes)
                 h_chunk.observe(time.perf_counter() - t_chunk)

@@ -93,7 +93,7 @@ class SpillWriter:
 
     def _format(
         self,
-        rows: list[tuple[int, int]],
+        rows: Iterable[tuple[int, int]],
         base: int,
         left: Callable[[int], str | None],
         right: Callable[[int], str | None],
@@ -143,17 +143,23 @@ class SpillWriter:
         a flush follows when the buffer reaches ``data_limit`` bytes.
         With ``values=True`` the recorded strings are ``left[i]`` and
         ``right[j]`` (``None`` when a side is not given).  Returns the
-        number of rows buffered.  NumPy rows go through ``tolist()``, so
-        row numbers are Python ints whatever their array dtype.
+        number of rows buffered.  An ``(n, 2)`` NumPy array goes through
+        ``tolist()`` column by column (two flat lists are much cheaper
+        than ``n`` row lists), so row numbers are Python ints whatever
+        their array dtype.
         """
-        rows = rows.tolist() if hasattr(rows, "tolist") else list(rows)
+        if hasattr(rows, "tolist"):
+            n, rows = len(rows), zip(*rows.T.tolist())
+        else:
+            rows = list(rows)
+            n = len(rows)
         text = self._format(rows, base, _lookup(left), _lookup(right))
         if text:
             self._buffer.append(text)
             self._buffered_bytes += len(text.encode("utf-8"))
             if self._buffered_bytes >= self.data_limit:
                 self.flush()
-        return len(rows)
+        return n
 
     def flush(self) -> None:
         """Flush the buffer and fsync so a checkpoint can trust it."""

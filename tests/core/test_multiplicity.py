@@ -12,7 +12,7 @@ from repro.core.multiplicity import (
     PairWeighter,
     VerificationMemo,
     estimate_uniqueness,
-    expand_matches,
+    expand_rows,
     positional_diagonal,
 )
 from repro.core.plan import JoinPlanner
@@ -37,7 +37,10 @@ class TestCollapsedSide:
     def test_groups_partition_the_indices(self):
         strings = ["X", "Y", "X", "Z", "Y"]
         side = CollapsedSide.from_strings(strings)
-        groups = side.groups()
+        order, start = side.members()
+        groups = [
+            order[s : s + c] for s, c in zip(start, side.counts)
+        ]
         seen = sorted(i for g in groups for i in g.tolist())
         assert seen == list(range(5))
         for uid, g in enumerate(groups):
@@ -140,6 +143,16 @@ class TestVerificationMemo:
         assert matcher.verified_pairs == 2  # arrivals still both counted
 
 
+def _pairs(rows):
+    ii, jj = rows
+    return list(zip(ii.tolist(), jj.tolist()))
+
+
+def _unique_rows(pairs):
+    arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return arr[:, 0], arr[:, 1]
+
+
 class TestExpansion:
     def test_expand_matches_brute_force(self):
         left = ["A", "B", "A", "C"]
@@ -147,7 +160,7 @@ class TestExpansion:
         cl = CollapsedSide.from_strings(left)
         cr = CollapsedSide.from_strings(right)
         # Unique matches: left A (uid 0) with right A (uid 1).
-        got = sorted(expand_matches([(0, 1)], cl, cr))
+        got = sorted(_pairs(expand_rows(*_unique_rows([(0, 1)]), cl, cr)))
         want = sorted(
             (i, j)
             for i in range(len(left))
@@ -159,7 +172,11 @@ class TestExpansion:
     def test_symmetric_expansion_mirrors(self):
         data = ["A", "B", "A"]
         side = CollapsedSide.from_strings(data)
-        got = sorted(expand_matches([(0, 1)], side, side, symmetric=True))
+        got = sorted(
+            _pairs(
+                expand_rows(*_unique_rows([(0, 1)]), side, side, symmetric=True)
+            )
+        )
         want = sorted(
             (i, j)
             for i in range(3)
@@ -179,18 +196,55 @@ class TestExpansion:
             for v in range(cr.n_unique)
             if cl.values[u] == cr.values[v]
         ]
-        assert positional_diagonal(unique_matches, cl, cr) == 2
+        assert positional_diagonal(*_unique_rows(unique_matches), cl, cr) == 2
+
+    @given(dup_lists, dup_lists, st.data(), st.booleans())
+    def test_expansion_order_is_match_then_row_major(
+        self, left, right, data, symmetric
+    ):
+        """Each match expands to its row-major product (then, when
+        symmetric and off-diagonal, the mirrored product), in match
+        order."""
+        if symmetric:
+            right = left
+        cl = CollapsedSide.from_strings(left)
+        cr = cl if symmetric else CollapsedSide.from_strings(right)
+        pairs = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, cl.n_unique - 1),
+                    st.integers(0, cr.n_unique - 1),
+                ),
+                max_size=6,
+            )
+        )
+        members_l = [
+            [i for i in range(cl.n) if cl.inverse[i] == u]
+            for u in range(cl.n_unique)
+        ]
+        members_r = [
+            [j for j in range(cr.n) if cr.inverse[j] == v]
+            for v in range(cr.n_unique)
+        ]
+        want = []
+        for u, v in pairs:
+            want += [(i, j) for i in members_l[u] for j in members_r[v]]
+            if symmetric and u != v:
+                want += [(i, j) for i in members_l[v] for j in members_r[u]]
+        got = expand_rows(*_unique_rows(pairs), cl, cr, symmetric=symmetric)
+        assert all(a.dtype == np.int64 for a in got)
+        assert _pairs(got) == want
 
     def test_collapsed_result_expands_lazily(self):
         calls = []
 
-        def expander(um):
-            calls.append(um)
-            return [(0, 0), (0, 1)]
+        def expander(ui, uj):
+            calls.append((ui, uj))
+            return _unique_rows([(0, 0), (0, 1)])
 
         r = CollapsedJoinResult(
             "DL", 2, 2, match_count=2,
-            unique_matches=[(0, 0)], expander=expander,
+            unique_rows=_unique_rows([(0, 0)]), expander=expander,
         )
         assert calls == []  # nothing expanded yet
         assert r.matches == [(0, 0), (0, 1)]

@@ -11,6 +11,7 @@ lengths; the alphabet mixes digits and letters so the auto-detected
 signature scheme exercises the alphanumeric combination path.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -239,6 +240,67 @@ class TestMultiprocessEquivalence:
         assert sorted(par.matches) == sorted(ref.matches)
         assert par.match_count == ref.match_count
         assert par.diagonal_matches == ref.diagonal_matches
+
+
+def _assert_rows_are_matches(r, want: list) -> None:
+    """The stored form is two int64 arrays; ``matches`` is the same
+    pairs, in the same order, and the match set is the reference's."""
+    ii, jj = r.match_rows
+    assert ii.dtype == np.int64 and jj.dtype == np.int64
+    assert len(ii) == len(jj) == len(r.matches)
+    assert list(zip(ii.tolist(), jj.tolist())) == r.matches
+    assert sorted(r.matches) == want
+
+
+_MODES = {
+    "plain": {"collapse": "off", "self_join": False},
+    "collapse": {"collapse": "on"},
+    "self-join": {"collapse": "off", "self_join": True},
+    "self-join-collapse": {"collapse": "on", "self_join": True},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+@pytest.mark.parametrize("method", ["DL", "FPDL", "LFBF", "Wink", "Ham"])
+@settings(max_examples=6, deadline=None)
+@given(left=dup_strings, right=dup_strings)
+def test_match_rows_are_the_matches(method, mode, left, right):
+    """Every backend x safe generator keeps its matches as the two row
+    arrays, whose tuple view is the reference match set."""
+    if mode.startswith("self-join"):
+        right = left
+    ref = JoinPlanner(
+        left, list(right), k=1, record_matches=True,
+        collapse="off", self_join=False, memo="off",
+    ).run(method, generator="all-pairs", backend="scalar")
+    want = sorted(ref.matches)
+    for generator in _safe_generators(method):
+        for backend in _BACKENDS:
+            r = JoinPlanner(
+                left, right, k=1, record_matches=True, **_MODES[mode]
+            ).run(method, generator=generator, backend=backend)
+            _assert_rows_are_matches(r, want)
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+def test_match_rows_are_the_matches_on_the_pool(mode):
+    names = ["SMITH", "SMYTH", "JONES", "JONAS", "LEE", "", "LE"]
+    left = [names[(i * 3) % len(names)] for i in range(21)]
+    right = left if mode.startswith("self-join") else [
+        names[(i * 2) % len(names)] for i in range(16)
+    ]
+    want = sorted(
+        JoinPlanner(
+            left, list(right), k=1, record_matches=True,
+            collapse="off", self_join=False, memo="off",
+        ).run("FPDL", generator="all-pairs", backend="scalar").matches
+    )
+    for generator in _safe_generators("FPDL"):
+        r = JoinPlanner(
+            left, right, k=1, workers=2, record_matches=True,
+            **_MODES[mode],
+        ).run("FPDL", generator=generator, backend="hybrid")
+        _assert_rows_are_matches(r, want)
 
 
 #: every tier a pass-join plan runs on: the scalar loop over the drained

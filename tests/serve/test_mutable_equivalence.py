@@ -28,6 +28,7 @@ from repro.core.index import FBFIndex
 from repro.serve.mutable import MutableIndex
 from repro.serve.service import MatchService
 from repro.serve.snapshot import load_index, save_index
+from tests.serve.batch_model import BatchModel
 
 WORDS = st.text(alphabet="ABC", min_size=0, max_size=5)
 
@@ -105,6 +106,73 @@ class MutableIndexMachine(RuleBasedStateMachine):
 TestMutableIndexEquivalence = MutableIndexMachine.TestCase
 TestMutableIndexEquivalence.settings = settings(
     max_examples=25, stateful_step_count=30, deadline=None
+)
+
+
+def _service_machine(candidates: str):
+    class ServiceMachine(RuleBasedStateMachine):
+        """``query_batch`` between adds, removes, compactions and
+        snapshot round-trips: every answer of the batched fold (ids,
+        strings, ``cached``, ``generation``) equals the rebuilt oracle
+        and the cache model.  Batches repeat values and re-ask values
+        answered before, so hits, misses and in-batch duplicates mix."""
+
+        CACHE = 8
+
+        def __init__(self):
+            super().__init__()
+            self.svc = MatchService(
+                scheme="alpha", k=1, cache_size=self.CACHE,
+                compact_ratio=0.4, candidates=candidates,
+            )
+            self.model: dict[int, str] = {}
+            self.batches = BatchModel(oracle_answer, self.CACHE)
+            self.tmpdir = tempfile.mkdtemp(prefix="serve-svc-eq-")
+
+        def teardown(self):
+            shutil.rmtree(self.tmpdir, ignore_errors=True)
+
+        @rule(s=WORDS)
+        def add(self, s):
+            self.model[self.svc.add(s)] = s
+
+        @precondition(lambda self: self.model)
+        @rule(data=st.data())
+        def remove(self, data):
+            sid = data.draw(st.sampled_from(sorted(self.model)))
+            self.svc.remove(sid)
+            del self.model[sid]
+
+        @rule()
+        def compact(self):
+            self.svc.compact()
+
+        @rule()
+        def snapshot_roundtrip(self):
+            path = self.svc.save(f"{self.tmpdir}/svc.npz")
+            self.svc = MatchService.load(path)
+            assert self.svc._candidates == candidates
+            self.batches.reset()
+
+        @rule(data=st.data(), k=st.integers(0, 2))
+        def query_batch(self, data, k):
+            values = self.batches.draw(data, WORDS)
+            self.batches.check(self.svc, self.model, values, k)
+
+        @invariant()
+        def contents_match_model(self):
+            assert dict(self.svc.items()) == self.model
+
+    return ServiceMachine
+
+
+TestServiceBatchEquivalenceFBF = _service_machine("fbf").TestCase
+TestServiceBatchEquivalenceFBF.settings = settings(
+    max_examples=15, stateful_step_count=30, deadline=None
+)
+TestServiceBatchEquivalencePassJoin = _service_machine("pass-join").TestCase
+TestServiceBatchEquivalencePassJoin.settings = settings(
+    max_examples=15, stateful_step_count=30, deadline=None
 )
 
 

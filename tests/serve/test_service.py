@@ -311,6 +311,19 @@ class TestSnapshotRoundtrip:
         # The loaded index is new, so its first batch builds from scratch.
         assert warm.metrics.counter("serve_engine_rebuilds_total").value >= 1
 
+    @pytest.mark.parametrize(
+        "candidates, stage", [("fbf", "fbf-index"), ("pass-join", "pass-join")]
+    )
+    def test_candidates_mode_survives_roundtrip(
+        self, tmp_path, candidates, stage
+    ):
+        svc = MatchService(NAMES, k=1, candidates=candidates)
+        c = StatsCollector("warm")
+        warm = MatchService.load(svc.save(tmp_path / "svc.npz"), collector=c)
+        warm.query_batch(["SMITH", "JONES"])
+        assert stage in c.stages
+        assert c.conserved
+
     def test_cache_size_override(self, tmp_path):
         svc = MatchService(NAMES)
         path = svc.save(tmp_path / "svc.npz")

@@ -12,6 +12,7 @@ from repro import native
 from repro.data.datasets import dataset_for_family
 from repro.obs import StatsCollector
 from repro.parallel.shm import close_shared_pools
+from repro.serve.mutable import MutableIndex
 from repro.serve.service import MatchService
 
 
@@ -22,6 +23,14 @@ def ln_pair():
 
 def _batched(svc, queries):
     return [(r.value, r.ids) for r in svc.query_batch(queries)]
+
+
+def _answers(svc, queries):
+    """Every field of every answer."""
+    return [
+        (r.value, r.method, r.k, r.ids, r.matches, r.cached, r.generation)
+        for r in svc.query_batch(queries)
+    ]
 
 
 class TestPooledEquivalence:
@@ -118,6 +127,63 @@ class TestPooledEquivalence:
         assert _batched(pooled, probe) == got
         if native.available():
             assert probed == [n, n + 1]
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_scripted_writes_answer_like_inprocess(self, ln_pair, shards):
+        # A fixed add/remove/compact script between batches that repeat
+        # values and re-ask earlier ones: every answer field equals the
+        # in-process service's after every step.
+        ref = MatchService(ln_pair.clean, k=1, cache_size=32, shards=shards)
+        pooled = MatchService(
+            ln_pair.clean, k=1, cache_size=32, shards=shards, workers=2
+        )
+        queries = ln_pair.error[:24]
+        script = [
+            ("add", "SMITHSONIAN"),
+            ("remove", 3),
+            ("add", ln_pair.error[5]),
+            ("remove", 7),
+            ("compact", None),
+            ("remove", len(ln_pair.clean)),
+            ("add", ln_pair.clean[9] + "E"),
+        ]
+        for step, (op, arg) in enumerate(script):
+            batch = queries[step : step + 8] + queries[step : step + 3]
+            assert _answers(pooled, batch) == _answers(ref, batch), step
+            for svc in (ref, pooled):
+                if op == "add":
+                    svc.add(arg)
+                elif op == "remove":
+                    svc.remove(arg)
+                else:
+                    svc.compact()
+        probe = ["SMITHSONIAN", ln_pair.error[5], *queries]
+        assert _answers(pooled, probe) == _answers(ref, probe)
+
+    @pytest.mark.parametrize(
+        "shards, workers", [(1, None), (2, None), (1, 2), (2, 2)]
+    )
+    def test_batched_fold_never_looks_up_by_id(
+        self, ln_pair, monkeypatch, shards, workers
+    ):
+        # The fold takes match strings by internal row, in bulk: a
+        # per-match MutableIndex.get would raise here.
+        svc = MatchService(
+            ln_pair.clean, k=1, shards=shards, workers=workers
+        )
+        want = MatchService(ln_pair.clean, k=1).query_batch(
+            ln_pair.error[:30]
+        )
+
+        def no_get(self, sid):
+            raise AssertionError("per-match MutableIndex.get")
+
+        monkeypatch.setattr(MutableIndex, "get", no_get)
+        got = svc.query_batch(ln_pair.error[:30])
+        assert [(r.ids, r.matches) for r in got] == [
+            (r.ids, r.matches) for r in want
+        ]
+        assert any(r.ids for r in got)
 
     def test_single_worker_stays_inprocess(self, ln_pair):
         c = StatsCollector("one")

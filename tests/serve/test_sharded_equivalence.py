@@ -34,6 +34,7 @@ from repro.serve.mutable import MutableIndex
 from repro.serve.service import MatchService
 from repro.serve.shard import ShardedIndex
 from repro.serve.snapshot import load_index, save_index
+from tests.serve.batch_model import BatchModel
 
 WORDS = st.text(alphabet="ABC", min_size=0, max_size=5)
 
@@ -143,6 +144,7 @@ def _sharded_service_machine(n_shards: int):
                 collector=self.obs,
             )
             self.model: dict[int, str] = {}
+            self.batches = BatchModel(oracle_answer, 16)
 
         @rule(s=WORDS)
         def add(self, s):
@@ -159,14 +161,13 @@ def _sharded_service_machine(n_shards: int):
         def compact(self):
             self.svc.compact()
 
-        @rule(
-            queries=st.lists(WORDS, min_size=1, max_size=5),
-            k=st.integers(0, 2),
-        )
-        def query_batch_matches_rebuilt(self, queries, k):
-            for res in self.svc.query_batch(queries, k):
-                want = oracle_answer(self.model, res.value, k)
-                assert list(res.ids) == want, (res.value, k)
+        @rule(data=st.data(), k=st.integers(0, 2))
+        def query_batch_matches_rebuilt(self, data, k):
+            # Fresh values, values asked before and in-batch repeats:
+            # every field of the folded answers, ``cached`` against the
+            # cache model.
+            values = self.batches.draw(data, WORDS)
+            self.batches.check(self.svc, self.model, values, k)
 
         @invariant()
         def funnel_conserved(self):
@@ -188,5 +189,7 @@ TestShardedIndexEquivalence4.settings = MACHINE_SETTINGS
 
 TestShardedServiceEquivalence1 = _sharded_service_machine(1).TestCase
 TestShardedServiceEquivalence1.settings = MACHINE_SETTINGS
+TestShardedServiceEquivalence2 = _sharded_service_machine(2).TestCase
+TestShardedServiceEquivalence2.settings = MACHINE_SETTINGS
 TestShardedServiceEquivalence4 = _sharded_service_machine(4).TestCase
 TestShardedServiceEquivalence4.settings = MACHINE_SETTINGS
