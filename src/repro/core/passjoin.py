@@ -5,9 +5,25 @@ split every indexed string into ``k + 1`` contiguous segments.  For
 plain Levenshtein the pigeonhole argument is immediate — ``k`` edits
 can destroy at most ``k`` segments, so any string within distance ``k``
 contains at least one segment *verbatim* as a substring, at a start
-position bounded by the edits before it.  Probing therefore touches
+position bounded by the edits around it.  Probing therefore touches
 only the inverted-index entries for ``O(k^2)`` substring windows
 instead of walking length-bucket products.
+
+**Which windows (multi-match-aware selection, Li et al. §4).**  Segment
+``i`` (0-based, start ``p_i``, length ``l_i``) of an indexed string of
+length ``L`` is probed in a query of length ``|q|``, ``D = |q| - L``,
+only at starts
+
+    max(p_i - i, p_i + D - (k - i)) <= p <= min(p_i + i, p_i + D + (k - i))
+
+clipped to ``0 <= p <= |q| - l_i`` (:func:`probe_window`).  Per
+``(|q|, L)`` pair that is ``floor((k^2 - D^2) / 2) + k + 1`` windows
+before clipping.  Over the ``2k + 1`` lengths a query meets, that is 6
+windows and 9 bucket searches at k = 1 (19 and 33 at k = 2), where the
+plain shift bound (``|p - p_i| <= k`` and ``|p - p_i - D| <= k`` for
+every segment) with four variants per window took 10 windows and 28
+searches (43 and about 150), counted for a query of 8 to 13
+characters.
 
 **This repo's edit distance is OSA, not Levenshtein.**  The ``dl`` /
 ``pdl`` verifiers are restricted Damerau-Levenshtein (adjacent
@@ -15,34 +31,36 @@ transposition costs one edit), and the classic partition probe is
 *incomplete* there: ``osa("AB", "BA") == 1``, but partitioning ``"AB"``
 into ``"A"|"B"`` and probing with ``"BA"`` finds neither segment — one
 transposition straddles the segment boundary and corrupts both halves.
-The fix used here keeps the ``k + 1`` partition and widens the *probe*:
-for every window ``c = q[p : p + l]`` we also look up the boundary-swap
-variants
+So each window ``c = q[p : p + l]`` is looked up twice: as itself and
+as its right-boundary swap ``vR = q[p : p + l - 1] + q[p + l]`` (when
+the query goes on past the window).
 
-* ``vL  = q[p - 1] + q[p + 1 : p + l]``  (transposition straddles the
-  left boundary: the segment's first character sits one slot left),
-* ``vR  = q[p : p + l - 1] + q[p + l]``  (right boundary),
-* ``vLR = q[p - 1] + q[p + 1 : p + l - 1] + q[p + l]`` (both; needs
-  ``l >= 2`` — OSA never edits the same position twice).
-
-Soundness: suppose ``osa(q, r) <= k`` via ``t`` boundary-straddling
-transpositions and at most ``k - t`` other operations.  Only the other
-operations (and interior transpositions, which cost one each) can
-destroy a segment *cleanly*, so at most ``k - t`` segments are cleanly
-destroyed and at least ``t + 1 >= 1`` of the ``k + 1`` segments survive
-up to boundary swaps — and a surviving segment is found by one of the
-four variants at its (shift-bounded) window.  The variants only ever
-*add* candidates, so Levenshtein completeness is untouched, and
-spurious candidates are rejected by the verifier.
-
-Probe windows use the standard shift bound: segment ``i`` of an
-indexed string of length ``L`` (start ``p_i``, length ``l_i``) can
-appear in a query of length ``|q|`` only at starts
-
-    max(0, p_i - k, p_i + D - k) <= p <= min(|q| - l_i, p_i + k, p_i + D + k)
-
-with ``D = |q| - L`` (edits before the segment shift it by at most
-``k``; edits after it bound the shift through the length difference).
+Soundness.  Take an OSA edit script of at most ``k`` operations from
+the indexed string ``r`` to ``q``; OSA edits no character twice.  Charge
+every operation to one segment of ``r``: a substitution, deletion or
+interior transposition to the segment it touches, an insertion to the
+segment after it (the last segment for one at the end), and a
+transposition that straddles the boundary between segments ``i`` and
+``i + 1`` to segment ``i + 1`` — the one holding its right character.
+Let ``c_j`` be the charges of segment ``j`` and ``f(i) = c_0 + ... +
+c_{i-1} - i``.  Then ``f(0) = 0``, ``f(k + 1) <= k - (k + 1) = -1``,
+and ``f`` falls by at most one per segment, so it first reaches ``-1``
+at some ``i + 1`` with ``f(i) = 0`` and ``c_i = 0``: segment ``i`` has
+no charge, exactly ``i`` operations lie left of it and at most ``k - i``
+right of it (Li et al.'s counting, unchanged).  The operations left of
+it shift its start by at most ``i``; the ones right of it move ``D`` by
+at most ``k - i`` from that shift — the window bounds above.  The only
+operation that can touch an uncharged segment is a transposition across
+its *right* boundary, charged to the next segment: it moves the
+segment's last character one slot right and shifts nothing, which is
+exactly ``vR``.  A swap across its *left* boundary is charged to the
+segment itself, so the ``vL``/``vLR`` variants an uncharged segment
+would need never arise, and the probe does not hash them.  Both
+variants only *add* candidates, so Levenshtein completeness is
+untouched (OSA never exceeds it), and spurious candidates are rejected
+by the verifier.  Zero-length segments (``L < k + 1``) hash as the
+empty string and match at any start, which keeps short and empty
+strings reachable.
 
 The index stores no substrings: each (length, segment) bucket keeps a
 sorted run of 64-bit polynomial hashes of the segment's code points
@@ -69,7 +87,13 @@ import numpy as np
 
 from repro.distance.codec import _pad_rows
 
-__all__ = ["PassJoinIndex", "SegmentIndex", "dedup_sorted", "segment_layout"]
+__all__ = [
+    "PassJoinIndex",
+    "SegmentIndex",
+    "dedup_sorted",
+    "probe_window",
+    "segment_layout",
+]
 
 #: FNV-1a constants, reused as polynomial-hash base/offset (the probe
 #: only needs a well-mixed 64-bit fold with silent wraparound).
@@ -95,6 +119,17 @@ def segment_layout(length: int, parts: int) -> list[tuple[int, int]]:
         layout.append((start, seg_len))
         start += seg_len
     return layout
+
+
+def probe_window(p_i: int, seg: int, k: int, delta: int) -> tuple[int, int]:
+    """First and last query start at which segment ``seg`` (start
+    ``p_i``) of an indexed string ``delta`` characters shorter than the
+    query is probed, before clipping to the query: at most ``seg`` edits
+    lie left of the segment and at most ``k - seg`` right of it (see the
+    module docstring)."""
+    rest = k - seg
+    lo = max(p_i - seg, p_i + delta - rest)
+    return lo, min(p_i + seg, p_i + delta + rest)
 
 
 def _encode_codes(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -204,53 +239,16 @@ class SegmentIndex:
     def _window_hashes(
         self, q_codes: np.ndarray, qlen: int, p: int, seg_len: int
     ) -> list[np.ndarray]:
-        """Hashes of window ``[p, p + seg_len)`` of every query row,
-        plus the applicable boundary-swap variants."""
+        """Hashes of window ``[p, p + seg_len)`` of every query row and,
+        when the query goes on past it, of its right-boundary swap vR."""
+        h = np.full(q_codes.shape[0], _HASH_OFFSET, dtype=np.uint64)
         if seg_len == 0:
-            return [np.full(q_codes.shape[0], _HASH_OFFSET, dtype=np.uint64)]
-        # Shared fold over columns p .. p+seg_len-2, seeded with either
-        # the window's own first character or its left neighbor.
-        pre_base = _fold(
-            np.full(q_codes.shape[0], _HASH_OFFSET, dtype=np.uint64),
-            q_codes[:, p],
-        )
-        pre_left = (
-            _fold(
-                np.full(q_codes.shape[0], _HASH_OFFSET, dtype=np.uint64),
-                q_codes[:, p - 1],
-            )
-            if p >= 1
-            else None
-        )
-        for j in range(p + 1, p + seg_len - 1):
-            pre_base = _fold(pre_base, q_codes[:, j])
-            if pre_left is not None:
-                pre_left = _fold(pre_left, q_codes[:, j])
-        last = q_codes[:, p + seg_len - 1] if seg_len >= 2 else None
-        right = q_codes[:, p + seg_len] if p + seg_len < qlen else None
-        out = []
-        if seg_len == 1:
-            # pre_base/pre_left already fold the single character.
-            out.append(pre_base)
-            if pre_left is not None:
-                out.append(pre_left)
-            if right is not None:
-                out.append(
-                    _fold(
-                        np.full(
-                            q_codes.shape[0], _HASH_OFFSET, dtype=np.uint64
-                        ),
-                        right,
-                    )
-                )
-            return out
-        out.append(_fold(pre_base, last))
-        if pre_left is not None:
-            out.append(_fold(pre_left, last))
-        if right is not None:
-            out.append(_fold(pre_base, right))
-        if pre_left is not None and right is not None:
-            out.append(_fold(pre_left, right))
+            return [h]
+        for j in range(p, p + seg_len - 1):
+            h = _fold(h, q_codes[:, j])
+        out = [_fold(h, q_codes[:, p + seg_len - 1])]
+        if p + seg_len < qlen:
+            out.append(_fold(h, q_codes[:, p + seg_len]))
         return out
 
     def _probe_group(
@@ -258,20 +256,20 @@ class SegmentIndex:
         q_idx: np.ndarray,
         q_codes: np.ndarray,
         qlen: int,
-        buckets: list[tuple[int, int, int, int, int]],
+        buckets: list[tuple[int, int, int, int, int, int]],
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """All (query, id) collisions for one query-length group;
-        ``buckets`` holds ``(length, start, seg_len, lo, hi)`` per
-        table row."""
+        ``buckets`` holds ``(length, segment, start, seg_len, lo, hi)``
+        per table row."""
         k = self.k
         hit_q: list[np.ndarray] = []
         hit_id: list[np.ndarray] = []
-        for length, p_i, seg_len, b_lo, b_hi in buckets:
+        for length, seg, p_i, seg_len, b_lo, b_hi in buckets:
             delta = qlen - length
             if abs(delta) > k:
                 continue
-            lo = max(0, p_i - k, p_i + delta - k)
-            hi = min(qlen - seg_len, p_i + k, p_i + delta + k)
+            lo, hi = probe_window(p_i, seg, k, delta)
+            lo, hi = max(lo, 0), min(hi, qlen - seg_len)
             if hi < lo:
                 continue
             hashes, ids = self.hashes[b_lo:b_hi], self.ids[b_lo:b_hi]
@@ -313,7 +311,7 @@ class SegmentIndex:
         if not n_index or not len(q_lens):
             return
         buckets = [
-            (length, *segment_layout(length, self.parts)[seg], lo, hi)
+            (length, seg, *segment_layout(length, self.parts)[seg], lo, hi)
             for length, seg, lo, hi in self.table.tolist()
         ]
         for qlen in dedup_sorted(q_lens):

@@ -28,12 +28,13 @@ Kernels mirror the pure-Python/NumPy references bit for bit:
   (``distance/pruned.py::_banded_osa``).
 * ``passjoin_run`` — PASS-JOIN probe, filter and verify in one pass
   over the flat segment index: per query, the probe of
-  ``core/passjoin.py::SegmentIndex.probe_codes`` (its shift windows and
-  boundary-swap variants hashed with the same polynomial, the buckets
-  binary-searched, the hits deduplicated by a stamp bitmap), then each
-  candidate's filter chain and bounded verifier (DL, PDL or Hamming; a
-  bit-parallel pattern built once per query of up to 64 chars), the
-  funnel tallied in pair weights, queries in (length, index) order.
+  ``core/passjoin.py::SegmentIndex.probe_codes`` (its multi-match-aware
+  windows and their right-boundary swaps hashed with the same
+  polynomial, the buckets binary-searched, the hits deduplicated by a
+  stamp bitmap), then each candidate's filter chain and bounded
+  verifier (DL, PDL or Hamming; a bit-parallel pattern built once per
+  query of up to 64 chars), the funnel tallied in pair weights, queries
+  in (length, index) order.
   Only matches leave the kernel, ids ascending per query — or, for a
   verifier it does not compile, the filter survivors.  The output
   buffer is filled with whole queries and the call resumes where it
@@ -417,14 +418,16 @@ int64_t fused_rows_u64(const uint64_t *L, const uint64_t *R, int64_t width,
 /* candidates never leave this loop.  The probe is                     */
 /* core/passjoin.py::SegmentIndex.probe_codes over the flat (hashes,   */
 /* ids, table) index: every (length, segment) bucket with |dlen| <= pk */
-/* is probed at each shift window with the window's hash and its       */
-/* vL/vR/vLR boundary-swap variants (the same FNV polynomial as        */
-/* _fold).  Hits are deduplicated with a per-query stamp (one bit per  */
-/* indexed id, in seen) and each stamp is cleared as its candidate is  */
-/* visited.  A candidate then runs the method's filter chain (chain    */
-/* bits as in the dense sweep) and, for verify = DL, PDL or HAM, the   */
-/* verifier: the query's bit-parallel match masks are built once when  */
-/* |q| <= 64, else osa_pair's shorter-side / banded path decides.      */
+/* is probed at the multi-match-aware windows of probe_window (segment */
+/* seg: at most seg edits left of it, pk - seg right) with the         */
+/* window's hash and its vR right-boundary swap (the same FNV          */
+/* polynomial as _fold).  Hits are deduplicated with a per-query stamp */
+/* (one bit per indexed id, in seen) and each stamp is cleared as its  */
+/* candidate is visited.  A candidate then runs the method's filter    */
+/* chain (chain bits as in the dense sweep) and, for verify = DL, PDL  */
+/* or HAM, the verifier: the query's bit-parallel match masks are      */
+/* built once when |q| <= 64, else osa_pair's shorter-side / banded    */
+/* path decides.                                                       */
 /*                                                                     */
 /* Queries are rows order[0, nq) of the left codes (the caller's       */
 /* stable length order).  A symmetric weighting keeps only the         */
@@ -499,43 +502,27 @@ static int64_t probe_query(const uint8_t *q, int64_t qlen, int64_t k,
         int64_t seg_len = base + (seg >= parts - rem);
         int64_t p_i = seg * base
                       + (seg > parts - rem ? seg - (parts - rem) : 0);
-        int64_t delta = qlen - length;
+        int64_t delta = qlen - length, rest = k - seg;
         int64_t lo = 0, hi = qlen - seg_len;
-        if (p_i - k > lo) lo = p_i - k;
-        if (p_i + delta - k > lo) lo = p_i + delta - k;
-        if (p_i + k < hi) hi = p_i + k;
-        if (p_i + delta + k < hi) hi = p_i + delta + k;
+        if (p_i - seg > lo) lo = p_i - seg;
+        if (p_i + delta - rest > lo) lo = p_i + delta - rest;
+        if (p_i + seg < hi) hi = p_i + seg;
+        if (p_i + delta + rest < hi) hi = p_i + delta + rest;
         if (hi < lo) continue;
         if (seg_len == 0) { /* every window is the empty string */
             nc = collect(hashes, ids, blo, bhi, HASH_OFFSET, seen, cand, nc);
             continue;
         }
         for (int64_t p = lo; p <= hi; p++) {
-            int has_left = p >= 1, has_right = p + seg_len < qlen;
-            /* Shared fold over p + 1 .. p + seg_len - 2, seeded with  */
-            /* the window's first character or its left neighbor.      */
-            uint64_t hb = fold(HASH_OFFSET, q[p]);
-            uint64_t hl = has_left ? fold(HASH_OFFSET, q[p - 1]) : 0;
-            for (int64_t j = p + 1; j < p + seg_len - 1; j++) {
-                hb = fold(hb, q[j]);
-                hl = fold(hl, q[j]);
-            }
-            uint64_t right = has_right ? q[p + seg_len] : 0;
-            uint64_t v[4];
-            int nv = 0;
-            if (seg_len == 1) {
-                v[nv++] = hb;
-                if (has_left) v[nv++] = hl;
-                if (has_right) v[nv++] = fold(HASH_OFFSET, right);
-            } else {
-                uint64_t last = q[p + seg_len - 1];
-                v[nv++] = fold(hb, last);
-                if (has_left) v[nv++] = fold(hl, last);
-                if (has_right) v[nv++] = fold(hb, right);
-                if (has_left && has_right) v[nv++] = fold(hl, right);
-            }
-            for (int x = 0; x < nv; x++)
-                nc = collect(hashes, ids, blo, bhi, v[x], seen, cand, nc);
+            /* The window and, when q goes on past it, its vR swap:    */
+            /* one fold over p .. p + seg_len - 2, two last chars.     */
+            uint64_t h = HASH_OFFSET;
+            for (int64_t j = p; j < p + seg_len - 1; j++) h = fold(h, q[j]);
+            nc = collect(hashes, ids, blo, bhi, fold(h, q[p + seg_len - 1]),
+                         seen, cand, nc);
+            if (p + seg_len < qlen)
+                nc = collect(hashes, ids, blo, bhi, fold(h, q[p + seg_len]),
+                             seen, cand, nc);
         }
     }
     return nc;

@@ -18,7 +18,7 @@ is what the cache-off arm of the serving ablation runs.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable
+from typing import Hashable, Iterable
 
 __all__ = ["ResultCache", "MISS"]
 
@@ -57,13 +57,21 @@ class ResultCache:
 
     def put(self, key: Hashable, value: object) -> None:
         """Insert/refresh one entry, evicting the least recent overflow."""
+        self.put_many(((key, value),))
+
+    def put_many(self, items: Iterable[tuple[Hashable, object]]) -> None:
+        """Insert/refresh every ``(key, value)`` in order, in one call:
+        the same entries, LRU order, evictions and stats as a loop of
+        :meth:`put`."""
         if self.maxsize == 0:
             return
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-            self.evictions += 1
+        data = self._data
+        for key, value in items:
+            data[key] = value
+            data.move_to_end(key)
+            if len(data) > self.maxsize:
+                data.popitem(last=False)
+                self.evictions += 1
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""

@@ -685,16 +685,17 @@ class MatchService:
         ids = ids[order].tolist()
         strings = list(map(strings.__getitem__, order.tolist()))
         generation = self._index.generation
-        put = self._cache.put
-        results = []
-        for qi, value in enumerate(pending):
-            a, b = bounds[qi], bounds[qi + 1]
-            result = QueryResult(
+        results = [
+            QueryResult(
                 value, method, k, tuple(ids[a:b]), tuple(strings[a:b]),
                 False, generation,
             )
-            put((value, method, k, generation), result)
-            results.append(result)
+            for value, a, b in zip(pending, bounds, bounds[1:])
+        ]
+        self._cache.put_many(
+            ((value, method, k, generation), result)
+            for value, result in zip(pending, results)
+        )
         return results
 
     def _run_planned(

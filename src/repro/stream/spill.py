@@ -27,8 +27,11 @@ from __future__ import annotations
 import json
 import os
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 __all__ = ["SpillWriter", "read_spill", "truncate_to", "SPILL_FORMATS"]
 
@@ -36,6 +39,15 @@ SPILL_FORMATS = ("jsonl", "csv")
 
 _CSV_HEADER = "left_row,right_row\n"
 _CSV_HEADER_VALUES = "left_row,right_row,left,right\n"
+
+#: One output line per ``(format, values)``: row numbers, then the
+#: JSON-encoded or CSV-quoted strings.
+_LINES = {
+    ("jsonl", False): "[%d, %d]\n",
+    ("jsonl", True): "[%d, %d, %s, %s]\n",
+    ("csv", False): "%d,%d\n",
+    ("csv", True): '%d,%d,"%s","%s"\n',
+}
 
 
 class SpillWriter:
@@ -93,27 +105,28 @@ class SpillWriter:
 
     def _format(
         self,
-        rows: Iterable[tuple[int, int]],
+        rows: np.ndarray,
         base: int,
         left: Callable[[int], str | None],
         right: Callable[[int], str | None],
     ) -> str:
-        """Every row of ``rows`` as one block of output text; ``left``
-        and ``right`` look up a row's values by ``i`` and ``j``."""
-        if self.fmt == "jsonl":
-            if not self.values:
-                return "".join([f"[{i + base}, {j}]\n" for i, j in rows])
-            q = partial(json.dumps, ensure_ascii=False)
-            return "".join(
-                [f"[{i + base}, {j}, {q(left(i))}, {q(right(j))}]\n"
-                 for i, j in rows]
-            )
+        """Every row of the ``(n, 2)`` int64 array ``rows`` as one block
+        of output text, by one ``%`` over the line template repeated
+        ``n`` times; ``left`` and ``right`` look up a row's values by
+        ``i`` and ``j``."""
+        out = rows.copy()
+        out[:, 0] += base
+        template = _LINES[self.fmt, self.values] * len(rows)
         if not self.values:
-            return "".join([f"{i + base},{j}\n" for i, j in rows])
-        return "".join(
-            [f'{i + base},{j},"{_csv_quote(left(i))}",'
-             f'"{_csv_quote(right(j))}"\n' for i, j in rows]
+            return template % tuple(out.ravel().tolist())
+        q = (
+            partial(json.dumps, ensure_ascii=False)
+            if self.fmt == "jsonl"
+            else _csv_quote
         )
+        ii, jj = rows.T.tolist()
+        cols = (*out.T.tolist(), map(q, map(left, ii)), map(q, map(right, jj)))
+        return template % tuple(chain.from_iterable(zip(*cols)))
 
     def write(
         self,
@@ -131,7 +144,7 @@ class SpillWriter:
 
     def write_rows(
         self,
-        rows: Iterable[tuple[int, int]],
+        rows: Iterable[tuple[int, int]] | np.ndarray,
         *,
         base: int = 0,
         left: Sequence[str | None] | Mapping[int, str | None] | None = None,
@@ -139,27 +152,23 @@ class SpillWriter:
     ) -> int:
         """Buffer ``(i, j)`` match pairs as rows ``(base + i, j)``.
 
-        The whole batch is formatted as one block and buffered at once;
-        a flush follows when the buffer reaches ``data_limit`` bytes.
+        The whole batch — an ``(n, 2)`` array, or pairs, taken as
+        ``int64`` — is formatted as one block and buffered at once; a
+        flush follows when the buffer reaches ``data_limit`` bytes.
         With ``values=True`` the recorded strings are ``left[i]`` and
         ``right[j]`` (``None`` when a side is not given).  Returns the
-        number of rows buffered.  An ``(n, 2)`` NumPy array goes through
-        ``tolist()`` column by column (two flat lists are much cheaper
-        than ``n`` row lists), so row numbers are Python ints whatever
-        their array dtype.
+        number of rows buffered.
         """
-        if hasattr(rows, "tolist"):
-            n, rows = len(rows), zip(*rows.T.tolist())
-        else:
+        if not isinstance(rows, np.ndarray):
             rows = list(rows)
-            n = len(rows)
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
         text = self._format(rows, base, _lookup(left), _lookup(right))
         if text:
             self._buffer.append(text)
             self._buffered_bytes += len(text.encode("utf-8"))
             if self._buffered_bytes >= self.data_limit:
                 self.flush()
-        return n
+        return len(rows)
 
     def flush(self) -> None:
         """Flush the buffer and fsync so a checkpoint can trust it."""

@@ -4,10 +4,13 @@ The load-bearing property is *completeness for OSA*: for every pair
 within edit distance ``k`` (restricted Damerau-Levenshtein — the repo's
 ``dl``/``pdl`` metric), the probe must emit the pair.  The classic
 Levenshtein partition probe is incomplete under transpositions that
-straddle a segment boundary, so the exhaustive small-universe sweep
-here is the regression net for the boundary-swap variants.
+straddle a segment boundary, and the probe takes only the
+multi-match-aware windows, so the exhaustive small-universe sweep and
+the edit-script suite here are the regression net for both the window
+bounds and the right-boundary swap.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -22,8 +25,10 @@ from repro.core.passjoin import (
     _encode_codes,
     _hash_rows,
     dedup_sorted,
+    probe_window,
     segment_layout,
 )
+from repro.distance.bitparallel import osa_bitparallel_batch
 from repro.distance.codec import encode_raw
 from repro.distance.damerau import damerau_levenshtein
 
@@ -74,24 +79,59 @@ class TestDedupSorted:
         assert len(out) == 0
 
 
+#: Exhaustive universes: every string over the alphabet up to the length.
+UNIVERSES = [("ab", 8), ("abc", 6), ("abcd", 5)]
+
+
+@functools.lru_cache(maxsize=None)
+def universe_distances(alphabet, max_len):
+    """The universe and its all-pairs OSA distance matrix."""
+    strings = universe(alphabet, max_len)
+    codes, lens = encode_raw(strings)
+    return strings, np.stack(
+        [osa_bitparallel_batch(s, codes, lens) for s in strings]
+    )
+
+
+def compiled_candidates(index, queries):
+    """The compiled run's candidates (no filter, no verifier) as
+    ``(query, id)`` pairs, or ``None`` without a provider or when the
+    queries are not latin-1 without NUL (its ``uint8`` codes)."""
+    if not native.available():
+        return None
+    try:
+        codes, lens = encode_raw(queries)
+    except ValueError:
+        return None
+    ii, jj, _ = native.load_kernels().passjoin_run(index, codes, lens)
+    return set(zip(ii.tolist(), jj.tolist()))
+
+
 class TestCompleteness:
     """Exhaustive sweep: every OSA <= k pair is emitted."""
 
-    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_dense_universe(self, k):
-        strings = universe("ab", 4)
-        index = PassJoinIndex(strings, k=k)
-        emitted = {
-            (int(qi), int(sid))
-            for qs, ids in index.candidate_blocks(strings)
-            for qi, sid in zip(qs, ids)
-        }
-        for qi, q in enumerate(strings):
-            for sid, s in enumerate(strings):
-                if damerau_levenshtein(q, s) <= k:
-                    assert (qi, sid) in emitted, (
-                        f"missed {q!r} ~ {s!r} at k={k}"
-                    )
+        for alphabet, max_len in UNIVERSES:
+            strings, dist = universe_distances(alphabet, max_len)
+            index = PassJoinIndex(strings, k=k)
+            emitted = np.zeros(dist.shape, dtype=bool)
+            for qs, ids in index.candidate_blocks(strings):
+                emitted[qs, ids] = True
+            missed = [
+                (strings[qi], strings[sid])
+                for qi, sid in np.argwhere((dist <= k) & ~emitted).tolist()
+            ]
+            assert not missed, f"missed {missed[:5]} at k={k}"
+            if native.available():
+                # The compiled run emits the very same pairs, each once.
+                codes, lens = encode_raw(strings)
+                ks = native.load_kernels()
+                ii, jj, _ = ks.passjoin_run(index, codes, lens)
+                compiled = np.zeros_like(emitted)
+                compiled[ii, jj] = True
+                assert len(ii) == emitted.sum()
+                np.testing.assert_array_equal(compiled, emitted)
 
     def test_boundary_transposition_regression(self):
         # osa("AB", "BA") == 1 but the transposition straddles the
@@ -121,6 +161,136 @@ class TestCompleteness:
         assert set(index.candidates("abc").tolist()) == {0, 2}
         assert set(index.candidates("").tolist()) == {3}
         assert len(index.candidates("zzz")) == 0
+
+
+class TestProbeWindows:
+    """Multi-match-aware selection: the windows Li et al. prove enough."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_window_count_is_the_closed_form(self, k):
+        # Unclipped, per (query length, indexed length): the segment
+        # starts cancel, so the count depends on k and delta alone.
+        for length in (k + 1, 2 * k + 3, 20):
+            layout = segment_layout(length, k + 1)
+            for delta in range(-k, k + 1):
+                count = 0
+                for seg, (p_i, _) in enumerate(layout):
+                    lo, hi = probe_window(p_i, seg, k, delta)
+                    count += max(0, hi - lo + 1)
+                assert count == (k * k - delta * delta) // 2 + k + 1
+
+
+#: Latin-1 text the compiled run can probe too, and full text with NUL
+#: and code points past latin-1, which only the NumPy probe takes.
+LATIN = "abcé"
+FULL = LATIN + "\x00Ł漢\U0001F600"
+alphabets = st.sampled_from([LATIN, FULL])
+
+
+def assert_reached(indexed, query, k):
+    """The index over ``indexed`` emits it for ``query`` through every
+    available probe whenever their OSA distance is at most ``k``."""
+    if damerau_levenshtein(query, indexed) > k:
+        return
+    index = PassJoinIndex([indexed], k=k)
+    assert 0 in index.candidates(query).tolist(), (
+        f"missed {query!r} ~ {indexed!r} at k={k}"
+    )
+    compiled = compiled_candidates(index, [query])
+    assert compiled is None or (0, 0) in compiled, (
+        f"compiled run missed {query!r} ~ {indexed!r} at k={k}"
+    )
+
+
+def apply_edit(s, op, pos, ch):
+    """One edit at ``pos`` (taken modulo the valid positions)."""
+    if op == "ins":
+        pos %= len(s) + 1
+        return s[:pos] + ch + s[pos:]
+    if not s:
+        return s
+    pos %= len(s)
+    if op == "del":
+        return s[:pos] + s[pos + 1 :]
+    if op == "sub":
+        return s[:pos] + ch + s[pos + 1 :]
+    if pos + 1 == len(s):
+        return s
+    return s[:pos] + s[pos + 1] + s[pos] + s[pos + 2 :]
+
+
+@st.composite
+def edited_pairs(draw, short=False):
+    """``(indexed, query, k)``: a query made from the indexed string by
+    at most ``k`` edits; a ``short`` indexed string has at most ``k``
+    characters, so it has zero-length segments."""
+    alphabet = draw(alphabets)
+    k = draw(st.integers(1, 3))
+    indexed = draw(st.text(alphabet, max_size=k if short else 12))
+    query = indexed
+    for _ in range(draw(st.integers(0, k))):
+        query = apply_edit(
+            query,
+            draw(st.sampled_from(["ins", "del", "sub", "swap"])),
+            draw(st.integers(0, 64)),
+            draw(st.sampled_from(alphabet)),
+        )
+    return indexed, query, k
+
+
+class TestEditScripts:
+    """Both probes against the scalar OSA reference (``dl``) on queries
+    edited from the indexed string, in both roles."""
+
+    @given(edited_pairs())
+    def test_edit_scripts(self, case):
+        indexed, query, k = case
+        assert_reached(indexed, query, k)
+        assert_reached(query, indexed, k)
+
+    @given(alphabets.flatmap(lambda a: st.text(a, min_size=2, max_size=14)),
+           st.integers(1, 3), st.data())
+    def test_transpositions_at_segment_boundaries(self, indexed, k, data):
+        # A swap across each chosen boundary of the indexed string's
+        # k + 1 segments, every boundary alone and several at once.
+        boundaries = [
+            start for start, _ in segment_layout(len(indexed), k + 1)[1:]
+            if 0 < start < len(indexed)
+        ]
+        chosen = data.draw(st.sets(st.sampled_from(boundaries)))
+        chars, last = list(indexed), -2
+        for b in sorted(chosen):
+            if b - 1 > last:  # non-overlapping: OSA edits a char once
+                chars[b - 1], chars[b] = chars[b], chars[b - 1]
+                last = b
+        query = "".join(chars)
+        assert_reached(indexed, query, k)
+        assert_reached(query, indexed, k)
+        for b in boundaries:
+            swapped = indexed[b] + indexed[b - 1]
+            alone = indexed[: b - 1] + swapped + indexed[b + 1 :]
+            assert_reached(indexed, alone, k)
+
+    @given(st.data())
+    def test_length_difference_of_k(self, data):
+        # delta = +k (the query has k more characters) and -k.
+        alphabet = data.draw(alphabets)
+        k = data.draw(st.integers(1, 3))
+        indexed = data.draw(st.text(alphabet, max_size=12))
+        longer = indexed
+        for _ in range(k):
+            longer = apply_edit(
+                longer, "ins", data.draw(st.integers(0, 64)),
+                data.draw(st.sampled_from(alphabet)),
+            )
+        assert_reached(indexed, longer, k)
+        assert_reached(longer, indexed, k)
+
+    @given(edited_pairs(short=True))
+    def test_strings_shorter_than_k_plus_one(self, case):
+        indexed, query, k = case
+        assert_reached(indexed, query, k)
+        assert_reached(query, indexed, k)
 
 
 def _pairs(index, probes):

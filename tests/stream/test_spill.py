@@ -2,7 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.stream.spill import SpillWriter, read_spill, truncate_to
 
@@ -186,3 +189,58 @@ class TestBatchedWriteIsByteIdentical:
             assert w.write_rows([]) == 0
             assert w._buffer == [] and w._buffered_bytes == 0
         assert path.read_text() == "left_row,right_row\n"
+
+
+def reference_text(fmt, values, rows, base, left, right):
+    """One f-string per row: the spill format the bulk formatter must
+    reproduce byte for byte."""
+    q = lambda v: json.dumps(v, ensure_ascii=False)  # noqa: E731
+    c = lambda v: (v or "").replace('"', '""')  # noqa: E731
+    out = []
+    for i, j in rows:
+        a, b = (left[i], right[j]) if values else (None, None)
+        if fmt == "jsonl":
+            out.append(
+                f"[{i + base}, {j}, {q(a)}, {q(b)}]\n" if values
+                else f"[{i + base}, {j}]\n"
+            )
+        else:
+            out.append(
+                f'{i + base},{j},"{c(a)}","{c(b)}"\n' if values
+                else f"{i + base},{j}\n"
+            )
+    return "".join(out)
+
+
+class TestBulkFormat:
+    """``write_rows`` formats a whole batch with one ``%``; the file is
+    what one f-string per row wrote."""
+
+    TEXT = st.one_of(
+        st.none(), st.text(st.characters(exclude_categories=["Cs"]))
+    )
+
+    @given(
+        st.sampled_from(["jsonl", "csv"]),
+        st.booleans(),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=9),
+        st.integers(0, 1 << 40),
+        st.lists(TEXT, min_size=6, max_size=6),
+        st.lists(TEXT, min_size=6, max_size=6),
+        st.booleans(),
+    )
+    def test_equals_per_row_fstrings(
+        self, tmp_path_factory, fmt, values, rows, base, left, right, as_array
+    ):
+        path = tmp_path_factory.mktemp("spill") / f"m.{fmt}"
+        batch = rows
+        if as_array:
+            batch = np.array(rows, dtype=np.int64).reshape(-1, 2)
+        with SpillWriter(path, fmt=fmt, values=values) as w:
+            n = w.write_rows(batch, base=base, left=left, right=right)
+        assert n == len(rows)
+        want = reference_text(fmt, values, rows, base, left, right)
+        if fmt == "csv":
+            columns = "left_row,right_row" + (",left,right" if values else "")
+            want = columns + "\n" + want
+        assert path.read_bytes() == want.encode("utf-8")
