@@ -469,7 +469,10 @@ def _serve_source_args(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="fan batched queries out to N shared-memory pool workers",
+        help=(
+            "let the planner send large query batches to N "
+            "shared-memory pool workers"
+        ),
     )
     sub.add_argument(
         "--shards",

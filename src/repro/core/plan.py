@@ -133,8 +133,11 @@ Block = tuple[np.ndarray, np.ndarray]
 # Size thresholds (pairs in the full product unless noted):
 #: pairs per candidate block a generator yields
 _BLOCK_PAIRS = 1 << 20
-#: at or below this product the scalar loop beats NumPy setup
-_SCALAR_MAX_PAIRS = 1 << 14
+#: at or below this product the scalar loop beats the compiled kernels'
+#: setup (measured crossover between 64 and 96 pairs, FPDL at k = 1) ...
+_SCALAR_MAX_PAIRS = 1 << 6
+#: ... and, with no compiled provider, NumPy's (between 256 and 512)
+_SCALAR_MAX_PAIRS_NUMPY = 1 << 8
 #: below this product no index build amortizes: all-pairs
 _INDEX_MIN_PAIRS = 1 << 20
 #: with workers > 1, from this product on the shared-memory pool amortizes
@@ -762,8 +765,9 @@ class JoinPlanner:
     index-backed candidate generation needs the product to be large
     enough to amortize building the index (``_INDEX_MIN_PAIRS``) and a
     small ``k`` (window width scales bucket probes); the scalar backend
-    is only right for products small enough that NumPy setup dominates
-    (``_SCALAR_MAX_PAIRS``); hybrid needs ``workers > 1`` and a product
+    is only right for products small enough that kernel setup dominates
+    (``_SCALAR_MAX_PAIRS`` with a compiled provider,
+    ``_SCALAR_MAX_PAIRS_NUMPY`` without); hybrid needs ``workers > 1`` and a product
     that amortizes the pool (``_HYBRID_MIN_PAIRS``).  Products above the
     scalar cutoff prefer the native backend (same dataflow, compiled
     constants) whenever a :mod:`repro.native` provider validated —
@@ -1170,10 +1174,12 @@ class JoinPlanner:
                 )
             return be, "explicit"
         product = len(self.left) * len(self.right)
-        if product <= _SCALAR_MAX_PAIRS:
+        native = native_available()
+        scalar_max = _SCALAR_MAX_PAIRS if native else _SCALAR_MAX_PAIRS_NUMPY
+        if product <= scalar_max:
             return self._backends["scalar"], (
-                f"product {product:,} <= {_SCALAR_MAX_PAIRS:,}: "
-                "NumPy setup would dominate"
+                f"product {product:,} <= {scalar_max:,}: "
+                "kernel setup would dominate"
             )
         # The hybrid pool is only auto-picked when the caller opted into
         # parallelism (workers > 1) and the product amortizes the first
@@ -1190,13 +1196,13 @@ class JoinPlanner:
             )
         # Same dataflow as vectorized, strictly better constants: prefer
         # the compiled kernels whenever a validated provider loaded.
-        if native_available():
+        if native:
             return self._backends["native"], (
-                f"product {product:,} > {_SCALAR_MAX_PAIRS:,}; "
+                f"product {product:,} > {scalar_max:,}; "
                 f"compiled kernels loaded ({native_kind()})"
             )
         return self._backends["vectorized"], (
-            f"product {product:,} > {_SCALAR_MAX_PAIRS:,}"
+            f"product {product:,} > {scalar_max:,}"
         )
 
     def plan(

@@ -11,11 +11,11 @@ Each event is one flat JSON object::
 ``ts`` is wall-clock (``time.time()``), ``kind`` is a stable
 dot-free identifier, and every other field is producer-defined but must
 be JSON-serialisable.  The serving stack's lifecycle kinds:
-``compaction``, ``engine_rebuild``, ``roster_publish``,
-``snapshot_save`` / ``snapshot_load``, ``worker_respawn``, and — from
-the sharded stack — ``shard_handoff`` (a shard republished its roster
-segments for a new generation) and ``shard_rebalance`` (the
-shard-to-worker placement changed).  Events go two places:
+``compaction``, ``engine_rebuild``, ``passjoin_rebuild``,
+``roster_publish`` (a hybrid batch published a roster, or renewed its
+publication after growth; ``shard`` names a sharded service's shard),
+``snapshot_save`` / ``snapshot_load`` and ``worker_respawn``.  Events
+go two places:
 
 * a bounded in-memory ring (default 1024) that the JSON-lines
   ``metrics`` op and the HTTP listener's ``/events.json`` expose, so a
@@ -87,7 +87,7 @@ class EventLog:
         """The most recent ``n`` events, oldest first (all by default).
 
         ``kind`` filters to one event kind *before* the ``n`` bound, so
-        ``tail(5, kind="shard_handoff")`` is the last five handoffs
+        ``tail(5, kind="roster_publish")`` is the last five publications
         even if other kinds dominate the ring.
         """
         events = list(self._ring)

@@ -13,7 +13,7 @@ to the data, not to one call, so they live here, once:
   candidate-generator indexes over it (the FBF signature index, and a
   PASS-JOIN and a q-gram prefix index per ``k``), its soundex table, and
   its shared-memory publication (:class:`~repro.parallel.shm.SideArrays`
-  refs and a publish stamp).  Everything is built on first use.  Rows
+  refs).  Everything is built on first use.  Rows
   appended to the strings are folded in on the next use: the arrays,
   the FBF and PASS-JOIN indexes and the soundex ids are extended by the
   new rows only, prefix indexes and length groups are rebuilt, and the
@@ -35,7 +35,6 @@ the engine's own :class:`Side` views, or the pair's publication.
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import count
 from typing import Sequence
 
 import numpy as np
@@ -48,13 +47,6 @@ from repro.obs.stats import NULL_COLLECTOR
 from repro.parallel.kernels import Side, _group_by_value, packed_signatures
 
 __all__ = ["PreparedSide", "SharedPair", "shared_scheme"]
-
-#: publish stamps: a pool worker keeps a resolved roster until a task
-#: carries a new stamp.  Process-wide because every prepared side in
-#: the process shares one pool, whose workers key held rosters by shard
-#: id alone.
-_PUBLISH_STAMPS = count(1)
-
 
 class PreparedSide:
     """One dataset side, prepared once and reused by every consumer.
@@ -82,8 +74,6 @@ class PreparedSide:
         self._pub = None
         #: refs of the current publication (``None`` until :meth:`publish`)
         self.published = None
-        #: identifies the current publication (0: never published)
-        self.stamp = 0
 
     @classmethod
     def over_index(cls, index) -> "PreparedSide":
@@ -198,8 +188,7 @@ class PreparedSide:
         (:class:`~repro.parallel.shm.SideArrays`).
 
         Published once and again only after the side grew: the new
-        segments are created, and take a new :attr:`stamp`, before the
-        old ones are unlinked.  ``sdx`` adds the side's own soundex ids.
+        segments are created before the old ones are unlinked.  ``sdx`` adds the side's own soundex ids.
         """
         from repro.parallel import shm
 
@@ -209,7 +198,6 @@ class PreparedSide:
             pub = shm.Publication()
             refs = pub.side(side)
             old, self._pub = self._pub, pub
-            self.stamp = next(_PUBLISH_STAMPS)
             if old is not None:
                 old.close()
         if sdx and refs.sdx is None:

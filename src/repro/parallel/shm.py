@@ -97,14 +97,14 @@ __all__ = [
     "run_hybrid",
     "PassJoinProbe",
     "inline_side",
-    "shard_query_call",
-    "run_shard_scatter",
 ]
 
 _log = get_logger("parallel.shm")
 
 #: cut work into ~this many tasks per worker so the queue can rebalance
 _TASKS_PER_WORKER = 4
+#: seconds an idle worker waits on its queue before checking its parent
+_OWNER_POLL_S = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -397,153 +397,28 @@ def _exec_hybrid(task: _HybridTask) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Sharded serving: worker-held roster state + the scatter driver
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _ShardQueryTask:
-    """One shard's slice of a scattered serve batch.
-
-    ``roster`` names the shard's published segments and ``stamp``
-    identifies that publication (the parent republishes after adds,
-    compaction or an adopted blob, never after a remove); the owning
-    worker resolves the segments once and keeps the resolved side in
-    :data:`_SHARD_STATE` until a task with a different stamp arrives —
-    the worker *holds* the shard, it does not re-attach per batch.
-    ``queries`` is the (small) inline-encoded query side.
-    """
-
-    shard: int
-    stamp: int
-    roster: SideArrays
-    queries: SideArrays
-    method: str
-    k: int
-    fbf_bound: int
-    collect: bool
-
-
-#: worker-side shard ownership: shard id -> (publish stamp, resolved side)
-_SHARD_STATE: dict[int, tuple[int, Side]] = {}
-
-
-def _exec_shard_query(task: _ShardQueryTask) -> dict:
-    """Worker entry point: dense sweep of a query batch over one owned
-    shard roster.
-
-    The resolved roster side is cached per (shard, stamp) — the
-    snapshot-based handoff protocol: a task carrying a new stamp
-    atomically swaps the worker's held state to the newly published
-    segments (the parent unlinks the old ones only after publishing the
-    new, so there is no window where the shard is unservable).
-    """
-    held = _SHARD_STATE.get(task.shard)
-    adopted = False
-    if held is None or held[0] != task.stamp:
-        held = (task.stamp, _resolve_side(task.roster))
-        _SHARD_STATE[task.shard] = held
-        adopted = True
-    queries = _resolve_side(task.queries)
-    kernels = Kernels(
-        queries,
-        held[1],
-        method_registry()[task.method],
-        k=task.k,
-        fbf_bound=task.fbf_bound,
-        record=True,
-        native=resolve_kernels("auto"),
-    )
-    wc = StatsCollector("shm-shard") if task.collect else None
-    obs = wc if wc is not None else NULL_COLLECTOR
-    out = kernels.run_rows(0, queries.n, obs)
-    out["wc"] = wc
-    out["shard"] = task.shard
-    out["adopted"] = adopted
-    return out
-
-
-def shard_query_call(
-    shard: int,
-    stamp: int,
-    roster: SideArrays,
-    queries: SideArrays,
-    *,
-    scheme,
-    k: int,
-    method: str = "FPDL",
-    collect: bool = False,
-) -> tuple:
-    """Build one ``(fn, payload)`` pool call for a shard query slice;
-    ``stamp`` identifies the publication of ``roster``."""
-    return (
-        _exec_shard_query,
-        _ShardQueryTask(
-            shard=shard,
-            stamp=stamp,
-            roster=roster,
-            queries=queries,
-            method=method,
-            k=k,
-            fbf_bound=scheme.safe_threshold(k),
-            collect=collect,
-        ),
-    )
-
-
-def run_shard_scatter(
-    pool: WorkerPool,
-    calls: Sequence[tuple],
-    *,
-    slots: Sequence[int] | None = None,
-    collector=None,
-) -> list[dict]:
-    """Dispatch shard query calls (pinned to their owning slots) and
-    merge the per-worker funnel collectors; returns the raw per-shard
-    result dicts in call order.
-
-    The ``shm_*`` counter accounting mirrors :func:`run_hybrid`, so
-    pooled sharded serving feeds the same per-worker load counters the
-    rebalancer reads.
-    """
-    if not calls:
-        return []
-    before_pickled = pool.bytes_pickled
-    before_busy = pool.busy_ns
-    before_respawns = pool.respawns
-    t0 = time.perf_counter_ns()
-    outs = pool.run_tasks(calls, slots=slots)
-    wall = time.perf_counter_ns() - t0
-    if collector:
-        for out in outs:
-            wc = out.get("wc")
-            if wc is not None:
-                collector.merge(wc)
-        collector.add_counter("shm_tasks_dispatched", len(calls))
-        collector.add_counter(
-            "shm_bytes_pickled", pool.bytes_pickled - before_pickled
-        )
-        collector.add_counter(
-            "shm_workers_respawned", pool.respawns - before_respawns
-        )
-        collector.add_counter("shm_pool_reuse_hits", pool.consume_reuse_hits())
-        collector.add_counter("shm_worker_busy_ns", pool.busy_ns - before_busy)
-        collector.add_counter("shm_run_wall_ns", wall)
-    return outs
-
-
-# ---------------------------------------------------------------------------
 # The persistent worker pool
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(task_q, result_q) -> None:
+def _worker_main(task_q, result_q, owner: int) -> None:
     """Worker loop: pull ``(run_id, task_id, blob)``, push
     ``(run_id, task_id, pid, busy_ns, error, result)``.  ``None`` is the
-    shutdown sentinel."""
+    shutdown sentinel.
+
+    Before each wait on the queue, and every ``_OWNER_POLL_S`` seconds
+    while idle, the worker checks its parent: once that is no longer
+    ``owner`` (the pool's process was killed, so no sentinel will come,
+    and its queued tasks have no reader) it exits at once.  ``os._exit``
+    skips the queue feeder's join, which could wait forever on a dead
+    reader.
+    """
     pid = os.getpid()
-    while True:
-        item = task_q.get()
+    while os.getppid() == owner:
+        try:
+            item = task_q.get(timeout=_OWNER_POLL_S)
+        except queue.Empty:
+            continue
         if item is None:
             break
         run_id, task_id, blob = item
@@ -561,6 +436,8 @@ def _worker_main(task_q, result_q) -> None:
                 result_q.put((run_id, task_id, pid, 0, err, None))
             except Exception:
                 os._exit(1)
+    else:
+        os._exit(0)
 
 
 def _default_context():
@@ -581,16 +458,8 @@ class WorkerPool:
     makes the ``bytes_pickled`` accounting exact), results are deduped
     by task id, and workers that die mid-run are respawned with their
     incomplete tasks re-enqueued — a crashed worker costs its in-flight
-    task's work, never the join.
-
-    ``affinity=True`` switches the pool to one task queue *per worker
-    slot*: :meth:`run_tasks` then routes each call to the slot named by
-    ``slots`` (modulo the worker count), so a task family — a serve
-    shard's queries, say — always lands on the same worker, whose
-    process-local caches (attached segments, resolved shard state)
-    stay hot.  A respawned worker inherits its dead predecessor's slot
-    queue, so affinity survives crashes; the shared-queue mode keeps
-    its work-stealing dynamic scheduling.
+    task's work, never the join.  Workers exit by themselves when the
+    process that started them dies.
 
     Use as a context manager or call :meth:`close`; module-level warm
     pools (:func:`shared_pool`) are closed at interpreter exit.
@@ -602,18 +471,12 @@ class WorkerPool:
         *,
         context=None,
         timeout: float | None = None,
-        affinity: bool = False,
     ):
         self.workers = max(1, int(workers or os.cpu_count() or 1))
         self.timeout = timeout
-        self.affinity = bool(affinity)
         self._ctx = context or _default_context()
-        #: affinity mode keeps this slot-indexed (a respawn replaces in
-        #: place); shared mode just appends replacements
         self._procs: list = []
         self._task_q = None
-        #: per-slot queues (affinity mode only)
-        self._task_qs: list | None = None
         self._result_q = None
         self._closed = False
         self._owner_pid = os.getpid()
@@ -652,25 +515,12 @@ class WorkerPool:
         return self._closed
 
     def alive_workers(self) -> int:
-        return sum(
-            1 for p in self._procs if p is not None and p.is_alive()
-        )
+        return sum(1 for p in self._procs if p.is_alive())
 
-    def slot_pids(self) -> list[int | None]:
-        """Current pid per worker slot (``None`` for an unspawned slot).
-
-        Only meaningful ordering in affinity mode, where the slot is
-        the routing key; shared mode reports spawn order.
-        """
-        return [
-            p.pid if p is not None and p.is_alive() else None
-            for p in self._procs
-        ]
-
-    def _spawn(self, task_q):
+    def _spawn(self):
         p = self._ctx.Process(
             target=_worker_main,
-            args=(task_q, self._result_q),
+            args=(self._task_q, self._result_q, os.getpid()),
             daemon=True,
         )
         p.start()
@@ -684,7 +534,7 @@ class WorkerPool:
     def _retire(self, proc) -> None:
         """Forget a dead pid's per-worker series (lifetime totals keep
         its contribution; only the labelled heartbeat rows go away)."""
-        if proc is None or proc.pid is None:
+        if proc.pid is None:
             return
         self.worker_stats.pop(proc.pid, None)
         self.retired_pids.add(proc.pid)
@@ -695,45 +545,21 @@ class WorkerPool:
             raise RuntimeError("pool is closed")
         if self._result_q is None:
             self._result_q = self._ctx.Queue()
-            if self.affinity:
-                self._task_qs = [
-                    self._ctx.Queue() for _ in range(self.workers)
-                ]
-            else:
-                self._task_q = self._ctx.Queue()
+            self._task_q = self._ctx.Queue()
         if self.started_at is None:
             self.started_at = time.time()
         died = 0
-        if self.affinity:
-            if len(self._procs) < self.workers:
-                self._procs.extend(
-                    [None] * (self.workers - len(self._procs))
-                )
-            for slot in range(self.workers):
-                p = self._procs[slot]
-                if p is not None and p.is_alive():
-                    continue
-                if p is not None:
-                    died += 1
-                    self._retire(p)
-                self._procs[slot] = self._spawn(self._task_qs[slot])
-        else:
-            alive = [p for p in self._procs if p.is_alive()]
-            for p in self._procs:
-                if not p.is_alive():
-                    died += 1
-                    self._retire(p)
-            self._procs = alive
-            while len(self._procs) < self.workers:
-                self._procs.append(self._spawn(self._task_q))
+        alive = [p for p in self._procs if p.is_alive()]
+        for p in self._procs:
+            if not p.is_alive():
+                died += 1
+                self._retire(p)
+        self._procs = alive
+        while len(self._procs) < self.workers:
+            self._procs.append(self._spawn())
         if died:
             self.respawns += died
             _log.warning("respawning %d dead worker(s)", died)
-
-    def _all_task_queues(self) -> list:
-        if self.affinity:
-            return list(self._task_qs or [])
-        return [] if self._task_q is None else [self._task_q]
 
     def close(self) -> None:
         """Shut the workers down and drop the queues (idempotent).
@@ -746,33 +572,24 @@ class WorkerPool:
             return
         self._closed = True
         if self.started:
-            if self.affinity:
-                for q in self._task_qs or []:
-                    try:
-                        q.put(None)
-                    except Exception:
-                        break
-            else:
-                for _ in self._procs:
-                    try:
-                        self._task_q.put(None)
-                    except Exception:
-                        break
+            for _ in self._procs:
+                try:
+                    self._task_q.put(None)
+                except Exception:
+                    break
             for p in self._procs:
-                if p is None:
-                    continue
                 p.join(timeout=2)
                 if p.is_alive():
                     p.terminate()
                     p.join(timeout=1)
-            for q in (*self._all_task_queues(), self._result_q):
+            for q in (self._task_q, self._result_q):
                 try:
                     q.cancel_join_thread()
                     q.close()
                 except Exception:
                     pass
         self._procs = []
-        self._task_q = self._task_qs = self._result_q = None
+        self._task_q = self._result_q = None
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -789,19 +606,11 @@ class WorkerPool:
 
     # -- execution -----------------------------------------------------------
 
-    def _queue_for(self, task_id: int, slots) -> object:
-        if not self.affinity:
-            return self._task_q
-        if slots is None:
-            return self._task_qs[task_id % self.workers]
-        return self._task_qs[int(slots[task_id]) % self.workers]
-
     def run_tasks(
         self,
         calls: Sequence[tuple],
         *,
         timeout: float | None = None,
-        slots: Sequence[int] | None = None,
     ) -> list:
         """Execute ``(fn, payload)`` pairs; results in submission order.
 
@@ -811,19 +620,9 @@ class WorkerPool:
         deduped by task id, so double execution is harmless); a task
         that *raises* re-raises here with the worker traceback, leaving
         the pool reusable.
-
-        ``slots`` (affinity pools only) names the worker slot for each
-        call, taken modulo the worker count; without it affinity pools
-        route round-robin by task id.  Re-enqueues after a crash go
-        back to the *same* slot — its respawned worker picks them up —
-        so placement survives worker death.
         """
         if not calls:
             return []
-        if slots is not None and len(slots) != len(calls):
-            raise ValueError(
-                f"slots ({len(slots)}) must match calls ({len(calls)})"
-            )
         self.ensure()
         timeout = self.timeout if timeout is None else timeout
         self._run_seq += 1
@@ -833,7 +632,7 @@ class WorkerPool:
             for call in calls
         ]
         for task_id, blob in enumerate(blobs):
-            self._queue_for(task_id, slots).put((run_id, task_id, blob))
+            self._task_q.put((run_id, task_id, blob))
             self.bytes_pickled += len(blob)
         self.tasks_dispatched += len(blobs)
         results: dict[int, object] = {}
@@ -863,9 +662,7 @@ class WorkerPool:
                     # duplicates are discarded by the task-id dedup.
                     for task_id, blob in enumerate(blobs):
                         if task_id not in results:
-                            self._queue_for(task_id, slots).put(
-                                (run_id, task_id, blob)
-                            )
+                            self._task_q.put((run_id, task_id, blob))
                 continue
             if rid != run_id or task_id in results:
                 continue  # stale result from a past run or a re-enqueue
@@ -898,8 +695,7 @@ class WorkerPool:
         entry per worker pid that has ever answered.
 
         ``busy_ratio`` is the pid's summed in-kernel time over the
-        pool's wall lifetime — the per-shard load signal the ROADMAP's
-        sharded-serving item rebalances on.  ``age_s`` is seconds since
+        pool's wall lifetime.  ``age_s`` is seconds since
         the pid's last completed task (its heartbeat staleness).
         """
         now = time.time()
@@ -1008,32 +804,26 @@ def publish_pool_metrics(
     return hb
 
 
-#: process-wide warm pools, keyed by (worker count, affinity)
-_SHARED_POOLS: dict[tuple[int, bool], WorkerPool] = {}
+#: process-wide warm pools, keyed by worker count
+_SHARED_POOLS: dict[int, WorkerPool] = {}
 _ATEXIT_REGISTERED = False
 
 
-def shared_pool(
-    workers: int | None = None, *, affinity: bool = False
-) -> WorkerPool:
+def shared_pool(workers: int | None = None) -> WorkerPool:
     """The process-wide warm :class:`WorkerPool` for ``workers``.
 
     Created on first use, reused (and counted as a reuse hit) after;
-    closed automatically at interpreter exit.  Affinity pools (per-slot
-    queues, see :class:`WorkerPool`) are kept separately from the
-    shared-queue ones — the two scheduling modes must not mix on one
-    queue topology.
+    closed automatically at interpreter exit.
     """
     global _ATEXIT_REGISTERED
     n = max(1, int(workers or os.cpu_count() or 1))
-    key = (n, bool(affinity))
-    pool = _SHARED_POOLS.get(key)
+    pool = _SHARED_POOLS.get(n)
     if pool is not None and not pool.closed and pool._owner_pid == os.getpid():
         pool.reuse_hits += 1
         pool._unreported_reuse += 1
         return pool
-    pool = WorkerPool(n, affinity=affinity)
-    _SHARED_POOLS[key] = pool
+    pool = WorkerPool(n)
+    _SHARED_POOLS[n] = pool
     if not _ATEXIT_REGISTERED:
         atexit.register(close_shared_pools)
         _ATEXIT_REGISTERED = True

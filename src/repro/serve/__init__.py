@@ -11,9 +11,11 @@ queries as they arrive".  The pieces:
   across length-partitioned shards (one global id space, exact
   scatter/gather routing, per-shard compaction and handoff blobs);
 * :class:`~repro.serve.service.MatchService` — the facade: cache-aware
-  :meth:`query` / vectorized micro-batching :meth:`query_batch`,
-  mutation counters and latency spans; ``shards > 1`` serves through
-  scatter/gather, ``workers > 1`` pins shards to pool slots;
+  :meth:`query` / micro-batching :meth:`query_batch` (one PASS-JOIN
+  planner run per roster, on the backend the planner picks), mutation
+  counters and latency spans; ``shards > 1`` serves through
+  scatter/gather, one planner run per routed shard, and ``workers > 1``
+  lets the planner send large batches to the shared-memory pool;
 * :mod:`~repro.serve.snapshot` — one-file persistence so a restarted
   service skips the O(n) rebuild (sharded snapshots are containers of
   per-shard handoff blobs);

@@ -19,9 +19,6 @@ Ops::
     {"op": "add",    "value": "SMITH"}      (or "values": [...])
     {"op": "remove", "id": 7}
     {"op": "compact"}
-    {"op": "rebalance"}                     (recompute the shard->slot
-                                             placement; identity for a
-                                             single-shard service)
     {"op": "stats"}
     {"op": "metrics"}                       (live telemetry snapshot;
                                              "delta": true for the
@@ -107,13 +104,6 @@ def handle(service: MatchService, request: dict) -> dict[str, object]:
             return {"ok": True, "op": op, "id": sid}
         if op == "compact":
             return {"ok": True, "op": op, "reclaimed": service.compact()}
-        if op == "rebalance":
-            placement = service.rebalance()
-            return {
-                "ok": True,
-                "op": op,
-                "placement": {str(si): slot for si, slot in placement.items()},
-            }
         if op == "stats":
             return {"ok": True, "op": op, "stats": service.stats()}
         if op == "metrics":

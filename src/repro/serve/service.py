@@ -11,13 +11,15 @@ Batching matters for the same reason the join layer is vectorized: one
 query against an FBF index spends most of its time in Python dispatch
 (signature, bucket walk, small DP calls), while a batch amortises that
 into one compiled pass (or a handful of NumPy sweeps) over packed
-arrays.  Its matches stay arrays up to the API edge: the pass emits
-(batch position, roster row) as two ``int64`` arrays, and the fold
-drops tombstones, maps rows to ids and strings, sorts once and cuts
-per-query runs in bulk, so the only per-query Python left is building
-each :class:`QueryResult`.  The roster's side
+arrays.  Every uncached batch takes one path: a PASS-JOIN planner run
+per roster (the single index, or each routed shard), on the backend
+the planner's cost model picks.  Its matches stay arrays up to the API
+edge: the pass emits (batch position, roster row) as two ``int64``
+arrays, and the fold drops tombstones, maps rows to ids and strings,
+sorts once and cuts per-query runs in bulk, so the only per-query
+Python left is building each :class:`QueryResult`.  The roster's side
 of the join (codes, signatures, the PASS-JOIN index, the shared-memory
-publication) depends only on its rows, so it is one
+publication a hybrid run makes) depends only on its rows, so it is one
 :class:`~repro.parallel.prepared.PreparedSide` per wrapped index,
 shared by every batch.  Writes do not rebuild it: a remove only
 tombstones a row (filtered after verification), and an add appends a
@@ -47,7 +49,6 @@ from repro.core.index import FBFIndex
 from repro.core.join import match_rows
 from repro.core.plan import JoinPlanner
 from repro.core.signatures import SignatureScheme
-from repro.native import available as native_available
 from repro.obs.events import NULL_EVENTS, EventLog
 from repro.obs.metrics import (
     DEFAULT_SIZE_BUCKETS,
@@ -119,50 +120,26 @@ class MatchService:
         by the JSON-lines ``metrics`` op and the optional HTTP
         ``/metrics`` listener (:mod:`repro.serve.httpd`).
     workers:
-        With ``workers > 1``, batched OSA queries run on the hybrid
-        backend over the process-wide shared-memory pool
-        (:func:`repro.parallel.shm.shared_pool`): the roster's prepared
-        side is published once, republished only after adds or
-        compaction (never after a remove), and each batch ships only
-        its query-side arrays; PASS-JOIN candidates are probed inside
-        the workers.  Workers use the compiled kernels when a provider
-        loads (``REPRO_NO_NATIVE=1`` pins NumPy), as the in-process
-        path does.  Answers are identical to the single-process path.
+        The worker count handed to the join planner.  Every uncached
+        batch of OSA queries is one
+        :class:`~repro.core.plan.JoinPlanner` run per roster with the
+        PASS-JOIN generator, and the planner alone picks the backend
+        from the batch's product: the scalar loop for the smallest
+        products, the hybrid shared-memory pool when ``workers > 1``
+        and the product amortizes it (its workers probe PASS-JOIN
+        themselves), else the compiled tier when a provider loads
+        (``REPRO_NO_NATIVE=1`` pins NumPy), else NumPy.  A hybrid run
+        publishes the roster's prepared side on first use and renews
+        the publication only after adds or compaction (never after a
+        remove); each batch ships only its query-side arrays.  Answers
+        are identical on every backend.
     shards:
         With ``shards > 1`` the service stores its population in a
         :class:`~repro.serve.shard.ShardedIndex` and answers batched
-        queries by scatter/gather over the routed shards.  Combined
-        with ``workers > 1`` each shard is pinned to a pool slot
-        (*affinity* mode) whose worker holds the shard's published
-        roster between batches; compaction or crash-respawn is healed
-        by snapshot-style roster handoff, and :meth:`rebalance` moves
-        shards between slots when the per-worker load counters drift.
-        The default (``1``) keeps the original single-index behavior
-        unchanged.
-    candidates:
-        Candidate generation for batched OSA queries.  ``"fbf"`` walks
-        the FBF signature index (the original behavior);
-        ``"pass-join"`` probes a
-        :class:`~repro.core.passjoin.PassJoinIndex` over the same
-        rows (built once, extended by adds) — exact for OSA,
-        sub-quadratic, and ~7x faster on large rosters at ``k=1``;
-        ``"auto"`` (default) picks PASS-JOIN when the roster has at
-        least :attr:`PASSJOIN_MIN_ROSTER` rows and ``k <= 1``, mirroring
-        the join planner's cost model.  Either way answers are
-        identical — only the funnel's generator stage name changes.
-        The pooled *sharded* scatter sweeps each shard densely in its
-        worker instead (no candidate generation).
+        queries by scatter/gather over the routed shards: one planner
+        run per shard, on the same backend rule, pooled or not.  The
+        default (``1``) keeps the single index.
     """
-
-    #: scatters between automatic rebalance checks (pooled sharded mode)
-    REBALANCE_EVERY = 32
-
-    #: below this roster size the PASS-JOIN build doesn't amortise over
-    #: a batch — ``candidates="auto"`` stays on the FBF signature walk
-    PASSJOIN_MIN_ROSTER = 50_000
-
-    #: accepted values for the ``candidates`` constructor knob
-    CANDIDATE_MODES = ("auto", "fbf", "pass-join")
 
     def __init__(
         self,
@@ -177,7 +154,6 @@ class MatchService:
         workers: int | None = None,
         shards: int = 1,
         metrics: MetricsRegistry | bool | None = None,
-        candidates: str = "auto",
     ):
         if shards > 1:
             index = ShardedIndex(
@@ -201,7 +177,6 @@ class MatchService:
             collector=collector,
             workers=workers,
             metrics=metrics,
-            candidates=candidates,
         )
 
     def _init_state(
@@ -213,44 +188,19 @@ class MatchService:
         collector,
         workers: int | None,
         metrics: MetricsRegistry | bool | None,
-        candidates: str = "auto",
     ) -> None:
         """Every field of a service over ``index``; shared by the
         constructor and :meth:`load`."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        if candidates not in self.CANDIDATE_MODES:
-            raise ValueError(
-                f"unknown candidates mode {candidates!r}; "
-                f"choose from {', '.join(self.CANDIDATE_MODES)}"
-            )
         self.k = k
-        self._candidates = candidates
         self._index = index
         self._cache = ResultCache(cache_size)
         self._obs = collector if collector else NULL_COLLECTOR
         self._workers = workers
         #: "base" or shard id -> the prepared side over that roster's rows
         self._rosters: dict[object, PreparedSide] = {}
-        #: replaced rosters, kept published until their successor is
-        self._retired: dict[object, PreparedSide] = {}
-        self._init_sharding()
         self._init_telemetry(metrics)
-
-    def _init_sharding(self) -> None:
-        """Scatter-path state: the shard -> pool-slot placement and the
-        load window the rebalancer consumes."""
-        n = getattr(self._index, "n_shards", 1)
-        workers = max(1, int(self._workers or 1))
-        #: shard -> owning pool slot (affinity routing)
-        self._placement: dict[int, int] = {
-            si: si % workers for si in range(n)
-        }
-        #: shard -> filter pairs dispatched since the last rebalance
-        self._shard_load: dict[int, int] = {}
-        self._scatters = 0
-        #: per-slot busy_ns at the last rebalance check
-        self._slot_busy_base: list[float] = []
 
     @property
     def sharded(self) -> bool:
@@ -305,16 +255,6 @@ class MatchService:
         self._g_cache_entries = m.gauge(
             "serve_cache_entries", "live result-cache entries"
         )
-        self._c_handoffs = self._c_rebalances = None
-        if self.sharded:
-            self._c_handoffs = m.counter(
-                "shard_handoffs_total",
-                "shard roster republishes adopted by workers",
-            )
-            self._c_rebalances = m.counter(
-                "shard_rebalances_total",
-                "shard-to-slot placement recomputations applied",
-            )
         self._index.instrument(metrics, self.events)
 
     # -- telemetry -----------------------------------------------------------
@@ -328,13 +268,6 @@ class MatchService:
             return
         self._index._refresh_gauges()
         self._g_cache_entries.set(self._cache.stats()["size"])
-        if self.sharded:
-            for si, slot in self._placement.items():
-                self.metrics.gauge(
-                    "shard_worker",
-                    "pool slot owning this shard",
-                    {"shard": str(si)},
-                ).set(slot)
         if self._pooled:
             self._publish_pool_metrics()
 
@@ -342,7 +275,7 @@ class MatchService:
         """Surface the service's pool heartbeat, once the pool runs."""
         from repro.parallel import shm
 
-        pool = shm._SHARED_POOLS.get((int(self._workers), self.sharded))
+        pool = shm._SHARED_POOLS.get(int(self._workers))
         if pool is not None and pool.started and not pool.closed:
             shm.publish_pool_metrics(pool, self.metrics, self.events)
 
@@ -545,42 +478,36 @@ class MatchService:
 
     # -- prepared rosters -----------------------------------------------------
 
-    def _roster(
-        self, key: object, mutable, k: int, *, stage: str | None = None,
-        publish: bool = False,
-    ) -> PreparedSide:
+    def _roster(self, key: object, mutable, k: int) -> PreparedSide:
         """``mutable``'s prepared roster (``key`` is ``"base"`` or a shard
         id), brought up to date for one batch.
 
         The :class:`PreparedSide` wraps the live ``FBFIndex.strings``
         list with that index adopted as its fbf-index, and is kept
         across writes: an add appends a row, which this call folds in
-        (the arrays and the PASS-JOIN index are extended, a publication
-        is renewed), and a remove only tombstones a row, which
-        ``live_mask`` drops after verification.  Compaction, snapshot
-        load and shard adoption build a new index, and with it a new
-        prepared side; the old one's segments are unlinked only once the
-        new one has published, so a pool worker never loses the roster
-        it holds.  ``stage`` names the batch's candidate generator and
-        ``publish`` asks for the shared-memory roster.
+        (the arrays and the PASS-JOIN index are extended), and a remove
+        only tombstones a row, which ``live_mask`` drops after
+        verification.  Compaction, snapshot load and shard adoption
+        build a new index, and with it a new prepared side; the
+        replaced one's shared segments are unlinked here, since no
+        batch is in flight between calls.
         """
         prep = self._rosters.get(key)
         if prep is None or prep.strings is not mutable.index.strings:
-            if prep is not None and prep.published is not None:
-                self._retired[key] = prep
+            if prep is not None:
+                prep.close()
             prep = self._rosters[key] = PreparedSide.over_index(mutable.index)
         obs = self._obs
-        if stage == "pass-join":
-            pj = prep.passjoin.get(k)
-            if pj is None or len(pj) < len(prep):
-                with obs.span("serve.build_passjoin"):
-                    prep.passjoin_index(k)
-            if pj is None:
-                self.events.emit(
-                    "passjoin_rebuild",
-                    generation=mutable.generation,
-                    rows=len(prep),
-                )
+        pj = prep.passjoin.get(k)
+        if pj is None or len(pj) < len(prep):
+            with obs.span("serve.build_passjoin"):
+                prep.passjoin_index(k)
+        if pj is None:
+            self.events.emit(
+                "passjoin_rebuild",
+                generation=mutable.generation,
+                rows=len(prep),
+            )
         held = prep.encoded
         if held is None or held.n < len(prep):
             with obs.span("serve.prepare_engine"):
@@ -594,30 +521,9 @@ class MatchService:
                         rows=len(prep),
                         **_shard_field(key),
                     )
-        if publish and (
-            prep.published is None or prep.published.n < len(prep)
-        ):
-            with obs.span("serve.publish_roster"):
-                republish = prep.published is not None
-                prep.publish()
-                old = self._retired.pop(key, None)
-                if old is not None:
-                    old.close()
-                obs.add_counter("shm_roster_publishes")
-                if (republish or old is not None) and self._c_handoffs:
-                    self._c_handoffs.inc()
-                    kind = "shard_handoff"
-                else:
-                    kind = "roster_publish"
-                self.events.emit(
-                    kind,
-                    generation=mutable.generation,
-                    bytes=prep.publication.bytes_shared,
-                    **_shard_field(key),
-                )
         return prep
 
-    # -- the batched paths ----------------------------------------------------
+    # -- the batched path -----------------------------------------------------
 
     @property
     def _pooled(self) -> bool:
@@ -627,34 +533,21 @@ class MatchService:
         self, pending: list[str], k: int, method: str
     ) -> list[QueryResult]:
         """Answer a batch of uncached queries: one planner run against
-        the roster, or per routed shard (scattered through the affinity
-        pool when the service is pooled and sharded), folded into one
-        result per pending value."""
+        the roster, or per routed shard, folded into one result per
+        pending value."""
         if not self.sharded:
             ii, jj = self._run_planned("base", self._index, pending, k)
             return self._fold(pending, k, method, [(ii, jj, self._index)])
-        plan = self._shard_plan(pending, k)
-        for si, (vals, _idxs) in plan.items():
+        parts = []
+        for si, (vals, idxs) in sorted(self._shard_plan(pending, k).items()):
             self.metrics.counter(
                 "shard_queries_total",
                 "queries routed to this shard",
                 labels={"shard": str(si)},
             ).inc(len(vals))
-            load = len(vals) * len(self._index.shards[si].index)
-            self._shard_load[si] = self._shard_load.get(si, 0) + load
-        if not plan:
-            runs = {}
-        elif self._pooled:
-            runs = self._scatter_pooled(plan, k)
-        else:
-            runs = {
-                si: self._run_planned(si, self._index.shards[si], vals, k)
-                for si, (vals, _idxs) in sorted(plan.items())
-            }
-        parts = [
-            (np.asarray(plan[si][1])[ii], jj, self._index.shards[si])
-            for si, (ii, jj) in runs.items()
-        ]
+            shard = self._index.shards[si]
+            ii, jj = self._run_planned(si, shard, vals, k)
+            parts.append((np.asarray(idxs)[ii], jj, shard))
         return self._fold(pending, k, method, parts)
 
     def _fold(
@@ -701,29 +594,19 @@ class MatchService:
     def _run_planned(
         self, key: object, mutable, values: list[str], k: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One planner run of the FPDL stack for ``values`` against
-        ``mutable``'s prepared roster; returns the (query row, roster
-        row) matches as two ``int64`` arrays.
+        """One PASS-JOIN planner run of the FPDL stack for ``values``
+        against ``mutable``'s prepared roster; returns the (query row,
+        roster row) matches as two ``int64`` arrays.
 
-        The generator is PASS-JOIN for large rosters at ``k <= 1`` (see
-        ``candidates``), else the FBF signature index; both are exact
-        for the OSA verifiers the batched path runs.  The backend is the
-        hybrid pool when the service is pooled, whose workers probe
-        PASS-JOIN themselves; otherwise the compiled tier when a
-        provider loads, else NumPy.  The planner credits the generator
-        stage with the pairs it skipped, so the funnel stays conserved.
+        PASS-JOIN is exact for the OSA verifiers the batched path runs.
+        The planner picks the backend (see ``workers``); a hybrid run
+        publishes the roster, or renews its publication after growth,
+        which this call reports as a ``roster_publish`` event.  The
+        planner credits the generator stage with the pairs it skipped,
+        so the funnel stays conserved.
         """
-        use_pj = self._candidates == "pass-join" or (
-            self._candidates == "auto"
-            and k <= 1
-            and len(mutable.index) >= self.PASSJOIN_MIN_ROSTER
-        )
-        stage = "pass-join" if use_pj else "fbf-index"
-        prep = self._roster(key, mutable, k, stage=stage, publish=self._pooled)
-        if self._pooled:
-            backend = "hybrid"
-        else:
-            backend = "native" if native_available() else "vectorized"
+        prep = self._roster(key, mutable, k)
+        publication = prep.publication
         result = JoinPlanner(
             values,
             prep,
@@ -734,11 +617,18 @@ class MatchService:
             self_join=False,
         ).run(
             "FPDL",
-            generator=stage,
-            backend=backend,
+            generator="pass-join",
             collector=self._obs if self._obs else None,
             record_matches=True,
         )
+        if prep.publication is not publication:
+            self._obs.add_counter("shm_roster_publishes")
+            self.events.emit(
+                "roster_publish",
+                generation=mutable.generation,
+                bytes=prep.publication.bytes_shared,
+                **_shard_field(key),
+            )
         if self._pooled:
             self._publish_pool_metrics()
         return result.match_rows
@@ -762,127 +652,6 @@ class MatchService:
                 vals.append(value)
                 idxs.append(qi)
         return plan
-
-    def _scatter_pooled(
-        self, plan: dict[int, tuple[list[str], list[int]]], k: int
-    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Scatter over the routed shards through the affinity pool:
-        each shard's task is pinned to its placement slot, whose worker
-        holds the shard's resolved roster between batches, keyed on the
-        prepared roster's publish stamp.  The dense worker sweep does
-        its own funnel accounting (merged back by
-        ``run_shard_scatter``), so no parent-side stage credit here.
-        Returns each shard's (query row, internal row) matches."""
-        from repro.parallel import shm
-
-        obs = self._obs
-        pool = shm.shared_pool(self._workers, affinity=True)
-        calls: list[tuple] = []
-        slots: list[int] = []
-        for si in sorted(plan):
-            vals, _idxs = plan[si]
-            shard = self._index.shards[si]
-            prep = self._roster(si, shard, k, publish=True)
-            queries = PreparedSide(vals, prep.scheme).side()
-            calls.append(
-                shm.shard_query_call(
-                    si,
-                    prep.stamp,
-                    prep.published,
-                    shm.inline_side(queries),
-                    scheme=prep.scheme,
-                    k=k,
-                    collect=bool(obs),
-                )
-            )
-            slots.append(self._placement.get(si, si % pool.workers))
-        outs = shm.run_shard_scatter(
-            pool, calls, slots=slots, collector=obs if obs else None
-        )
-        if self.metrics:
-            shm.publish_pool_metrics(pool, self.metrics, self.events)
-        self._maybe_rebalance(pool)
-        return {
-            si: match_rows(out["mi"], out["mj"])
-            for si, out in zip(sorted(plan), outs)
-        }
-
-    # -- rebalancing --------------------------------------------------------
-
-    def _maybe_rebalance(self, pool) -> None:
-        """Every ``REBALANCE_EVERY`` pooled scatters, read the per-slot
-        ``busy_ns`` deltas from the pool's heartbeat counters and
-        trigger a :meth:`rebalance` when the busiest slot has done at
-        least twice the work of the idlest since the last check."""
-        self._scatters += 1
-        if self._scatters % self.REBALANCE_EVERY:
-            return
-        busy: list[float] = []
-        for pid in pool.slot_pids():
-            ws = pool.worker_stats.get(pid) if pid is not None else None
-            busy.append(float(ws["busy_ns"]) if ws else 0.0)
-        base = self._slot_busy_base
-        self._slot_busy_base = busy
-        delta = [
-            b - (base[i] if i < len(base) else 0.0)
-            for i, b in enumerate(busy)
-        ]
-        if len(delta) < 2:
-            return
-        hi, lo = max(delta), min(delta)
-        if hi > 0 and hi >= 2.0 * max(lo, 1.0):
-            self.rebalance()
-
-    def rebalance(self) -> dict[int, int]:
-        """Recompute the shard -> pool-slot placement by greedy LPT
-        over the load window (filter pairs dispatched per shard since
-        the last rebalance) and return the new placement.
-
-        Ties prefer the default ``si % workers`` slot, so an idle
-        service never churns its placement.  An applied change emits a
-        ``shard_rebalance`` event and bumps
-        ``shard_rebalances_total``; the load window resets either way.
-        No-op (returns the identity placement) for single-shard or
-        in-process services.
-        """
-        if not self.sharded or not self._workers or self._workers <= 1:
-            return dict(self._placement)
-        workers = max(1, int(self._workers))
-        loads = sorted(
-            (
-                (self._shard_load.get(si, 0), si)
-                for si in range(self._index.n_shards)
-            ),
-            key=lambda t: (-t[0], t[1]),
-        )
-        slot_load = [0] * workers
-        placement: dict[int, int] = {}
-        for load, si in loads:
-            slot = min(
-                range(workers),
-                key=lambda w: (slot_load[w], (w - si) % workers),
-            )
-            placement[si] = slot
-            slot_load[slot] += load
-        moved = {
-            si: slot
-            for si, slot in placement.items()
-            if self._placement.get(si) != slot
-        }
-        self._shard_load = {}
-        if moved:
-            self._placement = placement
-            if self._c_rebalances is not None:
-                self._c_rebalances.inc()
-            self._obs.add_counter("shard_rebalances")
-            self.events.emit(
-                "shard_rebalance",
-                moved={str(si): slot for si, slot in moved.items()},
-                placement={
-                    str(si): slot for si, slot in placement.items()
-                },
-            )
-        return dict(self._placement)
 
     # -- stats and snapshots ------------------------------------------------
 
@@ -913,9 +682,8 @@ class MatchService:
                     "rows": shard.rows,
                     "tombstones": shard.tombstones,
                     "generation": shard.generation,
-                    "slot": self._placement.get(si),
                 }
-                for si, shard in enumerate(index.shards)
+                for shard in index.shards
             ]
         if self.metrics:
             out["latency"] = {
@@ -934,7 +702,6 @@ class MatchService:
                 meta={
                     "k": self.k,
                     "cache_size": self._cache.maxsize,
-                    "candidates": self._candidates,
                 },
             )
         self.events.emit(
@@ -956,13 +723,14 @@ class MatchService:
         metrics: MetricsRegistry | bool | None = None,
     ) -> "MatchService":
         """Rebuild a warm service from a snapshot (no re-indexing), with
-        its saved ``k`` and ``candidates``.
+        its saved ``k``.
 
         ``cache_size`` overrides the saved setting; the cache itself
-        always starts empty.
+        always starts empty.  Other meta keys (older snapshots carry a
+        ``candidates`` generator mode) are ignored.
         """
         index, header = load_index(path)
-        meta = {"k": 1, "cache_size": 1024, "candidates": "auto"}
+        meta = {"k": 1, "cache_size": 1024}
         meta.update(header.get("meta", {}))
         svc = cls.__new__(cls)
         svc._init_state(
@@ -974,7 +742,6 @@ class MatchService:
             collector=collector,
             workers=workers,
             metrics=metrics,
-            candidates=meta["candidates"],
         )
         svc.events.emit(
             "snapshot_load",

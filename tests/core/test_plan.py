@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro import native
+from repro.core import plan as plan_module
 from repro.core.join import JoinResult
 from repro.core.matchers import method_registry
 from repro.core.plan import (
@@ -61,10 +62,31 @@ _DENSE_BACKEND = "native" if native.available() else "vectorized"
 
 
 class TestCostModel:
-    def test_small_product_scalar_all_pairs(self):
-        p = JoinPlanner(_fake_strings(100), _fake_strings(100), k=1)
-        plan = p.plan("FPDL")
-        assert (plan.generator.name, plan.backend.name) == ("all-pairs", "scalar")
+    def test_small_product_scalar_all_pairs(self, monkeypatch):
+        # The measured crossovers: scalar at and below 64 pairs with a
+        # compiled provider, 256 without; that tier's kernels above.
+        assert plan_module._SCALAR_MAX_PAIRS == 64
+        assert plan_module._SCALAR_MAX_PAIRS_NUMPY == 256
+        tiers = ((True, 64, "native"), (False, 256, "vectorized"))
+        for loaded, cap, above in tiers:
+            monkeypatch.setattr(
+                plan_module, "native_available", lambda: loaded
+            )
+            for n_left, n_right, want in (
+                (1, 1, "scalar"),
+                (1, cap, "scalar"),
+                (8, cap // 8, "scalar"),
+                (1, cap + 1, above),
+                (8, cap // 8 + 1, above),
+            ):
+                p = JoinPlanner(
+                    _fake_strings(n_left), _fake_strings(n_right), k=1
+                )
+                plan = p.plan("FPDL")
+                assert (plan.generator.name, plan.backend.name) == (
+                    "all-pairs",
+                    want,
+                ), (loaded, n_left, n_right)
 
     def test_medium_product_vectorized_all_pairs(self):
         p = JoinPlanner(_fake_strings(1000), _fake_strings(1000), k=1)

@@ -338,7 +338,7 @@ class TestQueryCommand:
         ) == 0
         err = capsys.readouterr().err
         assert "conserved: yes" in err
-        assert "fbf-index" in err
+        assert "pass-join" in err
 
 
 class TestServeCommand:

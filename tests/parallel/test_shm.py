@@ -11,12 +11,16 @@ tracks (and releases) every byte it published.
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
 from multiprocessing import get_all_start_methods
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.passjoin import PassJoinIndex
 from repro.core.plan import JoinPlanner
 from repro.core.signatures import scheme_for
@@ -58,7 +62,62 @@ def _kill_once(flag_path):
     return "survived"
 
 
+#: a parent that keeps the 2-worker pool busy with hybrid joins forever
+_BUSY_PARENT = """
+import repro
+from repro.data.datasets import dataset_for_family
+from repro.parallel import shm
+
+pool = shm.shared_pool(2)
+pool.ensure()
+print(*(p.pid for p in pool._procs), flush=True)
+pair = dataset_for_family("LN", 3000, seed=1)
+while True:
+    repro.join(pair.error, pair.clean, "FPDL", k=1, generator="all-pairs",
+               backend="hybrid", workers=2)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie awaiting its reaper
+    counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
 class TestWorkerPool:
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/stat"), reason="needs /proc"
+    )
+    def test_workers_exit_when_parent_killed(self):
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _BUSY_PARENT],
+            stdout=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == 2
+            time.sleep(1.0)  # let a join get under way
+            assert all(_running(pid) for pid in pids)
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+        deadline = time.monotonic() + 10
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_running, pids))
+
     def test_runs_tasks_in_order(self):
         with WorkerPool(workers=2) as pool:
             out = pool.run_tasks([(_double, i) for i in range(20)])
@@ -287,49 +346,6 @@ class TestHeartbeat:
             )
             assert reg.counter("pool_respawns_total").value >= 1
 
-
-def _pid(_x):
-    return os.getpid()
-
-
-class TestAffinityPool:
-    def test_slots_route_to_stable_workers(self):
-        with WorkerPool(workers=2, affinity=True) as pool:
-            out = pool.run_tasks(
-                [(_pid, i) for i in range(4)], slots=[0, 1, 0, 1]
-            )
-            assert out[0] == out[2]
-            assert out[1] == out[3]
-            assert out[0] != out[1]
-            # The same slots hit the same workers on a later run.
-            again = pool.run_tasks([(_pid, 0), (_pid, 1)], slots=[0, 1])
-            assert again == [out[0], out[1]]
-
-    def test_default_slot_is_task_index(self):
-        with WorkerPool(workers=2, affinity=True) as pool:
-            a, b = pool.run_tasks([(_pid, 0), (_pid, 1)])
-            assert a != b
-
-    def test_slots_length_validated(self):
-        with WorkerPool(workers=2, affinity=True) as pool:
-            with pytest.raises(ValueError, match="slots"):
-                pool.run_tasks([(_double, 1)], slots=[0, 1])
-
-    def test_crash_respawns_in_the_same_slot(self, tmp_path):
-        flag = str(tmp_path / "slot.flag")
-        with WorkerPool(workers=2, affinity=True) as pool:
-            pool.run_tasks([(_double, 0), (_double, 1)], slots=[0, 1])
-            before = pool.slot_pids()
-            out = pool.run_tasks(
-                [(_kill_once, flag), (_double, 9)], slots=[0, 1]
-            )
-            assert out == ["survived", 18]
-            after = pool.slot_pids()
-            assert len(after) == 2
-            assert after[1] == before[1]  # untouched slot kept its pid
-            assert after[0] != before[0]  # crashed slot respawned
-            assert pool.respawns >= 1
-
     def test_stale_worker_gauges_pruned_after_respawn(self, tmp_path):
         from repro.obs.events import EventLog
         from repro.obs.metrics import MetricsRegistry
@@ -338,11 +354,11 @@ class TestAffinityPool:
         reg = MetricsRegistry()
         events = EventLog()
         flag = str(tmp_path / "prune.flag")
-        with WorkerPool(workers=2, affinity=True) as pool:
-            pool.run_tasks([(_double, 1), (_double, 2)], slots=[0, 1])
+        with WorkerPool(workers=2) as pool:
+            pool.run_tasks([(_double, 1), (_double, 2)])
             publish_pool_metrics(pool, reg, events)
             first_pids = set(pool._published_pids)
-            pool.run_tasks([(_kill_once, flag)], slots=[0])
+            pool.run_tasks([(_kill_once, flag)])
             publish_pool_metrics(pool, reg, events)
             second_pids = set(pool._published_pids)
             dead = first_pids - second_pids
@@ -367,12 +383,13 @@ class TestSharedPool:
         assert b is a
         assert a.reuse_hits == hits + 1
 
-    def test_affinity_pools_keyed_separately(self):
-        a = shared_pool(2)
-        b = shared_pool(2, affinity=True)
+    def test_pools_keyed_by_worker_count(self):
+        close_shared_pools()
+        a, b = shared_pool(2), shared_pool(3)
         assert a is not b
-        assert b.affinity and not a.affinity
-        assert shared_pool(2, affinity=True) is b
+        assert shared_pool(2) is a
+        assert sorted(shm._SHARED_POOLS) == [2, 3]
+        close_shared_pools()
 
     def test_closed_pool_replaced(self):
         a = shared_pool(2)
@@ -452,10 +469,10 @@ class TestPublication:
         side = PreparedSide(rows, "alpha")
         try:
             first = side.publish()
-            stamp = side.stamp
             rows.append("ABCDEFGHIJKLMNOP")
             grown = side.publish()
-            assert grown.n == len(NAMES) + 1 and side.stamp > stamp
+            assert grown.n == len(NAMES) + 1
+            assert grown.codes[1] != first.codes[1]
             codes = _resolve_ref(grown.codes)
             assert codes.shape == (len(rows), len("ABCDEFGHIJKLMNOP"))
             with pytest.raises(FileNotFoundError):

@@ -109,68 +109,59 @@ TestMutableIndexEquivalence.settings = settings(
 )
 
 
-def _service_machine(candidates: str):
-    class ServiceMachine(RuleBasedStateMachine):
-        """``query_batch`` between adds, removes, compactions and
-        snapshot round-trips: every answer of the batched fold (ids,
-        strings, ``cached``, ``generation``) equals the rebuilt oracle
-        and the cache model.  Batches repeat values and re-ask values
-        answered before, so hits, misses and in-batch duplicates mix."""
+class ServiceMachine(RuleBasedStateMachine):
+    """``query_batch`` between adds, removes, compactions and
+    snapshot round-trips: every answer of the batched fold (ids,
+    strings, ``cached``, ``generation``) equals the rebuilt oracle
+    and the cache model.  Batches repeat values and re-ask values
+    answered before, so hits, misses and in-batch duplicates mix."""
 
-        CACHE = 8
+    CACHE = 8
 
-        def __init__(self):
-            super().__init__()
-            self.svc = MatchService(
-                scheme="alpha", k=1, cache_size=self.CACHE,
-                compact_ratio=0.4, candidates=candidates,
-            )
-            self.model: dict[int, str] = {}
-            self.batches = BatchModel(oracle_answer, self.CACHE)
-            self.tmpdir = tempfile.mkdtemp(prefix="serve-svc-eq-")
+    def __init__(self):
+        super().__init__()
+        self.svc = MatchService(
+            scheme="alpha", k=1, cache_size=self.CACHE, compact_ratio=0.4
+        )
+        self.model: dict[int, str] = {}
+        self.batches = BatchModel(oracle_answer, self.CACHE)
+        self.tmpdir = tempfile.mkdtemp(prefix="serve-svc-eq-")
 
-        def teardown(self):
-            shutil.rmtree(self.tmpdir, ignore_errors=True)
+    def teardown(self):
+        shutil.rmtree(self.tmpdir, ignore_errors=True)
 
-        @rule(s=WORDS)
-        def add(self, s):
-            self.model[self.svc.add(s)] = s
+    @rule(s=WORDS)
+    def add(self, s):
+        self.model[self.svc.add(s)] = s
 
-        @precondition(lambda self: self.model)
-        @rule(data=st.data())
-        def remove(self, data):
-            sid = data.draw(st.sampled_from(sorted(self.model)))
-            self.svc.remove(sid)
-            del self.model[sid]
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def remove(self, data):
+        sid = data.draw(st.sampled_from(sorted(self.model)))
+        self.svc.remove(sid)
+        del self.model[sid]
 
-        @rule()
-        def compact(self):
-            self.svc.compact()
+    @rule()
+    def compact(self):
+        self.svc.compact()
 
-        @rule()
-        def snapshot_roundtrip(self):
-            path = self.svc.save(f"{self.tmpdir}/svc.npz")
-            self.svc = MatchService.load(path)
-            assert self.svc._candidates == candidates
-            self.batches.reset()
+    @rule()
+    def snapshot_roundtrip(self):
+        path = self.svc.save(f"{self.tmpdir}/svc.npz")
+        self.svc = MatchService.load(path)
+        self.batches.reset()
 
-        @rule(data=st.data(), k=st.integers(0, 2))
-        def query_batch(self, data, k):
-            values = self.batches.draw(data, WORDS)
-            self.batches.check(self.svc, self.model, values, k)
+    @rule(data=st.data(), k=st.integers(0, 2))
+    def query_batch(self, data, k):
+        values = self.batches.draw(data, WORDS)
+        self.batches.check(self.svc, self.model, values, k)
 
-        @invariant()
-        def contents_match_model(self):
-            assert dict(self.svc.items()) == self.model
-
-    return ServiceMachine
+    @invariant()
+    def contents_match_model(self):
+        assert dict(self.svc.items()) == self.model
 
 
-TestServiceBatchEquivalenceFBF = _service_machine("fbf").TestCase
-TestServiceBatchEquivalenceFBF.settings = settings(
-    max_examples=15, stateful_step_count=30, deadline=None
-)
-TestServiceBatchEquivalencePassJoin = _service_machine("pass-join").TestCase
+TestServiceBatchEquivalencePassJoin = ServiceMachine.TestCase
 TestServiceBatchEquivalencePassJoin.settings = settings(
     max_examples=15, stateful_step_count=30, deadline=None
 )
@@ -198,21 +189,15 @@ class TestServiceEquivalence:
                     want = tuple(oracle_answer(model, res.value, 1))
                     assert res.ids == want, (step, res.value)
 
-    @pytest.mark.parametrize(
-        "candidates, shards",
-        [("pass-join", 1), ("fbf", 2), ("pass-join", 2)],
-        ids=["pass-join", "shards2", "pass-join-shards2"],
-    )
-    def test_extended_state_matches_rebuilt_oracle(
-        self, rng, candidates, shards
-    ):
+    @pytest.mark.parametrize("shards", [1, 2], ids=["single", "shards2"])
+    def test_extended_state_matches_rebuilt_oracle(self, rng, shards):
         # Reads interleave with adds whose strings grow longer over the
         # run, so the held engines and PASS-JOIN indexes are extended
         # through wider codes and new length classes, and with removes
         # and compactions, which must not be answered from stale rows.
         svc = MatchService(
             scheme="alpha", k=1, cache_size=16, compact_ratio=0.3,
-            candidates=candidates, shards=shards,
+            shards=shards,
         )
         model: dict[int, str] = {}
         words: list[str] = []

@@ -5,6 +5,7 @@ import pytest
 from repro.data.datasets import dataset_for_family
 from repro.obs.stats import StatsCollector
 from repro.serve.service import MatchService
+from repro.serve.snapshot import save_index
 
 NAMES = ["SMITH", "SMYTH", "JONES", "JONSE", "BROWN", "BROWNE"]
 
@@ -114,31 +115,26 @@ class TestQueryBatch:
 
 
 class TestCandidateModes:
-    """The candidates knob is execution strategy, never semantics."""
+    """Every roster's batches probe PASS-JOIN: execution strategy,
+    never semantics."""
 
     def test_passjoin_equals_fbf(self, ln_pair):
+        # The batched PASS-JOIN answers equal the FBF index's own search.
         population = list(ln_pair.clean)
-        queries = list(ln_pair.error)[:60]
-        pj = MatchService(
-            population, k=1, cache_size=0, candidates="pass-join"
-        )
-        fbf = MatchService(population, k=1, cache_size=0, candidates="fbf")
-        for a, b in zip(pj.query_batch(queries), fbf.query_batch(queries)):
-            assert a.ids == b.ids, a.value
+        queries = list(ln_pair.error)[:60] + population[:5]
+        svc = MatchService(population, cache_size=0)
+        for k in (0, 1, 2):
+            for res in svc.query_batch(queries, k=k):
+                want = tuple(svc.index.search(res.value, k))
+                assert res.ids == want, (k, res.value)
 
     def test_passjoin_respects_tombstones(self):
-        svc = MatchService(
-            NAMES, k=1, compact_ratio=None, cache_size=0,
-            candidates="pass-join",
-        )
+        svc = MatchService(NAMES, k=1, compact_ratio=None, cache_size=0)
         svc.remove(1)
         assert svc.query_batch(["SMITH"])[0].ids == (0,)
 
     def test_passjoin_index_extended_by_writes_rebuilt_by_compaction(self):
-        svc = MatchService(
-            NAMES, k=1, cache_size=0, compact_ratio=None,
-            candidates="pass-join",
-        )
+        svc = MatchService(NAMES, k=1, cache_size=0, compact_ratio=None)
         assert svc.query_batch(["SMITH"])[0].ids == (0, 1)
         first = svc._rosters["base"].passjoin[1]
         svc.remove(1)
@@ -156,24 +152,13 @@ class TestCandidateModes:
         assert len(svc.events.tail(kind="passjoin_rebuild")) == 2
 
     def test_passjoin_funnel_stage_name(self):
+        # A 6-row roster probes PASS-JOIN too: no FBF-walk stage.
         obs = StatsCollector()
-        svc = MatchService(
-            NAMES, k=1, collector=obs, candidates="pass-join"
-        )
+        svc = MatchService(NAMES, k=1, collector=obs)
         svc.query_batch(["SMITH", "JONES"])
         assert "pass-join" in obs.stages
+        assert "fbf-index" not in obs.stages
         assert obs.conserved
-
-    def test_auto_stays_on_fbf_below_threshold(self):
-        obs = StatsCollector()
-        svc = MatchService(NAMES, k=1, collector=obs, candidates="auto")
-        svc.query_batch(["SMITH"])
-        assert "fbf-index" in obs.stages
-        assert not any(prep.passjoin for prep in svc._rosters.values())
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="candidates mode"):
-            MatchService(NAMES, candidates="bogus")
 
 
 class TestObservability:
@@ -253,17 +238,14 @@ class TestEngineReuse:
             assert svc._rosters[si] is roster
         assert svc.metrics.counter("serve_engine_rebuilds_total").value == 2
 
-    @pytest.mark.parametrize("candidates", ["fbf", "pass-join"])
-    def test_unencodable_add_fails_every_batched_read(self, candidates):
+    def test_unencodable_add_fails_every_batched_read(self):
         # Extension is all-or-nothing: a row the engine cannot encode
         # leaves the held arrays untouched, so every later read retries
         # and raises like a fresh build would, never answering from the
         # stale arrays.
         with pytest.raises(ValueError, match="non-latin-1") as fresh:
-            MatchService(
-                NAMES + ["Łukasz"], k=1, candidates=candidates
-            ).query_batch(["SMITH"])
-        svc = MatchService(NAMES, k=1, cache_size=0, candidates=candidates)
+            MatchService(NAMES + ["Łukasz"], k=1).query_batch(["SMITH"])
+        svc = MatchService(NAMES, k=1, cache_size=0)
         svc.query_batch(["SMITH"])
         svc.add("Łukasz")
         for _ in range(2):
@@ -311,17 +293,21 @@ class TestSnapshotRoundtrip:
         # The loaded index is new, so its first batch builds from scratch.
         assert warm.metrics.counter("serve_engine_rebuilds_total").value >= 1
 
-    @pytest.mark.parametrize(
-        "candidates, stage", [("fbf", "fbf-index"), ("pass-join", "pass-join")]
-    )
-    def test_candidates_mode_survives_roundtrip(
-        self, tmp_path, candidates, stage
-    ):
-        svc = MatchService(NAMES, k=1, candidates=candidates)
+    @pytest.mark.parametrize("candidates", ["fbf", "pass-join", "auto"])
+    def test_snapshot_with_candidates_meta_loads(self, tmp_path, candidates):
+        # Older snapshots carry the retired generator mode in their meta.
+        svc = MatchService(NAMES, k=1, cache_size=5)
+        path = save_index(
+            svc.index,
+            tmp_path / "old.npz",
+            meta={"k": 1, "cache_size": 5, "candidates": candidates},
+        )
         c = StatsCollector("warm")
-        warm = MatchService.load(svc.save(tmp_path / "svc.npz"), collector=c)
-        warm.query_batch(["SMITH", "JONES"])
-        assert stage in c.stages
+        warm = MatchService.load(path, collector=c)
+        assert warm.cache.maxsize == 5
+        got = warm.query_batch(["SMITH", "JONES"])
+        assert [r.ids for r in got] == [(0, 1), (2, 3)]
+        assert "pass-join" in c.stages
         assert c.conserved
 
     def test_cache_size_override(self, tmp_path):

@@ -128,6 +128,7 @@ class TestTelemetryModes:
         cold.query("SMITH")  # still answers
 
 
+@pytest.mark.usefixtures("hybrid_batches")
 class TestPooledHeartbeats:
     def test_pooled_batch_publishes_worker_gauges(self):
         from repro.parallel.shm import close_shared_pools

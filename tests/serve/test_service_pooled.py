@@ -1,9 +1,11 @@
 """The pooled batched-query path answers exactly like the in-process one.
 
-`MatchService(workers=N)` fans `query_batch` out to the shared-memory
-worker pool; these tests pin identical answers, identical funnel
-counters, and a roster publication that adds and compaction renew but
-removes do not.
+`MatchService(workers=N)` hands the planner its worker count, and the
+planner sends a batch to the shared-memory worker pool once its product
+amortizes the pool; the ``hybrid_batches`` fixture lowers that bar so
+these small rosters take the pool.  The tests pin identical answers,
+identical funnel counters, and a roster publication that adds and
+compaction renew but removes do not.
 """
 
 import pytest
@@ -14,6 +16,8 @@ from repro.obs import StatsCollector
 from repro.parallel.shm import close_shared_pools
 from repro.serve.mutable import MutableIndex
 from repro.serve.service import MatchService
+
+pytestmark = pytest.mark.usefixtures("hybrid_batches")
 
 
 @pytest.fixture(scope="module")
@@ -34,23 +38,23 @@ def _answers(svc, queries):
 
 
 class TestPooledEquivalence:
-    @pytest.mark.parametrize("candidates", ["fbf", "pass-join"])
-    def test_answers_and_funnel_match_inprocess(self, ln_pair, candidates):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_answers_and_funnel_match_inprocess(self, ln_pair, shards):
         # Pooled PASS-JOIN batches probe the index inside the workers.
         queries = ln_pair.error[:60]
         c_ref, c_pool = StatsCollector("ref"), StatsCollector("pooled")
         ref = MatchService(
-            ln_pair.clean, k=1, collector=c_ref, candidates=candidates
+            ln_pair.clean, k=1, collector=c_ref, shards=shards
         )
         pooled = MatchService(
-            ln_pair.clean, k=1, collector=c_pool, workers=2,
-            candidates=candidates,
+            ln_pair.clean, k=1, collector=c_pool, workers=2, shards=shards
         )
 
         assert _batched(pooled, queries) == _batched(ref, queries)
         assert c_pool.pairs_considered == c_ref.pairs_considered
         assert c_pool.conserved and c_ref.conserved
         assert list(c_pool.stages) == list(c_ref.stages)
+        assert c_pool.meta["backend"] == "hybrid"
         for name, stage in c_ref.stages.items():
             other = c_pool.stages[name]
             assert (other.tested, other.passed) == (stage.tested, stage.passed)
@@ -108,13 +112,8 @@ class TestPooledEquivalence:
                 return real(self, index, *args, **kw)
 
             monkeypatch.setattr(native.KernelSet, "passjoin_run", spy)
-        ref = MatchService(
-            ln_pair.clean, k=1, cache_size=0, candidates="pass-join"
-        )
-        pooled = MatchService(
-            ln_pair.clean, k=1, cache_size=0, workers=2,
-            candidates="pass-join",
-        )
+        ref = MatchService(ln_pair.clean, k=1, cache_size=0)
+        pooled = MatchService(ln_pair.clean, k=1, cache_size=0, workers=2)
         queries = ln_pair.error[:20]
         assert _batched(pooled, queries) == _batched(ref, queries)
         for svc in (ref, pooled):

@@ -3,7 +3,7 @@ single-index contract.
 
 Two machines per shard count (1, 2 and 4 — the degenerate case is kept
 on purpose so the sharded wrapper itself is pinned against
-:class:`MutableIndex`):
+:class:`MutableIndex`), and a pooled 2-shard service machine:
 
 * the *index* machine interleaves adds, removes, whole-index
   compactions, snapshot round-trips and export/adopt shard handoffs,
@@ -11,13 +11,16 @@ on purpose so the sharded wrapper itself is pinned against
   lock-step single :class:`MutableIndex` and an index rebuilt from
   scratch over the live entries;
 * the *service* machine (the query-during-compaction suite) drives
-  :meth:`MatchService.query_batch` between removes and compactions and
-  checks every batched answer against the rebuilt oracle while the
-  funnel stays conserved.
+  :meth:`MatchService.query_batch` between adds, removes, compactions
+  and snapshot round-trips and checks every batched answer against the
+  rebuilt oracle while the funnel stays conserved.  Its pooled variant
+  runs every shard's batch on the hybrid pool (a test-only patch of
+  the planner's size thresholds, which these tiny rosters never reach).
 """
 
 import shutil
 import tempfile
+from unittest import mock
 
 import hypothesis.strategies as st
 from hypothesis import settings
@@ -28,8 +31,10 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.core import plan
 from repro.core.index import FBFIndex
 from repro.obs.stats import StatsCollector
+from repro.parallel.shm import close_shared_pools
 from repro.serve.mutable import MutableIndex
 from repro.serve.service import MatchService
 from repro.serve.shard import ShardedIndex
@@ -126,14 +131,23 @@ def _sharded_index_machine(n_shards: int):
     return ShardedIndexMachine
 
 
-def _sharded_service_machine(n_shards: int):
+def _sharded_service_machine(n_shards: int, workers: int | None = None):
     class ShardedServiceMachine(RuleBasedStateMachine):
-        """query_batch interleaved with remove/compaction (satellite:
-        a query landing mid-tombstone or right after a shard
-        compaction must still answer like a fresh rebuild)."""
+        """query_batch interleaved with adds, removes, compactions and
+        snapshot round-trips: a query landing mid-tombstone, right
+        after a shard compaction or on a loaded snapshot must still
+        answer like a fresh rebuild."""
 
         def __init__(self):
             super().__init__()
+            self.thresholds = mock.patch.multiple(
+                plan,
+                _HYBRID_MIN_PAIRS=1,
+                _SCALAR_MAX_PAIRS=0,
+                _SCALAR_MAX_PAIRS_NUMPY=0,
+            )
+            if workers:
+                self.thresholds.start()
             self.obs = StatsCollector("sharded-eq")
             self.svc = MatchService(
                 scheme="alpha",
@@ -142,9 +156,16 @@ def _sharded_service_machine(n_shards: int):
                 compact_ratio=0.4,
                 shards=n_shards,
                 collector=self.obs,
+                workers=workers,
             )
             self.model: dict[int, str] = {}
             self.batches = BatchModel(oracle_answer, 16)
+            self.tmpdir = tempfile.mkdtemp(prefix="serve-shard-svc-eq-")
+
+        def teardown(self):
+            if workers:
+                self.thresholds.stop()
+            shutil.rmtree(self.tmpdir, ignore_errors=True)
 
         @rule(s=WORDS)
         def add(self, s):
@@ -161,6 +182,15 @@ def _sharded_service_machine(n_shards: int):
         def compact(self):
             self.svc.compact()
 
+        @rule()
+        def snapshot_roundtrip(self):
+            path = self.svc.save(f"{self.tmpdir}/svc.npz")
+            self.svc = MatchService.load(
+                path, collector=self.obs, workers=workers
+            )
+            assert self.svc.sharded == (n_shards > 1)
+            self.batches.reset()
+
         @rule(data=st.data(), k=st.integers(0, 2))
         def query_batch_matches_rebuilt(self, data, k):
             # Fresh values, values asked before and in-batch repeats:
@@ -168,6 +198,8 @@ def _sharded_service_machine(n_shards: int):
             # cache model.
             values = self.batches.draw(data, WORDS)
             self.batches.check(self.svc, self.model, values, k)
+            if workers and "backend" in self.obs.meta:
+                assert self.obs.meta["backend"] == "hybrid"
 
         @invariant()
         def funnel_conserved(self):
@@ -193,3 +225,11 @@ TestShardedServiceEquivalence2 = _sharded_service_machine(2).TestCase
 TestShardedServiceEquivalence2.settings = MACHINE_SETTINGS
 TestShardedServiceEquivalence4 = _sharded_service_machine(4).TestCase
 TestShardedServiceEquivalence4.settings = MACHINE_SETTINGS
+TestShardedServiceEquivalencePooled2 = _sharded_service_machine(
+    2, workers=2
+).TestCase
+TestShardedServiceEquivalencePooled2.settings = MACHINE_SETTINGS
+
+
+def teardown_module(module):
+    close_shared_pools()
