@@ -29,12 +29,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.popcount import popcount_batch_u32
-from repro.core.signatures import SignatureScheme, detect_kind, scheme_for
+from repro.core.signatures import SignatureScheme, resolve_scheme
 from repro.core.vectorized import signatures_for_scheme
 from repro.distance.base import validate_threshold
 from repro.obs.stats import NULL_COLLECTOR
 from repro.distance.bitparallel import osa_bitparallel_batch
 from repro.distance.codec import encode_raw
+from repro.distance.levenshtein import bounded_levenshtein
 from repro.distance.myers import MAX_PATTERN, myers_batch
 from repro.distance.vectorized import osa_within_k_pairs
 
@@ -86,12 +87,7 @@ class FBFIndex:
             raise ValueError(
                 f"verifier must be one of {self.VERIFIERS}, got {verifier!r}"
             )
-        if isinstance(scheme, str):
-            scheme = scheme_for(scheme)
-        if scheme is None:
-            kind = detect_kind(strings) if len(strings) else "alnum"
-            scheme = scheme_for(kind)
-        self.scheme = scheme
+        self.scheme = resolve_scheme(scheme, strings)
         self.verifier = verifier
         self._strings: list[str] = []
         self._buckets: dict[int, _Bucket] = defaultdict(
@@ -153,11 +149,8 @@ class FBFIndex:
     def strings(self) -> list[str]:
         """The indexed strings, id-ordered.
 
-        This is the live internal list, not a copy — a
-        :class:`~repro.parallel.prepared.PreparedSide` built with
-        :meth:`~repro.parallel.prepared.PreparedSide.over_index` holds
-        it, so rows added here reach the prepared side on its next use.
-        Do not mutate it; use :meth:`add` / :meth:`extend`.
+        This is the live internal list, not a copy.  Do not mutate it;
+        use :meth:`add` / :meth:`extend`.
         """
         return self._strings
 
@@ -345,7 +338,12 @@ class FBFIndex:
         real_len = len(self._strings[int(bucket.ids[0])])
         lengths = np.full(len(bucket.ids), real_len, dtype=np.int64)
         fits_word = 0 < len(query) <= MAX_PATTERN
-        if verifier == "myers" and fits_word:
+        if verifier == "myers" and not fits_word:  # past one word: banded
+            return np.array([
+                bounded_levenshtein(query, self._strings[i], k) is not None
+                for i in bucket.ids[cand].tolist()
+            ], dtype=bool)
+        if verifier == "myers":
             dists = myers_batch(query, bucket.codes[cand], lengths[cand])
             return dists <= k
         if verifier == "osa-bitparallel" and fits_word:
@@ -360,59 +358,3 @@ class FBFIndex:
     def search_strings(self, query: str, k: int = 1) -> list[str]:
         """Like :meth:`search` but returning the matched strings."""
         return [self._strings[sid] for sid in self.search(query, k)]
-
-    # -- packed-state export / import --------------------------------------
-
-    def packed_buckets(self):
-        """Yield every bucket's packed state: ``(length, ids, sigs, codes)``.
-
-        Packs pending adds first, so the yielded arrays cover the whole
-        index.  The arrays are the live internals (not copies) — callers
-        persisting them (the serve layer's snapshots) must not mutate
-        them.  Empty buckets are skipped.
-        """
-        self.pack()
-        for length in sorted(self._buckets):
-            bucket = self._buckets[length]
-            if len(bucket.ids):
-                yield length, bucket.ids, bucket.sigs, bucket.codes
-
-    @classmethod
-    def from_packed(
-        cls,
-        strings: Sequence[str],
-        buckets,
-        *,
-        scheme: SignatureScheme | str,
-        verifier: str = "osa",
-    ) -> "FBFIndex":
-        """Rebuild an index from previously packed state without
-        recomputing signatures or codes — the warm-start path behind
-        :mod:`repro.serve` snapshots.
-
-        ``buckets`` is an iterable of ``(length, ids, sigs, codes)``
-        tuples as produced by :meth:`packed_buckets`; every string id
-        must appear in exactly one bucket.
-        """
-        index = cls((), scheme=scheme, verifier=verifier)
-        index._strings = list(strings)
-        covered = 0
-        for length, ids, sigs, codes in buckets:
-            bucket = index._buckets[int(length)]
-            bucket.ids = np.asarray(ids, dtype=np.int64)
-            bucket.sigs = np.asarray(sigs, dtype=np.uint32)
-            bucket.codes = np.asarray(codes, dtype=np.uint8)
-            if bucket.sigs.shape != (len(bucket.ids), index.scheme.width):
-                raise ValueError(
-                    f"bucket {length}: signature matrix shape "
-                    f"{bucket.sigs.shape} does not fit {len(bucket.ids)} "
-                    f"ids under scheme {index.scheme.name!r}"
-                )
-            covered += len(bucket.ids)
-        if covered != len(index._strings):
-            raise ValueError(
-                f"packed buckets cover {covered} ids for "
-                f"{len(index._strings)} strings"
-            )
-        index._generation = len(index._strings)
-        return index

@@ -234,6 +234,30 @@ class SegmentIndex:
         index.hashes, index.ids, index.table = hashes, ids, table
         return index
 
+    def check(self, n: int) -> None:
+        """Raise ``ValueError`` unless every probe stays inside the
+        arrays of an index over ``n`` strings: ``ids`` as long as
+        ``hashes`` and naming rows ``0..n-1``, ``table`` rows strictly
+        sorted by ``(length >= 0, 0 <= segment <= k)`` with ``0 <= lo
+        <= hi <= len(hashes)``.  The compiled probe trusts all of it, so
+        arrays from outside the program (a snapshot) must pass first."""
+        table, size = self.table, len(self.hashes)
+        ok = len(self.ids) == size and table.ndim == 2 and table.shape[1] == 4
+        if ok and len(table):
+            length, seg, lo, hi = table.T
+            dl, ds = np.diff(length), np.diff(seg)
+            ok = bool(
+                length.min() >= 0 and seg.min() >= 0 and seg.max() <= self.k
+                and ((dl > 0) | ((dl == 0) & (ds > 0))).all()
+                and lo.min() >= 0 and (lo <= hi).all() and hi.max() <= size
+            )
+        if ok and size:
+            ok = bool(self.ids.min() >= 0 and self.ids.max() < n)
+        if not ok:
+            raise ValueError(
+                f"invalid PASS-JOIN arrays for k={self.k} over {n} strings"
+            )
+
     # -- probing -------------------------------------------------------------
 
     def _window_hashes(
@@ -351,6 +375,23 @@ class PassJoinIndex(SegmentIndex):
         super().__init__(k)
         self.strings: list[str] = []
         self.extend(strings)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        strings: Sequence[str],
+        k: int,
+        hashes: np.ndarray,
+        ids: np.ndarray,
+        table: np.ndarray,
+    ) -> "PassJoinIndex":
+        """The index over ``strings`` from the flat arrays a build over
+        them laid out, hashing nothing (:meth:`check` arrays from
+        outside the program); it extends like a built one."""
+        index = cls((), k=k)
+        index.strings = list(strings)
+        index.hashes, index.ids, index.table = hashes, ids, table
+        return index
 
     def __len__(self) -> int:
         return len(self.strings)

@@ -294,6 +294,17 @@ def scheme_from_name(name: str) -> SignatureScheme:
     raise ValueError(f"not a stock scheme name: {name!r}")
 
 
+def resolve_scheme(
+    scheme: SignatureScheme | str | None, strings: Iterable[str] = ()
+) -> SignatureScheme:
+    """``scheme`` itself, the stock scheme of a kind string, or (for
+    ``None``) the stock scheme of the kind :func:`detect_kind` sees in
+    ``strings``."""
+    if scheme is None:
+        scheme = detect_kind(strings)
+    return scheme_for(scheme) if isinstance(scheme, str) else scheme
+
+
 def detect_kind(strings: Iterable[str], sample: int = 256) -> str:
     """Guess the signature kind for a dataset by inspecting a sample.
 

@@ -26,7 +26,8 @@ to the data, not to one call, so they live here, once:
 it accepts a string list, and :class:`~repro.parallel.chunked.
 VectorEngine` runs over prepared sides.  :func:`repro.stream.
 join_stream` prepares its roster once for every chunk, and
-:class:`repro.serve.MatchService` keeps one prepared side per roster.
+:class:`repro.serve.MutableIndex` is one prepared side with stable
+ids and tombstones around it (a snapshot stores its arrays).
 Pair-scoped state — the other side's soundex ids (looked up in this
 side's table) and self-join value identities — stays with the pair:
 the engine's own :class:`Side` views, or the pair's publication.
@@ -39,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.signatures import SignatureScheme, scheme_for
+from repro.core.signatures import SignatureScheme, resolve_scheme
 from repro.core.vectorized import value_identity_codes
 from repro.distance.codec import encode_raw
 from repro.distance.soundex import soundex
@@ -51,16 +52,15 @@ __all__ = ["PreparedSide", "SharedPair", "shared_scheme"]
 class PreparedSide:
     """One dataset side, prepared once and reused by every consumer.
 
-    ``strings`` is held, not copied: append rows to it (or to the
-    :class:`~repro.core.index.FBFIndex` it came from, see
-    :meth:`over_index`) and every accessor brings its part up to date on
-    the next call.  Engines and planners built over the side see the
-    rows present when they were built.
+    ``strings`` is held, not copied: append rows to it and every
+    accessor brings its part up to date on the next call.  Engines and
+    planners built over the side see the rows present when they were
+    built.
     """
 
     def __init__(self, strings: list[str], scheme: SignatureScheme | str):
         self.strings = strings
-        self.scheme = scheme_for(scheme) if isinstance(scheme, str) else scheme
+        self.scheme = resolve_scheme(scheme)
         #: the encoded arrays, covering ``encoded.n`` rows (``None``
         #: until the first :meth:`side`)
         self.encoded: Side | None = None
@@ -74,14 +74,6 @@ class PreparedSide:
         self._pub = None
         #: refs of the current publication (``None`` until :meth:`publish`)
         self.published = None
-
-    @classmethod
-    def over_index(cls, index) -> "PreparedSide":
-        """The side over ``index``'s live string list, with ``index``
-        adopted as its fbf-index (the serve layer's roster)."""
-        prep = cls(index.strings, index.scheme)
-        prep._fbf = index
-        return prep
 
     def __len__(self) -> int:
         return len(self.strings)

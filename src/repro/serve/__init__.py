@@ -5,20 +5,21 @@ answers "keep a population resident and answer approximate-match
 queries as they arrive".  The pieces:
 
 * :class:`~repro.serve.mutable.MutableIndex` — add/remove with stable
-  ids over the append-only :class:`~repro.core.index.FBFIndex`
-  (tombstones + threshold-triggered compaction);
+  ids over the one :class:`~repro.parallel.prepared.PreparedSide` every
+  batch probes (tombstones + threshold-triggered compaction);
 * :class:`~repro.serve.shard.ShardedIndex` — the same contract split
   across length-partitioned shards (one global id space, exact
   scatter/gather routing, per-shard compaction and handoff blobs);
 * :class:`~repro.serve.service.MatchService` — the facade: cache-aware
-  :meth:`query` / micro-batching :meth:`query_batch` (one PASS-JOIN
-  planner run per roster, on the backend the planner picks), mutation
+  micro-batching :meth:`query_batch` (one PASS-JOIN planner run per
+  roster, on the backend the planner picks, for every method) and
+  :meth:`query`, a batch of one; mutation
   counters and latency spans; ``shards > 1`` serves through
   scatter/gather, one planner run per routed shard, and ``workers > 1``
   lets the planner send large batches to the shared-memory pool;
-* :mod:`~repro.serve.snapshot` — one-file persistence so a restarted
-  service skips the O(n) rebuild (sharded snapshots are containers of
-  per-shard handoff blobs);
+* :mod:`~repro.serve.snapshot` — one-file persistence of the prepared
+  roster, so a restarted service skips the O(n) rebuild (sharded
+  snapshots are containers of per-shard handoff blobs);
 * :mod:`~repro.serve.server` — the JSON-lines protocol behind
   ``repro-fbf serve``;
 * :mod:`~repro.serve.aserver` — the asyncio front-end: cross-client

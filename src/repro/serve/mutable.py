@@ -1,23 +1,20 @@
-"""A long-lived, mutable view over the FBF signature index.
+"""A long-lived, mutable roster: stable ids and tombstones over one
+prepared side.
 
-:class:`repro.core.index.FBFIndex` is append-only: ids are insertion
-positions and nothing ever leaves the packed arrays.  That is the right
-shape for a batch join, but an online service must also *forget* —
-clients move away, records get merged, bad loads get rolled back.
-:class:`MutableIndex` adds removal without giving up the index's packed
-vectorized search path:
+An online service must *forget* as well as learn — clients move away,
+records get merged, bad loads get rolled back.  :class:`MutableIndex`
+keeps the roster as one :class:`~repro.parallel.prepared.PreparedSide`,
+the structure every batch probes, and adds removal around it:
 
 * **stable handles** — every added string gets a monotonically
-  increasing external id that survives compaction (the wrapped index's
-  positional ids are an internal detail);
-* **tombstones** — :meth:`remove` only marks the internal row dead;
-  searches filter tombstoned rows out of the wrapped index's answers,
-  so removal is O(1);
+  increasing external id that survives compaction (row positions are an
+  internal detail);
+* **tombstones** — :meth:`remove` only marks the row dead; answers drop
+  tombstoned rows after verification, so removal is O(1);
 * **threshold-triggered compaction** — once the dead fraction passes
-  ``compact_ratio`` the wrapped index is rebuilt from the live strings,
-  restoring the no-wasted-work guarantee.  Compaction bumps
-  :attr:`generation` like any other mutation, so anything cached
-  against the index invalidates.
+  ``compact_ratio`` the live rows move to a new prepared side.
+  Compaction bumps :attr:`generation` like any other mutation, so
+  anything cached against the index invalidates.
 
 The correctness contract — property-tested by the stateful suite in
 ``tests/serve/test_mutable_equivalence.py`` — is *rebuild equivalence*:
@@ -33,22 +30,81 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core.index import FBFIndex
-from repro.core.signatures import SignatureScheme
+from repro.core.signatures import SignatureScheme, resolve_scheme
 from repro.obs.events import NULL_EVENTS
 from repro.obs.metrics import NULL_METRICS
+from repro.parallel.prepared import PreparedSide
 
 __all__ = ["MutableIndex"]
 
 
-class MutableIndex:
-    """An FBF index supporting add/extend/remove with stable ids.
+class Roster:
+    """The index gauges and the views :class:`MutableIndex` and
+    :class:`~repro.serve.shard.ShardedIndex` share."""
+
+    def _reset_telemetry(self) -> None:
+        """Detach instrumentation."""
+        self._metrics = NULL_METRICS
+        self._events = NULL_EVENTS
+        self._gauges = self._c_compactions = None
+
+    def instrument(self, metrics, events=None) -> None:
+        """Report live-state gauges and lifecycle events into a
+        :class:`~repro.obs.metrics.MetricsRegistry` (and optionally an
+        :class:`~repro.obs.events.EventLog`).
+
+        Gauges — ``index_size`` (live entries), ``index_rows`` (rows
+        incl. tombstones), ``index_tombstone_ratio`` and
+        ``index_generation`` — are refreshed after every mutation;
+        compactions bump ``index_compactions_total`` and emit a
+        ``compaction`` event.  Idempotent; call again to re-point at a
+        different registry.
+        """
+        self._metrics = m = metrics if metrics else NULL_METRICS
+        self._events = events if events else NULL_EVENTS
+        self._gauges = (
+            m.gauge("index_size", "live (non-tombstoned) entries"),
+            m.gauge("index_rows", "packed index rows including tombstones"),
+            m.gauge("index_tombstone_ratio", "dead fraction of packed rows"),
+            m.gauge("index_generation", "mutation counter (caches key on it)"),
+        )
+        self._c_compactions = m.counter(
+            "index_compactions_total",
+            "compactions performed (auto + explicit)",
+        )
+        self._refresh_gauges()
+
+    def _refresh_gauges(self) -> None:
+        if self._gauges is None:
+            return
+        values = (len(self), self.rows, self.tombstone_ratio, self.generation)
+        for gauge, value in zip(self._gauges, values):
+            gauge.set(value)
+
+    @property
+    def tombstone_ratio(self) -> float:
+        """Dead fraction of the rows."""
+        total = self.rows
+        return self.tombstones / total if total else 0.0
+
+    def search_strings(self, query: str, k: int = 1) -> list[str]:
+        """Like :meth:`search` but returning the matched strings."""
+        return [self.get(sid) for sid in self.search(query, k)]
+
+    def extend(self, strings: Sequence[str]) -> list[int]:
+        """Index a batch; returns the assigned external ids."""
+        return [self.add(s) for s in strings]
+
+
+class MutableIndex(Roster):
+    """A prepared roster supporting add/extend/remove with stable ids.
 
     Parameters
     ----------
     strings:
         Initial contents; they receive ids ``0..n-1``.
     scheme, verifier:
-        Passed through to the wrapped :class:`FBFIndex`.
+        As for :class:`FBFIndex`; ``verifier`` is the default method.
     compact_ratio:
         Tombstone fraction above which a mutation triggers an automatic
         :meth:`compact` (``None`` disables auto-compaction; explicit
@@ -67,8 +123,16 @@ class MutableIndex:
             raise ValueError(
                 f"compact_ratio must be in (0, 1], got {compact_ratio}"
             )
-        self._fbf = FBFIndex(strings, scheme=scheme, verifier=verifier)
-        n = len(self._fbf)
+        if verifier not in FBFIndex.VERIFIERS:
+            raise ValueError(
+                f"verifier must be one of {FBFIndex.VERIFIERS}, "
+                f"got {verifier!r}"
+            )
+        strings = list(strings)
+        self.verifier = verifier
+        #: the rows (tombstones included) and everything built over them
+        self.prepared = PreparedSide(strings, resolve_scheme(scheme, strings))
+        n = len(strings)
         self._set_rows(np.arange(n, dtype=np.int64))
         self._next_id = n
         self.compact_ratio = compact_ratio
@@ -82,7 +146,7 @@ class MutableIndex:
     def _set_rows(
         self, ext_ids: np.ndarray, dead: np.ndarray | None = None
     ) -> None:
-        """Install the bookkeeping for the wrapped index's rows:
+        """Install the bookkeeping for the prepared side's rows:
         ``ext_ids[i]`` is row ``i``'s external id and ``dead`` lists the
         tombstoned rows.  Used by construction, :meth:`compact` and
         ``snapshot.load_index``."""
@@ -101,71 +165,17 @@ class MutableIndex:
             zip(self._ext_ids[live].tolist(), live.tolist())
         )
 
-    # -- telemetry -----------------------------------------------------------
-
-    def _reset_telemetry(self) -> None:
-        """Detach instrumentation.  Also the initializer for instances
-        built around ``__init__`` (``snapshot.load_index``)."""
-        self._metrics = NULL_METRICS
-        self._events = NULL_EVENTS
-        self._g_size = self._g_rows = None
-        self._g_tombstone_ratio = self._g_generation = None
-        self._c_compactions = None
-
-    def instrument(self, metrics, events=None) -> None:
-        """Report live-state gauges and lifecycle events into a
-        :class:`~repro.obs.metrics.MetricsRegistry` (and optionally an
-        :class:`~repro.obs.events.EventLog`).
-
-        Gauges — ``index_size`` (live entries), ``index_rows`` (packed
-        rows incl. tombstones), ``index_tombstone_ratio`` and
-        ``index_generation`` — are refreshed after every mutation;
-        compactions bump ``index_compactions_total`` and emit a
-        ``compaction`` event.  Idempotent; call again to re-point at a
-        different registry.
-        """
-        self._metrics = metrics if metrics else NULL_METRICS
-        self._events = events if events else NULL_EVENTS
-        m = self._metrics
-        self._g_size = m.gauge("index_size", "live (non-tombstoned) entries")
-        self._g_rows = m.gauge(
-            "index_rows", "packed index rows including tombstones"
-        )
-        self._g_tombstone_ratio = m.gauge(
-            "index_tombstone_ratio", "dead fraction of packed rows"
-        )
-        self._g_generation = m.gauge(
-            "index_generation", "mutation counter (caches key on it)"
-        )
-        self._c_compactions = m.counter(
-            "index_compactions_total", "compactions performed (auto + explicit)"
-        )
-        self._refresh_gauges()
-
-    def _refresh_gauges(self) -> None:
-        if self._g_size is None:
-            return
-        self._g_size.set(len(self._live))
-        self._g_rows.set(len(self._fbf))
-        self._g_tombstone_ratio.set(self.tombstone_ratio)
-        self._g_generation.set(self.generation)
-
     # -- introspection ------------------------------------------------------
 
     @property
     def scheme(self) -> SignatureScheme:
-        return self._fbf.scheme
+        return self.prepared.scheme
 
     @property
-    def verifier(self) -> str:
-        return self._fbf.verifier
-
-    @property
-    def index(self) -> FBFIndex:
-        """The wrapped (append-only) index — read-only: it still holds
-        tombstoned rows, and its ids are internal positions, not the
-        stable external ids this class hands out."""
-        return self._fbf
+    def strings(self) -> list[str]:
+        """The row strings, tombstoned rows included, in row order (the
+        prepared side's live list: read it, do not mutate it)."""
+        return self.prepared.strings
 
     @property
     def tombstones(self) -> int:
@@ -174,14 +184,8 @@ class MutableIndex:
 
     @property
     def rows(self) -> int:
-        """Packed index rows, tombstones included (what a sweep scans)."""
-        return len(self._fbf)
-
-    @property
-    def tombstone_ratio(self) -> float:
-        """Dead fraction of the wrapped index's rows."""
-        total = len(self._fbf)
-        return self._n_dead / total if total else 0.0
+        """Rows, tombstones included (what a batch probes)."""
+        return len(self.prepared)
 
     def __len__(self) -> int:
         return len(self._live)
@@ -191,12 +195,12 @@ class MutableIndex:
 
     def get(self, sid: int) -> str:
         """The live string behind an external id (KeyError if removed)."""
-        return self._fbf[self._live[sid]]
+        return self.strings[self._live[sid]]
 
     def items(self) -> Iterator[tuple[int, str]]:
         """Live ``(id, string)`` pairs in id order."""
         for sid in sorted(self._live):
-            yield sid, self._fbf[self._live[sid]]
+            yield sid, self.strings[self._live[sid]]
 
     # -- mutation -----------------------------------------------------------
 
@@ -216,7 +220,8 @@ class MutableIndex:
                 f"explicit id {sid} is not above the high-water mark "
                 f"{self._next_id - 1}"
             )
-        internal = self._fbf.add(s)
+        internal = self.rows
+        self.strings.append(s)
         if internal == len(self._ext_ids):
             spare = max(16, internal)
             self._ext_ids = np.concatenate(
@@ -231,10 +236,6 @@ class MutableIndex:
         self.generation += 1
         self._refresh_gauges()
         return sid
-
-    def extend(self, strings: Sequence[str]) -> list[int]:
-        """Index a batch; returns the assigned external ids."""
-        return [self.add(s) for s in strings]
 
     def remove(self, sid: int) -> None:
         """Tombstone one entry by external id.
@@ -257,17 +258,18 @@ class MutableIndex:
             self.compact()
 
     def compact(self) -> int:
-        """Rebuild the wrapped index from the live entries.
+        """Move the live entries to a new row list and prepared side.
 
         Returns the number of tombstoned rows reclaimed.  External ids
         are preserved; internal positions are reassigned in id order.
+        The old side's shared-memory publication is closed: no batch is
+        in flight between calls.
         """
         reclaimed = self._n_dead
         live = sorted(self._live)
-        strings = [self._fbf[self._live[sid]] for sid in live]
-        self._fbf = FBFIndex(
-            strings, scheme=self._fbf.scheme, verifier=self._fbf.verifier
-        )
+        strings = [self.strings[self._live[sid]] for sid in live]
+        old, self.prepared = self.prepared, PreparedSide(strings, self.scheme)
+        old.close()
         self._set_rows(np.asarray(live, dtype=np.int64))
         self.compactions += 1
         self.generation += 1
@@ -277,7 +279,7 @@ class MutableIndex:
         self._events.emit(
             "compaction",
             reclaimed=reclaimed,
-            rows=len(self._fbf),
+            rows=self.rows,
             generation=self.generation,
         )
         return reclaimed
@@ -285,27 +287,20 @@ class MutableIndex:
     # -- search -------------------------------------------------------------
 
     def search(
-        self,
-        query: str,
-        k: int = 1,
-        *,
-        collector=None,
-        verifier: str | None = None,
+        self, query: str, k: int = 1, *, verifier: str | None = None
     ) -> list[int]:
         """External ids of live entries within ``k`` edits of ``query``.
 
-        Same metric contract as :meth:`FBFIndex.search`; tombstoned
-        entries never appear.  Funnel counters (when a collector is
-        passed) describe the wrapped index's physical work, which
-        includes scanning not-yet-compacted tombstoned rows.
+        The scalar reference for the batch path: the FBF signature index
+        over the rows (built on the first call) answers, with the same
+        metric contract as :meth:`FBFIndex.search` (``verifier``
+        defaults to :attr:`verifier`), then tombstoned rows drop out.
         """
-        raw = self._fbf.search(query, k, collector=collector, verifier=verifier)
+        raw = self.prepared.fbf_index().search(
+            query, k, verifier=self.verifier if verifier is None else verifier
+        )
         rows = np.asarray(raw, dtype=np.int64)
         return self.external_ids(rows[self.live_mask(rows)]).tolist()
-
-    def search_strings(self, query: str, k: int = 1) -> list[str]:
-        """Like :meth:`search` but returning the matched strings."""
-        return [self._fbf[self._live[sid]] for sid in self.search(query, k)]
 
     # -- vectorized-path helpers (used by MatchService) ---------------------
 

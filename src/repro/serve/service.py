@@ -3,27 +3,30 @@
 :class:`MatchService` ties the serve layer together: a
 :class:`~repro.serve.mutable.MutableIndex` for storage, a
 generation-keyed :class:`~repro.serve.cache.ResultCache` in front of
-it, and a micro-batching query path that answers :meth:`query_batch`
-with one :class:`~repro.core.plan.JoinPlanner` run of the batch against
+it, and one query path: :meth:`query` is a batch of one, and every
+uncached batch is one :class:`~repro.core.plan.JoinPlanner` run against
 the roster instead of per-query scalar DP.
 
 Batching matters for the same reason the join layer is vectorized: one
 query against an FBF index spends most of its time in Python dispatch
 (signature, bucket walk, small DP calls), while a batch amortises that
 into one compiled pass (or a handful of NumPy sweeps) over packed
-arrays.  Every uncached batch takes one path: a PASS-JOIN planner run
-per roster (the single index, or each routed shard), on the backend
-the planner's cost model picks.  Its matches stay arrays up to the API
+arrays.  Every uncached batch takes one path, whatever its method: a
+PASS-JOIN planner run of the OSA stack per roster (the single index, or
+each routed shard), on the backend the planner's cost model picks.
+Levenshtein (``"myers"``) is never below OSA, so its matches are the
+OSA matches it puts within ``k``.  Its matches stay arrays up to the API
 edge: the pass emits (batch position, roster row) as two ``int64``
 arrays, and the fold drops tombstones, maps rows to ids and strings,
 sorts once and cuts per-query runs in bulk, so the only per-query
 Python left is building each :class:`QueryResult`.  The roster's side
 of the join (codes, signatures, the PASS-JOIN index, the shared-memory
-publication a hybrid run makes) depends only on its rows, so it is one
-:class:`~repro.parallel.prepared.PreparedSide` per wrapped index,
-shared by every batch.  Writes do not rebuild it: a remove only
-tombstones a row (filtered after verification), and an add appends a
-row, which the prepared side folds in on the next batch.
+publication a hybrid run makes) depends only on its rows, so it is the
+:class:`~repro.serve.mutable.MutableIndex`'s one
+:class:`~repro.parallel.prepared.PreparedSide`, shared by every batch.
+Writes do not rebuild it: a remove only tombstones a row (filtered
+after verification), and an add appends a row, which the prepared side
+folds in on the next batch.
 
 Observability plugs into the same :class:`~repro.obs.stats
 .StatsCollector` funnel the batch joins use: every query is a
@@ -49,6 +52,7 @@ from repro.core.index import FBFIndex
 from repro.core.join import match_rows
 from repro.core.plan import JoinPlanner
 from repro.core.signatures import SignatureScheme
+from repro.distance.levenshtein import bounded_levenshtein
 from repro.obs.events import NULL_EVENTS, EventLog
 from repro.obs.metrics import (
     DEFAULT_SIZE_BUCKETS,
@@ -63,11 +67,6 @@ from repro.serve.shard import ShardedIndex
 from repro.serve.snapshot import load_index, save_index
 
 __all__ = ["MatchService", "QueryResult"]
-
-#: verifiers sharing the OSA metric with the vectorized FPDL stack;
-#: only these may take the batched path (``"myers"`` is Levenshtein —
-#: a different metric — so it always verifies per query).
-OSA_METRIC = ("osa", "osa-bitparallel")
 
 @dataclass(frozen=True)
 class QueryResult:
@@ -89,7 +88,7 @@ class QueryResult:
 
 
 class MatchService:
-    """Online approximate-match serving over a mutable FBF index.
+    """Online approximate-match serving over a mutable roster.
 
     Parameters
     ----------
@@ -98,8 +97,9 @@ class MatchService:
     k:
         Default edit-distance threshold for queries.
     scheme, verifier:
-        Index configuration (see :class:`~repro.core.index.FBFIndex`);
-        ``verifier`` is also the default query method.
+        Roster configuration (see
+        :class:`~repro.serve.mutable.MutableIndex`); ``verifier`` is the
+        default query method.
     cache_size:
         Result-cache bound (``0`` disables caching).
     compact_ratio:
@@ -121,7 +121,7 @@ class MatchService:
         ``/metrics`` listener (:mod:`repro.serve.httpd`).
     workers:
         The worker count handed to the join planner.  Every uncached
-        batch of OSA queries is one
+        batch is one
         :class:`~repro.core.plan.JoinPlanner` run per roster with the
         PASS-JOIN generator, and the planner alone picks the backend
         from the batch's product: the scalar loop for the smallest
@@ -198,8 +198,6 @@ class MatchService:
         self._cache = ResultCache(cache_size)
         self._obs = collector if collector else NULL_COLLECTOR
         self._workers = workers
-        #: "base" or shard id -> the prepared side over that roster's rows
-        self._rosters: dict[object, PreparedSide] = {}
         self._init_telemetry(metrics)
 
     @property
@@ -380,12 +378,11 @@ class MatchService:
     def query(
         self, value: str, k: int | None = None, method: str | None = None
     ) -> QueryResult:
-        """Answer one query (cache-aware, scalar index search)."""
+        """Answer one query: a batch of one (cache-aware)."""
         k, method = self._resolve(k, method)
         t0 = perf_counter_ns()
         with self._obs.span("serve.query"):
-            hits, _pending = self._lookup((value,), k, method)
-            result = hits.get(value) or self._answer_scalar(value, k, method)
+            result = self._answer((value,), k, method)[0]
         self._c_queries.inc()
         self._h_query.observe((perf_counter_ns() - t0) / 1e9)
         return result
@@ -399,29 +396,30 @@ class MatchService:
         """Answer a batch of queries, one result per input (in order).
 
         Duplicate values are answered once; cached values skip the
-        index entirely.  The remaining *pending* values go through the
-        vectorized candidate/verify path when ``method`` shares the
-        FPDL stack's OSA metric, and fall back to per-query scalar
-        search otherwise (``"myers"`` is a different metric).
+        index entirely.  The remaining *pending* values are answered by
+        one planner run per roster, whatever the method.
         """
         k, method = self._resolve(k, method)
         t0 = perf_counter_ns()
         with self._obs.span("serve.query_batch"):
-            answered, pending = self._lookup(values, k, method)
-            if pending:
-                self._g_queue_depth.set(len(pending))
-                if method in OSA_METRIC and self._index.rows:
-                    fresh = self._answer_batched(pending, k, method)
-                else:
-                    fresh = [
-                        self._answer_scalar(value, k, method)
-                        for value in pending
-                    ]
-                answered.update(zip(pending, fresh))
-                self._g_queue_depth.set(0)
+            results = self._answer(values, k, method)
         self._c_queries.inc(len(values))
         self._h_batch_size.observe(len(values))
         self._h_batch.observe((perf_counter_ns() - t0) / 1e9)
+        return results
+
+    def _answer(
+        self, values: Sequence[str], k: int, method: str
+    ) -> list[QueryResult]:
+        """One result per value: cache hits, then one batched answer of
+        the pending rest."""
+        answered, pending = self._lookup(values, k, method)
+        if pending:
+            self._g_queue_depth.set(len(pending))
+            answered.update(
+                zip(pending, self._answer_batched(pending, k, method))
+            )
+            self._g_queue_depth.set(0)
         return [answered[v] for v in values]
 
     def _resolve(
@@ -464,39 +462,14 @@ class MatchService:
             self._c_cache_misses.inc(len(pending))
         return answered, pending
 
-    def _answer_scalar(self, value: str, k: int, method: str) -> QueryResult:
-        ids = self._index.search(
-            value, k, collector=self._obs if self._obs else None,
-            verifier=method,
-        )
-        result = QueryResult(
-            value, method, k, tuple(ids), tuple(map(self._index.get, ids)),
-            False, self._index.generation,
-        )
-        self._cache.put((value, method, k, result.generation), result)
-        return result
-
     # -- prepared rosters -----------------------------------------------------
 
     def _roster(self, key: object, mutable, k: int) -> PreparedSide:
-        """``mutable``'s prepared roster (``key`` is ``"base"`` or a shard
-        id), brought up to date for one batch.
-
-        The :class:`PreparedSide` wraps the live ``FBFIndex.strings``
-        list with that index adopted as its fbf-index, and is kept
-        across writes: an add appends a row, which this call folds in
-        (the arrays and the PASS-JOIN index are extended), and a remove
-        only tombstones a row, which ``live_mask`` drops after
-        verification.  Compaction, snapshot load and shard adoption
-        build a new index, and with it a new prepared side; the
-        replaced one's shared segments are unlinked here, since no
-        batch is in flight between calls.
-        """
-        prep = self._rosters.get(key)
-        if prep is None or prep.strings is not mutable.index.strings:
-            if prep is not None:
-                prep.close()
-            prep = self._rosters[key] = PreparedSide.over_index(mutable.index)
+        """``mutable``'s prepared side (``key`` is ``"base"`` or a shard
+        id), brought up to date for one batch: rows added since the last
+        one are folded in (the arrays and the PASS-JOIN index extended),
+        and what a new side lacks (after compaction) is built."""
+        prep = mutable.prepared
         obs = self._obs
         pj = prep.passjoin.get(k)
         if pj is None or len(pj) < len(prep):
@@ -532,22 +505,13 @@ class MatchService:
     def _answer_batched(
         self, pending: list[str], k: int, method: str
     ) -> list[QueryResult]:
-        """Answer a batch of uncached queries: one planner run against
-        the roster, or per routed shard, folded into one result per
-        pending value."""
-        if not self.sharded:
-            ii, jj = self._run_planned("base", self._index, pending, k)
-            return self._fold(pending, k, method, [(ii, jj, self._index)])
+        """Answer a batch of uncached queries: one planner run per
+        roster the batch visits, folded into one result per pending
+        value."""
         parts = []
-        for si, (vals, idxs) in sorted(self._shard_plan(pending, k).items()):
-            self.metrics.counter(
-                "shard_queries_total",
-                "queries routed to this shard",
-                labels={"shard": str(si)},
-            ).inc(len(vals))
-            shard = self._index.shards[si]
-            ii, jj = self._run_planned(si, shard, vals, k)
-            parts.append((np.asarray(idxs)[ii], jj, shard))
+        for key, mutable, vals, idxs in self._routes(pending, k):
+            ii, jj = self._run_planned(key, mutable, vals, k)
+            parts.append((idxs[ii], jj, mutable))
         return self._fold(pending, k, method, parts)
 
     def _fold(
@@ -557,9 +521,10 @@ class MatchService:
         method: str,
         parts: list[tuple[np.ndarray, np.ndarray, MutableIndex]],
     ) -> list[QueryResult]:
-        """One cached result per pending value from the batch's matches:
-        per roster, ``(batch position, internal row)`` arrays and the
-        index holding the rows.  Tombstoned rows drop out, rows become
+        """One cached result per pending value from the batch's OSA
+        matches: per roster, ``(batch position, internal row)`` arrays and
+        the index holding the rows.  Tombstoned rows drop out (and, for
+        ``"myers"``, pairs beyond ``k`` Levenshtein edits), rows become
         external ids (global even for shards) and strings, one
         ``lexsort`` orders the matches by (position, id) and
         ``searchsorted`` cuts them into per-query runs."""
@@ -567,9 +532,18 @@ class MatchService:
         for pos, rows, mutable in parts:
             keep = mutable.live_mask(rows)
             pos, rows = pos[keep], rows[keep]
+            matched = list(map(mutable.strings.__getitem__, rows.tolist()))
+            if method == "myers":  # the OSA matches within k for Levenshtein
+                keep = np.array([
+                    bounded_levenshtein(pending[p], s, k) is not None
+                    for p, s in zip(pos.tolist(), matched)
+                ], dtype=bool)
+                self._obs.add_matched(int(keep.sum()) - len(keep))
+                pos, rows = pos[keep], rows[keep]
+                matched = [s for s, ok in zip(matched, keep) if ok]
             pos_parts.append(pos)
             id_parts.append(mutable.external_ids(rows))
-            strings += map(mutable.index.strings.__getitem__, rows.tolist())
+            strings += matched
         pos, ids = match_rows(pos_parts, id_parts)
         order = np.lexsort((ids, pos))
         bounds = np.searchsorted(
@@ -598,12 +572,12 @@ class MatchService:
         against ``mutable``'s prepared roster; returns the (query row,
         roster row) matches as two ``int64`` arrays.
 
-        PASS-JOIN is exact for the OSA verifiers the batched path runs.
-        The planner picks the backend (see ``workers``); a hybrid run
-        publishes the roster, or renews its publication after growth,
-        which this call reports as a ``roster_publish`` event.  The
-        planner credits the generator stage with the pairs it skipped,
-        so the funnel stays conserved.
+        PASS-JOIN is exact for the OSA stack this runs.  The planner
+        picks the backend (see ``workers``); a hybrid run publishes the
+        roster, or renews its publication after growth, which this call
+        reports as a ``roster_publish`` event.  The planner credits the
+        generator stage with the pairs it skipped, so the funnel stays
+        conserved.
         """
         prep = self._roster(key, mutable, k)
         publication = prep.publication
@@ -635,23 +609,32 @@ class MatchService:
 
     # -- the sharded scatter/gather path ------------------------------------
 
-    def _shard_plan(
-        self, pending: list[str], k: int
-    ) -> dict[int, tuple[list[str], list[int]]]:
-        """Scatter plan: shard -> (routed query values, their positions
-        in ``pending``).  Routing is the PASS-JOIN length window, so a
-        query visits at most ``min(2k+1, n_shards)`` shards; empty
-        shards are skipped (no rows, no work, no funnel credit)."""
-        plan: dict[int, tuple[list[str], list[int]]] = {}
+    def _routes(self, pending: list[str], k: int):
+        """Yield ``(key, roster, values, their positions in pending)``
+        for each non-empty roster the batch visits: the single index
+        (key ``"base"``), or each shard (key: its id) the PASS-JOIN
+        length window routes a query to, at most ``min(2k+1,
+        n_shards)`` per query.  An empty roster gets no work and no
+        funnel credit."""
         index = self._index
+        if not self.sharded:
+            if index.rows:
+                yield "base", index, pending, np.arange(len(pending))
+            return
+        plan: dict[int, tuple[list[str], list[int]]] = {}
         for qi, value in enumerate(pending):
             for si in index.route(len(value), k):
-                if not len(index.shards[si].index):
-                    continue
-                vals, idxs = plan.setdefault(si, ([], []))
-                vals.append(value)
-                idxs.append(qi)
-        return plan
+                if index.shards[si].rows:
+                    vals, idxs = plan.setdefault(si, ([], []))
+                    vals.append(value)
+                    idxs.append(qi)
+        for si, (vals, idxs) in sorted(plan.items()):
+            self.metrics.counter(
+                "shard_queries_total",
+                "queries routed to this shard",
+                labels={"shard": str(si)},
+            ).inc(len(vals))
+            yield si, index.shards[si], vals, np.asarray(idxs)
 
     # -- stats and snapshots ------------------------------------------------
 
@@ -694,10 +677,18 @@ class MatchService:
         return out
 
     def save(self, path: str | Path) -> Path:
-        """Snapshot the index (plus service config) to one file."""
+        """Snapshot the index (plus service config) to one file, with
+        each roster's prepared arrays and PASS-JOIN index at :attr:`k`
+        (built first if a roster lacks them)."""
         with self._obs.span("serve.snapshot"):
+            index = self._index
+            rosters = (
+                enumerate(index.shards) if self.sharded else [("base", index)]
+            )
+            for key, mutable in rosters:
+                self._roster(key, mutable, self.k)
             saved = save_index(
-                self._index,
+                index,
                 path,
                 meta={
                     "k": self.k,
@@ -722,8 +713,9 @@ class MatchService:
         workers: int | None = None,
         metrics: MetricsRegistry | bool | None = None,
     ) -> "MatchService":
-        """Rebuild a warm service from a snapshot (no re-indexing), with
-        its saved ``k``.
+        """Rebuild a warm service from a snapshot, with its saved ``k``:
+        a version-2 file's first batch at that ``k`` encodes and indexes
+        nothing (a version-1 file's builds the roster's side).
 
         ``cache_size`` overrides the saved setting; the cache itself
         always starts empty.  Other meta keys (older snapshots carry a

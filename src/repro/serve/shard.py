@@ -1,7 +1,7 @@
 """Length-partitioned shards over :class:`MutableIndex`.
 
 One :class:`~repro.serve.mutable.MutableIndex` caps serving throughput
-at one process: every query sweeps one packed index, every compaction
+at one process: every batch probes one roster, every compaction
 stalls the whole roster.  :class:`ShardedIndex` splits the population
 across ``n_shards`` independent :class:`MutableIndex` shards while
 keeping the *single-index contract* — one monotone external-id space,
@@ -15,8 +15,8 @@ so a query of length ``L`` can only match strings whose length lies in
 ``[L-k, L+k]`` — which live in at most ``min(2k+1, n_shards)`` shards
 (:meth:`route`).  Partitioning is therefore *exact*: scatter to the
 routed shards, gather, and the union is the single-index answer.  It
-also composes with the index's internal length buckets — each shard
-holds every ``n_shards``-th bucket, so per-shard signature state stays
+also composes with the PASS-JOIN index's length buckets — each shard
+holds every ``n_shards``-th length, so per-shard state stays
 compact (the EmbedJoin-style compactness that makes snapshot handoff
 blobs cheap to ship).
 
@@ -31,8 +31,7 @@ live id to its shard for O(1) removal.
 a threshold compaction rebuilds *that shard's* rows, not the whole
 population — the stall is ``1/n_shards`` the size, and the service's
 scatter path keeps answering from the other shards' published state
-meanwhile (see the handoff protocol in
-:meth:`MatchService._roster <repro.serve.service.MatchService>`).
+meanwhile.
 
 **Handoff blobs.**  :meth:`export_shard` / :meth:`adopt_shard`
 round-trip one shard through the snapshot format in memory — the unit
@@ -43,10 +42,8 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from repro.core.signatures import SignatureScheme, detect_kind, scheme_for
-from repro.obs.events import NULL_EVENTS
-from repro.obs.metrics import NULL_METRICS
-from repro.serve.mutable import MutableIndex
+from repro.core.signatures import SignatureScheme, resolve_scheme
+from repro.serve.mutable import MutableIndex, Roster
 
 __all__ = ["ShardedIndex"]
 
@@ -66,7 +63,7 @@ class _ShardEvents:
         return self._log.emit(kind, **fields)
 
 
-class ShardedIndex:
+class ShardedIndex(Roster):
     """``n_shards`` length-partitioned :class:`MutableIndex` shards
     behind the single-index API.
 
@@ -97,11 +94,7 @@ class ShardedIndex:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         strings = list(strings)
-        if isinstance(scheme, str):
-            scheme = scheme_for(scheme)
-        if scheme is None:
-            kind = detect_kind(strings) if strings else "alnum"
-            scheme = scheme_for(kind)
+        scheme = resolve_scheme(scheme, strings)
         self.n_shards = int(n_shards)
         self._scheme = scheme
         self._verifier = verifier
@@ -124,11 +117,7 @@ class ShardedIndex:
     # -- telemetry -----------------------------------------------------------
 
     def _reset_telemetry(self) -> None:
-        self._metrics = NULL_METRICS
-        self._events = NULL_EVENTS
-        self._g_size = self._g_rows = None
-        self._g_tombstone_ratio = self._g_generation = None
-        self._c_compactions = None
+        super()._reset_telemetry()
         self._shard_gauges: list[tuple] = []
 
     def instrument(self, metrics, events=None) -> None:
@@ -140,22 +129,8 @@ class ShardedIndex:
         ``shard_generation``).  Shard compactions emit ``compaction``
         events carrying their shard id.
         """
-        self._metrics = metrics if metrics else NULL_METRICS
-        self._events = events if events else NULL_EVENTS
+        super().instrument(metrics, events)
         m = self._metrics
-        self._g_size = m.gauge("index_size", "live (non-tombstoned) entries")
-        self._g_rows = m.gauge(
-            "index_rows", "packed index rows including tombstones"
-        )
-        self._g_tombstone_ratio = m.gauge(
-            "index_tombstone_ratio", "dead fraction of packed rows"
-        )
-        self._g_generation = m.gauge(
-            "index_generation", "mutation counter (caches key on it)"
-        )
-        self._c_compactions = m.counter(
-            "index_compactions_total", "compactions performed (auto + explicit)"
-        )
         self._shard_gauges = []
         for si, shard in enumerate(self._shards):
             labels = {"shard": str(si)}
@@ -181,20 +156,15 @@ class ShardedIndex:
         self._refresh_gauges()
 
     def _refresh_gauges(self) -> None:
-        if self._g_size is None:
+        if self._gauges is None:
             return
-        self._g_size.set(len(self._locate))
-        self._g_rows.set(self.rows)
-        self._g_tombstone_ratio.set(self.tombstone_ratio)
-        self._g_generation.set(self.generation)
+        super()._refresh_gauges()
         self._c_compactions.set_total(self.compactions)
-        for (g_size, g_rows, g_tomb, g_gen), shard in zip(
-            self._shard_gauges, self._shards
-        ):
-            g_size.set(len(shard))
-            g_rows.set(len(shard.index))
-            g_tomb.set(shard.tombstones)
-            g_gen.set(shard.generation)
+        for gauges, s in zip(self._shard_gauges, self._shards):
+            for gauge, value in zip(
+                gauges, (len(s), s.rows, s.tombstones, s.generation)
+            ):
+                gauge.set(value)
 
     # -- introspection ------------------------------------------------------
 
@@ -230,13 +200,8 @@ class ShardedIndex:
 
     @property
     def rows(self) -> int:
-        """Packed rows across all shards, tombstones included."""
-        return sum(len(s.index) for s in self._shards)
-
-    @property
-    def tombstone_ratio(self) -> float:
-        total = self.rows
-        return self.tombstones / total if total else 0.0
+        """Rows across all shards, tombstones included."""
+        return sum(s.rows for s in self._shards)
 
     def __len__(self) -> int:
         return len(self._locate)
@@ -281,10 +246,6 @@ class ShardedIndex:
         self._refresh_gauges()
         return sid
 
-    def extend(self, strings: Sequence[str]) -> list[int]:
-        """Index a batch; returns the assigned external ids."""
-        return [self.add(s) for s in strings]
-
     def remove(self, sid: int) -> None:
         """Tombstone one entry by external id (KeyError if unknown).
 
@@ -314,12 +275,7 @@ class ShardedIndex:
     # -- search -------------------------------------------------------------
 
     def search(
-        self,
-        query: str,
-        k: int = 1,
-        *,
-        collector=None,
-        verifier: str | None = None,
+        self, query: str, k: int = 1, *, verifier: str | None = None
     ) -> list[int]:
         """External ids of live entries within ``k`` edits of ``query``.
 
@@ -331,17 +287,9 @@ class ShardedIndex:
         """
         out: list[int] = []
         for si in self.route(len(query), k):
-            out.extend(
-                self._shards[si].search(
-                    query, k, collector=collector, verifier=verifier
-                )
-            )
+            out.extend(self._shards[si].search(query, k, verifier=verifier))
         out.sort()
         return out
-
-    def search_strings(self, query: str, k: int = 1) -> list[str]:
-        """Like :meth:`search` but returning the matched strings."""
-        return [self.get(sid) for sid in self.search(query, k)]
 
     # -- shard handoff ------------------------------------------------------
 
@@ -375,6 +323,7 @@ class ShardedIndex:
             if owner == si:
                 del self._locate[sid]
         old = self._shards[si]
+        old.prepared.close()
         index.compact_ratio = self.compact_ratio
         # Keep the shard's generation monotone across the swap so
         # generation-keyed caches and published rosters invalidate.

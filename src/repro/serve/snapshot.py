@@ -1,24 +1,30 @@
 """Index snapshots: persist a mutable index, reload it warm.
 
 The paper's deployment rebuilds its index from the full population
-every night; a serving process should not have to.  A snapshot captures
-everything the index derived from its O(n) build — the strings, the
-*packed* per-bucket signature and code matrices, the id mapping and the
-tombstones — so :func:`load_index` reconstructs a query-ready
-:class:`~repro.serve.mutable.MutableIndex` with no signature
-generation, no encoding and no packing.
+every night; a serving process should not have to.  A snapshot stores
+what the batch path reads, so the first batch of the
+:class:`~repro.serve.mutable.MutableIndex` :func:`load_index` rebuilds
+encodes, signs and indexes nothing.
 
 Format (one ``.npz`` file, ``allow_pickle=False`` end to end):
 
 * ``__header__`` — a JSON document (stored as a zero-dim string array)
   with ``format`` / ``version`` markers, the scheme and verifier names,
-  the generation counters and any caller metadata.  Loaders reject
+  the generation counters, the thresholds whose PASS-JOIN index is
+  stored (``passjoin``) and any caller metadata.  Loaders reject
   versions newer than they understand.
-* ``strings``, ``ext_ids``, ``tombstones`` — the wrapped index's row
-  strings, their stable external ids, and the tombstoned rows.
-* ``bucket_{L}_ids`` / ``_sigs`` / ``_codes`` — each length bucket's
-  packed arrays, exactly as :meth:`FBFIndex.packed_buckets` yields
-  them.
+* ``strings``, ``ext_ids``, ``tombstones`` — the row strings, their
+  stable external ids, and the tombstoned rows.
+* ``codes``, ``lengths``, ``sigs`` and ``passjoin_{k}_hashes`` /
+  ``_ids`` / ``_table`` — the prepared side's encoded rows and its flat
+  PASS-JOIN index per stored ``k``.  These reach the compiled kernels,
+  and a file is input from outside the program, so the loader checks
+  each (:func:`_loaded_side`, :meth:`SegmentIndex.check
+  <repro.core.passjoin.SegmentIndex.check>`) and raises ``ValueError``.
+
+Version-1 files stored packed FBF length buckets (``bucket_{L}_*``)
+instead; they still load, the buckets ignored and the side built on
+the first batch.
 
 A :class:`~repro.serve.shard.ShardedIndex` snapshot is a *container*:
 the outer ``__header__`` carries the sharded format marker and the
@@ -42,8 +48,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.index import FBFIndex
+from repro.core.passjoin import PassJoinIndex
 from repro.core.signatures import scheme_from_name
+from repro.parallel.kernels import Side
+from repro.parallel.prepared import PreparedSide
 from repro.serve.mutable import MutableIndex
 
 __all__ = [
@@ -59,7 +67,9 @@ __all__ = [
 
 FORMAT = "repro-serve-snapshot"
 FORMAT_SHARDED = "repro-serve-snapshot-sharded"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+#: the flat PASS-JOIN arrays, in :meth:`SegmentIndex.flat` order
+PASSJOIN_ARRAYS = ("hashes", "ids", "table")
 
 
 def _check_scheme(index) -> None:
@@ -76,37 +86,29 @@ def _check_scheme(index) -> None:
 def _mutable_arrays(
     index: MutableIndex, meta: dict[str, object] | None
 ) -> dict[str, np.ndarray]:
-    """One MutableIndex as the flat npz array dict (header included)."""
+    """One MutableIndex as the flat npz array dict (header included):
+    its rows, the prepared side's arrays (encoded first if need be) and
+    every PASS-JOIN index it holds over all rows."""
     _check_scheme(index)
-    fbf = index.index
-    strings = [fbf[i] for i in range(len(fbf))]
+    prep = index.prepared
+    strings = prep.strings
+    side = prep.side()
+    dead = np.flatnonzero(index._dead[: index.rows]).astype(np.int64)
     arrays: dict[str, np.ndarray] = {
-        "strings": np.asarray(strings, dtype=np.str_)
-        if strings
-        else np.empty(0, dtype="<U1"),
+        "strings": np.array(strings, dtype=np.str_),
         "ext_ids": index._ext_ids[: index.rows],
-        "tombstones": np.flatnonzero(index._dead[: index.rows]).astype(
-            np.int64
-        ),
+        "tombstones": dead,
+        "codes": side.codes,
+        "lengths": side.lengths,
+        "sigs": side.sigs,
     }
-    for length, ids, sigs, codes in fbf.packed_buckets():
-        arrays[f"bucket_{length}_ids"] = ids
-        arrays[f"bucket_{length}_sigs"] = sigs
-        arrays[f"bucket_{length}_codes"] = codes
-    header = {
-        "format": FORMAT,
-        "version": FORMAT_VERSION,
-        "scheme": index.scheme.name,
-        "verifier": index.verifier,
-        "generation": index.generation,
-        "compactions": index.compactions,
-        "compact_ratio": index.compact_ratio,
-        "next_id": index._next_id,
-        "n_rows": len(strings),
-        "n_live": len(index),
-        "meta": dict(meta or {}),
-    }
-    arrays["__header__"] = np.asarray(json.dumps(header))
+    stored = sorted(t for t, pj in prep.passjoin.items() if len(pj) == side.n)
+    for t in stored:
+        for name, arr in zip(PASSJOIN_ARRAYS, prep.passjoin[t].flat()):
+            arrays[f"passjoin_{t}_{name}"] = arr
+    arrays["__header__"] = _header_for(
+        index, FORMAT, meta, n_rows=len(strings), passjoin=stored
+    )
     return arrays
 
 
@@ -115,15 +117,21 @@ def _sharded_arrays(
 ) -> dict[str, np.ndarray]:
     """A ShardedIndex as a container npz: per-shard inner blobs."""
     _check_scheme(index)
-    arrays: dict[str, np.ndarray] = {}
-    for si, shard in enumerate(index.shards):
-        arrays[f"shard_{si}"] = np.frombuffer(
-            dump_index_bytes(shard), dtype=np.uint8
-        )
+    arrays = {
+        f"shard_{si}": np.frombuffer(dump_index_bytes(shard), np.uint8)
+        for si, shard in enumerate(index.shards)
+    }
+    arrays["__header__"] = _header_for(
+        index, FORMAT_SHARDED, meta, n_shards=index.n_shards
+    )
+    return arrays
+
+
+def _header_for(index, fmt: str, meta, **fields) -> np.ndarray:
+    """The JSON header array of one index's snapshot."""
     header = {
-        "format": FORMAT_SHARDED,
+        "format": fmt,
         "version": FORMAT_VERSION,
-        "n_shards": index.n_shards,
         "scheme": index.scheme.name,
         "verifier": index.verifier,
         "generation": index.generation,
@@ -131,10 +139,10 @@ def _sharded_arrays(
         "compact_ratio": index.compact_ratio,
         "next_id": index._next_id,
         "n_live": len(index),
+        **fields,
         "meta": dict(meta or {}),
     }
-    arrays["__header__"] = np.asarray(json.dumps(header))
-    return arrays
+    return np.asarray(json.dumps(header))
 
 
 def save_index(
@@ -196,32 +204,84 @@ def _header(npz) -> dict[str, object]:
     return header
 
 
-def _mutable_from_npz(npz, header) -> MutableIndex:
-    strings = [str(s) for s in npz["strings"]]
-    buckets = []
-    for key in npz.files:
-        if key.startswith("bucket_") and key.endswith("_ids"):
-            length = int(key[len("bucket_") : -len("_ids")])
-            buckets.append(
-                (
-                    length,
-                    npz[key],
-                    npz[f"bucket_{length}_sigs"],
-                    npz[f"bucket_{length}_codes"],
-                )
-            )
-    fbf = FBFIndex.from_packed(
-        strings,
-        buckets,
-        scheme=scheme_from_name(str(header["scheme"])),
-        verifier=str(header["verifier"]),
+def _require(ok, what: str) -> None:
+    if not ok:
+        raise ValueError(f"invalid snapshot: {what}")
+
+
+def _within(arr: np.ndarray, lo: int, hi: int) -> bool:
+    """Every value of ``arr`` lies in ``[lo, hi)``."""
+    return not len(arr) or (lo <= int(arr.min()) and int(arr.max()) < hi)
+
+
+def _array(npz, name: str, dtype, ndim: int) -> np.ndarray:
+    """Array ``name`` of the snapshot, checked for dtype (any unicode
+    width for ``np.str_``) and rank and made C-contiguous (the kernels
+    read raw buffers)."""
+    _require(name in npz.files, f"no array {name!r}")
+    arr, want = npz[name], np.dtype(dtype)
+    kind_ok = arr.dtype.kind == "U" if want.kind == "U" else arr.dtype == want
+    _require(kind_ok and arr.ndim == ndim, f"{name!r} is not {want}[{ndim}-d]")
+    return np.ascontiguousarray(arr)
+
+
+def _loaded_side(npz, strings: list[str], scheme) -> Side:
+    """The stored encoded rows: one per string, each length its
+    string's and within the code width, signatures as wide as the
+    scheme packs them."""
+    n = len(strings)
+    codes = _array(npz, "codes", np.uint8, 2)
+    lengths = _array(npz, "lengths", np.int64, 1)
+    sigs = _array(npz, "sigs", np.uint64, 2)
+    _require(len(codes) == len(lengths) == len(sigs) == n, "side rows")
+    want = np.fromiter(map(len, strings), dtype=np.int64, count=n)
+    _require(np.array_equal(lengths, want), "lengths differ from strings")
+    _require(_within(lengths, 0, codes.shape[1] + 1), "length past code width")
+    words = max(1, (scheme.width + 1) // 2)
+    _require(sigs.shape[1] == words, f"signatures not {words} words wide")
+    return Side(n, codes, lengths, sigs)
+
+
+def _loaded_passjoin(npz, strings: list[str], k) -> PassJoinIndex:
+    """The stored PASS-JOIN index for ``k``, checked."""
+    _require(type(k) is int and k >= 0, f"PASS-JOIN threshold {k!r}")
+    hashes, ids, table = (
+        _array(npz, f"passjoin_{k}_{name}", dtype, ndim)
+        for name, dtype, ndim in zip(
+            PASSJOIN_ARRAYS, (np.uint64, np.int64, np.int64), (1, 1, 2)
+        )
     )
-    index = MutableIndex.__new__(MutableIndex)
-    index._reset_telemetry()
-    index._fbf = fbf
-    index._set_rows(npz["ext_ids"], npz["tombstones"])
-    index._next_id = int(header["next_id"])
-    index.compact_ratio = header.get("compact_ratio")
+    index = PassJoinIndex.from_arrays(strings, k, hashes, ids, table)
+    index.check(len(strings))
+    return index
+
+
+def _mutable_from_npz(npz, header) -> MutableIndex:
+    strings = _array(npz, "strings", np.str_, 1).tolist()
+    n = len(strings)
+    scheme = scheme_from_name(str(header["scheme"]))
+    ext_ids = _array(npz, "ext_ids", np.int64, 1)
+    dead = _array(npz, "tombstones", np.int64, 1)
+    next_id = int(header["next_id"])
+    _require(
+        len(ext_ids) == n and (np.diff(ext_ids) > 0).all()
+        and _within(ext_ids, 0, next_id),
+        "ids not increasing below the high-water mark",
+    )
+    _require(_within(dead, 0, n), "tombstones name rows that do not exist")
+    prep = PreparedSide(strings, scheme)
+    if int(header["version"]) >= 2:
+        prep.encoded = _loaded_side(npz, strings, scheme)
+        for k in header.get("passjoin", []):
+            prep.passjoin[k] = _loaded_passjoin(npz, strings, k)
+    index = MutableIndex(
+        scheme=scheme,
+        verifier=str(header["verifier"]),
+        compact_ratio=header.get("compact_ratio"),
+    )
+    index.prepared = prep
+    index._set_rows(ext_ids, dead)
+    index._next_id = next_id
     index.generation = int(header["generation"])
     index.compactions = int(header.get("compactions", 0))
     return index
@@ -230,20 +290,18 @@ def _mutable_from_npz(npz, header) -> MutableIndex:
 def _sharded_from_npz(npz, header):
     from repro.serve.shard import ShardedIndex
 
-    index = ShardedIndex.__new__(ShardedIndex)
-    index._reset_telemetry()
-    index.n_shards = int(header["n_shards"])
-    index._scheme = scheme_from_name(str(header["scheme"]))
-    index._verifier = str(header["verifier"])
-    index.compact_ratio = header.get("compact_ratio")
-    index._shards = []
-    index._locate = {}
+    index = ShardedIndex(
+        n_shards=int(header["n_shards"]),
+        scheme=scheme_from_name(str(header["scheme"])),
+        verifier=str(header["verifier"]),
+        compact_ratio=header.get("compact_ratio"),
+    )
     for si in range(index.n_shards):
-        shard, _ = load_index_bytes(npz[f"shard_{si}"].tobytes())
+        blob = _array(npz, f"shard_{si}", np.uint8, 1)
+        shard, _ = load_index_bytes(blob.tobytes())
         shard.compact_ratio = index.compact_ratio
-        index._shards.append(shard)
-        for sid in shard._live:
-            index._locate[sid] = si
+        index._shards[si] = shard
+        index._locate.update(dict.fromkeys(shard._live, si))
     index._next_id = int(header["next_id"])
     return index
 
@@ -251,26 +309,25 @@ def _sharded_from_npz(npz, header):
 def load_index(path: str | Path) -> tuple[object, dict[str, object]]:
     """Reconstruct ``(index, header)`` from a snapshot file.
 
-    The returned index is fully packed (no pending adds, nothing
-    recomputed) and is a :class:`MutableIndex` or a
+    The returned index is a :class:`MutableIndex` or a
     :class:`~repro.serve.shard.ShardedIndex` according to the saved
-    format; ``header`` carries the saved metadata, including the
-    caller's ``meta`` dict.
+    format, with its stored arrays adopted (nothing is encoded or
+    indexed); ``header`` carries the saved metadata, including the
+    caller's ``meta`` dict.  Raises ``ValueError`` for a file that is
+    not a valid snapshot.
     """
-    with np.load(Path(path), allow_pickle=False) as npz:
-        header = _header(npz)
-        if header["format"] == FORMAT_SHARDED:
-            return _sharded_from_npz(npz, header), header
-        return _mutable_from_npz(npz, header), header
+    return _load(Path(path), (FORMAT, FORMAT_SHARDED))
 
 
 def load_index_bytes(blob: bytes) -> tuple[MutableIndex, dict[str, object]]:
     """Reconstruct one single-shard index from an in-memory blob."""
-    with np.load(io.BytesIO(blob), allow_pickle=False) as npz:
+    return _load(io.BytesIO(blob), (FORMAT,))
+
+
+def _load(source, formats: tuple[str, ...]) -> tuple[object, dict]:
+    with np.load(source, allow_pickle=False) as npz:
         header = _header(npz)
-        if header["format"] != FORMAT:
-            raise ValueError(
-                "a shard handoff blob must be a single-index snapshot, "
-                f"got format {header['format']!r}"
-            )
+        _require(header["format"] in formats, f"format {header['format']!r}")
+        if header["format"] == FORMAT_SHARDED:
+            return _sharded_from_npz(npz, header), header
         return _mutable_from_npz(npz, header), header

@@ -293,39 +293,3 @@ class TestGenerationAndPacking:
         idx = FBFIndex(["12345"], scheme="numeric")
         with pytest.raises(ValueError, match="verifier"):
             idx.search("12345", 1, verifier="bogus")
-
-
-class TestPackedRoundtrip:
-    def test_from_packed_answers_identically(self):
-        rng = random.Random(5)
-        pool = build_ssn_pool(60, rng)
-        idx = FBFIndex(pool, scheme="numeric")
-        idx.add("123450000")
-        clone = FBFIndex.from_packed(
-            list(pool) + ["123450000"],
-            idx.packed_buckets(),
-            scheme=idx.scheme,
-            verifier=idx.verifier,
-        )
-        assert not clone.dirty
-        for q in pool[:10] + ["123450000", ""]:
-            assert clone.search(q, 1) == idx.search(q, 1)
-
-    def test_from_packed_rejects_partial_coverage(self):
-        idx = FBFIndex(["123", "4567"], scheme="numeric")
-        buckets = [b for b in idx.packed_buckets() if b[0] == 3]
-        with pytest.raises(ValueError, match="cover"):
-            FBFIndex.from_packed(
-                ["123", "4567"], buckets, scheme=idx.scheme
-            )
-
-    def test_from_packed_rejects_wrong_scheme_width(self):
-        from repro.core.signatures import scheme_for
-
-        idx = FBFIndex(["abc"], scheme="alpha")
-        with pytest.raises(ValueError, match="scheme"):
-            FBFIndex.from_packed(
-                ["abc"],
-                idx.packed_buckets(),
-                scheme=scheme_for("numeric"),
-            )

@@ -365,6 +365,51 @@ def reference_encode_codes(strings):
     return codes, lens
 
 
+class TestFromArrays:
+    """An index rebuilt from its flat arrays probes and extends like the
+    built one; :meth:`SegmentIndex.check` refuses arrays a probe would
+    read past."""
+
+    NAMES = ["SMITH", "SMYTH", "JONES", "", "LI", "BROWNE"]
+
+    def _adopted(self, k=1):
+        built = PassJoinIndex(self.NAMES, k=k)
+        return built, PassJoinIndex.from_arrays(
+            self.NAMES, k, *(a.copy() for a in built.flat())
+        )
+
+    def test_adopted_index_equals_built(self):
+        built, adopted = self._adopted()
+        adopted.check(len(self.NAMES))
+        probes = self.NAMES + ["SMIHT", "JONSE", "L"]
+        assert _pairs(adopted, probes) == _pairs(built, probes)
+        built.extend(["SMITT"])
+        adopted.extend(["SMITT"])
+        for held, want in zip(adopted.flat(), built.flat()):
+            np.testing.assert_array_equal(held, want)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda ix: ix.ids.__setitem__(0, 6),
+            lambda ix: ix.ids.__setitem__(0, -1),
+            lambda ix: ix.table.__setitem__((-1, 3), len(ix.hashes) + 1),
+            lambda ix: ix.table.__setitem__((0, 2), -1),
+            lambda ix: ix.table.__setitem__((0, 1), 2),
+            lambda ix: ix.table.__setitem__((0, 0), -1),
+            lambda ix: setattr(ix, "table", ix.table[::-1].copy()),
+            lambda ix: setattr(ix, "ids", ix.ids[:-1].copy()),
+        ],
+        ids=["id-past-n", "negative-id", "hi-past-hashes", "negative-lo",
+             "segment-past-k", "negative-length", "unsorted", "short-ids"],
+    )
+    def test_check_rejects_unsafe_arrays(self, edit):
+        _, adopted = self._adopted()
+        edit(adopted)
+        with pytest.raises(ValueError, match="invalid PASS-JOIN"):
+            adopted.check(len(self.NAMES))
+
+
 class TestEncodeCodes:
     @given(st.lists(any_text, max_size=8))
     def test_bulk_matches_per_string_reference(self, strings):

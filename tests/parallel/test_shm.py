@@ -88,35 +88,58 @@ def _running(pid: int) -> bool:
         return False
 
 
-class TestWorkerPool:
-    @pytest.mark.skipif(
-        not os.path.exists("/proc/self/stat"), reason="needs /proc"
+def _shm_segments() -> set[str]:
+    """The POSIX shared-memory segments Python names (``psm_*``)."""
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+def assert_pool_dies_with_parent(script: str, *args: str) -> None:
+    """Run ``script`` (which starts the 2-worker shared pool, prints the
+    worker pids and then keeps the pool busy), SIGKILL it, and assert
+    that within 10 s its workers are gone and every shared segment it
+    published is unlinked (``/dev/shm`` is back to its baseline)."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
     )
+    baseline = _shm_segments()
+    parent = subprocess.Popen(
+        [sys.executable, "-c", script, *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=env,
+        text=True,
+    )
+    try:
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(pids) == 2
+        time.sleep(1.0)  # let a join get under way
+        assert all(_running(pid) for pid in pids)
+        assert _shm_segments() - baseline, "the parent published nothing"
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline and (
+        any(map(_running, pids)) or _shm_segments() - baseline
+    ):
+        time.sleep(0.1)
+    assert not any(map(_running, pids))
+    assert not _shm_segments() - baseline
+
+
+needs_proc_and_shm = pytest.mark.skipif(
+    not (os.path.exists("/proc/self/stat") and os.path.isdir("/dev/shm")),
+    reason="needs /proc and /dev/shm",
+)
+
+
+class TestWorkerPool:
+    @needs_proc_and_shm
     def test_workers_exit_when_parent_killed(self):
-        env = dict(os.environ)
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
-        )
-        parent = subprocess.Popen(
-            [sys.executable, "-c", _BUSY_PARENT],
-            stdout=subprocess.PIPE,
-            env=env,
-            text=True,
-        )
-        try:
-            pids = [int(pid) for pid in parent.stdout.readline().split()]
-            assert len(pids) == 2
-            time.sleep(1.0)  # let a join get under way
-            assert all(_running(pid) for pid in pids)
-        finally:
-            parent.kill()
-            parent.wait()
-            parent.stdout.close()
-        deadline = time.monotonic() + 10
-        while any(map(_running, pids)) and time.monotonic() < deadline:
-            time.sleep(0.1)
-        assert not any(map(_running, pids))
+        assert_pool_dies_with_parent(_BUSY_PARENT)
 
     def test_runs_tasks_in_order(self):
         with WorkerPool(workers=2) as pool:

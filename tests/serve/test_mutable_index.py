@@ -79,7 +79,7 @@ class TestCompaction:
         idx.remove(3)
         assert idx.compact() == 2
         assert idx.tombstones == 0
-        assert len(idx.index) == len(NAMES) - 2
+        assert idx.rows == len(NAMES) - 2
 
     def test_compact_preserves_external_ids(self):
         idx = MutableIndex(NAMES, compact_ratio=None)

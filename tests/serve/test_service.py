@@ -1,5 +1,7 @@
 """Unit tests for MatchService: caching, batching, counters, funnel."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.data.datasets import dataset_for_family
@@ -78,13 +80,34 @@ class TestQueryBatch:
         svc.remove(1)
         assert svc.query_batch(["SMITH"])[0].ids == (0,)
 
-    def test_myers_fallback_equals_scalar(self, ln_pair):
+    def test_batched_myers_equals_scalar_search(self, ln_pair):
         population = list(ln_pair.clean)
         queries = list(ln_pair.error)[:30]
         svc = MatchService(population, k=1, cache_size=0)
         for res in svc.query_batch(queries, method="myers"):
             want = tuple(svc.index.search(res.value, 1, verifier="myers"))
             assert res.ids == want, res.value
+
+    @pytest.mark.parametrize("method", ["osa", "osa-bitparallel", "myers"])
+    def test_query_is_a_batch_of_one(self, ln_pair, method):
+        svc = MatchService(list(ln_pair.clean), k=1, compact_ratio=None)
+        svc.add("ZZTOP")
+        svc.remove(2)
+        for value in [*ln_pair.error[:25], "ZZTOP", ln_pair.clean[2], ""]:
+            one = svc.query(value, method=method)
+            batch = svc.query_batch([value], method=method)[0]
+            assert not one.cached and batch.cached
+            assert replace(one, cached=True) == batch, value
+
+    def test_query_and_batch_reject_the_same_unencodable_row(self):
+        svc = MatchService(NAMES + ["Łukasz"], k=1)
+        for method in ("osa", "myers"):
+            with pytest.raises(ValueError) as one:
+                svc.query("SMITH", method=method)
+            with pytest.raises(ValueError) as batch:
+                svc.query_batch(["SMITH"], method=method)
+            assert str(one.value) == str(batch.value)
+            assert "'Łukasz'" in str(one.value)
 
     def test_empty_query_never_matches(self):
         # PDL semantics: empty strings match nothing, on both paths.
@@ -136,19 +159,19 @@ class TestCandidateModes:
     def test_passjoin_index_extended_by_writes_rebuilt_by_compaction(self):
         svc = MatchService(NAMES, k=1, cache_size=0, compact_ratio=None)
         assert svc.query_batch(["SMITH"])[0].ids == (0, 1)
-        first = svc._rosters["base"].passjoin[1]
+        first = svc.index.prepared.passjoin[1]
         svc.remove(1)
         assert svc.query_batch(["SMITH"])[0].ids == (0,)
-        assert svc._rosters["base"].passjoin[1] is first
+        assert svc.index.prepared.passjoin[1] is first
         assert len(first) == 6
         svc.add("SMITG")
         assert svc.query_batch(["SMITH"])[0].ids == (0, 6)
-        assert svc._rosters["base"].passjoin[1] is first
+        assert svc.index.prepared.passjoin[1] is first
         assert len(first) == 7
         assert len(svc.events.tail(kind="passjoin_rebuild")) == 1
         svc.compact()
         assert svc.query_batch(["SMITH"])[0].ids == (0, 6)
-        assert svc._rosters["base"].passjoin[1] is not first
+        assert svc.index.prepared.passjoin[1] is not first
         assert len(svc.events.tail(kind="passjoin_rebuild")) == 2
 
     def test_passjoin_funnel_stage_name(self):
@@ -190,6 +213,19 @@ class TestObservability:
         assert obs.conserved
         assert obs.pairs_considered > 0
 
+    def test_myers_funnel_counts_levenshtein_matches(self):
+        # The OSA pass matches the transpositions too; the funnel's
+        # matched count is the Levenshtein answer's.
+        obs = StatsCollector()
+        svc = MatchService(
+            ["JONES", "JONSE", "SMITH", "SMIHT", "BROWN"],
+            k=1, collector=obs, cache_size=0,
+        )
+        res = svc.query_batch(["JONES", "SMITH"], method="myers")
+        assert [r.ids for r in res] == [(0,), (2,)]
+        assert obs.matched == 2
+        assert obs.conserved
+
     def test_latency_spans_recorded(self):
         obs = StatsCollector()
         svc = MatchService(NAMES, collector=obs)
@@ -209,19 +245,19 @@ class TestEngineReuse:
         svc.query_batch(["SMITH"])
         svc.query_batch(["JONES"])
         assert obs.counters["engine_rebuilds"] == 1
-        roster = svc._rosters["base"]
+        roster = svc.index.prepared
         svc.remove(0)
         assert svc.query_batch(["SMITH"])[0].ids == (1,)
-        assert svc._rosters["base"] is roster
+        assert svc.index.prepared is roster
         assert roster.encoded.n == 6
         svc.add("TAYLOR")
         assert svc.query_batch(["TAYLOR"])[0].ids == (6,)
-        assert svc._rosters["base"] is roster
+        assert svc.index.prepared is roster
         assert roster.encoded.n == 7
         assert obs.counters["engine_rebuilds"] == 1
         svc.compact()
         assert svc.query_batch(["SMITH"])[0].ids == (1,)
-        assert svc._rosters["base"] is not roster
+        assert svc.index.prepared is not roster
         assert obs.counters["engine_rebuilds"] == 2
 
     def test_sharded_engines_extended_in_place(self):
@@ -229,13 +265,15 @@ class TestEngineReuse:
             NAMES, k=1, cache_size=0, compact_ratio=None, shards=2
         )
         svc.query_batch(["SMITH", "BROWNE"])
-        rosters = dict(svc._rosters)
+        rosters = {
+            si: shard.prepared for si, shard in enumerate(svc.index.shards)
+        }
         sid = svc.add("SMITHERS")
         svc.remove(0)
         got = svc.query_batch(["SMITH", "SMITHERS", "BROWNE"])
         assert [r.ids for r in got] == [(1,), (sid,), (4, 5)]
         for si, roster in rosters.items():
-            assert svc._rosters[si] is roster
+            assert svc.index.shards[si].prepared is roster
         assert svc.metrics.counter("serve_engine_rebuilds_total").value == 2
 
     def test_unencodable_add_fails_every_batched_read(self):
@@ -251,7 +289,7 @@ class TestEngineReuse:
         for _ in range(2):
             with pytest.raises(type(fresh.value), match="'Łukasz'"):
                 svc.query_batch(["SMITH"])
-        assert svc._rosters["base"].encoded.n == len(NAMES)
+        assert svc.index.prepared.encoded.n == len(NAMES)
 
 
 class TestStats:
@@ -290,8 +328,10 @@ class TestSnapshotRoundtrip:
         warm = MatchService.load(svc.save(tmp_path / "svc.npz"))
         assert warm.sharded == (shards > 1)
         assert [r.ids for r in warm.query_batch(queries)] == want
-        # The loaded index is new, so its first batch builds from scratch.
-        assert warm.metrics.counter("serve_engine_rebuilds_total").value >= 1
+        # The snapshot stores the prepared side and the PASS-JOIN index
+        # at the saved k, so the first batch encodes and builds nothing.
+        assert warm.metrics.counter("serve_engine_rebuilds_total").value == 0
+        assert not warm.events.tail(kind="passjoin_rebuild")
 
     @pytest.mark.parametrize("candidates", ["fbf", "pass-join", "auto"])
     def test_snapshot_with_candidates_meta_loads(self, tmp_path, candidates):

@@ -81,7 +81,7 @@ class TestPooledEquivalence:
         probe = ["BRANDNEWNAME", *queries]
         assert _batched(svc, probe) == _batched(ref, probe)
         assert c.counters["shm_roster_publishes"] == 2
-        assert svc._rosters["base"].published.n == len(ln_pair.clean) + 1
+        assert svc.index.prepared.published.n == len(ln_pair.clean) + 1
 
         for s in (svc, ref):
             s.compact()

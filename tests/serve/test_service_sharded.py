@@ -92,12 +92,12 @@ class TestShardedTelemetry:
         svc.query_batch(ln_pair.error[:10])
         published = svc.events.tail(kind="roster_publish")
         assert sorted(e["shard"] for e in published) == [0, 1]
-        refs = {si: prep.published for si, prep in svc._rosters.items()}
+        refs = [s.prepared.published for s in svc.index.shards]
         for s in (svc, ref):
             s.remove(0)
         probe = [ln_pair.clean[0], *ln_pair.error[:10]]
         assert _batched(svc, probe) == _batched(ref, probe)
-        assert {si: p.published for si, p in svc._rosters.items()} == refs
+        assert [s.prepared.published for s in svc.index.shards] == refs
         assert svc.events.tail(kind="roster_publish") == published
 
     def test_stats_reports_per_shard_breakdown(self, ln_pair):

@@ -15,6 +15,29 @@ from repro.stream import (
     read_spill,
     resolve_chunk_rows,
 )
+from tests.parallel.test_shm import (
+    assert_pool_dies_with_parent,
+    needs_proc_and_shm,
+)
+
+#: a parent that keeps the 2-worker pool busy with streamed joins
+#: (argv[1] is the file it streams)
+_STREAMING_PARENT = """
+import sys
+from repro.data.datasets import dataset_for_family
+from repro.parallel import shm
+from repro.stream import join_stream
+
+pool = shm.shared_pool(2)
+pool.ensure()
+print(*(p.pid for p in pool._procs), flush=True)
+pair = dataset_for_family("LN", 3000, seed=1)
+with open(sys.argv[1], "w") as fh:
+    fh.write("\\n".join(pair.error) + "\\n")
+while True:
+    join_stream(sys.argv[1], pair.clean, "FPDL", k=1, workers=2,
+                chunk_rows=500)
+"""
 
 
 @pytest.fixture(scope="module")
@@ -278,3 +301,11 @@ class TestSizingAndTelemetry:
     def test_empty_roster_rejected(self, big_file):
         with pytest.raises(ValueError, match="non-empty roster"):
             join_stream(big_file, [], "FPDL")
+
+
+class TestKilledParent:
+    @needs_proc_and_shm
+    def test_stream_pool_workers_exit_when_parent_killed(self, tmp_path):
+        assert_pool_dies_with_parent(
+            _STREAMING_PARENT, str(tmp_path / "stream.txt")
+        )
