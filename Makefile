@@ -19,7 +19,8 @@ bench-quick:
 
 # Machine-readable artifacts: BENCH_hybrid.json (backend trajectory;
 # the committed artifact was produced with REPRO_HYBRID_N=10000),
-# BENCH_metrics.json (serve-telemetry overhead), BENCH_passjoin.json
+# BENCH_metrics.json (serve-telemetry overhead), BENCH_serve_async.json
+# (asyncio front-end vs the blocking loop), BENCH_passjoin.json
 # (candidate-generator trajectory; committed with
 # REPRO_PASSJOIN_N=100000), BENCH_outofcore.json (streamed join;
 # committed with REPRO_OUTOFCORE_ROWS=10000000
@@ -27,7 +28,7 @@ bench-quick:
 # kernel tier; committed with REPRO_NATIVE_N=10000, skipped when no
 # compiled provider loads), plus the .txt tables.
 bench-json:
-	$(PYTHON) -m pytest benchmarks/test_ablation_hybrid_backend.py benchmarks/test_ablation_obs_overhead.py benchmarks/test_serve_sharded.py benchmarks/test_ablation_passjoin.py benchmarks/test_bench_outofcore.py benchmarks/test_ablation_native.py -q -s --benchmark-disable
+	$(PYTHON) -m pytest benchmarks/test_ablation_hybrid_backend.py benchmarks/test_ablation_obs_overhead.py benchmarks/test_serve_async.py benchmarks/test_ablation_passjoin.py benchmarks/test_bench_outofcore.py benchmarks/test_ablation_native.py -q -s --benchmark-disable
 
 # The repo's benchmark (BENCHMARK.json): every workload, each in its
 # own process; records land in benchmarks/perf/out/runs/.

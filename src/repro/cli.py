@@ -12,10 +12,9 @@ The serve layer adds two more:
 
 * ``serve`` — keep a population resident and answer JSON-lines
   requests on stdin/stdout (see :mod:`repro.serve.server` for ops).
-  ``--shards N`` splits the population across length-partitioned
-  shards served by scatter/gather; ``--port`` swaps the blocking
-  stdio loop for the asyncio front-end (cross-client query
-  coalescing, ``--max-inflight`` admission control, graceful drain).
+  ``--port`` swaps the blocking stdio loop for the asyncio front-end
+  (cross-client query coalescing, ``--max-inflight`` admission
+  control, graceful drain).
 * ``query`` — one-shot approximate-match queries against a file or a
   snapshot, printed as TSV (or ``--json``).
 
@@ -474,16 +473,6 @@ def _serve_source_args(sub: argparse.ArgumentParser) -> None:
             "shared-memory pool workers"
         ),
     )
-    sub.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "split the population across N length-partitioned shards "
-            "(scatter/gather serving; 1 keeps the single index)"
-        ),
-    )
 
 
 def _stats_args(sub: argparse.ArgumentParser) -> None:
@@ -787,7 +776,6 @@ def _serve_service(args: argparse.Namespace, collector):
 
     cache_size = getattr(args, "cache_size", 1024)
     workers = getattr(args, "workers", None)
-    shards = getattr(args, "shards", 1) or 1
     if args.snapshot is not None:
         try:
             return MatchService.load(
@@ -810,7 +798,6 @@ def _serve_service(args: argparse.Namespace, collector):
         compact_ratio=ratio if ratio else None,
         collector=collector,
         workers=workers,
-        shards=shards,
     )
 
 

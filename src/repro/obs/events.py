@@ -12,9 +12,9 @@ Each event is one flat JSON object::
 dot-free identifier, and every other field is producer-defined but must
 be JSON-serialisable.  The serving stack's lifecycle kinds:
 ``compaction``, ``engine_rebuild``, ``passjoin_rebuild``,
-``roster_publish`` (a hybrid batch published a roster, or renewed its
-publication after growth; ``shard`` names a sharded service's shard),
-``snapshot_save`` / ``snapshot_load`` and ``worker_respawn``.  Events
+``roster_publish`` (a hybrid batch published the roster, or renewed
+its publication after growth), ``snapshot_save`` / ``snapshot_load`` and
+``worker_respawn``.  Events
 go two places:
 
 * a bounded in-memory ring (default 1024) that the JSON-lines

@@ -347,9 +347,9 @@ class MetricsRegistry:
         """Drop one labelled series so it stops appearing in scrapes.
 
         Registries are append-only for live instruments, but series
-        labelled by an *identity that can die* — a worker pid, a shard
-        that was torn down — must be retired when the identity goes
-        away, or every scrape re-reports a ghost forever.  Returns
+        labelled by an *identity that can die* — a worker pid — must
+        be retired when the identity goes away, or every scrape
+        re-reports a ghost forever.  Returns
         whether the series existed; when a family loses its last series
         the family (TYPE/HELP) entry is dropped too.
 

@@ -7,19 +7,15 @@ queries as they arrive".  The pieces:
 * :class:`~repro.serve.mutable.MutableIndex` — add/remove with stable
   ids over the one :class:`~repro.parallel.prepared.PreparedSide` every
   batch probes (tombstones + threshold-triggered compaction);
-* :class:`~repro.serve.shard.ShardedIndex` — the same contract split
-  across length-partitioned shards (one global id space, exact
-  scatter/gather routing, per-shard compaction and handoff blobs);
 * :class:`~repro.serve.service.MatchService` — the facade: cache-aware
-  micro-batching :meth:`query_batch` (one PASS-JOIN planner run per
-  roster, on the backend the planner picks, for every method) and
-  :meth:`query`, a batch of one; mutation
-  counters and latency spans; ``shards > 1`` serves through
-  scatter/gather, one planner run per routed shard, and ``workers > 1``
-  lets the planner send large batches to the shared-memory pool;
+  micro-batching :meth:`query_batch` (one PASS-JOIN planner run against
+  the roster, on the backend the planner picks, for every method) and
+  :meth:`query`, a batch of one; mutation counters and latency spans;
+  ``workers > 1`` lets the planner send large batches to the
+  shared-memory pool;
 * :mod:`~repro.serve.snapshot` — one-file persistence of the prepared
-  roster, so a restarted service skips the O(n) rebuild (sharded
-  snapshots are containers of per-shard handoff blobs);
+  roster, so a restarted service skips the O(n) rebuild (older sharded
+  files still load, as one roster);
 * :mod:`~repro.serve.server` — the JSON-lines protocol behind
   ``repro-fbf serve``;
 * :mod:`~repro.serve.aserver` — the asyncio front-end: cross-client
@@ -35,14 +31,7 @@ from repro.serve.httpd import MetricsServer, start_metrics_server
 from repro.serve.mutable import MutableIndex
 from repro.serve.server import MAX_REQUEST_BYTES, handle, serve_lines
 from repro.serve.service import MatchService, QueryResult
-from repro.serve.shard import ShardedIndex
-from repro.serve.snapshot import (
-    dump_index_bytes,
-    load_index,
-    load_index_bytes,
-    read_header,
-    save_index,
-)
+from repro.serve.snapshot import load_index, read_header, save_index
 
 __all__ = [
     "MAX_REQUEST_BYTES",
@@ -54,11 +43,8 @@ __all__ = [
     "MutableIndex",
     "QueryResult",
     "ResultCache",
-    "ShardedIndex",
-    "dump_index_bytes",
     "handle",
     "load_index",
-    "load_index_bytes",
     "read_header",
     "run_server",
     "save_index",

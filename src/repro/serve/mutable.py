@@ -38,65 +38,7 @@ from repro.parallel.prepared import PreparedSide
 __all__ = ["MutableIndex"]
 
 
-class Roster:
-    """The index gauges and the views :class:`MutableIndex` and
-    :class:`~repro.serve.shard.ShardedIndex` share."""
-
-    def _reset_telemetry(self) -> None:
-        """Detach instrumentation."""
-        self._metrics = NULL_METRICS
-        self._events = NULL_EVENTS
-        self._gauges = self._c_compactions = None
-
-    def instrument(self, metrics, events=None) -> None:
-        """Report live-state gauges and lifecycle events into a
-        :class:`~repro.obs.metrics.MetricsRegistry` (and optionally an
-        :class:`~repro.obs.events.EventLog`).
-
-        Gauges — ``index_size`` (live entries), ``index_rows`` (rows
-        incl. tombstones), ``index_tombstone_ratio`` and
-        ``index_generation`` — are refreshed after every mutation;
-        compactions bump ``index_compactions_total`` and emit a
-        ``compaction`` event.  Idempotent; call again to re-point at a
-        different registry.
-        """
-        self._metrics = m = metrics if metrics else NULL_METRICS
-        self._events = events if events else NULL_EVENTS
-        self._gauges = (
-            m.gauge("index_size", "live (non-tombstoned) entries"),
-            m.gauge("index_rows", "packed index rows including tombstones"),
-            m.gauge("index_tombstone_ratio", "dead fraction of packed rows"),
-            m.gauge("index_generation", "mutation counter (caches key on it)"),
-        )
-        self._c_compactions = m.counter(
-            "index_compactions_total",
-            "compactions performed (auto + explicit)",
-        )
-        self._refresh_gauges()
-
-    def _refresh_gauges(self) -> None:
-        if self._gauges is None:
-            return
-        values = (len(self), self.rows, self.tombstone_ratio, self.generation)
-        for gauge, value in zip(self._gauges, values):
-            gauge.set(value)
-
-    @property
-    def tombstone_ratio(self) -> float:
-        """Dead fraction of the rows."""
-        total = self.rows
-        return self.tombstones / total if total else 0.0
-
-    def search_strings(self, query: str, k: int = 1) -> list[str]:
-        """Like :meth:`search` but returning the matched strings."""
-        return [self.get(sid) for sid in self.search(query, k)]
-
-    def extend(self, strings: Sequence[str]) -> list[int]:
-        """Index a batch; returns the assigned external ids."""
-        return [self.add(s) for s in strings]
-
-
-class MutableIndex(Roster):
+class MutableIndex:
     """A prepared roster supporting add/extend/remove with stable ids.
 
     Parameters
@@ -141,7 +83,8 @@ class MutableIndex(Roster):
         self.generation = 0
         #: total compactions performed (auto + explicit)
         self.compactions = 0
-        self._reset_telemetry()
+        self._events = NULL_EVENTS
+        self._gauges = self._c_compactions = None
 
     def _set_rows(
         self, ext_ids: np.ndarray, dead: np.ndarray | None = None
@@ -165,6 +108,41 @@ class MutableIndex(Roster):
             zip(self._ext_ids[live].tolist(), live.tolist())
         )
 
+    # -- telemetry -----------------------------------------------------------
+
+    def instrument(self, metrics, events=None) -> None:
+        """Report live-state gauges and lifecycle events into a
+        :class:`~repro.obs.metrics.MetricsRegistry` (and optionally an
+        :class:`~repro.obs.events.EventLog`).
+
+        Gauges — ``index_size`` (live entries), ``index_rows`` (rows
+        incl. tombstones), ``index_tombstone_ratio`` and
+        ``index_generation`` — are refreshed after every mutation;
+        compactions bump ``index_compactions_total`` and emit a
+        ``compaction`` event.  Idempotent; call again to re-point at a
+        different registry.
+        """
+        m = metrics if metrics else NULL_METRICS
+        self._events = events if events else NULL_EVENTS
+        self._gauges = (
+            m.gauge("index_size", "live (non-tombstoned) entries"),
+            m.gauge("index_rows", "packed index rows including tombstones"),
+            m.gauge("index_tombstone_ratio", "dead fraction of packed rows"),
+            m.gauge("index_generation", "mutation counter (caches key on it)"),
+        )
+        self._c_compactions = m.counter(
+            "index_compactions_total",
+            "compactions performed (auto + explicit)",
+        )
+        self._refresh_gauges()
+
+    def _refresh_gauges(self) -> None:
+        if self._gauges is None:
+            return
+        values = (len(self), self.rows, self.tombstone_ratio, self.generation)
+        for gauge, value in zip(self._gauges, values):
+            gauge.set(value)
+
     # -- introspection ------------------------------------------------------
 
     @property
@@ -187,6 +165,12 @@ class MutableIndex(Roster):
         """Rows, tombstones included (what a batch probes)."""
         return len(self.prepared)
 
+    @property
+    def tombstone_ratio(self) -> float:
+        """Dead fraction of the rows."""
+        total = self.rows
+        return self.tombstones / total if total else 0.0
+
     def __len__(self) -> int:
         return len(self._live)
 
@@ -204,22 +188,9 @@ class MutableIndex(Roster):
 
     # -- mutation -----------------------------------------------------------
 
-    def add(self, s: str, *, sid: int | None = None) -> int:
-        """Index one string; returns its stable external id.
-
-        ``sid`` lets an owner that allocates ids globally (the sharded
-        index places one monotone id space across many shards) assign
-        the external id explicitly; it must not collide with any id
-        this index has ever handed out, so the monotone-ids invariant —
-        and with it the sortedness of mapped search results — survives.
-        """
-        if sid is None:
-            sid = self._next_id
-        elif sid < self._next_id:
-            raise ValueError(
-                f"explicit id {sid} is not above the high-water mark "
-                f"{self._next_id - 1}"
-            )
+    def add(self, s: str) -> int:
+        """Index one string; returns its stable external id."""
+        sid = self._next_id
         internal = self.rows
         self.strings.append(s)
         if internal == len(self._ext_ids):
@@ -231,11 +202,15 @@ class MutableIndex(Roster):
                 [self._dead, np.zeros(spare, dtype=bool)]
             )
         self._ext_ids[internal] = sid
-        self._next_id = sid + 1
+        self._next_id += 1
         self._live[sid] = internal
         self.generation += 1
         self._refresh_gauges()
         return sid
+
+    def extend(self, strings: Sequence[str]) -> list[int]:
+        """Index a batch; returns the assigned external ids."""
+        return [self.add(s) for s in strings]
 
     def remove(self, sid: int) -> None:
         """Tombstone one entry by external id.
@@ -301,6 +276,10 @@ class MutableIndex(Roster):
         )
         rows = np.asarray(raw, dtype=np.int64)
         return self.external_ids(rows[self.live_mask(rows)]).tolist()
+
+    def search_strings(self, query: str, k: int = 1) -> list[str]:
+        """Like :meth:`search` but returning the matched strings."""
+        return [self.get(sid) for sid in self.search(query, k)]
 
     # -- vectorized-path helpers (used by MatchService) ---------------------
 

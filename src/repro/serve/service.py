@@ -11,9 +11,9 @@ Batching matters for the same reason the join layer is vectorized: one
 query against an FBF index spends most of its time in Python dispatch
 (signature, bucket walk, small DP calls), while a batch amortises that
 into one compiled pass (or a handful of NumPy sweeps) over packed
-arrays.  Every uncached batch takes one path, whatever its method: a
-PASS-JOIN planner run of the OSA stack per roster (the single index, or
-each routed shard), on the backend the planner's cost model picks.
+arrays.  Every uncached batch takes one path, whatever its method: one
+PASS-JOIN planner run of the OSA stack against the roster, on the
+backend the planner's cost model picks.
 Levenshtein (``"myers"``) is never below OSA, so its matches are the
 OSA matches it puts within ``k``.  Its matches stay arrays up to the API
 edge: the pass emits (batch position, roster row) as two ``int64``
@@ -49,7 +49,6 @@ import numpy as np
 from time import perf_counter_ns
 
 from repro.core.index import FBFIndex
-from repro.core.join import match_rows
 from repro.core.plan import JoinPlanner
 from repro.core.signatures import SignatureScheme
 from repro.distance.levenshtein import bounded_levenshtein
@@ -63,7 +62,6 @@ from repro.obs.stats import NULL_COLLECTOR
 from repro.parallel.prepared import PreparedSide
 from repro.serve.cache import MISS, ResultCache
 from repro.serve.mutable import MutableIndex
-from repro.serve.shard import ShardedIndex
 from repro.serve.snapshot import load_index, save_index
 
 __all__ = ["MatchService", "QueryResult"]
@@ -121,24 +119,17 @@ class MatchService:
         ``/metrics`` listener (:mod:`repro.serve.httpd`).
     workers:
         The worker count handed to the join planner.  Every uncached
-        batch is one
-        :class:`~repro.core.plan.JoinPlanner` run per roster with the
-        PASS-JOIN generator, and the planner alone picks the backend
-        from the batch's product: the scalar loop for the smallest
-        products, the hybrid shared-memory pool when ``workers > 1``
-        and the product amortizes it (its workers probe PASS-JOIN
-        themselves), else the compiled tier when a provider loads
-        (``REPRO_NO_NATIVE=1`` pins NumPy), else NumPy.  A hybrid run
+        batch is one :class:`~repro.core.plan.JoinPlanner` run against
+        the roster with the PASS-JOIN generator, and the planner alone
+        picks the backend from the batch's product: the scalar loop for
+        the smallest products, the hybrid shared-memory pool when
+        ``workers > 1`` and the product amortizes it (its workers probe
+        PASS-JOIN themselves), else the compiled tier when a provider
+        loads (``REPRO_NO_NATIVE=1`` pins NumPy), else NumPy.  A hybrid run
         publishes the roster's prepared side on first use and renews
         the publication only after adds or compaction (never after a
         remove); each batch ships only its query-side arrays.  Answers
         are identical on every backend.
-    shards:
-        With ``shards > 1`` the service stores its population in a
-        :class:`~repro.serve.shard.ShardedIndex` and answers batched
-        queries by scatter/gather over the routed shards: one planner
-        run per shard, on the same backend rule, pooled or not.  The
-        default (``1``) keeps the single index.
     """
 
     def __init__(
@@ -152,24 +143,14 @@ class MatchService:
         compact_ratio: float | None = 0.25,
         collector=None,
         workers: int | None = None,
-        shards: int = 1,
         metrics: MetricsRegistry | bool | None = None,
     ):
-        if shards > 1:
-            index = ShardedIndex(
-                strings,
-                n_shards=shards,
-                scheme=scheme,
-                verifier=verifier,
-                compact_ratio=compact_ratio,
-            )
-        else:
-            index = MutableIndex(
-                strings,
-                scheme=scheme,
-                verifier=verifier,
-                compact_ratio=compact_ratio,
-            )
+        index = MutableIndex(
+            strings,
+            scheme=scheme,
+            verifier=verifier,
+            compact_ratio=compact_ratio,
+        )
         self._init_state(
             index,
             k=k,
@@ -181,7 +162,7 @@ class MatchService:
 
     def _init_state(
         self,
-        index: MutableIndex | ShardedIndex,
+        index: MutableIndex,
         *,
         k: int,
         cache_size: int,
@@ -199,10 +180,6 @@ class MatchService:
         self._obs = collector if collector else NULL_COLLECTOR
         self._workers = workers
         self._init_telemetry(metrics)
-
-    @property
-    def sharded(self) -> bool:
-        return isinstance(self._index, ShardedIndex)
 
     def _init_telemetry(self, metrics: MetricsRegistry | bool | None) -> None:
         """Create (or adopt) the registry and pre-bind the hot-path
@@ -397,7 +374,7 @@ class MatchService:
 
         Duplicate values are answered once; cached values skip the
         index entirely.  The remaining *pending* values are answered by
-        one planner run per roster, whatever the method.
+        one planner run, whatever the method.
         """
         k, method = self._resolve(k, method)
         t0 = perf_counter_ns()
@@ -464,12 +441,13 @@ class MatchService:
 
     # -- prepared rosters -----------------------------------------------------
 
-    def _roster(self, key: object, mutable, k: int) -> PreparedSide:
-        """``mutable``'s prepared side (``key`` is ``"base"`` or a shard
-        id), brought up to date for one batch: rows added since the last
-        one are folded in (the arrays and the PASS-JOIN index extended),
-        and what a new side lacks (after compaction) is built."""
-        prep = mutable.prepared
+    def _roster(self, k: int) -> PreparedSide:
+        """The roster's prepared side, brought up to date for one batch:
+        rows added since the last one are folded in (the arrays and the
+        PASS-JOIN index extended), and what a new side lacks (after
+        compaction or a load) is built."""
+        index = self._index
+        prep = index.prepared
         obs = self._obs
         pj = prep.passjoin.get(k)
         if pj is None or len(pj) < len(prep):
@@ -478,7 +456,7 @@ class MatchService:
         if pj is None:
             self.events.emit(
                 "passjoin_rebuild",
-                generation=mutable.generation,
+                generation=index.generation,
                 rows=len(prep),
             )
         held = prep.encoded
@@ -490,9 +468,8 @@ class MatchService:
                     self._c_engine_rebuilds.inc()
                     self.events.emit(
                         "engine_rebuild",
-                        generation=mutable.generation,
+                        generation=index.generation,
                         rows=len(prep),
-                        **_shard_field(key),
                     )
         return prep
 
@@ -505,53 +482,49 @@ class MatchService:
     def _answer_batched(
         self, pending: list[str], k: int, method: str
     ) -> list[QueryResult]:
-        """Answer a batch of uncached queries: one planner run per
-        roster the batch visits, folded into one result per pending
-        value."""
-        parts = []
-        for key, mutable, vals, idxs in self._routes(pending, k):
-            ii, jj = self._run_planned(key, mutable, vals, k)
-            parts.append((idxs[ii], jj, mutable))
-        return self._fold(pending, k, method, parts)
+        """Answer a batch of uncached queries: one planner run against
+        the roster, folded into one result per pending value.  An empty
+        roster gets no work and no funnel credit."""
+        if self._index.rows:
+            pos, rows = self._run_planned(pending, k)
+        else:
+            pos = rows = np.empty(0, dtype=np.int64)
+        return self._fold(pending, k, method, pos, rows)
 
     def _fold(
         self,
         pending: list[str],
         k: int,
         method: str,
-        parts: list[tuple[np.ndarray, np.ndarray, MutableIndex]],
+        pos: np.ndarray,
+        rows: np.ndarray,
     ) -> list[QueryResult]:
         """One cached result per pending value from the batch's OSA
-        matches: per roster, ``(batch position, internal row)`` arrays and
-        the index holding the rows.  Tombstoned rows drop out (and, for
-        ``"myers"``, pairs beyond ``k`` Levenshtein edits), rows become
-        external ids (global even for shards) and strings, one
-        ``lexsort`` orders the matches by (position, id) and
+        matches, given as ``(batch position, internal row)`` arrays.
+        Tombstoned rows drop out (and, for ``"myers"``, pairs beyond
+        ``k`` Levenshtein edits), rows become external ids and strings,
+        one ``lexsort`` orders the matches by (position, id) and
         ``searchsorted`` cuts them into per-query runs."""
-        pos_parts, id_parts, strings = [], [], []
-        for pos, rows, mutable in parts:
-            keep = mutable.live_mask(rows)
+        index = self._index
+        keep = index.live_mask(rows)
+        pos, rows = pos[keep], rows[keep]
+        strings = list(map(index.strings.__getitem__, rows.tolist()))
+        if method == "myers":  # the OSA matches within k for Levenshtein
+            keep = np.array([
+                bounded_levenshtein(pending[p], s, k) is not None
+                for p, s in zip(pos.tolist(), strings)
+            ], dtype=bool)
+            self._obs.add_matched(int(keep.sum()) - len(keep))
             pos, rows = pos[keep], rows[keep]
-            matched = list(map(mutable.strings.__getitem__, rows.tolist()))
-            if method == "myers":  # the OSA matches within k for Levenshtein
-                keep = np.array([
-                    bounded_levenshtein(pending[p], s, k) is not None
-                    for p, s in zip(pos.tolist(), matched)
-                ], dtype=bool)
-                self._obs.add_matched(int(keep.sum()) - len(keep))
-                pos, rows = pos[keep], rows[keep]
-                matched = [s for s, ok in zip(matched, keep) if ok]
-            pos_parts.append(pos)
-            id_parts.append(mutable.external_ids(rows))
-            strings += matched
-        pos, ids = match_rows(pos_parts, id_parts)
+            strings = [s for s, ok in zip(strings, keep) if ok]
+        ids = index.external_ids(rows)
         order = np.lexsort((ids, pos))
         bounds = np.searchsorted(
             pos[order], np.arange(len(pending) + 1)
         ).tolist()
         ids = ids[order].tolist()
         strings = list(map(strings.__getitem__, order.tolist()))
-        generation = self._index.generation
+        generation = index.generation
         results = [
             QueryResult(
                 value, method, k, tuple(ids[a:b]), tuple(strings[a:b]),
@@ -566,11 +539,11 @@ class MatchService:
         return results
 
     def _run_planned(
-        self, key: object, mutable, values: list[str], k: int
+        self, values: list[str], k: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """One PASS-JOIN planner run of the FPDL stack for ``values``
-        against ``mutable``'s prepared roster; returns the (query row,
-        roster row) matches as two ``int64`` arrays.
+        against the prepared roster; returns the (query row, roster row)
+        matches as two ``int64`` arrays.
 
         PASS-JOIN is exact for the OSA stack this runs.  The planner
         picks the backend (see ``workers``); a hybrid run publishes the
@@ -579,7 +552,7 @@ class MatchService:
         generator stage with the pairs it skipped, so the funnel stays
         conserved.
         """
-        prep = self._roster(key, mutable, k)
+        prep = self._roster(k)
         publication = prep.publication
         result = JoinPlanner(
             values,
@@ -599,42 +572,12 @@ class MatchService:
             self._obs.add_counter("shm_roster_publishes")
             self.events.emit(
                 "roster_publish",
-                generation=mutable.generation,
+                generation=self._index.generation,
                 bytes=prep.publication.bytes_shared,
-                **_shard_field(key),
             )
         if self._pooled:
             self._publish_pool_metrics()
         return result.match_rows
-
-    # -- the sharded scatter/gather path ------------------------------------
-
-    def _routes(self, pending: list[str], k: int):
-        """Yield ``(key, roster, values, their positions in pending)``
-        for each non-empty roster the batch visits: the single index
-        (key ``"base"``), or each shard (key: its id) the PASS-JOIN
-        length window routes a query to, at most ``min(2k+1,
-        n_shards)`` per query.  An empty roster gets no work and no
-        funnel credit."""
-        index = self._index
-        if not self.sharded:
-            if index.rows:
-                yield "base", index, pending, np.arange(len(pending))
-            return
-        plan: dict[int, tuple[list[str], list[int]]] = {}
-        for qi, value in enumerate(pending):
-            for si in index.route(len(value), k):
-                if index.shards[si].rows:
-                    vals, idxs = plan.setdefault(si, ([], []))
-                    vals.append(value)
-                    idxs.append(qi)
-        for si, (vals, idxs) in sorted(plan.items()):
-            self.metrics.counter(
-                "shard_queries_total",
-                "queries routed to this shard",
-                labels={"shard": str(si)},
-            ).inc(len(vals))
-            yield si, index.shards[si], vals, np.asarray(idxs)
 
     # -- stats and snapshots ------------------------------------------------
 
@@ -658,16 +601,6 @@ class MatchService:
             "verifier": index.verifier,
             "cache": self._cache.stats(),
         }
-        if self.sharded:
-            out["shards"] = [
-                {
-                    "size": len(shard),
-                    "rows": shard.rows,
-                    "tombstones": shard.tombstones,
-                    "generation": shard.generation,
-                }
-                for shard in index.shards
-            ]
         if self.metrics:
             out["latency"] = {
                 "query": _latency_ms(self._h_query),
@@ -678,17 +611,12 @@ class MatchService:
 
     def save(self, path: str | Path) -> Path:
         """Snapshot the index (plus service config) to one file, with
-        each roster's prepared arrays and PASS-JOIN index at :attr:`k`
-        (built first if a roster lacks them)."""
+        the roster's prepared arrays and PASS-JOIN index at :attr:`k`
+        (built first if the roster lacks them)."""
         with self._obs.span("serve.snapshot"):
-            index = self._index
-            rosters = (
-                enumerate(index.shards) if self.sharded else [("base", index)]
-            )
-            for key, mutable in rosters:
-                self._roster(key, mutable, self.k)
+            self._roster(self.k)
             saved = save_index(
-                index,
+                self._index,
                 path,
                 meta={
                     "k": self.k,
@@ -742,12 +670,6 @@ class MatchService:
             generation=index.generation,
         )
         return svc
-
-
-def _shard_field(key: object) -> dict[str, object]:
-    """``shard=`` for events about a shard's roster (``key`` is a shard
-    id), nothing for the single index (``"base"``)."""
-    return {} if key == "base" else {"shard": key}
 
 
 def _latency_ms(hist) -> dict[str, float]:

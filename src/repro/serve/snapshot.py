@@ -26,14 +26,13 @@ Version-1 files stored packed FBF length buckets (``bucket_{L}_*``)
 instead; they still load, the buckets ignored and the side built on
 the first batch.
 
-A :class:`~repro.serve.shard.ShardedIndex` snapshot is a *container*:
-the outer ``__header__`` carries the sharded format marker and the
-global id high-water mark, and each ``shard_{i}`` entry is one inner
-single-index snapshot stored as raw bytes (``uint8``).  The same inner
-blob is the shard *handoff* unit — :func:`dump_index_bytes` /
-:func:`load_index_bytes` round-trip one shard through memory without
-touching disk, which is what ``ShardedIndex.export_shard`` ships
-between processes.
+Sharded files (format ``repro-serve-snapshot-sharded``, versions 1 and
+2) are no longer written but still load, as one roster.  Their outer
+``__header__`` carries the global counters and each ``shard_{i}`` entry
+is one inner single-roster file stored as raw bytes (``uint8``).  Each
+inner file is checked as a file of its own; their rows then merge in
+id order, tombstones included, the merged rows are checked again (no id
+may sit in two shards), and the side is built on the first batch.
 
 Only stock (named) signature schemes round-trip — a custom scheme's
 generate function cannot be serialized, so :func:`save_index` refuses
@@ -60,8 +59,6 @@ __all__ = [
     "FORMAT_VERSION",
     "save_index",
     "load_index",
-    "dump_index_bytes",
-    "load_index_bytes",
     "read_header",
 ]
 
@@ -72,7 +69,20 @@ FORMAT_VERSION = 2
 PASSJOIN_ARRAYS = ("hashes", "ids", "table")
 
 
-def _check_scheme(index) -> None:
+def save_index(
+    index: MutableIndex,
+    path: str | Path,
+    *,
+    meta: dict[str, object] | None = None,
+) -> Path:
+    """Write one snapshot file: the rows, the prepared side's arrays
+    (encoded first if need be) and every PASS-JOIN index it holds over
+    all rows; returns the path written.
+
+    ``meta`` is stored verbatim in the header's ``"meta"`` field (the
+    service puts its own configuration there) and must be
+    JSON-serializable.
+    """
     scheme = index.scheme
     try:
         scheme_from_name(scheme.name)
@@ -81,23 +91,14 @@ def _check_scheme(index) -> None:
             f"scheme {scheme.name!r} is not a stock scheme; custom "
             "schemes cannot be snapshotted"
         ) from None
-
-
-def _mutable_arrays(
-    index: MutableIndex, meta: dict[str, object] | None
-) -> dict[str, np.ndarray]:
-    """One MutableIndex as the flat npz array dict (header included):
-    its rows, the prepared side's arrays (encoded first if need be) and
-    every PASS-JOIN index it holds over all rows."""
-    _check_scheme(index)
     prep = index.prepared
-    strings = prep.strings
     side = prep.side()
-    dead = np.flatnonzero(index._dead[: index.rows]).astype(np.int64)
     arrays: dict[str, np.ndarray] = {
-        "strings": np.array(strings, dtype=np.str_),
+        "strings": np.array(prep.strings, dtype=np.str_),
         "ext_ids": index._ext_ids[: index.rows],
-        "tombstones": dead,
+        "tombstones": np.flatnonzero(index._dead[: index.rows]).astype(
+            np.int64
+        ),
         "codes": side.codes,
         "lengths": side.lengths,
         "sigs": side.sigs,
@@ -106,80 +107,25 @@ def _mutable_arrays(
     for t in stored:
         for name, arr in zip(PASSJOIN_ARRAYS, prep.passjoin[t].flat()):
             arrays[f"passjoin_{t}_{name}"] = arr
-    arrays["__header__"] = _header_for(
-        index, FORMAT, meta, n_rows=len(strings), passjoin=stored
-    )
-    return arrays
-
-
-def _sharded_arrays(
-    index, meta: dict[str, object] | None
-) -> dict[str, np.ndarray]:
-    """A ShardedIndex as a container npz: per-shard inner blobs."""
-    _check_scheme(index)
-    arrays = {
-        f"shard_{si}": np.frombuffer(dump_index_bytes(shard), np.uint8)
-        for si, shard in enumerate(index.shards)
-    }
-    arrays["__header__"] = _header_for(
-        index, FORMAT_SHARDED, meta, n_shards=index.n_shards
-    )
-    return arrays
-
-
-def _header_for(index, fmt: str, meta, **fields) -> np.ndarray:
-    """The JSON header array of one index's snapshot."""
     header = {
-        "format": fmt,
+        "format": FORMAT,
         "version": FORMAT_VERSION,
-        "scheme": index.scheme.name,
+        "scheme": scheme.name,
         "verifier": index.verifier,
         "generation": index.generation,
         "compactions": index.compactions,
         "compact_ratio": index.compact_ratio,
         "next_id": index._next_id,
         "n_live": len(index),
-        **fields,
+        "n_rows": index.rows,
+        "passjoin": stored,
         "meta": dict(meta or {}),
     }
-    return np.asarray(json.dumps(header))
-
-
-def save_index(
-    index,
-    path: str | Path,
-    *,
-    meta: dict[str, object] | None = None,
-) -> Path:
-    """Write one snapshot file; returns the path written.
-
-    Accepts a :class:`MutableIndex` or a
-    :class:`~repro.serve.shard.ShardedIndex` (the formats are
-    self-describing; :func:`load_index` reconstructs whichever was
-    saved).  ``meta`` is stored verbatim in the header's ``"meta"``
-    field (the service puts its own configuration there) and must be
-    JSON-serializable.
-    """
-    from repro.serve.shard import ShardedIndex
-
+    arrays["__header__"] = np.asarray(json.dumps(header))
     path = Path(path)
-    arrays = (
-        _sharded_arrays(index, meta)
-        if isinstance(index, ShardedIndex)
-        else _mutable_arrays(index, meta)
-    )
     with path.open("wb") as fh:
         np.savez(fh, **arrays)
     return path
-
-
-def dump_index_bytes(
-    index: MutableIndex, *, meta: dict[str, object] | None = None
-) -> bytes:
-    """One single-shard snapshot as in-memory bytes (the handoff blob)."""
-    buf = io.BytesIO()
-    np.savez(buf, **_mutable_arrays(index, meta))
-    return buf.getvalue()
 
 
 def read_header(path: str | Path) -> dict[str, object]:
@@ -256,78 +202,81 @@ def _loaded_passjoin(npz, strings: list[str], k) -> PassJoinIndex:
     return index
 
 
-def _mutable_from_npz(npz, header) -> MutableIndex:
-    strings = _array(npz, "strings", np.str_, 1).tolist()
-    n = len(strings)
-    scheme = scheme_from_name(str(header["scheme"]))
-    ext_ids = _array(npz, "ext_ids", np.int64, 1)
-    dead = _array(npz, "tombstones", np.int64, 1)
-    next_id = int(header["next_id"])
+def _check_rows(n: int, ext_ids, dead, next_id: int) -> None:
+    """``n`` rows' ids increase below the high-water mark, and the
+    tombstones name rows that exist."""
     _require(
         len(ext_ids) == n and (np.diff(ext_ids) > 0).all()
         and _within(ext_ids, 0, next_id),
         "ids not increasing below the high-water mark",
     )
     _require(_within(dead, 0, n), "tombstones name rows that do not exist")
+
+
+def _mutable_from_npz(npz, header) -> MutableIndex:
+    strings = _array(npz, "strings", np.str_, 1).tolist()
+    ext_ids = _array(npz, "ext_ids", np.int64, 1)
+    dead = _array(npz, "tombstones", np.int64, 1)
+    _check_rows(len(strings), ext_ids, dead, int(header["next_id"]))
+    scheme = scheme_from_name(str(header["scheme"]))
     prep = PreparedSide(strings, scheme)
     if int(header["version"]) >= 2:
         prep.encoded = _loaded_side(npz, strings, scheme)
         for k in header.get("passjoin", []):
             prep.passjoin[k] = _loaded_passjoin(npz, strings, k)
+    return _mutable(prep, ext_ids, dead, header)
+
+
+def _merged_from_npz(npz, header) -> MutableIndex:
+    """A sharded file as one roster: each shard checked as a file of
+    its own, their rows merged in id order (tombstones included) and
+    checked again; the side is built on the first batch."""
+    n_shards = int(header["n_shards"])
+    _require(n_shards >= 1, "no shards")
+    shards = []
+    for si in range(n_shards):
+        blob = io.BytesIO(_array(npz, f"shard_{si}", np.uint8, 1).tobytes())
+        with np.load(blob, allow_pickle=False) as inner:
+            inner_header = _header(inner)
+            _require(inner_header["format"] == FORMAT, f"shard {si} format")
+            shards.append(_mutable_from_npz(inner, inner_header))
+    ext_ids = np.concatenate([sh._ext_ids[: sh.rows] for sh in shards])
+    dead = np.concatenate([sh._dead[: sh.rows] for sh in shards])
+    order = np.argsort(ext_ids, kind="stable")
+    ext_ids, dead = ext_ids[order], np.flatnonzero(dead[order])
+    strings = [s for shard in shards for s in shard.strings]
+    _check_rows(len(strings), ext_ids, dead, int(header["next_id"]))
+    strings = list(map(strings.__getitem__, order.tolist()))
+    scheme = scheme_from_name(str(header["scheme"]))
+    return _mutable(PreparedSide(strings, scheme), ext_ids, dead, header)
+
+
+def _mutable(prep: PreparedSide, ext_ids, dead, header) -> MutableIndex:
+    """A MutableIndex over ``prep``'s rows with the header's counters."""
     index = MutableIndex(
-        scheme=scheme,
+        scheme=prep.scheme,
         verifier=str(header["verifier"]),
         compact_ratio=header.get("compact_ratio"),
     )
     index.prepared = prep
     index._set_rows(ext_ids, dead)
-    index._next_id = next_id
+    index._next_id = int(header["next_id"])
     index.generation = int(header["generation"])
     index.compactions = int(header.get("compactions", 0))
     return index
 
 
-def _sharded_from_npz(npz, header):
-    from repro.serve.shard import ShardedIndex
-
-    index = ShardedIndex(
-        n_shards=int(header["n_shards"]),
-        scheme=scheme_from_name(str(header["scheme"])),
-        verifier=str(header["verifier"]),
-        compact_ratio=header.get("compact_ratio"),
-    )
-    for si in range(index.n_shards):
-        blob = _array(npz, f"shard_{si}", np.uint8, 1)
-        shard, _ = load_index_bytes(blob.tobytes())
-        shard.compact_ratio = index.compact_ratio
-        index._shards[si] = shard
-        index._locate.update(dict.fromkeys(shard._live, si))
-    index._next_id = int(header["next_id"])
-    return index
-
-
-def load_index(path: str | Path) -> tuple[object, dict[str, object]]:
+def load_index(path: str | Path) -> tuple[MutableIndex, dict[str, object]]:
     """Reconstruct ``(index, header)`` from a snapshot file.
 
-    The returned index is a :class:`MutableIndex` or a
-    :class:`~repro.serve.shard.ShardedIndex` according to the saved
-    format, with its stored arrays adopted (nothing is encoded or
-    indexed); ``header`` carries the saved metadata, including the
-    caller's ``meta`` dict.  Raises ``ValueError`` for a file that is
-    not a valid snapshot.
+    The stored arrays of a single-roster file are adopted (nothing is
+    encoded or indexed); a sharded file loads as one roster.
+    ``header`` carries the saved metadata, including the caller's
+    ``meta`` dict.  Raises ``ValueError`` for a file that is not a
+    valid snapshot.
     """
-    return _load(Path(path), (FORMAT, FORMAT_SHARDED))
-
-
-def load_index_bytes(blob: bytes) -> tuple[MutableIndex, dict[str, object]]:
-    """Reconstruct one single-shard index from an in-memory blob."""
-    return _load(io.BytesIO(blob), (FORMAT,))
-
-
-def _load(source, formats: tuple[str, ...]) -> tuple[object, dict]:
-    with np.load(source, allow_pickle=False) as npz:
+    with np.load(Path(path), allow_pickle=False) as npz:
         header = _header(npz)
-        _require(header["format"] in formats, f"format {header['format']!r}")
         if header["format"] == FORMAT_SHARDED:
-            return _sharded_from_npz(npz, header), header
+            return _merged_from_npz(npz, header), header
         return _mutable_from_npz(npz, header), header

@@ -172,7 +172,7 @@ class TestAsyncServer:
 
     def test_shutdown_drains_and_reports_totals(self):
         async def main():
-            svc = MatchService(WORDS, k=1, shards=2)
+            svc = MatchService(WORDS, k=1)
             server = AsyncMatchServer(svc, batch_window=0.05)
             _, port = await server.start()
             # A query parked in the coalescing window when shutdown

@@ -13,9 +13,9 @@ so queries actually hit (near-)matches instead of empty windows.
 
 import shutil
 import tempfile
+from unittest import mock
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -24,7 +24,10 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.core import plan
 from repro.core.index import FBFIndex
+from repro.obs.stats import StatsCollector
+from repro.parallel.shm import close_shared_pools
 from repro.serve.mutable import MutableIndex
 from repro.serve.service import MatchService
 from repro.serve.snapshot import load_index, save_index
@@ -114,14 +117,23 @@ class ServiceMachine(RuleBasedStateMachine):
     snapshot round-trips: every answer of the batched fold (ids,
     strings, ``cached``, ``generation``) equals the rebuilt oracle
     and the cache model.  Batches repeat values and re-ask values
-    answered before, so hits, misses and in-batch duplicates mix."""
+    answered before, so hits, misses and in-batch duplicates mix.  The
+    funnel stays conserved throughout."""
 
     CACHE = 8
+    #: the service's worker count
+    WORKERS = None
 
     def __init__(self):
         super().__init__()
+        self.obs = StatsCollector("service-eq")
         self.svc = MatchService(
-            scheme="alpha", k=1, cache_size=self.CACHE, compact_ratio=0.4
+            scheme="alpha",
+            k=1,
+            cache_size=self.CACHE,
+            compact_ratio=0.4,
+            collector=self.obs,
+            workers=self.WORKERS,
         )
         self.model: dict[int, str] = {}
         self.batches = BatchModel(oracle_answer, self.CACHE)
@@ -148,22 +160,56 @@ class ServiceMachine(RuleBasedStateMachine):
     @rule()
     def snapshot_roundtrip(self):
         path = self.svc.save(f"{self.tmpdir}/svc.npz")
-        self.svc = MatchService.load(path)
+        self.svc = MatchService.load(
+            path, collector=self.obs, workers=self.WORKERS
+        )
         self.batches.reset()
 
     @rule(data=st.data(), k=st.integers(0, 2))
     def query_batch(self, data, k):
         values = self.batches.draw(data, WORDS)
         self.batches.check(self.svc, self.model, values, k)
+        if self.WORKERS and "backend" in self.obs.meta:
+            assert self.obs.meta["backend"] == "hybrid"
 
     @invariant()
     def contents_match_model(self):
         assert dict(self.svc.items()) == self.model
 
+    @invariant()
+    def funnel_conserved(self):
+        assert self.obs.conserved
+
+
+class PooledServiceMachine(ServiceMachine):
+    """The same machine with every batch on the hybrid pool: a
+    test-only patch of the planner's size thresholds, which these tiny
+    rosters never reach."""
+
+    WORKERS = 2
+
+    def __init__(self):
+        self.thresholds = mock.patch.multiple(
+            plan,
+            _HYBRID_MIN_PAIRS=1,
+            _SCALAR_MAX_PAIRS=0,
+            _SCALAR_MAX_PAIRS_NUMPY=0,
+        )
+        self.thresholds.start()
+        super().__init__()
+
+    def teardown(self):
+        self.thresholds.stop()
+        super().teardown()
+
 
 TestServiceBatchEquivalencePassJoin = ServiceMachine.TestCase
 TestServiceBatchEquivalencePassJoin.settings = settings(
     max_examples=15, stateful_step_count=30, deadline=None
+)
+TestServiceBatchEquivalencePooled = PooledServiceMachine.TestCase
+TestServiceBatchEquivalencePooled.settings = settings(
+    max_examples=15, stateful_step_count=25, deadline=None
 )
 
 
@@ -189,15 +235,13 @@ class TestServiceEquivalence:
                     want = tuple(oracle_answer(model, res.value, 1))
                     assert res.ids == want, (step, res.value)
 
-    @pytest.mark.parametrize("shards", [1, 2], ids=["single", "shards2"])
-    def test_extended_state_matches_rebuilt_oracle(self, rng, shards):
+    def test_extended_state_matches_rebuilt_oracle(self, rng):
         # Reads interleave with adds whose strings grow longer over the
         # run, so the held engines and PASS-JOIN indexes are extended
         # through wider codes and new length classes, and with removes
         # and compactions, which must not be answered from stale rows.
         svc = MatchService(
-            scheme="alpha", k=1, cache_size=16, compact_ratio=0.3,
-            shards=shards,
+            scheme="alpha", k=1, cache_size=16, compact_ratio=0.3
         )
         model: dict[int, str] = {}
         words: list[str] = []
@@ -219,3 +263,7 @@ class TestServiceEquivalence:
                     want = tuple(oracle_answer(model, res.value, 1))
                     assert res.ids == want, (step, res.value)
         assert svc.index.compactions > 0
+
+
+def teardown_module(module):
+    close_shared_pools()

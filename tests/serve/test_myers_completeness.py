@@ -56,18 +56,12 @@ def brute_force(live: dict[int, str], query: str, k: int) -> tuple:
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    data=st.data(),
-    k=st.integers(0, 3),
-    shards=st.sampled_from([1, 2]),
-)
-def test_batched_myers_equals_brute_force_levenshtein(data, k, shards):
+@given(data=st.data(), k=st.integers(0, 3))
+def test_batched_myers_equals_brute_force_levenshtein(data, k):
     base = data.draw(st.lists(BASE, min_size=1, max_size=6), label="base")
     words = variant(st.sampled_from(base))
     roster = data.draw(st.lists(words, max_size=10), label="roster")
-    svc = MatchService(
-        roster, k=k, scheme="alpha", cache_size=0, shards=shards
-    )
+    svc = MatchService(roster, k=k, scheme="alpha", cache_size=0)
     # A first batch prepares the roster, so the writes after it extend
     # and tombstone held state instead of building it fresh.
     svc.query_batch(data.draw(st.lists(words, max_size=3)), method="myers")

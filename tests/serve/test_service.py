@@ -260,22 +260,6 @@ class TestEngineReuse:
         assert svc.index.prepared is not roster
         assert obs.counters["engine_rebuilds"] == 2
 
-    def test_sharded_engines_extended_in_place(self):
-        svc = MatchService(
-            NAMES, k=1, cache_size=0, compact_ratio=None, shards=2
-        )
-        svc.query_batch(["SMITH", "BROWNE"])
-        rosters = {
-            si: shard.prepared for si, shard in enumerate(svc.index.shards)
-        }
-        sid = svc.add("SMITHERS")
-        svc.remove(0)
-        got = svc.query_batch(["SMITH", "SMITHERS", "BROWNE"])
-        assert [r.ids for r in got] == [(1,), (sid,), (4, 5)]
-        for si, roster in rosters.items():
-            assert svc.index.shards[si].prepared is roster
-        assert svc.metrics.counter("serve_engine_rebuilds_total").value == 2
-
     def test_unencodable_add_fails_every_batched_read(self):
         # Extension is all-or-nothing: a row the engine cannot encode
         # leaves the held arrays untouched, so every later read retries
@@ -316,17 +300,13 @@ class TestSnapshotRoundtrip:
         for q in ("SMITH", "JONES", "BROWN"):
             assert warm.query(q).ids == svc.query(q).ids, q
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_loaded_service_answers_batches(self, tmp_path, ln_pair, shards):
-        svc = MatchService(
-            list(ln_pair.clean), k=1, compact_ratio=None, shards=shards
-        )
+    def test_loaded_service_answers_batches(self, tmp_path, ln_pair):
+        svc = MatchService(list(ln_pair.clean), k=1, compact_ratio=None)
         svc.add("SMITT")
         svc.remove(3)
         queries = list(ln_pair.error)[:40] + ["SMITH"]
         want = [r.ids for r in svc.query_batch(queries)]
         warm = MatchService.load(svc.save(tmp_path / "svc.npz"))
-        assert warm.sharded == (shards > 1)
         assert [r.ids for r in warm.query_batch(queries)] == want
         # The snapshot stores the prepared side and the PASS-JOIN index
         # at the saved k, so the first batch encodes and builds nothing.

@@ -38,16 +38,13 @@ def _answers(svc, queries):
 
 
 class TestPooledEquivalence:
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_answers_and_funnel_match_inprocess(self, ln_pair, shards):
+    def test_answers_and_funnel_match_inprocess(self, ln_pair):
         # Pooled PASS-JOIN batches probe the index inside the workers.
         queries = ln_pair.error[:60]
         c_ref, c_pool = StatsCollector("ref"), StatsCollector("pooled")
-        ref = MatchService(
-            ln_pair.clean, k=1, collector=c_ref, shards=shards
-        )
+        ref = MatchService(ln_pair.clean, k=1, collector=c_ref)
         pooled = MatchService(
-            ln_pair.clean, k=1, collector=c_pool, workers=2, shards=shards
+            ln_pair.clean, k=1, collector=c_pool, workers=2
         )
 
         assert _batched(pooled, queries) == _batched(ref, queries)
@@ -127,15 +124,12 @@ class TestPooledEquivalence:
         if native.available():
             assert probed == [n, n + 1]
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_scripted_writes_answer_like_inprocess(self, ln_pair, shards):
+    def test_scripted_writes_answer_like_inprocess(self, ln_pair):
         # A fixed add/remove/compact script between batches that repeat
         # values and re-ask earlier ones: every answer field equals the
         # in-process service's after every step.
-        ref = MatchService(ln_pair.clean, k=1, cache_size=32, shards=shards)
-        pooled = MatchService(
-            ln_pair.clean, k=1, cache_size=32, shards=shards, workers=2
-        )
+        ref = MatchService(ln_pair.clean, k=1, cache_size=32)
+        pooled = MatchService(ln_pair.clean, k=1, cache_size=32, workers=2)
         queries = ln_pair.error[:24]
         script = [
             ("add", "SMITHSONIAN"),
@@ -159,17 +153,13 @@ class TestPooledEquivalence:
         probe = ["SMITHSONIAN", ln_pair.error[5], *queries]
         assert _answers(pooled, probe) == _answers(ref, probe)
 
-    @pytest.mark.parametrize(
-        "shards, workers", [(1, None), (2, None), (1, 2), (2, 2)]
-    )
+    @pytest.mark.parametrize("workers", [None, 2])
     def test_batched_fold_never_looks_up_by_id(
-        self, ln_pair, monkeypatch, shards, workers
+        self, ln_pair, monkeypatch, workers
     ):
         # The fold takes match strings by internal row, in bulk: a
         # per-match MutableIndex.get would raise here.
-        svc = MatchService(
-            ln_pair.clean, k=1, shards=shards, workers=workers
-        )
+        svc = MatchService(ln_pair.clean, k=1, workers=workers)
         want = MatchService(ln_pair.clean, k=1).query_batch(
             ln_pair.error[:30]
         )

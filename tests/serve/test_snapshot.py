@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from repro.serve.snapshot import (
 )
 
 NAMES = ["SMITH", "SMYTH", "JONES", "JONSE", "BROWN"]
+SHARDED = Path(__file__).parent / "data" / "v2_sharded.npz"
 
 
 class TestSaveLoad:
@@ -203,15 +205,24 @@ class TestTamperedSnapshots:
         ids=lambda f: f.__name__[1:],
     )
     def test_sharded_file_rejected(self, tmp_path, edit):
-        svc = MatchService(NAMES, k=1, shards=2)
-        good = svc.save(tmp_path / "good.npz")
-
+        # Sharded files are no longer written; the committed format-2
+        # one stands in.  Each shard is checked as a file of its own.
         def edit_shard(arrays):
             blob = io.BytesIO(arrays["shard_1"].tobytes())
             out = io.BytesIO()
             _tamper(blob, out, edit)
             arrays["shard_1"] = np.frombuffer(out.getvalue(), dtype=np.uint8)
 
-        bad = _tamper(good, tmp_path / "bad.npz", edit_shard)
+        bad = _tamper(SHARDED, tmp_path / "bad.npz", edit_shard)
         with pytest.raises(ValueError, match="invalid"):
+            MatchService.load(bad)
+
+    def test_sharded_file_with_shared_ids_rejected(self, tmp_path):
+        # Two shards holding the same ids pass each shard's own checks;
+        # the merged roster's increasing-ids check rejects them.
+        def copy_shard(arrays):
+            arrays["shard_1"] = arrays["shard_0"].copy()
+
+        bad = _tamper(SHARDED, tmp_path / "bad.npz", copy_shard)
+        with pytest.raises(ValueError, match="ids not increasing"):
             MatchService.load(bad)

@@ -1,16 +1,22 @@
-"""Version-1 snapshots still load and answer like the service they
-were saved from.
+"""Snapshot files no current writer produces still load, and answer
+like the live service built from the same ops.
 
-``tests/serve/data/v1_single.npz`` and ``v1_sharded.npz`` were written
-by the version-1 writer, which stored the roster as packed FBF length
-buckets: ``live_service(shards).save(path)`` for ``shards`` 1 and 2.
-To regenerate them, check out a version-1 tree and run this module as a
-script with that tree's ``src`` on ``PYTHONPATH``.  The current loader
-ignores the ``bucket_*`` arrays and builds the prepared side on the
-first batch.
+``tests/serve/data/`` holds three such files, each written by
+``save`` of an older tree from the ops in :func:`live_service`:
+
+* ``v1_single.npz`` and ``v1_sharded.npz`` — format version 1, which
+  stored the roster as packed FBF length buckets, from a single-roster
+  and a 2-shard service;
+* ``v2_sharded.npz`` — format version 2 from a 2-shard service (written
+  at commit 91dae4b, the last tree with a sharded writer).
+
+The loader ignores the ``bucket_*`` arrays, merges a sharded file's
+shards into one roster in id order, tombstones included, and builds the
+prepared side on the first batch.  A sharded service assigned the same
+global ids as a single one, so every file must match the single-roster
+live service.
 """
 
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,14 +35,21 @@ QUERIES = [
     "SMITH", "SMITT", "JONES", "BROWN", "TAYLOR", "WILSON", "GARCIA",
     "LEE", "L", "", "NOBODY", "JONNES", "BROWNEE",
 ]
+#: fixture name -> (format version, saved generation).  A sharded
+#: service counted its constructor's adds as mutations, so a sharded
+#: file's generation (15 adds + 5 ops) is not the single roster's (5
+#: ops); the loader keeps the saved counter either way.
+FIXTURES = {
+    "v1_single": (1, 5),
+    "v1_sharded": (1, 20),
+    "v2_sharded": (2, 20),
+}
 
 
-def live_service(shards: int) -> MatchService:
+def live_service() -> MatchService:
     """The service each fixture was saved from: adds, removes and a
     tombstone left uncompacted."""
-    svc = MatchService(
-        ROSTER, k=1, cache_size=7, compact_ratio=None, shards=shards
-    )
+    svc = MatchService(ROSTER, k=1, cache_size=7, compact_ratio=None)
     svc.add("SMITT")
     svc.remove(3)
     svc.add("JONNES")
@@ -45,41 +58,39 @@ def live_service(shards: int) -> MatchService:
     return svc
 
 
-def fixture_path(shards: int) -> Path:
-    return DATA / ("v1_single.npz" if shards == 1 else "v1_sharded.npz")
+def load(fixture: str) -> MatchService:
+    return MatchService.load(DATA / f"{fixture}.npz")
 
 
-@pytest.mark.parametrize("shards", [1, 2])
-class TestVersionOneSnapshots:
-    def test_header_is_version_one(self, shards):
-        assert read_header(fixture_path(shards))["version"] == 1
+@pytest.mark.parametrize("fixture", FIXTURES)
+class TestOlderSnapshots:
+    def test_header_version(self, fixture):
+        header = read_header(DATA / f"{fixture}.npz")
+        assert header["version"] == FIXTURES[fixture][0]
 
-    def test_loads_with_saved_state(self, shards):
-        live = live_service(shards)
-        warm = MatchService.load(fixture_path(shards))
-        assert warm.sharded == (shards > 1)
+    def test_loads_with_saved_state(self, fixture):
+        live, warm = live_service(), load(fixture)
         assert list(warm.items()) == list(live.items())
-        assert warm.generation == live.generation
+        assert warm.generation == FIXTURES[fixture][1]
+        assert live.generation == FIXTURES["v1_single"][1]
         assert warm.index._next_id == live.index._next_id
         assert warm.index.tombstones == live.index.tombstones
         assert warm.cache.maxsize == live.cache.maxsize == 7
         assert warm.k == live.k
+        # No stored side is adopted: the first batch builds it.
+        assert warm.index.prepared.encoded is None
 
-    def test_rows_and_tombstones_match_the_live_service(self, shards):
-        live = live_service(shards)
-        warm = MatchService.load(fixture_path(shards))
-        parts = zip(_mutables(warm), _mutables(live))
-        for got, want in parts:
-            assert got.strings == want.strings
-            assert np.array_equal(got.live_mask(_all(got)),
-                                  want.live_mask(_all(want)))
-            assert np.array_equal(got.external_ids(_all(got)),
-                                  want.external_ids(_all(want)))
+    def test_rows_and_tombstones_match_the_live_service(self, fixture):
+        got, want = load(fixture).index, live_service().index
+        assert got.strings == want.strings
+        assert np.array_equal(got.live_mask(_all(got)),
+                              want.live_mask(_all(want)))
+        assert np.array_equal(got.external_ids(_all(got)),
+                              want.external_ids(_all(want)))
 
     @pytest.mark.parametrize("method", ["osa", "osa-bitparallel", "myers"])
-    def test_answers_like_the_live_service(self, shards, method):
-        live = live_service(shards)
-        warm = MatchService.load(fixture_path(shards))
+    def test_answers_like_the_live_service(self, fixture, method):
+        live, warm = live_service(), load(fixture)
         for k in (0, 1, 2):
             got = warm.query_batch(QUERIES, k=k, method=method)
             want = live.query_batch(QUERIES, k=k, method=method)
@@ -89,16 +100,5 @@ class TestVersionOneSnapshots:
         assert warm.query("SMITT").ids == live.query("SMITT").ids
 
 
-def _mutables(svc):
-    return svc.index.shards if svc.sharded else (svc.index,)
-
-
 def _all(mutable) -> np.ndarray:
     return np.arange(mutable.rows, dtype=np.int64)
-
-
-if __name__ == "__main__":
-    DATA.mkdir(exist_ok=True)
-    for n_shards in (1, 2):
-        live_service(n_shards).save(fixture_path(n_shards))
-    sys.exit(0)
