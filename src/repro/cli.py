@@ -34,9 +34,10 @@ chosen plan to stderr without changing the output.
 Observability: every data subcommand accepts ``--stats`` (print the
 filter-funnel report to stderr), ``--stats-json PATH`` (write the
 full collector tree as JSON) and ``--metrics-json PATH`` (write a
-metrics-registry snapshot — the funnel bridged through
-:func:`repro.obs.metrics.registry_from_collector` for batch joins, the
-service's live registry for ``serve``/``query``); ``-v``/``-vv`` raise
+metrics-registry snapshot — for batch joins the funnel counters and
+each span's histogram, copied exactly by
+:func:`repro.obs.metrics.registry_from_collector`; the service's live
+registry for ``serve``/``query``); ``-v``/``-vv`` raise
 the ``repro.*`` logger verbosity and ``-q`` silences warnings.
 ``serve --metrics-port N`` additionally starts a background HTTP
 ``/metrics`` listener (0 picks an ephemeral port, announced on

@@ -1,13 +1,14 @@
 """repro.obs — observability for the filter-and-verify pipeline.
 
-Three small, dependency-free pieces that every layer of the system
+Six small, dependency-free modules that every layer of the system
 reports into:
 
 * :mod:`repro.obs.stats` — :class:`StatsCollector`, the funnel counters
   (considered -> length-rejected -> FBF-rejected -> verified -> matched)
   with a falsy no-op default so the uninstrumented path costs nothing;
 * :mod:`repro.obs.trace` — nested wall-time spans over
-  ``time.perf_counter_ns`` (``with collector.span("fbf.filter"):``);
+  ``time.perf_counter_ns`` (``with collector.span("fbf.filter"):``),
+  each path's durations kept in a mergeable metrics histogram;
 * :mod:`repro.obs.export` — the filtration-ratio table (text) and JSON
   snapshot, directly comparable to the paper's Tables 1-4 columns;
 * :mod:`repro.obs.log` — the ``repro.*`` module-logger hierarchy behind
@@ -27,8 +28,9 @@ Quick tour::
 
     c = StatsCollector("ssn-join")
     join(left, right, "FPDL", k=1, collector=c)
-    print(render_funnel(c))
+    print(render_funnel(c))   # funnel table, then one row per span path
     assert c.conserved        # considered == rejected-by-stage + survivors
+    c.tracer.as_dict()        # {"run.FPDL": {"calls": ..., "p99_ms": ...}, ...}
 """
 
 from repro.obs.events import NULL_EVENTS, EventLog, NullEventLog
@@ -37,6 +39,7 @@ from repro.obs.log import ROOT_LOGGER_NAME, configure_logging, get_logger
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     NULL_METRICS,
+    SPAN_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -51,14 +54,7 @@ from repro.obs.stats import (
     StageStat,
     StatsCollector,
 )
-from repro.obs.trace import (
-    NULL_SPAN,
-    SpanStat,
-    Tracer,
-    current_tracer,
-    trace,
-    use_tracer,
-)
+from repro.obs.trace import NULL_SPAN, SpanStat, Tracer
 
 __all__ = [
     "Counter",
@@ -75,18 +71,16 @@ __all__ = [
     "NullMetricsRegistry",
     "NullStatsCollector",
     "ROOT_LOGGER_NAME",
+    "SPAN_BUCKETS",
     "SpanStat",
     "StageStat",
     "StatsCollector",
     "Tracer",
     "configure_logging",
-    "current_tracer",
     "get_logger",
     "log_buckets",
     "registry_from_collector",
     "render_funnel",
     "stats_dict",
-    "trace",
-    "use_tracer",
     "write_stats_json",
 ]

@@ -48,6 +48,7 @@ overhead measurements (``benchmarks/test_ablation_obs_overhead.py``).
 from __future__ import annotations
 
 import json
+import math
 import time
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterator, Mapping
@@ -65,6 +66,8 @@ __all__ = [
     "log_buckets",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_SIZE_BUCKETS",
+    "SPAN_BUCKETS",
+    "ms_summary",
     "registry_from_collector",
 ]
 
@@ -99,6 +102,9 @@ def log_buckets(
 DEFAULT_LATENCY_BUCKETS = log_buckets(1e-5, 10.0)
 #: batch-size / count bounds: 1 .. 1e6, 2 buckets/decade
 DEFAULT_SIZE_BUCKETS = log_buckets(1.0, 1e6, per_decade=2)
+#: span wall-time bounds in seconds: 1 us .. 10^4 s, 8 buckets/decade
+#: (ratio ~1.33), shared by every tracer so span histograms merge
+SPAN_BUCKETS = log_buckets(1e-6, 1e4, per_decade=8)
 
 
 class Counter:
@@ -245,6 +251,22 @@ class Histogram:
             },
             **{k: v for k, v in self.summary().items() if k != "count"},
         }
+
+
+def ms_summary(
+    hist: Histogram, lo_ms: float = 0.0, hi_ms: float = math.inf
+) -> dict[str, float]:
+    """ms-unit count / mean / p50 / p95 / p99 of a seconds-unit
+    histogram, quantiles clamped to ``[lo_ms, hi_ms]`` (a span's exact
+    min and max)."""
+    return {
+        "count": hist.count,
+        "mean_ms": hist.mean * 1e3,
+        **{
+            f"p{q}_ms": min(max(hist.quantile(q / 100) * 1e3, lo_ms), hi_ms)
+            for q in (50, 95, 99)
+        },
+    }
 
 
 def _label_key(labels: Mapping[str, str] | None) -> tuple[tuple[str, str], ...]:
@@ -593,10 +615,8 @@ def registry_from_collector(collector: "StatsCollector") -> MetricsRegistry:
     into a registry (the CLI's ``--metrics-json`` on one-shot joins).
 
     Funnel totals and free-form counters become counters, per-stage
-    pass/reject pairs become labelled counters, and every span path
-    becomes a latency histogram fed from the span's retained sample
-    window (an approximation: the window is a reservoir over the run,
-    so bucket counts are scaled to the span's true call count).
+    pass/reject pairs become labelled counters, and every span path's
+    histogram merges into a ``repro_join_span_seconds`` series.
     """
     registry = MetricsRegistry()
     prefix = "repro_join"
@@ -623,18 +643,12 @@ def registry_from_collector(collector: "StatsCollector") -> MetricsRegistry:
             f"{prefix}_{name}_total", "collector free-form tally"
         ).inc(n)
     for path, stat in collector.tracer.spans.items():
-        hist = registry.histogram(
+        registry.histogram(
             f"{prefix}_span_seconds",
-            "span wall time from the tracer's reservoir window",
+            "span wall time",
             labels={"path": path},
-        )
-        if stat.samples:
-            scale = stat.calls / len(stat.samples)
-            for ns in stat.samples:
-                hist.observe(ns / 1e9)
-            hist.count = stat.calls
-            hist.sum = stat.total_ns / 1e9
-            hist.counts = [int(round(n * scale)) for n in hist.counts]
+            buckets=SPAN_BUCKETS,
+        ).merge(stat.hist)
     for name, child in collector.children.items():
         registry.merge(registry_from_collector(child))
     return registry

@@ -90,9 +90,9 @@ class StatsCollector:
 
     enabled = True
 
-    def __init__(self, name: str = "join", tracer: Tracer | None = None):
+    def __init__(self, name: str = "join"):
         self.name = name
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.tracer = Tracer()
         self.pairs_considered = 0
         self.survivors = 0
         self.verified = 0

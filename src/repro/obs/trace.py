@@ -4,102 +4,65 @@ The paper's evaluation decomposes every method's cost into per-stage
 wall time (signature generation, filtering, verification — the "Gen"
 rows and time columns of Tables 1-4).  :class:`Tracer` records the same
 decomposition at runtime: a *span* is a named ``with`` block, spans
-nest, and each distinct nesting path accumulates call count and total
-nanoseconds into one :class:`SpanStat`.
+nest, and each distinct nesting path accumulates into one
+:class:`SpanStat`.
 
 Design constraints, in order:
 
-1. **Zero overhead when off.**  The module-level :func:`trace` helper
-   returns a shared no-op context manager when no tracer is active —
-   one global load and one ``is None`` test per call, no allocation.
-2. **Cheap when on.**  A span entry/exit is two ``perf_counter_ns``
-   calls, one list push/pop and one dict upsert; no objects are
-   retained per call, only per distinct path.
-3. **Mergeable.**  Parallel drivers trace into private tracers and
+1. **Cheap when on.**  A span entry/exit is two ``perf_counter_ns``
+   calls, one list push/pop, one dict upsert and one histogram
+   observation; no objects are retained per call, only per distinct
+   path.  When off, :data:`NULL_SPAN` (what the falsy
+   :data:`~repro.obs.stats.NULL_COLLECTOR` hands out) costs nothing.
+2. **Exact merges.**  Parallel drivers trace into private tracers and
    :meth:`Tracer.merge` them into one, mirroring how their counters
-   merge.
+   merge: calls, totals, min and max add or compare exactly, and the
+   latency distribution is a :class:`~repro.obs.metrics.Histogram`
+   over the fixed :data:`~repro.obs.metrics.SPAN_BUCKETS`, so merging
+   is elementwise addition and a worker's pickled tracer folds in with
+   no loss.
 
 Usage::
 
     tracer = Tracer()
-    with tracer.span("fbf.filter"):
-        ...
-    with use_tracer(tracer):          # route module-level trace() calls
-        with trace("verify"):
+    with tracer.span("run.FPDL"):
+        with tracer.span("fbf.filter"):
             ...
-    tracer.spans                       # {"fbf.filter": SpanStat(...), ...}
+    tracer.spans        # {"run.FPDL": SpanStat(...), "run.FPDL/fbf.filter": ...}
 
 Nested spans key under their full path with ``/`` separators, e.g.
 ``"join/fbf.filter"`` — span *names* keep their conventional dots.
 
-**The percentile estimator.**  Each :class:`SpanStat` retains at most
-:data:`SAMPLE_WINDOW` per-call durations and computes percentiles over
-them by nearest rank.  The retained set is a **uniform reservoir**
-(Vitter's Algorithm R): once the window is full, the *i*-th call
-overall replaces a random slot with probability ``SAMPLE_WINDOW / i``,
-so every call of the run — first minute or last — is equally likely to
-be in the window.  A plain "most recent N" ring would make a long run's
-p95/p99 describe only the tail of the run; the reservoir makes them an
-unbiased estimate over the whole run (mean/total are always exact —
-they are accumulated outside the window).  Replacement slots come from
-a per-path ``random.Random`` seeded with ``crc32(path)``, so runs are
-deterministic regardless of ``PYTHONHASHSEED``.  Merging two stats
-(:meth:`Tracer.merge`) draws a calls-proportional stratified subsample:
-each side contributes slots in proportion to the number of calls its
-reservoir summarises, sampled without replacement — when the combined
-windows fit the cap they are simply concatenated, which is exact.
-For quantiles that must stay accurate over *unbounded* serving runs
-with bounded error, prefer the fixed-bucket histograms in
-:mod:`repro.obs.metrics`; the reservoir is the right tool for batch
-runs where true per-call samples beat bucketed ones.
+Percentiles are the histogram's interpolated quantiles clamped to the
+span's exact ``[min, max]``: within one bucket ratio (~1.33x) of the
+true nearest-rank value, and exact for a span recorded once.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from math import ceil
-from random import Random
 from time import perf_counter_ns
-from typing import Iterator
-from zlib import crc32
 
-__all__ = [
-    "SpanStat",
-    "Tracer",
-    "NULL_SPAN",
-    "trace",
-    "use_tracer",
-    "current_tracer",
-    "SAMPLE_WINDOW",
-]
+from repro.obs.metrics import SPAN_BUCKETS, Histogram, ms_summary
 
-#: per-path cap on retained per-call durations; percentiles are computed
-#: over a uniform reservoir of this size covering *all* calls of the
-#: run (mean/total stay exact — they are accumulated outside the window)
-SAMPLE_WINDOW = 1024
+__all__ = ["SpanStat", "Tracer", "NULL_SPAN"]
 
 
 @dataclass
 class SpanStat:
     """Accumulated timing for one span path.
 
-    ``calls`` and ``total_ns`` cover every call ever recorded;
-    ``samples`` is a bounded uniform reservoir (Algorithm R, at most
-    :data:`SAMPLE_WINDOW` entries) over every per-call duration of the
-    run, from which the latency percentiles are estimated — see the
-    module docstring for the estimator and its determinism guarantees.
+    ``calls``, ``total_ns``, ``min_ns`` and ``max_ns`` are exact over
+    every recorded call; ``hist`` buckets each call's duration in
+    seconds for the latency percentiles.
     """
 
     path: str
     calls: int = 0
     total_ns: int = 0
-    samples: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        # Seeded from the path (not hash(): deterministic under any
-        # PYTHONHASHSEED), so identical runs keep identical windows.
-        self._rng = Random(crc32(self.path.encode("utf-8")))
+    min_ns: int = 0
+    max_ns: int = 0
+    hist: Histogram = field(default_factory=lambda: Histogram(SPAN_BUCKETS))
 
     @property
     def total_ms(self) -> float:
@@ -114,74 +77,44 @@ class SpanStat:
         return self.mean_ns / 1e6
 
     def record(self, elapsed_ns: int) -> None:
-        """Fold one call's duration in (reservoir semantics)."""
-        if len(self.samples) < SAMPLE_WINDOW:
-            self.samples.append(elapsed_ns)
-        else:
-            slot = self._rng.randrange(self.calls + 1)
-            if slot < SAMPLE_WINDOW:
-                self.samples[slot] = elapsed_ns
+        """Fold one call's duration in."""
+        if not self.calls or elapsed_ns < self.min_ns:
+            self.min_ns = elapsed_ns
+        if elapsed_ns > self.max_ns:
+            self.max_ns = elapsed_ns
+        self.hist.observe(elapsed_ns / 1e9)
         self.calls += 1
         self.total_ns += elapsed_ns
 
     def absorb(self, other: "SpanStat") -> None:
-        """Fold another stat for the same path in (the merge path).
-
-        Counts and totals add exactly.  The combined reservoir is a
-        calls-proportional stratified subsample: if both windows fit
-        the cap they concatenate (exact union when both are complete
-        records); otherwise each side contributes
-        ``round(cap * side_calls / total_calls)`` slots drawn without
-        replacement from its window.
-        """
-        if other.calls == 0:
+        """Fold another stat for the same path in (the merge path)."""
+        if not other.calls:
             return
-        if self.calls == 0:
-            self.samples = list(other.samples)
-        elif len(self.samples) + len(other.samples) <= SAMPLE_WINDOW:
-            self.samples = self.samples + list(other.samples)
-        else:
-            total = self.calls + other.calls
-            take_mine = min(
-                len(self.samples), round(SAMPLE_WINDOW * self.calls / total)
-            )
-            take_theirs = min(len(other.samples), SAMPLE_WINDOW - take_mine)
-            take_mine = min(len(self.samples), SAMPLE_WINDOW - take_theirs)
-            self.samples = self._rng.sample(
-                self.samples, take_mine
-            ) + self._rng.sample(list(other.samples), take_theirs)
+        if not self.calls or other.min_ns < self.min_ns:
+            self.min_ns = other.min_ns
+        self.max_ns = max(self.max_ns, other.max_ns)
+        self.hist.merge(other.hist)
         self.calls += other.calls
         self.total_ns += other.total_ns
-
-    def percentile_ns(self, q: float) -> float:
-        """Nearest-rank percentile (``q`` in 0-100) over the sample window."""
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        rank = max(1, ceil(q / 100.0 * len(ordered)))
-        return float(ordered[min(rank, len(ordered)) - 1])
-
-    @property
-    def p50_ms(self) -> float:
-        return self.percentile_ns(50) / 1e6
-
-    @property
-    def p95_ms(self) -> float:
-        return self.percentile_ns(95) / 1e6
-
-    @property
-    def p99_ms(self) -> float:
-        return self.percentile_ns(99) / 1e6
 
     def summary(self) -> dict[str, float]:
         """Latency summary: count / mean / p50 / p95 / p99 (ms)."""
         return {
-            "count": self.calls,
+            **ms_summary(self.hist, self.min_ns / 1e6, self.max_ns / 1e6),
             "mean_ms": self.mean_ms,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "p99_ms": self.p99_ms,
         }
+
+    @property
+    def p50_ms(self) -> float:
+        return self.summary()["p50_ms"]
+
+    @property
+    def p95_ms(self) -> float:
+        return self.summary()["p95_ms"]
+
+    @property
+    def p99_ms(self) -> float:
+        return self.summary()["p99_ms"]
 
 
 class _Span:
@@ -211,7 +144,7 @@ class _Span:
 
 
 class _NullSpan:
-    """Reusable do-nothing context manager (the inactive-tracer path)."""
+    """Reusable do-nothing context manager (the no-collector span)."""
 
     __slots__ = ()
 
@@ -250,37 +183,7 @@ class Tracer:
             path: {
                 "calls": s.calls,
                 "total_ms": s.total_ms,
-                "mean_ms": s.mean_ms,
-                "p50_ms": s.p50_ms,
-                "p95_ms": s.p95_ms,
-                "p99_ms": s.p99_ms,
+                **{k: v for k, v in s.summary().items() if k != "count"},
             }
             for path, s in self.spans.items()
         }
-
-
-#: the tracer module-level :func:`trace` routes to (None = tracing off)
-_active: Tracer | None = None
-
-
-def current_tracer() -> Tracer | None:
-    """The tracer :func:`trace` currently records into, if any."""
-    return _active
-
-
-def trace(name: str):
-    """Span against the active tracer; free no-op when none is active."""
-    tracer = _active
-    return tracer.span(name) if tracer is not None else NULL_SPAN
-
-
-@contextmanager
-def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
-    """Make ``tracer`` the active target of :func:`trace` in this block."""
-    global _active
-    previous = _active
-    _active = tracer
-    try:
-        yield tracer
-    finally:
-        _active = previous

@@ -32,7 +32,7 @@ Observability plugs into the same :class:`~repro.obs.stats
 .StatsCollector` funnel the batch joins use: every query is a
 considered-pairs row, cache traffic and compactions land in the
 collector's counters, and per-call latency lands in the tracer's
-span summaries.  The funnel conservation invariant
+span histograms.  The funnel conservation invariant
 (``pairs == rejected + survivors``) holds for served traffic exactly
 as it does for batch joins — the batched path follows the planner's
 generator-accounting pattern so candidates are never double-counted.
@@ -57,6 +57,7 @@ from repro.obs.metrics import (
     DEFAULT_SIZE_BUCKETS,
     NULL_METRICS,
     MetricsRegistry,
+    ms_summary,
 )
 from repro.obs.stats import NULL_COLLECTOR
 from repro.parallel.prepared import PreparedSide
@@ -603,8 +604,8 @@ class MatchService:
         }
         if self.metrics:
             out["latency"] = {
-                "query": _latency_ms(self._h_query),
-                "query_batch": _latency_ms(self._h_batch),
+                "query": ms_summary(self._h_query),
+                "query_batch": ms_summary(self._h_batch),
             }
             out["events"] = self.events.total
         return out
@@ -671,14 +672,3 @@ class MatchService:
         )
         return svc
 
-
-def _latency_ms(hist) -> dict[str, float]:
-    """ms-unit latency summary from a seconds-unit histogram."""
-    s = hist.summary()
-    return {
-        "count": s["count"],
-        "mean_ms": s["mean"] * 1e3,
-        "p50_ms": s["p50"] * 1e3,
-        "p95_ms": s["p95"] * 1e3,
-        "p99_ms": s["p99"] * 1e3,
-    }

@@ -16,6 +16,7 @@ from repro.obs.metrics import (
     log_buckets,
     registry_from_collector,
 )
+from repro.obs.trace import SpanStat
 
 
 class TestLogBuckets:
@@ -339,17 +340,52 @@ class TestRegistryFromCollector:
         )
         assert hist.count == 1
 
-    def test_scales_reservoir_to_true_call_count(self):
+    def test_span_histogram_equals_tracer_histogram(self):
         collector = StatsCollector("join")
         for _ in range(3):
             with collector.span("verify"):
                 pass
+        stat = collector.tracer.spans["verify"]
         reg = registry_from_collector(collector)
         hist = reg.histogram(
             "repro_join_span_seconds", labels={"path": "verify"}
         )
         assert hist.count == 3
         assert sum(hist.counts) == 3
+        assert hist.bounds == stat.hist.bounds
+        assert hist.counts == stat.hist.counts
+
+    def test_many_calls_bridge_to_consistent_histograms(self):
+        """3,001 calls spread over seven decades (1 us .. 10 s): every
+        bridged histogram's buckets sum to its count, and the
+        exposition's cumulative buckets climb to ``+Inf`` == ``_count``."""
+        collector = StatsCollector("join")
+        stat = collector.tracer.spans["run.FPDL"] = SpanStat("run.FPDL")
+        for i in range(3001):
+            stat.record(int(10 ** (3 + 7 * i / 3000)))
+        reg = registry_from_collector(collector)
+        histograms = [
+            inst for _, _, inst in reg.series() if isinstance(inst, Histogram)
+        ]
+        assert histograms
+        for hist in histograms:
+            assert sum(hist.counts) == hist.count
+        buckets: dict[str, list[float]] = {}
+        counts: dict[str, float] = {}
+        for line in reg.render_prometheus().splitlines():
+            if line.startswith("#"):
+                continue
+            series, _, value = line.rpartition(" ")
+            if "_bucket{" in series:
+                labels = series.split("{", 1)[1]
+                key = labels.split(',le="', 1)[0]
+                buckets.setdefault(key, []).append(float(value))
+            elif "_count{" in series:
+                counts[series.split("{", 1)[1].rstrip("}")] = float(value)
+        assert counts == {'path="run.FPDL"': 3001.0}
+        for key, cumulative in buckets.items():
+            assert all(a <= b for a, b in zip(cumulative, cumulative[1:]))
+            assert cumulative[-1] == counts[key]  # le="+Inf" == _count
 
     def test_children_fold_in(self):
         parent = StatsCollector("join")

@@ -1,7 +1,40 @@
 """Unit tests for the nested-span tracer."""
 
-from repro.obs import NULL_SPAN, Tracer, current_tracer, trace, use_tracer
-from repro.obs.trace import SAMPLE_WINDOW, SpanStat
+import pickle
+from math import ceil
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.obs import Tracer
+from repro.obs.metrics import SPAN_BUCKETS
+from repro.obs.trace import SpanStat
+
+#: the widest ratio between adjacent span bucket bounds (~1.34 after
+#: 3-significant-digit rounding), plus float slack
+BUCKET_RATIO = max(b2 / b1 for b1, b2 in zip(SPAN_BUCKETS, SPAN_BUCKETS[1:]))
+TOLERANCE = BUCKET_RATIO * (1 + 1e-9)
+
+#: durations inside the bucketed range (1 us .. 1000 s), in ns
+durations_ns = st.integers(min_value=1_000, max_value=10**12)
+
+
+def nearest_rank_ns(values: list[int], q: int) -> int:
+    ordered = sorted(values)
+    rank = max(1, ceil(q / 100 * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
+def assert_quantiles_bounded(stat: SpanStat, values: list[int]) -> None:
+    """Each percentile lies in [min, max] and within one bucket ratio
+    of the exact nearest-rank percentile."""
+    lo_ms, hi_ms = min(values) / 1e6, max(values) / 1e6
+    for q in (50, 95, 99):
+        estimate = getattr(stat, f"p{q}_ms")
+        exact = nearest_rank_ns(values, q) / 1e6
+        assert lo_ms <= estimate <= hi_ms
+        assert estimate <= exact * TOLERANCE
+        assert exact <= estimate * TOLERANCE
 
 
 class TestTracer:
@@ -62,17 +95,18 @@ class TestTracer:
 
 class TestLatencySummaries:
     def test_percentiles_over_known_samples(self):
+        values = [1_000_000 * v for v in range(1, 101)]  # 1..100 ms
         stat = SpanStat("q")
-        for ns in [1_000_000 * v for v in range(1, 101)]:  # 1..100 ms
+        for ns in values:
             stat.record(ns)
         assert stat.calls == 100
-        assert stat.p50_ms == 50.0
-        assert stat.p95_ms == 95.0
-        assert stat.p99_ms == 99.0
+        assert_quantiles_bounded(stat, values)
+        assert stat.p50_ms <= stat.p95_ms <= stat.p99_ms
         assert stat.mean_ms == 50.5
+        assert (stat.min_ns, stat.max_ns) == (1_000_000, 100_000_000)
         summary = stat.summary()
         assert summary["count"] == 100
-        assert summary["p95_ms"] == 95.0
+        assert summary["p95_ms"] == stat.p95_ms
 
     def test_empty_stat_reports_zeroes(self):
         stat = SpanStat("q")
@@ -81,39 +115,13 @@ class TestLatencySummaries:
             "p95_ms": 0.0, "p99_ms": 0.0,
         }
 
-    def test_sample_window_is_bounded_reservoir(self):
+    @given(st.integers(min_value=0, max_value=10**14))
+    def test_one_call_reports_its_exact_duration(self, ns):
+        # Even below the first bucket bound or in the overflow bucket:
+        # the clamp to [min, max] pins every quantile to the one value.
         stat = SpanStat("q")
-        for ns in range(4 * SAMPLE_WINDOW):
-            stat.record(ns)
-        assert len(stat.samples) == SAMPLE_WINDOW
-        assert stat.calls == 4 * SAMPLE_WINDOW
-        # Uniform reservoir, not a recency ring: the window spans the
-        # whole run, so early calls survive...
-        assert min(stat.samples) < SAMPLE_WINDOW
-        # ...and totals stay exact regardless of what was evicted.
-        assert stat.total_ns == sum(range(4 * SAMPLE_WINDOW))
-
-    def test_reservoir_is_deterministic_across_runs(self):
-        def run():
-            stat = SpanStat("fbf.filter")
-            for ns in range(3 * SAMPLE_WINDOW):
-                stat.record(ns)
-            return stat
-
-        a, b = run(), run()
-        # Seeded from crc32(path), not hash(): identical runs keep
-        # identical windows under any PYTHONHASHSEED.
-        assert a.samples == b.samples
-        assert a.percentile_ns(95) == b.percentile_ns(95)
-
-    def test_reservoir_seed_depends_on_path(self):
-        def run(path):
-            stat = SpanStat(path)
-            for ns in range(3 * SAMPLE_WINDOW):
-                stat.record(ns)
-            return stat.samples
-
-        assert run("fbf.filter") != run("verify")
+        stat.record(ns)
+        assert stat.p50_ms == stat.p95_ms == stat.p99_ms == ns / 1e6
 
     def test_merge_combines_samples_bounded(self):
         a, b = Tracer(), Tracer()
@@ -124,8 +132,9 @@ class TestLatencySummaries:
         a.merge(b)
         stat = a.spans["x"]
         assert stat.calls == 2
-        assert len(stat.samples) == 2
-        assert stat.total_ns == sum(stat.samples)
+        assert stat.hist.count == sum(stat.hist.counts) == 2
+        assert len(stat.hist.counts) == len(SPAN_BUCKETS) + 1
+        assert stat.min_ns + stat.max_ns == stat.total_ns
 
 
 class TestMerge:
@@ -150,7 +159,7 @@ class TestMerge:
         mine, theirs = SpanStat("q"), SpanStat("q")
         mine.absorb(theirs)
         assert mine.calls == 0
-        assert mine.samples == []
+        assert mine.hist.count == 0
         assert mine.summary()["p99_ms"] == 0.0
 
     def test_merge_single_sample_each_side(self):
@@ -159,7 +168,8 @@ class TestMerge:
         theirs.record(30)
         mine.absorb(theirs)
         assert mine.calls == 2
-        assert sorted(mine.samples) == [10, 30]
+        assert (mine.min_ns, mine.max_ns) == (10, 30)
+        assert mine.hist.count == 2
         assert mine.total_ns == 40
         assert mine.mean_ns == 20.0
 
@@ -169,53 +179,53 @@ class TestMerge:
             theirs.record(ns)
         mine.absorb(theirs)
         assert mine.calls == 3
-        assert mine.samples == [5, 7, 9]
+        assert (mine.min_ns, mine.max_ns) == (5, 9)
+        assert mine.hist.counts == theirs.hist.counts
         # A copy, not an alias: later records must not leak back.
         mine.record(1)
-        assert theirs.samples == [5, 7, 9]
-
-    def test_merge_windows_exceeding_cap_is_proportional(self):
-        mine, theirs = SpanStat("q"), SpanStat("q")
-        for ns in range(3 * SAMPLE_WINDOW):
-            mine.record(ns)          # low values, 3x the calls
-        for ns in range(SAMPLE_WINDOW):
-            theirs.record(10**6 + ns)  # high values, 1x the calls
-        mine.absorb(theirs)
-        assert mine.calls == 4 * SAMPLE_WINDOW
-        assert len(mine.samples) == SAMPLE_WINDOW
-        low = sum(1 for s in mine.samples if s < 10**6)
-        high = len(mine.samples) - low
-        # Calls-proportional strata: 3/4 low, 1/4 high, exactly.
-        assert low == round(SAMPLE_WINDOW * 3 / 4)
-        assert high == SAMPLE_WINDOW - low
-        # Totals add exactly even though the window subsampled.
-        assert mine.total_ns == (
-            sum(range(3 * SAMPLE_WINDOW))
-            + sum(10**6 + ns for ns in range(SAMPLE_WINDOW))
-        )
+        assert theirs.hist.count == 3
+        assert theirs.min_ns == 5
 
     def test_merge_keeps_percentiles_in_range(self):
         mine, theirs = SpanStat("q"), SpanStat("q")
-        for ns in range(2 * SAMPLE_WINDOW):
+        values = [1_000 * (ns + 1) for ns in range(2048)]
+        for ns in values:
             mine.record(ns)
-        for ns in range(2 * SAMPLE_WINDOW):
             theirs.record(ns)
         mine.absorb(theirs)
-        assert 0 <= mine.percentile_ns(50) < 2 * SAMPLE_WINDOW
-        assert mine.percentile_ns(95) >= mine.percentile_ns(50)
-        assert mine.percentile_ns(99) >= mine.percentile_ns(95)
+        assert mine.calls == 4096
+        assert_quantiles_bounded(mine, values + values)
+        assert mine.p50_ms <= mine.p95_ms <= mine.p99_ms
 
-
-class TestModuleLevelTrace:
-    def test_inactive_returns_shared_null_span(self):
-        assert current_tracer() is None
-        assert trace("anything") is NULL_SPAN
-
-    def test_use_tracer_routes_and_restores(self):
-        t = Tracer()
-        with use_tracer(t) as active:
-            assert active is t and current_tracer() is t
-            with trace("fbf.filter"):
-                pass
-        assert current_tracer() is None
-        assert t.spans["fbf.filter"].calls == 1
+    @given(
+        st.lists(durations_ns, min_size=1, max_size=200),
+        st.integers(min_value=1, max_value=4),
+        st.data(),
+    )
+    def test_merge_equals_one_tracer_recording_every_call(
+        self, values, n_tracers, data
+    ):
+        owners = data.draw(
+            st.lists(
+                st.integers(0, n_tracers - 1),
+                min_size=len(values),
+                max_size=len(values),
+            )
+        )
+        tracers = [Tracer() for _ in range(n_tracers)]
+        whole = SpanStat("q")
+        for ns, owner in zip(values, owners):
+            spans = tracers[owner].spans
+            spans.setdefault("q", SpanStat("q")).record(ns)
+            whole.record(ns)
+        # A worker collector reaches the parent pickled.
+        tracers[-1] = pickle.loads(pickle.dumps(tracers[-1]))
+        merged = Tracer()
+        for tracer in tracers:
+            merged.merge(tracer)
+        stat = merged.spans["q"]
+        assert stat.hist.counts == whole.hist.counts
+        assert stat.hist.count == stat.calls == whole.calls == len(values)
+        assert stat.total_ns == whole.total_ns == sum(values)
+        assert (stat.min_ns, stat.max_ns) == (min(values), max(values))
+        assert_quantiles_bounded(stat, values)
