@@ -131,12 +131,12 @@ def test_hybrid_ships_datasets_once():
     collector = StatsCollector("hybrid-bytes")
     planner = _planner(dp.clean, dp.error, workers=WORKERS, collector=collector)
 
-    planner.run("FPDL", generator="fbf-index", backend="hybrid")
+    planner.run("FPDL", generator="pass-join", backend="hybrid")
     data_bytes = planner.shared_datasets().bytes_shared
     after_first = dict(collector.counters)
     assert after_first["shm_bytes_shared"] >= data_bytes
 
-    planner.run("FPDL", generator="fbf-index", backend="hybrid")
+    planner.run("FPDL", generator="pass-join", backend="hybrid")
     shared_delta = collector.counters["shm_bytes_shared"] - after_first["shm_bytes_shared"]
     pickled_delta = collector.counters["shm_bytes_pickled"] - after_first["shm_bytes_pickled"]
     # No dataset re-publication: the second run shares only its own

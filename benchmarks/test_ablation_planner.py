@@ -92,5 +92,5 @@ def test_ablation_planner(benchmark):
     # Timing distribution: the planned join at the vectorized scale.
     small = JoinPlanner(dp.clean[:1_000], dp.error[:1_000], k=1)
     small.prepare("vectorized")
-    small.index()
-    benchmark(lambda: small.run("FPDL", generator="fbf-index"))
+    small.passjoin_index()
+    benchmark(lambda: small.run("FPDL", generator="pass-join"))

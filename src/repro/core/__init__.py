@@ -16,7 +16,7 @@ Layout:
   similarity join with pluggable filter/verify stages (now the plan
   layer's scalar backend).
 * :mod:`repro.core.plan` — the join planner: candidate generators
-  (all-pairs, length buckets, FBF index, key blocking) × execution
+  (all-pairs, the PASS-JOIN partition index, key blocking) × execution
   backends (scalar, vectorized, hybrid, native), composed by a cost
   model behind :func:`repro.join`.
 * :mod:`repro.core.vectorized` — NumPy batch engines: signature matrices,
@@ -30,11 +30,9 @@ from repro.core.filters import (
     LengthFilter,
     PairFilter,
 )
-from repro.core.bktree import BKTree
 from repro.core.index import FBFIndex
 from repro.core.join import JoinResult
 from repro.core.plan import JoinPlan, JoinPlanner, join
-from repro.core.triejoin import TrieIndex
 from repro.core.matchers import (
     METHOD_NAMES,
     MethodSpec,
@@ -61,11 +59,9 @@ from repro.core.signatures import (
 )
 
 __all__ = [
-    "BKTree",
     "FBFFilter",
     "FBFIndex",
     "FilterChain",
-    "TrieIndex",
     "FilterStats",
     "JoinPlan",
     "JoinPlanner",

@@ -255,74 +255,6 @@ class FBFIndex:
         out.sort()
         return out.tolist()
 
-    def candidate_blocks(
-        self,
-        queries: Sequence[str],
-        k: int = 1,
-        *,
-        max_pairs: int = 1 << 20,
-        collector=None,
-    ):
-        """Yield FBF-filtered candidate blocks for a batch of queries.
-
-        This is the index acting as a *candidate generator* for the plan
-        layer: no verification happens here.  Each yielded block is a
-        ``(query_idx, ids)`` pair of equal-length index arrays — every
-        candidate passed the bucket length window **and** the FBF
-        signature bound, so for edit-bounded verifiers no true match is
-        dropped (the filters' safety property, at index granularity).
-
-        Unlike :meth:`search`, empty queries and length-0 buckets *are*
-        included: whether empty strings match is the verifier's call
-        (the paper's DL says yes within ``k``, PDL says no), and a
-        generator must not pre-empt it.
-
-        ``max_pairs`` caps the query-rows × bucket-size product of one
-        dense XOR sweep; larger groups are split by query rows.
-        """
-        validate_threshold(k)
-        obs = collector if collector else NULL_COLLECTOR
-        n_right = len(self._strings)
-        product = len(queries) * n_right
-        obs.add_pairs(product)
-        if n_right == 0 or not len(queries):
-            obs.add_stage("length", product, 0)
-            obs.add_stage("fbf", 0, 0)
-            return
-        by_len: dict[int, list[int]] = defaultdict(list)
-        for qi, q in enumerate(queries):
-            by_len[len(q)].append(qi)
-        qsigs = signatures_for_scheme(list(queries), self.scheme)
-        if qsigs.ndim == 1:
-            qsigs = qsigs[:, None]
-        qsigs = qsigs.astype(np.uint32)
-        bound = self.scheme.safe_threshold(k)
-        window = 0
-        emitted = 0
-        for qlen in sorted(by_len):
-            q_idx = np.asarray(by_len[qlen], dtype=np.int64)
-            for length in range(max(0, qlen - k), qlen + k + 1):
-                bucket = self._buckets.get(length)
-                if bucket is None or len(bucket) == 0:
-                    continue
-                self._pack(bucket)
-                m = len(bucket.ids)
-                window += len(q_idx) * m
-                rows = max(1, max_pairs // m)
-                for r0 in range(0, len(q_idx), rows):
-                    qchunk = q_idx[r0 : r0 + rows]
-                    db = np.zeros((len(qchunk), m), dtype=np.uint16)
-                    for w in range(self.scheme.width):
-                        db += popcount_batch_u32(
-                            qsigs[qchunk, w][:, None] ^ bucket.sigs[None, :, w]
-                        )
-                    qi2, bi2 = np.nonzero(db <= bound)
-                    if len(qi2):
-                        emitted += len(qi2)
-                        yield qchunk[qi2], bucket.ids[bi2]
-        obs.add_stage("length", product, window)
-        obs.add_stage("fbf", window, emitted)
-
     def _verify(
         self,
         query: str,

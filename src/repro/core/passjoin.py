@@ -7,7 +7,7 @@ can destroy at most ``k`` segments, so any string within distance ``k``
 contains at least one segment *verbatim* as a substring, at a start
 position bounded by the edits around it.  Probing therefore touches
 only the inverted-index entries for ``O(k^2)`` substring windows
-instead of walking length-bucket products.
+instead of walking the product.
 
 **Which windows (multi-match-aware selection, Li et al. §4).**  Segment
 ``i`` (0-based, start ``p_i``, length ``l_i``) of an indexed string of
@@ -363,10 +363,10 @@ class PassJoinIndex(SegmentIndex):
 
     ``candidate_blocks(queries)`` yields ``(query_idx, indexed_ids)``
     int64 array pairs — deduplicated, every true OSA-``<= k`` pair
-    included — in the same block contract as
-    :meth:`repro.core.index.FBFIndex.candidate_blocks`.  Whether empty
-    or equal strings *match* stays the verifier's decision; the index
-    only guarantees it never withholds a reachable pair.
+    included — the block contract of the plan layer's candidate
+    generators.  Whether empty or equal strings *match* stays the
+    verifier's decision; the index only guarantees it never withholds a
+    reachable pair.
     """
 
     def __init__(self, strings: Sequence[str], *, k: int = 1):

@@ -1,20 +1,14 @@
 """The join planner: candidate generation × execution backends.
 
 The paper's driver (Algorithm 7) walks the full ``S x T`` product and
-filters per pair, while sub-quadratic structures — the FBF signature
-index, length bucketing, key blocking — can skip most of it.  This
+filters per pair, while a partition index can skip most of it.  This
 module decouples the two halves every related system (PASS-JOIN,
 py_stringsimjoin) decouples:
 
 * a :class:`CandidateGenerator` decides *which pairs to look at* —
   :class:`AllPairsGenerator` (the paper's product),
-  :class:`LengthBucketGenerator` (length-window group products),
-  :class:`FBFIndexGenerator` (bucket + signature filtering via
-  :class:`repro.core.index.FBFIndex`),
   :class:`PassJoinGenerator` (PASS-JOIN segment partition index,
-  :mod:`repro.core.passjoin`),
-  :class:`PrefixQgramGenerator` (q-gram prefix + position inverted
-  index, :mod:`repro.core.prefix`), or
+  :mod:`repro.core.passjoin`), or
   :class:`BlockingKeyGenerator` (traditional key blocking — *lossy*,
   never auto-picked);
 * an :class:`ExecutionBackend` decides *how to verify them* —
@@ -28,13 +22,11 @@ py_stringsimjoin) decouples:
   :class:`repro.core.join.JoinResult`.
 
 **Safety.**  A generator is *safe* for a method when every pair the
-method would match is guaranteed to be emitted.  The length window is
-implied by edit-bounded verifiers (``dl``/``pdl``/``ham`` — padded
-Hamming upper-bounds edit distance) and by an explicit length filter;
-the FBF bound additionally requires an edit-bounded verifier or the
-method's own ``fbf`` filter.  Unsafe combinations are never auto-picked;
-an explicit override runs them anyway (with a log warning) so the
-benchmark suite can measure blocking's recall loss.
+method would match is guaranteed to be emitted.  PASS-JOIN's segment
+bound needs an edit-bounded verifier (``dl``/``pdl``/``ham`` — padded
+Hamming upper-bounds edit distance).  Unsafe combinations are never
+auto-picked; an explicit override runs them anyway (with a log
+warning) so the benchmark suite can measure blocking's recall loss.
 
 **Funnel accounting.**  Every plan satisfies the conservation invariant
 of :mod:`repro.obs`: the backend counts the candidates it actually saw,
@@ -103,10 +95,7 @@ __all__ = [
     "CandidateGenerator",
     "CandidateStream",
     "AllPairsGenerator",
-    "LengthBucketGenerator",
-    "FBFIndexGenerator",
     "PassJoinGenerator",
-    "PrefixQgramGenerator",
     "BlockingKeyGenerator",
     "ExecutionBackend",
     "HybridBackend",
@@ -118,11 +107,10 @@ __all__ = [
 
 _log = get_logger("core.plan")
 
-#: Verifiers for which ``match(s, t)`` implies edit distance <= k, hence
-#: ``|len(s) - len(t)| <= k`` and the FBF diff-bits bound — the two
-#: implications the pruning generators rely on.  Jaro/Wink/SDX bound
-#: neither; padded Hamming counts overhang positions as mismatches, so
-#: ``Ham <= k`` does imply both.
+#: Verifiers for which ``match(s, t)`` implies edit distance <= k — the
+#: implication the partition index relies on.  Jaro/Wink/SDX bound no
+#: edit distance; padded Hamming counts overhang positions as
+#: mismatches, so ``Ham <= k`` does.
 EDIT_BOUNDED = frozenset({"dl", "pdl", "ham"})
 
 BACKEND_NAMES = ("scalar", "vectorized", "hybrid", "native")
@@ -142,7 +130,7 @@ _SCALAR_MAX_PAIRS_NUMPY = 1 << 8
 _INDEX_MIN_PAIRS = 1 << 20
 #: with workers > 1, from this product on the shared-memory pool amortizes
 _HYBRID_MIN_PAIRS = 1 << 22
-#: above this k every pruning structure degrades: all-pairs
+#: above this k the partition index degrades: all-pairs
 _MAX_INDEX_K = 4
 #: distinct value pairs one verification memo holds
 _MEMO_CAPACITY = 1 << 16
@@ -155,21 +143,14 @@ _COLLAPSE_AUTO_RATIO = 0.5
 # 1.0 pair-unit = one gathered candidate flowing through the vectorized
 # filter + verify funnel; everything else is calibrated relative to it
 # from the n=1e4-1e5 LN ablations.  Dense all-pairs blocks avoid the
-# gather, signature probes inside length windows touch two packed words,
-# and index builds/probes are per-string NumPy sweeps.
+# gather, and index builds/probes are per-string NumPy sweeps.
 _COST_DENSE = 0.35
-_COST_WINDOW = 1.0
-_COST_SIG_PROBE = 0.15
-_COST_BUILD_FBF = 6.0
 _COST_BUILD_SEG = 8.0
-_COST_BUILD_GRAM = 14.0
 _COST_PROBE_SEG = 4.0
-_COST_PROBE_GRAM = 10.0
 # Each inverted-list collision costs more than a verified candidate:
 # range expansion, the dedup sort, and the downstream verify all touch
 # it (measured ~3x on the 1e5 LN ablation, where k=2 emits 5e8).
 _COST_COLLISION_SEG = 3.0
-_COST_COLLISION_GRAM = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -229,82 +210,6 @@ class AllPairsGenerator(CandidateGenerator):
         return product * _COST_DENSE, f"dense product of {product:,} pairs"
 
 
-class LengthBucketGenerator(CandidateGenerator):
-    """Group products whose lengths differ by at most ``k``.
-
-    The length filter at *group* granularity: each side is bucketed by
-    string length once, and only bucket pairs within the ``k`` window
-    produce candidates — incompatible bucket products are skipped
-    wholesale, never enumerated.
-    """
-
-    name = "length-bucket"
-    summary = "length-window bucket products"
-    requirement = (
-        "an edit-bounded verifier (dl/pdl/ham) or the method's own "
-        "length filter"
-    )
-
-    def is_safe_for(self, spec: MethodSpec) -> bool:
-        return spec.verifier in EDIT_BOUNDED or "length" in spec.filters
-
-    def estimate_cost(self, planner, spec):
-        window = planner.window_pairs()
-        return window * _COST_WINDOW, f"{window:,} length-window pairs"
-
-    def blocks(self, planner: "JoinPlanner") -> Iterator[Block]:
-        groups_l, groups_r = planner.length_groups()
-        for lv, left_idx in groups_l.items():
-            right_parts = [
-                idx for rv, idx in groups_r.items() if abs(lv - rv) <= planner.k
-            ]
-            if not right_parts:
-                continue
-            right_idx = np.concatenate(right_parts)
-            rows = max(1, _BLOCK_PAIRS // max(1, len(right_idx)))
-            for r0 in range(0, len(left_idx), rows):
-                chunk = left_idx[r0 : r0 + rows]
-                yield (
-                    np.repeat(chunk, len(right_idx)),
-                    np.tile(right_idx, len(chunk)),
-                )
-
-
-class FBFIndexGenerator(CandidateGenerator):
-    """Bucket + FBF-signature pruning via :class:`FBFIndex`.
-
-    The right side is indexed once (length buckets holding packed
-    signature matrices); each left string probes only its length window
-    and keeps signature-compatible entries.  Unlike :meth:`FBFIndex.
-    search`, empty strings and length-0 buckets are included — whether
-    empties match is the verifier's decision, not the generator's.
-    """
-
-    name = "fbf-index"
-    summary = "FBF signature probes inside length windows"
-    requirement = (
-        "an edit-bounded verifier (dl/pdl/ham) or the method's own "
-        "length+fbf filters"
-    )
-
-    def is_safe_for(self, spec: MethodSpec) -> bool:
-        if spec.verifier in EDIT_BOUNDED:
-            return True
-        return "length" in spec.filters and "fbf" in spec.filters
-
-    def blocks(self, planner: "JoinPlanner") -> Iterator[Block]:
-        return planner.index().candidate_blocks(
-            planner.left, planner.k, max_pairs=_BLOCK_PAIRS
-        )
-
-    def estimate_cost(self, planner, spec):
-        window = planner.window_pairs()
-        cost = (
-            len(planner.right) * _COST_BUILD_FBF + window * _COST_SIG_PROBE
-        )
-        return cost, f"signature probes over {window:,} window pairs"
-
-
 class PassJoinGenerator(CandidateGenerator):
     """PASS-JOIN segment partition index (:mod:`repro.core.passjoin`).
 
@@ -334,35 +239,6 @@ class PassJoinGenerator(CandidateGenerator):
             + emitted * _COST_COLLISION_SEG
         )
         return cost, f"~{emitted:,.0f} sampled segment collisions"
-
-
-class PrefixQgramGenerator(CandidateGenerator):
-    """q-gram prefix + position filter (:mod:`repro.core.prefix`).
-
-    Exact for edit-bounded verifiers; generation cost tracks
-    inverted-list collisions of the rarest-first gram prefixes.
-    """
-
-    name = "prefix"
-    summary = "q-gram prefix+position inverted index (exact, sub-quadratic)"
-    requirement = "an edit-bounded verifier (dl/pdl/ham)"
-
-    def is_safe_for(self, spec: MethodSpec) -> bool:
-        return spec.verifier in EDIT_BOUNDED
-
-    def blocks(self, planner: "JoinPlanner") -> Iterator[Block]:
-        return planner.prefix_index().candidate_blocks(
-            planner.left, max_pairs=_BLOCK_PAIRS
-        )
-
-    def estimate_cost(self, planner, spec):
-        emitted = planner.sampled_emit("prefix")
-        cost = (
-            len(planner.right) * _COST_BUILD_GRAM
-            + len(planner.left) * _COST_PROBE_GRAM
-            + emitted * _COST_COLLISION_GRAM
-        )
-        return cost, f"~{emitted:,.0f} sampled gram collisions"
 
 
 class BlockingKeyGenerator(CandidateGenerator):
@@ -449,6 +325,7 @@ def _default_blocking() -> BlockingKeyGenerator:
 
 
 _default_blocking.summary = BlockingKeyGenerator.summary
+_default_blocking.lossless = BlockingKeyGenerator.lossless
 
 #: name -> zero-arg factory for every registered generator.  The CLI
 #: derives its ``--generator`` choices and help text from this mapping,
@@ -456,10 +333,7 @@ _default_blocking.summary = BlockingKeyGenerator.summary
 #: new generator registers here once and appears everywhere.
 GENERATOR_FACTORIES: dict[str, type | object] = {
     "all-pairs": AllPairsGenerator,
-    "length-bucket": LengthBucketGenerator,
-    "fbf-index": FBFIndexGenerator,
     "pass-join": PassJoinGenerator,
-    "prefix": PrefixQgramGenerator,
     "blocking": _default_blocking,
 }
 
@@ -680,9 +554,11 @@ class HybridBackend(ExecutionBackend):
     A pass-join plan generates its candidates inside the workers: each
     task probes the PASS-JOIN index with a slice of the published left
     rows and verifies what it found, so the parent never holds the
-    candidate pairs.  Every other generator's blocks — and any block
-    iterable a caller passes directly — are drained in the parent and
-    handed to the pool as candidate slices.
+    candidate pairs.  Any other stream — key blocking, an all-pairs
+    stream under a collapse or self-join weighter (which dense row
+    tasks cannot apply), or a block iterable a caller passes directly —
+    is drained in the parent and handed to the pool as candidate
+    slices.
     """
 
     name = "hybrid"
@@ -754,21 +630,23 @@ class JoinPlanner:
     :class:`~repro.parallel.prepared.PreparedSide`; the planner prepares
     a list itself (over its own copy), and uses a prepared side's list
     and signature scheme as they are.  Prepared state — encodings, the
-    FBF/PASS-JOIN/prefix indexes, length groups, the shared-memory
-    publication — lives on the prepared sides and is built lazily, so
-    repeated runs over the same datasets (the experiment harness's
-    shape) pay preparation once, and planners over one prepared side
-    (serve batches, stream chunks) share it; :meth:`prepare` forces it
-    eagerly for timing loops that must exclude it.
+    PASS-JOIN indexes, the shared-memory publication — lives on the
+    prepared sides and is built lazily, so repeated runs over the same
+    datasets (the experiment harness's shape) pay preparation once, and
+    planners over one prepared side (serve batches, stream chunks)
+    share it; :meth:`prepare` forces it eagerly for timing loops that
+    must exclude it.
 
     Cost model (see :meth:`plan` and the module's ``_COST_*`` block):
-    index-backed candidate generation needs the product to be large
-    enough to amortize building the index (``_INDEX_MIN_PAIRS``) and a
-    small ``k`` (window width scales bucket probes); the scalar backend
-    is only right for products small enough that kernel setup dominates
-    (``_SCALAR_MAX_PAIRS`` with a compiled provider,
-    ``_SCALAR_MAX_PAIRS_NUMPY`` without); hybrid needs ``workers > 1`` and a product
-    that amortizes the pool (``_HYBRID_MIN_PAIRS``).  Products above the
+    the generator is the cheaper of the dense product and PASS-JOIN,
+    whose cost is priced from a sampled index build and probe; the
+    index is only considered once the product is large enough to
+    amortize building it (``_INDEX_MIN_PAIRS``) and ``k`` is small
+    (``_MAX_INDEX_K``: segments shrink as ``k`` grows); the scalar
+    backend is only right for products small enough that kernel setup
+    dominates (``_SCALAR_MAX_PAIRS`` with a compiled provider,
+    ``_SCALAR_MAX_PAIRS_NUMPY`` without); hybrid needs ``workers > 1``
+    and a product that amortizes the pool (``_HYBRID_MIN_PAIRS``).  Products above the
     scalar cutoff prefer the native backend (same dataflow, compiled
     constants) whenever a :mod:`repro.native` provider validated —
     otherwise vectorized.
@@ -845,8 +723,7 @@ class JoinPlanner:
         self._scheme = shared_scheme(left, right)
         self._engine: VectorEngine | None = None
         self._shared: SharedPair | None = None
-        self._window_pairs: int | None = None
-        self._cost_samples: dict[str, float] = {}
+        self._passjoin_emit: float | None = None
         #: lazily instantiated from GENERATOR_FACTORIES (see generator())
         self._generators: dict[str, CandidateGenerator] = {}
         self._backends = {
@@ -914,8 +791,9 @@ class JoinPlanner:
         return self._sides()[1].passjoin_index(self.k)
 
     def prefix_index(self):
-        """The q-gram prefix index over the right side."""
-        return self._sides()[1].prefix_index(self.k)
+        # Kept only because benchmarks/perf/workloads.py (_INDEX_BUILD)
+        # reads this attribute at import; no plan routes here.
+        raise ValueError("the prefix generator was removed")
 
     def generator(self, name: str) -> CandidateGenerator | None:
         """The registered generator instance for ``name`` (lazily built
@@ -1070,50 +948,29 @@ class JoinPlanner:
 
     # -- plan selection -----------------------------------------------------
 
-    #: stride-sample sizes for the collision estimates in sampled_emit
+    #: stride-sample sizes for the collision estimate in sampled_emit
     COST_SAMPLE_LEFT = 256
     COST_SAMPLE_RIGHT = 512
 
-    def window_pairs(self) -> int:
-        """Exact count of pairs within the ``k`` length window, from the
-        per-side length groups (cheap: one ``len()`` pass)."""
-        if self._window_pairs is None:
-            groups_l, groups_r = self.length_groups()
-            self._window_pairs = sum(
-                len(rows_l) * len(rows_r)
-                for lv, rows_l in groups_l.items()
-                for rv, rows_r in groups_r.items()
-                if abs(lv - rv) <= self.k
-            )
-        return self._window_pairs
-
-    def sampled_emit(self, kind: str) -> float:
-        """Estimated candidates an inverted index would emit, from a
+    def sampled_emit(self, kind: str = "pass-join") -> float:
+        """Estimated candidates the PASS-JOIN index would emit, from a
         stride-sampled build + probe (collisions are a pair-level
         phenomenon, so the sample count scales by both side ratios)."""
-        est = self._cost_samples.get(kind)
-        if est is None:
+        if kind != "pass-join":
+            raise ValueError(f"no sampler for generator {kind!r}")
+        if self._passjoin_emit is None:
+            from repro.core.passjoin import PassJoinIndex
+
             n_l, n_r = len(self.left), len(self.right)
-            stride_l = max(1, n_l // self.COST_SAMPLE_LEFT)
-            stride_r = max(1, n_r // self.COST_SAMPLE_RIGHT)
-            left = self.left[::stride_l]
-            right = self.right[::stride_r]
-            if kind == "pass-join":
-                from repro.core.passjoin import PassJoinIndex
-
-                index = PassJoinIndex(right, k=self.k)
-            elif kind == "prefix":
-                from repro.core.prefix import PrefixQgramIndex
-
-                index = PrefixQgramIndex(right, k=self.k)
-            else:
-                raise ValueError(f"no sampler for generator {kind!r}")
+            left = self.left[:: max(1, n_l // self.COST_SAMPLE_LEFT)]
+            right = self.right[:: max(1, n_r // self.COST_SAMPLE_RIGHT)]
+            index = PassJoinIndex(right, k=self.k)
             emitted = sum(
                 len(qi) for qi, _ in index.candidate_blocks(left)
             )
             scale = (n_l / max(1, len(left))) * (n_r / max(1, len(right)))
-            est = self._cost_samples[kind] = emitted * scale
-        return est
+            self._passjoin_emit = emitted * scale
+        return self._passjoin_emit
 
     def generator_costs(self, method: str) -> list[GeneratorCost]:
         """Every registered generator's cost-model score for ``method``,
@@ -1148,7 +1005,7 @@ class JoinPlanner:
         product = len(self.left) * len(self.right)
         if product < _INDEX_MIN_PAIRS or self.k > _MAX_INDEX_K:
             # Small products never amortize an index build (and large k
-            # degrades every pruning structure): skip the samplers.
+            # degrades the partition index): skip the sampler.
             reason = (
                 f"product {product:,} below index threshold "
                 f"{_INDEX_MIN_PAIRS:,}"

@@ -10,8 +10,9 @@ millions of pairs.
 Since the planner refactor the engine serves as the *vectorized
 execution backend* of :mod:`repro.core.plan`: :meth:`VectorEngine.run`
 covers full-product plans and :meth:`VectorEngine.run_candidates`
-verifies an explicit candidate stream from any candidate generator
-(length buckets, the FBF signature index, key blocking).  Both sides
+verifies an explicit candidate stream (key blocking, or a collapsed or
+self-join plan's weighted stream), while :meth:`VectorEngine.run_probe`
+generates PASS-JOIN candidates itself.  Both sides
 are :class:`repro.parallel.prepared.PreparedSide` objects, read in the
 :class:`repro.parallel.kernels.Side` layout, and every decision runs
 through :class:`repro.parallel.kernels.Kernels` — the same kernels the
@@ -345,15 +346,6 @@ class VectorEngine:
         ii, jj = np.concatenate(keep_i), np.concatenate(keep_j)
         obs.add_stage("fbf", length_passed, len(ii))
         return ii, jj
-
-    def length_blocks(self):
-        """Public view of the length-compatible group blocks.
-
-        Yields ``(left_idx, right_idx)`` index arrays whose products
-        cover exactly the length-filter-passing pairs; the plan layer's
-        length-bucket candidate generator is built on this.
-        """
-        return self._length_group_blocks()
 
     # -- candidate-stream execution (plan-layer backend) -----------------------
 

@@ -10,15 +10,15 @@ to the data, not to one call, so they live here, once:
   copied), its signature scheme, the
   :class:`~repro.parallel.kernels.Side` arrays (uint8 codes, lengths,
   packed ``uint64`` signatures — the only place a side is encoded), the
-  candidate-generator indexes over it (the FBF signature index, and a
-  PASS-JOIN and a q-gram prefix index per ``k``), its soundex table, and
-  its shared-memory publication (:class:`~repro.parallel.shm.SideArrays`
-  refs).  Everything is built on first use.  Rows
-  appended to the strings are folded in on the next use: the arrays,
-  the FBF and PASS-JOIN indexes and the soundex ids are extended by the
-  new rows only, prefix indexes and length groups are rebuilt, and the
-  publication is replaced — its new segments exist before the old ones
-  are unlinked.  An append whose encoding fails changes nothing;
+  indexes over it (a PASS-JOIN index per ``k``, and the FBF signature
+  index that serves as the roster's scalar search reference), its
+  soundex table, and its shared-memory publication
+  (:class:`~repro.parallel.shm.SideArrays` refs).  Everything is built
+  on first use.  Rows appended to the strings are folded in on the next
+  use: the arrays, the indexes and the soundex ids are extended by the
+  new rows only, length groups are rebuilt, and the publication is
+  replaced — its new segments exist before the old ones are unlinked.
+  An append whose encoding fails changes nothing;
 * a :class:`SharedPair` is one planner's two sides as the hybrid pool
   reads them.
 
@@ -67,7 +67,6 @@ class PreparedSide:
         #: k -> PASS-JOIN index over the strings
         self.passjoin: dict = {}
         self._fbf = None
-        self._prefix: dict = {}
         self._groups: tuple[int, dict] | None = None
         #: (soundex code -> id table, ids of the strings)
         self._sdx: tuple[dict[str, int], np.ndarray] | None = None
@@ -140,7 +139,7 @@ class PreparedSide:
             count=len(other),
         )
 
-    # -- candidate-generator indexes ---------------------------------------
+    # -- indexes ---------------------------------------------------------------
 
     def fbf_index(self):
         """The FBF signature index over the strings."""
@@ -162,16 +161,6 @@ class PreparedSide:
         elif len(pj) < len(self.strings):
             pj.extend(self.strings[len(pj) :])
         return pj
-
-    def prefix_index(self, k: int):
-        """The q-gram prefix index over the strings for ``k`` (rebuilt
-        after rows were appended: it has no append path)."""
-        px = self._prefix.get(k)
-        if px is None or len(px) < len(self.strings):
-            from repro.core.prefix import PrefixQgramIndex
-
-            px = self._prefix[k] = PrefixQgramIndex(self.strings, k=k)
-        return px
 
     # -- shared-memory publication -------------------------------------------
 

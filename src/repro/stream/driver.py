@@ -5,8 +5,8 @@ an in-memory roster under a bounded footprint:
 
 * the **roster** (the small side) is one
   :class:`~repro.parallel.prepared.PreparedSide`: its encodings and the
-  plan's FBF/PASS-JOIN/prefix index are built once, by the first chunk
-  that needs them, and shared by every chunk after; for the hybrid
+  plan's PASS-JOIN index are built once, by the first chunk that needs
+  them, and shared by every chunk after; for the hybrid
   pool it is published once, before the first chunk;
 * the **big side** streams from disk through a :class:`~repro.stream.
   source.ChunkSource` in ``chunk_rows``-sized chunks (sized directly or
@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.matchers import method_registry
-from repro.core.plan import BACKEND_NAMES, EDIT_BOUNDED, JoinPlanner
+from repro.core.plan import BACKEND_NAMES, GENERATOR_FACTORIES, JoinPlanner
 from repro.core.signatures import detect_kind, scheme_for
 from repro.io import read_strings
 from repro.obs.events import NULL_EVENTS
@@ -89,12 +89,8 @@ ROW_FOOTPRINT = 16384
 
 #: generators the streaming driver will route to (the planner's
 #: lossless ones; key blocking is lossy and never auto-picked)
-STREAM_GENERATORS = (
-    "all-pairs",
-    "length-bucket",
-    "fbf-index",
-    "pass-join",
-    "prefix",
+STREAM_GENERATORS = tuple(
+    name for name, factory in GENERATOR_FACTORIES.items() if factory.lossless
 )
 
 #: test hook: sleep this many ms after each chunk (makes "SIGKILL lands
@@ -285,26 +281,18 @@ def _resolve_generator(
                 f"unknown stream generator {generator!r}; expected one of "
                 f"{STREAM_GENERATORS} or 'auto'"
             )
-        if generator not in ("all-pairs",) and spec.verifier not in EDIT_BOUNDED:
-            gen_obj = JoinPlanner(
-                sample or [""], roster, k=k, theta=theta, scheme=kind
-            ).generator(generator)
-            if gen_obj is not None and not gen_obj.is_safe_for(spec):
-                raise ValueError(
-                    f"generator {generator!r} is unsafe for method "
-                    f"{method!r} (requires {gen_obj.requirement}); the "
-                    "streamed match set would drop pairs"
-                )
+        gen = GENERATOR_FACTORIES[generator]()
+        if not gen.is_full_product and not gen.is_safe_for(spec):
+            raise ValueError(
+                f"generator {generator!r} is unsafe for method "
+                f"{method!r} (requires {gen.requirement}); the "
+                "streamed match set would drop pairs"
+            )
         return generator
     if not sample:
         return "all-pairs"
     planner = JoinPlanner(sample, roster, k=k, theta=theta, scheme=kind)
-    best = next(
-        c
-        for c in planner.generator_costs(method)
-        if c.safe and c.name in STREAM_GENERATORS
-    )
-    return best.name
+    return next(c for c in planner.generator_costs(method) if c.safe).name
 
 
 def join_stream(
@@ -401,6 +389,13 @@ def join_stream(
     if ckpt is not None:
         gen_name = str(ckpt.fingerprint["generator"])
         chunk_rows = int(ckpt.fingerprint["chunk_rows"])
+        # Refuse before the spill is truncated: no chunk could run.
+        if gen_name not in STREAM_GENERATORS:
+            raise ValueError(
+                f"{checkpoint}: the checkpoint pins generator "
+                f"{gen_name!r}, which is no longer available; restart "
+                "without resume"
+            )
     else:
         gen_name = _resolve_generator(
             generator, sample, roster, method=method, k=k, theta=theta,

@@ -206,47 +206,6 @@ class TestSearchCollector:
         )
 
 
-class TestCandidateBlocks:
-    def test_blocks_cover_all_within_k(self):
-        pool = ["12345", "12354", "99999", "1234", ""]
-        queries = ["12345", "123", ""]
-        idx = FBFIndex(pool, scheme="numeric")
-        pairs = set()
-        for ii, jj in idx.candidate_blocks(queries, 1):
-            pairs.update(zip(ii.tolist(), jj.tolist()))
-        for qi, q in enumerate(queries):
-            for si, s in enumerate(pool):
-                if damerau_levenshtein(q, s) <= 1:
-                    assert (qi, si) in pairs, (q, s)
-
-    def test_blocks_include_empty_strings(self):
-        # Unlike search(), generation must emit empty-vs-short pairs:
-        # whether they match is the verifier's call.
-        idx = FBFIndex(["", "1"], scheme="numeric")
-        pairs = set()
-        for ii, jj in idx.candidate_blocks(["", "1"], 1):
-            pairs.update(zip(ii.tolist(), jj.tolist()))
-        assert {(0, 0), (0, 1), (1, 0), (1, 1)} <= pairs
-
-    def test_max_pairs_bounds_block_size(self):
-        pool = [f"{i:05d}" for i in range(50)]
-        idx = FBFIndex(pool, scheme="numeric")
-        for ii, jj in idx.candidate_blocks(pool, 1, max_pairs=64):
-            assert len(ii) == len(jj) <= 64
-
-    def test_collector_records_generation_funnel(self):
-        from repro.obs import StatsCollector
-
-        pool = [f"{i:05d}" for i in range(30)]
-        idx = FBFIndex(pool, scheme="numeric")
-        c = StatsCollector("gen")
-        emitted = sum(
-            len(ii) for ii, _ in idx.candidate_blocks(pool, 1, collector=c)
-        )
-        assert c.stages["fbf"].passed == emitted
-        assert c.stages["length"].tested == len(pool) * len(pool)
-
-
 class TestGenerationAndPacking:
     def test_generation_counts_adds(self):
         idx = FBFIndex(scheme="numeric")

@@ -28,11 +28,8 @@ from repro.core.plan import (
     GENERATOR_SUMMARIES,
     AllPairsGenerator,
     BlockingKeyGenerator,
-    FBFIndexGenerator,
     JoinPlanner,
-    LengthBucketGenerator,
     PassJoinGenerator,
-    PrefixQgramGenerator,
     join,
 )
 from repro.data.datasets import dataset_for_family
@@ -52,7 +49,7 @@ def ln_pair():
 
 
 def _fake_strings(n: int) -> list[str]:
-    # plan() never touches string contents, only counts — cheap inputs.
+    # Below the index threshold plan() reads only counts — cheap inputs.
     return [f"{i:09d}" for i in range(n)]
 
 
@@ -97,10 +94,13 @@ class TestCostModel:
         )
 
     def test_large_product_picks_index(self):
-        p = JoinPlanner(_fake_strings(1100), _fake_strings(1100), k=1)
+        # The sampled segment collisions read the strings: distinct
+        # SSNs share few segments, so the index undercuts the product.
+        pair = dataset_for_family("SSN", 1100, seed=9)
+        p = JoinPlanner(pair.error, pair.clean, k=1)
         plan = p.plan("FPDL")
         assert (plan.generator.name, plan.backend.name) == (
-            "fbf-index",
+            "pass-join",
             _DENSE_BACKEND,
         )
 
@@ -109,19 +109,17 @@ class TestCostModel:
         assert p.plan("FPDL").generator.name == "all-pairs"
 
     def test_unprunable_method_stays_all_pairs(self):
-        # Jaro bounds neither length nor FBF bits: no pruning generator
-        # is safe, whatever the product.
+        # Jaro bounds no edit distance: no pruning generator is safe,
+        # whatever the product.
         p = JoinPlanner(_fake_strings(1100), _fake_strings(1100), k=1)
         assert p.plan("Jaro").generator.name == "all-pairs"
 
-    def test_length_only_method_gets_length_bucket(self):
-        # LF filters on length but carries no FBF filter or edit-bounded
-        # verifier: every index generator would prune unsafely, buckets
-        # are exact.  Lengths must vary for the window to prune at all —
-        # on same-length data the dense product is genuinely cheaper.
+    def test_length_only_method_stays_all_pairs(self):
+        # LF filters on length but has no edit-bounded verifier, so the
+        # partition index would prune unsafely: the dense product it is.
         strings = [f"{i:0{6 + i % 12}d}" for i in range(1100)]
         p = JoinPlanner(strings, list(strings), k=1)
-        assert p.plan("LF").generator.name == "length-bucket"
+        assert p.plan("LF").generator.name == "all-pairs"
 
     def test_blocking_never_auto_picked(self):
         for method in REGISTRY:
@@ -167,10 +165,7 @@ class TestGeneratorRegistry:
         assert all(c.detail for c in costs)
 
     def test_names_stay_exported(self):
-        assert set(GENERATOR_NAMES) == {
-            "all-pairs", "length-bucket", "fbf-index", "pass-join",
-            "prefix", "blocking",
-        }
+        assert GENERATOR_NAMES == ("all-pairs", "pass-join", "blocking")
         assert BACKEND_NAMES == ("scalar", "vectorized", "hybrid", "native")
 
     def test_unsafe_methods_scored_but_not_safe(self):
@@ -178,35 +173,66 @@ class TestGeneratorRegistry:
         by_name = {c.name: c for c in p.generator_costs("Jaro")}
         assert by_name["all-pairs"].safe
         assert not by_name["pass-join"].safe
-        assert not by_name["prefix"].safe
-        assert not by_name["fbf-index"].safe
 
 
 class TestPartitionRouting:
-    """The cost model routes between the partition indexes and the
-    signature walk by sampled collision counts."""
+    """The cost model routes between the partition index and the dense
+    product by sampled collision counts."""
 
     @pytest.fixture(scope="class")
     def ln_names(self):
         pair = dataset_for_family("LN", 2000, seed=3)
         return list(pair.clean), list(pair.error)
 
-    def test_k1_prefers_passjoin_over_window_walks(self, ln_names):
+    def test_k1_prefers_passjoin_over_dense(self, ln_names):
         clean, err = ln_names
         p = JoinPlanner(err, clean, k=1, collapse="off")
         by_name = {c.name: c for c in p.generator_costs("FPDL")}
-        assert by_name["pass-join"].cost < by_name["fbf-index"].cost
-        assert by_name["pass-join"].cost < by_name["length-bucket"].cost
+        assert by_name["pass-join"].cost < by_name["all-pairs"].cost
 
     def test_k2_collision_blowup_is_priced_in(self, ln_names):
         # Short name segments lose selectivity at k=2: the sampled
-        # collision count must price pass-join above the signature walk
-        # (at n=1e5 this is a 5e8-candidate difference).
+        # collision count, not the build and probe terms, must carry
+        # the growth of pass-join's price from k=1 to k=2.
         clean, err = ln_names
-        p = JoinPlanner(err, clean, k=2, collapse="off")
-        by_name = {c.name: c for c in p.generator_costs("FPDL")}
-        assert by_name["fbf-index"].cost < by_name["pass-join"].cost
-        assert by_name["fbf-index"].cost < by_name["prefix"].cost
+        costs = {}
+        for k in (1, 2):
+            p = JoinPlanner(err, clean, k=k, collapse="off")
+            by_name = {c.name: c for c in p.generator_costs("FPDL")}
+            costs[k] = (by_name["pass-join"].cost, p.sampled_emit())
+        fixed = len(clean) * plan_module._COST_BUILD_SEG + len(err) * (
+            plan_module._COST_PROBE_SEG
+        )
+        assert costs[2][1] > 4 * costs[1][1]
+        assert costs[2][0] - fixed > 4 * (costs[1][0] - fixed)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_auto_plan_samples_only_passjoin(self, ln_names, k, monkeypatch):
+        """A fresh auto plan prices the dense product and one sampled
+        PASS-JOIN build; it builds no length groups, no FBF index and
+        no full-size index over either side."""
+        from repro.core import passjoin
+        from repro.parallel.prepared import PreparedSide
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("plan() built state it does not price")
+
+        for name in ("length_groups", "fbf_index", "passjoin_index"):
+            monkeypatch.setattr(PreparedSide, name, forbidden)
+        sampled = []
+        real_init = passjoin.PassJoinIndex.__init__
+
+        def counting_init(self, strings, **kwargs):
+            sampled.append(len(strings))
+            real_init(self, strings, **kwargs)
+
+        monkeypatch.setattr(passjoin.PassJoinIndex, "__init__", counting_init)
+        clean, err = ln_names
+        plan = JoinPlanner(err, clean, k=k).plan("FPDL")
+        assert plan.generator.name in ("all-pairs", "pass-join")
+        assert len(sampled) == 1
+        # a stride sample: under twice the target, never the whole side
+        assert sampled[0] < 2 * JoinPlanner.COST_SAMPLE_RIGHT < len(clean)
 
     def test_reason_names_the_winner_and_its_cost(self, ln_names):
         clean, err = ln_names
@@ -222,12 +248,7 @@ class TestSafety:
         spec = REGISTRY[method]
         bounded = spec.verifier in EDIT_BOUNDED
         assert AllPairsGenerator().is_safe_for(spec)
-        assert LengthBucketGenerator().is_safe_for(spec) == (
-            bounded or "length" in spec.filters
-        )
-        assert FBFIndexGenerator().is_safe_for(spec) == (
-            bounded or ("length" in spec.filters and "fbf" in spec.filters)
-        )
+        assert PassJoinGenerator().is_safe_for(spec) == bounded
 
     def test_blocking_is_never_safe(self):
         class _Null:
@@ -283,25 +304,25 @@ class TestOverrides:
 
     def test_explicit_names_honored(self, ssn_pair):
         p = JoinPlanner(ssn_pair.clean, ssn_pair.error, k=1)
-        plan = p.plan("FPDL", generator="length-bucket", backend="vectorized")
+        plan = p.plan("FPDL", generator="pass-join", backend="vectorized")
         assert (plan.generator.name, plan.backend.name) == (
-            "length-bucket",
+            "pass-join",
             "vectorized",
         )
         assert plan.reason == "explicit"
 
     def test_generator_instance_honored(self, ssn_pair):
         p = JoinPlanner(ssn_pair.clean, ssn_pair.error, k=1)
-        gen = LengthBucketGenerator()
+        gen = PassJoinGenerator()
         assert p.plan("FPDL", generator=gen).generator is gen
 
     def test_unsafe_override_warns_but_runs(self, ssn_pair, caplog):
-        # Jaro under the FBF index may drop matches; the explicit
+        # Jaro under the partition index may drop matches; the explicit
         # override is for recall experiments, so it runs with a warning.
         p = JoinPlanner(ssn_pair.clean, ssn_pair.error, k=1, record_matches=True)
         ref = p.run("Jaro", generator="all-pairs", backend="scalar")
         with caplog.at_level("WARNING", logger="repro.core.plan"):
-            pruned = p.run("Jaro", generator="fbf-index", backend="scalar")
+            pruned = p.run("Jaro", generator="pass-join", backend="scalar")
         assert any("not safe" in rec.message for rec in caplog.records)
         assert set(pruned.matches) <= set(ref.matches)
 
@@ -309,11 +330,11 @@ class TestOverrides:
 class TestRun:
     def test_result_carries_plan_names(self, ssn_pair):
         p = JoinPlanner(ssn_pair.clean, ssn_pair.error, k=1)
-        r = p.run("FPDL", generator="fbf-index", backend="vectorized")
+        r = p.run("FPDL", generator="pass-join", backend="vectorized")
         assert isinstance(r, JoinResult)
-        assert (r.generator, r.backend) == ("fbf-index", "vectorized")
+        assert (r.generator, r.backend) == ("pass-join", "vectorized")
 
-    @pytest.mark.parametrize("generator", ["all-pairs", "length-bucket", "fbf-index"])
+    @pytest.mark.parametrize("generator", ["all-pairs", "pass-join"])
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
     def test_join_entry_point_runs_every_combo(self, ssn_pair, generator, backend):
         ref = join(
@@ -335,10 +356,10 @@ class TestRun:
         )
         r = join(
             ssn_pair.clean, ssn_pair.error, "FPDL", k=1,
-            generator="fbf-index", backend="hybrid",
+            generator="pass-join", backend="hybrid",
             workers=2, record_matches=True,
         )
-        assert (r.generator, r.backend) == ("fbf-index", "hybrid")
+        assert (r.generator, r.backend) == ("pass-join", "hybrid")
         assert sorted(r.matches) == sorted(ref.matches)
 
     def test_join_is_packaged_at_top_level(self, ssn_pair):
@@ -349,7 +370,7 @@ class TestRun:
         # Self-join: the identity diagonal must be counted by every plan.
         r = join(
             ssn_pair.clean, ssn_pair.clean, "FPDL", k=1,
-            generator="fbf-index", backend="vectorized",
+            generator="pass-join", backend="vectorized",
         )
         assert r.diagonal_matches == ssn_pair.n
 
@@ -373,7 +394,7 @@ class TestRun:
 
 
 class TestFunnel:
-    @pytest.mark.parametrize("generator", ["length-bucket", "fbf-index"])
+    @pytest.mark.parametrize("generator", ["pass-join"])
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
     def test_pruned_plan_conserves(self, ssn_pair, generator, backend):
         c = StatsCollector("plan")
@@ -392,9 +413,9 @@ class TestFunnel:
     def test_generator_is_first_stage(self, ssn_pair):
         c = StatsCollector("plan")
         p = JoinPlanner(ssn_pair.clean, ssn_pair.error, k=1)
-        r = p.run("FPDL", generator="fbf-index", backend="vectorized", collector=c)
+        r = p.run("FPDL", generator="pass-join", backend="vectorized", collector=c)
         stages = list(c.stages.values())
-        assert stages[0].name == "fbf-index"
+        assert stages[0].name == "pass-join"
         assert stages[0].tested == ssn_pair.n * ssn_pair.n
         assert stages[0].passed == r.pairs_compared
 
@@ -410,9 +431,9 @@ class TestFunnel:
         # index-backed generator enumerates < 20% of the full product.
         c = StatsCollector("ln")
         p = JoinPlanner(ln_pair.clean, ln_pair.error, k=1, record_matches=True)
-        r = p.run("FPDL", generator="fbf-index", backend="vectorized", collector=c)
+        r = p.run("FPDL", generator="pass-join", backend="vectorized", collector=c)
         product = ln_pair.n * ln_pair.n
-        emitted = c.stages["fbf-index"].passed
+        emitted = c.stages["pass-join"].passed
         assert emitted == r.pairs_compared
         assert emitted < 0.2 * product, (
             f"index emitted {emitted} of {product} pairs "

@@ -55,6 +55,16 @@ class TestMatchCommand:
         main(["match", str(left), str(right), "--method", "DL"])
         assert "DL" in capsys.readouterr().err
 
+    def test_plan_lists_the_kept_generators(self, string_files, capsys):
+        left, right = string_files
+        assert main(["match", str(left), str(right), "--plan"]) == 0
+        costs = [
+            line.split()[2]
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("# cost")
+        ]
+        assert sorted(costs) == ["all-pairs", "blocking", "pass-join"]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read"):
             main(["match", str(tmp_path / "nope.txt"), str(tmp_path / "nope.txt")])

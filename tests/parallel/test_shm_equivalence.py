@@ -17,13 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.matchers import METHOD_NAMES, method_registry
-from repro.core.plan import (
-    FBFIndexGenerator,
-    JoinPlanner,
-    LengthBucketGenerator,
-    PassJoinGenerator,
-    PrefixQgramGenerator,
-)
+from repro.core.plan import JoinPlanner, PassJoinGenerator
 from repro.obs import StatsCollector
 from repro.parallel.shm import close_shared_pools
 
@@ -35,16 +29,11 @@ strings = st.lists(
 
 
 def _safe_generators(method: str) -> list[str]:
-    spec = REGISTRY[method]
+    """The dense product, plus the in-worker PASS-JOIN probe wherever
+    it is safe for ``method``."""
     names = ["all-pairs"]
-    if LengthBucketGenerator().is_safe_for(spec):
-        names.append("length-bucket")
-    if FBFIndexGenerator().is_safe_for(spec):
-        names.append("fbf-index")
-    if PassJoinGenerator().is_safe_for(spec):
+    if PassJoinGenerator().is_safe_for(REGISTRY[method]):
         names.append("pass-join")
-    if PrefixQgramGenerator().is_safe_for(spec):
-        names.append("prefix")
     return names
 
 
@@ -96,15 +85,6 @@ dup_strings = st.lists(
 )
 
 
-def _dense_and_probe(method: str) -> list[str]:
-    """The dense product, plus the in-worker PASS-JOIN probe wherever
-    it is safe for ``method``."""
-    names = ["all-pairs"]
-    if PassJoinGenerator().is_safe_for(REGISTRY[method]):
-        names.append("pass-join")
-    return names
-
-
 def _funnel(c: StatsCollector, *, tested_only: bool = False) -> dict:
     return {
         name: (s.tested, s.passed)
@@ -119,9 +99,12 @@ def _funnel(c: StatsCollector, *, tested_only: bool = False) -> dict:
 def test_collapsed_hybrid_matches_reference(method, left, right):
     """collapse='on' over the hybrid backend: per-worker funnels come
     back in weighted units and still reconcile with the uncollapsed
-    scalar reference."""
+    scalar reference.  A collapsed all-pairs stream is the lossless
+    plan the pool verifies as drained candidate slices (its weights
+    rule out dense row tasks), so its funnel must also equal the
+    in-process run of the same plan, stage for stage."""
     ref = _reference(left, right, method)
-    for generator in _dense_and_probe(method):
+    for generator in _safe_generators(method):
         c = StatsCollector("hybrid-collapsed")
         planner = JoinPlanner(
             left, right, k=1, record_matches=True, workers=2,
@@ -133,6 +116,13 @@ def test_collapsed_hybrid_matches_reference(method, left, right):
         assert c.pairs_considered == len(left) * len(right)
         assert c.conserved
         assert c.matched == ref.match_count
+        inproc = StatsCollector("vectorized-collapsed")
+        JoinPlanner(
+            left, right, k=1, collapse="on", collector=inproc,
+        ).run(method, generator=generator, backend="vectorized")
+        assert _funnel(c, tested_only=True) == _funnel(
+            inproc, tested_only=True
+        ), f"{method} collapsed hybrid/{generator} funnel differs"
 
 
 @pytest.mark.parametrize("method", ["DL", "FPDL", "Jaro"])
@@ -142,7 +132,7 @@ def test_self_join_hybrid_matches_reference(method, values):
     """Content-equal sides: the hybrid run uses published value-identity
     codes for the diagonal, matching the scalar reference exactly."""
     ref = _reference(values, list(values), method)
-    for generator in _dense_and_probe(method):
+    for generator in _safe_generators(method):
         c = StatsCollector("hybrid-self")
         planner = JoinPlanner(
             values, list(values), k=1, record_matches=True, workers=2,

@@ -71,7 +71,7 @@ class TestEquivalence:
         assert obs.conserved
         assert obs.pairs_considered == len(big) * len(roster)
 
-    @pytest.mark.parametrize("generator", ["all-pairs", "fbf-index", "prefix"])
+    @pytest.mark.parametrize("generator", ["all-pairs", "pass-join"])
     def test_every_generator_agrees(
         self, stream_data, big_file, reference, generator
     ):
@@ -126,7 +126,7 @@ class TestEquivalence:
         monkeypatch.setattr(prepared, "encode_raw", counting)
         res = join_stream(
             big_file, roster, "FPDL", k=1, chunk_rows=600,
-            backend="vectorized", generator="fbf-index",
+            backend="vectorized", generator="pass-join",
         )
         # One roster encoding for the stream, then each chunk's own rows.
         assert res.chunks == 5
@@ -251,6 +251,37 @@ class TestSpillAndCheckpoint:
                 spill=tmp_path / "m.jsonl",
                 checkpoint=tmp_path / "ck.json", resume=True,
             )
+
+    @pytest.mark.parametrize(
+        "removed", ["fbf-index", "length-bucket", "prefix"]
+    )
+    def test_resume_pinned_to_removed_generator_refused(
+        self, stream_data, big_file, tmp_path, removed
+    ):
+        """A checkpoint that pins a generator this version no longer
+        has is refused before the spill is touched: the torn tail a
+        killed chunk left stays, byte for byte."""
+        import json
+
+        roster, _ = stream_data
+        spill, ck = tmp_path / "m.jsonl", tmp_path / "ck.json"
+        join_stream(
+            big_file, roster, "FPDL", k=1, chunk_rows=600,
+            spill=spill, checkpoint=ck, max_chunks=1,
+        )
+        payload = json.loads(ck.read_text())
+        payload["fingerprint"]["generator"] = removed
+        ck.write_text(json.dumps(payload))
+        with spill.open("ab") as fh:
+            fh.write(b'{"torn": ')
+        before = spill.read_bytes()
+        assert len(before) > payload["spill_bytes"]
+        with pytest.raises(ValueError, match=f"'{removed}'.*without resume"):
+            join_stream(
+                big_file, roster, "FPDL", k=1, chunk_rows=600,
+                spill=spill, checkpoint=ck, resume=True,
+            )
+        assert spill.read_bytes() == before
 
     def test_resume_without_checkpoint_file_starts_fresh(
         self, stream_data, big_file, tmp_path, reference
