@@ -50,6 +50,7 @@ __all__ = [
     "SignatureScheme",
     "scheme_for",
     "scheme_from_name",
+    "parse_scheme_name",
     "detect_kind",
     "ALPHA_OVERFLOW_BIT",
     "ALPHA_DOUBLED_BIT",
@@ -282,16 +283,30 @@ def scheme_from_name(name: str) -> SignatureScheme:
     >>> scheme_from_name("alnum2x").name
     'alnum2x'
     """
+    parts = parse_scheme_name(name)
+    if parts is None:
+        raise ValueError(f"not a stock scheme name: {name!r}")
+    kind, levels, extended = parts
+    return scheme_for(kind, levels, extended=extended)
+
+
+def parse_scheme_name(name: str) -> tuple[str, int, bool] | None:
+    """``(kind, levels, extended)`` of a stock scheme name (``levels``
+    is 0 for ``"numeric"``), or ``None`` for any other name.
+
+    >>> parse_scheme_name("alnum2x")
+    ('alnum', 2, True)
+    """
     if name == "numeric":
-        return _NUMERIC_SCHEME
+        return "numeric", 0, False
     for prefix in ("alpha", "alnum"):
         if name.startswith(prefix):
             suffix = name[len(prefix):]
             extended = suffix.endswith("x")
             digits = suffix[:-1] if extended else suffix
             if digits.isdigit() and int(digits) >= 1:
-                return scheme_for(prefix, int(digits), extended=extended)
-    raise ValueError(f"not a stock scheme name: {name!r}")
+                return prefix, int(digits), extended
+    return None
 
 
 def resolve_scheme(

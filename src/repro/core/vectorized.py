@@ -5,10 +5,19 @@ and the filter being one XOR + POPCNT.  Interpreted CPython cannot show
 that per call, so — per the calibration note in DESIGN.md — this module
 moves the *batch* operations into NumPy:
 
+* :func:`codes_and_signatures` — the one walk that prepares a batch
+  (the paper's "Gen", Algorithms 4-5): from the batch's latin-1 bytes,
+  the padded code matrix and the packed signature words together.  Each
+  byte is looked up in per-code tables (:data:`LETTER_OF`,
+  :data:`DIGIT_OF`); the compiled :mod:`repro.native` kernel does it in
+  one pass, and the NumPy body here histograms the codes it already
+  has.  :func:`repro.parallel.kernels.encode_side` runs it for every
+  prepared side;
 * :func:`alpha_signatures_batch` / :func:`num_signatures_batch` /
-  :func:`alnum_signatures_batch` — signature matrices ``(n, width)`` of
-  ``uint32``, bit-identical to the scalar Algorithms 4-5 (pinned by
-  tests).
+  :func:`alnum_signatures_batch` / :func:`signatures_for_scheme` —
+  signature matrices ``(n, width)`` of ``uint32``, bit-identical to the
+  scalar Algorithms 4-5 (pinned by tests): a lossy latin-1 encode, then
+  the same walk;
 * :func:`pairwise_diff_bits` — the full ``(n_left, n_right)`` diff-bit
   matrix via XOR broadcasting and a byte-table popcount.
 * :func:`fbf_candidates` — the filter proper: the index pairs whose
@@ -29,12 +38,20 @@ import numpy as np
 from repro.core.popcount import popcount_batch_u32
 from repro.core.signatures import (
     ALPHA_DOUBLED_BIT,
+    ALPHA_INDEX,
     ALPHA_OVERFLOW_BIT,
+    DIGIT_INDEX,
     SignatureScheme,
+    parse_scheme_name,
 )
-from repro.distance.codec import ALPHA_CODEC, DIGIT_CODEC
+from repro.native import loaded_kernels
 
 __all__ = [
+    "DIGIT_OF",
+    "LETTER_OF",
+    "codes_and_signatures",
+    "split_rows",
+    "stock_layout",
     "alpha_signatures_batch",
     "num_signatures_batch",
     "alnum_signatures_batch",
@@ -72,25 +89,144 @@ def value_identity_codes(
     return codes_l, codes_r
 
 
-def _occurrence_counts(strings: Sequence[str], codec, n_symbols: int) -> np.ndarray:
-    """Per-string occurrence count of each alphabet symbol: ``(n, n_symbols)``.
+#: Per-code tables of the signature walk: latin-1 byte -> letter index
+#: 0-25 (A-Z, case-folded, per Figure 3) or digit index 0-9 (Figure 4),
+#: :data:`NO_SYMBOL` for every other byte (NUL, the padding byte, too).
+NO_SYMBOL = 255
+LETTER_OF = np.full(256, NO_SYMBOL, dtype=np.uint8)
+for _ch, _c in ALPHA_INDEX.items():
+    LETTER_OF[ord(_ch)] = _c
+DIGIT_OF = np.full(256, NO_SYMBOL, dtype=np.uint8)
+for _ch, _c in DIGIT_INDEX.items():
+    DIGIT_OF[ord(_ch)] = _c
+del _ch, _c
 
-    Encodes the batch once into a padded code matrix and histograms each
-    row.  Codes are 1-based (0 is padding, ``n_symbols + 1`` is "other"),
-    so column ``c`` of the result counts symbol ``c`` of the codec
-    alphabet.
+#: rows per block of the NumPy signature body (bounds its temporaries)
+_SIG_BLOCK_CELLS = 1 << 20
+
+
+def stock_layout(scheme: SignatureScheme) -> tuple[int, bool, bool] | None:
+    """``(alpha words, numeric word, extended)`` of a stock scheme, or
+    ``None`` for a custom one (dispatch is on the scheme's name)."""
+    parts = parse_scheme_name(scheme.name)
+    if parts is None:
+        return None
+    kind, levels, extended = parts
+    return levels, kind != "alpha", extended
+
+
+def split_rows(raw: bytes, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """A batch's bytes joined by NUL separators, as a uint8 array, and
+    each string's length read off the separators (``None`` when a string
+    holds a NUL itself, so the separators do not delimit the rows)."""
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    if n == 0:
+        return buf, np.zeros(0, dtype=np.int64)
+    seps = np.flatnonzero(buf == 0)
+    if len(seps) != n - 1:
+        return buf, None
+    bounds = np.empty(n + 1, dtype=np.int64)
+    bounds[0], bounds[1:-1], bounds[-1] = -1, seps, len(buf)
+    return buf, np.diff(bounds) - 1
+
+
+def codes_and_signatures(
+    buf: np.ndarray,
+    lengths: np.ndarray,
+    layout: tuple[int, bool, bool],
+    native=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One walk over a batch: padded codes and packed signatures.
+
+    ``buf`` is the batch's latin-1 bytes with one separator byte between
+    rows (:func:`split_rows`) and ``lengths`` the row lengths; ``layout``
+    a :func:`stock_layout`.  Returns the ``(n, max(lengths))`` uint8 code
+    matrix (:data:`~repro.distance.codec.PAD` past each row's end) and
+    the signature words packed little-endian into ``uint64`` with a zero
+    column for odd widths
+    (:func:`repro.parallel.kernels.pack_signatures`).  ``native`` (a
+    :class:`repro.native.KernelSet`) writes both in one compiled pass;
+    without it the NumPy body maps the codes through :data:`LETTER_OF`
+    and :data:`DIGIT_OF` and histograms them.  Bits are identical.
     """
-    codes, _lengths = codec.encode_padded(strings)
-    n = len(strings)
-    if codes.size == 0:
-        return np.zeros((n, n_symbols), dtype=np.int64)
-    # Histogram all rows at once: offset each row's codes into a private
-    # bucket range, then one bincount over the flattened array.
-    offsets = (np.arange(n, dtype=np.int64) * (n_symbols + 2))[:, None]
-    flat = (codes.astype(np.int64) + offsets).ravel()
-    counts = np.bincount(flat, minlength=n * (n_symbols + 2))
-    counts = counts.reshape(n, n_symbols + 2)
-    return counts[:, 1 : n_symbols + 1]
+    lengths = np.asarray(lengths, dtype=np.int64)
+    n = len(lengths)
+    width = int(lengths.max()) if n else 0
+    if native is not None:
+        return native.encode_rows(
+            buf, lengths, width, layout, LETTER_OF, DIGIT_OF
+        )
+    codes = np.zeros((n, width), dtype=np.uint8)
+    rows = np.ones(len(buf), dtype=bool)
+    rows[np.cumsum(lengths[:-1] + 1) - 1] = False  # the separators
+    codes[np.arange(width) < lengths[:, None]] = buf[rows]
+    return codes, _code_signatures(codes, layout).view(np.uint64)
+
+
+def _code_signatures(codes: np.ndarray, layout) -> np.ndarray:
+    """The NumPy signature body: ``(n, words)`` uint32, ``words`` even
+    (a zero column pads an odd scheme width), from a padded code
+    matrix."""
+    alpha, numeric, extended = layout
+    width = alpha + numeric
+    n, w = codes.shape
+    out = np.zeros((n, width + width % 2), dtype=np.uint32)
+    step = max(1, _SIG_BLOCK_CELLS // max(1, w))
+    for r0 in range(0, n, step):
+        block, o = codes[r0 : r0 + step], out[r0 : r0 + step]
+        if alpha:
+            letters = LETTER_OF[block]
+            counts = _histogram(letters, 26)
+            for j in range(alpha):
+                o[:, j] = _bits(counts > j)
+            if extended:
+                overflow = (counts > alpha).any(axis=1)
+                doubled = (
+                    (letters[:, 1:] == letters[:, :-1]) & (letters[:, 1:] < 26)
+                ).any(axis=1)
+                o[:, alpha - 1] |= (
+                    overflow.astype(np.uint32) << np.uint32(ALPHA_OVERFLOW_BIT)
+                ) | (doubled.astype(np.uint32) << np.uint32(ALPHA_DOUBLED_BIT))
+        if numeric:
+            counts = _histogram(DIGIT_OF[block], 10)
+            # bit 3c + j: digit c occurs more than j times, j < 3
+            o[:, alpha] = _bits(
+                (counts[:, :, None] > np.arange(3)).reshape(len(block), 30)
+            )
+    return out
+
+
+def _histogram(symbols: np.ndarray, m: int) -> np.ndarray:
+    """Per-row occurrence count of each symbol ``0..m-1``: ``(n, m)``
+    (:data:`NO_SYMBOL` cells are not counted)."""
+    n = len(symbols)
+    flat = np.minimum(symbols, m).astype(np.int64)
+    flat += (np.arange(n, dtype=np.int64) * (m + 1))[:, None]
+    counts = np.bincount(flat.ravel(), minlength=n * (m + 1))
+    return counts.reshape(n, m + 1)[:, :m]
+
+
+def _bits(mask: np.ndarray) -> np.ndarray:
+    """Row ``i`` of a ``(n, <= 32)`` boolean mask as a uint32, column
+    ``c`` at bit ``c``."""
+    full = np.zeros((len(mask), 32), dtype=bool)
+    full[:, : mask.shape[1]] = mask
+    return np.packbits(full, axis=1, bitorder="little").view("<u4")[:, 0]
+
+
+def _stock_signatures(
+    strings: Sequence[str], layout: tuple[int, bool, bool]
+) -> np.ndarray:
+    """``(n, width)`` uint32 signatures of a stock layout: a lossy
+    latin-1 encode (one ``?``, neither letter nor digit, per character
+    outside latin-1), then :func:`codes_and_signatures`."""
+    raw = "\x00".join(strings).encode("latin-1", errors="replace")
+    buf, lengths = split_rows(raw, len(strings))
+    if lengths is None:  # a string holds NUL: count the rows instead
+        lengths = np.fromiter(map(len, strings), np.int64, len(strings))
+    _, sigs = codes_and_signatures(buf, lengths, layout, loaded_kernels())
+    alpha, numeric, _ = layout
+    return np.ascontiguousarray(sigs.view(np.uint32)[:, : alpha + numeric])
 
 
 def alpha_signatures_batch(
@@ -99,77 +235,39 @@ def alpha_signatures_batch(
     """Batch Algorithm 4: ``(n, levels)`` uint32 signature matrix.
 
     Equivalent to ``[alpha_signature(s, levels, extended=extended) for s
-    in strings]`` (property-tested), built from one histogram pass.
+    in strings]`` (property-tested).
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    counts = _occurrence_counts(strings, ALPHA_CODEC, 26)
-    n = len(strings)
-    sigs = np.zeros((n, levels), dtype=np.uint32)
-    weights = (np.uint32(1) << np.arange(26, dtype=np.uint32)).astype(np.uint32)
-    for j in range(levels):
-        present = counts > j  # (n, 26): has at least j+1 occurrences
-        sigs[:, j] = (present * weights).sum(axis=1, dtype=np.uint32)
-    if extended:
-        overflow = (counts > levels).any(axis=1)
-        doubled = _has_doubled_letter(strings)
-        sigs[:, -1] |= overflow.astype(np.uint32) << np.uint32(ALPHA_OVERFLOW_BIT)
-        sigs[:, -1] |= doubled.astype(np.uint32) << np.uint32(ALPHA_DOUBLED_BIT)
-    return sigs
-
-
-def _has_doubled_letter(strings: Sequence[str]) -> np.ndarray:
-    """Boolean per string: two identical letters adjacent (case-folded)."""
-    codes, _ = ALPHA_CODEC.encode_padded(strings)
-    if codes.shape[1] < 2:
-        return np.zeros(len(strings), dtype=bool)
-    a = codes[:, :-1]
-    b = codes[:, 1:]
-    is_letter = (a >= 1) & (a <= 26)
-    return ((a == b) & is_letter).any(axis=1)
+    return _stock_signatures(strings, (levels, False, extended))
 
 
 def num_signatures_batch(strings: Sequence[str]) -> np.ndarray:
     """Batch Algorithm 5: ``(n,)`` uint32 numeric signatures."""
-    counts = _occurrence_counts(strings, DIGIT_CODEC, 10)
-    n = len(strings)
-    sig = np.zeros(n, dtype=np.uint32)
-    for c in range(10):
-        for j in range(3):
-            bit = (counts[:, c] > j).astype(np.uint32)
-            sig |= bit << np.uint32(3 * c + j)
-    return sig
+    return _stock_signatures(strings, (0, True, False))[:, 0]
 
 
 def alnum_signatures_batch(
     strings: Sequence[str], alpha_levels: int = 2, *, extended: bool = False
 ) -> np.ndarray:
     """Batch alphanumeric signatures: ``(n, alpha_levels + 1)`` uint32."""
-    alpha = alpha_signatures_batch(strings, alpha_levels, extended=extended)
-    num = num_signatures_batch(strings)
-    return np.concatenate([alpha, num[:, None]], axis=1)
+    if alpha_levels < 1:
+        raise ValueError(f"levels must be >= 1, got {alpha_levels}")
+    return _stock_signatures(strings, (alpha_levels, True, extended))
 
 
 def signatures_for_scheme(
     strings: Sequence[str], scheme: SignatureScheme
 ) -> np.ndarray:
-    """Batch signatures matching a scalar :class:`SignatureScheme`.
+    """Batch signatures matching a scalar :class:`SignatureScheme`:
+    ``(n, scheme.width)`` uint32.
 
-    Dispatches on the scheme name produced by
-    :func:`repro.core.signatures.scheme_for`; unknown (custom) schemes
-    fall back to calling the scalar generator per string.
+    Stock schemes (:func:`stock_layout`) run the one code-based walk;
+    custom schemes fall back to calling the scalar generator per string.
     """
-    name = scheme.name
-    extended = name.endswith("x")
-    if name == "numeric":
-        return num_signatures_batch(strings)[:, None]
-    if name.startswith("alpha"):
-        levels = int(name[len("alpha") :].rstrip("x"))
-        return alpha_signatures_batch(strings, levels, extended=extended)
-    if name.startswith("alnum"):
-        levels = int(name[len("alnum") :].rstrip("x"))
-        return alnum_signatures_batch(strings, levels, extended=extended)
-    # Custom scheme: scalar fallback, one row per string.
+    layout = stock_layout(scheme)
+    if layout is not None:
+        return _stock_signatures(strings, layout)
     rows = [scheme.signature(s) for s in strings]
     return np.array(rows, dtype=np.uint32).reshape(len(strings), scheme.width)
 

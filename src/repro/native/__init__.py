@@ -20,7 +20,10 @@ package closes that gap with compiled kernels:
    (``encode_raw``) codes: per query, the probe of
    ``core/passjoin.py::SegmentIndex.probe_codes``, then each
    candidate's filter chain and DL/PDL/Hamming verifier and the funnel
-   tally, in one compiled pass that returns only the matches.
+   tally, in one compiled pass that returns only the matches;
+5. side preparation: one walk over a batch's latin-1 bytes that writes
+   the padded ``uint8`` codes and the packed FBF signatures of every
+   stock scheme (``core/vectorized.py::codes_and_signatures``).
 
 They have one provider, ``cc``: a C translation unit compiled on first
 use with the host's C compiler and loaded via ctypes (cached on disk,
@@ -55,6 +58,7 @@ __all__ = [
     "available",
     "kind",
     "load_kernels",
+    "loaded_kernels",
     "native_status",
     "require_native",
     "reset",
@@ -161,6 +165,38 @@ class KernelSet:
         R = _sig2d(right_sigs, np.uint64)
         out = self._p["pair_mask_u64"](L, R, _idx(ii), _idx(jj), int(bound))
         return out.view(bool)
+
+    # -- side preparation ----------------------------------------------
+
+    def encode_rows(
+        self,
+        buf: np.ndarray,
+        lens: np.ndarray,
+        width: int,
+        layout: tuple[int, bool, bool],
+        letter_of: np.ndarray,
+        digit_of: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A batch's padded ``uint8`` codes and packed ``uint64``
+        signatures in one walk (``core/vectorized.py::
+        codes_and_signatures`` is the NumPy body): ``buf`` holds the
+        rows' latin-1 bytes with one separator byte between rows,
+        ``lens`` their lengths, ``layout`` the scheme's ``(alpha words,
+        numeric word, extended)`` and the tables map a byte to its
+        letter (0-25) or digit (0-9) index, anything above to none.  A
+        length outside ``[0, width]`` or past the buffer raises."""
+        alpha, numeric, extended = int(layout[0]), *map(bool, layout[1:])
+        if alpha < 0 or alpha + numeric == 0 or (extended and not alpha):
+            raise ValueError(f"not a stock signature layout: {layout}")
+        tables = [
+            np.ascontiguousarray(t, dtype=np.uint8) for t in (letter_of, digit_of)
+        ]
+        if any(t.shape != (256,) for t in tables):
+            raise ValueError("the code tables must have 256 entries")
+        return self._p["encode_rows"](
+            np.ascontiguousarray(buf, dtype=np.uint8), _idx(lens), int(width),
+            alpha, int(numeric), int(extended), *tables,
+        )
 
     # -- verification --------------------------------------------------
 
@@ -423,6 +459,21 @@ def load_kernels() -> KernelSet | None:
     return None
 
 
+def loaded_kernels() -> KernelSet | None:
+    """The provider :func:`load_kernels` has already loaded and
+    validated in this process, or ``None``.
+
+    Never builds, loads or self-checks: side preparation runs its
+    compiled walk through this, so encoding a batch never pays the
+    provider's first-use cost (a cold cache compiles the C source).  The
+    planner loads the provider when it plans, before the sides of a join
+    are prepared.  Honors ``REPRO_NO_NATIVE``.
+    """
+    if _disabled():
+        return None
+    return next(filter(None, map(_CACHE.get, _PROVIDERS)), None)
+
+
 def resolve_kernels(
     request: str | None, *, warn_key: str = "backend"
 ) -> KernelSet | None:
@@ -612,6 +663,28 @@ def _self_check(ks: KernelSet) -> str | None:
                             f"osa mode={mode} k={k} mismatch on "
                             f"({len(s)},{len(t)})-char pair"
                         )
+
+        # -- side preparation: every stock scheme against the NumPy body
+        from repro.core.vectorized import codes_and_signatures, split_rows
+
+        batch = [*strings, "Tt", "T-T", "a1b22333", "0123456789" * 7]
+        buf, blens = split_rows(
+            "\x00".join(batch).encode("latin-1"), len(batch)
+        )
+        layouts = [(0, True, False)] + [
+            (words, numeric, extended)
+            for words in (1, 2, 3)
+            for numeric in (False, True)
+            for extended in (False, True)
+        ]
+        for layout in layouts:
+            got = codes_and_signatures(buf, blens, layout, ks)
+            want = codes_and_signatures(buf, blens, layout)
+            if not all(
+                g.dtype == w.dtype and np.array_equal(g, w)
+                for g, w in zip(got, want)
+            ):
+                return f"encode_rows mismatch: layout {layout}"
 
         # -- dense sweep: every chain at widths 1, 2 and 3 -------------
         k, r0, r1 = 2, 3, 11

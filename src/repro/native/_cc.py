@@ -157,6 +157,21 @@ def load():
                 raise MemoryError("osa_mask scratch allocation failed")
         return out
 
+    def encode_rows(buf, lens, width, alpha, numeric, extended, letter_of,
+                    digit_of):
+        n = lens.shape[0]
+        words = alpha + numeric + (alpha + numeric) % 2
+        codes = np.empty((n, width), dtype=np.uint8)
+        sigs = np.empty((n, words // 2), dtype=np.uint64)
+        if n and raw["encode_rows"](
+            buf.ctypes.data, len(buf), lens.ctypes.data, n, width,
+            letter_of.ctypes.data, digit_of.ctypes.data, alpha, numeric,
+            extended, codes.ctypes.data, sigs.ctypes.data, words,
+        ):
+            raise ValueError("a length is negative, exceeds the width or "
+                             "overruns the byte buffer")
+        return codes, sigs
+
     fused_rows_u64 = functools.partial(_fused_rows, raw["fused_rows_u64"])
     passjoin_run = functools.partial(_passjoin_run, raw["passjoin_run"])
     return {
@@ -164,4 +179,5 @@ def load():
         "osa_mask": osa_mask,
         "fused_rows_u64": fused_rows_u64,
         "passjoin_run": passjoin_run,
+        "encode_rows": encode_rows,
     }

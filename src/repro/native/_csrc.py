@@ -22,6 +22,12 @@ Kernels mirror the pure-Python/NumPy references bit for bit:
   only each row's ``|dlen| <= k`` window of a length-sorted right side.
 * ``pair_mask_u64`` — the gathered-pair signature filter used by
   index-driven generators.
+* ``encode_rows`` — a side's preparation in one walk over its latin-1
+  bytes: the padded ``uint8`` code matrix and the packed FBF signature
+  words of every stock scheme (numeric, ``alpha{L}``, ``alnum{L}``,
+  with or without the extended indicator bits), each byte looked up in
+  per-code letter and digit tables
+  (``core/vectorized.py::codes_and_signatures`` is the NumPy body).
 * ``osa_mask`` — batched bounded OSA (restricted Damerau-Levenshtein)
   decisions: Hyyro bit-parallel for patterns up to 64 chars
   (``distance/bitparallel.py``), banded rolling-row DP beyond that
@@ -62,6 +68,8 @@ C_SOURCE = r"""
 #include <string.h>
 
 #define POP64(x) ((int64_t)__builtin_popcountll((uint64_t)(x)))
+#define ALPHA_OVERFLOW_BIT 26 /* core/signatures.py */
+#define ALPHA_DOUBLED_BIT 27
 
 /* ------------------------------------------------------------------ */
 /* Gathered-pair signature filter: out[p] = diff_bits(pair p) <= bound */
@@ -78,6 +86,63 @@ void pair_mask_u64(const uint64_t *L, const uint64_t *R, int64_t width,
             db += POP64(li[w] ^ rj[w]);
         out[p] = db <= bound;
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* One walk over a batch: padded codes and packed FBF signatures.      */
+/* buf holds the rows' latin-1 bytes, one separator byte between rows. */
+/* Per row: the codes are copied and zero-padded to width, and each    */
+/* byte is looked up in letter_of (0-25, else none) and digit_of (0-9, */
+/* else none): alpha word j bit c = the (j+1)-th occurrence of letter  */
+/* c (Algorithm 4), the numeric word after them bit 3d+j = the (j+1)-th*/
+/* occurrence of digit d, j < 3 (Algorithm 5); extended schemes add    */
+/* the overflow and doubled-letter bits to the last alpha word.        */
+/* sigs is uint32[n][words], words even (pack_signatures' layout).     */
+/* Returns -1, before the row, on a length outside [0, width] or past  */
+/* the end of buf.                                                     */
+/* ------------------------------------------------------------------ */
+
+int64_t encode_rows(const uint8_t *buf, int64_t nbuf, const int64_t *lens,
+                 int64_t n, int64_t width, const uint8_t *letter_of,
+                 const uint8_t *digit_of, int64_t alpha, int32_t numeric,
+                 int32_t extended, uint8_t *codes, uint32_t *sigs,
+                 int64_t words) {
+    int32_t seen[26], dseen[10];
+    const uint8_t *p = buf;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t len = lens[i];
+        if (len < 0 || len > width || len > nbuf - (p - buf)) return -1;
+        uint8_t *row = codes + i * width;
+        uint32_t *w = sigs + i * words;
+        uint32_t num = 0;
+        int overflow = 0, doubled = 0, prev = -1;
+        memset(seen, 0, sizeof(seen));
+        memset(dseen, 0, sizeof(dseen));
+        memset(w, 0, (size_t)words * sizeof(uint32_t));
+        memcpy(row, p, (size_t)len);
+        memset(row + len, 0, (size_t)(width - len));
+        for (int64_t x = 0; x < len; x++) {
+            uint8_t b = p[x];
+            int c = letter_of[b];
+            if (c < 26) {
+                int32_t j = seen[c]++;
+                if (j < alpha) w[j] |= (uint32_t)1 << c;
+                else overflow = 1;
+                if (c == prev) doubled = 1;
+                prev = c;
+            } else {
+                prev = -1;
+            }
+            int d = digit_of[b];
+            if (d < 10 && dseen[d] < 3) num |= (uint32_t)1 << (3 * d + dseen[d]++);
+        }
+        if (numeric) w[alpha] = num;
+        if (extended)
+            w[alpha - 1] |= ((uint32_t)overflow << ALPHA_OVERFLOW_BIT)
+                          | ((uint32_t)doubled << ALPHA_DOUBLED_BIT);
+        p += len + 1;
+    }
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -769,11 +834,16 @@ def _bind(lib: ctypes.CDLL) -> dict[str, ctypes._CFuncPtr]:
         p, p, i64, i64, p, p, i32, p, p, p, p, p, p, p, i64, p, p,
     ]
     lib.passjoin_run.restype = i64
+    lib.encode_rows.argtypes = [
+        p, i64, p, i64, i64, p, p, i64, i32, i32, p, p, i64,
+    ]
+    lib.encode_rows.restype = i64
     return {
         "pair_mask_u64": lib.pair_mask_u64,
         "osa_mask": lib.osa_mask,
         "fused_rows_u64": lib.fused_rows_u64,
         "passjoin_run": lib.passjoin_run,
+        "encode_rows": lib.encode_rows,
     }
 
 

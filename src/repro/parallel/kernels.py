@@ -10,7 +10,8 @@ there is one implementation of each decision:
   lengths, the FBF signatures packed into ``uint64`` words (the one
   signature word size), plus the pair-scoped soundex ids and
   value-identity codes a method may need.  The arrays are encoded in
-  one place, :meth:`repro.parallel.prepared.PreparedSide.side`;
+  one place, :meth:`repro.parallel.prepared.PreparedSide.side`, by one
+  walk over each new row block (:func:`encode_side`);
 * :class:`Kernels` — one method stack bound to two sides: the verifier
   dispatch (NumPy or the compiled :mod:`repro.native` tier), the
   per-pair and dense filters, the diagonal rule and the funnel tally,
@@ -32,7 +33,13 @@ import numpy as np
 from repro.core.multiplicity import PairWeighter
 from repro.core.passjoin import SegmentIndex
 from repro.core.popcount import popcount_batch_u64
-from repro.core.vectorized import signatures_for_scheme
+from repro.core.vectorized import (
+    codes_and_signatures,
+    signatures_for_scheme,
+    split_rows,
+    stock_layout,
+)
+from repro.distance.codec import encode_raw
 from repro.distance.vectorized import (
     hamming_pairs,
     jaro_pairs,
@@ -40,15 +47,15 @@ from repro.distance.vectorized import (
     osa_pairs,
     osa_within_k_pairs,
 )
-from repro.native import MODE_DL, MODE_PDL
+from repro.native import MODE_DL, MODE_PDL, loaded_kernels
 
 __all__ = [
     "FILTER_CHUNK",
     "VERIFY_CHUNK",
     "Kernels",
     "Side",
+    "encode_side",
     "pack_signatures",
-    "packed_signatures",
 ]
 
 #: pairs per chunk for the cheap sweeps (XOR+popcount, length masks,
@@ -79,9 +86,38 @@ def pack_signatures(sigs: np.ndarray) -> np.ndarray:
     return sigs.view(np.uint64)
 
 
-def packed_signatures(strings: Sequence[str], scheme) -> np.ndarray:
-    """``scheme``'s signatures of ``strings``, packed into uint64 words."""
-    return pack_signatures(signatures_for_scheme(strings, scheme))
+def encode_side(
+    strings: Sequence[str], scheme
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(codes, lengths, sigs)`` of a batch from one walk over it.
+
+    ``codes``/``lengths`` are :func:`repro.distance.codec.encode_raw`'s
+    (lossless latin-1, padded to the longest row) and ``sigs`` is
+    ``scheme``'s signatures packed by :func:`pack_signatures`.  The
+    latin-1 buffer is built once; a string with NUL or a character
+    outside latin-1 raises ``encode_raw``'s :class:`ValueError`.  A stock
+    scheme's codes and signatures come out of one pass
+    (:func:`repro.core.vectorized.codes_and_signatures`, compiled when
+    the native tier loaded); a custom scheme's signatures are computed
+    per string.
+    """
+    layout = stock_layout(scheme)
+    if layout is None:
+        codes, lengths = encode_raw(strings)
+        sigs = pack_signatures(signatures_for_scheme(strings, scheme))
+        return codes, lengths, sigs
+    try:
+        buf, lengths = split_rows(
+            "\x00".join(strings).encode("latin-1"), len(strings)
+        )
+    except UnicodeEncodeError:
+        buf = lengths = None
+    if lengths is None:
+        # A non-latin-1 character or a NUL: encode_raw raises the
+        # message naming the first such string.
+        encode_raw(strings)
+    codes, sigs = codes_and_signatures(buf, lengths, layout, loaded_kernels())
+    return codes, lengths, sigs
 
 
 class Side:

@@ -9,7 +9,9 @@ to the data, not to one call, so they live here, once:
 * a :class:`PreparedSide` owns its strings (the live list, never
   copied), its signature scheme, the
   :class:`~repro.parallel.kernels.Side` arrays (uint8 codes, lengths,
-  packed ``uint64`` signatures — the only place a side is encoded), the
+  packed ``uint64`` signatures — the only place a side is encoded, all
+  three from one walk over the latin-1 bytes of each new row block,
+  compiled when the native tier is loaded), the
   indexes over it (a PASS-JOIN index per ``k``, and the FBF signature
   index that serves as the roster's scalar search reference), its
   soundex table, and its shared-memory publication
@@ -18,7 +20,9 @@ to the data, not to one call, so they live here, once:
   use: the arrays, the indexes and the soundex ids are extended by the
   new rows only, length groups are rebuilt, and the publication is
   replaced — its new segments exist before the old ones are unlinked.
-  An append whose encoding fails changes nothing;
+  An append whose encoding fails changes nothing.  A side over a subset
+  of the rows (:meth:`PreparedSide.take`, a roster's compaction) copies
+  their arrays instead of encoding them again;
 * a :class:`SharedPair` is one planner's two sides as the hybrid pool
   reads them.
 
@@ -42,10 +46,9 @@ import numpy as np
 
 from repro.core.signatures import SignatureScheme, resolve_scheme
 from repro.core.vectorized import value_identity_codes
-from repro.distance.codec import encode_raw
 from repro.distance.soundex import soundex
 from repro.obs.stats import NULL_COLLECTOR
-from repro.parallel.kernels import Side, _group_by_value, packed_signatures
+from repro.parallel.kernels import Side, _group_by_value, encode_side
 
 __all__ = ["PreparedSide", "SharedPair", "shared_scheme"]
 
@@ -84,8 +87,9 @@ class PreparedSide:
 
         Encodes on first use and then only the rows appended since; the
         code matrix is padded up when a new row is wider than any
-        before.  ``obs`` receives the ``gen.encode`` and
-        ``gen.signatures`` spans of the work done.
+        before.  The new rows' codes, lengths and signatures come from
+        one walk over them (:func:`~repro.parallel.kernels.encode_side`);
+        ``obs`` receives its ``gen.encode`` span.
         """
         held = self.encoded
         n = len(self.strings)
@@ -94,9 +98,7 @@ class PreparedSide:
         start = 0 if held is None else held.n
         new = self.strings[start:n]
         with obs.span("gen.encode"):
-            codes, lengths = encode_raw(new)
-        with obs.span("gen.signatures"):
-            sigs = packed_signatures(new, self.scheme)
+            codes, lengths, sigs = encode_side(new, self.scheme)
         if held is not None:
             width = max(held.codes.shape[1], codes.shape[1])
             grown = np.zeros((n, width), dtype=np.uint8)
@@ -107,6 +109,27 @@ class PreparedSide:
             sigs = np.concatenate([held.sigs, sigs])
         self.encoded = Side(n, codes, lengths, sigs)
         return self.encoded
+
+    def take(self, rows: np.ndarray) -> "PreparedSide":
+        """A new side over the strings at ``rows`` (ascending), its
+        arrays gathered from the ones held here instead of encoded
+        again: codes trimmed to the widest row kept.  Rows not encoded
+        here yet are encoded on the new side's first use; indexes,
+        soundex ids and the publication are built afresh."""
+        rows = np.asarray(rows, dtype=np.int64)
+        side = PreparedSide([self.strings[r] for r in rows], self.scheme)
+        held = self.encoded
+        if held is not None:
+            kept = rows[: int(np.searchsorted(rows, held.n))]
+            lengths = held.lengths[kept]
+            width = int(lengths.max()) if len(kept) else 0
+            side.encoded = Side(
+                len(kept),
+                np.ascontiguousarray(held.codes[kept, :width]),
+                lengths,
+                held.sigs[kept],
+            )
+        return side
 
     def length_groups(self) -> dict[int, np.ndarray]:
         """String length -> the (sorted) rows of that length."""

@@ -237,13 +237,16 @@ class MutableIndex:
 
         Returns the number of tombstoned rows reclaimed.  External ids
         are preserved; internal positions are reassigned in id order.
+        The live rows' codes, lengths and signatures are copied from the
+        held arrays (:meth:`PreparedSide.take`), not encoded again; the
+        PASS-JOIN index is rebuilt on the next batch.
         The old side's shared-memory publication is closed: no batch is
         in flight between calls.
         """
         reclaimed = self._n_dead
         live = sorted(self._live)
-        strings = [self.strings[self._live[sid]] for sid in live]
-        old, self.prepared = self.prepared, PreparedSide(strings, self.scheme)
+        rows = np.fromiter(map(self._live.__getitem__, live), np.int64, len(live))
+        old, self.prepared = self.prepared, self.prepared.take(rows)
         old.close()
         self._set_rows(np.asarray(live, dtype=np.int64))
         self.compactions += 1

@@ -117,13 +117,13 @@ class TestEquivalence:
 
         roster, big = stream_data
         encoded = []
-        real = prepared.encode_raw
+        real = prepared.encode_side
 
-        def counting(strings):
+        def counting(strings, scheme):
             encoded.append(len(strings))
-            return real(strings)
+            return real(strings, scheme)
 
-        monkeypatch.setattr(prepared, "encode_raw", counting)
+        monkeypatch.setattr(prepared, "encode_side", counting)
         res = join_stream(
             big_file, roster, "FPDL", k=1, chunk_rows=600,
             backend="vectorized", generator="pass-join",
