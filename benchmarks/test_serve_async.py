@@ -15,10 +15,13 @@ Two arms over one 10k last-name roster and the same query stream:
   concurrent client connections, per-request latency measured
   client-side.
 
-Asserted: the async arm clears 2x the blocking arm's QPS, its
-client-observed p99 stays inside the stated budget, nothing is shed,
-and both arms return identical answers.  The machine-readable artifact
-is ``benchmarks/results/BENCH_serve_async.json``.
+The arms run in interleaved pairs, alternating which runs first, so a
+drift in the host's speed lands on both; the ratio is taken within each
+pair.  Asserted: the median per-pair ratio clears 2x the blocking arm's
+QPS, the async arm's median client-observed p99 stays inside the stated
+budget, nothing is shed, and every run of both arms returns the same
+answers.  The machine-readable artifact is
+``benchmarks/results/BENCH_serve_async.json``.
 
 Scale with ``REPRO_SERVE_N`` / ``REPRO_SERVE_QUERIES`` (the committed
 artifact uses 10000 / 600).
@@ -29,6 +32,7 @@ import io
 import json
 import os
 import random
+import statistics
 import time
 
 from _common import RESULTS_DIR, save_result
@@ -40,7 +44,8 @@ N_POPULATION = int(os.environ.get("REPRO_SERVE_N", "10000"))
 N_QUERIES = int(os.environ.get("REPRO_SERVE_QUERIES", "600"))
 N_CONNECTIONS = 64
 BATCH_WINDOW = 0.005
-RUNS = 3
+#: interleaved (blocking, async) pairs; the gate reads their median ratio
+PAIRS = 9
 #: the acceptance bars stated in the issue
 SPEEDUP_FLOOR = 2.0
 P99_BUDGET_MS = 100.0
@@ -141,25 +146,41 @@ def _run_async(population, stream):
     return wall, p99 * 1e3, shed, answers
 
 
+ARMS = (("blocking", _run_blocking), ("async", _run_async))
+
+
 def test_serve_async_throughput(benchmark):
     population, stream = _build_inputs()
 
-    t_block, ref_answers = min(
-        (_run_blocking(population, stream) for _ in range(RUNS)),
-        key=lambda r: r[0],
-    )
-    best = min(
-        (_run_async(population, stream) for _ in range(RUNS)),
-        key=lambda r: r[0],
-    )
-    t_async, p99_ms, shed, async_answers = best
+    pairs = []
+    for i in range(PAIRS):
+        # Alternate which arm runs first within the pair.
+        runs = {}
+        for name, run in ARMS[:: -1 if i % 2 else 1]:
+            runs[name] = run(population, stream)
+        t_block, block_answers = runs["blocking"]
+        t_async, p99_ms, shed, async_answers = runs["async"]
+        if i == 0:
+            ref_answers = block_answers
+        assert block_answers == ref_answers
+        assert async_answers == ref_answers
+        assert shed == 0
+        pairs.append(
+            {
+                "blocking_wall_s": round(t_block, 4),
+                "async_wall_s": round(t_async, 4),
+                "speedup": round(t_block / t_async, 3),
+                "p99_ms": round(p99_ms, 2),
+            }
+        )
 
-    assert async_answers == ref_answers
-    assert shed == 0
+    def median(key):
+        return statistics.median(pair[key] for pair in pairs)
 
+    t_block, t_async = median("blocking_wall_s"), median("async_wall_s")
+    speedup, p99_ms = median("speedup"), median("p99_ms")
     qps_block = N_QUERIES / t_block
     qps_async = N_QUERIES / t_async
-    speedup = qps_async / qps_block
     rows = [
         ["blocking", round(t_block * 1e3, 1), f"{qps_block:,.0f}", "-", "1.0x"],
         [
@@ -176,7 +197,8 @@ def test_serve_async_throughput(benchmark):
         title=(
             f"Ablation — asyncio serving "
             f"({N_POPULATION:,} roster, {N_QUERIES:,} queries, "
-            f"{N_CONNECTIONS} connections, k=1)"
+            f"{N_CONNECTIONS} connections, k=1; medians of {PAIRS} "
+            f"interleaved pairs)"
         ),
     )
     save_result("ablation_serve_async", table)
@@ -205,10 +227,11 @@ def test_serve_async_throughput(benchmark):
                         "wall_s": round(t_async, 4),
                         "qps": round(qps_async, 1),
                         "p99_ms": round(p99_ms, 2),
-                        "shed": shed,
+                        "shed": 0,
                         "speedup": round(speedup, 2),
                     },
                 ],
+                "pairs": pairs,
             },
             indent=2,
         )
@@ -217,11 +240,12 @@ def test_serve_async_throughput(benchmark):
     print(f"[saved to {bench_path}]")
 
     assert speedup >= SPEEDUP_FLOOR, (
-        f"async serving is only {speedup:.1f}x the blocking loop "
-        f"(claimed >= {SPEEDUP_FLOOR}x at roster={N_POPULATION})"
+        f"async serving is only {speedup:.1f}x the blocking loop in the "
+        f"median pair (claimed >= {SPEEDUP_FLOOR}x at roster={N_POPULATION}; "
+        f"pairs: {[pair['speedup'] for pair in pairs]})"
     )
     assert p99_ms <= P99_BUDGET_MS, (
-        f"p99 {p99_ms:.1f}ms exceeds the {P99_BUDGET_MS}ms budget"
+        f"median p99 {p99_ms:.1f}ms exceeds the {P99_BUDGET_MS}ms budget"
     )
 
     benchmark(lambda: _run_blocking(population, stream[:50]))

@@ -596,6 +596,14 @@ def _self_check(ks: KernelSet) -> str | None:
     boundary, empty strings, and both verifier modes — a provider that
     computes anything differently from the reference implementations is
     rejected rather than trusted.
+
+    Nearly all of its cost is the scalar ``damerau_levenshtein``
+    reference over the verifier pairs (several of 63-70 characters).
+    Each distinct pair's distance is computed once and compared with
+    every ``k``; each ``(k, mode)`` still checks every pair's decision.
+    On a 2-core x86 host the whole check takes about 0.2 s (about 0.95 s
+    when the distance was recomputed per ``k``).  It runs afresh in every
+    process and after every :func:`reset`: nothing of it is cached.
     """
     try:
         from repro.core.popcount import popcount_batch_u64
@@ -647,17 +655,20 @@ def _self_check(ks: KernelSet) -> str | None:
             for b in long_idx:
                 ii = np.append(ii, a)
                 jj = np.append(jj, b)
+        pairs = [(strings[i], strings[j]) for i, j in zip(ii, jj)]
+        # The full DP is the check's dominant cost: run it once per
+        # distinct pair and compare the distance with every k below.
+        dist = {st: damerau_levenshtein(*st) for st in dict.fromkeys(pairs)}
         for k in (0, 1, 2, 3):
             for mode in (MODE_DL, MODE_PDL):
                 got = ks.osa_decisions(
                     codes, lengths, codes, lengths, ii, jj, k, mode=mode
                 )
-                for p in range(len(ii)):
-                    s, t = strings[ii[p]], strings[jj[p]]
+                for p, (s, t) in enumerate(pairs):
                     if mode == MODE_PDL:
                         want = pdl(s, t, k)
                     else:
-                        want = damerau_levenshtein(s, t) <= k
+                        want = dist[s, t] <= k
                     if bool(got[p]) != want:
                         return (
                             f"osa mode={mode} k={k} mismatch on "

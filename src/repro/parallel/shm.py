@@ -68,9 +68,12 @@ import atexit
 import os
 import pickle
 import queue
+import signal
+import threading
 import time
 import weakref
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context, shared_memory
 from typing import Iterable, Sequence
@@ -160,6 +163,36 @@ class _Segment:
             pass  # already unlinked (or the platform beat us to it)
 
 
+@contextmanager
+def _sigterm_deferred():
+    """Run SIGTERM's Python handler only when the block ends.
+
+    A handler that raises (the stream driver's ``SystemExit``) runs at
+    the next bytecode.  That can fall inside ``SharedMemory``'s
+    constructor, after ``shm_open`` and before the resource tracker hears
+    of the name, and then nothing ever unlinks the segment; or before the
+    segment reaches its publication, whose finalizer would unlink it.  A
+    SIGTERM that arrives inside the block is handed to the handler on the
+    way out, once the segment is owned.  Python runs handlers in the main
+    thread only, and the default action unwinds nothing, so anywhere else
+    the block runs as is.
+    """
+    handler = signal.getsignal(signal.SIGTERM)
+    if not callable(handler) or (
+        threading.current_thread() is not threading.main_thread()
+    ):
+        yield
+        return
+    caught: list[tuple] = []
+    signal.signal(signal.SIGTERM, lambda *args: caught.append(args))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, handler)
+        if caught:
+            handler(*caught[0])
+
+
 def _close_segments(segments: list[_Segment]) -> None:
     for seg in segments:
         seg.close()
@@ -186,8 +219,9 @@ class Publication:
 
     def array(self, arr: np.ndarray) -> tuple:
         """Publish one array; returns its ref."""
-        seg = _Segment(arr)
-        self._segments.append(seg)
+        with _sigterm_deferred():
+            seg = _Segment(arr)
+            self._segments.append(seg)
         return seg.ref
 
     def side(self, side: Side) -> SideArrays:
@@ -919,7 +953,8 @@ def run_hybrid(
         w_left_ref = ("inline", np.asarray(weighter.w_left, dtype=np.int64))
         w_right_ref = ("inline", np.asarray(weighter.w_right, dtype=np.int64))
         symmetric = weighter.symmetric
-    run_segments: list[_Segment] = []
+    #: the drain path's candidate arrays, unlinked when the run ends
+    run_pub = Publication()
     works: list[tuple] = []
     published: _PublishedIndex | None = None
     probing = isinstance(blocks, PassJoinProbe)
@@ -959,11 +994,10 @@ def run_hybrid(
                 _task_span(total * band, pool.workers, 1 << 14, 1 << 22)
                 // band,
             )
-            seg_i, seg_j = _Segment(ii), _Segment(jj)
-            run_segments = [seg_i, seg_j]
+            refs = run_pub.array(ii), run_pub.array(jj)
             n_tasks = max(1, -(-total // target))
             for start, stop in balanced_splits(total, n_tasks):
-                works.append(("pairs", seg_i.ref, seg_j.ref, start, stop))
+                works.append(("pairs", *refs, start, stop))
     calls = [
         (
             _exec_hybrid,
@@ -994,8 +1028,8 @@ def run_hybrid(
         with obs.span(f"run.{method}.hybrid"):
             outs = pool.run_tasks(calls)
     finally:
-        for seg in run_segments:
-            seg.close()
+        run_bytes = run_pub.credit()
+        run_pub.close()
     wall = time.perf_counter_ns() - t0
     result = JoinResult(method, n_left, n_right, backend="hybrid")
     mi_parts: list[np.ndarray] = []
@@ -1027,7 +1061,7 @@ def run_hybrid(
         collector.add_counter(
             "shm_bytes_pickled", pool.bytes_pickled - before_pickled
         )
-        shared_bytes = sum(seg.nbytes for seg in run_segments)
+        shared_bytes = run_bytes
         for pub in (*publications, published):
             if pub is not None:
                 shared_bytes += pub.credit()

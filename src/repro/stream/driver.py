@@ -227,8 +227,11 @@ class _TermGuard:
     Python — shared-memory finalizers never run and segments leak in
     ``/dev/shm``.  Raising instead lets the driver's ``finally`` blocks
     unlink segments and roll the spill back to the last checkpoint.
-    Only installed from the main thread over the *default* handler; an
-    application's own handler is left alone.
+    A publication holds the exit back while it creates a segment
+    (``repro.parallel.shm._sigterm_deferred``), so no segment is
+    created without an owner to unlink it.  Only installed from the
+    main thread over the *default* handler; an application's own
+    handler is left alone.
     """
 
     def __init__(self):
@@ -479,8 +482,7 @@ def join_stream(
             if backend == "hybrid":
                 # Publish the roster and start the pool before the spill
                 # and the prefetch thread exist: the workers fork from a
-                # single-threaded parent, and a SIGTERM cannot land
-                # inside the roster's publication.
+                # single-threaded parent.
                 from repro.parallel import shm
 
                 prepared.publish(

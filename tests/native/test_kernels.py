@@ -518,6 +518,126 @@ def test_passjoin_run_equals_numpy_probe(method, mode, left, right):
     assert outs[0] == outs[1]
 
 
+def _corrupted(method, corrupt):
+    """The loaded provider with ``method``'s output passed through
+    ``corrupt(args, kwargs, out)``, which returns it with one answer
+    changed or, to let the call through, ``out`` itself, until the first
+    call it changes; also the list of calls it changed."""
+    ks = native.load_kernels()
+    changed = []
+
+    def wrapper(self, *args, **kwargs):
+        out = getattr(native.KernelSet, method)(self, *args, **kwargs)
+        new = out if changed else corrupt(args, kwargs, out)
+        if new is not out:
+            changed.append(method)
+        return new
+
+    cls = type("Corrupted", (native.KernelSet,), {method: wrapper})
+    return cls(ks.kind, ks._p), changed
+
+
+def _drop_last(pred):
+    """A corruption dropping the last pair of a non-empty output of a
+    call whose keywords ``pred`` selects."""
+
+    def corrupt(args, kwargs, out):
+        if not pred(kwargs) or not len(out[0]):
+            return out
+        return (out[0][:-1], out[1][:-1], *out[2:])
+
+    return corrupt
+
+
+def _flip_a_signature_bit(args, kwargs, out):
+    codes, sigs = out
+    sigs = sigs.copy()
+    sigs[-1, 0] ^= np.uint64(1)
+    return codes, sigs
+
+
+@needs_native
+class TestSelfCheck:
+    """The self-check is what lets the compiled tier be trusted: a
+    provider wrong on any one decision of any section must be rejected,
+    and every process must pay for the check afresh."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("mode", [native.MODE_DL, native.MODE_PDL])
+    def test_one_flipped_verifier_answer_is_rejected(self, k, mode):
+        def flip_one_long_pair(args, kwargs, out):
+            _, len_l, _, len_r, ii, jj, k_call = args
+            if (k_call, kwargs["mode"]) != (k, mode):
+                return out
+            # a pair of two strings over 64 chars: the banded path
+            p = np.flatnonzero((len_l[ii] > 64) & (len_r[jj] > 64))[0]
+            out = out.copy()
+            out[p] = not out[p]
+            return out
+
+        bad, changed = _corrupted("osa_decisions", flip_one_long_pair)
+        err = native._self_check(bad)
+        assert changed == ["osa_decisions"]
+        assert err is not None and err.startswith(f"osa mode={mode} k={k} ")
+
+    @pytest.mark.parametrize(
+        "method, corrupt, section",
+        [
+            ("fbf_candidates_u64", _drop_last(lambda kw: True), "fbf scan"),
+            ("encode_rows", _flip_a_signature_bit, "encode_rows mismatch"),
+            (
+                "fused_rows_u64",
+                _drop_last(lambda kw: kw["filters"] == ("length", "fbf")),
+                "dense sweep mismatch",
+            ),
+            (
+                "passjoin_run",
+                _drop_last(lambda kw: kw.get("verifier") == "dl"),
+                "passjoin run mismatch",
+            ),
+        ],
+        ids=["fbf_candidates_u64", "encode_rows", "fused_rows_u64",
+             "passjoin_run"],
+    )
+    def test_one_wrong_answer_in_each_kernel_is_rejected(
+        self, method, corrupt, section
+    ):
+        bad, changed = _corrupted(method, corrupt)
+        err = native._self_check(bad)
+        assert changed == [method]
+        assert err is not None and err.startswith(section)
+
+    def test_each_distinct_pair_is_measured_once(self, monkeypatch):
+        from repro.distance import damerau
+
+        calls = []
+
+        def counted(s, t):
+            calls.append((s, t))
+            return damerau_levenshtein(s, t)
+
+        monkeypatch.setattr(damerau, "damerau_levenshtein", counted)
+        assert native._self_check(native.load_kernels()) is None
+        assert len(calls) == len(set(calls)) > 200
+        assert any(len(s) > 64 and len(t) > 64 for s, t in calls)
+
+    def test_reset_runs_the_check_again(self, fresh_native, monkeypatch):
+        runs = []
+        check = native._self_check
+
+        def counted(ks):
+            runs.append(ks.kind)
+            return check(ks)
+
+        monkeypatch.setattr(native, "_self_check", counted)
+        assert native.load_kernels() is not None
+        assert native.load_kernels() is not None
+        assert len(runs) == 1
+        native.reset()
+        assert native.load_kernels() is not None
+        assert len(runs) == 2
+
+
 class TestBuildCache:
     def test_native_and_portable_builds_have_their_own_paths(self, tmp_path):
         native_flags, portable_flags = _csrc.FLAG_SETS

@@ -97,7 +97,14 @@ def assert_pool_dies_with_parent(script: str, *args: str) -> None:
     """Run ``script`` (which starts the 2-worker shared pool, prints the
     worker pids and then keeps the pool busy), SIGKILL it, and assert
     that within 10 s its workers are gone and every shared segment it
-    published is unlinked (``/dev/shm`` is back to its baseline)."""
+    published is unlinked (``/dev/shm`` is back to its baseline).
+
+    The kill waits for a live publication: a segment of this run seen at
+    two consecutive polls, with both workers running.  The parent
+    publishes and unlinks a segment per join, so one sample can fall
+    between two joins; the second sighting also keeps the kill out of
+    the window between a segment's ``shm_open`` and its registration
+    with the resource tracker, which unlinks it after the kill."""
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
@@ -114,9 +121,18 @@ def assert_pool_dies_with_parent(script: str, *args: str) -> None:
     try:
         pids = [int(pid) for pid in parent.stdout.readline().split()]
         assert len(pids) == 2
-        time.sleep(1.0)  # let a join get under way
+        deadline = time.monotonic() + 60
+        seen: set[str] = set()
+        live: set[str] = set()
+        while time.monotonic() < deadline:
+            fresh = _shm_segments() - baseline
+            live = seen & fresh
+            if live and all(map(_running, pids)):
+                break
+            seen = fresh
+            time.sleep(0.02)
         assert all(_running(pid) for pid in pids)
-        assert _shm_segments() - baseline, "the parent published nothing"
+        assert live, "the parent published nothing"
     finally:
         parent.kill()
         parent.wait()

@@ -39,6 +39,39 @@ join_stream(
 print("COMPLETED")
 """
 
+#: a hybrid stream that sends itself SIGTERM from inside the ``shm_open``
+#: creating its Nth segment (argv[3]): the handler's ``SystemExit`` is
+#: due before the segment is registered anywhere
+MID_CREATION_SCRIPT = """\
+import os
+import signal
+import sys
+from multiprocessing import shared_memory
+from repro.io import read_strings
+from repro.stream import join_stream
+
+real, parent, created = shared_memory._posixshmem, os.getpid(), []
+
+
+class TermMidCreation:
+    def __getattr__(self, name):
+        return getattr(real, name)
+
+    def shm_open(self, name, flags, mode=0o777):
+        fd = real.shm_open(name, flags, mode)
+        if os.getpid() == parent and flags & os.O_CREAT:
+            created.append(name)
+            if len(created) == int(sys.argv[3]):
+                os.kill(parent, signal.SIGTERM)
+        return fd
+
+
+shared_memory._posixshmem = TermMidCreation()
+join_stream(sys.argv[1], read_strings(sys.argv[2]), "FPDL", k=1,
+            chunk_rows=250, backend="hybrid", workers=2)
+print("COMPLETED")
+"""
+
 
 def _spawn(tmp_path, big_file, roster_file, spill, ck, backend, sleep_ms):
     script = tmp_path / "driver.py"
@@ -159,6 +192,32 @@ class TestInterruptCleanup:
         # ...and with no checkpoint to resume from, the torn spill file
         # is removed rather than left half-written.
         assert not spill.exists()
+
+    # The roster side's first array, then the first PASS-JOIN index
+    # array (published by the first chunk's run).
+    @pytest.mark.parametrize("nth", [1, 4], ids=["roster", "index"])
+    def test_sigterm_inside_segment_creation_leaks_nothing(
+        self, nth, big_file, roster_file, tmp_path
+    ):
+        baseline = _shm_entries()
+        if baseline is None:
+            pytest.skip("/dev/shm not available on this platform")
+        script = tmp_path / "term_mid_creation.py"
+        script.write_text(MID_CREATION_SCRIPT)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, str(script), str(big_file), str(roster_file),
+             str(nth)],
+            env=env, capture_output=True, timeout=120,
+        )
+        # The TERM was honoured (the handler's SystemExit), not lost...
+        assert proc.returncode == 128 + signal.SIGTERM, proc.stderr
+        assert b"COMPLETED" not in proc.stdout
+        # ...only after the segment had an owner that unlinked it.
+        assert _wait_for(
+            lambda: not (_shm_entries() - baseline), timeout=10
+        ), f"leaked shm segments: {_shm_entries() - baseline}"
 
     def test_sigterm_with_checkpoint_rolls_spill_back(
         self, big_file, roster_file, tmp_path
