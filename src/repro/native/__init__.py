@@ -23,7 +23,10 @@ package closes that gap with compiled kernels:
    tally, in one compiled pass that returns only the matches;
 5. side preparation: one walk over a batch's latin-1 bytes that writes
    the padded ``uint8`` codes and the packed FBF signatures of every
-   stock scheme (``core/vectorized.py::codes_and_signatures``).
+   stock scheme (``core/vectorized.py::codes_and_signatures``);
+6. the stream spill's match lines (``stream/spill.py::format_ids``),
+   formatted without holding the GIL, so the stream's spill thread runs
+   beside the next chunk's join.
 
 They have one provider, ``cc``: a C translation unit compiled on first
 use with the host's C compiler and loaded via ctypes (cached on disk,
@@ -197,6 +200,23 @@ class KernelSet:
             np.ascontiguousarray(buf, dtype=np.uint8), _idx(lens), int(width),
             alpha, int(numeric), int(extended), *tables,
         )
+
+    # -- spill formatting ----------------------------------------------
+
+    def format_rows(
+        self, ii: np.ndarray, jj: np.ndarray, base: int, *, csv: bool
+    ) -> bytes:
+        """Match rows ``(base + ii[r], jj[r])`` as spill text, one
+        ``[i, j]`` line (or ``i,j`` with ``csv``) per row, the left id
+        wrapped to ``int64`` as NumPy adds
+        (``stream/spill.py::format_ids``' ``%`` template is the body
+        without a provider).  ``base`` must be an ``int64``."""
+        ii, jj, base = _idx(ii), _idx(jj), int(base)
+        if ii.shape != jj.shape or ii.ndim != 1:
+            raise ValueError(f"id columns {ii.shape} and {jj.shape} differ")
+        if not -(1 << 63) <= base < 1 << 63:
+            raise OverflowError(f"base {base} is not an int64")
+        return self._p["format_rows"](ii, jj, base, int(csv))
 
     # -- verification --------------------------------------------------
 
@@ -696,6 +716,24 @@ def _self_check(ks: KernelSet) -> str | None:
                 for g, w in zip(got, want)
             ):
                 return f"encode_rows mismatch: layout {layout}"
+
+        # -- spill formatting: the int64 extremes and a wrapping base
+        # against the ``%`` template
+        from repro.stream.spill import SPILL_FORMATS, format_ids
+
+        top = np.iinfo(np.int64)
+        ids = np.array(
+            [0, 1, -1, 9, 10, -10, 99, 100, 12345678901234567, -(1 << 53),
+             top.max, top.min, top.max - 1, top.min + 1],
+            dtype=np.int64,
+        )
+        for base in (0, 1, -7, top.max, top.min):
+            for fmt in SPILL_FORMATS:
+                for ii, jj in ((ids, ids[::-1]), (ids[:0], ids[:0])):
+                    if format_ids(ii, jj, base, fmt, ks) != format_ids(
+                        ii, jj, base, fmt
+                    ):
+                        return f"format_rows mismatch: {fmt} base {base}"
 
         # -- dense sweep: every chain at widths 1, 2 and 3 -------------
         k, r0, r1 = 2, 3, 11

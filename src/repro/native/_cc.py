@@ -35,6 +35,9 @@ _BLOCK_PAIRS = 1 << 24
 _RUN_PAIRS = 1 << 16
 #: slots of the PASS-JOIN run's funnel tally (the kernel's T_* enum)
 _TALLY_SLOTS = 8
+#: the longest spill line ``format_rows`` writes (the kernel's
+#: FORMAT_ROW_BYTES): two 20-character int64 ids in ``[i, j]\n``
+_FORMAT_ROW_BYTES = 45
 
 
 def _ptr(arr: np.ndarray | None) -> int:
@@ -172,6 +175,16 @@ def load():
                              "overruns the byte buffer")
         return codes, sigs
 
+    def format_rows(ii, jj, base, csv):
+        # Sized for the longest lines but never zero-filled: only the
+        # pages written are touched.
+        n = ii.shape[0]
+        out = np.empty(n * _FORMAT_ROW_BYTES, dtype=np.uint8)
+        size = raw["format_rows"](
+            ii.ctypes.data, jj.ctypes.data, n, base, csv, out.ctypes.data
+        )
+        return out[:size].tobytes()
+
     fused_rows_u64 = functools.partial(_fused_rows, raw["fused_rows_u64"])
     passjoin_run = functools.partial(_passjoin_run, raw["passjoin_run"])
     return {
@@ -180,4 +193,5 @@ def load():
         "fused_rows_u64": fused_rows_u64,
         "passjoin_run": passjoin_run,
         "encode_rows": encode_rows,
+        "format_rows": format_rows,
     }

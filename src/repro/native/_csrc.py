@@ -28,6 +28,9 @@ Kernels mirror the pure-Python/NumPy references bit for bit:
   with or without the extended indicator bits), each byte looked up in
   per-code letter and digit tables
   (``core/vectorized.py::codes_and_signatures`` is the NumPy body).
+* ``format_rows`` — a stream chunk's matches as spill text, one
+  ``[i, j]`` (jsonl) or ``i,j`` (csv) line per match, byte-identical to
+  the ``%`` template of ``stream/spill.py::format_ids``.
 * ``osa_mask`` — batched bounded OSA (restricted Damerau-Levenshtein)
   decisions: Hyyro bit-parallel for patterns up to 64 chars
   (``distance/bitparallel.py``), banded rolling-row DP beyond that
@@ -143,6 +146,42 @@ int64_t encode_rows(const uint8_t *buf, int64_t nbuf, const int64_t *lens,
         p += len + 1;
     }
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Spill rows as text, "[%d, %d]\n" (jsonl) or "%d,%d\n" (csv) per    */
+/* row: the left id is ii[r] + base wrapped to int64, as NumPy adds.  */
+/* out holds FORMAT_ROW_BYTES per row.  Returns the bytes written.    */
+/* ------------------------------------------------------------------ */
+
+#define FORMAT_ROW_BYTES 45 /* "[" + 20 + ", " + 20 + "]\n" */
+
+static char *put_i64(char *p, int64_t v) {
+    char digits[20];
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    int n = 0;
+    do {
+        digits[n++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    if (v < 0) *p++ = '-';
+    while (n) *p++ = digits[--n];
+    return p;
+}
+
+int64_t format_rows(const int64_t *ii, const int64_t *jj, int64_t n,
+                    int64_t base, int32_t csv, char *out) {
+    char *p = out;
+    for (int64_t r = 0; r < n; r++) {
+        if (!csv) *p++ = '[';
+        p = put_i64(p, (int64_t)((uint64_t)ii[r] + (uint64_t)base));
+        *p++ = ',';
+        if (!csv) *p++ = ' ';
+        p = put_i64(p, jj[r]);
+        if (!csv) *p++ = ']';
+        *p++ = '\n';
+    }
+    return p - out;
 }
 
 /* ------------------------------------------------------------------ */
@@ -838,12 +877,15 @@ def _bind(lib: ctypes.CDLL) -> dict[str, ctypes._CFuncPtr]:
         p, i64, p, i64, i64, p, p, i64, i32, i32, p, p, i64,
     ]
     lib.encode_rows.restype = i64
+    lib.format_rows.argtypes = [p, p, i64, i64, i32, p]
+    lib.format_rows.restype = i64
     return {
         "pair_mask_u64": lib.pair_mask_u64,
         "osa_mask": lib.osa_mask,
         "fused_rows_u64": lib.fused_rows_u64,
         "passjoin_run": lib.passjoin_run,
         "encode_rows": lib.encode_rows,
+        "format_rows": lib.format_rows,
     }
 
 

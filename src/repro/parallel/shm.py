@@ -421,6 +421,12 @@ def _exec_hybrid(task: _HybridTask) -> dict:
             k, n, _resolve_ref(hashes), _resolve_ref(ids), _resolve_ref(table)
         )
         out = kernels.run_probe(index, r0, r1, obs)
+        if out["mi"]:
+            # Ordered here, so the parent only concatenates the tasks'
+            # contiguous row ranges.
+            mi, mj = match_rows(out["mi"], out["mj"])
+            order = np.lexsort((mj, mi))
+            out["mi"], out["mj"] = [mi[order]], [mj[order]]
     else:
         _, ii_ref, jj_ref, start, stop = task.work
         ii = _resolve_ref(ii_ref)[start:stop]
@@ -1049,10 +1055,14 @@ def run_hybrid(
         if collector and wc is not None:
             collector.merge(wc)
     if record_matches and mi_parts:
-        # Tasks finish in any order: sort by (left row, right row).
         mi, mj = match_rows(mi_parts, mj_parts)
-        order = np.lexsort((mj, mi))
-        result.match_rows = (mi[order], mj[order])
+        if not probing:
+            # Sort by (left row, right row).  Probe tasks sorted their
+            # own matches, and their row ranges ascend in submission
+            # order, which is the order of ``outs``.
+            order = np.lexsort((mj, mi))
+            mi, mj = mi[order], mj[order]
+        result.match_rows = (mi, mj)
     if collector:
         collector.add_counter("shm_tasks_dispatched", len(calls))
         collector.add_counter(

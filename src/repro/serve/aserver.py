@@ -221,6 +221,8 @@ class AsyncMatchServer:
         )
         self._server: asyncio.AbstractServer | None = None
         self._connections: set = set()
+        #: the connection handler tasks, awaited by :meth:`aclose`
+        self._handlers: set[asyncio.Task] = set()
         self._accepting = True
         self._shutdown = asyncio.Event()
         self._idle = asyncio.Event()
@@ -262,9 +264,15 @@ class AsyncMatchServer:
             await self._server.wait_closed()
             self._server = None
         # Idle connections are parked in read(); closing their
-        # transports delivers EOF so their loops exit cleanly.
+        # transports delivers EOF so their loops exit cleanly.  Wait
+        # for them (not for the handler that called this, when a
+        # shutdown request did): a handler still pending when the loop
+        # ends is cancelled, and its server callback logs the error.
         for writer in list(self._connections):
             writer.close()
+        handlers = self._handlers - {asyncio.current_task()}
+        if handlers:
+            await asyncio.gather(*handlers, return_exceptions=True)
         self._exec.shutdown(wait=True)
         self._shutdown.set()
 
@@ -303,6 +311,8 @@ class AsyncMatchServer:
 
     async def _on_connection(self, reader, writer) -> None:
         framer = LineFramer(self.max_request_bytes)
+        task = asyncio.current_task()
+        self._handlers.add(task)
         self._connections.add(writer)
         try:
             while True:
@@ -330,6 +340,7 @@ class AsyncMatchServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            self._handlers.discard(task)
 
     async def _respond(self, line) -> dict | None:
         """Parse-admit-execute one framed line; None skips blanks."""

@@ -34,7 +34,7 @@ from pathlib import Path
 
 from repro.obs.stats import StageStat, StatsCollector
 
-__all__ = ["Checkpoint", "roster_digest", "load_checkpoint"]
+__all__ = ["Checkpoint", "funnel_state", "roster_digest", "load_checkpoint"]
 
 #: bump when the on-disk layout changes incompatibly
 _VERSION = 1
@@ -57,7 +57,8 @@ def roster_digest(strings: list[str]) -> str:
     return h.hexdigest()
 
 
-def _funnel_state(obs: StatsCollector) -> dict:
+def funnel_state(obs: StatsCollector) -> dict:
+    """A copy of ``obs``' funnel counters, as a checkpoint records them."""
     return {
         "pairs_considered": obs.pairs_considered,
         "survivors": obs.survivors,
@@ -103,9 +104,12 @@ class Checkpoint:
     match_count: int = 0
     funnel: dict = field(default_factory=dict)
 
-    def save(self, obs: StatsCollector) -> None:
-        """Atomically persist (temp file + rename, fsynced)."""
-        self.funnel = _funnel_state(obs)
+    def save(self, obs: StatsCollector | None = None) -> None:
+        """Atomically persist (temp file + rename, fsynced), with
+        ``obs``' funnel, or without it the :attr:`funnel` already held
+        (a :func:`funnel_state` taken when the chunk finished)."""
+        if obs is not None:
+            self.funnel = funnel_state(obs)
         payload = {
             "version": _VERSION,
             "fingerprint": self.fingerprint,

@@ -14,19 +14,28 @@ an in-memory roster under a bounded footprint:
   ``JoinPlanner(chunk, roster, ...)``, through the planner's generator
   + backend stack exactly as an in-memory join would; the chunk's own
   encoding is its only preparation, and on the hybrid pool it ships
-  inline with the tasks.  Chunks are processed one at a time — the
-  worker pool's pending queue never holds more than one chunk's tasks,
-  which *is* the backpressure bound — while a single prefetch thread
-  overlaps the next chunk's disk read with the current chunk's verify;
+  inline with the tasks.  Chunks join one at a time — the worker
+  pool's pending queue never holds more than one chunk's tasks, which
+  *is* the backpressure bound — with two threads beside the join: a
+  prefetch thread reads the next chunk from disk, and a spill thread
+  writes the previous chunk out (below);
 * **matches spill** to disk incrementally through
   :class:`~repro.stream.spill.SpillWriter` (bounded buffer, flushed
-  every chunk), so the match set never accumulates in RAM;
-* a **checkpoint** is written after every chunk's spill flush; a killed
-  run re-invoked with ``resume=True`` truncates the spill back to the
-  checkpointed byte count, restores the merged funnel, seeks the source
-  to the recorded offset and continues — the finished spill file is
-  byte-identical to an uninterrupted run's and the funnel conservation
-  invariant holds across the kill.
+  every chunk), so the match set never accumulates in RAM.  Chunk i's
+  matches are formatted, written and fsynced on the spill thread while
+  chunk i+1 joins; chunk i is handed over only once chunk i-1's spill
+  is done, so at most one chunk's matches are in flight.  The compiled
+  provider, loaded once before the roster is prepared, formats the
+  lines without holding the GIL;
+* a **checkpoint** is written, on the spill thread, after every
+  chunk's spill is durable, with the funnel as it stood when the
+  chunk's join finished; ``stream_checkpoint`` is emitted once it has
+  replaced the previous one.  A killed run re-invoked with
+  ``resume=True`` truncates the spill back to the checkpointed byte
+  count, restores the merged funnel, seeks the source to the recorded
+  offset and continues — the finished spill file is byte-identical to
+  an uninterrupted run's and the funnel conservation invariant holds
+  across the kill.
 
 The per-chunk funnel contributions are additive, so one collector
 accumulates the whole stream: ``pairs_considered`` ends at
@@ -35,9 +44,11 @@ for one in-memory join.
 
 Interrupted-run hygiene: for the duration of the stream a SIGTERM
 handler that raises :class:`SystemExit` is installed (when possible),
-so ``kill <pid>`` unwinds the Python stack — shared-memory segments are
-unlinked by their finalizers and the spill file is rolled back to the
-last checkpoint instead of being left with a torn chunk.  SIGKILL can
+so ``kill <pid>`` unwinds the Python stack — the spill thread finishes
+the chunk it holds, shared-memory segments are unlinked by their
+finalizers and the spill file is rolled back to the last checkpoint
+instead of being left with a torn chunk.  Every exit, an error on
+either thread included, joins the spill thread before that rollback.  SIGKILL can
 not be caught; leaked segments are reclaimed by multiprocessing's
 resource tracker, and the spill rollback happens on the *next* run's
 ``resume=True``.
@@ -50,21 +61,26 @@ import queue
 import signal
 import threading
 import time
-from dataclasses import dataclass
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from repro.core.matchers import method_registry
 from repro.core.plan import BACKEND_NAMES, GENERATOR_FACTORIES, JoinPlanner
 from repro.core.signatures import detect_kind, scheme_for
 from repro.io import read_strings
+from repro.native import load_kernels
 from repro.obs.events import NULL_EVENTS
 from repro.obs.metrics import NullMetricsRegistry
 from repro.obs.stats import StatsCollector
 from repro.parallel.prepared import PreparedSide
-from repro.stream.checkpoint import Checkpoint, load_checkpoint, roster_digest
+from repro.stream.checkpoint import (
+    Checkpoint,
+    funnel_state,
+    load_checkpoint,
+    roster_digest,
+)
 from repro.stream.source import ChunkSource, source_for
 from repro.stream.spill import SpillWriter, truncate_to
 
@@ -218,6 +234,36 @@ class _Prefetcher:
                 self._q.get_nowait()
         except queue.Empty:
             pass
+
+
+class _SpillThread:
+    """One thread that spills a chunk while the next chunk joins.
+
+    :meth:`submit` first waits for the job before it, so at most one
+    chunk's matches are in flight, and re-raises that job's error on the
+    caller's thread.  The thread starts with the first job; :meth:`close`
+    lets a job in flight finish and joins the thread without raising.
+    """
+
+    def __init__(self):
+        self._exec = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-spill"
+        )
+        self._pending: Future | None = None
+
+    def submit(self, fn, *args) -> None:
+        self.wait()
+        self._pending = self._exec.submit(fn, *args)
+
+    def wait(self) -> None:
+        """Wait for the job in flight; its error is raised here."""
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            pending.result()
+
+    def close(self) -> None:
+        self._pending = None
+        self._exec.shutdown(wait=True)
 
 
 class _TermGuard:
@@ -377,6 +423,11 @@ def join_stream(
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint path")
     chunk_rows = resolve_chunk_rows(chunk_rows, memory_budget_mb)
+    # Load the compiled provider once, before the roster is prepared and
+    # before any thread or pool worker starts: side preparation and the
+    # spill formatter use only a provider already loaded, and a hybrid
+    # chunk's planner never loads one in this process.
+    kernels = load_kernels()
     spill = Path(spill) if spill is not None else None
     checkpoint = Path(checkpoint) if checkpoint is not None else None
 
@@ -408,9 +459,7 @@ def join_stream(
         if (workers or 0) > 1:
             backend = "hybrid"
         else:
-            from repro.native import available as _native_available
-
-            backend = "native" if _native_available() else "vectorized"
+            backend = "native" if kernels is not None else "vectorized"
 
     fingerprint = {
         "source": source.describe,
@@ -460,12 +509,33 @@ def join_stream(
 
     sleep_ms = float(os.environ.get(_SLEEP_ENV, "0") or 0)
     writer: SpillWriter | None = None
+    spiller = _SpillThread()
     matches: list[tuple[int, int]] | None = None if spill else []
     match_count = ckpt.match_count
     rows = ckpt.rows
     chunks_done = 0
     completed = False
     prefetch: _Prefetcher | None = None
+
+    def spill_chunk(ii, jj, base, strings, done: Checkpoint) -> None:
+        """Chunk ``done.chunk``'s matches to durable spill bytes, then
+        its checkpoint (on the spill thread)."""
+        nonlocal ckpt
+        writer.write_columns(ii, jj, base=base, left=strings, right=roster)
+        writer.flush()
+        done.spill_bytes = writer.bytes
+        if checkpoint is not None:
+            done.save()
+            c_ckpt.inc()
+            events.emit(
+                "stream_checkpoint",
+                chunk=done.chunk,
+                rows=done.rows,
+                matches=done.match_count,
+                spill_bytes=done.spill_bytes,
+            )
+        c_spill.set_total(done.spill_bytes)
+        ckpt = done
 
     events.emit(
         "stream_start",
@@ -481,8 +551,8 @@ def join_stream(
         try:
             if backend == "hybrid":
                 # Publish the roster and start the pool before the spill
-                # and the prefetch thread exist: the workers fork from a
-                # single-threaded parent.
+                # and the prefetch and spill threads exist: the workers
+                # fork from a single-threaded parent.
                 from repro.parallel import shm
 
                 prepared.publish(
@@ -524,57 +594,50 @@ def join_stream(
                     record_matches=True,
                 )
                 ii, jj = result.match_rows
+                match_count += len(ii)
+                rows += len(chunk)
+                chunks_done += 1
+                # The funnel as of this chunk, before the next one merges
+                # into the live collector.
+                done = replace(
+                    ckpt,
+                    chunk=chunk.ordinal,
+                    next_token=chunk.end_token,
+                    rows=rows,
+                    match_count=match_count,
+                    funnel=funnel_state(obs) if checkpoint else {},
+                )
                 if writer is not None:
-                    writer.write_rows(
-                        np.column_stack((ii, jj)),
-                        base=chunk.row_start,
-                        left=chunk.strings,
-                        right=roster,
+                    spiller.submit(
+                        spill_chunk, ii, jj, chunk.row_start,
+                        chunk.strings if spill_values else None, done,
                     )
                 else:
                     matches.extend(
                         zip((ii + chunk.row_start).tolist(), jj.tolist())
                     )
-                match_count += len(ii)
-                rows += len(chunk)
-                chunks_done += 1
-                if writer is not None:
-                    writer.flush()
-                ckpt.chunk = chunk.ordinal
-                ckpt.next_token = chunk.end_token
-                ckpt.rows = rows
-                ckpt.spill_bytes = writer.bytes if writer else 0
-                ckpt.match_count = match_count
-                if checkpoint is not None:
-                    ckpt.save(obs)
-                    c_ckpt.inc()
-                    events.emit(
-                        "stream_checkpoint",
-                        chunk=chunk.ordinal,
-                        rows=rows,
-                        matches=match_count,
-                        spill_bytes=ckpt.spill_bytes,
-                    )
+                    ckpt = done
                 g_chunk.set(chunk.ordinal)
                 c_rows.inc(len(chunk))
                 c_src.inc(max(0, chunk.end_token - chunk.token))
                 c_matches.inc(len(ii))
-                if writer is not None:
-                    c_spill.set_total(writer.bytes)
                 h_chunk.observe(time.perf_counter() - t_chunk)
                 if sleep_ms:
                     time.sleep(sleep_ms / 1000.0)
                 if max_chunks is not None and chunks_done >= max_chunks:
                     completed = False
                     break
+            spiller.wait()
             if writer is not None:
                 writer.close()
             if completed and checkpoint is not None:
                 checkpoint.unlink(missing_ok=True)
         except BaseException:
-            # Roll the spill back to the last durable checkpoint so the
-            # file never holds a torn chunk (no checkpoint -> no resume
-            # contract -> remove the partial file outright).
+            # Let the chunk in flight finish, then roll the spill back to
+            # the last durable checkpoint so the file never holds a torn
+            # chunk (no checkpoint -> no resume contract -> remove the
+            # partial file outright).
+            spiller.close()
             if writer is not None:
                 writer.abort(
                     ckpt.spill_bytes
@@ -584,6 +647,7 @@ def join_stream(
             events.emit("stream_abort", chunk=ckpt.chunk, rows=rows)
             raise
         finally:
+            spiller.close()
             if prefetch is not None:
                 prefetch.close()
             prepared.close()

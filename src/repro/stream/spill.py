@@ -14,6 +14,13 @@ Two formats:
   array per line;
 * ``csv`` — the same columns with a header row.
 
+Without values, a chunk's lines are formatted by the compiled
+``format_rows`` kernel when the provider is loaded: it does not hold
+the GIL, so on the stream driver's spill thread it runs beside the next
+chunk's join.  :func:`format_ids`' ``%`` template is the body without a
+provider, and the reference the kernel's self-check compares it with.
+The file is written in binary, as the bytes of the UTF-8 text.
+
 Crash-consistency contract: the driver checkpoints ``writer.bytes``
 after flushing each chunk.  On resume, :meth:`SpillWriter.truncate_to`
 cuts the file back to the last checkpointed byte count, erasing any
@@ -33,12 +40,20 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["SpillWriter", "read_spill", "truncate_to", "SPILL_FORMATS"]
+from repro.native import loaded_kernels
+
+__all__ = [
+    "SpillWriter",
+    "format_ids",
+    "read_spill",
+    "truncate_to",
+    "SPILL_FORMATS",
+]
 
 SPILL_FORMATS = ("jsonl", "csv")
 
-_CSV_HEADER = "left_row,right_row\n"
-_CSV_HEADER_VALUES = "left_row,right_row,left,right\n"
+_CSV_HEADER = b"left_row,right_row\n"
+_CSV_HEADER_VALUES = b"left_row,right_row,left,right\n"
 
 #: One output line per ``(format, values)``: row numbers, then the
 #: JSON-encoded or CSV-quoted strings.
@@ -48,6 +63,25 @@ _LINES = {
     ("csv", False): "%d,%d\n",
     ("csv", True): '%d,%d,"%s","%s"\n',
 }
+
+
+def format_ids(
+    ii: np.ndarray, jj: np.ndarray, base: int, fmt: str, kernels=None
+) -> bytes:
+    """The spill lines of match rows ``(base + ii[r], jj[r])`` without
+    values, as UTF-8 bytes; ``ii`` and ``jj`` are ``int64`` and the left
+    id wraps as NumPy adds.
+
+    ``kernels`` (a :class:`repro.native.KernelSet`) formats them with
+    its compiled ``format_rows``; without one, or for a ``base`` outside
+    ``int64`` (where NumPy's add raises), one ``%`` over the line
+    template repeated per row is the body.
+    """
+    if kernels is not None and -(1 << 63) <= base < 1 << 63:
+        return kernels.format_rows(ii, jj, base, csv=fmt == "csv")
+    template = _LINES[fmt, False] * len(ii)
+    ids = np.column_stack((ii + base, jj)).ravel().tolist()
+    return (template % tuple(ids)).encode("utf-8")
 
 
 class SpillWriter:
@@ -87,14 +121,14 @@ class SpillWriter:
         self.fmt = fmt
         self.data_limit = int(data_limit)
         self.values = bool(values)
-        self._buffer: list[str] = []
+        self._buffer: list[bytes] = []
         self._buffered_bytes = 0
         self._final_bytes = 0
         self._closed = False
         if resume and self.path.exists():
-            self._fh = self.path.open("a", encoding="utf-8")
+            self._fh = self.path.open("ab")
         else:
-            self._fh = self.path.open("w", encoding="utf-8")
+            self._fh = self.path.open("wb")
             if fmt == "csv":
                 self._fh.write(
                     _CSV_HEADER_VALUES if values else _CSV_HEADER
@@ -105,28 +139,32 @@ class SpillWriter:
 
     def _format(
         self,
-        rows: np.ndarray,
+        ii: np.ndarray,
+        jj: np.ndarray,
         base: int,
         left: Callable[[int], str | None],
         right: Callable[[int], str | None],
-    ) -> str:
-        """Every row of the ``(n, 2)`` int64 array ``rows`` as one block
-        of output text, by one ``%`` over the line template repeated
-        ``n`` times; ``left`` and ``right`` look up a row's values by
-        ``i`` and ``j``."""
-        out = rows.copy()
-        out[:, 0] += base
-        template = _LINES[self.fmt, self.values] * len(rows)
+    ) -> bytes:
+        """Match rows ``(base + ii[r], jj[r])`` as one block of output
+        bytes: :func:`format_ids` without values, else one ``%`` over
+        the line template repeated per row; ``left`` and ``right`` look
+        up a row's values by ``i`` and ``j``."""
         if not self.values:
-            return template % tuple(out.ravel().tolist())
+            return format_ids(ii, jj, base, self.fmt, loaded_kernels())
+        template = _LINES[self.fmt, True] * len(ii)
         q = (
             partial(json.dumps, ensure_ascii=False)
             if self.fmt == "jsonl"
             else _csv_quote
         )
-        ii, jj = rows.T.tolist()
-        cols = (*out.T.tolist(), map(q, map(left, ii)), map(q, map(right, jj)))
-        return template % tuple(chain.from_iterable(zip(*cols)))
+        i_list, j_list = ii.tolist(), jj.tolist()
+        cols = (
+            (ii + base).tolist(), j_list,
+            map(q, map(left, i_list)), map(q, map(right, j_list)),
+        )
+        return (template % tuple(chain.from_iterable(zip(*cols)))).encode(
+            "utf-8"
+        )
 
     def write(
         self,
@@ -150,30 +188,51 @@ class SpillWriter:
         left: Sequence[str | None] | Mapping[int, str | None] | None = None,
         right: Sequence[str | None] | Mapping[int, str | None] | None = None,
     ) -> int:
-        """Buffer ``(i, j)`` match pairs as rows ``(base + i, j)``.
+        """Buffer ``(i, j)`` match pairs as rows ``(base + i, j)``: an
+        ``(n, 2)`` array, or pairs, taken as ``int64``; see
+        :meth:`write_columns`."""
+        if not isinstance(rows, np.ndarray):
+            rows = list(rows)
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+        return self.write_columns(
+            rows[:, 0], rows[:, 1], base=base, left=left, right=right
+        )
 
-        The whole batch — an ``(n, 2)`` array, or pairs, taken as
-        ``int64`` — is formatted as one block and buffered at once; a
-        flush follows when the buffer reaches ``data_limit`` bytes.
+    def write_columns(
+        self,
+        ii: np.ndarray,
+        jj: np.ndarray,
+        *,
+        base: int = 0,
+        left: Sequence[str | None] | Mapping[int, str | None] | None = None,
+        right: Sequence[str | None] | Mapping[int, str | None] | None = None,
+    ) -> int:
+        """Buffer the match pairs ``(ii[r], jj[r])`` (two equal-length
+        ``int64`` columns, a join's ``match_rows``) as rows ``(base +
+        ii[r], jj[r])``.
+
+        The whole batch is formatted as one block and buffered at once;
+        a flush follows when the buffer reaches ``data_limit`` bytes.
         With ``values=True`` the recorded strings are ``left[i]`` and
         ``right[j]`` (``None`` when a side is not given).  Returns the
         number of rows buffered.
         """
-        if not isinstance(rows, np.ndarray):
-            rows = list(rows)
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
-        text = self._format(rows, base, _lookup(left), _lookup(right))
-        if text:
-            self._buffer.append(text)
-            self._buffered_bytes += len(text.encode("utf-8"))
+        ii = np.asarray(ii, dtype=np.int64)
+        jj = np.asarray(jj, dtype=np.int64)
+        if ii.shape != jj.shape or ii.ndim != 1:
+            raise ValueError(f"id columns {ii.shape} and {jj.shape} differ")
+        data = self._format(ii, jj, base, _lookup(left), _lookup(right))
+        if data:
+            self._buffer.append(data)
+            self._buffered_bytes += len(data)
             if self._buffered_bytes >= self.data_limit:
                 self.flush()
-        return len(rows)
+        return len(ii)
 
     def flush(self) -> None:
         """Flush the buffer and fsync so a checkpoint can trust it."""
         if self._buffer:
-            self._fh.write("".join(self._buffer))
+            self._fh.write(b"".join(self._buffer))
             self._buffer.clear()
             self._buffered_bytes = 0
         self._fh.flush()

@@ -556,6 +556,12 @@ def _flip_a_signature_bit(args, kwargs, out):
     return codes, sigs
 
 
+def _flip_a_byte(args, kwargs, out):
+    """The last byte of a non-empty spill block changed (a line's
+    newline becomes a space)."""
+    return out[:-1] + b" " if out else out
+
+
 @needs_native
 class TestSelfCheck:
     """The self-check is what lets the compiled tier be trusted: a
@@ -595,9 +601,10 @@ class TestSelfCheck:
                 _drop_last(lambda kw: kw.get("verifier") == "dl"),
                 "passjoin run mismatch",
             ),
+            ("format_rows", _flip_a_byte, "format_rows mismatch"),
         ],
         ids=["fbf_candidates_u64", "encode_rows", "fused_rows_u64",
-             "passjoin_run"],
+             "passjoin_run", "format_rows"],
     )
     def test_one_wrong_answer_in_each_kernel_is_rejected(
         self, method, corrupt, section

@@ -242,6 +242,54 @@ class TestWorkerPool:
             for side in sides:
                 side.close()
 
+    @pytest.mark.skipif(
+        "fork" not in get_all_start_methods(),
+        reason="workers must inherit the patched probe",
+    )
+    @pytest.mark.parametrize("crash", [False, True], ids=["clean", "crash"])
+    def test_probe_matches_arrive_in_lexsort_order(
+        self, crash, tmp_path, monkeypatch
+    ):
+        """Probe tasks order their own matches, so the parent only
+        concatenates: the rows equal the ``lexsort((mj, mi))`` of the
+        match set, also when a task re-runs after its worker died."""
+        rng = random.Random(33)
+        right = build_last_name_pool(300, rng)
+        left = [inject_error(s, rng) for s in right] + right[::-1]
+        want = JoinPlanner(left, right, k=1, record_matches=True).run(
+            "FPDL", generator="pass-join", backend="vectorized"
+        )
+        scheme = scheme_for("alpha", 2)
+        sides = [PreparedSide(left, scheme), PreparedSide(right, scheme)]
+        refs = [side.publish() for side in sides]
+        if crash:
+            real = kernels.Kernels.run_probe
+            flag = str(tmp_path / "boom.flag")
+
+            def flaky(self, index, r0, r1, obs):
+                if r0 > 0:
+                    _kill_once(flag)
+                return real(self, index, r0, r1, obs)
+
+            monkeypatch.setattr(kernels.Kernels, "run_probe", flaky)
+        try:
+            with WorkerPool(workers=2) as pool:
+                r = run_hybrid(
+                    pool, *refs, "FPDL", PassJoinProbe(PassJoinIndex(right, k=1)),
+                    scheme=scheme, k=1, record_matches=True,
+                )
+                assert pool.respawns >= crash
+        finally:
+            for side in sides:
+                side.close()
+        mi, mj = r.match_rows
+        order = np.lexsort((mj, mi))
+        assert r.match_count == len(mi) > len(left)
+        np.testing.assert_array_equal(mi, mi[order])
+        np.testing.assert_array_equal(mj, mj[order])
+        # The in-process tier finds the same rows.
+        assert sorted(r.matches) == sorted(want.matches)
+
     def test_probe_index_published_once_republished_after_extend(self):
         rng = random.Random(16)
         right = build_last_name_pool(120, rng)

@@ -221,6 +221,36 @@ class TestAsyncServer:
             == 1.0
         )
 
+    def test_aclose_waits_for_idle_connection_handlers(self):
+        logged = []
+
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: logged.append(context)
+            )
+            server = AsyncMatchServer(MatchService(WORDS, k=1))
+            _, port = await server.start()
+            # One client answered and then idle, one that never sends:
+            # both handlers are parked in read() when aclose runs.
+            reader, talker = await asyncio.open_connection("127.0.0.1", port)
+            talker.write(json.dumps({"op": "stats"}).encode() + b"\n")
+            await talker.drain()
+            assert json.loads(await reader.readline())["ok"]
+            _, silent = await asyncio.open_connection("127.0.0.1", port)
+            await asyncio.sleep(0.05)
+            await server.aclose()
+            me = asyncio.current_task()
+            pending = [t for t in asyncio.all_tasks() if t is not me]
+            for writer in (talker, silent):
+                writer.close()
+                await writer.wait_closed()
+            return pending
+
+        assert run(main()) == []
+        # Nothing was left for asyncio.run to cancel, so no server
+        # callback logged a CancelledError.
+        assert logged == []
+
     def test_invalid_max_inflight_rejected(self):
         with pytest.raises(ValueError, match="max_inflight"):
             AsyncMatchServer(MatchService(WORDS), max_inflight=0)

@@ -2,10 +2,14 @@
 
 import csv
 import gzip
+import json
+import threading
+import time
 
 import pytest
 
 from repro.core.passjoin import PassJoinIndex
+from repro.core.plan import JoinPlanner
 from repro.core.plan import join as mem_join
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
@@ -15,6 +19,8 @@ from repro.stream import (
     read_spill,
     resolve_chunk_rows,
 )
+from repro.stream.checkpoint import Checkpoint
+from repro.stream.spill import SpillWriter
 from tests.parallel.test_shm import (
     assert_pool_dies_with_parent,
     needs_proc_and_shm,
@@ -294,6 +300,91 @@ class TestSpillAndCheckpoint:
         )
         assert res.resumed_after is None
         assert sorted(read_spill(tmp_path / "m.jsonl")) == reference
+
+
+class TestSpillThread:
+    """Chunk i spills and checkpoints on one thread while chunk i+1
+    joins.  A failure on either thread leaves ``join_stream`` only after
+    that thread has finished, with the spill at the last checkpoint."""
+
+    @pytest.mark.parametrize(
+        "where, target",
+        [
+            ("spill", (SpillWriter, "write_columns")),
+            ("checkpoint", (Checkpoint, "save")),
+            ("join", (JoinPlanner, "run")),
+        ],
+        ids=["spill", "checkpoint", "join"],
+    )
+    def test_failure_rolls_back_to_the_checkpoint(
+        self, stream_data, big_file, tmp_path, monkeypatch, where, target
+    ):
+        roster, _ = stream_data
+        spill, ck = tmp_path / "m.jsonl", tmp_path / "ck.json"
+        real = getattr(*target)
+        threads = []
+
+        def failing(*args, **kwargs):
+            threads.append(threading.current_thread().name)
+            if len(threads) == 3:
+                raise OSError(28, "No space left on device")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(*target, failing)
+        with pytest.raises(OSError, match="No space left"):
+            join_stream(
+                big_file, roster, "FPDL", k=1, chunk_rows=300,
+                spill=spill, checkpoint=ck,
+            )
+        assert not [
+            t for t in threading.enumerate()
+            if t.name.startswith("repro-spill")
+        ]
+        # The spill and the checkpoint run on the spill thread.
+        on_main = threads[-1] == threading.main_thread().name
+        assert on_main == (where == "join")
+        recorded = json.loads(ck.read_text())
+        assert recorded["chunk"] == 1
+        assert spill.stat().st_size == recorded["spill_bytes"]
+
+        monkeypatch.undo()
+        join_stream(
+            big_file, roster, "FPDL", k=1, chunk_rows=300,
+            spill=tmp_path / "full.jsonl",
+        )
+        obs = StatsCollector("resumed")
+        resumed = join_stream(
+            big_file, roster, "FPDL", k=1, chunk_rows=300,
+            spill=spill, checkpoint=ck, resume=True, collector=obs,
+        )
+        assert spill.read_bytes() == (tmp_path / "full.jsonl").read_bytes()
+        assert obs.conserved
+        assert obs.pairs_considered == resumed.rows * len(roster)
+
+    def test_checkpoint_funnel_is_its_own_chunk(
+        self, stream_data, big_file, tmp_path, monkeypatch
+    ):
+        """Each checkpoint records the funnel as of its chunk, not the
+        live collector the next chunk is already merging into."""
+        roster, _ = stream_data
+        ck = tmp_path / "ck.json"
+        saved = []
+        real = Checkpoint.save
+
+        def record(self, obs=None):
+            # Slow: the next chunk's join finishes meanwhile.
+            time.sleep(0.02)
+            real(self, obs)
+            saved.append(json.loads(ck.read_text()))
+
+        monkeypatch.setattr(Checkpoint, "save", record)
+        join_stream(
+            big_file, roster, "FPDL", k=1, chunk_rows=300,
+            spill=tmp_path / "m.jsonl", checkpoint=ck,
+        )
+        assert [c["chunk"] for c in saved] == list(range(len(saved)))
+        for c in saved:
+            assert c["funnel"]["pairs_considered"] == c["rows"] * len(roster)
 
 
 class TestSizingAndTelemetry:

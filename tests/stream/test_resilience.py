@@ -73,6 +73,34 @@ print("COMPLETED")
 """
 
 
+#: a checkpointed stream whose spill thread holds chunk 2: its flush
+#: touches argv[5] and then waits a second before it writes
+WRITER_HELD_SCRIPT = """\
+import sys
+import time
+from pathlib import Path
+from repro.io import read_strings
+from repro.stream import join_stream
+from repro.stream.spill import SpillWriter
+
+real_flush, flushes = SpillWriter.flush, []
+
+
+def held_flush(self):
+    flushes.append(1)
+    if len(flushes) == 3:
+        Path(sys.argv[5]).touch()
+        time.sleep(1.0)
+    real_flush(self)
+
+
+SpillWriter.flush = held_flush
+join_stream(sys.argv[1], read_strings(sys.argv[2]), "FPDL", k=1,
+            chunk_rows=250, spill=sys.argv[3], checkpoint=sys.argv[4])
+print("COMPLETED")
+"""
+
+
 def _spawn(tmp_path, big_file, roster_file, spill, ck, backend, sleep_ms):
     script = tmp_path / "driver.py"
     script.write_text(DRIVER_SCRIPT)
@@ -154,6 +182,57 @@ class TestKillAndResume:
         )
         assert resumed.completed
         assert resumed.resumed_after is not None
+        assert spill.read_bytes() == (tmp_path / "full.jsonl").read_bytes()
+        assert obs.conserved
+        assert obs.pairs_considered == resumed.rows * len(roster)
+        assert not ck.exists()
+
+
+    def test_sigterm_while_the_spill_thread_holds_a_chunk(
+        self, stream_data, big_file, roster_file, tmp_path
+    ):
+        """The TERM lands while chunk 2 is being spilled: the stream
+        finishes that chunk's spill and checkpoint before it exits, and
+        the resumed spill is the uninterrupted one."""
+        roster, _ = stream_data
+        join_stream(
+            big_file, roster, "FPDL", k=1, chunk_rows=250,
+            spill=tmp_path / "full.jsonl",
+        )
+        spill, ck, held = (
+            tmp_path / "held.jsonl", tmp_path / "ck.json", tmp_path / "held"
+        )
+        script = tmp_path / "writer_held.py"
+        script.write_text(WRITER_HELD_SCRIPT)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, str(script), str(big_file), str(roster_file),
+             str(spill), str(ck), str(held)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert _wait_for(held.exists), "the spill thread never held"
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:  # pragma: no cover - safety net
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 128 + signal.SIGTERM, err
+        assert b"COMPLETED" not in out
+        import json
+
+        recorded = json.loads(ck.read_text())
+        assert recorded["chunk"] == 2
+        assert spill.stat().st_size == recorded["spill_bytes"]
+
+        obs = StatsCollector("resumed")
+        resumed = join_stream(
+            big_file, roster, "FPDL", k=1, chunk_rows=250,
+            spill=spill, checkpoint=ck, resume=True, collector=obs,
+        )
+        assert resumed.resumed_after == 2
         assert spill.read_bytes() == (tmp_path / "full.jsonl").read_bytes()
         assert obs.conserved
         assert obs.pairs_considered == resumed.rows * len(roster)
