@@ -25,7 +25,7 @@ def test_ablation_chunk_size(benchmark):
     times = {}
     for chunk in (1 << 8, 1 << 12, 1 << 16, 1 << 20):
         join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="alpha",
-                           chunk=chunk)
+                           chunk=chunk, kernels="numpy")
         timing, res = time_callable(lambda j=join: j.run("DL"), protocol)
         counts.add((res.match_count, res.diagonal_matches))
         times[chunk] = timing.mean_ms

@@ -26,7 +26,9 @@ def test_ablation_engines(benchmark):
         matcher = build_matcher("FPDL", k=1, scheme="numeric")
         return _scalar_join(dp.clean, dp.error, matcher)
 
-    join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="numeric")
+    join = VectorEngine(
+        dp.clean, dp.error, k=1, scheme_kind="numeric", kernels="numpy"
+    )
 
     def vectorized():
         return join.run("FPDL")

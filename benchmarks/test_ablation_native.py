@@ -1,9 +1,12 @@
 """Ablation: the compiled kernel tier vs. the interpreted tiers.
 
-The same dense FPDL last-names join through the full backend
-trajectory — scalar reference, vectorized NumPy, hybrid shared-memory
-pool, and the native compiled kernels — extending the
-``BENCH_hybrid.json`` story with the fourth tier.
+The same dense FPDL last-names join through the full tier
+trajectory — scalar reference, the in-process backend pinned to NumPy
+(``kernels="numpy"``), the hybrid shared-memory pool, and the
+in-process backend on the compiled kernels (``kernels="auto"``) —
+extending the ``BENCH_hybrid.json`` story with the fourth tier.  The
+records keep the tier labels ``vectorized`` (NumPy) and ``native``
+(compiled).
 
 The scalar loop cannot survive the full product (per-pair Python at
 n=1e4 is minutes), so it runs at a reduced ``scalar_n`` and its record
@@ -38,8 +41,10 @@ WORKERS = int(os.environ.get("REPRO_NATIVE_WORKERS", "4"))
 SCALAR_N = min(max(N // 10, 200), 1500)
 
 
-def _planner(left, right, *, workers=None):
-    return JoinPlanner(left, right, k=1, workers=workers, collapse="off")
+def _planner(left, right, *, workers=None, kernels="auto"):
+    return JoinPlanner(
+        left, right, k=1, workers=workers, collapse="off", kernels=kernels
+    )
 
 
 @pytest.mark.skipif(
@@ -51,8 +56,8 @@ def test_ablation_native_tier(benchmark):
     small = dataset_for_family("LN", SCALAR_N, seed=5)
 
     scalar_planner = _planner(small.clean, small.error)
-    small_vec_planner = _planner(small.clean, small.error)
-    vec_planner = _planner(left, right)
+    small_vec_planner = _planner(small.clean, small.error, kernels="numpy")
+    vec_planner = _planner(left, right, kernels="numpy")
     hyb_planner = _planner(left, right, workers=WORKERS)
     nat_planner = _planner(left, right)
 
@@ -73,7 +78,7 @@ def test_ablation_native_tier(benchmark):
 
     def compiled():
         return nat_planner.run(
-            "FPDL", generator="all-pairs", backend="native"
+            "FPDL", generator="all-pairs", backend="vectorized"
         )
 
     t_sc, r_sc = time_callable(scalar, TimingProtocol(runs=1))

@@ -48,7 +48,9 @@ def test_ablation_obs_overhead(benchmark):
         return _scalar_join(dp.clean, dp.error, matcher)
 
     def chunked(collector=None):
-        join = VectorEngine(dp.clean, dp.error, k=1, scheme_kind="numeric")
+        join = VectorEngine(
+            dp.clean, dp.error, k=1, scheme_kind="numeric", kernels="numpy"
+        )
         return join.run(method, collector=collector)
 
     rows = []

@@ -15,7 +15,6 @@ Two artefacts:
 
 from _common import save_result
 
-from repro import native
 from repro.core.plan import JoinPlanner
 from repro.data.datasets import dataset_for_family
 from repro.eval.tables import format_table
@@ -39,12 +38,12 @@ def test_ablation_planner(benchmark):
             pick_rows.append(
                 [f"{n:,}", method, plan.generator.name, plan.backend.name]
             )
-    # Every size runs on the in-process tier of the loaded provider: the
-    # scalar loop only takes products of a few dozen pairs.
-    tier = "native" if native.available() else "vectorized"
-    assert picks[(100, "FPDL")] == ("all-pairs", tier)
-    assert picks[(1_000, "FPDL")] == ("all-pairs", tier)
-    assert picks[(10_000, "FPDL")] == ("pass-join", tier)
+    # Every size runs on the in-process tier (on the loaded provider's
+    # kernels): the scalar loop only takes products of a few hundred
+    # pairs.
+    assert picks[(100, "FPDL")] == ("all-pairs", "vectorized")
+    assert picks[(1_000, "FPDL")] == ("all-pairs", "vectorized")
+    assert picks[(10_000, "FPDL")] == ("pass-join", "vectorized")
     # Jaro bounds neither length nor signature bits: never pruned.
     for n in PICK_NS:
         assert picks[(n, "Jaro")][0] == "all-pairs"

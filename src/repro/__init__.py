@@ -16,8 +16,8 @@ Quickstart::
 
 :func:`join` plans each call: a candidate generator (all-pairs, length
 buckets, the FBF signature index, key blocking) picks which pairs to
-look at, an execution backend (scalar, vectorized, hybrid, native)
-verifies them, and a cost model composes the two from dataset size —
+look at, an execution backend (scalar, vectorized, hybrid) verifies
+them, and a cost model composes the two from dataset size —
 see :mod:`repro.core.plan` for overrides and :class:`JoinPlanner` for
 reuse across calls.  Duplicate-heavy inputs are collapsed to their
 unique values and self-joins enumerate only the pair triangle

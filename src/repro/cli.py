@@ -60,6 +60,7 @@ from repro.core.plan import (
     GENERATOR_NAMES,
     GENERATOR_SUMMARIES,
     JoinPlanner,
+    backend_name_error,
 )
 from repro.linkage.resolution import resolve
 from repro.stream.driver import STREAM_GENERATORS
@@ -150,9 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--backend",
         default="auto",
+        type=_backend_arg,
         choices=["auto", *BACKEND_NAMES],
         help="execution backend (auto: hybrid when --workers > 1)",
     )
+    _kernels_arg(stream)
     stream.add_argument(
         "--workers",
         type=int,
@@ -375,6 +378,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _backend_arg(name: str) -> str:
+    """``--backend``'s type: the removed ``native`` value fails with a
+    message naming its replacement."""
+    if name == "native":
+        raise argparse.ArgumentTypeError(backend_name_error(name))
+    return name
+
+
+def _kernels_arg(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--kernels",
+        default="auto",
+        choices=["auto", "numpy"],
+        help=(
+            "kernels the vectorized and hybrid backends run (auto: the "
+            "compiled ones when they load, else NumPy)"
+        ),
+    )
+
+
 def _common_join_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--k", type=int, default=1, help="edit threshold")
     sub.add_argument(
@@ -405,9 +428,11 @@ def _common_join_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--backend",
         default="auto",
+        type=_backend_arg,
         choices=["auto", *BACKEND_NAMES],
         help="execution backend (auto: cost model)",
     )
+    _kernels_arg(sub)
     sub.add_argument(
         "--workers",
         type=int,
@@ -527,6 +552,7 @@ def _planned_join(args: argparse.Namespace, left, right, collector):
             collapse=args.collapse,
             self_join=True if getattr(args, "self_join", False) else None,
             workers=getattr(args, "workers", None),
+            kernels=args.kernels,
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from exc
@@ -671,6 +697,7 @@ def _cmd_join_stream(args: argparse.Namespace) -> int:
             generator=args.generator,
             backend=args.backend,
             workers=args.workers,
+            kernels=args.kernels,
             chunk_rows=args.chunk_rows,
             memory_budget_mb=args.memory_budget,
             fmt=args.format,

@@ -17,7 +17,7 @@ Layout:
   layer's scalar backend).
 * :mod:`repro.core.plan` — the join planner: candidate generators
   (all-pairs, the PASS-JOIN partition index, key blocking) × execution
-  backends (scalar, vectorized, hybrid, native), composed by a cost
+  backends (scalar, vectorized, hybrid), composed by a cost
   model behind :func:`repro.join`.
 * :mod:`repro.core.vectorized` — NumPy batch engines: signature matrices,
   pairwise XOR-popcount candidate generation, chunked banded DP.

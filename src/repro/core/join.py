@@ -5,7 +5,7 @@ The paper's driver compares every pair of the Cartesian product
 verifier, and declares *match* or *unmatch*.  This module holds the
 faithful sequential reference loop, :func:`_scalar_join`: the *scalar
 execution backend* of :mod:`repro.core.plan`, which composes it (or the
-vectorized, native and hybrid backends) with a candidate generator.
+vectorized and hybrid backends) with a candidate generator.
 Call :func:`repro.join` for the planned entry point, or
 ``repro.join(..., generator="all-pairs", backend="scalar")`` for the
 reference answer; code that holds a hand-built matcher calls

@@ -71,8 +71,8 @@ group's windows vectorized and binary-searches the buckets with NumPy
 (the reference, and the fallback without a compiled provider), and the
 compiled ``passjoin_run`` kernel (:mod:`repro.native`) does the same per
 query in C and filters and verifies each candidate there — the pass
-the native backend, serve batches, stream chunks and the hybrid pool
-workers run.  Hash collisions produce
+the vectorized backend, serve batches, stream chunks and the hybrid
+pool workers run whenever the provider loads.  Hash collisions produce
 spurious candidates only (the verifier decides); they never drop one.
 Code points come from UTF-32 so any Python string — full Unicode, NUL
 bytes, empty — round-trips without the latin-1 restriction of the

@@ -11,11 +11,13 @@ py_stringsimjoin) decouples:
   :mod:`repro.core.passjoin`), or
   :class:`BlockingKeyGenerator` (traditional key blocking — *lossy*,
   never auto-picked);
-* an :class:`ExecutionBackend` decides *how to verify them* —
-  ``scalar`` (the reference loop), ``vectorized`` (NumPy chunks),
-  ``native`` (the same chunks over compiled kernels), or ``hybrid``
-  (the chunk kernels over a shared-memory worker pool — see
-  :mod:`repro.parallel.shm`);
+* an :class:`ExecutionBackend` decides *where to verify them* —
+  ``scalar`` (the reference loop), ``vectorized`` (the chunk kernels in
+  process), or ``hybrid`` (the same kernels over a shared-memory worker
+  pool — see :mod:`repro.parallel.shm`).  Which kernels both chunk
+  tiers run is a separate choice: the process's compiled
+  :mod:`repro.native` provider when it loads, NumPy otherwise, and the
+  ``kernels="numpy"`` argument pins NumPy on both;
 * :class:`JoinPlanner` composes one of each from dataset size, the
   method spec and ``k`` via a small cost model, with explicit overrides
   for benchmarks, and runs the plan to a unified
@@ -76,8 +78,6 @@ from repro.core.multiplicity import (
     positional_diagonal,
 )
 from repro.core.signatures import detect_kind, scheme_for
-from repro.native import available as native_available
-from repro.native import kind as native_kind
 from repro.native import resolve_kernels
 from repro.obs.log import get_logger
 from repro.obs.stats import NULL_COLLECTOR
@@ -99,7 +99,6 @@ __all__ = [
     "BlockingKeyGenerator",
     "ExecutionBackend",
     "HybridBackend",
-    "NativeBackend",
     "JoinPlan",
     "JoinPlanner",
     "join",
@@ -113,9 +112,24 @@ _log = get_logger("core.plan")
 #: mismatches, so ``Ham <= k`` does.
 EDIT_BOUNDED = frozenset({"dl", "pdl", "ham"})
 
-BACKEND_NAMES = ("scalar", "vectorized", "hybrid", "native")
+BACKEND_NAMES = ("scalar", "vectorized", "hybrid")
 
 Block = tuple[np.ndarray, np.ndarray]
+
+
+def backend_name_error(name) -> str:
+    """The message for a backend name outside :data:`BACKEND_NAMES`;
+    the removed ``native`` value names what replaced it."""
+    if name == "native":
+        return (
+            "backend 'native' was removed: backend='vectorized' runs the "
+            "compiled kernels whenever a provider loads (kernels='numpy' "
+            "pins NumPy)"
+        )
+    return (
+        f"unknown backend {name!r}; expected one of {BACKEND_NAMES} "
+        "or 'auto'"
+    )
 
 # -- cost model --------------------------------------------------------------
 # Size thresholds (pairs in the full product unless noted):
@@ -163,7 +177,7 @@ class CandidateGenerator:
 
     ``blocks(planner)`` yields ``(ii, jj)`` index-array pairs; a
     generator with ``is_full_product`` set never materializes them —
-    backends use their native full-product paths instead.
+    backends use their dense full-product paths instead.
     """
 
     name = "generator"
@@ -417,8 +431,8 @@ class ExecutionBackend:
         collector,
         record_matches: bool,
     ) -> JoinResult:
-        """Execute; ``blocks=None`` means the full product (use the
-        native dense path)."""
+        """Execute; ``blocks=None`` means the full product (the
+        backend's dense path)."""
         raise NotImplementedError
 
 
@@ -466,7 +480,8 @@ class ScalarBackend(ExecutionBackend):
 
 
 class VectorizedBackend(ExecutionBackend):
-    """The chunked NumPy engine (:class:`VectorEngine`).
+    """The in-process chunk kernels (:class:`VectorEngine`), compiled or
+    NumPy as the planner's ``kernels`` resolves.
 
     A pass-join plan's stream is not drained: the engine probes the
     index itself (:meth:`VectorEngine.run_probe`, the loop the hybrid
@@ -498,48 +513,10 @@ class VectorizedBackend(ExecutionBackend):
         return result
 
 
-class NativeBackend(VectorizedBackend):
-    """The vectorized engine with compiled inner kernels.
-
-    Identical dataflow, chunking and funnel accounting to
-    :class:`VectorizedBackend` — the planner's cached engine is
-    temporarily armed with the :mod:`repro.native` kernel set (the
-    compiled ``cc`` provider), which every
-    :class:`repro.parallel.kernels.Kernels` the engine builds during the
-    run picks up.  It swaps only the innermost loops: the packed
-    XOR+popcount candidate scan and pair mask, the batched
-    bit-parallel/banded OSA verifier, and the PASS-JOIN probe.
-    Decisions are bit-identical by construction (providers must pass
-    the native self-check) and pinned by the plan-equivalence suite.
-    When no provider is available the run degrades to the plain
-    vectorized tier with a once-per-process warning.
-    """
-
-    name = "native"
-
-    def run(self, planner, method, blocks, *, collector, record_matches):
-        kernels = resolve_kernels("native", warn_key="backend")
-        if kernels is None:
-            return planner._backends["vectorized"].run(
-                planner, method, blocks,
-                collector=collector, record_matches=record_matches,
-            )
-        engine = planner.engine()
-        prev = engine._native
-        engine._native = kernels
-        try:
-            return super().run(
-                planner, method, blocks,
-                collector=collector, record_matches=record_matches,
-            )
-        finally:
-            engine._native = prev
-
-
 class HybridBackend(ExecutionBackend):
     """Shared-memory worker pool running the vectorized chunk kernels
     (:mod:`repro.parallel.kernels`, the same ones the in-process engine
-    runs).
+    runs; the planner's ``kernels`` pin rides on every task).
 
     The planner's sides are published once (its cached
     :meth:`JoinPlanner.shared_datasets`): a side the planner prepared
@@ -586,6 +563,7 @@ class HybridBackend(ExecutionBackend):
             record_matches=record_matches,
             weighter=planner.weighter,
             publications=datasets.publications,
+            kernels=planner.kernels,
         )
         if source is not blocks:
             blocks.emitted += source.emitted
@@ -645,11 +623,14 @@ class JoinPlanner:
     (``_MAX_INDEX_K``: segments shrink as ``k`` grows); the scalar
     backend is only right for products small enough that kernel setup
     dominates (``_SCALAR_MAX_PAIRS`` with a compiled provider,
-    ``_SCALAR_MAX_PAIRS_NUMPY`` without); hybrid needs ``workers > 1``
-    and a product that amortizes the pool (``_HYBRID_MIN_PAIRS``).  Products above the
-    scalar cutoff prefer the native backend (same dataflow, compiled
-    constants) whenever a :mod:`repro.native` provider validated —
-    otherwise vectorized.
+    ``_SCALAR_MAX_PAIRS_NUMPY`` on the NumPy tier); hybrid needs
+    ``workers > 1`` and a product that amortizes the pool
+    (``_HYBRID_MIN_PAIRS``); everything else runs vectorized.
+
+    ``kernels`` says which kernels the vectorized and hybrid backends
+    run: ``"auto"`` is the process's compiled :mod:`repro.native`
+    provider when it loads (resolved once per process), NumPy otherwise;
+    ``"numpy"`` pins NumPy.  Decisions are bit-identical either way.
     """
 
     def __init__(
@@ -667,9 +648,11 @@ class JoinPlanner:
         collapse: str = "auto",
         self_join: bool | None = None,
         memo: str = "auto",
+        kernels: str = "auto",
     ):
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
+        resolve_kernels(kernels)  # rejects an unknown request up front
         if collapse not in ("auto", "on", "off"):
             raise ValueError(
                 f"collapse must be 'auto', 'on' or 'off', got {collapse!r}"
@@ -712,6 +695,7 @@ class JoinPlanner:
         self.collector = collector
         self.collapse = collapse
         self.memo = memo
+        self.kernels = kernels
         #: per-pair multiplicity weights, set around a collapsed run so
         #: the backends (which only see this planner) pick them up
         self.weighter: PairWeighter | None = None
@@ -731,7 +715,6 @@ class JoinPlanner:
             for b in (
                 ScalarBackend(),
                 VectorizedBackend(),
-                NativeBackend(),
                 HybridBackend(),
             )
         }
@@ -779,6 +762,7 @@ class JoinPlanner:
                 k=self.k,
                 theta=self.theta,
                 record_matches=self.record_matches,
+                kernels=self.kernels,
             )
         return self._engine
 
@@ -835,7 +819,11 @@ class JoinPlanner:
 
     def prepare(self, backend: str = "vectorized") -> None:
         """Eagerly build the named backend's cached state (timing parity
-        with the pre-planner drivers, which prepared outside the clock)."""
+        with the pre-planner drivers, which prepared outside the clock);
+        ``"scalar"`` has none.  Any name outside :data:`BACKEND_NAMES`
+        raises :class:`ValueError`."""
+        if backend not in BACKEND_NAMES:
+            raise ValueError(backend_name_error(backend))
         if backend == "vectorized":
             self.engine()
         elif backend == "hybrid":
@@ -942,6 +930,7 @@ class JoinPlanner:
                 collapse="off",
                 self_join=False,
                 memo="off",
+                kernels=self.kernels,
             )
             self._inner._scheme = self.scheme()
         return self._inner
@@ -1025,14 +1014,13 @@ class JoinPlanner:
         if backend is not None and backend != "auto":
             be = self._backends.get(backend)
             if be is None:
-                raise ValueError(
-                    f"unknown backend {backend!r}; expected one of "
-                    f"{BACKEND_NAMES} or an ExecutionBackend instance"
-                )
+                raise ValueError(backend_name_error(backend))
             return be, "explicit"
         product = len(self.left) * len(self.right)
-        native = native_available()
-        scalar_max = _SCALAR_MAX_PAIRS if native else _SCALAR_MAX_PAIRS_NUMPY
+        compiled = resolve_kernels(self.kernels)
+        scalar_max = (
+            _SCALAR_MAX_PAIRS_NUMPY if compiled is None else _SCALAR_MAX_PAIRS
+        )
         if product <= scalar_max:
             return self._backends["scalar"], (
                 f"product {product:,} <= {scalar_max:,}: "
@@ -1051,15 +1039,10 @@ class JoinPlanner:
                 f"workers={self.workers} and product {product:,} >= "
                 f"{_HYBRID_MIN_PAIRS:,}: shared-memory pool amortizes"
             )
-        # Same dataflow as vectorized, strictly better constants: prefer
-        # the compiled kernels whenever a validated provider loaded.
-        if native:
-            return self._backends["native"], (
-                f"product {product:,} > {scalar_max:,}; "
-                f"compiled kernels loaded ({native_kind()})"
-            )
         return self._backends["vectorized"], (
             f"product {product:,} > {scalar_max:,}"
+            + ("" if compiled is None else
+               f"; compiled kernels loaded ({compiled.kind})")
         )
 
     def plan(
@@ -1261,6 +1244,7 @@ def join(
     collector=None,
     collapse: str = "auto",
     self_join: bool | None = None,
+    kernels: str = "auto",
     **planner_kwargs,
 ) -> JoinResult:
     """One-shot planned similarity join (the public entry point).
@@ -1273,7 +1257,9 @@ def join(
     ``collapse`` (``"auto"``/``"on"``/``"off"``) controls unique-string
     collapse; ``self_join=True`` forces the triangular enumeration for
     content-equal sides (it is auto-detected when both arguments are the
-    same object or hold the same values).  The ``memo`` knob passes
+    same object or hold the same values).  ``kernels="numpy"`` pins the
+    NumPy kernels on the vectorized and hybrid backends (``"auto"``: the
+    compiled ones whenever they load).  The ``memo`` knob passes
     through ``planner_kwargs``.
 
     >>> r = join(["123456789"], ["123456780"], "FPDL", k=1, scheme="numeric")
@@ -1291,6 +1277,7 @@ def join(
         collector=collector,
         collapse=collapse,
         self_join=self_join,
+        kernels=kernels,
         **planner_kwargs,
     )
     return planner.run(method, generator=generator, backend=backend)

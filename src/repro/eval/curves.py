@@ -87,7 +87,10 @@ def run_runtime_curve(
         per_method: dict[str, list[float]] = {m: [] for m in methods}
         for rep in range(datasets_per_n):
             dp = dataset_for_family(family, n, seed=seed + 1000 * step + rep)
-            join = VectorEngine(dp.clean, dp.error, k=k, theta=theta, scheme_kind=kind)
+            join = VectorEngine(
+                dp.clean, dp.error, k=k, theta=theta, scheme_kind=kind,
+                kernels="numpy",
+            )
             for m in methods:
                 timing, _ = time_callable(lambda m=m: join.run(m), protocol)
                 per_method[m].append(timing.mean_ms)

@@ -15,12 +15,13 @@ Three runners cover every table:
 
 Each runner drives the joins through :class:`repro.core.plan.
 JoinPlanner`.  ``engine`` selects the execution backend over the full
-pair product, for table fidelity: ``"vectorized"`` (the NumPy engine —
-the default, and the one whose *relative* timings mirror the paper's C
-implementation, see DESIGN.md) or ``"scalar"`` (the literal per-pair
-reference implementation).  ``engine="planned"`` lets the planner's
-cost model pick the candidate generator and backend instead — the
-production path, not a paper table.
+pair product, for table fidelity: ``"vectorized"`` (the in-process
+engine pinned to its NumPy kernels — the default, and the tier whose
+*relative* timings mirror the paper's C implementation, see DESIGN.md)
+or ``"scalar"`` (the literal per-pair reference implementation).
+``engine="planned"`` lets the planner's cost model pick the candidate
+generator and backend instead — the production path, not a paper
+table.
 """
 
 from __future__ import annotations
@@ -165,7 +166,8 @@ def run_string_experiment(
     if engine not in {"vectorized", "scalar", "planned"}:
         raise ValueError(f"unknown engine {engine!r}")
     planner = JoinPlanner(
-        dp.clean, dp.error, k=k, theta=theta, scheme=kind, levels=levels
+        dp.clean, dp.error, k=k, theta=theta, scheme=kind, levels=levels,
+        kernels=_table_kernels(engine),
     )
     # Table fidelity: the paper times every method over the full
     # product, so the generator is pinned to all-pairs unless the
@@ -195,6 +197,12 @@ def run_string_experiment(
         for row in result.rows:
             row.speedup = base / row.time_ms if row.time_ms > 0 else None
     return result
+
+
+def _table_kernels(engine: str) -> str:
+    """The ``kernels`` pin of an experiment engine: the paper tables'
+    ``"vectorized"`` engine times every method on the NumPy kernels."""
+    return "numpy" if engine == "vectorized" else "auto"
 
 
 def _row_from(method: str, res, dp: DatasetPair, time_ms: float) -> MethodRow:
@@ -271,7 +279,9 @@ def run_soundex_experiment(
     dp = dataset_for_family(family, n, seed)
     right = dp.error if mode == "error" else dp.clean
     rows: list[SoundexRow] = []
-    planner = JoinPlanner(dp.clean, right, k=k, scheme="alpha")
+    planner = JoinPlanner(
+        dp.clean, right, k=k, scheme="alpha", kernels=_table_kernels(engine)
+    )
     if engine == "vectorized":
         planner.prepare("vectorized")
     for method in ("DL", "SDX"):

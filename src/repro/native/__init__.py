@@ -1,5 +1,5 @@
 """Compiled kernel tier: the hot kernels as compiled code behind the
-backend protocol.
+kernel interface every backend calls.
 
 The paper's constant factors come from signatures living in machine
 words — one XOR + POPCNT per pair — and from the verifier being a tight
@@ -32,12 +32,11 @@ They have one provider, ``cc``: a C translation unit compiled on first
 use with the host's C compiler and loaded via ctypes (cached on disk,
 see :mod:`repro.native._csrc`).  The provider must pass a bit-exactness
 self-check against the scalar and NumPy references before it is
-offered; a provider that fails validation is treated as absent.  When
-it does not load, callers fall back to the NumPy tier —
-``resolve_kernels("native")`` warns once per process (:func:`reset`
-re-arms it) instead of raising, so
-``backend="native"`` degrades gracefully on machines without a C
-toolchain.
+offered; a provider that fails validation is treated as absent.  It is
+resolved once per process: the in-process and pool tiers of
+:mod:`repro.core.plan` run it whenever it loads and NumPy otherwise, and
+a ``kernels="numpy"`` argument (:func:`resolve_kernels`) pins NumPy on
+both.  A machine without a C toolchain just runs the NumPy tier.
 
 Environment knobs:
 
@@ -49,7 +48,6 @@ Environment knobs:
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Callable
 
 import numpy as np
@@ -141,23 +139,6 @@ class KernelSet:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KernelSet(kind={self.kind!r})"
-
-    # -- candidate generation ------------------------------------------
-
-    def fbf_candidates_u64(
-        self, left_sigs: np.ndarray, right_sigs: np.ndarray, bound: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """FBF scan over packed uint64 signature matrices
-        (:func:`repro.parallel.kernels.pack_signatures`): the ``("fbf",)``
-        chain of :meth:`fused_rows_u64` over every left row; row-major
-        order identical to ``core/vectorized.py::fbf_candidates`` on the
-        unpacked words."""
-        L = _sig2d(left_sigs, np.uint64)
-        ii, jj, _ = self.fused_rows_u64(
-            L, right_sigs, None, None, 0, L.shape[0],
-            bound=bound, k=0, filters=("fbf",),
-        )
-        return ii, jj
 
     # -- gathered pair filters -----------------------------------------
 
@@ -422,20 +403,6 @@ class KernelSet:
 _CACHE: dict[str, KernelSet | None] = {}
 #: provider name -> human-readable load outcome
 _REASONS: dict[str, str] = {}
-#: fallback warnings already emitted (see _warn_once)
-_WARNED: set[str] = set()
-
-
-def _warn_once(key: str, message: str) -> None:
-    """Emit a fallback ``RuntimeWarning`` at most once per process per
-    ``key``: a long job resolving kernels per batch says so once.
-    Python's own dedup is per call site and ``simplefilter("always")``
-    (pytest included) resets it, hence this registry."""
-    if key in _WARNED:
-        return
-    _WARNED.add(key)
-    # 3: this helper, resolve_kernels, then resolve_kernels' caller
-    warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
 def _disabled() -> bool:
@@ -468,7 +435,7 @@ def load_kernels() -> KernelSet | None:
     """The best available validated provider, or ``None``.
 
     Honors ``REPRO_NO_NATIVE``; never raises and never warns — this is
-    the quiet probe used by auto-selection.
+    the quiet probe ``kernels="auto"`` resolves through.
     """
     if _disabled():
         return None
@@ -494,50 +461,17 @@ def loaded_kernels() -> KernelSet | None:
     return next(filter(None, map(_CACHE.get, _PROVIDERS)), None)
 
 
-def resolve_kernels(
-    request: str | None, *, warn_key: str = "backend"
-) -> KernelSet | None:
-    """Resolve a kernel request string to a :class:`KernelSet` or ``None``.
-
-    ``request`` semantics:
-
-    * ``None``/``"numpy"`` — never use compiled kernels.
-    * ``"auto"`` — compiled kernels if available, silently otherwise.
-    * ``"native"`` — compiled kernels expected: when unavailable (or
-      disabled via ``REPRO_NO_NATIVE``), warn once and fall back.
-    * ``"cc"`` — pin the provider, same warn-once fallback.
-    """
-    if request is None or request == "numpy":
+def resolve_kernels(request: str) -> KernelSet | None:
+    """The kernels a ``kernels=`` argument asks for: ``"auto"`` is the
+    process's validated provider (:func:`load_kernels`, ``None`` when
+    none loads), ``"numpy"`` is ``None`` — the NumPy tier."""
+    if request == "numpy":
         return None
-    if request not in ("auto", "native", *_PROVIDERS):
+    if request != "auto":
         raise ValueError(
-            f"unknown kernels request {request!r}; expected 'numpy', "
-            f"'auto', 'native' or 'cc'"
+            f"unknown kernels request {request!r}; expected 'auto' or 'numpy'"
         )
-    if _disabled():
-        if request != "auto":
-            _warn_once(
-                f"native-disabled:{warn_key}",
-                "compiled kernels disabled by REPRO_NO_NATIVE=1; "
-                "falling back to the NumPy (vectorized) path",
-            )
-        return None
-    if request in _PROVIDERS:
-        ks = _load_provider(request)
-    else:
-        ks = load_kernels()
-    if ks is None and request != "auto":
-        detail = "; ".join(
-            f"{name}: {_REASONS.get(name, 'not probed')}"
-            for name in _PROVIDERS
-        )
-        _warn_once(
-            f"native-unavailable:{warn_key}",
-            "compiled kernels requested but no provider loaded "
-            f"({detail}); falling back to the NumPy (vectorized) path "
-            "— the provider needs a C compiler ($CC, cc, gcc or clang)",
-        )
-    return ks
+    return load_kernels()
 
 
 def available() -> bool:
@@ -592,15 +526,13 @@ def native_status() -> dict:
 
 
 def reset() -> None:
-    """Forget cached provider probes and emitted fallback warnings
-    (test-isolation hook).
+    """Forget cached provider probes (test-isolation hook).
 
     Needed after monkeypatching ``REPRO_NO_NATIVE``: resolution caches
     per provider, not per environment.
     """
     _CACHE.clear()
     _REASONS.clear()
-    _WARNED.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +575,9 @@ def _self_check(ks: KernelSet) -> str | None:
         pj = np.tile(np.arange(R.shape[0]), L.shape[0])
         for bound in (0, 60, 68):
             ri, rj = np.nonzero(db <= bound)
-            gi, gj = ks.fbf_candidates_u64(L, R, bound)
+            gi, gj, _ = ks.fused_rows_u64(
+                L, R, None, None, 0, len(L), bound=bound, k=0, filters=("fbf",)
+            )
             if not (
                 np.array_equal(gi, ri.astype(np.int64))
                 and np.array_equal(gj, rj.astype(np.int64))

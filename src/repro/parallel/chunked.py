@@ -7,28 +7,31 @@ per-pair Python.  This is the engine the runtime-curve experiments
 (paper Figures 7 and 9) use, since their products reach hundreds of
 millions of pairs.
 
-Since the planner refactor the engine serves as the *vectorized
-execution backend* of :mod:`repro.core.plan`: :meth:`VectorEngine.run`
-covers full-product plans and :meth:`VectorEngine.run_candidates`
-verifies an explicit candidate stream (key blocking, or a collapsed or
-self-join plan's weighted stream), while :meth:`VectorEngine.run_probe`
-generates PASS-JOIN candidates itself.  Both sides
-are :class:`repro.parallel.prepared.PreparedSide` objects, read in the
+The engine is the in-process tier of :mod:`repro.core.plan`'s
+``vectorized`` backend: :meth:`VectorEngine.run` covers full-product
+plans as one row task (:meth:`repro.parallel.kernels.Kernels.run_rows`
+over every left row, the sweep each pool task runs over its slice),
+:meth:`VectorEngine.run_candidates` verifies an explicit candidate
+stream (key blocking, or a collapsed or self-join plan's weighted
+stream), and :meth:`VectorEngine.run_probe` generates PASS-JOIN
+candidates itself.  Both sides are
+:class:`repro.parallel.prepared.PreparedSide` objects, read in the
 :class:`repro.parallel.kernels.Side` layout, and every decision runs
 through :class:`repro.parallel.kernels.Kernels` — the same kernels the
-shared-memory pool workers run.
+shared-memory pool workers run.  The ``kernels`` argument picks which
+kernels: the process's loaded compiled provider (``"auto"``) or NumPy.
 
-Timing fidelity note (DESIGN.md): *all* methods run in the same
-vectorized paradigm here, so relative timings — the paper's speedup
-columns — compare like with like, exactly as the paper's all-C
-implementations did.
+Timing fidelity note (DESIGN.md): with ``kernels="numpy"`` *all*
+methods run in the same vectorized paradigm, so relative timings — the
+paper's speedup columns — compare like with like, exactly as the
+paper's all-C implementations did; the experiment harness pins it.
 
 Observability: pass a :class:`repro.obs.StatsCollector` (constructor or
 per-:meth:`VectorEngine.run` call) and the engine reports the same
 funnel the scalar driver does — stage sweeps record their tested/passed
 totals, verification merges per-chunk aggregates into the one
-collector, and signature generation / filtering / verification each get
-a wall-time span.  With no collector every hook routes to the falsy
+collector, and signature generation and each run get a wall-time
+span.  With no collector every hook routes to the falsy
 shared no-op and the hot loops are unchanged.
 """
 
@@ -51,7 +54,6 @@ from repro.parallel.kernels import (
     Kernels,
     Side,
 )
-from repro.parallel.partition import iter_pair_blocks
 from repro.parallel.prepared import PreparedSide, shared_scheme
 
 __all__ = ["VectorEngine"]
@@ -102,12 +104,10 @@ class VectorEngine:
         spans at construction and the funnel counters of every
         :meth:`run` (unless the run supplies its own).
     kernels:
-        Inner-kernel selection: ``"numpy"`` (default) keeps the pure
-        NumPy tier; ``"native"`` uses the compiled kernels of
-        :mod:`repro.native` (warn-once NumPy fallback when no provider
-        loads); ``"auto"`` uses them silently when available.  Every
-        kernel choice produces bit-identical decisions — only the
-        constant factors change.
+        ``"auto"`` (default) runs the compiled kernels of
+        :mod:`repro.native` when a provider loads in this process, NumPy
+        otherwise; ``"numpy"`` pins the NumPy tier.  Every choice makes
+        bit-identical decisions — only the constant factors change.
     """
 
     def __init__(
@@ -124,7 +124,7 @@ class VectorEngine:
         variant: str = "paper",
         record_matches: bool = False,
         collector=None,
-        kernels: str | None = "numpy",
+        kernels: str = "auto",
     ):
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
@@ -135,8 +135,7 @@ class VectorEngine:
         self.variant = variant
         self.record_matches = record_matches
         self.collector = collector
-        self.kernels = kernels or "numpy"
-        self._native = resolve_kernels(self.kernels, warn_key="engine")
+        self._native = resolve_kernels(kernels)
         obs = collector if collector else NULL_COLLECTOR
         self.scheme = shared_scheme(left, right)
         if self.scheme is None:
@@ -236,116 +235,15 @@ class VectorEngine:
             "run %s over %d x %d pairs", method, len(self.left), len(self.right)
         )
         kern = self._kernels(spec)
-        n_left, n_right = len(self.left), len(self.right)
+        with obs.span(f"run.{method}"):
+            res = kern.run_rows(0, len(self.left), obs)
         result = JoinResult(
-            spec.name, n_left, n_right, pairs_compared=n_left * n_right,
+            spec.name, len(self.left), len(self.right),
+            verified_pairs=res["verified"], pairs_compared=res["compared"],
             backend="vectorized",
         )
-        res = kern.fresh()
-        with obs.span(f"run.{method}"):
-            if not spec.filters:
-                # No filter stage: every pair flows straight to the
-                # verifier, one verify chunk at a time.
-                for ii, jj in iter_pair_blocks(
-                    len(self.left), len(self.right), kern.vchunk
-                ):
-                    obs.add_pairs(len(ii))
-                    kern.tally(res, ii, jj, obs)
-            else:
-                if spec.filters == ("length",):
-                    ii, jj = self._length_pairs(obs)
-                elif spec.filters == ("fbf",):
-                    ii, jj = self._fbf_pairs(kern, obs)
-                else:
-                    ii, jj = self._length_then_fbf_pairs(kern, obs)
-                obs.add_pairs(len(self.left) * len(self.right))
-                if kern.verifier is None:
-                    kern.tally(res, ii, jj, obs)
-                else:
-                    result.verified_pairs = len(ii)
-                    with obs.span("verify"):
-                        kern.tally(res, ii, jj, obs)
         self._take(res, result)
         return result
-
-    # -- candidate generators --------------------------------------------------
-
-    def _fbf_pairs(self, kern: Kernels, obs) -> tuple[np.ndarray, np.ndarray]:
-        with obs.span("fbf.filter"):
-            ii, jj = kern.fbf_scan(self.sigs_l, self.sigs_r)
-        obs.add_stage("fbf", len(self.left) * len(self.right), len(ii))
-        return ii, jj
-
-    def _length_group_blocks(self):
-        """Yield ``(left_idx, right_idx)`` index blocks covering exactly
-        the length-filter-passing pairs.
-
-        This is the vectorized analogue of the paper's length-first
-        short-circuit: per-pair branching does not vectorize, but
-        grouping each side by string length lets whole incompatible
-        group products be *skipped* before any dense work.  Demographic
-        strings have at most a few dozen distinct lengths, so the block
-        count stays tiny.
-        """
-        groups_r = self._prep_r.length_groups()
-        for lv, left_idx in self._prep_l.length_groups().items():
-            right_parts = [
-                idx
-                for rv, idx in groups_r.items()
-                if abs(lv - rv) <= self.k
-            ]
-            if right_parts:
-                yield left_idx, np.concatenate(right_parts)
-
-    def _length_pairs(
-        self, obs=NULL_COLLECTOR
-    ) -> tuple[np.ndarray, np.ndarray]:
-        parts_i: list[np.ndarray] = []
-        parts_j: list[np.ndarray] = []
-        with obs.span("length.filter"):
-            for left_idx, right_idx in self._length_group_blocks():
-                ii = np.repeat(left_idx, len(right_idx))
-                jj = np.tile(right_idx, len(left_idx))
-                parts_i.append(ii)
-                parts_j.append(jj)
-        if not parts_i:
-            obs.add_stage("length", len(self.left) * len(self.right), 0)
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        ii, jj = np.concatenate(parts_i), np.concatenate(parts_j)
-        obs.add_stage("length", len(self.left) * len(self.right), len(ii))
-        return ii, jj
-
-    def _length_then_fbf_pairs(
-        self, kern: Kernels, obs
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """FBF restricted to length-compatible group blocks.
-
-        The dense XOR+popcount sweep runs only over the surviving
-        blocks (~half the product for census-name length distributions),
-        which is where the paper's Section 6 "combination beats FBF
-        alone" result comes from.
-        """
-        product = len(self.left) * len(self.right)
-        length_passed = 0
-        keep_i: list[np.ndarray] = []
-        keep_j: list[np.ndarray] = []
-        with obs.span("fbf.filter"):
-            for left_idx, right_idx in self._length_group_blocks():
-                length_passed += len(left_idx) * len(right_idx)
-                bi, bj = kern.fbf_scan(
-                    self.sigs_l[left_idx], self.sigs_r[right_idx]
-                )
-                keep_i.append(left_idx[bi])
-                keep_j.append(right_idx[bj])
-        obs.add_stage("length", product, length_passed)
-        if not keep_i:
-            obs.add_stage("fbf", length_passed, 0)
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        ii, jj = np.concatenate(keep_i), np.concatenate(keep_j)
-        obs.add_stage("fbf", length_passed, len(ii))
-        return ii, jj
 
     # -- candidate-stream execution (plan-layer backend) -----------------------
 

@@ -15,7 +15,8 @@ there is one implementation of each decision:
 * :class:`Kernels` — one method stack bound to two sides: the verifier
   dispatch (NumPy or the compiled :mod:`repro.native` tier), the
   per-pair and dense filters, the diagonal rule and the funnel tally,
-  over dense row ranges (:meth:`Kernels.run_rows`), candidate blocks
+  over dense row ranges (:meth:`Kernels.run_rows`: an in-process full
+  product is one range, a pool task one slice of it), candidate blocks
   (:meth:`Kernels.run_pairs`) or a PASS-JOIN probe
   (:meth:`Kernels.run_probe`, compiled when the native tier loaded).
 
@@ -175,6 +176,10 @@ def _group_by_value(values: np.ndarray) -> dict[int, np.ndarray]:
     return groups
 
 
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _fbf_mask(pl: np.ndarray, pr: np.ndarray, bound: int) -> np.ndarray:
     """Dense ``diff_bits <= bound`` mask of packed rows ``pl`` against
     every row of ``pr``."""
@@ -319,31 +324,6 @@ class Kernels:
             return db <= self.fbf_bound
         raise ValueError(f"unknown filter {name!r}")
 
-    def fbf_scan(
-        self, sl: np.ndarray, sr: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Row-major ``(i, j)`` indices into ``sl`` x ``sr`` (packed
-        signature matrices) with ``diff_bits <= fbf_bound``."""
-        if self.native is not None:
-            return self.native.fbf_candidates_u64(sl, sr, self.fbf_bound)
-        nr = len(sr)
-        rows_per = max(1, self.filter_chunk // max(1, nr))
-        parts_i: list[np.ndarray] = []
-        parts_j: list[np.ndarray] = []
-        for c0 in range(0, len(sl), rows_per):
-            # flatnonzero over the raveled *bool* mask is ~10x a 2-D
-            # nonzero — the survivor extraction is the sweep's
-            # second-biggest cost after the popcount itself.
-            idx = np.flatnonzero(
-                _fbf_mask(sl[c0 : c0 + rows_per], sr, self.fbf_bound).ravel()
-            )
-            parts_i.append(idx // nr + c0)
-            parts_j.append(idx % nr)
-        if not parts_i:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        return np.concatenate(parts_i), np.concatenate(parts_j)
-
     # -- the funnel tally ----------------------------------------------------
 
     @staticmethod
@@ -411,71 +391,138 @@ class Kernels:
         """Dense sweep of left rows ``r0:r1`` against all of right.
 
         Global row indices throughout, so the positional diagonal and
-        recorded matches need no rebasing.
+        recorded matches need no rebasing; recorded matches are
+        row-major with ``jj`` ascending on every tier.  A length-first
+        chain scans only each left row's ``|dlen| <= k`` window of the
+        right side sorted by length (:meth:`Side.by_length`).  Filter
+        survivors are carried across row blocks, so the verifier sees
+        full ``vchunk`` batches.  The stage counters are cumulative-AND
+        survivor counts, so any cut of the rows merges to the same
+        funnel.
         """
         res = self.fresh()
         nr = self.R.n
         if nr == 0 or r1 <= r0:
             return res
+        res["compared"] = (r1 - r0) * nr
+        obs.add_pairs(res["compared"])
         filters = self.spec.filters
-        if self.native is not None and self.native.supports_filters(filters):
-            # Fused sweep: filters + candidate emission in one compiled
-            # pass, no dense boolean intermediates.  Stage counters are
-            # cumulative-AND survivor counts, so the merged funnel is
-            # identical to the chunked mask chain below.  Length-first
-            # chains read the right side sorted by length.
-            R = self.R
-            order, len_r, sig_r = None, R.lengths, R.sigs
-            if filters[:1] == ("length",):
-                order, len_r, sig_r = R.by_length()
-            # An empty chain emits every pair: keep each block to
-            # filter_chunk pairs, as the mask chain does.
-            step = r1 - r0 if filters else max(1, self.filter_chunk // nr)
-            for b0 in range(r0, r1, step):
-                b1 = min(r1, b0 + step)
-                block = (b1 - b0) * nr
-                res["compared"] += block
-                obs.add_pairs(block)
-                ii, jj, passed = self.native.fused_rows_u64(
-                    self.L.sigs, sig_r, self.L.lengths, len_r, b0, b1,
-                    bound=self.fbf_bound, k=self.k, filters=filters,
-                    order=order,
-                )
-                tested = block
-                for fname, npass in zip(filters, passed):
-                    obs.add_stage(fname, tested, int(npass))
-                    tested = int(npass)
-                self.tally(res, ii, jj, obs)
-            return res
-        rows_per = max(1, self.filter_chunk // nr)
-        for c0 in range(r0, r1, rows_per):
-            c1 = min(r1, c0 + rows_per)
-            block = (c1 - c0) * nr
-            res["compared"] += block
-            obs.add_pairs(block)
-            mask = None
-            tested = block
-            for fname in filters:
-                if fname == "length":
-                    ld = self.L.lengths[c0:c1, None] - self.R.lengths[None, :]
-                    fm = np.abs(ld) <= self.k
-                else:
-                    fm = _fbf_mask(
-                        self.L.sigs[c0:c1], self.R.sigs, self.fbf_bound
-                    )
-                mask = fm if mask is None else (mask & fm)
-                passed = int(np.count_nonzero(mask))
-                obs.add_stage(fname, tested, passed)
-                tested = passed
-            if mask is None:
+        if not filters:
+            # Every pair is verified: whole rows of about ``vchunk``
+            # pairs go to the verifier as they are enumerated.
+            step = max(1, self.vchunk // nr)
+            right = np.arange(nr, dtype=np.int64)
+            for c0 in range(r0, r1, step):
+                c1 = min(r1, c0 + step)
                 ii = np.repeat(np.arange(c0, c1, dtype=np.int64), nr)
-                jj = np.tile(np.arange(nr, dtype=np.int64), c1 - c0)
-            else:
-                idx = np.flatnonzero(mask.ravel())
-                ii = idx // nr + c0
-                jj = idx % nr
-            self.tally(res, ii, jj, obs)
+                self.tally(res, ii, np.tile(right, c1 - c0), obs)
+            return res
+        passed = [0] * len(filters)
+        regroup = False
+        if (
+            "fbf" in filters
+            and self.native is not None
+            and self.native.supports_filters(filters)
+        ):
+            # The compiled sweep: filters and candidate emission in one
+            # pass, no dense boolean intermediates.  A length-only chain
+            # is pure enumeration of each row's window, which NumPy does
+            # at memory speed, in the length-grouped order the verifiers
+            # run fastest on.
+            order, len_r, sig_r = None, self.R.lengths, self.R.sigs
+            if filters[0] == "length":
+                order, len_r, sig_r = self.R.by_length()
+            ii, jj, npass = self.native.fused_rows_u64(
+                self.L.sigs, sig_r, self.L.lengths, len_r, r0, r1,
+                bound=self.fbf_bound, k=self.k, filters=filters, order=order,
+            )
+            passed = [int(n) for n in npass]
+            blocks = [(ii, jj)]
+        else:
+            blocks = self._numpy_blocks(r0, r1, passed)
+            regroup = filters[0] == "length"
+        self._tally_blocks(res, blocks, obs)
+        tested = res["compared"]
+        for fname, npass in zip(filters, passed):
+            obs.add_stage(fname, tested, npass)
+            tested = npass
+        if regroup and res["mi"]:
+            # The windows visit rows by length; restore row order.
+            mi, mj = np.concatenate(res["mi"]), np.concatenate(res["mj"])
+            order = np.lexsort((mj, mi))
+            res["mi"], res["mj"] = [mi[order]], [mj[order]]
         return res
+
+    def _numpy_blocks(self, r0, r1, passed):
+        """The NumPy sweep of rows ``r0:r1``, in blocks of about
+        ``filter_chunk`` pairs, adding each stage's survivors to
+        ``passed``.  A length-first chain groups the rows by length and
+        sweeps each group against only its ``|dlen| <= k`` window of the
+        right side sorted by length, so incompatible lengths are skipped
+        before any dense work, as the compiled sweep does per row; FBF
+        alone sweeps the rows against all of right."""
+        filters = self.spec.filters
+        if filters[0] == "length":
+            order_r, len_r, sig_r = self.R.by_length()
+            lens = self.L.lengths[r0:r1]
+            rows = np.argsort(lens, kind="stable")
+            lens = lens[rows]
+            rows += r0
+            starts = np.flatnonzero(np.diff(lens, prepend=lens[0] - 1))
+            ends = np.append(starts[1:], len(rows))
+            lo = np.searchsorted(len_r, lens[starts] - self.k, "left")
+            hi = np.searchsorted(len_r, lens[starts] + self.k, "right")
+            groups = (
+                (rows[s:e], order_r[a:b], sig_r[a:b])
+                for s, e, a, b in zip(starts, ends, lo, hi)
+            )
+        else:
+            groups = [(np.arange(r0, r1), np.arange(self.R.n), self.R.sigs)]
+        for group, right, sigs in groups:
+            width = len(right)
+            if not width:
+                continue
+            if filters[0] == "length":
+                passed[0] += len(group) * width
+            step = max(1, self.filter_chunk // width)
+            for g0 in range(0, len(group), step):
+                g = group[g0 : g0 + step]
+                if filters[-1] != "fbf":
+                    yield np.repeat(g, width), np.tile(right, len(g))
+                    continue
+                # flatnonzero over the raveled *bool* mask is ~10x a 2-D
+                # nonzero — the survivor extraction is the sweep's
+                # second-biggest cost after the popcount itself.
+                idx = np.flatnonzero(
+                    _fbf_mask(self.L.sigs[g], sigs, self.fbf_bound).ravel()
+                )
+                passed[-1] += len(idx)
+                yield g[idx // width], right[idx % width]
+
+    def _tally_blocks(self, res: dict, blocks, obs) -> None:
+        """:meth:`tally` every survivor block.  Survivors are carried
+        from block to block, up to ``filter_chunk`` of them, so each
+        verify batch is a full ``vchunk`` and the sweep's large
+        temporaries are not interleaved with verification."""
+        if self.verifier is None:
+            for ii, jj in blocks:
+                self.tally(res, ii, jj, obs)
+            return
+        vchunk = self.vchunk
+        held_i: list[np.ndarray] = []
+        held_j: list[np.ndarray] = []
+        held = 0
+        for ii, jj in blocks:
+            held_i.append(ii)
+            held_j.append(jj)
+            held += len(ii)
+            if held >= max(vchunk, self.filter_chunk):
+                ii, jj = _joined(held_i), _joined(held_j)
+                cut = held - held % vchunk
+                self.tally(res, ii[:cut], jj[:cut], obs)
+                held_i, held_j, held = [ii[cut:]], [jj[cut:]], held - cut
+        if held:
+            self.tally(res, _joined(held_i), _joined(held_j), obs)
 
     def run_pairs(self, ii: np.ndarray, jj: np.ndarray, obs) -> dict:
         """One candidate block: the method's own filters still run over

@@ -389,6 +389,8 @@ class _HybridTask:
     w_left: tuple | None = None
     w_right: tuple | None = None
     symmetric: bool = False
+    #: the planner's ``kernels`` pin, resolved in the worker
+    kernels: str = "auto"
 
 
 def _exec_hybrid(task: _HybridTask) -> dict:
@@ -409,7 +411,7 @@ def _exec_hybrid(task: _HybridTask) -> dict:
         self_join=task.self_join,
         record=task.record,
         weighter=weighter,
-        native=resolve_kernels("auto"),
+        native=resolve_kernels(task.kernels),
     )
     wc = StatsCollector("shm-worker") if task.collect else None
     obs = wc if wc is not None else NULL_COLLECTOR
@@ -919,6 +921,7 @@ def run_hybrid(
     record_matches: bool = False,
     weighter: PairWeighter | None = None,
     publications: Iterable[Publication] = (),
+    kernels: str = "auto",
 ) -> JoinResult:
     """One hybrid join over already-published sides.
 
@@ -934,9 +937,9 @@ def run_hybrid(
     their lifetime (:meth:`Publication.credit`); a probed index's bytes
     are credited once per publication the same way.  ``weighter``
     requires candidates (a stream or a probe): dense row tasks cannot
-    reproduce a self-join's symmetric weights.  Workers use the
-    compiled kernels when a provider loads (``REPRO_NO_NATIVE=1`` pins
-    pure NumPy).
+    reproduce a self-join's symmetric weights.  ``kernels`` rides on
+    every task: under ``"auto"`` the workers use the compiled kernels
+    when a provider loads, ``"numpy"`` pins NumPy.
     """
     spec = method_registry().get(method)
     if spec is None:
@@ -1021,6 +1024,7 @@ def run_hybrid(
                 w_left=w_left_ref,
                 w_right=w_right_ref,
                 symmetric=symmetric,
+                kernels=kernels,
             ),
         )
         for work in works

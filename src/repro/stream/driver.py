@@ -67,10 +67,15 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.core.matchers import method_registry
-from repro.core.plan import BACKEND_NAMES, GENERATOR_FACTORIES, JoinPlanner
+from repro.core.plan import (
+    BACKEND_NAMES,
+    GENERATOR_FACTORIES,
+    JoinPlanner,
+    backend_name_error,
+)
 from repro.core.signatures import detect_kind, scheme_for
 from repro.io import read_strings
-from repro.native import load_kernels
+from repro.native import resolve_kernels
 from repro.obs.events import NULL_EVENTS
 from repro.obs.metrics import NullMetricsRegistry
 from repro.obs.stats import StatsCollector
@@ -355,6 +360,7 @@ def join_stream(
     generator: str = "auto",
     backend: str = "auto",
     workers: int | None = None,
+    kernels: str = "auto",
     chunk_rows: int | None = None,
     memory_budget_mb: float | None = None,
     fmt: str = "auto",
@@ -402,10 +408,7 @@ def join_stream(
     metrics = metrics if metrics is not None else NullMetricsRegistry()
     events = events if events is not None else NULL_EVENTS
     if backend not in BACKEND_NAMES and backend != "auto":
-        raise ValueError(
-            f"unknown stream backend {backend!r}; expected one of "
-            f"{BACKEND_NAMES} or 'auto'"
-        )
+        raise ValueError(backend_name_error(backend))
     if not isinstance(source, ChunkSource):
         source = source_for(source, fmt=fmt, column=column)
     if isinstance(roster, (str, Path)):
@@ -423,11 +426,12 @@ def join_stream(
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint path")
     chunk_rows = resolve_chunk_rows(chunk_rows, memory_budget_mb)
-    # Load the compiled provider once, before the roster is prepared and
-    # before any thread or pool worker starts: side preparation and the
-    # spill formatter use only a provider already loaded, and a hybrid
-    # chunk's planner never loads one in this process.
-    kernels = load_kernels()
+    # Load the compiled provider once (under kernels="auto"), before the
+    # roster is prepared and before any thread or pool worker starts:
+    # side preparation and the spill formatter use only a provider
+    # already loaded, and a hybrid chunk's planner never loads one in
+    # this process.
+    resolve_kernels(kernels)
     spill = Path(spill) if spill is not None else None
     checkpoint = Path(checkpoint) if checkpoint is not None else None
 
@@ -456,10 +460,7 @@ def join_stream(
             kind=kind,
         )
     if backend == "auto":
-        if (workers or 0) > 1:
-            backend = "hybrid"
-        else:
-            backend = "native" if kernels is not None else "vectorized"
+        backend = "hybrid" if (workers or 0) > 1 else "vectorized"
 
     fingerprint = {
         "source": source.describe,
@@ -586,6 +587,7 @@ def join_stream(
                     collapse="off",
                     memo="off",
                     self_join=False,
+                    kernels=kernels,
                 ).run(
                     method,
                     generator=gen_name,

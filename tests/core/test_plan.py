@@ -53,37 +53,44 @@ def _fake_strings(n: int) -> list[str]:
     return [f"{i:09d}" for i in range(n)]
 
 
-#: what auto picks above the scalar cutoff depends on whether a
-#: compiled kernel provider loaded in this environment
-_DENSE_BACKEND = "native" if native.available() else "vectorized"
+#: what auto picks above the scalar cutoff, whichever kernels loaded
+_DENSE_BACKEND = "vectorized"
 
 
 class TestCostModel:
     def test_small_product_scalar_all_pairs(self, monkeypatch):
         # The measured crossovers: scalar at and below 64 pairs with a
         # compiled provider, 256 without; that tier's kernels above.
+        # kernels="numpy" takes the NumPy cutoff whether or not a
+        # provider loads.
         assert plan_module._SCALAR_MAX_PAIRS == 64
         assert plan_module._SCALAR_MAX_PAIRS_NUMPY == 256
-        tiers = ((True, 64, "native"), (False, 256, "vectorized"))
-        for loaded, cap, above in tiers:
+        provider = native.load_kernels() or native.KernelSet("cc", {})
+        tiers = (
+            (provider, "auto", 64),
+            (None, "auto", 256),
+            (provider, "numpy", 256),
+        )
+        for loaded, kernels, cap in tiers:
             monkeypatch.setattr(
-                plan_module, "native_available", lambda: loaded
+                native, "load_kernels", lambda loaded=loaded: loaded
             )
             for n_left, n_right, want in (
                 (1, 1, "scalar"),
                 (1, cap, "scalar"),
                 (8, cap // 8, "scalar"),
-                (1, cap + 1, above),
-                (8, cap // 8 + 1, above),
+                (1, cap + 1, "vectorized"),
+                (8, cap // 8 + 1, "vectorized"),
             ):
                 p = JoinPlanner(
-                    _fake_strings(n_left), _fake_strings(n_right), k=1
+                    _fake_strings(n_left), _fake_strings(n_right), k=1,
+                    kernels=kernels,
                 )
                 plan = p.plan("FPDL")
                 assert (plan.generator.name, plan.backend.name) == (
                     "all-pairs",
                     want,
-                ), (loaded, n_left, n_right)
+                ), (kernels, cap, n_left, n_right)
 
     def test_medium_product_vectorized_all_pairs(self):
         p = JoinPlanner(_fake_strings(1000), _fake_strings(1000), k=1)
@@ -166,7 +173,7 @@ class TestGeneratorRegistry:
 
     def test_names_stay_exported(self):
         assert GENERATOR_NAMES == ("all-pairs", "pass-join", "blocking")
-        assert BACKEND_NAMES == ("scalar", "vectorized", "hybrid", "native")
+        assert BACKEND_NAMES == ("scalar", "vectorized", "hybrid")
 
     def test_unsafe_methods_scored_but_not_safe(self):
         p = JoinPlanner(_fake_strings(50), _fake_strings(50), k=1)
@@ -292,6 +299,25 @@ class TestOverrides:
         for name in ("bogus", "multiprocess"):
             with pytest.raises(ValueError, match="unknown backend"):
                 p.plan("FPDL", backend=name)
+
+    def test_native_backend_names_its_replacement(self, ssn_pair):
+        p = JoinPlanner(ssn_pair.clean, ssn_pair.error, k=1)
+        with pytest.raises(ValueError, match="'vectorized'.*kernels="):
+            p.plan("FPDL", backend="native")
+        with pytest.raises(ValueError, match="'vectorized'.*kernels="):
+            repro.join(ssn_pair.clean, ssn_pair.error, backend="native")
+
+    def test_prepare_accepts_the_backend_names_only(self, ssn_pair):
+        p = JoinPlanner(ssn_pair.clean, ssn_pair.error, k=1)
+        p.prepare("scalar")  # nothing to prepare
+        assert p._engine is None and p._shared is None
+        p.prepare("vectorized")
+        assert p._engine is not None
+        # a misspelt or removed name used to return silently, leaving
+        # the engine build inside a caller's clock
+        for name in ("native", "vectorised", "auto"):
+            with pytest.raises(ValueError, match="backend"):
+                p.prepare(name)
 
     def test_unknown_method_raises(self, ssn_pair):
         p = JoinPlanner(ssn_pair.clean, ssn_pair.error, k=1)

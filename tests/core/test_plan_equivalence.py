@@ -11,6 +11,8 @@ lengths; the alphabet mixes digits and letters so the auto-detected
 signature scheme exercises the alphanumeric combination path.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,11 +26,12 @@ from repro.obs import StatsCollector
 
 REGISTRY = method_registry()
 
-#: the native tier joins the sweep wherever a compiled provider loaded;
-#: elsewhere it is exercised only as a (warning) fallback
-_BACKENDS = ("scalar", "vectorized") + (
-    ("native",) if native.available() else ()
-)
+#: every in-process (backend, kernels) tier: the scalar loop, and the
+#: chunk kernels on the loaded compiled provider (NumPy where none
+#: loads) and pinned to NumPy
+_TIERS = (("scalar", "auto"), ("vectorized", "auto"), ("vectorized", "numpy"))
+#: the pool's tiers: the same kernel axis, resolved in the workers
+_POOL_KERNELS = ("auto", "numpy")
 
 strings = st.lists(
     st.text(alphabet="ab12", max_size=6), min_size=0, max_size=12
@@ -52,14 +55,16 @@ def test_safe_plans_match_reference(method, left, right):
     )
     expected = sorted(ref.matches)
     for generator in _safe_generators(method):
-        for backend in _BACKENDS:
-            c = StatsCollector(f"{generator}/{backend}")
-            planner = JoinPlanner(left, right, k=1, record_matches=True)
+        for backend, kernels in _TIERS:
+            c = StatsCollector(f"{generator}/{backend}/{kernels}")
+            planner = JoinPlanner(
+                left, right, k=1, record_matches=True, kernels=kernels
+            )
             r = planner.run(
                 method, generator=generator, backend=backend, collector=c
             )
             assert sorted(r.matches) == expected, (
-                f"{method} under {generator}/{backend} diverged"
+                f"{method} under {generator}/{backend}/{kernels} diverged"
             )
             assert r.match_count == ref.match_count
             assert r.diagonal_matches == ref.diagonal_matches
@@ -85,10 +90,11 @@ def test_collapsed_plans_match_reference(method, left, right):
         left, right, k=1, record_matches=True,
         collapse="off", self_join=False, memo="off",
     ).run(method, generator="all-pairs", backend="scalar")
-    for backend in _BACKENDS:
-        c = StatsCollector(f"collapse/{backend}")
+    for backend, kernels in _TIERS:
+        c = StatsCollector(f"collapse/{backend}/{kernels}")
         r = JoinPlanner(
             left, right, k=1, record_matches=True, collapse="on",
+            kernels=kernels,
         ).run(method, backend=backend, collector=c)
         assert sorted(r.matches) == sorted(ref.matches)
         assert r.match_count == ref.match_count
@@ -181,12 +187,13 @@ class TestMultiprocessEquivalence:
         ref = JoinPlanner(
             ssn_pair.clean, ssn_pair.error, k=1, record_matches=True
         ).run(method, generator="all-pairs", backend="scalar")
-        par = JoinPlanner(
-            ssn_pair.clean, ssn_pair.error, k=1,
-            workers=2, record_matches=True,
-        ).run(method, generator="all-pairs", backend="hybrid")
-        assert sorted(par.matches) == sorted(ref.matches)
-        assert par.verified_pairs == ref.verified_pairs
+        for kernels in _POOL_KERNELS:
+            par = JoinPlanner(
+                ssn_pair.clean, ssn_pair.error, k=1,
+                workers=2, record_matches=True, kernels=kernels,
+            ).run(method, generator="all-pairs", backend="hybrid")
+            assert sorted(par.matches) == sorted(ref.matches), kernels
+            assert par.verified_pairs == ref.verified_pairs
 
     def test_candidate_fed_pool_matches_reference(self, ssn_pair):
         # A collapsed all-pairs stream carries weights the dense row
@@ -265,9 +272,10 @@ def test_match_rows_are_the_matches(method, mode, left, right):
     ).run(method, generator="all-pairs", backend="scalar")
     want = sorted(ref.matches)
     for generator in _safe_generators(method):
-        for backend in _BACKENDS:
+        for backend, kernels in _TIERS:
             r = JoinPlanner(
-                left, right, k=1, record_matches=True, **_MODES[mode]
+                left, right, k=1, record_matches=True, kernels=kernels,
+                **_MODES[mode],
             ).run(method, generator=generator, backend=backend)
             _assert_rows_are_matches(r, want)
 
@@ -286,18 +294,19 @@ def test_match_rows_are_the_matches_on_the_pool(mode):
         ).run("FPDL", generator="all-pairs", backend="scalar").matches
     )
     for generator in _safe_generators("FPDL"):
-        r = JoinPlanner(
-            left, right, k=1, workers=2, record_matches=True,
-            **_MODES[mode],
-        ).run("FPDL", generator=generator, backend="hybrid")
-        _assert_rows_are_matches(r, want)
+        for kernels in _POOL_KERNELS:
+            r = JoinPlanner(
+                left, right, k=1, workers=2, record_matches=True,
+                kernels=kernels, **_MODES[mode],
+            ).run("FPDL", generator=generator, backend="hybrid")
+            _assert_rows_are_matches(r, want)
 
 
 #: every tier a pass-join plan runs on: the scalar loop over the drained
-#: stream (the reference), the engine's NumPy and compiled probes, and
-#: the pool workers' probe
-_PASSJOIN_TIERS = ("scalar", "vectorized", "hybrid") + (
-    ("native",) if native.available() else ()
+#: stream (the reference), and the engine's and the pool workers'
+#: probes, compiled (where a provider loads) and pinned to NumPy
+_PASSJOIN_TIERS = _TIERS + tuple(
+    ("hybrid", kernels) for kernels in _POOL_KERNELS
 )
 
 passjoin_strings = st.lists(
@@ -332,20 +341,22 @@ def test_passjoin_tiers_agree(mode, left, right):
         right = left
         kw["self_join"] = True
     outs = {}
-    for backend in _PASSJOIN_TIERS:
-        c = StatsCollector(f"pass-join/{backend}")
+    for backend, kernels in _PASSJOIN_TIERS:
+        tier = f"pass-join/{backend}/{kernels}"
+        c = StatsCollector(tier)
         r = JoinPlanner(
-            left, right, k=1, record_matches=True, workers=2, **kw
+            left, right, k=1, record_matches=True, workers=2,
+            kernels=kernels, **kw,
         ).run("FPDL", generator="pass-join", backend=backend, collector=c)
         assert r.backend == backend
-        assert c.conserved, f"pass-join/{backend} leaked pairs"
+        assert c.conserved, f"{tier} leaked pairs"
         assert c.pairs_considered == len(left) * len(right)
-        outs[backend] = (
+        outs[tier] = (
             sorted(r.matches), r.match_count, r.diagonal_matches, _funnel(c)
         )
-    want = outs["scalar"]
-    for backend, got in outs.items():
-        assert got == want, f"pass-join/{backend} diverged from scalar"
+    want = outs["pass-join/scalar/auto"]
+    for tier, got in outs.items():
+        assert got == want, f"{tier} diverged from scalar"
 
 
 def _mixed_names(seed: int) -> list[str]:
@@ -354,20 +365,25 @@ def _mixed_names(seed: int) -> list[str]:
 
 
 def test_passjoin_native_request_without_provider(monkeypatch):
-    """``REPRO_NO_NATIVE=1`` turns a native pass-join plan into the
-    NumPy probe with the same answer and funnel."""
+    """``REPRO_NO_NATIVE=1`` turns a ``kernels="auto"`` pass-join plan
+    into the NumPy probe, silently, with the answer and funnel of the
+    plan pinned to NumPy."""
     left, right = _mixed_names(0), _mixed_names(1)
     c_ref = StatsCollector("vectorized")
-    ref = JoinPlanner(left, right, k=1, record_matches=True).run(
+    ref = JoinPlanner(
+        left, right, k=1, record_matches=True, kernels="numpy"
+    ).run(
         "FPDL", generator="pass-join", backend="vectorized", collector=c_ref
     )
     monkeypatch.setenv("REPRO_NO_NATIVE", "1")
     native.reset()
     try:
         c = StatsCollector("native-disabled")
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             r = JoinPlanner(left, right, k=1, record_matches=True).run(
-                "FPDL", generator="pass-join", backend="native", collector=c
+                "FPDL", generator="pass-join", backend="vectorized",
+                collector=c,
             )
     finally:
         monkeypatch.delenv("REPRO_NO_NATIVE")

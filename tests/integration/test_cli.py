@@ -65,6 +65,18 @@ class TestMatchCommand:
         ]
         assert sorted(costs) == ["all-pairs", "blocking", "pass-join"]
 
+    def test_kernels_axis_prints_the_same_pairs(self, string_files, capsys):
+        left, right = string_files
+        outs = set()
+        for backend in ("vectorized", "hybrid"):
+            for kernels in ("auto", "numpy"):
+                assert main(
+                    ["match", str(left), str(right), "--backend", backend,
+                     "--workers", "2", "--kernels", kernels]
+                ) == 0
+                outs.add(capsys.readouterr().out)
+        assert len(outs) == 1 and "123456789\t123456780" in outs.pop()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read"):
             main(["match", str(tmp_path / "nope.txt"), str(tmp_path / "nope.txt")])
@@ -154,19 +166,31 @@ class TestJoinStreamCommand:
         err = capsys.readouterr().err
         assert "conserved: yes" in err
 
-    def test_native_backend_prints_vectorized_matches(
+    def test_kernels_axis_prints_the_same_matches(
         self, stream_files, capsys
     ):
         big, roster = stream_files
         outs = {}
-        for backend in ("native", "vectorized"):
-            assert main(
-                ["join-stream", str(big), str(roster), "--k", "1",
-                 "--chunk-rows", "40", "--backend", backend]
-            ) == 0
-            outs[backend] = capsys.readouterr().out
-        assert "SMITH" in outs["vectorized"]
-        assert outs["native"] == outs["vectorized"]
+        for backend in ("vectorized", "hybrid"):
+            for kernels in ("auto", "numpy"):
+                assert main(
+                    ["join-stream", str(big), str(roster), "--k", "1",
+                     "--chunk-rows", "40", "--backend", backend,
+                     "--workers", "2", "--kernels", kernels]
+                ) == 0
+                outs[backend, kernels] = capsys.readouterr().out
+        assert "SMITH" in outs["vectorized", "auto"]
+        assert len(set(outs.values())) == 1, outs
+
+    def test_native_backend_names_its_replacement(
+        self, stream_files, capsys
+    ):
+        big, roster = stream_files
+        with pytest.raises(SystemExit):
+            main(["join-stream", str(big), str(roster), "--backend", "native"])
+        err = capsys.readouterr().err
+        assert "'native' was removed" in err
+        assert "vectorized" in err and "kernels=" in err
 
     def test_checkpoint_without_spill_fails(self, stream_files, tmp_path):
         big, roster = stream_files

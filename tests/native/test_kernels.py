@@ -1,5 +1,5 @@
 """The compiled kernel tier: direct kernel pins, fallback contract,
-backend equivalence.
+kernel-pin equivalence.
 
 Two test populations:
 
@@ -7,9 +7,9 @@ Two test populations:
   against the scalar/NumPy references — including the 63/64/65
   bit-parallel/banded boundary and empty strings.  They skip when no
   provider loads (no C compiler).
-* The fallback tests run everywhere: requesting ``backend="native"``
-  without a provider must warn once and produce the vectorized tier's
-  exact results.
+* The fallback tests run everywhere: ``kernels="auto"`` without a
+  provider must run the NumPy tier silently, with its exact results,
+  and the removed ``backend="native"`` must fail naming its replacement.
 """
 
 import os
@@ -73,6 +73,14 @@ def _strings_with_boundaries(seed: int = 3) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _fbf_chain(ks, L, R, bound):
+    """The ``("fbf",)`` chain of the dense sweep over every left row."""
+    ii, jj, _ = ks.fused_rows_u64(
+        L, R, None, None, 0, len(L), bound=bound, k=0, filters=("fbf",)
+    )
+    return ii, jj
+
+
 @needs_native
 class TestSignatureKernels:
     def test_fbf_candidates_matches_numpy_row_major(self):
@@ -83,8 +91,8 @@ class TestSignatureKernels:
         ks = native.load_kernels()
         for bound in (0, 24, 40, 48, 64, 96):
             ri, rj = np_fbf_candidates(L, R, bound)
-            gi, gj = ks.fbf_candidates_u64(
-                pack_signatures(L), pack_signatures(R), bound
+            gi, gj = _fbf_chain(
+                ks, pack_signatures(L), pack_signatures(R), bound
             )
             assert np.array_equal(gi, ri)
             assert np.array_equal(gj, rj)
@@ -99,7 +107,7 @@ class TestSignatureKernels:
         ks = native.load_kernels()
         for bound in (0, 30, 70):
             ri, rj = np.nonzero(db <= bound)
-            gi, gj = ks.fbf_candidates_u64(L, R, bound)
+            gi, gj = _fbf_chain(ks, L, R, bound)
             assert np.array_equal(gi, ri.astype(np.int64))
             assert np.array_equal(gj, rj.astype(np.int64))
 
@@ -131,7 +139,7 @@ class TestSignatureKernels:
         L64 = pack_signatures(L).ravel()
         R64 = pack_signatures(R).ravel()
         assert L64.ndim == 1
-        gi, gj = ks.fbf_candidates_u64(L64, R64, 12)
+        gi, gj = _fbf_chain(ks, L64, R64, 12)
         assert np.array_equal(gi, ri) and np.array_equal(gj, rj)
 
 
@@ -504,11 +512,11 @@ def test_passjoin_run_equals_numpy_probe(method, mode, left, right):
         right = left
         kw["self_join"] = True
     outs = []
-    for backend in ("vectorized", "native"):
-        c = StatsCollector(backend)
-        r = JoinPlanner(left, right, k=1, record_matches=True, **kw).run(
-            method, generator="pass-join", backend=backend, collector=c
-        )
+    for kernels in ("numpy", "auto"):
+        c = StatsCollector(kernels)
+        r = JoinPlanner(
+            left, right, k=1, record_matches=True, kernels=kernels, **kw
+        ).run(method, generator="pass-join", backend="vectorized", collector=c)
         assert c.conserved
         outs.append((
             r.matches, r.match_count, r.diagonal_matches, r.verified_pairs,
@@ -589,7 +597,12 @@ class TestSelfCheck:
     @pytest.mark.parametrize(
         "method, corrupt, section",
         [
-            ("fbf_candidates_u64", _drop_last(lambda kw: True), "fbf scan"),
+            # the ("fbf",) chain the self-check's FBF candidate scan runs
+            (
+                "fused_rows_u64",
+                _drop_last(lambda kw: kw["filters"] == ("fbf",)),
+                "fbf scan",
+            ),
             ("encode_rows", _flip_a_signature_bit, "encode_rows mismatch"),
             (
                 "fused_rows_u64",
@@ -691,12 +704,12 @@ class TestBackendEquivalence:
         left = _mixed_strings(21, 120)
         right = _mixed_strings(22, 90)
         rn = VectorEngine(
-            left, right, k=2, record_matches=True, kernels="native"
+            left, right, k=2, record_matches=True, kernels="auto"
         ).run(method)
         rp = VectorEngine(
             left, right, k=2, record_matches=True, kernels="numpy"
         ).run(method)
-        assert sorted(rn.matches) == sorted(rp.matches)
+        assert rn.matches == rp.matches  # row-major on both tiers
         assert rn.match_count == rp.match_count
         assert rn.diagonal_matches == rp.diagonal_matches
         assert rn.verified_pairs == rp.verified_pairs
@@ -709,18 +722,20 @@ class TestBackendEquivalence:
         )
         c = StatsCollector("native")
         r = JoinPlanner(left, right, k=1, record_matches=True).run(
-            "FPDL", generator="all-pairs", backend="native", collector=c
+            "FPDL", generator="all-pairs", backend="vectorized", collector=c
         )
         assert sorted(r.matches) == sorted(ref.matches)
-        assert r.backend == "native"
+        assert r.backend == "vectorized"
         assert c.conserved
         assert c.pairs_considered == len(left) * len(right)
 
     def test_auto_plan_prefers_native_above_scalar_cutoff(self):
         strings = [f"{i:09d}" for i in range(1000)]
         plan = JoinPlanner(strings, list(strings), k=1).plan("FPDL")
-        assert plan.backend.name == "native"
-        assert "compiled kernels loaded" in plan.reason
+        assert plan.backend.name == "vectorized"
+        assert "compiled kernels loaded (cc)" in plan.reason
+        pinned = JoinPlanner(strings, list(strings), k=1, kernels="numpy")
+        assert "compiled" not in pinned.plan("FPDL").reason
 
     def test_self_join_composes_with_native(self):
         data = _mixed_strings(25, 60) + ["dup"] * 4
@@ -733,7 +748,7 @@ class TestBackendEquivalence:
             r = JoinPlanner(
                 data, data, k=1, record_matches=True,
                 collapse=collapse, self_join=True,
-            ).run("FPDL", backend="native", collector=c)
+            ).run("FPDL", backend="vectorized", collector=c)
             assert sorted(r.matches) == sorted(ref.matches)
             assert r.match_count == ref.match_count
             assert r.diagonal_matches == ref.diagonal_matches
@@ -751,7 +766,7 @@ class TestBackendEquivalence:
         c = StatsCollector("native-collapse")
         r = JoinPlanner(
             left, right, k=1, record_matches=True, collapse="on",
-        ).run("FPDL", backend="native", collector=c)
+        ).run("FPDL", backend="vectorized", collector=c)
         assert sorted(r.matches) == sorted(ref.matches)
         assert r.match_count == ref.match_count
         assert c.pairs_considered == len(left) * len(right)
@@ -772,7 +787,6 @@ class TestResolution:
 
     def test_numpy_request_returns_none(self):
         assert native.resolve_kernels("numpy") is None
-        assert native.resolve_kernels(None) is None
 
     def test_disabled_by_env(self, fresh_native, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
@@ -782,20 +796,6 @@ class TestResolution:
         status = native.native_status()
         assert status["disabled"] and not status["available"]
 
-    def test_native_request_warns_once_when_disabled(
-        self, fresh_native, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-        native.reset()
-        with pytest.warns(RuntimeWarning, match="REPRO_NO_NATIVE"):
-            assert native.resolve_kernels("native") is None
-        # warn-once: the second resolution is silent
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert native.resolve_kernels("native") is None
-
     def test_engine_falls_back_bit_identically(
         self, fresh_native, monkeypatch
     ):
@@ -803,10 +803,11 @@ class TestResolution:
         native.reset()
         left = _mixed_strings(31, 40)
         right = _mixed_strings(32, 30)
-        with pytest.warns(RuntimeWarning):
-            rn = VectorEngine(
-                left, right, k=1, record_matches=True, kernels="native"
-            ).run("FPDL")
+        engine = VectorEngine(
+            left, right, k=1, record_matches=True, kernels="auto"
+        )
+        assert engine._native is None
+        rn = engine.run("FPDL")
         rp = VectorEngine(
             left, right, k=1, record_matches=True, kernels="numpy"
         ).run("FPDL")
@@ -816,18 +817,19 @@ class TestResolution:
     def test_backend_native_falls_back_to_vectorized_results(
         self, fresh_native, monkeypatch
     ):
+        # The compiled tier's request (kernels="auto") without a
+        # provider runs the NumPy kernels: the pinned tier's results.
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
         native.reset()
         left = _mixed_strings(33, 40)
         right = _mixed_strings(34, 30)
-        with pytest.warns(RuntimeWarning):
-            rn = JoinPlanner(left, right, k=1, record_matches=True).run(
-                "FPDL", generator="all-pairs", backend="native"
-            )
-        rv = JoinPlanner(left, right, k=1, record_matches=True).run(
+        rn = JoinPlanner(left, right, k=1, record_matches=True).run(
             "FPDL", generator="all-pairs", backend="vectorized"
         )
-        assert sorted(rn.matches) == sorted(rv.matches)
+        rv = JoinPlanner(
+            left, right, k=1, record_matches=True, kernels="numpy"
+        ).run("FPDL", generator="all-pairs", backend="vectorized")
+        assert rn.matches == rv.matches
 
     def test_require_native_raises_when_disabled(
         self, fresh_native, monkeypatch
@@ -846,16 +848,28 @@ class TestResolution:
         assert ks is None or ks.kind == "cc"
 
     def test_unknown_request_string_rejected(self):
+        # the two spellings are "auto" and "numpy"; the provider's own
+        # names and None are not requests
+        for request in ("fortran", "native", "cc", None):
+            with pytest.raises(ValueError, match="unknown kernels request"):
+                native.resolve_kernels(request)
         with pytest.raises(ValueError, match="unknown kernels request"):
-            native.resolve_kernels("fortran")
+            JoinPlanner(["a"], ["b"], kernels="native")
 
     def test_status_shape(self):
         status = native.native_status()
         assert set(status) == {"available", "kind", "disabled", "providers"}
         assert set(status["providers"]) == {"cc"}
 
-    def test_native_listed_as_backend(self):
-        assert "native" in BACKEND_NAMES
+    def test_native_backend_is_rejected_naming_its_replacement(self):
+        assert BACKEND_NAMES == ("scalar", "vectorized", "hybrid")
+        planner = JoinPlanner(["a"], ["b"], k=1)
+        for call in (
+            lambda: planner.run("FPDL", backend="native"),
+            lambda: planner.prepare("native"),
+        ):
+            with pytest.raises(ValueError, match="vectorized.*kernels="):
+                call()
 
     @needs_native
     def test_require_native_returns_kernelset(self):

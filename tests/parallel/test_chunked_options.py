@@ -91,18 +91,6 @@ class TestLengthBucketing:
     def test_group_by_value_empty(self):
         assert _group_by_value(np.array([], dtype=np.int64)) == {}
 
-    def test_length_pairs_cover_exactly_passing_pairs(self, ad_pair):
-        join = VectorEngine(ad_pair.clean, ad_pair.error, k=1)
-        ii, jj = join._length_pairs()
-        got = set(zip(ii.tolist(), jj.tolist()))
-        want = {
-            (i, j)
-            for i in range(50)
-            for j in range(50)
-            if abs(len(ad_pair.clean[i]) - len(ad_pair.error[j])) <= 1
-        }
-        assert got == want
-
     def test_record_matches_on_filtered_method(self, ad_pair):
         join = VectorEngine(
             ad_pair.clean, ad_pair.error, k=1, record_matches=True

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from repro.core.matchers import METHOD_NAMES, method_registry
 from repro.core.plan import JoinPlanner, PassJoinGenerator
 from repro.obs import StatsCollector
-from repro.parallel.shm import close_shared_pools
+from repro.parallel import shm
+from repro.parallel.prepared import PreparedSide
+from repro.parallel.shm import close_shared_pools, shared_pool
 
 REGISTRY = method_registry()
 
@@ -214,6 +216,70 @@ def test_latin1_hybrid_matches_reference(method, left, right):
                 memo="off", collector=inproc,
             ).run(method, generator=generator, backend="vectorized")
             assert _funnel(c) == _funnel(inproc)
+
+
+@pytest.mark.parametrize("method", ["DL", "FPDL", "LFPDL", "LF", "Ham"])
+@settings(max_examples=6, deadline=None)
+@given(left=strings, right=strings)
+def test_numpy_pinned_hybrid_matches_reference(method, left, right):
+    """``kernels="numpy"`` reaches the pool: the workers run the NumPy
+    kernels whatever provider loads, with the reference's matches and
+    the funnel of the in-process run under the same pin."""
+    ref = _reference(left, right, method)
+    for generator in _safe_generators(method):
+        c = StatsCollector(f"hybrid-numpy/{generator}")
+        r = JoinPlanner(
+            left, right, k=1, record_matches=True, workers=2,
+            self_join=False, collapse="off", memo="off", collector=c,
+            kernels="numpy",
+        ).run(method, generator=generator, backend="hybrid")
+        assert sorted(r.matches) == sorted(ref.matches), generator
+        assert r.diagonal_matches == ref.diagonal_matches
+        assert c.conserved
+        inproc = StatsCollector(f"vectorized-numpy/{generator}")
+        JoinPlanner(
+            left, right, k=1, self_join=False, collapse="off", memo="off",
+            collector=inproc, kernels="numpy",
+        ).run(method, generator=generator, backend="vectorized")
+        assert _funnel(c, tested_only=True) == _funnel(
+            inproc, tested_only=True
+        ), f"{method} numpy-pinned hybrid/{generator} funnel differs"
+
+
+def test_the_kernels_pin_rides_on_every_task(monkeypatch):
+    """Each hybrid task carries the planner's pin, and the worker
+    resolves that pin, not its own default."""
+    pool = shared_pool(2)
+    real_run = pool.run_tasks
+    pins = []
+
+    def spy(calls, **kwargs):
+        pins.append({task.kernels for _, task in calls})
+        return real_run(calls, **kwargs)
+
+    monkeypatch.setattr(pool, "run_tasks", spy)
+    left, right = ["SMITH", "SMYTH", "JONES"], ["SMITH", "JONAS", "LEE"]
+    for kernels in ("auto", "numpy"):
+        for generator in ("all-pairs", "pass-join"):
+            JoinPlanner(
+                left, right, k=1, workers=2, collapse="off", kernels=kernels
+            ).run("FPDL", generator=generator, backend="hybrid")
+    assert pins == [{"auto"}, {"auto"}, {"numpy"}, {"numpy"}]
+
+    resolved = []
+    real_resolve = shm.resolve_kernels
+    monkeypatch.setattr(
+        shm, "resolve_kernels",
+        lambda request: resolved.append(request) or real_resolve(request),
+    )
+    side = shm.inline_side(PreparedSide(left, "alpha").side())
+    out = shm._exec_hybrid(shm._HybridTask(
+        left=side, right=side, method="FPDL", k=1, theta=0.8,
+        fbf_bound=8, self_join=False, collect=False, record=False,
+        work=("rows", 0, 3), kernels="numpy",
+    ))
+    assert resolved == ["numpy"]
+    assert out["match_count"] == 5  # SMITH and SMYTH match each other
 
 
 def teardown_module(module):
