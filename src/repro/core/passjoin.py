@@ -70,9 +70,13 @@ candidates: :meth:`SegmentIndex.probe_codes` hashes a query-length
 group's windows vectorized and binary-searches the buckets with NumPy
 (the reference, and the fallback without a compiled provider), and the
 compiled ``passjoin_run`` kernel (:mod:`repro.native`) does the same per
-query in C and filters and verifies each candidate there — the pass
-the vectorized backend, serve batches, stream chunks and the hybrid
-pool workers run whenever the provider loads.  Hash collisions produce
+query in C, with a branch-free search of each bucket, and filters and
+verifies each candidate there — the pass the vectorized backend, serve
+batches, stream chunks and the hybrid pool workers run whenever the
+provider loads.  A query that repeats an earlier one of the same call
+(same codes and, under FBF, signature row) is answered there from the
+first copy's output when the call emits unweighted pairs; the NumPy
+probe runs every query and stays the reference.  Hash collisions produce
 spurious candidates only (the verifier decides); they never drop one.
 Code points come from UTF-32 so any Python string — full Unicode, NUL
 bytes, empty — round-trips without the latin-1 restriction of the

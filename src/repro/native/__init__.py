@@ -20,7 +20,8 @@ package closes that gap with compiled kernels:
    (``encode_raw``) codes: per query, the probe of
    ``core/passjoin.py::SegmentIndex.probe_codes``, then each
    candidate's filter chain and DL/PDL/Hamming verifier and the funnel
-   tally, in one compiled pass that returns only the matches;
+   tally, in one compiled pass that returns only the matches and
+   answers a query repeated in the call from its first copy;
 5. side preparation: one walk over a batch's latin-1 bytes that writes
    the padded ``uint8`` codes and the packed FBF signatures of every
    stock scheme (``core/vectorized.py::codes_and_signatures``);
@@ -330,13 +331,19 @@ class KernelSet:
         pair weighs 1.  The matches' diagonal is ``vids[0][i] ==
         vids[1][j]`` when ``vids`` is given, else ``i == j``.
 
+        A run that emits, without ``weighter`` or ``vids``, answers a
+        query whose text (and, under an FBF chain, signature row) equals
+        an earlier query's of the same call from that query's output:
+        the same pairs and tally, its own diagonal.
+
         Returns ``(ii, jj, tally)``: the matches (with no verifier, the
         filter survivors — every candidate for an empty chain), grouped
         by left row in visiting order with ``jj`` ascending, or nothing
         when ``emit`` is false; and a dict with ``compared`` (candidate
         pairs), ``emitted`` (their weight), ``passed`` (the weight past
         each filter), ``survivors``, ``verified`` (pairs verified),
-        ``matched`` and ``diagonal``.
+        ``matched``, ``diagonal`` and ``reused`` (the queries answered
+        from an earlier copy).
         """
         chain = _CHAINS[tuple(filters)]
         if verifier is not None and verifier not in _VERIFIERS:
@@ -374,6 +381,10 @@ class KernelSet:
                     f"an array of {len(arr)} rows is indexed up to {need}"
                 )
         hashes, ids, table = index.flat()
+        # A repeated query is answered from its first copy only where
+        # the answer is a function of the query's text (and signature
+        # row): no weights, value identities or symmetric cut.
+        reuse = emit and weighter is None and vids is None
         ii, jj, t = self._p["passjoin_run"](
             cl, ll, order, *sides[1],
             np.ascontiguousarray(hashes, dtype=np.uint64), _idx(ids),
@@ -381,7 +392,7 @@ class KernelSet:
             index.k if k is None else int(k), chain,
             _VERIFIERS.get(verifier, 0), sig_l, sig_r, int(bound),
             w_l, w_r, int(weighter is not None and weighter.symmetric),
-            vid_l, vid_r, emit, self._capacity,
+            vid_l, vid_r, emit, reuse, self._capacity,
         )
         t = t.tolist()
         return ii, jj, {
@@ -392,6 +403,7 @@ class KernelSet:
             "survivors": t[5],
             "matched": t[6],
             "diagonal": t[7],
+            "reused": t[8],
         }
 
 
@@ -715,6 +727,92 @@ def _self_check(ks: KernelSet) -> str | None:
             return ["".join(alpha[c] for c in rng.integers(0, 4, size=n))
                     for n in rng.integers(lo, hi, size=size)]
 
+        k = 1
+
+        def passjoin_section(left, right, sig_l, sig_r, modes, runs, what):
+            """Every chain x verifier, each under one of ``modes`` in
+            turn, through each of ``runs(ci, vi)`` (kernel sets): the
+            pairs and tally of the reference, ``reused`` counting the
+            queries whose text (and signature row, under FBF) repeats
+            an earlier one's in a plain run."""
+            codes, lens = encode_raw(left)
+            side_r = encode_raw(right)
+            nl, nr = len(left), len(right)
+            index = PassJoinIndex(right, k=k)
+            cands = [
+                (q, j)
+                for qb, jb in index.probe_codes(codes, lens)
+                for q, j in zip(qb.tolist(), jb.tolist())
+            ]
+            verdict, by_text = {}, {}
+            for q, j in cands:
+                s, t = left[q], right[j]
+                if (s, t) not in by_text:  # repeated texts: decide once
+                    within = pdl(s, t, k)
+                    by_text[s, t] = (
+                        ("length", abs(len(s) - len(t)) <= k),
+                        # DL differs from PDL only on empty strings
+                        ("dl",
+                         within or (not s or not t) and len(s + t) <= k),
+                        ("pdl", within),
+                        ("ham", hamming(s, t) <= k),
+                    )
+                db = sum(bin(int(x)).count("1") for x in sig_l[q] ^ sig_r[j])
+                for f, ok in (("fbf", db <= 64), *by_text[s, t]):
+                    verdict[f, q, j] = ok
+            for ci, filters in enumerate(_CHAINS):
+                keys = {
+                    (s, sig.tobytes() if "fbf" in filters else b"")
+                    for s, sig in zip(left, sig_l)
+                }
+                for vi, verifier in enumerate((None, "dl", "pdl", "ham")):
+                    mode = modes[(ci + vi) % len(modes)]
+                    wtr = mode.get("weighter")
+                    sym = wtr is not None and wtr.symmetric
+                    vl, vr = mode.get("vids", (range(nl), range(nr)))
+                    want_pairs = []
+                    want = dict.fromkeys(
+                        ("compared", "emitted", "verified", "survivors",
+                         "matched", "diagonal"), 0
+                    )
+                    want["passed"] = [0] * len(filters)
+                    want["reused"] = 0 if mode else nl - len(keys)
+                    for q, j in cands:
+                        if sym and j < q:
+                            continue
+                        wt = 1 if wtr is None else wtr.weight(q, j)
+                        want["compared"] += 1
+                        want["emitted"] += wt
+                        for x, f in enumerate(filters):
+                            if not verdict[f, q, j]:
+                                break
+                            want["passed"][x] += wt
+                        else:
+                            want["survivors"] += wt
+                            if verifier is not None:
+                                want["verified"] += 1
+                                if not verdict[verifier, q, j]:
+                                    continue
+                                want["matched"] += wt
+                                want["diagonal"] += wt * (vl[q] == vr[j])
+                            want_pairs.append((q, j))
+                    for run in runs(ci, vi):
+                        got_i, got_j, tally = run.passjoin_run(
+                            index, codes, lens, right=side_r, k=k,
+                            filters=filters, verifier=verifier,
+                            sigs=(sig_l, sig_r), bound=64, **mode,
+                        )
+                        if (
+                            list(zip(got_i.tolist(), got_j.tolist()))
+                            != want_pairs
+                            or tally != want
+                        ):
+                            return (
+                                f"{what} mismatch: {filters} {verifier} "
+                                f"{sorted(mode)}"
+                            )
+            return None
+
         w = "".join(alpha[c] for c in rng.integers(0, 6, size=65))
         left = ["", "a", "ab", "ba", *rand(5, 2, 6), "", "ab", "ba",
                 w[:64], w[:65], w[1] + w[0] + w[2:65], w[:63] + "ab",
@@ -723,9 +821,7 @@ def _self_check(ks: KernelSet) -> str | None:
         # different stamp words: a stamp left set is not cleared by a
         # neighbour's.
         right = left[:9] + rand(56, 12, 20) + left[9:]
-        codes, lens = encode_raw(left)
-        side_r = encode_raw(right)
-        k, nl, nr = 1, len(left), len(right)
+        nl, nr = len(left), len(right)
         sig_l = rng.integers(0, 1 << 63, size=(nl, 2), dtype=np.uint64)
         sig_r = rng.integers(0, 1 << 63, size=(nr, 2), dtype=np.uint64)
         wl, wr = rng.integers(1, 4, size=nl), rng.integers(1, 4, size=nr)
@@ -733,76 +829,47 @@ def _self_check(ks: KernelSet) -> str | None:
             np.array([right.index(x) if x in right else -1 for x in left]),
             np.arange(nr),
         )
-        index = PassJoinIndex(right, k=k)
-        cands = [
-            (q, j)
-            for qb, jb in index.probe_codes(codes, lens)
-            for q, j in zip(qb.tolist(), jb.tolist())
-        ]
-        verdict = {}
-        for q, j in cands:
-            s, t = left[q], right[j]
-            within = pdl(s, t, k)
-            db = sum(bin(int(x)).count("1") for x in sig_l[q] ^ sig_r[j])
-            for f, ok in (
-                ("length", abs(len(s) - len(t)) <= k),
-                ("fbf", db <= 64),
-                # DL differs from PDL only on empty strings
-                ("dl", within or (not s or not t) and len(s + t) <= k),
-                ("pdl", within),
-                ("ham", hamming(s, t) <= k),
-            ):
-                verdict[f, q, j] = ok
-        modes = (
-            {},
-            {"weighter": PairWeighter(wl, wr)},
-            {"weighter": PairWeighter(wl, wr, symmetric=True), "vids": vids},
-        )
         small = ks._with_capacity(1)
-        for ci, filters in enumerate(_CHAINS):
-            for vi, verifier in enumerate((None, "dl", "pdl", "ham")):
-                mode = modes[(ci + vi) % 3]
-                wtr = mode.get("weighter")
-                sym = wtr is not None and wtr.symmetric
-                vl, vr = mode.get("vids", (range(nl), range(nr)))
-                want_pairs = []
-                want = dict.fromkeys(
-                    ("compared", "emitted", "verified", "survivors",
-                     "matched", "diagonal"), 0
-                )
-                want["passed"] = [0] * len(filters)
-                for q, j in cands:
-                    if sym and j < q:
-                        continue
-                    wt = 1 if wtr is None else wtr.weight(q, j)
-                    want["compared"] += 1
-                    want["emitted"] += wt
-                    for x, f in enumerate(filters):
-                        if not verdict[f, q, j]:
-                            break
-                        want["passed"][x] += wt
-                    else:
-                        want["survivors"] += wt
-                        if verifier is not None:
-                            want["verified"] += 1
-                            if not verdict[verifier, q, j]:
-                                continue
-                            want["matched"] += wt
-                            want["diagonal"] += wt * (vl[q] == vr[j])
-                        want_pairs.append((q, j))
-                got_i, got_j, tally = (small if vi == ci else ks).passjoin_run(
-                    index, codes, lens, right=side_r, k=k, filters=filters,
-                    verifier=verifier, sigs=(sig_l, sig_r), bound=64, **mode,
-                )
-                if (
-                    list(zip(got_i.tolist(), got_j.tolist())) != want_pairs
-                    or tally != want
-                ):
-                    return (
-                        f"passjoin run mismatch: {filters} {verifier} "
-                        f"{sorted(mode)}"
-                    )
-        for index, queries in ((PassJoinIndex([], k=1), left), (index, [])):
+        err = passjoin_section(
+            left, right, sig_l, sig_r,
+            (
+                {},
+                {"weighter": PairWeighter(wl, wr)},
+                {"weighter": PairWeighter(wl, wr, symmetric=True),
+                 "vids": vids},
+            ),
+            lambda ci, vi: [small if vi == ci else ks],
+            "passjoin run",
+        )
+        if err:
+            return err
+
+        # -- PASS-JOIN run, repeated queries: plain runs answer a query
+        # repeated in the call from its first copy.  Twins with equal
+        # and with different signature rows (only the first are one
+        # query under FBF), 64- and 65-char twins, twins whose own row
+        # is a match on the diagonal and twins whose row is not; one
+        # verifier per chain runs again resumed at capacity 1 (a twin's
+        # first copy then left in an earlier call's buffer).
+        texts = ["ab", "ba", "", w[:65], "ab", w[:64], "ba", "ab", "",
+                 w[:65], "a", "ab", w[:64], "ba", w[:65]]
+        right = texts[:6] + [w[1:65], "abA", "b", "aab", w[:63] + "b"]
+        own = {t: rng.integers(0, 1 << 63, size=2, dtype=np.uint64)
+               for t in texts}
+        sig_l = np.array([own[t] for t in texts])
+        sig_l[[7, 9, 12]] = rng.integers(0, 1 << 63, size=(3, 2),
+                                         dtype=np.uint64)
+        sig_r = rng.integers(0, 1 << 63, size=(len(right), 2),
+                             dtype=np.uint64)
+        err = passjoin_section(
+            texts, right, sig_l, sig_r, ({},),
+            lambda ci, vi: [ks, small] if vi == ci else [ks],
+            "passjoin reuse",
+        )
+        if err:
+            return err
+        for index, queries in ((PassJoinIndex([], k=1), left),
+                               (PassJoinIndex(right, k=1), [])):
             got_i, _, tally = ks.passjoin_run(index, *encode_raw(queries))
             if len(got_i) or tally["compared"]:
                 return "passjoin run: an empty side emitted pairs"

@@ -14,7 +14,8 @@ the retry loop always terminates.
 The PASS-JOIN run resumes instead: each call fills the output buffer
 with whole queries and reports where it stopped, and a query too large
 for an empty buffer grows the buffer to the size the kernel asks for.
-Its funnel tally accumulates across the calls.
+Its funnel tally, and the memo a repeated query is answered from,
+last across the calls.
 """
 
 from __future__ import annotations
@@ -34,7 +35,10 @@ _BLOCK_PAIRS = 1 << 24
 #: fits in one call, and a large run pays one call per 64 Ki pairs
 _RUN_PAIRS = 1 << 16
 #: slots of the PASS-JOIN run's funnel tally (the kernel's T_* enum)
-_TALLY_SLOTS = 8
+_TALLY_SLOTS = 9
+#: words of one memo row of the PASS-JOIN run (the kernel's MEMO_WORDS):
+#: key, row, ids offset, ids count and the query's tally
+_MEMO_WORDS = 4 + _TALLY_SLOTS
 #: the longest spill line ``format_rows`` writes (the kernel's
 #: FORMAT_ROW_BYTES): two 20-character int64 ids in ``[i, j]\n``
 _FORMAT_ROW_BYTES = 45
@@ -87,7 +91,7 @@ def _fused_rows(fn, L, R, len_l, len_r, order, r0, r1, bound, k, chain):
 
 def _passjoin_run(fn, codes_l, len_l, order, codes_r, len_r, hashes, ids,
                   table, n, pk, k, chain, verify, sig_l, sig_r, bound, w_l,
-                  w_r, symmetric, vid_l, vid_r, emit, capacity):
+                  w_r, symmetric, vid_l, vid_r, emit, reuse, capacity):
     tally = np.zeros(_TALLY_SLOTS, dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)
     nq = len(order)
@@ -97,26 +101,44 @@ def _passjoin_run(fn, codes_l, len_l, order, codes_r, len_r, hashes, ids,
     cand = np.empty(n, dtype=np.int64)
     rows = np.empty(3 * (max(codes_l.shape[1], codes_r.shape[1]) + 2),
                     dtype=np.int32)
-    state = np.zeros(2, dtype=np.int64)
+    state = np.zeros(4, dtype=np.int64)
     cap = max(1, capacity or _RUN_PAIRS) if emit else 0
     width = 0 if sig_l is None else sig_l.shape[1]
+    # The memo of first copies (reuse needs emit): slots for at least
+    # twice the queries, one row per first copy, and ids grown so that
+    # every call has room for the cap ids it may emit.
+    slots = memo = memo_ids = None
+    mask = 0
+    if reuse and emit and nq < 1 << 31:
+        slots = np.zeros(1 << (2 * nq - 1).bit_length(), dtype=np.int32)
+        mask = len(slots) - 1
+        memo = np.empty((nq, _MEMO_WORDS), dtype=np.int64)
+        memo_ids = np.empty(cap, dtype=np.int64)
+    # The arguments every call of the run repeats, converted once.
+    fixed = (
+        codes_l.ctypes.data, codes_l.shape[1], len_l.ctypes.data,
+        order.ctypes.data, nq,
+        codes_r.ctypes.data, codes_r.shape[1], len_r.ctypes.data,
+        hashes.ctypes.data, ids.ctypes.data, table.ctypes.data,
+        table.shape[0], pk, k, chain, verify,
+        _ptr(sig_l), _ptr(sig_r), width, bound,
+        _ptr(w_l), _ptr(w_r), symmetric, _ptr(vid_l), _ptr(vid_r),
+        seen.ctypes.data, cand.ctypes.data, rows.ctypes.data,
+        _ptr(slots), mask, _ptr(memo),
+    )
+    state_p, tally_p = state.ctypes.data, tally.ctypes.data
     parts_q: list[np.ndarray] = []
     parts_j: list[np.ndarray] = []
     while state[0] < nq:
         out_q = np.empty(cap, dtype=np.int64) if emit else None
         out_j = np.empty(cap, dtype=np.int64) if emit else None
-        got = fn(
-            codes_l.ctypes.data, codes_l.shape[1], len_l.ctypes.data,
-            order.ctypes.data, nq,
-            codes_r.ctypes.data, codes_r.shape[1], len_r.ctypes.data,
-            hashes.ctypes.data, ids.ctypes.data, table.ctypes.data,
-            table.shape[0], pk, k, chain, verify,
-            _ptr(sig_l), _ptr(sig_r), width, bound,
-            _ptr(w_l), _ptr(w_r), symmetric, _ptr(vid_l), _ptr(vid_r),
-            seen.ctypes.data, cand.ctypes.data, rows.ctypes.data,
-            _ptr(out_q), _ptr(out_j), cap, state.ctypes.data,
-            tally.ctypes.data,
-        )
+        if memo_ids is not None and len(memo_ids) - state[3] < cap:
+            grown = np.empty(max(2 * len(memo_ids), int(state[3]) + cap),
+                             dtype=np.int64)
+            grown[: state[3]] = memo_ids[: state[3]]
+            memo_ids = grown
+        got = fn(*fixed, _ptr(memo_ids), _ptr(out_q), _ptr(out_j), cap,
+                 state_p, tally_p)
         if got < 0:
             raise ValueError("a length exceeds the code matrix width")
         if state[1]:  # one query needs more than an empty buffer holds

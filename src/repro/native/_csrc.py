@@ -39,11 +39,13 @@ Kernels mirror the pure-Python/NumPy references bit for bit:
   over the flat segment index: per query, the probe of
   ``core/passjoin.py::SegmentIndex.probe_codes`` (its multi-match-aware
   windows and their right-boundary swaps hashed with the same
-  polynomial, the buckets binary-searched, the hits deduplicated by a
-  stamp bitmap), then each candidate's filter chain and bounded
-  verifier (DL, PDL or Hamming; a bit-parallel pattern built once per
-  query of up to 64 chars), the funnel tallied in pair weights, queries
-  in (length, index) order.
+  polynomial, the buckets searched by a branch-free lower bound, the
+  hits deduplicated by a stamp bitmap), then each candidate's filter
+  chain and bounded verifier (DL, PDL or Hamming; a bit-parallel
+  pattern built once per query of up to 64 chars), the funnel tallied
+  in pair weights, queries in (length, index) order.  In an unweighted
+  run that emits, a query repeating an earlier one of the call (codes
+  and, under FBF, signature row) copies that query's ids and tally.
   Only matches leave the kernel, ids ascending per query — or, for a
   verifier it does not compile, the filter survivors.  The output
   buffer is filled with whole queries and the call resumes where it
@@ -543,6 +545,23 @@ int64_t fused_rows_u64(const uint64_t *L, const uint64_t *R, int64_t width,
 /* row == j.  Emitted per query, ids ascending: the matches, or under  */
 /* VERIFY_NONE every filter survivor; out_q == NULL emits nothing.     */
 /*                                                                     */
+/* Repeated queries: when slots is given (the caller passes it only   */
+/* for a run that emits, without weights, vids or a symmetric cut), a  */
+/* query whose length, codes and, under an FBF chain, signature row    */
+/* equal an earlier query's of the same run has that query's           */
+/* candidates, verdicts and matches.  It copies the first copy's       */
+/* sorted ids and per-query tally instead of probing, filtering and    */
+/* verifying again; only T_DIAGONAL is its own (is its row among the   */
+/* ids), and T_REUSED counts it.  Each first copy that is emitted gets */
+/* one memo row (MEMO_WORDS words: key, row, ids offset, ids count,    */
+/* tally) and its ids in memo_ids; slots is an open-addressed table of */
+/* row numbers + 1 (0: empty) of a power-of-two size (mask + 1) at     */
+/* least twice the queries.  The memo lives for the whole run:         */
+/* state[2] and state[3] are the rows and ids used, kept by the caller */
+/* across resumes, and memo_ids has room for cap more ids at every     */
+/* call (a call emits at most cap ids), so a twin finds its first copy */
+/* even when that copy was emitted into an earlier call's buffer.      */
+/*                                                                     */
 /* state[0] is the order position to start from and, on return, the   */
 /* first one not done; a query is emitted and tallied whole or not at  */
 /* all.  When one does not fit an empty buffer, state[1] receives the  */
@@ -560,21 +579,31 @@ int64_t fused_rows_u64(const uint64_t *L, const uint64_t *R, int64_t width,
 #define VERIFY_HAM 3
 
 enum { T_COMPARED, T_EMITTED, T_PASSED0, T_PASSED1, T_VERIFIED,
-       T_SURVIVORS, T_MATCHED, T_DIAGONAL, T_SLOTS };
+       T_SURVIVORS, T_MATCHED, T_DIAGONAL, T_REUSED, T_SLOTS };
+
+enum { M_KEY, M_ROW, M_OFF, M_COUNT, M_TALLY };
+#define MEMO_WORDS (M_TALLY + T_SLOTS)
 
 INLINE uint64_t fold(uint64_t h, uint64_t c) { return h * HASH_BASE + c + 1; }
 
 /* Append the ids of bucket [lo, hi) whose hash is h and whose stamp   */
-/* is not yet set.                                                     */
+/* is not yet set.  The bucket is searched by a branch-free lower bound */
+/* that prefetches both of the next step's probes: its steps depend on */
+/* the data, so a branch per step would mispredict half of them.       */
 INLINE int64_t collect(const uint64_t *hashes, const int64_t *ids,
                        int64_t lo, int64_t hi, uint64_t h, uint64_t *seen,
                        int64_t *cand, int64_t nc) {
-    int64_t a = lo, b = hi;
-    while (a < b) {
-        int64_t mid = a + (b - a) / 2;
-        if (hashes[mid] < h) a = mid + 1;
-        else b = mid;
+    if (lo >= hi) return nc;
+    const uint64_t *base = hashes + lo;
+    int64_t n = hi - lo;
+    while (n > 1) {
+        int64_t half = n >> 1;
+        __builtin_prefetch(base + (half >> 1));
+        __builtin_prefetch(base + half + (half >> 1));
+        base += half & -(int64_t)(base[half] < h);
+        n -= half;
     }
+    int64_t a = (base - hashes) + (*base < h);
     for (; a < hi && hashes[a] == h; a++) {
         int64_t id = ids[a];
         uint64_t bit = (uint64_t)1 << (id & 63);
@@ -660,6 +689,43 @@ static void sort_ids(int64_t *a, int64_t n) {
     }
 }
 
+/* A query's memo key: its length, codes and signature row (sig NULL: */
+/* a chain without FBF never reads it), folded and finalised so the    */
+/* low bits pick the slot.                                             */
+static uint64_t query_key(const uint8_t *q, int64_t qlen,
+                          const uint64_t *sig, int64_t width) {
+    uint64_t h = fold(HASH_OFFSET, (uint64_t)qlen);
+    for (int64_t x = 0; x < qlen; x++) h = fold(h, q[x]);
+    if (sig)
+        for (int64_t x = 0; x < width; x++) h = (h ^ sig[x]) * HASH_BASE;
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    return h ^ (h >> 33);
+}
+
+/* The memo row of query qi's first copy, or NULL with *slot the empty */
+/* slot its own row goes in.                                           */
+static int64_t *memo_find(const int32_t *slots, int64_t mask,
+                          int64_t *memo, uint64_t key, int64_t qi,
+                          const uint8_t *codes_l, int64_t wl,
+                          const int64_t *len_l, const uint64_t *sig_l,
+                          int64_t width, int64_t *slot) {
+    int64_t s = (int64_t)(key & (uint64_t)mask);
+    for (; slots[s]; s = (s + 1) & mask) {
+        int64_t *row = memo + (int64_t)(slots[s] - 1) * MEMO_WORDS;
+        int64_t fi = row[M_ROW];
+        if ((uint64_t)row[M_KEY] == key && len_l[fi] == len_l[qi]
+            && memcmp(codes_l + fi * wl, codes_l + qi * wl,
+                      (size_t)len_l[qi]) == 0
+            && (sig_l == NULL
+                || memcmp(sig_l + fi * width, sig_l + qi * width,
+                          (size_t)width * sizeof(uint64_t)) == 0))
+            return row;
+    }
+    *slot = s;
+    return NULL;
+}
+
 int64_t passjoin_run(const uint8_t *codes_l, int64_t wl,
                      const int64_t *len_l, const int64_t *order, int64_t nq,
                      const uint8_t *codes_r, int64_t wr,
@@ -671,6 +737,8 @@ int64_t passjoin_run(const uint8_t *codes_l, int64_t wl,
                      const int64_t *w_r, int32_t symmetric,
                      const int64_t *vid_l, const int64_t *vid_r,
                      uint64_t *seen, int64_t *cand, int32_t *rows,
+                     int32_t *slots, int64_t mask, int64_t *memo,
+                     int64_t *memo_ids,
                      int64_t *out_q, int64_t *out_j, int64_t cap,
                      int64_t *state, int64_t *tally) {
     uint64_t peq[256];
@@ -678,11 +746,41 @@ int64_t passjoin_run(const uint8_t *codes_l, int64_t wl,
     int64_t rowlen = ((wl > wr) ? wl : wr) + 2;
     int64_t count = 0, pos = state[0];
     int fbf_slot = (chain & CHAIN_LEN) ? T_PASSED1 : T_PASSED0;
+    const uint64_t *key_sig = (chain & CHAIN_FBF) ? sig_l : NULL;
     state[1] = 0;
     for (; pos < nq; pos++) {
         int64_t qi = order[pos], qlen = len_l[qi];
         const uint8_t *q = codes_l + qi * wl;
         if (qlen < 0 || qlen > wl) return -1;
+        uint64_t key = 0;
+        int64_t slot = 0;
+        if (slots) {
+            key = query_key(q, qlen, key_sig ? key_sig + qi * width : NULL,
+                            width);
+            const int64_t *twin = memo_find(slots, mask, memo, key, qi,
+                                            codes_l, wl, len_l, key_sig,
+                                            width, &slot);
+            if (twin) {
+                int64_t nm = twin[M_COUNT];
+                const int64_t *src = memo_ids + twin[M_OFF];
+                if (count + nm > cap) {
+                    if (count == 0) state[1] = nm;
+                    break;
+                }
+                for (int64_t x = 0; x < nm; x++) {
+                    out_q[count] = qi;
+                    out_j[count++] = src[x];
+                }
+                for (int s = 0; s < T_DIAGONAL; s++)
+                    tally[s] += twin[M_TALLY + s];
+                if (verify != VERIFY_NONE) { /* is qi among the ids? */
+                    int64_t at = bisect(src, 0, nm, qi, 0);
+                    tally[T_DIAGONAL] += at < nm && src[at] == qi;
+                }
+                tally[T_REUSED]++;
+                continue;
+            }
+        }
         int64_t nc = probe_query(q, qlen, pk, hashes, ids, table, m, seen,
                                  cand);
         int64_t t[T_SLOTS] = {0};
@@ -755,6 +853,17 @@ int64_t passjoin_run(const uint8_t *codes_l, int64_t wl,
                 out_q[count] = qi;
                 out_j[count++] = cand[x];
             }
+        }
+        if (slots) { /* the first copy: remember it for its twins */
+            int64_t *row = memo + state[2] * MEMO_WORDS;
+            row[M_KEY] = (int64_t)key;
+            row[M_ROW] = qi;
+            row[M_OFF] = state[3];
+            row[M_COUNT] = nm;
+            memcpy(row + M_TALLY, t, sizeof(t));
+            memcpy(memo_ids + state[3], cand, (size_t)nm * sizeof(int64_t));
+            slots[slot] = (int32_t)(++state[2]);
+            state[3] += nm;
         }
         for (int s = 0; s < T_SLOTS; s++) tally[s] += t[s];
     }
@@ -870,7 +979,8 @@ def _bind(lib: ctypes.CDLL) -> dict[str, ctypes._CFuncPtr]:
     lib.fused_rows_u64.restype = i64
     lib.passjoin_run.argtypes = [
         p, i64, p, p, i64, p, i64, p, p, p, p, i64, i64, i64, i32, i32,
-        p, p, i64, i64, p, p, i32, p, p, p, p, p, p, p, i64, p, p,
+        p, p, i64, i64, p, p, i32, p, p, p, p, p, p, i64, p, p,
+        p, p, i64, p, p,
     ]
     lib.passjoin_run.restype = i64
     lib.encode_rows.argtypes = [

@@ -562,7 +562,9 @@ class Kernels:
         With ``native`` set this is one compiled pass
         (:meth:`repro.native.KernelSet.passjoin_run`) that returns only
         the matches and the funnel tally, or, for a verifier it does not
-        compile, the filter survivors, which :meth:`tally` verifies.
+        compile, the filter survivors, which :meth:`tally` verifies; the
+        queries it answered from an earlier copy of the same text go to
+        the ``passjoin_queries_reused`` counter.
         Without it, :meth:`SegmentIndex.probe_codes` yields candidate
         blocks of at most ``max_pairs`` pairs and :meth:`run_pairs`
         verifies each: the reference, with the same matches in the same
@@ -607,6 +609,8 @@ class Kernels:
         )
         res["emitted"] = t["emitted"]
         res["compared"] = t["compared"]
+        # Queries answered from an earlier copy: not a funnel stage.
+        obs.add_counter("passjoin_queries_reused", t["reused"])
         if not t["compared"]:
             # No candidate: no stage is registered, as on the block path.
             return res

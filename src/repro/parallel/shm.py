@@ -74,7 +74,7 @@ import time
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import get_all_start_methods, get_context, shared_memory
 from typing import Iterable, Sequence
 
@@ -117,6 +117,8 @@ _OWNER_POLL_S = 1.0
 # A *ref* is the picklable handle to one ndarray:
 #   ("shm", name, shape, dtype_str)  — attach to a shared segment
 #   ("inline", ndarray)              — small per-run data, shipped in the task
+#   ("rows", part, r0, n)            — rows r0: of an n-row inline array,
+#                                      the only rows its task reads
 
 
 @dataclass(frozen=True)
@@ -329,11 +331,39 @@ def _attach(name: str) -> shared_memory.SharedMemory:
             resource_tracker.register = original
 
 
+def _ref_rows(ref, work: tuple):
+    """An inline ref cut to the rows a ``"probe"`` task reads (a
+    ``"rows"`` ref); other refs, and refs of other work, as they are."""
+    if ref is None or ref[0] != "inline" or work[0] != "probe":
+        return ref
+    r0, r1, arr = work[1], work[2], ref[1]
+    return ("rows", arr[r0:r1], r0, len(arr))
+
+
+def _side_rows(side: SideArrays, work: tuple) -> SideArrays:
+    """``side`` with its inline arrays cut to the rows ``work`` reads:
+    an inline left side (a serve batch, a stream chunk) ships each
+    probe task only its own rows."""
+    if work[0] != "probe":
+        return side
+    return replace(side, **{
+        name: _ref_rows(getattr(side, name), work)
+        for name in ("codes", "lengths", "sigs", "sdx", "vid")
+    })
+
+
 def _resolve_ref(ref) -> np.ndarray | None:
     if ref is None:
         return None
     if ref[0] == "inline":
         return ref[1]
+    if ref[0] == "rows":
+        # The row ids stay global: the rows the task does not read are
+        # zeros.
+        _, part, r0, n = ref
+        full = np.zeros((n, *part.shape[1:]), dtype=part.dtype)
+        full[r0 : r0 + len(part)] = part
+        return full
     _, name, shape, dtype = ref
     entry = _SEG_CACHE.get(name)
     if entry is None:
@@ -929,10 +959,11 @@ def run_hybrid(
     :class:`PassJoinProbe` moves candidate generation into the workers:
     the left rows are cut into ``workers x _TASKS_PER_WORKER`` ranges,
     and each task probes the index (published once per index object,
-    again only after it grew) with its rows' published codes, then
-    verifies its own candidates.  Any other iterable of candidate
-    blocks is drained in the parent, published as two index segments
-    and cut into verify tasks.  ``publications`` (the ones backing
+    again only after it grew) with its rows' codes (an inline left
+    side ships each task only its rows), then verifies its own
+    candidates.  Any other iterable of candidate blocks is drained in
+    the parent, published as two index segments and cut into verify
+    tasks.  ``publications`` (the ones backing
     ``left``/``right``) credit their bytes to the collector once over
     their lifetime (:meth:`Publication.credit`); a probed index's bytes
     are credited once per publication the same way.  ``weighter``
@@ -1011,7 +1042,7 @@ def run_hybrid(
         (
             _exec_hybrid,
             _HybridTask(
-                left=left,
+                left=_side_rows(left, work),
                 right=right,
                 method=method,
                 k=k,
@@ -1021,7 +1052,7 @@ def run_hybrid(
                 collect=bool(collector),
                 record=record_matches,
                 work=work,
-                w_left=w_left_ref,
+                w_left=_ref_rows(w_left_ref, work),
                 w_right=w_right_ref,
                 symmetric=symmetric,
                 kernels=kernels,

@@ -627,6 +627,34 @@ class TestSelfCheck:
         assert changed == [method]
         assert err is not None and err.startswith(section)
 
+    def test_wrong_answer_for_a_repeated_query_is_rejected(self):
+        # Drops the last pair of a query that repeats an earlier row's
+        # text (and, under FBF, signature row) in a plain run: every
+        # first copy's answer stays right.
+        def drop_a_twins_pair(args, kwargs, out):
+            _, codes, lens = args
+            if kwargs.get("weighter") is not None or "vids" in kwargs:
+                return out
+            sigs = kwargs.get("sigs")
+            fbf = "fbf" in kwargs.get("filters", ())
+            seen, twins = set(), set()
+            for q, n in enumerate(lens.tolist()):
+                key = (codes[q, :n].tobytes(),
+                       sigs[0][q].tobytes() if fbf else b"")
+                if key in seen:
+                    twins.add(q)
+                seen.add(key)
+            hits = np.flatnonzero(np.isin(out[0], list(twins)))
+            if not len(hits):
+                return out
+            keep = np.arange(len(out[0])) != hits[-1]
+            return (out[0][keep], out[1][keep], *out[2:])
+
+        bad, changed = _corrupted("passjoin_run", drop_a_twins_pair)
+        err = native._self_check(bad)
+        assert changed == ["passjoin_run"]
+        assert err is not None and err.startswith("passjoin ")
+
     def test_each_distinct_pair_is_measured_once(self, monkeypatch):
         from repro.distance import damerau
 
