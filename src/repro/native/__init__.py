@@ -133,8 +133,8 @@ class KernelSet:
     def _with_capacity(self, capacity: int) -> "KernelSet":
         """This provider with a :meth:`passjoin_run` output buffer of
         ``capacity`` pairs — small ones drive the resume path in the
-        self-check and the tests."""
-        ks = KernelSet(self.kind, self._p)
+        self-check and the tests.  A subclass stays that subclass."""
+        ks = type(self)(self.kind, self._p)
         ks._capacity = capacity
         return ks
 
@@ -577,27 +577,33 @@ def _self_check(ks: KernelSet) -> str | None:
 
         rng = np.random.default_rng(0x5EED)
 
-        # -- signature kernels ----------------------------------------
+        # -- signature kernels: one and two words, 131 right rows (two
+        # full 64-row blocks and a tail) ------------------------------
         L = rng.integers(0, 1 << 63, size=(11, 2), dtype=np.uint64)
-        R = rng.integers(0, 1 << 63, size=(7, 2), dtype=np.uint64)
-        db = np.zeros((L.shape[0], R.shape[0]), dtype=np.int64)
-        for w in range(L.shape[1]):
-            db += popcount_batch_u64(L[:, w][:, None] ^ R[:, w][None, :])
+        R = rng.integers(0, 1 << 63, size=(131, 2), dtype=np.uint64)
+        R[[0, 63, 64, 127, 128, 130], :] = L[:6]  # survivors at the edges
+        R[129] = ~L[6]
         pi = np.repeat(np.arange(L.shape[0]), R.shape[0])
         pj = np.tile(np.arange(R.shape[0]), L.shape[0])
-        for bound in (0, 60, 68):
-            ri, rj = np.nonzero(db <= bound)
-            gi, gj, _ = ks.fused_rows_u64(
-                L, R, None, None, 0, len(L), bound=bound, k=0, filters=("fbf",)
-            )
-            if not (
-                np.array_equal(gi, ri.astype(np.int64))
-                and np.array_equal(gj, rj.astype(np.int64))
-            ):
-                return f"fbf scan bound={bound} mismatch"
-            got = ks.sig_pair_mask_u64(L, R, pi, pj, bound)
-            if not np.array_equal(got, db.ravel() <= bound):
-                return f"pair mask bound={bound} mismatch"
+        for width, bounds in ((1, (0, 30, 63, 64)), (2, (0, 60, 68))):
+            Lw, Rw = L[:, :width], R[:, :width]
+            db = np.zeros((L.shape[0], R.shape[0]), dtype=np.int64)
+            for w in range(width):
+                db += popcount_batch_u64(Lw[:, w][:, None] ^ Rw[:, w][None, :])
+            for bound in bounds:
+                ri, rj = np.nonzero(db <= bound)
+                gi, gj, _ = ks.fused_rows_u64(
+                    Lw, Rw, None, None, 0, len(L), bound=bound, k=0,
+                    filters=("fbf",),
+                )
+                if not (
+                    np.array_equal(gi, ri.astype(np.int64))
+                    and np.array_equal(gj, rj.astype(np.int64))
+                ):
+                    return f"fbf scan width={width} bound={bound} mismatch"
+                got = ks.sig_pair_mask_u64(Lw, Rw, pi, pj, bound)
+                if not np.array_equal(got, db.ravel() <= bound):
+                    return f"pair mask width={width} bound={bound} mismatch"
 
         # -- verifier kernels -----------------------------------------
         alpha = "abAB \xe9"
@@ -625,6 +631,9 @@ def _self_check(ks: KernelSet) -> str | None:
         # The full DP is the check's dominant cost: run it once per
         # distinct pair and compare the distance with every k below.
         dist = {st: damerau_levenshtein(*st) for st in dict.fromkeys(pairs)}
+        # The pairs again, grouped by left row as candidates arrive: each
+        # row's pattern masks are then reused across its pairs.
+        by_row = np.argsort(ii, kind="stable")
         for k in (0, 1, 2, 3):
             for mode in (MODE_DL, MODE_PDL):
                 got = ks.osa_decisions(
@@ -640,6 +649,12 @@ def _self_check(ks: KernelSet) -> str | None:
                             f"osa mode={mode} k={k} mismatch on "
                             f"({len(s)},{len(t)})-char pair"
                         )
+                grouped = ks.osa_decisions(
+                    codes, lengths, codes, lengths, ii[by_row], jj[by_row],
+                    k, mode=mode,
+                )
+                if not np.array_equal(grouped, got[by_row]):
+                    return f"osa mode={mode} k={k} mismatch on grouped rows"
 
         # -- side preparation: every stock scheme against the NumPy body
         from repro.core.vectorized import codes_and_signatures, split_rows

@@ -5,17 +5,18 @@
 coerced inputs to C-contiguous arrays of the right dtype (the KernelSet
 layer does this once); they only manage output buffers.
 
-The dense sweep uses an adaptive capacity scheme: rows are cut into
-blocks of bounded pair count, each block starts from a density-informed
-capacity guess, and a ``-1`` overflow return doubles the buffer and
-re-runs the block.  Capacity never exceeds the block's pair count, so
-the retry loop always terminates.
+Both row kernels resume.  The dense sweep cuts rows into blocks of
+bounded pair count; each block starts from a density-informed capacity
+guess, and a call that fills its buffer keeps its complete rows and
+reports the first row it did not finish, so the next call sweeps on
+from there with a doubled buffer.  Capacity never exceeds the pairs
+left in the block, which always hold a whole row, so the loop always
+terminates, and no complete row is swept twice.
 
-The PASS-JOIN run resumes instead: each call fills the output buffer
-with whole queries and reports where it stopped, and a query too large
-for an empty buffer grows the buffer to the size the kernel asks for.
-Its funnel tally, and the memo a repeated query is answered from,
-last across the calls.
+The PASS-JOIN run fills the output buffer with whole queries and
+reports where it stopped, and a query too large for an empty buffer
+grows the buffer to the size the kernel asks for.  Its funnel tally,
+and the memo a repeated query is answered from, last across the calls.
 """
 
 from __future__ import annotations
@@ -29,8 +30,12 @@ from repro.native import _csrc
 __all__ = ["load"]
 
 #: target pairs per kernel call — bounds both scan latency per call and
-#: the worst-case output buffer a single retry can demand
+#: the worst-case output buffer a single resume can demand
 _BLOCK_PAIRS = 1 << 24
+#: the share of a block's pairs the dense sweep's first output buffer
+#: holds (plus 1024 pairs); later blocks start from the densest block
+#: seen
+_DENSITY = 0.05
 #: the PASS-JOIN run's default output buffer, in pairs: a serve batch
 #: fits in one call, and a large run pays one call per 64 Ki pairs
 _RUN_PAIRS = 1 << 16
@@ -61,29 +66,33 @@ def _fused_rows(fn, L, R, len_l, len_r, order, r0, r1, bound, k, chain):
     rows_per = max(1, min(r1 - r0, _BLOCK_PAIRS // nr))
     ii_parts: list[np.ndarray] = []
     jj_parts: list[np.ndarray] = []
-    density = 0.05
+    stop = np.zeros(1, dtype=np.int64)
+    density = _DENSITY
     for b0 in range(r0, r1, rows_per):
         b1 = min(r1, b0 + rows_per)
         pairs = (b1 - b0) * nr
         cap = min(pairs, max(1024, int(pairs * density) + 1024))
-        while True:
+        row, got = b0, 0
+        while row < b1:
             out_i = np.empty(cap, dtype=np.int64)
             out_j = np.empty(cap, dtype=np.int64)
             n = fn(
                 L.ctypes.data, R.ctypes.data, L.shape[1],
                 _ptr(len_l), _ptr(len_r), _ptr(order),
-                b0, b1, nr, bound, k, chain,
+                row, b1, nr, bound, k, chain,
                 out_i.ctypes.data, out_j.ctypes.data, cap,
                 passed_block.ctypes.data, scratch.ctypes.data,
+                stop.ctypes.data,
             )
-            if n >= 0:
-                break
-            cap = min(pairs, cap * 2)
-        if n:
-            ii_parts.append(out_i[:n].copy())
-            jj_parts.append(out_j[:n].copy())
-        passed_total += passed_block
-        density = max(density, n / pairs)
+            if n:
+                ii_parts.append(out_i[:n].copy())
+                jj_parts.append(out_j[:n].copy())
+            passed_total += passed_block
+            got += n
+            row = int(stop[0])
+            if row < b1:  # the buffer filled up: resume with twice the room
+                cap = min((b1 - row) * nr, 2 * cap)
+        density = max(density, got / pairs)
     if not ii_parts:
         return empty, empty.copy(), passed_total
     return np.concatenate(ii_parts), np.concatenate(jj_parts), passed_total

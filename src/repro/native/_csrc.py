@@ -20,6 +20,9 @@ Kernels mirror the pure-Python/NumPy references bit for bit:
   accounting.  Each chain and signature width (1 word, 2 words, any)
   has its own loop body, picked once per call; length-first chains scan
   only each row's ``|dlen| <= k`` window of a length-sorted right side.
+  One-word signatures are compared 8 pairs per instruction where the
+  build targets AVX-512 VPOPCNTDQ.  A full output buffer ends the call
+  after the last whole row, and the caller resumes from the next.
 * ``pair_mask_u64`` — the gathered-pair signature filter used by
   index-driven generators.
 * ``encode_rows`` — a side's preparation in one walk over its latin-1
@@ -33,7 +36,8 @@ Kernels mirror the pure-Python/NumPy references bit for bit:
   the ``%`` template of ``stream/spill.py::format_ids``.
 * ``osa_mask`` — batched bounded OSA (restricted Damerau-Levenshtein)
   decisions: Hyyro bit-parallel for patterns up to 64 chars
-  (``distance/bitparallel.py``), banded rolling-row DP beyond that
+  (``distance/bitparallel.py``), a left row's pattern built once per
+  run of its pairs, banded rolling-row DP beyond that
   (``distance/pruned.py::_banded_osa``).
 * ``passjoin_run`` — PASS-JOIN probe, filter and verify in one pass
   over the flat segment index: per query, the probe of
@@ -71,6 +75,9 @@ C_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#if defined(__AVX512VPOPCNTDQ__)
+#include <immintrin.h>
+#endif
 
 #define POP64(x) ((int64_t)__builtin_popcountll((uint64_t)(x)))
 #define ALPHA_OVERFLOW_BIT 26 /* core/signatures.py */
@@ -218,12 +225,20 @@ static int64_t osa_peq(const uint64_t *peq, int64_t m,
     return score;
 }
 
+/* Set the match masks of s[0, m) in a zeroed peq, or clear them.    */
+static inline void peq_set(uint64_t *peq, const uint8_t *s, int64_t m) {
+    for (int64_t i = 0; i < m; i++) peq[s[i]] |= (uint64_t)1 << i;
+}
+
+static inline void peq_clear(uint64_t *peq, const uint8_t *s, int64_t m) {
+    for (int64_t i = 0; i < m; i++) peq[s[i]] = 0;
+}
+
 static int64_t osa_bp64(const uint8_t *s, int64_t m,
                         const uint8_t *t, int64_t n) {
     uint64_t peq[256];
     memset(peq, 0, sizeof(peq));
-    for (int64_t i = 0; i < m; i++)
-        peq[s[i]] |= (uint64_t)1 << i;
+    peq_set(peq, s, m);
     return osa_peq(peq, m, t, n);
 }
 
@@ -304,8 +319,13 @@ static int osa_pair(const uint8_t *s, int64_t m, const uint8_t *t,
 /* ------------------------------------------------------------------ */
 /* Batched bounded-OSA decisions over gathered candidate pairs.        */
 /* mode 0 = DL (empty strings compare by length), mode 1 = PDL (the    */
-/* paper's Step 1: any empty side is an automatic reject).             */
-/* Returns 0 on success, -1 on allocation failure.                     */
+/* paper's Step 1: any empty side is an automatic reject).  A left row */
+/* of up to 64 chars is the pattern: its match masks are built once    */
+/* per run of pairs with that row (candidates arrive row by row) and   */
+/* only its own bits are cleared on a row change; the right string is  */
+/* the text, whatever its length (OSA is symmetric).  Longer left rows */
+/* go through osa_pair.  Returns 0 on success, -1 on allocation        */
+/* failure.                                                            */
 /* ------------------------------------------------------------------ */
 
 int32_t osa_mask(const uint8_t *codes_l, const int64_t *len_l, int64_t wl,
@@ -318,6 +338,9 @@ int32_t osa_mask(const uint8_t *codes_l, const int64_t *len_l, int64_t wl,
         rows = (int32_t *)malloc((size_t)(3 * rowlen) * sizeof(int32_t));
         if (rows == NULL) return -1;
     }
+    uint64_t peq[256];
+    memset(peq, 0, sizeof(peq));
+    int64_t held = -1; /* the left row whose masks peq holds */
     for (int64_t p = 0; p < npairs; p++) {
         int64_t i = ii[p], j = jj[p];
         int64_t la = len_l[i], lb = len_r[j];
@@ -327,8 +350,20 @@ int32_t osa_mask(const uint8_t *codes_l, const int64_t *len_l, int64_t wl,
         }
         int64_t dlen = la - lb;
         if (dlen < 0) dlen = -dlen;
-        out[p] = dlen <= k && osa_pair(codes_l + i * wl, la,
-                                       codes_r + j * wr, lb, k, rows, rowlen);
+        if (dlen > k) {
+            out[p] = 0;
+        } else if (la <= 64) {
+            if (i != held) {
+                if (held >= 0)
+                    peq_clear(peq, codes_l + held * wl, len_l[held]);
+                peq_set(peq, codes_l + i * wl, la);
+                held = i;
+            }
+            out[p] = osa_peq(peq, la, codes_r + j * wr, lb) <= k;
+        } else {
+            out[p] = osa_pair(codes_l + i * wl, la, codes_r + j * wr, lb, k,
+                              rows, rowlen);
+        }
     }
     free(rows);
     return 0;
@@ -341,8 +376,11 @@ int32_t osa_mask(const uint8_t *codes_l, const int64_t *len_l, int64_t wl,
 /* filter, CHAIN_LEN = the length filter evaluated first.  passed[]    */
 /* receives the survivor count after each stage in chain order, the    */
 /* NumPy mask chain's funnel accounting.  Pairs come out row-major      */
-/* with j ascending, as np.nonzero emits them.  Returns the number of  */
-/* pairs emitted, or -1 if cap would overflow.                         */
+/* with j ascending, as np.nonzero emits them.  Only whole rows are    */
+/* emitted: when the next row's pairs would overflow cap, the sweep    */
+/* stops before it.  *stop receives the first row not swept (row1      */
+/* when all were) and passed[] covers the rows before it.  Returns the */
+/* number of pairs emitted.                                            */
 /*                                                                     */
 /* Length-first chains read a right side sorted (stably) by length:    */
 /* len_r ascending, R in the same order, order[p] the original id of   */
@@ -352,7 +390,8 @@ int32_t osa_mask(const uint8_t *codes_l, const int64_t *len_l, int64_t wl,
 /*                                                                     */
 /* Every loop body below is instantiated with a compile-time width     */
 /* class and chain, so the per-pair loops carry no width or stage      */
-/* dispatch: each 64-pair block is one compare per pair into a         */
+/* dispatch: each 64-pair block is one compare per pair (or, one word  */
+/* wide on AVX-512 VPOPCNTDQ, 8 vector compares of 8 pairs) into a     */
 /* survivor mask whose set bits are then walked.                       */
 /* ------------------------------------------------------------------ */
 
@@ -363,6 +402,14 @@ int32_t osa_mask(const uint8_t *codes_l, const int64_t *len_l, int64_t wl,
 /* Emit the survivors of li against positions [s, e) of R.  wc is the  */
 /* width class: 1 or 2 words, or 0 for any width (words outer, pairs   */
 /* inner).  map (NULL or the length order) turns positions into ids.   */
+/* Returns the new count, or -1 when cap would overflow.               */
+/*                                                                     */
+/* Where the compiler targets AVX-512 VPOPCNTDQ, a full one-word block */
+/* is 8 x (XOR, vector popcount, compare) of 8 pairs each, the compare */
+/* masks written straight into the survivor mask.  The compare is      */
+/* signed, as the scalar one is.  Other builds (the portable -O3 one,  */
+/* CPUs without the instruction), other widths and the block tail run  */
+/* the scalar loop.                                                    */
 INLINE int64_t fbf_span(const uint64_t *li, const uint64_t *R,
                         int64_t width, const int wc, int64_t s, int64_t e,
                         int64_t bound, const int64_t *map, int64_t i,
@@ -372,6 +419,19 @@ INLINE int64_t fbf_span(const uint64_t *li, const uint64_t *R,
     for (int64_t b0 = s; b0 < e; b0 += 64) {
         int64_t n = (e - b0 < 64) ? e - b0 : 64;
         uint64_t m = 0;
+#if defined(__AVX512VPOPCNTDQ__)
+        if (wc == 1 && n == 64) {
+            const uint64_t *rb = R + b0;
+            __m512i l0 = _mm512_set1_epi64((long long)li[0]);
+            __m512i bnd = _mm512_set1_epi64((long long)bound);
+            for (int q = 0; q < 8; q++) {
+                __m512i x = _mm512_xor_si512(
+                    l0, _mm512_loadu_si512((const void *)(rb + 8 * q)));
+                m |= (uint64_t)_mm512_cmple_epi64_mask(
+                         _mm512_popcnt_epi64(x), bnd) << (8 * q);
+            }
+        } else
+#endif
         if (wc == 1) {
             const uint64_t *rb = R + b0;
             uint64_t l0 = li[0];
@@ -435,21 +495,23 @@ INLINE int64_t sweep_all(const uint64_t *L, const uint64_t *R,
                          int64_t width, const int wc, const int fbf,
                          int64_t row0, int64_t row1, int64_t nr,
                          int64_t bound, int64_t *out_i, int64_t *out_j,
-                         int64_t cap, int64_t *passed) {
-    int64_t count = 0;
-    for (int64_t i = row0; i < row1; i++) {
+                         int64_t cap, int64_t *passed, int64_t *stop) {
+    int64_t count = 0, i = row0;
+    for (; i < row1; i++) {
         if (fbf) {
-            count = fbf_span(L + i * width, R, width, wc, 0, nr, bound,
-                             NULL, i, out_i, out_j, count, cap);
-            if (count < 0) return -1;
+            int64_t c = fbf_span(L + i * width, R, width, wc, 0, nr, bound,
+                                 NULL, i, out_i, out_j, count, cap);
+            if (c < 0) break;
+            count = c;
         } else {
-            if (count + nr > cap) return -1;
+            if (count + nr > cap) break;
             for (int64_t j = 0; j < nr; j++) {
                 out_i[count] = i;
                 out_j[count++] = j;
             }
         }
     }
+    *stop = i;
     if (fbf) passed[0] = count;
     return count;
 }
@@ -463,30 +525,37 @@ INLINE int64_t sweep_window(const uint64_t *L, const uint64_t *R,
                             int64_t row1, int64_t nr, int64_t bound,
                             int64_t k, int64_t *out_i, int64_t *out_j,
                             int64_t cap, int64_t *passed,
-                            int64_t *scratch) {
-    int64_t count = 0, in_window = 0;
-    for (int64_t i = row0; i < row1; i++) {
-        int64_t la = len_l[i], start = count;
+                            int64_t *scratch, int64_t *stop) {
+    int64_t count = 0, in_window = 0, i = row0;
+    for (; i < row1; i++) {
+        int64_t la = len_l[i], start = count, row_window = 0;
         int64_t s = bisect(len_r, 0, nr, la - k, 0);
-        while (s < nr && len_r[s] <= la + k) {
+        while (count >= 0 && s < nr && len_r[s] <= la + k) {
             int64_t e = bisect(len_r, s, nr, len_r[s], 1);
             int64_t mid = count;
-            in_window += e - s;
+            row_window += e - s;
             if (fbf) {
                 count = fbf_span(L + i * width, R, width, wc, s, e, bound,
                                  order, i, out_i, out_j, count, cap);
-                if (count < 0) return -1;
+            } else if (count + (e - s) > cap) {
+                count = -1;
             } else {
-                if (count + (e - s) > cap) return -1;
                 for (int64_t p = s; p < e; p++) {
                     out_i[count] = i;
                     out_j[count++] = order[p];
                 }
             }
-            merge_runs(out_j + start, mid - start, count - mid, scratch);
+            if (count >= 0)
+                merge_runs(out_j + start, mid - start, count - mid, scratch);
             s = e;
         }
+        if (count < 0) { /* the row does not fit: drop its part */
+            count = start;
+            break;
+        }
+        in_window += row_window;
     }
+    *stop = i;
     passed[0] = in_window;
     if (fbf) passed[1] = count;
     return count;
@@ -497,13 +566,13 @@ int64_t fused_rows_u64(const uint64_t *L, const uint64_t *R, int64_t width,
                        const int64_t *order, int64_t row0, int64_t row1,
                        int64_t nr, int64_t bound, int64_t k, int32_t chain,
                        int64_t *out_i, int64_t *out_j, int64_t cap,
-                       int64_t *passed, int64_t *scratch) {
+                       int64_t *passed, int64_t *scratch, int64_t *stop) {
 #define ALL(wc, fbf) \
     sweep_all(L, R, width, wc, fbf, row0, row1, nr, bound, out_i, out_j, \
-              cap, passed)
+              cap, passed, stop)
 #define WINDOW(wc, fbf) \
     sweep_window(L, R, width, wc, fbf, len_l, len_r, order, row0, row1, \
-                 nr, bound, k, out_i, out_j, cap, passed, scratch)
+                 nr, bound, k, out_i, out_j, cap, passed, scratch, stop)
     switch (chain) {
     case 0:
         return ALL(0, 0);
@@ -826,8 +895,7 @@ int64_t passjoin_run(const uint8_t *codes_l, int64_t wl,
                     hit = 0;
                 } else if (qlen <= 64) {
                     if (!masks) {
-                        for (int64_t x = 0; x < qlen; x++)
-                            peq[q[x]] |= (uint64_t)1 << x;
+                        peq_set(peq, q, qlen);
                         masks = 1;
                     }
                     hit = osa_peq(peq, qlen, r, lb) <= k;
@@ -841,8 +909,7 @@ int64_t passjoin_run(const uint8_t *codes_l, int64_t wl,
             }
             if (out_q) cand[nm++] = j; /* nm <= c: compact in place */
         }
-        if (masks)
-            for (int64_t x = 0; x < qlen; x++) peq[q[x]] = 0;
+        if (masks) peq_clear(peq, q, qlen);
         if (out_q) {
             if (count + nm > cap) {
                 if (count == 0) state[1] = nm;
@@ -974,7 +1041,7 @@ def _bind(lib: ctypes.CDLL) -> dict[str, ctypes._CFuncPtr]:
     lib.osa_mask.argtypes = [p, p, i64, p, p, i64, p, p, i64, i64, i32, p]
     lib.osa_mask.restype = i32
     lib.fused_rows_u64.argtypes = [
-        p, p, i64, p, p, p, i64, i64, i64, i64, i64, i32, p, p, i64, p, p,
+        p, p, i64, p, p, p, i64, i64, i64, i64, i64, i32, p, p, i64, p, p, p,
     ]
     lib.fused_rows_u64.restype = i64
     lib.passjoin_run.argtypes = [

@@ -1091,10 +1091,11 @@ def run_hybrid(
             collector.merge(wc)
     if record_matches and mi_parts:
         mi, mj = match_rows(mi_parts, mj_parts)
-        if not probing:
-            # Sort by (left row, right row).  Probe tasks sorted their
-            # own matches, and their row ranges ascend in submission
-            # order, which is the order of ``outs``.
+        if blocks is not None and not probing:
+            # Drained candidates come in the generator's order: sort by
+            # (left row, right row).  Row and probe tasks return
+            # their matches in that order, and their row ranges ascend in
+            # submission order, which is the order of ``outs``.
             order = np.lexsort((mj, mi))
             mi, mj = mi[order], mj[order]
         result.match_rows = (mi, mj)

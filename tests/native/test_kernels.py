@@ -655,6 +655,30 @@ class TestSelfCheck:
         assert changed == ["passjoin_run"]
         assert err is not None and err.startswith("passjoin ")
 
+    def test_wrong_answer_only_when_resumed_is_rejected(self):
+        # Drops a pair only from runs with a shrunk output buffer (the
+        # self-check's capacity-1 runs, which resume after every pair):
+        # the provider's class must survive ``_with_capacity``.
+        resumed = []
+
+        def drop_when_resumed(self, *args, **kwargs):
+            ii, jj, tally = native.KernelSet.passjoin_run(
+                self, *args, **kwargs
+            )
+            if self._capacity is not None and len(ii) and not resumed:
+                resumed.append(self._capacity)
+                ii, jj = ii[:-1], jj[:-1]
+            return ii, jj, tally
+
+        ks = native.load_kernels()
+        cls = type("ResumeOnly", (native.KernelSet,),
+                   {"passjoin_run": drop_when_resumed})
+        bad = cls(ks.kind, ks._p)
+        assert type(bad._with_capacity(1)) is cls
+        err = native._self_check(bad)
+        assert resumed == [1]
+        assert err is not None and err.startswith("passjoin ")
+
     def test_each_distinct_pair_is_measured_once(self, monkeypatch):
         from repro.distance import damerau
 

@@ -12,12 +12,14 @@ so it walks the full product with value-identity diagonal semantics —
 exactly what a dense hybrid run over published sides computes.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.matchers import METHOD_NAMES, method_registry
 from repro.core.plan import JoinPlanner, PassJoinGenerator
+from repro.data.datasets import dataset_for_family
 from repro.obs import StatsCollector
 from repro.parallel import shm
 from repro.parallel.prepared import PreparedSide
@@ -244,6 +246,34 @@ def test_numpy_pinned_hybrid_matches_reference(method, left, right):
         assert _funnel(c, tested_only=True) == _funnel(
             inproc, tested_only=True
         ), f"{method} numpy-pinned hybrid/{generator} funnel differs"
+
+
+@pytest.mark.parametrize("kernels", ["auto", "numpy"])
+@pytest.mark.parametrize("method", ["FPDL", "LFPDL", "LF"])
+def test_dense_hybrid_records_matches_row_major(method, kernels):
+    """Dense row tasks return their matches row-major over ascending row
+    ranges, so the parent concatenates them in submission order without
+    sorting: the recorded rows are already in lexsorted order, over
+    several tasks, and equal the in-process run's."""
+    pair = dataset_for_family("LN", 700, 3)
+    left, right = pair.clean, pair.error
+    c = StatsCollector("dense-hybrid")
+    r = JoinPlanner(
+        left, right, k=1, record_matches=True, workers=2,
+        self_join=False, collapse="off", memo="off", collector=c,
+        kernels=kernels,
+    ).run(method, generator="all-pairs", backend="hybrid")
+    assert c.counters["shm_tasks_dispatched"] > 2
+    mi, mj = r.match_rows
+    order = np.lexsort((mj, mi))
+    assert np.array_equal(mi, mi[order]) and np.array_equal(mj, mj[order])
+    inproc = JoinPlanner(
+        left, right, k=1, record_matches=True, self_join=False,
+        collapse="off", memo="off", kernels=kernels,
+    ).run(method, generator="all-pairs", backend="vectorized")
+    assert np.array_equal(mi, inproc.match_rows[0])
+    assert np.array_equal(mj, inproc.match_rows[1])
+    assert r.match_count == len(mi) > 700
 
 
 def test_the_kernels_pin_rides_on_every_task(monkeypatch):
