@@ -48,6 +48,7 @@ examples:
 	$(PYTHON) examples/scaling_study.py 600
 	$(PYTHON) examples/blocking_vs_filtering.py
 	$(PYTHON) examples/incremental_updates.py 200 3
+	$(PYTHON) examples/dedup_zipfian.py
 
 clean:
 	rm -rf build dist src/*.egg-info .pytest_cache

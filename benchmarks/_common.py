@@ -43,6 +43,19 @@ def curve_protocol() -> TimingProtocol:
     return TimingProtocol.PAPER_CURVES if paper_scale() else TimingProtocol.QUICK
 
 
+def prepared_pair(left, right):
+    """``left`` and ``right`` as prepared sides (one for a self-join),
+    under the signature scheme a planner over the lists detects.  A
+    planner over them runs the plain product: no unique-value collapse,
+    no self-join triangle, whatever the values repeat."""
+    from repro.core.signatures import detect_kind, scheme_for
+    from repro.parallel.prepared import PreparedSide
+
+    scheme = scheme_for(detect_kind(list(left[:128]) + list(right[:128])))
+    prep_l = PreparedSide(list(left), scheme)
+    return prep_l, prep_l if right is left else PreparedSide(list(right), scheme)
+
+
 def save_result(name: str, text: str) -> None:
     """Persist one reproduced table and echo it to stdout."""
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -18,7 +18,7 @@ Scale with ``REPRO_HYBRID_N`` (the committed artifact uses 10000) and
 import json
 import os
 
-from _common import RESULTS_DIR, save_result
+from _common import RESULTS_DIR, prepared_pair, save_result
 
 from repro.core.plan import JoinPlanner
 from repro.data.datasets import dataset_for_family
@@ -32,10 +32,10 @@ WORKERS = int(os.environ.get("REPRO_HYBRID_WORKERS", "4"))
 
 
 def _planner(left, right, *, workers=None, collector=None):
-    # collapse="off": backend-vs-backend timing should not depend on
-    # how many sampled last names happen to repeat.
+    # Prepared sides run the plain product: backend-vs-backend timing
+    # should not depend on how many sampled last names happen to repeat.
     return JoinPlanner(
-        left, right, k=1, workers=workers, collapse="off",
+        *prepared_pair(left, right), k=1, workers=workers,
         collector=collector,
     )
 

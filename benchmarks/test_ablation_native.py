@@ -27,7 +27,7 @@ import json
 import os
 
 import pytest
-from _common import RESULTS_DIR, save_result
+from _common import RESULTS_DIR, prepared_pair, save_result
 
 from repro import native
 from repro.core.plan import JoinPlanner
@@ -42,8 +42,9 @@ SCALAR_N = min(max(N // 10, 200), 1500)
 
 
 def _planner(left, right, *, workers=None, kernels="auto"):
+    # Prepared sides run the plain product, whatever the values repeat.
     return JoinPlanner(
-        left, right, k=1, workers=workers, collapse="off", kernels=kernels
+        *prepared_pair(left, right), k=1, workers=workers, kernels=kernels
     )
 
 

@@ -26,7 +26,7 @@ committed artifacts and CI smoke both run the default n = 10,000
 import json
 import os
 
-from _common import RESULTS_DIR, save_result
+from _common import RESULTS_DIR, prepared_pair, save_result
 
 from repro.core.plan import JoinPlanner
 from repro.data.datasets import dataset_for_family
@@ -58,7 +58,7 @@ def test_ablation_passjoin(benchmark):
     picks = {}
     auto_vs_best = {}
     for k in (1, 2):
-        planner = JoinPlanner(left, right, k=k, collapse="off")
+        planner = JoinPlanner(*prepared_pair(left, right), k=k)
         planner.prepare("vectorized")
         planner.passjoin_index()
         plan = planner.plan("FPDL")
@@ -83,7 +83,7 @@ def test_ablation_passjoin(benchmark):
         assert picks[1] == "pass-join", picks
 
     # -- head-to-head at k=1, warm planner state ----------------------------
-    planner = JoinPlanner(left, right, k=1, collapse="off")
+    planner = JoinPlanner(*prepared_pair(left, right), k=1)
     planner.prepare("vectorized")
     planner.passjoin_index()
 
@@ -192,7 +192,9 @@ def test_ablation_passjoin(benchmark):
 
     # Timing distribution: the partition-index join at a bounded scale.
     small_n = min(N, 10_000)
-    small = JoinPlanner(left[:small_n], right[:small_n], k=1, collapse="off")
+    small = JoinPlanner(
+        *prepared_pair(left[:small_n], right[:small_n]), k=1
+    )
     small.prepare("vectorized")
     small.passjoin_index()
     benchmark(lambda: small.run("FPDL", generator="pass-join"))

@@ -14,15 +14,15 @@ Quickstart::
     result = join(clean, dirty, "FPDL", k=1, scheme="numeric")
     assert result.match_count == 2
 
-:func:`join` plans each call: a candidate generator (all-pairs, length
-buckets, the FBF signature index, key blocking) picks which pairs to
-look at, an execution backend (scalar, vectorized, hybrid) verifies
-them, and a cost model composes the two from dataset size —
-see :mod:`repro.core.plan` for overrides and :class:`JoinPlanner` for
-reuse across calls.  Duplicate-heavy inputs are collapsed to their
-unique values and self-joins enumerate only the pair triangle
+:func:`join` plans each call: a candidate generator (all-pairs,
+PASS-JOIN, key blocking) picks which pairs to look at, an execution
+backend (scalar, vectorized, hybrid) verifies them, and a cost model
+composes the two from dataset size — see :mod:`repro.core.plan` for
+overrides and :class:`JoinPlanner` for reuse across calls.
+Duplicate-heavy inputs are collapsed to their unique values and
+self-joins enumerate the pair triangle where it pays
 (:mod:`repro.core.multiplicity`), with results bit-identical to the
-full product.
+full product; prepared sides always run the full product.
 
 Package map (details in DESIGN.md):
 
@@ -56,7 +56,6 @@ from repro.core.matchers import METHOD_NAMES, build_matcher
 from repro.core.multiplicity import (
     CollapsedSide,
     PairWeighter,
-    VerificationMemo,
 )
 from repro.core.plan import JoinPlanner, join
 from repro.core.signatures import (
@@ -100,7 +99,6 @@ __all__ = [
     "StatsCollector",
     "StreamResult",
     "VectorEngine",
-    "VerificationMemo",
     "__version__",
     "alnum_signature",
     "alpha_signature",

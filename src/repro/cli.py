@@ -103,15 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     match = sub.add_parser("match", help="join two string files")
     match.add_argument("left", type=Path, help="newline-delimited strings")
     match.add_argument("right", type=Path, help="newline-delimited strings")
-    match.add_argument(
-        "--self-join",
-        action="store_true",
-        help=(
-            "assert both files hold the same values and enumerate only "
-            "the pair triangle (auto-detected for identical inputs; "
-            "dedupe always self-joins)"
-        ),
-    )
     _common_join_args(match)
 
     dedupe = sub.add_parser("dedupe", help="find duplicate clusters in one file")
@@ -445,15 +436,6 @@ def _common_join_args(sub: argparse.ArgumentParser) -> None:
         ),
     )
     sub.add_argument(
-        "--collapse",
-        default="auto",
-        choices=["auto", "on", "off"],
-        help=(
-            "unique-string collapse: run the join over distinct values "
-            "only (auto: when sampled duplication makes it pay)"
-        ),
-    )
-    sub.add_argument(
         "--plan",
         action="store_true",
         help="print the chosen plan to stderr before running",
@@ -549,8 +531,6 @@ def _planned_join(args: argparse.Namespace, left, right, collector):
             scheme=args.scheme,
             record_matches=True,
             collector=collector,
-            collapse=args.collapse,
-            self_join=True if getattr(args, "self_join", False) else None,
             workers=getattr(args, "workers", None),
             kernels=args.kernels,
         )

@@ -95,9 +95,6 @@ class PreparedMatcher:
         #: ``weighter.weight(i, j)`` so collapsed joins conserve against
         #: the uncollapsed baseline.  None = every pair weighs 1.
         self.weighter = None
-        #: bounded verdict cache (plan layer); verdicts for a canonical
-        #: ``(s, t)`` are computed once.  None = verify every arrival.
-        self.memo = None
         self.collector = collector
 
     @property
@@ -134,9 +131,7 @@ class PreparedMatcher:
         if self.verifier is None:
             return True
         self.verified_pairs += 1
-        if self.memo is None:
-            return self.verifier(self._left[i], self._right[j])
-        return self._verify_memoized(self._left[i], self._right[j], None)
+        return self.verifier(self._left[i], self._right[j])
 
     def _matches_observed(self, i: int, j: int, collector) -> bool:
         """The decision path with full funnel accounting.
@@ -158,28 +153,10 @@ class PreparedMatcher:
             return True
         self.verified_pairs += 1
         collector.verified += w
-        if self.memo is None:
-            verdict = self.verifier(self._left[i], self._right[j])
-        else:
-            verdict = self._verify_memoized(
-                self._left[i], self._right[j], collector
-            )
-        if verdict:
+        if self.verifier(self._left[i], self._right[j]):
             collector.matched += w
             return True
         return False
-
-    def _verify_memoized(self, s: str, t: str, collector) -> bool:
-        """Verify through the memo; mirror hit/miss tallies when observed."""
-        verdict = self.memo.lookup(s, t)
-        if verdict is None:
-            verdict = self.verifier(s, t)
-            self.memo.store(s, t, verdict)
-            if collector:
-                collector.verifier_counters["memo_misses"] += 1
-        elif collector:
-            collector.verifier_counters["memo_hits"] += 1
-        return verdict
 
     @property
     def filter_stats(self):

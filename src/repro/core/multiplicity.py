@@ -1,9 +1,9 @@
-"""The multiplicity layer: duplicate values, join symmetry, memoization.
+"""The multiplicity layer: duplicate values and join symmetry.
 
 The paper's workloads are demographic strings whose value distributions
 are heavily Zipfian (census last names: SMITH alone covers ~1% of the
 population), so an ``n x n`` join spends most of its time re-filtering
-and re-verifying the *same* string pairs.  This module holds the three
+and re-verifying the *same* string pairs.  This module holds the two
 composable pieces that make plan cost proportional to the number of
 *distinct* pairs instead — with bit-identical results:
 
@@ -20,14 +20,13 @@ composable pieces that make plan cost proportional to the number of
   and the diagonal pair ``(u, u)`` for all ``count(u)**2`` identical
   pairs, so the weighted totals reproduce the full product exactly:
   ``sum_{u<v} 2*c_u*c_v + sum_u c_u**2 == n**2``.
-* a bounded **verification memo** — :class:`VerificationMemo` caches
-  verifier verdicts under a canonical ``(s, t)`` key so the scalar
-  backend verifies each distinct string pair once even when duplicates
-  (or a candidate generator) resurface it.
 
-The planner (:mod:`repro.core.plan`) estimates the uniqueness ratio
-from a sample and activates the layer only when it pays; every plan
-that goes through it returns a :class:`CollapsedJoinResult`, whose
+The planner (:mod:`repro.core.plan`) decides both from its inputs, with
+no argument: it collapses list sides when a sampled uniqueness ratio
+says it pays, and takes the triangle of content-equal list sides under
+a collapse or on a PASS-JOIN plan, whose probe cuts ``j < i`` in place.
+A prepared side on either side runs the plain product.  Every plan that
+goes through the layer returns a :class:`CollapsedJoinResult`, whose
 match rows expand lazily from unique-space matches.
 """
 
@@ -43,7 +42,6 @@ from repro.core.join import JoinResult, match_rows
 __all__ = [
     "CollapsedSide",
     "PairWeighter",
-    "VerificationMemo",
     "CollapsedJoinResult",
     "estimate_uniqueness",
     "expand_rows",
@@ -92,9 +90,9 @@ class CollapsedSide:
     def identity(cls, strings: Sequence[str]) -> "CollapsedSide":
         """A no-dedup view (every row its own unique value).
 
-        Used when the triangular strategy is wanted but collapsing was
-        declined (``collapse="off"`` or not worth it): expansion and
-        weighting degenerate to the identity.
+        Used by a self-join triangle the planner did not collapse (a
+        PASS-JOIN plan): expansion and weighting degenerate to the
+        identity.
         """
         n = len(strings)
         return cls(
@@ -176,59 +174,6 @@ class PairWeighter:
 
     def total(self, ii: np.ndarray, jj: np.ndarray) -> int:
         return int(self.block(ii, jj).sum())
-
-
-# ---------------------------------------------------------------------------
-# Verification memo
-# ---------------------------------------------------------------------------
-
-
-class VerificationMemo:
-    """Bounded FIFO cache of verifier verdicts for one (method, k).
-
-    Keys are the canonical ``(min(s, t), max(s, t))`` ordering — every
-    verifier in the registry (DL, PDL, Jaro, Jaro-Winkler, Hamming,
-    Soundex) is symmetric, so one entry serves both orders.  One memo
-    instance is scoped to a single method stack and threshold; the
-    planner keeps a memo per method, which is what makes the short key
-    sufficient for the full ``(s, t, method, k)`` identity.
-
-    Eviction is first-in-first-out at ``capacity`` entries, bounding
-    memory on adversarial streams while keeping the hot Zipfian head
-    resident.  ``hits`` / ``misses`` count lookups for introspection;
-    observed joins additionally mirror them into
-    ``collector.verifier_counters``.
-    """
-
-    __slots__ = ("capacity", "hits", "misses", "_store")
-
-    def __init__(self, capacity: int = 1 << 16):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._store: dict[tuple[str, str], bool] = {}
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def lookup(self, s: str, t: str) -> bool | None:
-        """The cached verdict for ``(s, t)``, or ``None`` on a miss."""
-        key = (s, t) if s <= t else (t, s)
-        verdict = self._store.get(key)
-        if verdict is None and key not in self._store:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return verdict
-
-    def store(self, s: str, t: str, verdict: bool) -> None:
-        key = (s, t) if s <= t else (t, s)
-        if key not in self._store and len(self._store) >= self.capacity:
-            # FIFO: dicts iterate in insertion order.
-            del self._store[next(iter(self._store))]
-        self._store[key] = bool(verdict)
 
 
 # ---------------------------------------------------------------------------

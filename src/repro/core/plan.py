@@ -40,15 +40,18 @@ reports its rejections.
 
 **Multiplicity.**  Demographic workloads are heavily duplicated, so the
 planner composes the :mod:`repro.core.multiplicity` layer in front of
-any (generator, backend) pair: ``collapse`` runs the whole funnel on
-the unique-value product with per-pair weights keeping every counter in
-original-pair units; self-joins (same dataset on both sides, detected
-or forced with ``self_join=True``) enumerate only the ``i <= j``
-triangle of the unique product; and a bounded verification memo lets
-the scalar backend verify each distinct string pair once on
-uncollapsed duplicate-bearing plans.  All of it is
-bit-identical to the uncollapsed plan (asserted by the equivalence
-suite) — only the enumerated-pair cost changes.
+any (generator, backend) pair, decided from its inputs alone: list
+sides whose sampled unique product is small enough run the whole
+funnel on the unique-value product, with per-pair weights keeping
+every counter in original-pair units; content-equal list sides (a
+self-join) enumerate only the ``i <= j`` triangle where it is cut in
+place — under a collapse, or on a PASS-JOIN plan, whose probe skips
+``j < i`` — and run the plain product otherwise; and a
+:class:`~repro.parallel.prepared.PreparedSide` on either side, whose
+prepared state describes its rows rather than its distinct values,
+always runs the plain product.  All of it is bit-identical to the
+plain plan (asserted by the equivalence suite) — only the
+enumerated-pair cost changes.
 
 Quickstart::
 
@@ -72,7 +75,6 @@ from repro.core.multiplicity import (
     CollapsedJoinResult,
     CollapsedSide,
     PairWeighter,
-    VerificationMemo,
     estimate_uniqueness,
     expand_rows,
     positional_diagonal,
@@ -146,8 +148,6 @@ _INDEX_MIN_PAIRS = 1 << 20
 _HYBRID_MIN_PAIRS = 1 << 22
 #: above this k the partition index degrades: all-pairs
 _MAX_INDEX_K = 4
-#: distinct value pairs one verification memo holds
-_MEMO_CAPACITY = 1 << 16
 #: a two-dataset join collapses to unique values from this product on ...
 _COLLAPSE_MIN_PAIRS = 1 << 20
 #: ... when the sampled unique product is at most this share of the full one
@@ -462,9 +462,6 @@ class ScalarBackend(ExecutionBackend):
             scheme=planner.scheme(),
             collector=collector,
         )
-        memo = planner.memo_for(method)
-        if memo is not None:
-            matcher.memo = memo
         result = _scalar_join(
             planner.left,
             planner.right,
@@ -532,10 +529,9 @@ class HybridBackend(ExecutionBackend):
     task probes the PASS-JOIN index with a slice of the published left
     rows and verifies what it found, so the parent never holds the
     candidate pairs.  Any other stream — key blocking, an all-pairs
-    stream under a collapse or self-join weighter (which dense row
-    tasks cannot apply), or a block iterable a caller passes directly —
-    is drained in the parent and handed to the pool as candidate
-    slices.
+    stream under a collapse weighter (which dense row tasks cannot
+    apply), or a block iterable a caller passes directly — is drained
+    in the parent and handed to the pool as candidate slices.
     """
 
     name = "hybrid"
@@ -615,6 +611,11 @@ class JoinPlanner:
     share it; :meth:`prepare` forces it eagerly for timing loops that
     must exclude it.
 
+    Repeated values and self-joins need no argument: the planner
+    decides the multiplicity path from its sides (see :meth:`run`).  A
+    prepared side on either side runs the plain product, which is also
+    how a caller asks for it.
+
     Cost model (see :meth:`plan` and the module's ``_COST_*`` block):
     the generator is the cheaper of the dense product and PASS-JOIN,
     whose cost is priced from a sampled index build and probe; the
@@ -645,22 +646,11 @@ class JoinPlanner:
         workers: int | None = None,
         record_matches: bool = False,
         collector=None,
-        collapse: str = "auto",
-        self_join: bool | None = None,
-        memo: str = "auto",
         kernels: str = "auto",
     ):
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         resolve_kernels(kernels)  # rejects an unknown request up front
-        if collapse not in ("auto", "on", "off"):
-            raise ValueError(
-                f"collapse must be 'auto', 'on' or 'off', got {collapse!r}"
-            )
-        if memo not in ("auto", "on", "off"):
-            raise ValueError(
-                f"memo must be 'auto', 'on' or 'off', got {memo!r}"
-            )
         same_object = right is left
         #: sides passed in prepared; a list gets its own on first use
         self._prep_l = left if isinstance(left, PreparedSide) else None
@@ -679,28 +669,26 @@ class JoinPlanner:
         self.content_equal = same_object or (
             len(self.left) == len(self.right) and self.left == self.right
         )
-        if self_join and not self.content_equal:
-            raise ValueError(
-                "self_join=True requires left and right to hold the same "
-                "values (the triangular enumeration mirrors every pair)"
-            )
-        #: use the triangular enumeration strategy (the self-join
-        #: *optimization*; diagonal semantics follow the data, not this)
-        self.self_join = self.content_equal if self_join is None else bool(self_join)
+        #: a prepared side's encoding, PASS-JOIN index and publication
+        #: describe its rows, not its distinct values: the plain product
+        self._plain = self._prep_l is not None or self._prep_r is not None
+        #: content-equal list sides, which the multiplicity layer may
+        #: enumerate as the ``i <= j`` triangle (see :meth:`run`);
+        #: diagonal semantics follow ``content_equal``, not this
+        self.self_join = self.content_equal and not self._plain
+        if self.self_join:
+            self.right = self.left  # one prepared side serves both
         self.k = k
         self.theta = theta
         self.levels = levels
         self.workers = workers
         self.record_matches = record_matches
         self.collector = collector
-        self.collapse = collapse
-        self.memo = memo
         self.kernels = kernels
         #: per-pair multiplicity weights, set around a collapsed run so
         #: the backends (which only see this planner) pick them up
         self.weighter: PairWeighter | None = None
         self._uniqueness: float | None = None
-        self._memos: dict[str, VerificationMemo] = {}
         self._collapsed: tuple[CollapsedSide, CollapsedSide] | None = None
         self._inner: "JoinPlanner" | None = None
         self._kind = scheme
@@ -812,10 +800,10 @@ class JoinPlanner:
             self._shared.add_sdx()
         return self._shared
 
-    def length_groups(self) -> tuple[dict, dict]:
-        """String length -> rows, for each side."""
-        left, right = self._sides()
-        return left.length_groups(), right.length_groups()
+    def length_groups(self):
+        # Kept only because benchmarks/perf/workloads.py (_INDEX_BUILD)
+        # reads this attribute at import; no plan routes here.
+        raise ValueError("the length-bucket generator was removed")
 
     def prepare(self, backend: str = "vectorized") -> None:
         """Eagerly build the named backend's cached state (timing parity
@@ -838,7 +826,7 @@ class JoinPlanner:
         """Sampled estimate of ``unique product / full product``.
 
         The product of each side's :func:`estimate_uniqueness`; cached,
-        since it both gates auto-collapse and auto-enables the memo.
+        since it gates the collapse on every plan and run.
         """
         if self._uniqueness is None:
             ul = estimate_uniqueness(self.left)
@@ -849,16 +837,13 @@ class JoinPlanner:
     def collapse_active(self) -> bool:
         """Will plans run on the unique-value product?
 
-        ``"on"``/``"off"`` are honored verbatim.  ``"auto"`` collapses a
-        self-join whenever the sampled unique product is at most
-        ``_COLLAPSE_AUTO_RATIO`` of the full one; a two-dataset join
-        additionally needs a product of at least ``_COLLAPSE_MIN_PAIRS``
-        (collapsing pays a dictionary pass per side up front, which tiny
-        joins never earn back).
+        Never over a prepared side.  List sides collapse when the
+        sampled unique product is at most ``_COLLAPSE_AUTO_RATIO`` of
+        the full one; a two-dataset join additionally needs a product of
+        at least ``_COLLAPSE_MIN_PAIRS`` (collapsing pays a dictionary
+        pass per side up front, which tiny joins never earn back).
         """
-        if self.collapse == "on":
-            return True
-        if self.collapse == "off":
+        if self._plain:
             return False
         ratio = self.uniqueness_ratio()
         if self.self_join:
@@ -866,35 +851,19 @@ class JoinPlanner:
         product = len(self.left) * len(self.right)
         return product >= _COLLAPSE_MIN_PAIRS and ratio <= _COLLAPSE_AUTO_RATIO
 
-    def _multiplicity_active(self) -> bool:
-        """Route through the collapsed path (triangle and/or collapse)?"""
-        return self.self_join or self.collapse_active()
-
-    def memo_for(self, method: str) -> VerificationMemo | None:
-        """The per-method verification memo, or ``None`` when disabled.
-
-        ``"auto"`` enables the memo only when duplicates were sampled
-        (``uniqueness_ratio() < 1``) — on unique data every canonical
-        pair arrives once and the cache is pure overhead.  The collapsed
-        path disables it outright (its inner planner is built with
-        ``memo="off"``): unique-space pairs never repeat either.
-        Filter-only methods have no verifier to memoize.
-        """
-        if self.memo == "off":
-            return None
-        if self.memo == "auto" and self.uniqueness_ratio() >= 1.0:
-            return None
-        spec = method_registry().get(method)
-        if spec is None or spec.verifier is None:
-            return None
-        m = self._memos.get(method)
-        if m is None:
-            m = self._memos[method] = VerificationMemo(_MEMO_CAPACITY)
-        return m
+    def _triangle(self, generator: CandidateGenerator) -> bool:
+        """Does a plan with ``generator`` enumerate the self-join
+        triangle?  Only where the cut is made in place: under a
+        collapse, and in the PASS-JOIN probe, which skips ``j < i``.
+        The dense product runs whole: draining its triangle through the
+        candidate path costs more than the half it saves."""
+        return self.self_join and (
+            self.collapse_active() or isinstance(generator, PassJoinGenerator)
+        )
 
     def _collapsed_sides(self) -> tuple[CollapsedSide, CollapsedSide]:
         """The factored sides (shared object for self-joins; identity
-        views when the triangle is wanted but collapsing declined)."""
+        views for a triangle without a collapse)."""
         if self._collapsed is None:
             make = (
                 CollapsedSide.from_strings
@@ -911,28 +880,27 @@ class JoinPlanner:
 
         Cached: it owns the prepared state (engine, index) of the
         unique-space problem, so repeated runs pay preparation once just
-        like the uncollapsed planner does.  Built with ``collapse="off"``
-        / ``self_join=False`` / ``memo="off"`` so it never recurses into
-        the multiplicity layer; for self-joins both sides are the *same
+        like the outer planner does.  Its sides are prepared sides, so
+        it runs the plain product and never recurses into the
+        multiplicity layer; for self-joins both sides are the *same
         object*, which is how the backends detect value-identity
         diagonal semantics.
         """
         if self._inner is None:
             cl, cr = self._collapsed_sides()
+            left = PreparedSide(cl.values, self.scheme())
+            right = left if self.content_equal else PreparedSide(
+                cr.values, self.scheme()
+            )
             self._inner = JoinPlanner(
-                cl.values,
-                cl.values if self.content_equal else cr.values,
+                left,
+                right,
                 k=self.k,
                 theta=self.theta,
-                scheme=self.kind(),
                 levels=self.levels,
                 workers=self.workers,
-                collapse="off",
-                self_join=False,
-                memo="off",
                 kernels=self.kernels,
             )
-            self._inner._scheme = self.scheme()
         return self._inner
 
     # -- plan selection -----------------------------------------------------
@@ -1058,15 +1026,15 @@ class JoinPlanner:
         spec = method_registry().get(method)
         if spec is None:
             raise ValueError(f"unknown method {method!r}")
-        if self._multiplicity_active():
-            inner = self._unique_planner()
-            p = inner.plan(method, generator=generator, backend=backend)
-            parts = []
-            if self.self_join:
-                parts.append("triangular self-join")
-            if self.collapse_active():
-                parts.append("unique-collapse")
-            prefix = " + ".join(parts)
+        if self.collapse_active():
+            p = self._unique_planner().plan(
+                method, generator=generator, backend=backend
+            )
+            prefix = (
+                "triangular self-join + unique-collapse"
+                if self.self_join
+                else "unique-collapse"
+            )
             return JoinPlan(
                 method, p.generator, p.backend, p.n_left, p.n_right,
                 f"{prefix}: {p.reason}",
@@ -1086,6 +1054,8 @@ class JoinPlanner:
         reason = gen_reason if gen_reason == be_reason else (
             f"{gen_reason}; {be_reason}"
         )
+        if self._triangle(gen):
+            reason = f"triangular self-join: {reason}"
         return JoinPlan(method, gen, be, len(self.left), len(self.right), reason)
 
     # -- execution ----------------------------------------------------------
@@ -1101,6 +1071,11 @@ class JoinPlanner:
     ) -> JoinResult:
         """Plan and execute one method; returns the unified result.
 
+        The multiplicity path follows from the sides and the plan: the
+        unique-value product under a collapse (:meth:`collapse_active`),
+        the self-join triangle where it is cut in place
+        (:meth:`_triangle`), the plain product otherwise.
+
         The funnel (when a collector is given) satisfies conservation
         for every plan: non-full-product generators appear as the first
         stage, with the pairs they never emitted counted as considered
@@ -1110,16 +1085,13 @@ class JoinPlanner:
             self.collector if self.collector else NULL_COLLECTOR
         )
         record = self.record_matches if record_matches is None else record_matches
-        if self._multiplicity_active():
-            return self._run_collapsed(
-                method, generator=generator, backend=backend,
-                obs=obs, record=record,
-            )
         plan = self.plan(method, generator=generator, backend=backend)
         _log.info("plan %s", plan.describe())
         if obs:
             obs.meta["generator"] = plan.generator.name
             obs.meta["backend"] = plan.backend.name
+        if self.collapse_active() or self._triangle(plan.generator):
+            return self._run_weighted(method, plan, obs=obs, record=record)
         if plan.generator.is_full_product:
             result = plan.backend.run(
                 self,
@@ -1150,31 +1122,29 @@ class JoinPlanner:
         result.backend = plan.backend.name
         return result
 
-    def _run_collapsed(
-        self, method: str, *, generator, backend, obs, record: bool
+    def _run_weighted(
+        self, method: str, plan: JoinPlan, *, obs, record: bool
     ) -> CollapsedJoinResult:
-        """Run one method through the multiplicity layer.
+        """Run one plan through the multiplicity layer.
 
-        The inner planner's (generator, backend) pair executes over the
-        unique-value product — restricted to the ``i <= j`` triangle for
-        self-joins — with a :class:`PairWeighter` keeping every counter
-        in original-pair units.  The generator is accounted as the
-        funnel's first stage against the *original* product, so
-        conservation holds exactly as for uncollapsed plans; the skipped
-        weight is the enumerated-pair reduction this layer exists for.
+        The plan's (generator, backend) pair executes over the
+        unique-value product (the inner planner's) under a collapse, or
+        over this planner's sides otherwise — restricted to the
+        ``i <= j`` triangle for self-joins — with a :class:`PairWeighter`
+        keeping every counter in original-pair units.  The generator is
+        accounted as the funnel's first stage against the *original*
+        product, so conservation holds exactly as for plain plans; the
+        skipped weight is the enumerated-pair reduction this layer
+        exists for.
         """
         cl, cr = self._collapsed_sides()
-        inner = self._unique_planner()
-        plan = self.plan(method, generator=generator, backend=backend)
-        _log.info("plan %s", plan.describe())
+        inner = self._unique_planner() if self.collapse_active() else self
         weighter = PairWeighter(cl.counts, cr.counts, symmetric=self.self_join)
         # Unique-space matches are needed for the lazy expansion and,
         # on two-dataset joins, for the positional diagonal.
         need_matches = record or not self.self_join
         product = len(self.left) * len(self.right)
         if obs:
-            obs.meta["generator"] = plan.generator.name
-            obs.meta["backend"] = plan.backend.name
             obs.meta["collapse"] = self.collapse_active()
             obs.meta["self_join"] = self.self_join
             # Register the generator's stage before the backend creates
@@ -1200,8 +1170,8 @@ class JoinPlanner:
             obs.meta["n_right"] = len(self.right)
         unique_rows = result.match_rows
         if self.self_join:
-            # Unique values are distinct, so the backend's value-identity
-            # diagonal is exactly the weighted sum over matched (u, u).
+            # The backend's value-identity diagonal, weighted, is the
+            # full product's.
             diagonal = result.diagonal_matches
         else:
             diagonal = positional_diagonal(*unique_rows, cl, cr)
@@ -1242,8 +1212,6 @@ def join(
     workers: int | None = None,
     record_matches: bool = False,
     collector=None,
-    collapse: str = "auto",
-    self_join: bool | None = None,
     kernels: str = "auto",
     **planner_kwargs,
 ) -> JoinResult:
@@ -1254,13 +1222,13 @@ def join(
     override.  For repeated joins over the same datasets, hold a
     planner instead.
 
-    ``collapse`` (``"auto"``/``"on"``/``"off"``) controls unique-string
-    collapse; ``self_join=True`` forces the triangular enumeration for
-    content-equal sides (it is auto-detected when both arguments are the
-    same object or hold the same values).  ``kernels="numpy"`` pins the
-    NumPy kernels on the vectorized and hybrid backends (``"auto"``: the
-    compiled ones whenever they load).  The ``memo`` knob passes
-    through ``planner_kwargs``.
+    Repeated values and self-joins are the planner's to decide (see
+    :meth:`JoinPlanner.run`): sides that repeat enough run over their
+    distinct values, and content-equal sides (the same list, or equal
+    lists) are a self-join; pass :class:`~repro.parallel.prepared.
+    PreparedSide` sides for the plain product.  ``kernels="numpy"``
+    pins the NumPy kernels on the vectorized and hybrid backends
+    (``"auto"``: the compiled ones whenever they load).
 
     >>> r = join(["123456789"], ["123456780"], "FPDL", k=1, scheme="numeric")
     >>> (r.match_count, r.generator, r.backend)
@@ -1275,8 +1243,6 @@ def join(
         workers=workers,
         record_matches=record_matches,
         collector=collector,
-        collapse=collapse,
-        self_join=self_join,
         kernels=kernels,
         **planner_kwargs,
     )

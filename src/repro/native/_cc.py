@@ -84,17 +84,22 @@ def _fused_rows(fn, L, R, len_l, len_r, order, r0, r1, bound, k, chain):
                 passed_block.ctypes.data, scratch.ctypes.data,
                 stop.ctypes.data,
             )
-            if n:
-                ii_parts.append(out_i[:n].copy())
-                jj_parts.append(out_j[:n].copy())
             passed_total += passed_block
             got += n
             row = int(stop[0])
+            if n:
+                # The call's only part is returned as it is; others are
+                # copied out, so no buffer is held until the parts join.
+                lone = not ii_parts and row >= r1
+                ii_parts.append(out_i[:n] if lone else out_i[:n].copy())
+                jj_parts.append(out_j[:n] if lone else out_j[:n].copy())
             if row < b1:  # the buffer filled up: resume with twice the room
                 cap = min((b1 - row) * nr, 2 * cap)
         density = max(density, got / pairs)
     if not ii_parts:
         return empty, empty.copy(), passed_total
+    if len(ii_parts) == 1:
+        return ii_parts[0], jj_parts[0], passed_total
     return np.concatenate(ii_parts), np.concatenate(jj_parts), passed_total
 
 

@@ -20,17 +20,16 @@ makes that funnel observable at runtime:
     pairs declared matches;
 ``verifier_counters``
     the verifier's internal shortcuts — ``length_pruned`` (PDL step 1
-    rejections before any DP work), ``early_exit`` (band rows that
-    exceeded ``k``, the paper's ``x <= 0`` termination), and
-    ``memo_hits`` / ``memo_misses`` (verification-memo lookups when the
-    plan layer's :class:`repro.core.multiplicity.VerificationMemo` is
-    active).
+    rejections before any DP work) and ``early_exit`` (band rows that
+    exceeded ``k``, the paper's ``x <= 0`` termination).
 
-Multiplicity-collapsed plans (:mod:`repro.core.multiplicity`) push
-*weighted* counts — each unique-space pair counts for the
-``count(i) * count(j)`` original pairs it stands for — so every counter
-here stays in original-pair units and the conservation invariant holds
-against the uncollapsed ``n_left * n_right`` baseline.
+Plans the planner runs through its multiplicity layer
+(:mod:`repro.core.multiplicity`: the unique-value product, the
+self-join triangle) push *weighted* counts — each enumerated pair
+counts for the original pairs it stands for, ``count(i) * count(j)``,
+doubled off the diagonal of a triangle — so every counter here stays
+in original-pair units and the conservation invariant holds against
+the full ``n_left * n_right`` baseline.
 
 The conservation invariant every correctly-wired join satisfies::
 
@@ -103,8 +102,6 @@ class StatsCollector:
         self.verifier_counters: dict[str, int] = {
             "length_pruned": 0,
             "early_exit": 0,
-            "memo_hits": 0,
-            "memo_misses": 0,
         }
         #: free-form named tallies for producers outside the funnel
         #: proper — the serve layer's cache hits/misses, compactions,

@@ -9,12 +9,12 @@ millions of pairs.
 
 The engine is the in-process tier of :mod:`repro.core.plan`'s
 ``vectorized`` backend: :meth:`VectorEngine.run` covers full-product
-plans as one row task (:meth:`repro.parallel.kernels.Kernels.run_rows`
-over every left row, the sweep each pool task runs over its slice),
-:meth:`VectorEngine.run_candidates` verifies an explicit candidate
-stream (key blocking, or a collapsed or self-join plan's weighted
-stream), and :meth:`VectorEngine.run_probe` generates PASS-JOIN
-candidates itself.  Both sides are
+plans as row tasks of about ``_SWEEP_PAIRS`` pairs each
+(:meth:`repro.parallel.kernels.Kernels.run_rows`, the sweep each pool
+task runs over its slice), :meth:`VectorEngine.run_candidates`
+verifies an explicit candidate stream (key blocking, or a collapsed
+plan's weighted stream), and :meth:`VectorEngine.run_probe` generates
+PASS-JOIN candidates itself.  Both sides are
 :class:`repro.parallel.prepared.PreparedSide` objects, read in the
 :class:`repro.parallel.kernels.Side` layout, and every decision runs
 through :class:`repro.parallel.kernels.Kernels` — the same kernels the
@@ -62,6 +62,9 @@ _log = get_logger("parallel.chunked")
 
 #: method specs by lower-cased name (``run`` accepts any case)
 _SPECS = {name.lower(): spec for name, spec in method_registry().items()}
+#: pairs one dense sweep call covers: a call holds its filter survivors
+#: until they are verified, so this bounds them
+_SWEEP_PAIRS = 1 << 22
 
 
 class VectorEngine:
@@ -235,8 +238,12 @@ class VectorEngine:
             "run %s over %d x %d pairs", method, len(self.left), len(self.right)
         )
         kern = self._kernels(spec)
+        n = len(self.left)
+        rows = max(1, _SWEEP_PAIRS // max(1, len(self.right)))
+        res = kern.fresh()
         with obs.span(f"run.{method}"):
-            res = kern.run_rows(0, len(self.left), obs)
+            for r0 in range(0, n, rows):
+                kern.absorb(res, kern.run_rows(r0, min(n, r0 + rows), obs))
         result = JoinResult(
             spec.name, len(self.left), len(self.right),
             verified_pairs=res["verified"], pairs_compared=res["compared"],

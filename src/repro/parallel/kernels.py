@@ -163,19 +163,6 @@ class Side:
         return cached[2]
 
 
-def _group_by_value(values: np.ndarray) -> dict[int, np.ndarray]:
-    """Map each distinct value to the (sorted) indices holding it."""
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    groups: dict[int, np.ndarray] = {}
-    if len(order) == 0:
-        return groups
-    boundaries = np.nonzero(np.diff(sorted_vals))[0] + 1
-    for part in np.split(order, boundaries):
-        groups[int(values[part[0]])] = part
-    return groups
-
-
 def _joined(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 

@@ -18,8 +18,8 @@ to the data, not to one call, so they live here, once:
   (:class:`~repro.parallel.shm.SideArrays` refs).  Everything is built
   on first use.  Rows appended to the strings are folded in on the next
   use: the arrays, the indexes and the soundex ids are extended by the
-  new rows only, length groups are rebuilt, and the publication is
-  replaced — its new segments exist before the old ones are unlinked.
+  new rows only, and the publication is replaced — its new segments
+  exist before the old ones are unlinked.
   An append whose encoding fails changes nothing.  A side over a subset
   of the rows (:meth:`PreparedSide.take`, a roster's compaction) copies
   their arrays instead of encoding them again;
@@ -48,7 +48,7 @@ from repro.core.signatures import SignatureScheme, resolve_scheme
 from repro.core.vectorized import value_identity_codes
 from repro.distance.soundex import soundex
 from repro.obs.stats import NULL_COLLECTOR
-from repro.parallel.kernels import Side, _group_by_value, encode_side
+from repro.parallel.kernels import Side, encode_side
 
 __all__ = ["PreparedSide", "SharedPair", "shared_scheme"]
 
@@ -70,7 +70,6 @@ class PreparedSide:
         #: k -> PASS-JOIN index over the strings
         self.passjoin: dict = {}
         self._fbf = None
-        self._groups: tuple[int, dict] | None = None
         #: (soundex code -> id table, ids of the strings)
         self._sdx: tuple[dict[str, int], np.ndarray] | None = None
         self._pub = None
@@ -130,16 +129,6 @@ class PreparedSide:
                 held.sigs[kept],
             )
         return side
-
-    def length_groups(self) -> dict[int, np.ndarray]:
-        """String length -> the (sorted) rows of that length."""
-        n = len(self.strings)
-        if self._groups is None or self._groups[0] != n:
-            lengths = np.fromiter(
-                (len(s) for s in self.strings), dtype=np.int64, count=n
-            )
-            self._groups = (n, _group_by_value(lengths))
-        return self._groups[1]
 
     def soundex_ids(self, other: Sequence[str] | None = None) -> np.ndarray:
         """Soundex ids of this side's rows from its own table (the empty

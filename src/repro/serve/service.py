@@ -560,9 +560,6 @@ class MatchService:
             prep,
             k=k,
             workers=self._workers,
-            collapse="off",
-            memo="off",
-            self_join=False,
         ).run(
             "FPDL",
             generator="pass-join",

@@ -584,9 +584,6 @@ def join_stream(
                     k=k,
                     theta=theta,
                     workers=workers,
-                    collapse="off",
-                    memo="off",
-                    self_join=False,
                     kernels=kernels,
                 ).run(
                     method,

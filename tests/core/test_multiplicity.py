@@ -1,21 +1,26 @@
-"""Unit tests for the multiplicity layer (collapse, triangle, memo)."""
+"""Unit tests for the multiplicity layer (collapse, triangle) and the
+planner's rule for when it runs."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.matchers import build_matcher
+import repro
 from repro.core.multiplicity import (
     CollapsedJoinResult,
     CollapsedSide,
     PairWeighter,
-    VerificationMemo,
     estimate_uniqueness,
     expand_rows,
     positional_diagonal,
 )
 from repro.core.plan import JoinPlanner
+from repro.data.datasets import dataset_for_family
+from repro.obs import StatsCollector
+from repro.parallel import shm
+from repro.parallel.chunked import VectorEngine
+from tests.plan_modes import collapse, plain, prepared
 
 dup_lists = st.lists(
     st.sampled_from(["SMITH", "SMYTH", "JONES", "JONAS", "LEE"]),
@@ -101,46 +106,6 @@ class TestPairWeighter:
             w.weight(i, j) for i in range(u) for j in range(i, u)
         )
         assert total == n * n
-
-
-class TestVerificationMemo:
-    def test_canonical_key_serves_both_orders(self):
-        memo = VerificationMemo()
-        memo.store("B", "A", True)
-        assert memo.lookup("A", "B") is True
-        assert memo.lookup("B", "A") is True
-        assert memo.hits == 2
-
-    def test_miss_then_hit_counters(self):
-        memo = VerificationMemo()
-        assert memo.lookup("X", "Y") is None
-        memo.store("X", "Y", False)
-        assert memo.lookup("X", "Y") is False
-        assert (memo.misses, memo.hits) == (1, 1)
-
-    def test_fifo_eviction(self):
-        memo = VerificationMemo(capacity=2)
-        memo.store("A", "A", True)
-        memo.store("B", "B", True)
-        memo.store("C", "C", True)  # evicts the (A, A) entry
-        assert memo.lookup("A", "A") is None
-        assert memo.lookup("B", "B") is True
-        assert len(memo) == 2
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            VerificationMemo(capacity=0)
-
-    def test_matcher_consults_memo(self):
-        calls = []
-        matcher = build_matcher("DL", k=1)
-        real = matcher.verifier
-        matcher.verifier = lambda s, t: calls.append((s, t)) or real(s, t)
-        matcher.memo = VerificationMemo()
-        matcher.prepare(["AB", "AB"], ["AC"])
-        assert matcher.matches(0, 0) and matcher.matches(1, 0)
-        assert len(calls) == 1  # second arrival answered from the memo
-        assert matcher.verified_pairs == 2  # arrivals still both counted
 
 
 def _pairs(rows):
@@ -256,10 +221,7 @@ class TestPlannerIntegration:
     DATA = ["SMITH"] * 5 + ["SMYTH"] * 3 + ["JONES"] * 2
 
     def _reference(self):
-        p = JoinPlanner(
-            list(self.DATA), list(self.DATA),
-            k=1, scheme="alpha", collapse="off", self_join=False, memo="off",
-        )
+        p = plain(self.DATA, self.DATA, k=1, scheme="alpha")
         return p.run(
             "FPDL", generator="all-pairs", backend="scalar",
             record_matches=True,
@@ -280,62 +242,144 @@ class TestPlannerIntegration:
     def test_collapse_on_two_datasets(self):
         left = ["ANNA", "ANNA", "BETH", "CARA", "CARA"]
         right = ["ANNA", "BETH", "BETH", "DANA"]
-        p_ref = JoinPlanner(
-            left, right, k=1, scheme="alpha", collapse="off", memo="off"
-        )
+        p_ref = plain(left, right, k=1, scheme="alpha")
         ref = p_ref.run(
             "LDL", generator="all-pairs", backend="scalar", record_matches=True
         )
-        p = JoinPlanner(left, right, k=1, scheme="alpha", collapse="on")
-        r = p.run("LDL", record_matches=True)
+        with collapse(True):
+            p = JoinPlanner(left, right, k=1, scheme="alpha")
+            r = p.run("LDL", record_matches=True)
         assert r.match_count == ref.match_count
         assert r.diagonal_matches == ref.diagonal_matches
         assert sorted(r.matches) == sorted(ref.matches)
         assert (r.unique_left, r.unique_right) == (3, 3)
 
     def test_uncollapsed_results_have_no_unique_counts(self):
-        p = JoinPlanner(
-            ["AB"], ["AC"], k=1, collapse="off", memo="off"
-        )
-        r = p.run("DL")
+        r = plain(["AB"], ["AC"], k=1).run("DL")
         assert r.unique_left is None and r.unique_right is None
 
     def test_self_join_forced_on_unequal_data_rejected(self):
-        with pytest.raises(ValueError, match="self_join"):
+        # The planner decides self-joins from its sides: there is no
+        # argument to force one with.
+        with pytest.raises(TypeError, match="self_join"):
             JoinPlanner(["A"], ["B"], self_join=True)
+
+    @pytest.mark.parametrize(
+        "knob", [{"collapse": "on"}, {"memo": "on"}, {"self_join": True}]
+    )
+    def test_multiplicity_knobs_are_not_arguments(self, knob):
+        with pytest.raises(TypeError):
+            JoinPlanner(["A"], ["A"], **knob)
+        with pytest.raises(TypeError):
+            repro.join(["A"], ["A"], **knob)
+
+    def test_prepared_sides_run_the_plain_product(self):
+        # Heavy duplication and content-equal sides: lists collapse and
+        # take the triangle, prepared sides never do.
+        data = self.DATA * 3
+        lists = JoinPlanner(data, data, k=1, scheme="alpha")
+        assert lists.self_join and lists.collapse_active()
+        planner = JoinPlanner(*prepared(data, data, scheme="alpha"), k=1)
+        assert planner.content_equal
+        assert not (planner.self_join or planner.collapse_active())
+        ref = lists.run("FPDL", generator="pass-join", record_matches=True)
+        for generator in ("all-pairs", "pass-join"):
+            plan = planner.plan("FPDL", generator=generator)
+            assert "triangular" not in plan.reason
+            assert "collapse" not in plan.reason
+            r = planner.run("FPDL", generator=generator, record_matches=True)
+            assert r.unique_left is None
+            if generator == "all-pairs":
+                assert r.pairs_compared == len(data) ** 2
+            assert sorted(r.matches) == sorted(ref.matches)
+            assert r.diagonal_matches == ref.diagonal_matches
 
     def test_collapse_auto_skips_unique_data(self):
         strings = [f"{i:06d}" for i in range(50)]
         p = JoinPlanner(strings, list(reversed(strings)), k=1)
         assert not p.collapse_active()
 
-    def test_memo_auto_follows_duplication(self):
-        dup = ["AA", "AA", "AB"]
-        uniq = ["AA", "AB", "AC"]
-        assert (
-            JoinPlanner(dup, list(uniq), collapse="off").memo_for("DL")
-            is not None
-        )
-        assert JoinPlanner(list(uniq), list(uniq)).memo_for("DL") is None
-        # Filter-only stacks have nothing to memoize.
-        assert (
-            JoinPlanner(dup, list(uniq), collapse="off").memo_for("FBF")
-            is None
-        )
+    def test_collapse_follows_duplication(self):
+        dup = ["AA", "AA", "AA", "AB"]
+        uniq = ["AA", "AB", "AC", "AD"]
+        assert JoinPlanner(dup, dup).collapse_active()
+        assert not JoinPlanner(uniq, uniq).collapse_active()
+        # A two-dataset join also needs a product that pays the
+        # dictionary passes back.
+        assert not JoinPlanner(dup, list(uniq)).collapse_active()
 
-    def test_memoized_scalar_plan_equals_reference(self):
+    def test_scalar_plan_on_duplicates_equals_reference(self):
         left = ["SMITH", "SMITH", "SMYTH", "JONES", "SMITH"]
         right = ["SMYTH", "SMITH", "SMITH", "JONAS"]
-        ref = JoinPlanner(
-            left, right, k=1, scheme="alpha", collapse="off", memo="off"
-        ).run("FPDL", generator="all-pairs", backend="scalar",
-              record_matches=True)
-        p = JoinPlanner(
-            left, right, k=1, scheme="alpha", collapse="off", memo="on"
+        ref = plain(left, right, k=1, scheme="alpha").run(
+            "FPDL", generator="all-pairs", backend="scalar",
+            record_matches=True,
         )
-        r = p.run("FPDL", generator="all-pairs", backend="scalar",
-                  record_matches=True)
+        with collapse(True):
+            r = JoinPlanner(left, right, k=1, scheme="alpha").run(
+                "FPDL", generator="all-pairs", backend="scalar",
+                record_matches=True,
+            )
         assert sorted(r.matches) == sorted(ref.matches)
-        assert r.verified_pairs == ref.verified_pairs  # arrivals, not work
-        memo = p.memo_for("FPDL")
-        assert memo.hits > 0  # duplicates actually hit the cache
+        assert r.match_count == ref.match_count
+        # Each distinct pair is verified once.
+        assert r.verified_pairs < ref.verified_pairs
+
+
+class TestUncollapsedSelfJoinIsDense:
+    """Content-equal list sides on an uncollapsed all-pairs plan run the
+    plain dense product: the triangle would be drained through the
+    candidate path, whose pairs grow with the square of the input.  The
+    answer and funnel are the plain scalar reference's."""
+
+    @pytest.fixture(scope="class")
+    def names(self):
+        pair = dataset_for_family("LN", 300, seed=7)
+        return list(pair.clean) + list(pair.error)
+
+    @pytest.fixture(scope="class")
+    def reference(self, names):
+        c = StatsCollector("scalar")
+        r = plain(names, names, k=5, record_matches=True).run(
+            "FPDL", generator="all-pairs", backend="scalar", collector=c
+        )
+        return r, c
+
+    def _check(self, planner, names, reference, **run):
+        ref, ref_c = reference
+        assert planner.self_join and not planner.collapse_active()
+        c = StatsCollector("self-join")
+        r = planner.run(
+            "FPDL", generator="all-pairs", collector=c, record_matches=True,
+            **run,
+        )
+        assert sorted(r.matches) == sorted(ref.matches)
+        assert (r.match_count, r.diagonal_matches) == (
+            ref.match_count, ref.diagonal_matches,
+        )
+        assert c.conserved and c.pairs_considered == len(names) ** 2
+        assert (c.survivors, c.verified, c.matched) == (
+            ref_c.survivors, ref_c.verified, ref_c.matched,
+        )
+
+    def test_in_process(self, names, reference, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the dense product was drained")
+
+        monkeypatch.setattr(VectorEngine, "run_candidates", forbidden)
+        planner = JoinPlanner(names, list(names), k=5)
+        self._check(planner, names, reference, backend="vectorized")
+
+    def test_hybrid(self, names, reference, monkeypatch):
+        pool = shm.shared_pool(2)
+        real_run = pool.run_tasks
+        works = []
+
+        def spy(calls, **kwargs):
+            works.extend(task.work[0] for _, task in calls)
+            return real_run(calls, **kwargs)
+
+        monkeypatch.setattr(pool, "run_tasks", spy)
+        planner = JoinPlanner(names, list(names), k=5, workers=2)
+        self._check(planner, names, reference, backend="hybrid")
+        assert works and "pairs" not in works

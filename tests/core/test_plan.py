@@ -34,6 +34,7 @@ from repro.core.plan import (
 )
 from repro.data.datasets import dataset_for_family
 from repro.obs import StatsCollector
+from tests.plan_modes import plain
 
 REGISTRY = method_registry()
 
@@ -193,7 +194,7 @@ class TestPartitionRouting:
 
     def test_k1_prefers_passjoin_over_dense(self, ln_names):
         clean, err = ln_names
-        p = JoinPlanner(err, clean, k=1, collapse="off")
+        p = plain(err, clean, k=1)
         by_name = {c.name: c for c in p.generator_costs("FPDL")}
         assert by_name["pass-join"].cost < by_name["all-pairs"].cost
 
@@ -204,7 +205,7 @@ class TestPartitionRouting:
         clean, err = ln_names
         costs = {}
         for k in (1, 2):
-            p = JoinPlanner(err, clean, k=k, collapse="off")
+            p = plain(err, clean, k=k)
             by_name = {c.name: c for c in p.generator_costs("FPDL")}
             costs[k] = (by_name["pass-join"].cost, p.sampled_emit())
         fixed = len(clean) * plan_module._COST_BUILD_SEG + len(err) * (
@@ -216,15 +217,15 @@ class TestPartitionRouting:
     @pytest.mark.parametrize("k", [1, 2])
     def test_auto_plan_samples_only_passjoin(self, ln_names, k, monkeypatch):
         """A fresh auto plan prices the dense product and one sampled
-        PASS-JOIN build; it builds no length groups, no FBF index and
-        no full-size index over either side."""
+        PASS-JOIN build; it builds no FBF index and no full-size index
+        over either side."""
         from repro.core import passjoin
         from repro.parallel.prepared import PreparedSide
 
         def forbidden(*args, **kwargs):
             raise AssertionError("plan() built state it does not price")
 
-        for name in ("length_groups", "fbf_index", "passjoin_index"):
+        for name in ("fbf_index", "passjoin_index"):
             monkeypatch.setattr(PreparedSide, name, forbidden)
         sampled = []
         real_init = passjoin.PassJoinIndex.__init__
@@ -243,7 +244,7 @@ class TestPartitionRouting:
 
     def test_reason_names_the_winner_and_its_cost(self, ln_names):
         clean, err = ln_names
-        p = JoinPlanner(err, clean, k=1, collapse="off")
+        p = plain(err, clean, k=1)
         plan = p.plan("FPDL")
         assert "cost model" in plan.reason
         assert plan.generator.name in plan.reason

@@ -8,7 +8,9 @@ scalar loop, and the funnel conserves.
 
 Inputs deliberately include empty strings, duplicates and mixed
 lengths; the alphabet mixes digits and letters so the auto-detected
-signature scheme exercises the alphanumeric combination path.
+signature scheme exercises the alphanumeric combination path.  The
+reference runs over prepared sides, the plain product; the
+multiplicity paths are reached through ``tests.plan_modes``.
 """
 
 import warnings
@@ -23,6 +25,7 @@ from repro.core.matchers import METHOD_NAMES, method_registry
 from repro.core.plan import JoinPlanner, PassJoinGenerator
 from repro.data.datasets import dataset_for_family
 from repro.obs import StatsCollector
+from tests.plan_modes import MODES, collapse, plain, planner_for
 
 REGISTRY = method_registry()
 
@@ -50,7 +53,7 @@ def _safe_generators(method: str) -> list[str]:
 @settings(max_examples=25)
 @given(left=strings, right=strings)
 def test_safe_plans_match_reference(method, left, right):
-    ref = JoinPlanner(left, right, k=1, record_matches=True).run(
+    ref = plain(left, right, k=1, record_matches=True).run(
         method, generator="all-pairs", backend="scalar"
     )
     expected = sorted(ref.matches)
@@ -84,18 +87,17 @@ dup_strings = st.lists(
 @settings(max_examples=10)
 @given(left=dup_strings, right=dup_strings)
 def test_collapsed_plans_match_reference(method, left, right):
-    """collapse='on' is pure execution strategy: identical matches and
+    """A collapse is pure execution strategy: identical matches and
     identical weighted funnel accounting, in original-pair units."""
-    ref = JoinPlanner(
-        left, right, k=1, record_matches=True,
-        collapse="off", self_join=False, memo="off",
-    ).run(method, generator="all-pairs", backend="scalar")
+    ref = plain(left, right, k=1, record_matches=True).run(
+        method, generator="all-pairs", backend="scalar"
+    )
     for backend, kernels in _TIERS:
         c = StatsCollector(f"collapse/{backend}/{kernels}")
-        r = JoinPlanner(
-            left, right, k=1, record_matches=True, collapse="on",
-            kernels=kernels,
-        ).run(method, backend=backend, collector=c)
+        with collapse(True):
+            r = JoinPlanner(
+                left, right, k=1, record_matches=True, kernels=kernels,
+            ).run(method, backend=backend, collector=c)
         assert sorted(r.matches) == sorted(ref.matches)
         assert r.match_count == ref.match_count
         assert r.diagonal_matches == ref.diagonal_matches
@@ -108,23 +110,27 @@ def test_collapsed_plans_match_reference(method, left, right):
 @settings(max_examples=10)
 @given(data=dup_strings)
 def test_self_join_plans_match_reference(method, data):
-    """Triangular self-join enumeration equals the full n x n product."""
-    ref = JoinPlanner(
-        data, list(data), k=1, record_matches=True,
-        collapse="off", self_join=False, memo="off",
-    ).run(method, generator="all-pairs", backend="scalar")
-    for collapse in ("on", "off"):
-        c = StatsCollector(f"self-join/{collapse}")
-        r = JoinPlanner(
-            data, data, k=1, record_matches=True,
-            collapse=collapse, self_join=True,
-        ).run(method, backend="scalar", collector=c)
-        assert sorted(r.matches) == sorted(ref.matches)
-        assert r.match_count == ref.match_count
-        assert r.diagonal_matches == ref.diagonal_matches
-        assert c.pairs_considered == len(data) ** 2
-        assert c.conserved, f"{method} self-join/{collapse} leaked pairs"
-        assert c.matched == ref.match_count
+    """A self-join equals the full n x n product on the scalar loop,
+    collapsed or not, on every safe generator: the triangle where the
+    plan takes it, the plain product where it does not."""
+    ref = plain(data, data, k=1, record_matches=True).run(
+        method, generator="all-pairs", backend="scalar"
+    )
+    for on in (True, False):
+        for generator in _safe_generators(method):
+            tag = f"self-join/collapse={on}/{generator}"
+            c = StatsCollector(tag)
+            with collapse(on):
+                r = JoinPlanner(data, data, k=1, record_matches=True).run(
+                    method, generator=generator, backend="scalar",
+                    collector=c,
+                )
+            assert sorted(r.matches) == sorted(ref.matches), tag
+            assert r.match_count == ref.match_count
+            assert r.diagonal_matches == ref.diagonal_matches
+            assert c.pairs_considered == len(data) ** 2
+            assert c.conserved, f"{method} {tag} leaked pairs"
+            assert c.matched == ref.match_count
 
 
 @pytest.mark.parametrize("generator", ["pass-join"])
@@ -134,20 +140,21 @@ def test_partition_generators_compose_with_collapse(generator, left, right):
     """The partition index rides the unique-space planner under
     collapse exactly like the dense product — identical matches and
     conserved original-pair accounting."""
-    ref = JoinPlanner(
-        left, right, k=1, record_matches=True,
-        collapse="off", self_join=False, memo="off",
-    ).run("FPDL", generator="all-pairs", backend="scalar")
-    for collapse in ("on", "off"):
-        c = StatsCollector(f"{generator}/collapse={collapse}")
-        r = JoinPlanner(
-            left, right, k=1, record_matches=True, collapse=collapse,
-        ).run("FPDL", generator=generator, backend="vectorized", collector=c)
+    ref = plain(left, right, k=1, record_matches=True).run(
+        "FPDL", generator="all-pairs", backend="scalar"
+    )
+    for on in (True, False):
+        c = StatsCollector(f"{generator}/collapse={on}")
+        with collapse(on):
+            r = JoinPlanner(left, right, k=1, record_matches=True).run(
+                "FPDL", generator=generator, backend="vectorized",
+                collector=c,
+            )
         assert sorted(r.matches) == sorted(ref.matches)
         assert r.match_count == ref.match_count
         assert r.diagonal_matches == ref.diagonal_matches
         assert c.pairs_considered == len(left) * len(right)
-        assert c.conserved, f"{generator}/collapse={collapse} leaked pairs"
+        assert c.conserved, f"{generator}/collapse={on} leaked pairs"
 
 
 @pytest.mark.parametrize("generator", ["pass-join"])
@@ -156,16 +163,19 @@ def test_partition_generators_compose_with_collapse(generator, left, right):
 def test_partition_generators_compose_with_self_join(generator, data):
     """Triangle enumeration over partition-index candidates equals the
     full product."""
-    ref = JoinPlanner(
-        data, list(data), k=1, record_matches=True,
-        collapse="off", self_join=False, memo="off",
-    ).run("FPDL", generator="all-pairs", backend="scalar")
-    for collapse in ("on", "off"):
-        c = StatsCollector(f"{generator}/self-join/{collapse}")
-        r = JoinPlanner(
-            data, data, k=1, record_matches=True,
-            collapse=collapse, self_join=True,
-        ).run("FPDL", generator=generator, backend="vectorized", collector=c)
+    ref = plain(data, data, k=1, record_matches=True).run(
+        "FPDL", generator="all-pairs", backend="scalar"
+    )
+    for on in (True, False):
+        c = StatsCollector(f"{generator}/self-join/collapse={on}")
+        with collapse(on):
+            planner = JoinPlanner(data, data, k=1, record_matches=True)
+            r = planner.run(
+                "FPDL", generator=generator, backend="vectorized",
+                collector=c,
+            )
+            reason = planner.plan("FPDL", generator=generator).reason
+        assert "triangular self-join" in reason
         assert sorted(r.matches) == sorted(ref.matches)
         assert r.match_count == ref.match_count
         assert r.diagonal_matches == ref.diagonal_matches
@@ -184,7 +194,7 @@ class TestMultiprocessEquivalence:
 
     @pytest.mark.parametrize("method", ["DL", "FPDL", "LFPDL", "Wink", "SDX"])
     def test_matches_reference(self, ssn_pair, method):
-        ref = JoinPlanner(
+        ref = plain(
             ssn_pair.clean, ssn_pair.error, k=1, record_matches=True
         ).run(method, generator="all-pairs", backend="scalar")
         for kernels in _POOL_KERNELS:
@@ -198,13 +208,14 @@ class TestMultiprocessEquivalence:
     def test_candidate_fed_pool_matches_reference(self, ssn_pair):
         # A collapsed all-pairs stream carries weights the dense row
         # tasks cannot apply, so the pool verifies drained candidates.
-        ref = JoinPlanner(
+        ref = plain(
             ssn_pair.clean, ssn_pair.error, k=1, record_matches=True
         ).run("FPDL", generator="all-pairs", backend="scalar")
-        par = JoinPlanner(
-            ssn_pair.clean, ssn_pair.error, k=1,
-            workers=2, record_matches=True, collapse="on",
-        ).run("FPDL", generator="all-pairs", backend="hybrid")
+        with collapse(True):
+            par = JoinPlanner(
+                ssn_pair.clean, ssn_pair.error, k=1,
+                workers=2, record_matches=True,
+            ).run("FPDL", generator="all-pairs", backend="hybrid")
         assert sorted(par.matches) == sorted(ref.matches)
 
     def test_collapsed_pool_matches_reference(self):
@@ -213,13 +224,13 @@ class TestMultiprocessEquivalence:
         names = ["SMITH", "SMYTH", "JONES", "JONAS", "LEE"]
         left = [names[i % len(names)] for i in range(30)]
         right = [names[(i * 2) % len(names)] for i in range(24)]
-        ref = JoinPlanner(
-            left, right, k=1, record_matches=True,
-            collapse="off", memo="off",
-        ).run("FPDL", generator="all-pairs", backend="scalar")
-        par = JoinPlanner(
-            left, right, k=1, workers=2, record_matches=True, collapse="on",
-        ).run("FPDL", backend="hybrid")
+        ref = plain(left, right, k=1, record_matches=True).run(
+            "FPDL", generator="all-pairs", backend="scalar"
+        )
+        with collapse(True):
+            par = JoinPlanner(
+                left, right, k=1, workers=2, record_matches=True,
+            ).run("FPDL", backend="hybrid")
         assert sorted(par.matches) == sorted(ref.matches)
         assert par.match_count == ref.match_count
         assert par.diagonal_matches == ref.diagonal_matches
@@ -227,13 +238,12 @@ class TestMultiprocessEquivalence:
     def test_collapsed_self_join_pool_matches_reference(self):
         names = ["SMITH", "SMYTH", "JONES"]
         data = [names[i % len(names)] for i in range(24)]
-        ref = JoinPlanner(
-            data, list(data), k=1, record_matches=True,
-            collapse="off", self_join=False, memo="off",
-        ).run("FPDL", generator="all-pairs", backend="scalar")
-        par = JoinPlanner(
-            data, data, k=1, workers=2, record_matches=True,
-        ).run("FPDL", backend="hybrid")
+        ref = plain(data, data, k=1, record_matches=True).run(
+            "FPDL", generator="all-pairs", backend="scalar"
+        )
+        planner = JoinPlanner(data, data, k=1, workers=2, record_matches=True)
+        assert planner.collapse_active()  # 3 values among 24 rows
+        par = planner.run("FPDL", backend="hybrid")
         assert sorted(par.matches) == sorted(ref.matches)
         assert par.match_count == ref.match_count
         assert par.diagonal_matches == ref.diagonal_matches
@@ -249,15 +259,7 @@ def _assert_rows_are_matches(r, want: list) -> None:
     assert sorted(r.matches) == want
 
 
-_MODES = {
-    "plain": {"collapse": "off", "self_join": False},
-    "collapse": {"collapse": "on"},
-    "self-join": {"collapse": "off", "self_join": True},
-    "self-join-collapse": {"collapse": "on", "self_join": True},
-}
-
-
-@pytest.mark.parametrize("mode", sorted(_MODES))
+@pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("method", ["DL", "FPDL", "LFBF", "Wink", "Ham"])
 @settings(max_examples=6, deadline=None)
 @given(left=dup_strings, right=dup_strings)
@@ -266,21 +268,20 @@ def test_match_rows_are_the_matches(method, mode, left, right):
     arrays, whose tuple view is the reference match set."""
     if mode.startswith("self-join"):
         right = left
-    ref = JoinPlanner(
-        left, list(right), k=1, record_matches=True,
-        collapse="off", self_join=False, memo="off",
-    ).run(method, generator="all-pairs", backend="scalar")
+    ref = plain(left, right, k=1, record_matches=True).run(
+        method, generator="all-pairs", backend="scalar"
+    )
     want = sorted(ref.matches)
     for generator in _safe_generators(method):
         for backend, kernels in _TIERS:
-            r = JoinPlanner(
-                left, right, k=1, record_matches=True, kernels=kernels,
-                **_MODES[mode],
-            ).run(method, generator=generator, backend=backend)
+            with planner_for(
+                mode, left, right, k=1, record_matches=True, kernels=kernels
+            ) as planner:
+                r = planner.run(method, generator=generator, backend=backend)
             _assert_rows_are_matches(r, want)
 
 
-@pytest.mark.parametrize("mode", sorted(_MODES))
+@pytest.mark.parametrize("mode", sorted(MODES))
 def test_match_rows_are_the_matches_on_the_pool(mode):
     names = ["SMITH", "SMYTH", "JONES", "JONAS", "LEE", "", "LE"]
     left = [names[(i * 3) % len(names)] for i in range(21)]
@@ -288,17 +289,17 @@ def test_match_rows_are_the_matches_on_the_pool(mode):
         names[(i * 2) % len(names)] for i in range(16)
     ]
     want = sorted(
-        JoinPlanner(
-            left, list(right), k=1, record_matches=True,
-            collapse="off", self_join=False, memo="off",
-        ).run("FPDL", generator="all-pairs", backend="scalar").matches
+        plain(left, right, k=1, record_matches=True).run(
+            "FPDL", generator="all-pairs", backend="scalar"
+        ).matches
     )
     for generator in _safe_generators("FPDL"):
         for kernels in _POOL_KERNELS:
-            r = JoinPlanner(
-                left, right, k=1, workers=2, record_matches=True,
-                kernels=kernels, **_MODES[mode],
-            ).run("FPDL", generator=generator, backend="hybrid")
+            with planner_for(
+                mode, left, right, k=1, workers=2, record_matches=True,
+                kernels=kernels,
+            ) as planner:
+                r = planner.run("FPDL", generator=generator, backend="hybrid")
             _assert_rows_are_matches(r, want)
 
 
@@ -329,25 +330,26 @@ def _funnel(c: StatsCollector) -> dict:
     }
 
 
-@pytest.mark.parametrize("mode", ["plain", "collapse", "self-join"])
+@pytest.mark.parametrize("mode", sorted(MODES))
 @settings(max_examples=10, deadline=None)
 @given(left=passjoin_strings, right=passjoin_strings)
 def test_passjoin_tiers_agree(mode, left, right):
     """A pass-join plan returns the same matches and the same funnel,
     stage for stage, whichever tier probes it: the generator stage
     credits the emitted candidates once on every tier."""
-    kw = {"collapse": "on" if mode == "collapse" else "off"}
-    if mode == "self-join":
+    if mode.startswith("self-join"):
         right = left
-        kw["self_join"] = True
     outs = {}
     for backend, kernels in _PASSJOIN_TIERS:
         tier = f"pass-join/{backend}/{kernels}"
         c = StatsCollector(tier)
-        r = JoinPlanner(
-            left, right, k=1, record_matches=True, workers=2,
-            kernels=kernels, **kw,
-        ).run("FPDL", generator="pass-join", backend=backend, collector=c)
+        with planner_for(
+            mode, left, right, k=1, record_matches=True, workers=2,
+            kernels=kernels,
+        ) as planner:
+            r = planner.run(
+                "FPDL", generator="pass-join", backend=backend, collector=c
+            )
         assert r.backend == backend
         assert c.conserved, f"{tier} leaked pairs"
         assert c.pairs_considered == len(left) * len(right)

@@ -33,6 +33,7 @@ from repro.obs import StatsCollector
 from repro.parallel.chunked import VectorEngine
 from repro.native import _cc, _csrc
 from repro.parallel.kernels import Kernels, Side, pack_signatures
+from tests.plan_modes import MODES, collapse, plain, planner_for
 
 HAVE_NATIVE = native.available()
 needs_native = pytest.mark.skipif(
@@ -499,7 +500,7 @@ _RUN_METHODS = (
 
 
 @needs_native
-@pytest.mark.parametrize("mode", ["plain", "collapse", "self-join"])
+@pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("method", _RUN_METHODS)
 @settings(max_examples=8, deadline=None)
 @given(left=_near_duplicates(), right=_near_duplicates())
@@ -507,16 +508,16 @@ def test_passjoin_run_equals_numpy_probe(method, mode, left, right):
     """Native ``Kernels.run_probe`` (one compiled pass) against the NumPy
     ``probe_codes`` + ``run_pairs`` path: the same matches in the same
     order, and every funnel counter, weighted ones included."""
-    kw = {"collapse": "on" if mode == "collapse" else "off", "memo": "off"}
-    if mode == "self-join":
-        right = left
-        kw["self_join"] = True
     outs = []
     for kernels in ("numpy", "auto"):
         c = StatsCollector(kernels)
-        r = JoinPlanner(
-            left, right, k=1, record_matches=True, kernels=kernels, **kw
-        ).run(method, generator="pass-join", backend="vectorized", collector=c)
+        with planner_for(
+            mode, left, right, k=1, record_matches=True, kernels=kernels
+        ) as planner:
+            r = planner.run(
+                method, generator="pass-join", backend="vectorized",
+                collector=c,
+            )
         assert c.conserved
         outs.append((
             r.matches, r.match_count, r.diagonal_matches, r.verified_pairs,
@@ -791,34 +792,35 @@ class TestBackendEquivalence:
 
     def test_self_join_composes_with_native(self):
         data = _mixed_strings(25, 60) + ["dup"] * 4
-        ref = JoinPlanner(
-            data, list(data), k=1, record_matches=True,
-            collapse="off", self_join=False, memo="off",
-        ).run("FPDL", generator="all-pairs", backend="scalar")
-        for collapse in ("on", "off"):
-            c = StatsCollector(f"native-self/{collapse}")
-            r = JoinPlanner(
-                data, data, k=1, record_matches=True,
-                collapse=collapse, self_join=True,
-            ).run("FPDL", backend="vectorized", collector=c)
-            assert sorted(r.matches) == sorted(ref.matches)
-            assert r.match_count == ref.match_count
-            assert r.diagonal_matches == ref.diagonal_matches
-            assert c.pairs_considered == len(data) ** 2
-            assert c.conserved
+        ref = plain(data, data, k=1, record_matches=True).run(
+            "FPDL", generator="all-pairs", backend="scalar"
+        )
+        for on in (True, False):
+            for generator in ("all-pairs", "pass-join"):
+                c = StatsCollector(f"native-self/{on}/{generator}")
+                with collapse(on):
+                    r = JoinPlanner(data, data, k=1, record_matches=True).run(
+                        "FPDL", generator=generator, backend="vectorized",
+                        collector=c,
+                    )
+                assert sorted(r.matches) == sorted(ref.matches)
+                assert r.match_count == ref.match_count
+                assert r.diagonal_matches == ref.diagonal_matches
+                assert c.pairs_considered == len(data) ** 2
+                assert c.conserved
 
     def test_collapse_composes_with_native(self):
         base = ["", "a1", "a2", "ab", "ba1", "b2", "abab"]
         left = base * 3
         right = base * 2
-        ref = JoinPlanner(
-            left, right, k=1, record_matches=True,
-            collapse="off", self_join=False, memo="off",
-        ).run("FPDL", generator="all-pairs", backend="scalar")
+        ref = plain(left, right, k=1, record_matches=True).run(
+            "FPDL", generator="all-pairs", backend="scalar"
+        )
         c = StatsCollector("native-collapse")
-        r = JoinPlanner(
-            left, right, k=1, record_matches=True, collapse="on",
-        ).run("FPDL", backend="vectorized", collector=c)
+        with collapse(True):
+            r = JoinPlanner(left, right, k=1, record_matches=True).run(
+                "FPDL", backend="vectorized", collector=c
+            )
         assert sorted(r.matches) == sorted(ref.matches)
         assert r.match_count == ref.match_count
         assert c.pairs_considered == len(left) * len(right)

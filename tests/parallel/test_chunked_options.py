@@ -9,9 +9,9 @@ from repro.core.signatures import scheme_for
 from repro.core.vectorized import signatures_for_scheme
 from repro.data.datasets import dataset_for_family
 from repro.parallel.chunked import VectorEngine
-from repro.parallel.kernels import _group_by_value
 from repro.parallel.partition import iter_pair_blocks
 from repro.parallel.prepared import PreparedSide
+from tests.plan_modes import plain
 
 import numpy as np
 
@@ -82,15 +82,6 @@ class TestChunkSizing:
 
 
 class TestLengthBucketing:
-    def test_group_by_value(self):
-        groups = _group_by_value(np.array([3, 5, 3, 7, 5, 3]))
-        assert set(groups) == {3, 5, 7}
-        assert sorted(groups[3].tolist()) == [0, 2, 5]
-        assert sorted(groups[5].tolist()) == [1, 4]
-
-    def test_group_by_value_empty(self):
-        assert _group_by_value(np.array([], dtype=np.int64)) == {}
-
     def test_record_matches_on_filtered_method(self, ad_pair):
         join = VectorEngine(
             ad_pair.clean, ad_pair.error, k=1, record_matches=True
@@ -138,8 +129,8 @@ class TestShareRight:
 
     def test_planners_share_prepared_arrays(self):
         right = PreparedSide(["smith", "smyth", "jones", "jonse"], "alpha")
-        a = JoinPlanner(["smith"], right, k=1, collapse="off")
-        b = JoinPlanner(["jnoes", "smyth"], right, k=1, collapse="off")
+        a = JoinPlanner(["smith"], right, k=1)
+        b = JoinPlanner(["jnoes", "smyth"], right, k=1)
         assert a.right is b.right is right.strings
         ea, eb = a.engine(), b.engine()
         assert ea.codes_r is eb.codes_r is right.encoded.codes
@@ -151,9 +142,7 @@ class TestShareRight:
                 "FPDL", generator="pass-join", backend="vectorized",
                 record_matches=True,
             )
-            ref = JoinPlanner(
-                planner.left, list(right.strings), k=1, collapse="off"
-            ).run(
+            ref = plain(planner.left, right.strings, k=1).run(
                 "FPDL", generator="all-pairs", backend="scalar",
                 record_matches=True,
             )
@@ -181,9 +170,8 @@ _PACKED_FAMILIES = {"numeric": "SSN", "alpha": "LN", "alnum": "Ad"}
 
 
 def _scalar_reference(left, right, method, kind, levels, k=1):
-    return JoinPlanner(
+    return plain(
         left, right, k=k, scheme=kind, levels=levels, record_matches=True,
-        self_join=False, collapse="off", memo="off",
     ).run(method, generator="all-pairs", backend="scalar")
 
 

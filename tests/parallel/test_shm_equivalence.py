@@ -7,9 +7,10 @@ the identical match set, identical funnel counters and a conserved
 funnel — including the collapsed/weighted and self-join variants, where
 per-worker collectors must merge back into original-pair units.
 
-The reference runs with ``self_join=False, collapse="off", memo="off"``
-so it walks the full product with value-identity diagonal semantics —
-exactly what a dense hybrid run over published sides computes.
+The reference runs over prepared sides, so it walks the full product
+with value-identity diagonal semantics — exactly what a dense hybrid
+run over published sides computes.  The collapse rule is forced with
+``tests.plan_modes.collapse``.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.obs import StatsCollector
 from repro.parallel import shm
 from repro.parallel.prepared import PreparedSide
 from repro.parallel.shm import close_shared_pools, shared_pool
+from tests.plan_modes import collapse, plain
 
 REGISTRY = method_registry()
 
@@ -42,10 +44,9 @@ def _safe_generators(method: str) -> list[str]:
 
 
 def _reference(left, right, method):
-    return JoinPlanner(
-        left, right, k=1, record_matches=True,
-        self_join=False, collapse="off", memo="off",
-    ).run(method, generator="all-pairs", backend="scalar")
+    return plain(left, right, k=1, record_matches=True).run(
+        method, generator="all-pairs", backend="scalar"
+    )
 
 
 @pytest.mark.parametrize("method", METHOD_NAMES)
@@ -56,9 +57,8 @@ def test_hybrid_matches_reference(method, left, right):
     expected = sorted(ref.matches)
     for generator in _safe_generators(method):
         c = StatsCollector(f"hybrid/{generator}")
-        planner = JoinPlanner(
-            left, right, k=1, record_matches=True, workers=2,
-            self_join=False, collapse="off", memo="off", collector=c,
+        planner = plain(
+            left, right, k=1, record_matches=True, workers=2, collector=c,
         )
         r = planner.run(method, generator=generator, backend="hybrid")
         assert r.backend == "hybrid"
@@ -71,10 +71,9 @@ def test_hybrid_matches_reference(method, left, right):
         assert c.conserved, f"{method} hybrid/{generator} leaked pairs"
         assert c.matched == ref.match_count
         inproc = StatsCollector(f"vectorized/{generator}")
-        JoinPlanner(
-            left, right, k=1, self_join=False, collapse="off", memo="off",
-            collector=inproc,
-        ).run(method, generator=generator, backend="vectorized")
+        plain(left, right, k=1, collector=inproc).run(
+            method, generator=generator, backend="vectorized"
+        )
         # An empty product dispatches no hybrid task, so stages that
         # tested nothing are left out of the comparison.
         assert _funnel(c, tested_only=True) == _funnel(
@@ -101,7 +100,7 @@ def _funnel(c: StatsCollector, *, tested_only: bool = False) -> dict:
 @settings(max_examples=6, deadline=None)
 @given(left=dup_strings, right=dup_strings)
 def test_collapsed_hybrid_matches_reference(method, left, right):
-    """collapse='on' over the hybrid backend: per-worker funnels come
+    """A forced collapse over the hybrid backend: per-worker funnels come
     back in weighted units and still reconcile with the uncollapsed
     scalar reference.  A collapsed all-pairs stream is the lossless
     plan the pool verifies as drained candidate slices (its weights
@@ -110,20 +109,21 @@ def test_collapsed_hybrid_matches_reference(method, left, right):
     ref = _reference(left, right, method)
     for generator in _safe_generators(method):
         c = StatsCollector("hybrid-collapsed")
-        planner = JoinPlanner(
-            left, right, k=1, record_matches=True, workers=2,
-            collapse="on", collector=c,
-        )
-        r = planner.run(method, generator=generator, backend="hybrid")
+        with collapse(True):
+            r = JoinPlanner(
+                left, right, k=1, record_matches=True, workers=2,
+                collector=c,
+            ).run(method, generator=generator, backend="hybrid")
         assert sorted(r.matches) == sorted(ref.matches), generator
         assert r.match_count == ref.match_count
         assert c.pairs_considered == len(left) * len(right)
         assert c.conserved
         assert c.matched == ref.match_count
         inproc = StatsCollector("vectorized-collapsed")
-        JoinPlanner(
-            left, right, k=1, collapse="on", collector=inproc,
-        ).run(method, generator=generator, backend="vectorized")
+        with collapse(True):
+            JoinPlanner(left, right, k=1, collector=inproc).run(
+                method, generator=generator, backend="vectorized"
+            )
         assert _funnel(c, tested_only=True) == _funnel(
             inproc, tested_only=True
         ), f"{method} collapsed hybrid/{generator} funnel differs"
@@ -138,9 +138,8 @@ def test_self_join_hybrid_matches_reference(method, values):
     ref = _reference(values, list(values), method)
     for generator in _safe_generators(method):
         c = StatsCollector("hybrid-self")
-        planner = JoinPlanner(
-            values, list(values), k=1, record_matches=True, workers=2,
-            self_join=False, collapse="off", memo="off", collector=c,
+        planner = plain(
+            values, values, k=1, record_matches=True, workers=2, collector=c,
         )
         r = planner.run(method, generator=generator, backend="hybrid")
         assert sorted(r.matches) == sorted(ref.matches), generator
@@ -148,12 +147,12 @@ def test_self_join_hybrid_matches_reference(method, values):
         assert c.conserved
 
 
-@pytest.mark.parametrize("collapse", ["on", "off"])
+@pytest.mark.parametrize("forced", ["on", "off"])
 @pytest.mark.parametrize("method", ["DL", "FPDL"])
 @settings(max_examples=6, deadline=None)
 @given(values=dup_strings)
 def test_triangular_self_join_probe_matches_in_process(
-    method, collapse, values
+    method, forced, values
 ):
     """The triangular self-join through the in-worker probe: workers
     keep the ``i <= j`` half under the symmetric weighter and credit the
@@ -166,10 +165,11 @@ def test_triangular_self_join_probe_matches_in_process(
         c = StatsCollector(backend)
         planner = JoinPlanner(
             values, list(values), k=1, record_matches=True, workers=2,
-            collapse=collapse, collector=c,
+            collector=c,
         )
         assert planner.self_join
-        r = planner.run(method, generator="pass-join", backend=backend)
+        with collapse(forced == "on"):
+            r = planner.run(method, generator="pass-join", backend=backend)
         assert sorted(r.matches) == sorted(ref.matches), backend
         assert r.match_count == ref.match_count
         assert r.diagonal_matches == ref.diagonal_matches
@@ -203,9 +203,8 @@ def test_latin1_hybrid_matches_reference(method, left, right):
     ref = _reference(left, right, method)
     for generator in _safe_generators(method):
         c = StatsCollector(f"hybrid/{generator}")
-        planner = JoinPlanner(
-            left, right, k=1, record_matches=True, workers=2,
-            self_join=False, collapse="off", memo="off", collector=c,
+        planner = plain(
+            left, right, k=1, record_matches=True, workers=2, collector=c,
         )
         r = planner.run(method, generator=generator, backend="hybrid")
         assert sorted(r.matches) == sorted(ref.matches), generator
@@ -213,10 +212,9 @@ def test_latin1_hybrid_matches_reference(method, left, right):
         assert c.conserved
         if generator == "pass-join":
             inproc = StatsCollector("vectorized")
-            JoinPlanner(
-                left, right, k=1, self_join=False, collapse="off",
-                memo="off", collector=inproc,
-            ).run(method, generator=generator, backend="vectorized")
+            plain(left, right, k=1, collector=inproc).run(
+                method, generator=generator, backend="vectorized"
+            )
             assert _funnel(c) == _funnel(inproc)
 
 
@@ -230,19 +228,17 @@ def test_numpy_pinned_hybrid_matches_reference(method, left, right):
     ref = _reference(left, right, method)
     for generator in _safe_generators(method):
         c = StatsCollector(f"hybrid-numpy/{generator}")
-        r = JoinPlanner(
-            left, right, k=1, record_matches=True, workers=2,
-            self_join=False, collapse="off", memo="off", collector=c,
+        r = plain(
+            left, right, k=1, record_matches=True, workers=2, collector=c,
             kernels="numpy",
         ).run(method, generator=generator, backend="hybrid")
         assert sorted(r.matches) == sorted(ref.matches), generator
         assert r.diagonal_matches == ref.diagonal_matches
         assert c.conserved
         inproc = StatsCollector(f"vectorized-numpy/{generator}")
-        JoinPlanner(
-            left, right, k=1, self_join=False, collapse="off", memo="off",
-            collector=inproc, kernels="numpy",
-        ).run(method, generator=generator, backend="vectorized")
+        plain(left, right, k=1, collector=inproc, kernels="numpy").run(
+            method, generator=generator, backend="vectorized"
+        )
         assert _funnel(c, tested_only=True) == _funnel(
             inproc, tested_only=True
         ), f"{method} numpy-pinned hybrid/{generator} funnel differs"
@@ -258,18 +254,16 @@ def test_dense_hybrid_records_matches_row_major(method, kernels):
     pair = dataset_for_family("LN", 700, 3)
     left, right = pair.clean, pair.error
     c = StatsCollector("dense-hybrid")
-    r = JoinPlanner(
-        left, right, k=1, record_matches=True, workers=2,
-        self_join=False, collapse="off", memo="off", collector=c,
+    r = plain(
+        left, right, k=1, record_matches=True, workers=2, collector=c,
         kernels=kernels,
     ).run(method, generator="all-pairs", backend="hybrid")
     assert c.counters["shm_tasks_dispatched"] > 2
     mi, mj = r.match_rows
     order = np.lexsort((mj, mi))
     assert np.array_equal(mi, mi[order]) and np.array_equal(mj, mj[order])
-    inproc = JoinPlanner(
-        left, right, k=1, record_matches=True, self_join=False,
-        collapse="off", memo="off", kernels=kernels,
+    inproc = plain(
+        left, right, k=1, record_matches=True, kernels=kernels
     ).run(method, generator="all-pairs", backend="vectorized")
     assert np.array_equal(mi, inproc.match_rows[0])
     assert np.array_equal(mj, inproc.match_rows[1])
@@ -291,9 +285,9 @@ def test_the_kernels_pin_rides_on_every_task(monkeypatch):
     left, right = ["SMITH", "SMYTH", "JONES"], ["SMITH", "JONAS", "LEE"]
     for kernels in ("auto", "numpy"):
         for generator in ("all-pairs", "pass-join"):
-            JoinPlanner(
-                left, right, k=1, workers=2, collapse="off", kernels=kernels
-            ).run("FPDL", generator=generator, backend="hybrid")
+            JoinPlanner(left, right, k=1, workers=2, kernels=kernels).run(
+                "FPDL", generator=generator, backend="hybrid"
+            )
     assert pins == [{"auto"}, {"auto"}, {"numpy"}, {"numpy"}]
 
     resolved = []

@@ -99,7 +99,7 @@ def test_packed_rows_appended_match_scalar(kind, levels):
     """Appended rows are packed like a fresh build — including the zero
     pad column of odd u32 widths — and the grown engine's full-product
     and candidate runs equal the scalar reference."""
-    from repro.core.plan import JoinPlanner
+    from tests.plan_modes import plain
     from repro.parallel.partition import iter_pair_blocks
 
     base, added, queries = _PACKED_CASES[kind]
@@ -115,10 +115,9 @@ def test_packed_rows_appended_match_scalar(kind, levels):
     assert engine.sigs_r.dtype == np.uint64
     np.testing.assert_array_equal(engine.sigs_r, fresh.sigs_r)
     for method in ("FBF", "FPDL", "LFPDL"):
-        ref = JoinPlanner(
+        ref = plain(
             queries, base + added, k=1, scheme=kind, levels=levels,
-            record_matches=True, self_join=False, collapse="off",
-            memo="off",
+            record_matches=True,
         ).run(method, generator="all-pairs", backend="scalar")
         assert sorted(engine.run(method).matches) == sorted(ref.matches)
         blocks = iter_pair_blocks(len(queries), len(right), 5)
